@@ -1,7 +1,7 @@
 (* Bechamel micro-benchmarks of the primitives every experiment leans on:
-   FFT kernels (planless and plan-cached), the spectrum pipeline (one-shot
-   and reusable-state), the Goertzel single-bin filter, the elasticity
-   detector tick, the ẑ estimator, event-queue churn, and one simulated
+   the FFT plan kernels, the reusable-state spectrum pipeline, the Goertzel
+   single-bin filter, the elasticity detector tick, the ẑ estimator,
+   event-queue churn, and one simulated
    packet-second of a Cubic flow.  Each benchmark is measured against both
    the monotonic clock and the minor allocator, and the results can be
    dumped as JSON for per-PR perf tracking. *)
@@ -20,22 +20,8 @@ let signal n =
       sin (2. *. pi *. 5. *. float_of_int i /. 100.)
       +. (0.3 *. sin (2. *. pi *. 17.3 *. float_of_int i /. 100.)))
 
-let fft_radix2_512 =
-  let xs = signal 512 in
-  Test.make ~name:"fft.radix2.512"
-    (Staged.stage (fun () ->
-         let b = Nimbus_dsp.Cbuf.of_real xs in
-         Nimbus_dsp.Fft.radix2 b))
-
-let fft_bluestein_500 =
-  let xs = signal 500 in
-  Test.make ~name:"fft.bluestein.500"
-    (Staged.stage (fun () ->
-         ignore (Nimbus_dsp.Fft.bluestein (Nimbus_dsp.Cbuf.of_real xs))))
-
 (* the plan-based transforms refill the buffer from a pristine signal each
-   run, so they time the same work as the planless kernels above minus the
-   table building and allocation *)
+   run; n = 500 runs the Bluestein kernel, n = 512 the radix-2 one *)
 let fft_plan n =
   let xs = signal n in
   let plan = Nimbus_dsp.Fft.Plan.create n in
@@ -46,14 +32,6 @@ let fft_plan n =
          Array.blit xs 0 buf.Nimbus_dsp.Cbuf.re 0 n;
          Array.fill buf.Nimbus_dsp.Cbuf.im 0 n 0.;
          Nimbus_dsp.Fft.Plan.execute plan buf))
-
-let spectrum_analyze_500 =
-  let xs = signal 500 in
-  Test.make ~name:"spectrum.analyze.500"
-    (Staged.stage (fun () ->
-         ignore
-           (Nimbus_dsp.Spectrum.analyze ~window:Nimbus_dsp.Window.Hann
-              ~detrend:`Linear xs ~sample_rate:(Units.Freq.hz 100.))))
 
 let spectrum_analyze_into_500 =
   let xs = signal 500 in
@@ -193,8 +171,7 @@ let nimbus_tick ~traced =
 
 let benchmarks =
   Test.make_grouped ~name:"nimbus"
-    [ fft_radix2_512; fft_bluestein_500; fft_plan 500; fft_plan 512;
-      spectrum_analyze_500; spectrum_analyze_into_500; goertzel_500;
+    [ fft_plan 500; fft_plan 512; spectrum_analyze_into_500; goertzel_500;
       elasticity_eta; elasticity_eta_streaming; elasticity_eta_fft; z_estimate;
       event_queue; sim_packet_second; nimbus_tick ~traced:false;
       nimbus_tick ~traced:true ]

@@ -1,12 +1,21 @@
 module Ring = Nimbus_dsp.Ring
 module Spectrum = Nimbus_dsp.Spectrum
 module Bank = Nimbus_dsp.Goertzel.Bank
+module Window = Nimbus_dsp.Window
 module Time = Units.Time
 module Freq = Units.Freq
 
 type verdict =
   | Elastic
   | Inelastic
+
+(* A watcher's search (see [watch]): pulse frequencies and a reference band,
+   in Hz. *)
+type watch = {
+  tones : float array;
+  lo : float;
+  hi : float;
+}
 
 (* Internals stay raw float (Hz, seconds) — the typed boundary is the .mli.
    The record deliberately has no mutable float field: assigning one in a
@@ -34,6 +43,11 @@ type t = {
      in this mixed record would box on every write. *)
   mutable bank : Bank.t option;
   tuned : float array; (* [0] = tuned pulse frequency in Hz; nan = untuned *)
+  (* The watcher bank: the [watch] tones in slots 0.., then the reference
+     band, built and loaded from the ring on the first readout. *)
+  mutable watch : watch option;
+  mutable watch_bank : Bank.t option;
+  watch_gain : float array; (* [0] = n * the taper's coherent gain *)
 }
 
 let create ?(sample_interval = Time.ms 10.) ?(window = Time.secs 5.0)
@@ -56,7 +70,8 @@ let create ?(sample_interval = Time.ms 10.) ?(window = Time.secs 5.0)
       Spectrum.create_state ~window:taper ~detrend ~n
         ~sample_rate:(Freq.hz sample_rate) ();
     cached_spectrum = None; dirty = true;
-    bank = None; tuned = [| nan |] }
+    bank = None; tuned = [| nan |];
+    watch = None; watch_bank = None; watch_gain = [| nan |] }
 
 let add_sample t z =
   let z =
@@ -66,7 +81,8 @@ let add_sample t z =
   in
   Ring.push t.ring z;
   t.dirty <- true;
-  match t.bank with Some bank -> Bank.push bank z | None -> ()
+  (match t.bank with Some bank -> Bank.push bank z | None -> ());
+  match t.watch_bank with Some bank -> Bank.push bank z | None -> ()
 
 let ready t = Ring.is_full t.ring
 
@@ -98,56 +114,45 @@ let eta_fft t freq =
     else peak /. neighbour
 
 (* Streaming η from the tuned bank: slot 0 is the peak bin, slots 1.. the
-   comparison band in ascending bin order, so the max replicates
-   [Spectrum.band_max] over the same bin set. *)
+   comparison band, whose max replicates [Spectrum.band_max] over the same
+   bin set.  The ratio's infinity and nan cases are [eta_fft]'s. *)
 let eta_bank bank =
-  let peak = Bank.amplitude bank 0 in
-  let neighbour = ref 0. in
-  for i = 1 to Bank.nbins bank - 1 do
-    let a = Bank.amplitude bank i in
-    if a > !neighbour then neighbour := a
-  done;
-  if !neighbour <= 0. then if peak > 0. then infinity else nan
-  else peak /. !neighbour
+  Bank.peak_ratio bank ~slot:0 ~first:1 ~last:(Bank.nbins bank - 1)
 [@@alloc_free]
 
-(* (Re)tune the streaming bank to pulse frequency [freq]: select exactly the
-   bins the FFT path reads — the clamped-round peak bin of
-   [Spectrum.bin_of_freq] plus every bin whose centre lies strictly inside
-   (freq + guard, 2*freq - guard) as in [Spectrum.band_max] — and prime the
-   bank from the current ring contents.  Cold path: runs only on the first η
-   evaluation and on pulse-frequency changes (mode transitions). *)
-let tune t freq =
+(* A bank over the window tracking exactly the bins the FFT path reads: for
+   each of [tones] the clamped-round bin of [Spectrum.bin_of_freq], then
+   every bin whose centre lies strictly inside (lo, hi) as in
+   [Spectrum.band_max], primed from the current ring contents.  Cold path:
+   runs on a bank's first readout and on pulse-frequency changes. *)
+let load_bank t ~tones ~lo ~hi =
   let n = Ring.capacity t.ring in
   let w = t.sample_rate /. float_of_int n in
   let top = n / 2 in
-  let kp =
-    let k = int_of_float (Float.round (freq /. w)) in
+  let nearest f =
+    let k = int_of_float (Float.round (f /. w)) in
     if k < 0 then 0 else if k > top then top else k
   in
-  let lo = freq +. t.band_guard_hz and hi = (2. *. freq) -. t.band_guard_hz in
   let in_band k =
     let f = float_of_int k *. w in
     f > lo && f < hi
   in
-  let nband = ref 0 in
-  for k = 0 to top do
-    if in_band k then incr nband
-  done;
-  let bins = Array.make (1 + !nband) kp in
-  let slot = ref 1 in
-  for k = 0 to top do
-    if in_band k then begin
-      bins.(!slot) <- k;
-      incr slot
-    end
-  done;
+  let band = List.filter in_band (List.init (top + 1) Fun.id) in
+  let bins = Array.append (Array.map nearest tones) (Array.of_list band) in
   let bank =
     Bank.create ~window:n ~taper:t.taper ~detrend:t.detrend ~bins ()
   in
   Ring.blit_to t.ring t.scratch;
   Bank.load bank t.scratch;
-  t.bank <- Some bank;
+  bank
+
+(* (Re)tune the η bank to pulse frequency [freq]: the peak bin, then the
+   guarded comparison band (freq + guard, 2*freq - guard). *)
+let tune t freq =
+  t.bank <-
+    Some
+      (load_bank t ~tones:[| freq |] ~lo:(freq +. t.band_guard_hz)
+         ~hi:((2. *. freq) -. t.band_guard_hz));
   t.tuned.(0) <- freq
 
 let eta t ~freq =
@@ -178,19 +183,58 @@ let classify t ~freq =
   end
 
 let peak_amplitude t ~freq =
-  match spectrum t with
-  | None -> nan
-  | Some s -> Spectrum.amplitude_at s (Freq.to_hz freq)
+  let freq = Freq.to_hz freq in
+  match t.bank with
+  | Some bank when Float.equal t.tuned.(0) freq && Bank.filled bank ->
+    Bank.amplitude bank 0
+  | _ -> (
+    match spectrum t with
+    | None -> nan
+    | Some s -> Spectrum.amplitude_at s freq)
+
+let watch t ~tones ~lo ~hi =
+  t.watch <-
+    Some
+      { tones = Array.map Freq.to_hz tones; lo = Freq.to_hz lo;
+        hi = Freq.to_hz hi };
+  t.watch_bank <- None
+
+let watched t =
+  match t.watch with
+  | None -> invalid_arg "Elasticity: no watch configured"
+  | Some w -> w
+
+(* The watcher bank once the window is full, built on the first call. *)
+let watch_bank t =
+  let w = watched t in
+  if not (ready t) then None
+  else begin
+    (match t.watch_bank with
+     | Some _ -> ()
+     | None ->
+       let n = Ring.capacity t.ring in
+       t.watch_gain.(0) <- float_of_int n *. Window.coherent_gain t.taper n;
+       t.watch_bank <- Some (load_bank t ~tones:w.tones ~lo:w.lo ~hi:w.hi));
+    t.watch_bank
+  end
+
+let tone_amplitude t i =
+  match watch_bank t with None -> nan | Some bank -> Bank.amplitude bank i
 
 (* |FFT(f)| of a windowed sinusoid of amplitude a is a·N·cg/2 where cg is
    the taper's coherent gain; invert that to read the amplitude back. *)
-let oscillation_amplitude t ~freq =
-  match spectrum t with
+let tone_oscillation t i =
+  match watch_bank t with
   | None -> nan
-  | Some s ->
-    let n = Ring.capacity t.ring in
-    let cg = Nimbus_dsp.Window.coherent_gain t.taper n in
-    2. *. Spectrum.amplitude_at s (Freq.to_hz freq) /. (float_of_int n *. cg)
+  | Some bank -> 2. *. Bank.amplitude bank i /. t.watch_gain.(0)
+
+let watch_reference t =
+  match watch_bank t with
+  | None -> nan
+  | Some bank ->
+    Bank.band_max bank
+      ~first:(Array.length (watched t).tones)
+      ~last:(Bank.nbins bank - 1)
 
 let eta_thresh t = t.eta_thresh
 

@@ -78,15 +78,48 @@ val classify : t -> freq:Units.Freq.t -> verdict option
 val spectrum : t -> Nimbus_dsp.Spectrum.t option
 
 (** [peak_amplitude t ~freq] is the spectrum amplitude at [freq]; [nan]
-    until {!ready}. Watchers use this on their receive-rate window to find
-    the pulser's frequency. *)
+    until {!ready}.  When {!eta} last ran at [freq] it streams from η's
+    bank (its peak slot, equal to the FFT's to rounding) instead of
+    computing a spectrum. *)
 val peak_amplitude : t -> freq:Units.Freq.t -> float
 
-(** [oscillation_amplitude t ~freq] estimates the time-domain amplitude of
-    a sinusoidal component at [freq] in the window (inverting the taper's
-    coherent gain) — watchers compare this against a fraction of µ to decide
-    whether a pulser is genuinely audible; [nan] until {!ready}. *)
-val oscillation_amplitude : t -> freq:Units.Freq.t -> float
+(** {2 Watcher bank}
+
+    A multi-flow watcher (§6) searches its receive-rate window for the
+    pulser's tone at either mode frequency, comparing each against a
+    reference band above both.  {!watch} sets up that search; its readouts
+    stream from a second sliding-DFT bank, as {!eta} does, so a steady
+    readout is O(1) in the window size and computes no spectrum.  Each
+    agrees with the same reading of {!spectrum} to rounding. *)
+
+(** [watch t ~tones ~lo ~hi] makes [t] track, for each of [tones], the bin
+    nearest it (as {!Nimbus_dsp.Spectrum.amplitude_at} picks it), and the
+    bins strictly inside the reference band [(lo, hi)] (as
+    {!Nimbus_dsp.Spectrum.band_max} picks them).  Cheap: the bank is built,
+    and loaded from the window, on the first readout once {!ready}. *)
+val watch :
+  t ->
+  tones:Units.Freq.t array ->
+  lo:Units.Freq.t ->
+  hi:Units.Freq.t ->
+  unit
+
+(** [tone_amplitude t i] is the spectrum amplitude at [tones.(i)]; [nan]
+    until {!ready}.
+    @raise Invalid_argument without a {!watch}. *)
+val tone_amplitude : t -> int -> float
+
+(** [tone_oscillation t i] is the time-domain amplitude of a sinusoid at
+    [tones.(i)]: {!tone_amplitude} with the taper's coherent gain inverted.
+    Watchers compare it against a fraction of µ to decide whether a pulser
+    is genuinely audible; [nan] until {!ready}.
+    @raise Invalid_argument without a {!watch}. *)
+val tone_oscillation : t -> int -> float
+
+(** [watch_reference t] is the largest amplitude in the reference band, or
+    [0.] when no bin lies inside it; [nan] until {!ready}.
+    @raise Invalid_argument without a {!watch}. *)
+val watch_reference : t -> float
 
 (** [eta_thresh t]. *)
 val eta_thresh : t -> float

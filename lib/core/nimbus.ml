@@ -5,9 +5,8 @@ module Vegas = Nimbus_cc.Vegas
 module Copa = Nimbus_cc.Copa
 module Basic_delay = Nimbus_cc.Basic_delay
 module Ring = Nimbus_dsp.Ring
-module Spectrum = Nimbus_dsp.Spectrum
 module Ewma = Nimbus_dsp.Ewma
-module Goertzel = Nimbus_dsp.Goertzel
+module Bank = Nimbus_dsp.Goertzel.Bank
 module Rng = Nimbus_sim.Rng
 module Time = Units.Time
 module Freq = Units.Freq
@@ -101,20 +100,20 @@ type t = {
   on_detection : (detection -> unit) option;
   on_sample : (sample -> unit) option;
   z_detector : Elasticity.t;   (* ẑ window: the pulser's elasticity source *)
-  r_detector : Elasticity.t;   (* own receive rate: watcher / conflict source *)
-  (* Pulse keep-alive: single-bin Goertzel evaluators over the trailing
-     ~1 s of the receive rate, one per mode frequency.  The full-window
-     audibility test needs most of an FFT window to fade after the pulser
-     dies; these recent probes go quiet within about a second, which is what
-     lets watchers notice a dead pulser within one FFT window. *)
-  tone_c : Goertzel.Sliding.t;
-  tone_d : Goertzel.Sliding.t;
+  r_detector : Elasticity.t;   (* own receive rate: watcher / conflict source;
+                                  multi-flow watches slots 0, 1 = fp_c, fp_d *)
+  (* Pulse keep-alive: rectangular, undetrended banks over the trailing
+     ~1 s of the receive rate, slot 0 at fp_competitive and slot 1 at
+     fp_delay.  The full-window audibility test needs most of an FFT window
+     to fade after the pulser dies; these recent probes go quiet within
+     about a second, which is what lets watchers notice a dead pulser within
+     one FFT window. *)
+  tones : Bank.t;
   (* Same fast probes over ẑ: a pulser's conflict evidence.  The full-window
      spectrum remembers a demoted peer's pulses for up to [fft_window]; these
      clear within about a second of the peer yielding, so one pulser backing
      off does not drag the survivor down with stale evidence. *)
-  ztone_c : Goertzel.Sliding.t;
-  ztone_d : Goertzel.Sliding.t;
+  ztones : Bank.t;
   recent_len : int;            (* tone probe window, in samples *)
   pulse_timeout : float;       (* silence after last tone before "orphaned" *)
   mutable tone_heard_at : float; (* nan until a pulser has ever been heard *)
@@ -256,19 +255,41 @@ let create (cfg : Config.t) =
       (int_of_float
          (Float.round (Float.min 1.0 (fft_window /. 2.) /. sample_interval)))
   in
-  let tone_probe freq =
-    Goertzel.Sliding.create ~window:recent_len
-      ~sample_rate:(Freq.hz (1. /. sample_interval))
-      ~freq
+  (* the probe banks track whole DFT bins of their window only *)
+  let probe_bin f =
+    let k = f *. float_of_int recent_len *. sample_interval in
+    let bin = Float.round k in
+    if Float.abs (k -. bin) > 1e-9 *. Float.max 1. k then
+      invalid_arg
+        (Printf.sprintf
+           "Nimbus.create: %g Hz is not an exact bin of the %d-sample \
+            keep-alive window"
+           f recent_len);
+    int_of_float bin
   in
+  let bins = [| probe_bin fp_competitive; probe_bin fp_delay |] in
+  let tone_probe () =
+    Bank.create ~window:recent_len ~taper:Nimbus_dsp.Window.Rectangular
+      ~detrend:`None ~bins ()
+  in
+  let r_detector = mk_detector () in
+  if multi_flow then begin
+    (* reference band for the pulser search: above both pulse frequencies,
+       below the second harmonic of the lower one *)
+    let hi_f = Float.max fp_competitive fp_delay in
+    let lo_f = Float.min fp_competitive fp_delay in
+    Elasticity.watch r_detector
+      ~tones:[| Freq.hz fp_competitive; Freq.hz fp_delay |]
+      ~lo:(Freq.hz (hi_f +. 0.8))
+      ~hi:(Freq.hz ((2. *. lo_f) -. 0.2))
+  end;
   { mu; comp; delay; pulse_frac; pulse_shape; fp_competitive; fp_delay;
     use_mode_frequencies; sample_interval; fft_window; detect_interval;
     eta_thresh; multi_flow; kappa; rng = Rng.create seed; on_detection;
-    on_sample; z_detector = mk_detector (); r_detector = mk_detector ();
-    tone_c = tone_probe fp_competitive; tone_d = tone_probe fp_delay;
-    ztone_c = tone_probe fp_competitive; ztone_d = tone_probe fp_delay;
-    recent_len; pulse_timeout; tone_heard_at = nan; follow_target = None;
-    follow_streak = 0; next_conflict_coin = 0.;
+    on_sample; z_detector = mk_detector (); r_detector;
+    tones = tone_probe (); ztones = tone_probe (); recent_len; pulse_timeout;
+    tone_heard_at = nan; follow_target = None; follow_streak = 0;
+    next_conflict_coin = 0.;
     rate_history = Ring.create hist_len;
     (* the cutoff must sit well below the pulsing band: the watcher's inner
        controller reacts to the pulser's rate fluctuations within ticks, and
@@ -411,6 +432,9 @@ let pulse_freq_hz t =
 
 let pulse_freq t = Freq.hz (pulse_freq_hz t)
 
+(* the watcher and probe bank slot of a mode's pulse frequency *)
+let mode_slot = function Competitive -> 0 | Delay -> 1
+
 let pulse_value t ~now =
   match t.role with
   | Watcher -> 0.
@@ -441,6 +465,8 @@ let emit_detection t ~now ~eta ~evidence =
 
 let pulser_detect t ~now =
   let fp = pulse_freq_hz t in
+  (* fp's watcher-bank slot, fixed before the verdict below can switch mode *)
+  let fp_slot = if t.use_mode_frequencies then mode_slot t.mode else 0 in
   if Elasticity.ready t.z_detector then begin
     let eta = Elasticity.eta t.z_detector ~freq:(Freq.hz fp) in
     (* with (almost) no cross traffic there is nothing whose elasticity the
@@ -462,13 +488,13 @@ let pulser_detect t ~now =
     t.hot.last_eta <- eta;
     if Trace.want t.trace Tev.Spectrum then begin
       let n = float_of_int t.recent_len in
-      let probe_amp p =
-        if Goertzel.Sliding.filled p then
-          2. /. n *. Goertzel.Sliding.magnitude p *. 1e-6
+      let probe_amp slot =
+        if Bank.filled t.ztones then
+          2. /. n *. Bank.amplitude t.ztones slot *. 1e-6
         else Float.nan
       in
-      Trace.window t.trace ~now ~eta ~zbar:(zbar *. 1e-6)
-        ~lo:(probe_amp t.ztone_d) ~hi:(probe_amp t.ztone_c)
+      Trace.window t.trace ~now ~eta ~zbar:(zbar *. 1e-6) ~lo:(probe_amp 1)
+        ~hi:(probe_amp 0)
     end;
     if not (Float.is_nan eta) then begin
       (* asymmetric hysteresis: adopt competitive mode on the first elastic
@@ -501,19 +527,14 @@ let pulser_detect t ~now =
        flipping it every detection interval would demote *both* pulsers
        almost surely before either could observe the other yielding. *)
     if t.multi_flow && Elasticity.ready t.r_detector then begin
+      (* [eta] above left the ẑ bank tuned to fp: its peak slot streams *)
       let z_amp = Elasticity.peak_amplitude t.z_detector ~freq:(Freq.hz fp) in
-      let r_amp = Elasticity.peak_amplitude t.r_detector ~freq:(Freq.hz fp) in
+      let r_amp = Elasticity.tone_amplitude t.r_detector fp_slot in
       let z_tone =
-        if not (Goertzel.Sliding.filled t.ztone_c) then nan
-        else begin
-          let n = float_of_int t.recent_len in
-          let probe =
-            match t.mode with
-            | Competitive -> t.ztone_c
-            | Delay -> t.ztone_d
-          in
-          2. /. n *. Goertzel.Sliding.magnitude probe
-        end
+        if not (Bank.filled t.ztones) then nan
+        else
+          2. /. float_of_int t.recent_len
+          *. Bank.amplitude t.ztones (mode_slot t.mode)
       in
       let big_enough =
         (not (Float.is_nan t.hot.mu_cache))
@@ -538,58 +559,38 @@ let pulser_detect t ~now =
     emit_detection t ~now ~eta ~evidence:(Ev_eta eta)
   end
 
-(* Reference band for the watcher's pulser search: above both pulse
-   frequencies, below the second harmonic of the lower one. *)
-let watcher_reference t spectrum =
-  let hi_f = Float.max t.fp_competitive t.fp_delay in
-  let lo_f = Float.min t.fp_competitive t.fp_delay in
-  Spectrum.band_max spectrum ~lo:(hi_f +. 0.8) ~hi:((2. *. lo_f) -. 0.2)
-
 (* A pulser is audible when one of the two mode frequencies dominates its
    neighbourhood (the eta-style ratio) AND carries real energy: the pulses
    have amplitude pulse_frac·µ, so the induced receive-rate oscillation at a
    watcher is a sizeable fraction of µ — a floor of 2% µ rejects noise that
    happens to win the ratio test. *)
 let audible_pulser t =
-  if not (Elasticity.ready t.r_detector) then None
+  let r = t.r_detector in
+  if not (Elasticity.ready r) then None
   else begin
-    match Elasticity.spectrum t.r_detector with
-    | None -> None
-    | Some s ->
-      let amp_c = Spectrum.amplitude_at s t.fp_competitive in
-      let amp_d = Spectrum.amplitude_at s t.fp_delay in
-      let reference = watcher_reference t s in
-      let eta_c = if reference > 0. then amp_c /. reference else 0. in
-      let eta_d = if reference > 0. then amp_d /. reference else 0. in
-      let osc_c =
-        Elasticity.oscillation_amplitude t.r_detector
-          ~freq:(Freq.hz t.fp_competitive)
-      in
-      let osc_d =
-        Elasticity.oscillation_amplitude t.r_detector
-          ~freq:(Freq.hz t.fp_delay)
-      in
-      let floor_amp =
-        if Float.is_nan t.hot.mu_cache then infinity else 0.02 *. t.hot.mu_cache
-      in
-      let c_ok = eta_c >= t.eta_thresh && osc_c >= floor_amp in
-      let d_ok = eta_d >= t.eta_thresh && osc_d >= floor_amp in
-      if c_ok && (eta_c >= eta_d || not d_ok) then Some Competitive
-      else if d_ok then Some Delay
-      else None
+    let amp_c = Elasticity.tone_amplitude r 0 in
+    let amp_d = Elasticity.tone_amplitude r 1 in
+    let reference = Elasticity.watch_reference r in
+    let eta_c = if reference > 0. then amp_c /. reference else 0. in
+    let eta_d = if reference > 0. then amp_d /. reference else 0. in
+    let osc_c = Elasticity.tone_oscillation r 0 in
+    let osc_d = Elasticity.tone_oscillation r 1 in
+    let floor_amp =
+      if Float.is_nan t.hot.mu_cache then infinity else 0.02 *. t.hot.mu_cache
+    in
+    let c_ok = eta_c >= t.eta_thresh && osc_c >= floor_amp in
+    let d_ok = eta_d >= t.eta_thresh && osc_d >= floor_amp in
+    if c_ok && (eta_c >= eta_d || not d_ok) then Some Competitive
+    else if d_ok then Some Delay
+    else None
   end
 
 (* Oscillation amplitude over the trailing ~1 s of the receive rate at
    whichever mode frequency is louder. *)
 let tone_level_bps t =
-  if not (Goertzel.Sliding.filled t.tone_c) then nan
-  else begin
-    let n = float_of_int t.recent_len in
-    2. /. n
-    *. Float.max
-         (Goertzel.Sliding.magnitude t.tone_c)
-         (Goertzel.Sliding.magnitude t.tone_d)
-  end
+  if not (Bank.filled t.tones) then nan
+  else
+    2. /. float_of_int t.recent_len *. Bank.band_max t.tones ~first:0 ~last:1
 
 (* [tone_heard_at] refresh: does the trailing ~1 s of the receive rate still
    carry pulse-magnitude energy at either mode frequency?  The floor scales
@@ -728,11 +729,8 @@ let on_tick t (tk : Cc_types.tick) =
   Elasticity.add_sample t.z_detector z;
   let r_sample = if Float.is_nan recv_rate then 0. else recv_rate in
   Elasticity.add_sample t.r_detector r_sample;
-  Goertzel.Sliding.push t.tone_c r_sample;
-  Goertzel.Sliding.push t.tone_d r_sample;
-  let z_sample = if Float.is_nan z then 0. else z in
-  Goertzel.Sliding.push t.ztone_c z_sample;
-  Goertzel.Sliding.push t.ztone_d z_sample;
+  Bank.push t.tones r_sample;
+  Bank.push t.ztones (if Float.is_nan z then 0. else z);
   (* delay-mode controller runs on ticks *)
   (match (t.mode, t.delay) with
    | Delay, D_basic b -> Basic_delay.update b tk

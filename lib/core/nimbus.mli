@@ -10,7 +10,8 @@
     With [multi_flow] enabled, flows coordinate without communicating: one
     *pulser* encodes the current mode in its pulse frequency
     ([fp_competitive] vs [fp_delay]); *watchers* read that frequency out of
-    the FFT of their own receive rate, smooth their transmission rate below
+    the spectrum of their own receive rate (tracked bin by bin on a
+    sliding-DFT bank, {!Elasticity.watch}), smooth their transmission rate below
     the pulsing band so the pulser sees them as inelastic, and run a
     randomized election when no pulser is audible (Eq. 5). *)
 
@@ -85,10 +86,12 @@ module Config : sig
     pulse_frac : float;  (** pulse amplitude as a fraction of µ *)
     pulse_shape : Pulse.shape;
     fp_competitive : Units.Freq.t;
-        (** pulse frequency in competitive mode *)
+        (** pulse frequency in competitive mode.  Like [fp_delay] it must
+            be an exact bin of the keep-alive probe window (see
+            {!create}): a whole number of hertz at the defaults *)
     fp_delay : Units.Freq.t;
-        (** pulse frequency in delay mode; only used when
-            [use_mode_frequencies] is on *)
+        (** pulse frequency in delay mode; only pulsed when
+            [use_mode_frequencies] is on, but always probed for *)
     use_mode_frequencies : bool option;
         (** encode the mode in the pulse frequency
             ([None]: on iff [multi_flow]) *)
@@ -111,8 +114,8 @@ module Config : sig
             memoryless rule. *)
     pulse_timeout : Units.Time.t;
         (** watcher failover latency: once a pulse tone that was heard
-            on the fast keep-alive probe (a single-bin Goertzel over
-            the trailing ~1 s of the receive rate) has been silent
+            on the fast keep-alive probe (a sliding DFT of the
+            trailing ~1 s of the receive rate at both mode frequencies) has been silent
             this long, the watcher is {e orphaned} — its
             [on_detection] evidence becomes [Ev_pulser_lost] and its
             Eq. 5 election probability is boosted so a replacement
@@ -153,7 +156,14 @@ end
 
 (** [create config] builds a Nimbus instance; pass [cc t] to
     {!Nimbus_cc.Flow.create} with the same [tick_interval] as
-    [config.sample_interval]. *)
+    [config.sample_interval].
+
+    The keep-alive probes track both mode frequencies as whole DFT bins of
+    their window of [recent_len = round (min 1 s (fft_window / 2) /
+    sample_interval)] samples, so each of [fp_competitive] and [fp_delay]
+    must be a multiple of [1 / (recent_len · sample_interval)]: 1 Hz at
+    the default 5 s window and 10 ms ticks, where 2, 5 and 6 Hz qualify.
+    @raise Invalid_argument if a mode frequency is not such a bin. *)
 val create : Config.t -> t
 
 (** [cc t ~now] is the engine-facing controller. [now] must read the
@@ -174,7 +184,7 @@ val last_eta : t -> float
 val last_z : t -> Units.Rate.t
 
 (** [tone_level t] — oscillation amplitude of the fast pulse keep-alive
-    probe (single-bin Goertzel over the trailing ~1 s of the receive rate,
+    probe (a sliding DFT of the trailing ~1 s of the receive rate,
     the louder of the two mode frequencies); {!Units.Rate.unknown} until the
     probe window fills. *)
 val tone_level : t -> Units.Rate.t

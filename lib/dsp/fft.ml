@@ -12,59 +12,6 @@ let next_power_of_two n =
 
 let pi = 4.0 *. atan 1.0
 
-(* Bit-reversal permutation, then iterative butterflies.  Twiddles are
-   recomputed per stage with the recurrence trick to stay allocation-free. *)
-let radix2 ?(inverse = false) (b : Cbuf.t) =
-  let n = Cbuf.length b in
-  if not (is_power_of_two n) then
-    invalid_arg "Fft.radix2: length must be a power of two";
-  let re = b.Cbuf.re and im = b.Cbuf.im in
-  (* bit reversal *)
-  let j = ref 0 in
-  for i = 0 to n - 2 do
-    if i < !j then begin
-      let tr = re.(i) and ti = im.(i) in
-      re.(i) <- re.(!j);
-      im.(i) <- im.(!j);
-      re.(!j) <- tr;
-      im.(!j) <- ti
-    end;
-    let m = ref (n lsr 1) in
-    while !m >= 1 && !j land !m <> 0 do
-      j := !j lxor !m;
-      m := !m lsr 1
-    done;
-    j := !j lor !m
-  done;
-  (* butterflies *)
-  let sign = if inverse then 1.0 else -1.0 in
-  let len = ref 2 in
-  while !len <= n do
-    let half = !len / 2 in
-    let theta = sign *. 2.0 *. pi /. float_of_int !len in
-    let wstep_re = cos theta and wstep_im = sin theta in
-    let i = ref 0 in
-    while !i < n do
-      let w_re = ref 1.0 and w_im = ref 0.0 in
-      for k = !i to !i + half - 1 do
-        let k2 = k + half in
-        let tr = (re.(k2) *. !w_re) -. (im.(k2) *. !w_im) in
-        let ti = (re.(k2) *. !w_im) +. (im.(k2) *. !w_re) in
-        re.(k2) <- re.(k) -. tr;
-        im.(k2) <- im.(k) -. ti;
-        re.(k) <- re.(k) +. tr;
-        im.(k) <- im.(k) +. ti;
-        let nw_re = (!w_re *. wstep_re) -. (!w_im *. wstep_im) in
-        let nw_im = (!w_re *. wstep_im) +. (!w_im *. wstep_re) in
-        w_re := nw_re;
-        w_im := nw_im
-      done;
-      i := !i + !len
-    done;
-    len := !len * 2
-  done;
-  if inverse then Cbuf.scale b (1.0 /. float_of_int n)
-
 (* --- plans ----------------------------------------------------------------- *)
 
 module Plan = struct
@@ -254,65 +201,6 @@ module Plan = struct
   [@@alloc_free]
 end
 
-(* Bluestein re-expresses an N-point DFT as a convolution, evaluated with two
-   power-of-two FFTs of size >= 2N-1.  Chirp: w(n) = exp(-i·pi·n²/N). *)
-let bluestein ?(inverse = false) (b : Cbuf.t) =
-  let n = Cbuf.length b in
-  if n = 0 then invalid_arg "Fft.bluestein: empty buffer";
-  if is_power_of_two n then begin
-    let c = Cbuf.copy b in
-    radix2 ~inverse c;
-    c
-  end
-  else begin
-    let sign = if inverse then 1.0 else -1.0 in
-    let m = next_power_of_two ((2 * n) - 1) in
-    let chirp_re = Array.make n 0. and chirp_im = Array.make n 0. in
-    for i = 0 to n - 1 do
-      (* i² mod 2n avoids precision loss for large i *)
-      let q = float_of_int (i * i mod (2 * n)) in
-      let theta = sign *. pi *. q /. float_of_int n in
-      chirp_re.(i) <- cos theta;
-      chirp_im.(i) <- sin theta
-    done;
-    let a = Cbuf.create m in
-    for i = 0 to n - 1 do
-      let xr = b.Cbuf.re.(i) and xi = b.Cbuf.im.(i) in
-      Cbuf.set a i
-        ((xr *. chirp_re.(i)) -. (xi *. chirp_im.(i)))
-        ((xr *. chirp_im.(i)) +. (xi *. chirp_re.(i)))
-    done;
-    let c = Cbuf.create m in
-    Cbuf.set c 0 chirp_re.(0) (-.chirp_im.(0));
-    for i = 1 to n - 1 do
-      Cbuf.set c i chirp_re.(i) (-.chirp_im.(i));
-      Cbuf.set c (m - i) chirp_re.(i) (-.chirp_im.(i))
-    done;
-    radix2 a;
-    radix2 c;
-    for i = 0 to m - 1 do
-      Cbuf.mul a i c.Cbuf.re.(i) c.Cbuf.im.(i)
-    done;
-    radix2 ~inverse:true a;
-    let out = Cbuf.create n in
-    for i = 0 to n - 1 do
-      let ar = a.Cbuf.re.(i) and ai = a.Cbuf.im.(i) in
-      Cbuf.set out i
-        ((ar *. chirp_re.(i)) -. (ai *. chirp_im.(i)))
-        ((ar *. chirp_im.(i)) +. (ai *. chirp_re.(i)))
-    done;
-    if inverse then Cbuf.scale out (1.0 /. float_of_int n);
-    out
-  end
-
-let transform ?(inverse = false) b =
-  if is_power_of_two (Cbuf.length b) then begin
-    let c = Cbuf.copy b in
-    radix2 ~inverse c;
-    c
-  end
-  else bluestein ~inverse b
-
 let dft ?(inverse = false) (b : Cbuf.t) =
   let n = Cbuf.length b in
   let sign = if inverse then 1.0 else -1.0 in
@@ -334,6 +222,7 @@ let real_amplitudes xs =
   let n = Array.length xs in
   if n = 0 then [||]
   else begin
-    let spec = transform (Cbuf.of_real xs) in
+    let spec = Cbuf.of_real xs in
+    Plan.execute (Plan.create n) spec;
     Array.init ((n / 2) + 1) (fun k -> Cbuf.magnitude spec k)
   end

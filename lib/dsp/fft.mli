@@ -1,12 +1,12 @@
 (** Fast Fourier transforms.
 
-    Three kernels are provided:
+    {!Plan} holds the two kernels, both table-driven and allocation-free:
     - an iterative, in-place radix-2 Cooley–Tukey transform for power-of-two
       lengths;
     - a Bluestein (chirp-z) transform for arbitrary lengths, built on the
       radix-2 kernel — the elasticity detector uses 500-point windows so the
-      5 Hz pulse frequency lands exactly on a bin;
-    - a naive O(n²) DFT used as a test oracle.
+      5 Hz pulse frequency lands exactly on a bin.
+    {!dft}, the naive O(n²) transform, is the test oracle.
 
     Forward transforms use the usual engineering convention
     [X(k) = Σ x(n)·exp(−2πi·kn/N)]; the inverse divides by [N]. *)
@@ -44,28 +44,15 @@ module Plan : sig
   (** [size t] is the transform length the plan was built for. *)
   val size : t -> int
 
-  (** [execute ?inverse t b] transforms [b] in place (same convention as
-      {!transform}), allocation-free.
+  (** [execute ?inverse t b] transforms [b] in place, allocation-free.
       @raise Invalid_argument if [Cbuf.length b <> size t]. *)
   val execute : ?inverse:bool -> t -> Cbuf.t -> unit
 end
-
-(** [radix2 ?inverse b] transforms [b] in place.
-    @raise Invalid_argument if the length of [b] is not a power of two. *)
-val radix2 : ?inverse:bool -> Cbuf.t -> unit
-
-(** [bluestein ?inverse b] returns the transform of [b] (any length [>= 1]).
-    The input buffer is not modified. *)
-val bluestein : ?inverse:bool -> Cbuf.t -> Cbuf.t
-
-(** [transform ?inverse b] picks radix-2 when the length is a power of two
-    (operating on a copy) and Bluestein otherwise. *)
-val transform : ?inverse:bool -> Cbuf.t -> Cbuf.t
 
 (** [dft ?inverse b] is the quadratic-time reference transform. *)
 val dft : ?inverse:bool -> Cbuf.t -> Cbuf.t
 
 (** [real_amplitudes xs] is the single-sided amplitude spectrum of the real
-    signal [xs]: bin 0 holds [|mean|·n/n], and each bin [k] of the result is
+    signal [xs], through a one-shot {!Plan}: bin 0 holds [|mean|·n/n], and each bin [k] of the result is
     [|X(k)|] for [k] in [0 .. n/2]. Length of the result is [n/2 + 1]. *)
 val real_amplitudes : float array -> float array

@@ -88,7 +88,9 @@ module Bank = struct
     detrend : [ `None | `Mean | `Linear ];
     (* sliding detrend sums live in a float array: mutable float fields in
        this mixed record would box on every write *)
-    sums : float array; (* [0] = S = sum x_i; [1] = T = sum i * x_i *)
+    sums : float array;
+    (* [0] = S = sum x_i; [1] = T = sum i * x_i; [2], [3] = the trend's
+       intercept and slope at the last readout *)
     nf : float; (* immutable float fields: reads never allocate *)
     sx : float; (* sum i = n(n-1)/2 *)
     denom : float; (* least-squares denominator n*sxx - sx^2 *)
@@ -134,13 +136,15 @@ module Bank = struct
       inj_im.(c) <- -.sin ph
     done;
     (* detrend corrections from the exact coefficient arrays the FFT path
-       multiplies by, so the two paths agree to rounding *)
-    let coeffs = Window.coefficients taper n in
+       multiplies by, so the two paths agree to rounding; an undetrended
+       bank multiplies them by a zero trend and skips their O(n) trig *)
     let cre = Array.make (max 1 nbins) 0. in
     let cim = Array.make (max 1 nbins) 0. in
     let dre = Array.make (max 1 nbins) 0. in
     let dim = Array.make (max 1 nbins) 0. in
-    for b = 0 to nbins - 1 do
+    let corrected = match detrend with `None -> 0 | `Mean | `Linear -> nbins in
+    let coeffs = if corrected = 0 then [||] else Window.coefficients taper n in
+    for b = 0 to corrected - 1 do
       let wk = 2. *. pi *. float_of_int bins.(b) /. float_of_int n in
       let sr = ref 0. and si = ref 0. and tr = ref 0. and ti = ref 0. in
       for i = 0 to n - 1 do
@@ -182,7 +186,7 @@ module Bank = struct
       count = 0;
       until_resync = resync_mult * n;
       detrend;
-      sums = Array.make 2 0.;
+      sums = Array.make 4 0.;
       nf;
       sx;
       denom = (nf *. sxx) -. (sx *. sx);
@@ -254,60 +258,64 @@ module Bank = struct
     t.count <- t.n;
     resync t
 
-  let amplitude t slot =
+  (* The analyzer's trend intercept b and slope a from the sliding sums,
+     into sums.(2) and sums.(3), so a readout fits the trend once however
+     many slots it reads. *)
+  let fit_trend t =
+    let s = t.sums.(0) in
+    match t.detrend with
+    | `None ->
+      t.sums.(2) <- 0.;
+      t.sums.(3) <- 0.
+    | `Mean ->
+      t.sums.(2) <- s /. t.nf;
+      t.sums.(3) <- 0.
+    | `Linear ->
+      if t.n < 2 then begin
+        t.sums.(2) <- s /. t.nf;
+        t.sums.(3) <- 0.
+      end
+      else begin
+        let a = ((t.nf *. t.sums.(1)) -. (t.sx *. s)) /. t.denom in
+        t.sums.(3) <- a;
+        t.sums.(2) <- (s -. (a *. t.sx)) /. t.nf
+      end
+  [@@alloc_free]
+
+  (* |X_k| of [slot] under the trend [fit_trend] left in sums.(2..3).
+     Inlined into its callers: a float returned from a call is boxed. *)
+  let[@inline] detrended t slot =
     let base = slot * t.cpb in
     let rr = ref 0. and ii = ref 0. in
     for c = 0 to t.cpb - 1 do
       rr := !rr +. (t.wt.(c) *. t.vre.(base + c));
       ii := !ii +. (t.wt.(c) *. t.vim.(base + c))
     done;
-    (* analyzer's detrend coefficients from the sliding sums *)
-    let b = ref 0. and a = ref 0. in
-    (match t.detrend with
-    | `None -> ()
-    | `Mean -> b := t.sums.(0) /. t.nf
-    | `Linear ->
-      if t.n < 2 then b := t.sums.(0) /. t.nf
-      else begin
-        let s = t.sums.(0) and tt = t.sums.(1) in
-        a := ((t.nf *. tt) -. (t.sx *. s)) /. t.denom;
-        b := (s -. (!a *. t.sx)) /. t.nf
-      end);
+    let b = t.sums.(2) and a = t.sums.(3) in
     Float.hypot
-      (!rr -. (!b *. t.cre.(slot)) -. (!a *. t.dre.(slot)))
-      (!ii -. (!b *. t.cim.(slot)) -. (!a *. t.dim.(slot)))
-  [@@alloc_free]
-end
+      (!rr -. (b *. t.cre.(slot)) -. (a *. t.dre.(slot)))
+      (!ii -. (b *. t.cim.(slot)) -. (a *. t.dim.(slot)))
 
-module Sliding = struct
-  type t = {
-    buf : float array;
-    mutable head : int; (* next write slot *)
-    mutable count : int;
-    sample_rate : float;
-    freq : float;
-  }
-
-  let create ~window ~sample_rate ~freq =
-    let sample_rate = Units.Freq.to_hz sample_rate in
-    if window <= 0 then invalid_arg "Goertzel.Sliding.create: window <= 0";
-    { buf = Array.make window 0.; head = 0; count = 0; sample_rate; freq }
-
-  let push t x =
-    t.buf.(t.head) <- x;
-    t.head <- (t.head + 1) mod Array.length t.buf;
-    if t.count < Array.length t.buf then t.count <- t.count + 1
-  [@@alloc_free]
-
-  let filled t = t.count = Array.length t.buf
-
-  (* Materialise in chronological order so the phase reference is stable. *)
-  let magnitude t =
-    let n = Array.length t.buf in
-    let ordered = Array.make n 0. in
-    let start = (t.head - t.count + n) mod n in
-    for i = 0 to t.count - 1 do
-      ordered.(i) <- t.buf.((start + i) mod n)
+  let[@inline] max_detrended t ~first ~last =
+    let best = ref 0. in
+    for slot = first to last do
+      let a = detrended t slot in
+      if a > !best then best := a
     done;
-    magnitude ordered ~sample_rate:(Units.Freq.hz t.sample_rate) ~freq:t.freq
+    !best
+
+  let amplitude t slot =
+    fit_trend t;
+    detrended t slot
+  [@@alloc_free]
+
+  let band_max t ~first ~last =
+    fit_trend t;
+    max_detrended t ~first ~last
+  [@@alloc_free]
+
+  let peak_ratio t ~slot ~first ~last =
+    fit_trend t;
+    detrended t slot /. max_detrended t ~first ~last
+  [@@alloc_free]
 end

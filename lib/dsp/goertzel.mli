@@ -1,9 +1,7 @@
 (** Goertzel's algorithm: the DFT magnitude of one frequency bin in O(n) time
-    with O(1) state.
-
-    Watcher flows use this to test whether the pulser is oscillating at the
-    competitive-mode frequency or the delay-mode frequency without paying for
-    a full FFT. *)
+    with O(1) state, and {!Bank}, its streaming form: a fixed set of DFT bins
+    tracked in O(1) per sample.  The elasticity detector, the watcher's
+    pulser search and the pulse keep-alive probes all read banks. *)
 
 (** [power xs ~sample_rate ~freq] is [|X(f)|²] of the real signal [xs]
     evaluated at the (possibly non-integer) bin corresponding to [freq].
@@ -64,26 +62,19 @@ module Bank : sig
       matching [Spectrum.analyze_into]'s amplitude for the same bin up to
       rounding. Allocation-free. *)
   val amplitude : t -> int -> float
-end
 
-(** Incremental evaluator over a fixed-size window: push samples one at a
-    time, query the magnitude of the configured frequency at any point.
-    Recomputes lazily from an internal ring, so pushes are O(1) and queries
-    are O(window). *)
-module Sliding : sig
-  type t
+  (** [band_max t ~first ~last] is the largest {!amplitude} over slots
+      [first .. last], or [0.] when that range is empty — the bank's
+      {!Spectrum.band_max} when those slots hold a band's bins.  One call
+      reads the whole range: each call returning a float across a module
+      boundary costs a boxed result, so a per-slot {!amplitude} loop costs
+      2 words per slot and this costs 2 in all. *)
+  val band_max : t -> first:int -> last:int -> float
 
-  (** [create ~window ~sample_rate ~freq] watches [freq] (Hz) over the last
-      [window] samples taken at [sample_rate] (Hz). *)
-  val create : window:int -> sample_rate:Units.Freq.t -> freq:float -> t
-
-  (** [push t x] appends sample [x], evicting the oldest when full. *)
-  val push : t -> float -> unit
-
-  (** [filled t] holds once [window] samples have been pushed. *)
-  val filled : t -> bool
-
-  (** [magnitude t] is the current single-bin DFT modulus over the window
-      contents (zero-padded if not yet filled). *)
-  val magnitude : t -> float
+  (** [peak_ratio t ~slot ~first ~last] is
+      [amplitude t slot /. band_max t ~first ~last] in one call: Eq. 3's η
+      when [slot] holds the pulse bin and the range its comparison band.
+      IEEE division makes it [infinity] for a silent band under a nonzero
+      peak and [nan] when both are silent. *)
+  val peak_ratio : t -> slot:int -> first:int -> last:int -> float
 end

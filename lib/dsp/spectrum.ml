@@ -90,14 +90,6 @@ let analyze_into st xs =
   st.result
 [@@alloc_free]
 
-let analyze ?(window = Window.Rectangular) ?(detrend = `Mean) xs ~sample_rate =
-  let n = Array.length xs in
-  if n = 0 then invalid_arg "Spectrum.analyze: empty signal";
-  if Units.Freq.to_hz sample_rate <= 0. then
-    invalid_arg "Spectrum.analyze: sample_rate <= 0";
-  let st = create_state ~window ~detrend ~n ~sample_rate () in
-  analyze_into st xs
-
 let bin_width s = s.sample_rate /. float_of_int s.n
 
 let bin_of_freq s f =

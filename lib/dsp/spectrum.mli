@@ -21,16 +21,17 @@ type detrend =
 
 (** Reusable analysis state for a fixed signal length.
 
-    A [state] preallocates everything {!analyze} otherwise rebuilds per call —
-    the window coefficients, the complex FFT buffer, the {!Fft.Plan.t}, and
-    the result record with its amplitude array — so that {!analyze_into} runs
-    without heap allocation.  A state owns mutable scratch: do not share one
+    A [state] preallocates everything an analysis needs — the window
+    coefficients, the complex FFT buffer, the {!Fft.Plan.t}, and the result
+    record with its amplitude array — so that {!analyze_into} runs without
+    heap allocation.  A state owns mutable scratch: do not share one
     between domains, and note that the [t] returned by {!analyze_into} aliases
     the state's amplitude array (it is overwritten by the next call). *)
 type state
 
 (** [create_state ?window ?detrend ~n ~sample_rate ()] builds reusable state
-    for signals of exactly [n] samples.  Defaults match {!analyze}.
+    for signals of exactly [n] samples.  [window] defaults to rectangular,
+    [detrend] to [`Mean].
     @raise Invalid_argument if [n <= 0] or the rate is non-positive. *)
 val create_state :
   ?window:Window.kind ->
@@ -48,17 +49,6 @@ val state_size : state -> int
     same state.
     @raise Invalid_argument if [Array.length xs <> state_size st]. *)
 val analyze_into : state -> float array -> t
-
-(** [analyze ?window ?detrend xs ~sample_rate] computes the spectrum of [xs].
-    [detrend] defaults to [`Mean]; [window] defaults to rectangular.
-    One-shot convenience over {!create_state} + {!analyze_into}.
-    @raise Invalid_argument on an empty signal or non-positive rate. *)
-val analyze :
-  ?window:Window.kind ->
-  ?detrend:detrend ->
-  float array ->
-  sample_rate:Units.Freq.t ->
-  t
 
 (** [bin_width s] is the frequency spacing between adjacent bins, in Hz. *)
 val bin_width : t -> float

@@ -73,7 +73,12 @@ let run_case (p : Common.profile) ~elastic =
     Array.iteri (fun i c -> if c = min_corr then best := i) corr;
     float_of_int !best *. 0.01
   in
-  let spectrum = Spectrum.analyze z ~sample_rate:(Freq.hz 100.) ~detrend:`Linear in
+  let spectrum =
+    Spectrum.analyze_into
+      (Spectrum.create_state ~detrend:`Linear ~n:(Array.length z)
+         ~sample_rate:(Freq.hz 100.) ())
+      z
+  in
   let eta = Nimbus.last_eta nim in
   (min_corr, min_lag, spectrum, eta)
 

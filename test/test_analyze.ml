@@ -319,6 +319,8 @@ let test_repo_clean () =
       "Nimbus_sim__Wheel.pop_top"; "Nimbus_sim__Heap.push_seq";
       "Nimbus_sim__Heap.pop_top"; "Nimbus_sim__Engine.drain";
       "Nimbus_dsp__Goertzel.Bank.push"; "Nimbus_dsp__Goertzel.Bank.amplitude";
+      "Nimbus_dsp__Goertzel.Bank.band_max";
+      "Nimbus_dsp__Goertzel.Bank.peak_ratio";
       "Nimbus_core__Elasticity.eta_bank";
     ];
   let sup = A.Suppress.create () in

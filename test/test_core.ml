@@ -212,8 +212,14 @@ let test_detector_oscillation_amplitude () =
   (* a sinusoid of amplitude 3e6 must be read back through the taper's
      coherent-gain inversion *)
   let det = Elasticity.create () in
+  Alcotest.check_raises "no watch"
+    (Invalid_argument "Elasticity: no watch configured") (fun () ->
+      ignore (Elasticity.tone_oscillation det 0));
+  Elasticity.watch det ~tones:[| f5 |] ~lo:(Freq.hz 6.8) ~hi:(Freq.hz 9.8);
+  Alcotest.(check bool) "nan until ready" true
+    (Float.is_nan (Elasticity.tone_oscillation det 0));
   feed det (fun t -> 24e6 +. (3e6 *. sin (2. *. pi *. 5. *. t)));
-  let a = Elasticity.oscillation_amplitude det ~freq:f5 in
+  let a = Elasticity.tone_oscillation det 0 in
   if Float.abs (a -. 3e6) > 0.15e6 then
     Alcotest.failf "amplitude %.3g != 3e6" a
 
@@ -329,6 +335,170 @@ let test_eta_streaming_long_run () =
       (eta_agrees (Elasticity.eta det ~freq:f5)
          (Elasticity.eta_reference det ~freq:f5))
   done
+
+(* --- watcher bank vs the spectrum it replaces ----------------------------- *)
+
+(* relative agreement, floored at a scale below which both paths are
+   rounding noise *)
+let agrees ~floor expect got =
+  Float.abs (expect -. got) <= 1e-9 *. Float.max floor (Float.abs expect)
+
+(* every watcher readout of [det] against [Elasticity.spectrum] +
+   [Spectrum.band_max] + coherent-gain inversion *)
+let watch_agrees det ~taper ~n ~tones ~lo ~hi ~floor =
+  match Elasticity.spectrum det with
+  | None -> false
+  | Some s ->
+    let cg = Nimbus_dsp.Window.coherent_gain taper n in
+    let tones_ok =
+      List.for_all
+        (fun (i, f) ->
+          let amp = Nimbus_dsp.Spectrum.amplitude_at s f in
+          agrees ~floor amp (Elasticity.tone_amplitude det i)
+          && agrees ~floor:(floor /. float_of_int n)
+               (2. *. amp /. (float_of_int n *. cg))
+               (Elasticity.tone_oscillation det i))
+        (List.mapi (fun i f -> (i, f)) tones)
+    in
+    tones_ok
+    && agrees ~floor
+         (Nimbus_dsp.Spectrum.band_max s ~lo ~hi)
+         (Elasticity.watch_reference det)
+
+let prop_watch_agrees =
+  QCheck.Test.make ~count:40
+    ~name:"elasticity: watcher bank = spectrum readouts"
+    QCheck.(
+      pair
+        (triple (int_range 0 100_000) (int_range 40 160) (int_range 0 3))
+        (triple (int_range 0 2) (int_range 4 16) (int_range 4 16)))
+    (fun ((seed, n, ti), (di, c2, d2)) ->
+      let taper =
+        [| Nimbus_dsp.Window.Rectangular; Nimbus_dsp.Window.Hann;
+           Nimbus_dsp.Window.Hamming; Nimbus_dsp.Window.Blackman |].(ti)
+      in
+      let detrend = [| `None; `Mean; `Linear |].(di) in
+      let fc = float_of_int c2 /. 2. and fd = float_of_int d2 /. 2. in
+      let lo = Float.max fc fd +. 0.8 and hi = (2. *. Float.min fc fd) -. 0.2 in
+      let det =
+        Elasticity.create ~window:(Time.secs (float_of_int n *. 0.01)) ~taper
+          ~detrend ()
+      in
+      Elasticity.watch det ~tones:[| Freq.hz fc; Freq.hz fd |] ~lo:(Freq.hz lo)
+        ~hi:(Freq.hz hi);
+      let rng = Rng.create seed in
+      let idx = ref 0 in
+      let push () =
+        let t = float_of_int !idx *. 0.01 in
+        incr idx;
+        Elasticity.add_sample det
+          (24e6 +. (1e5 *. t)
+          +. (4e6 *. sin (2. *. pi *. fc *. t))
+          +. (1e6 *. Rng.range rng ~lo:(-1.) ~hi:1.))
+      in
+      let floor = float_of_int n *. 1e6 in
+      for _ = 1 to n do
+        push ()
+      done;
+      (* the first read builds the bank; the later ones stream, the last
+         past the 8n-push resync *)
+      let ok = ref (watch_agrees det ~taper ~n ~tones:[ fc; fd ] ~lo ~hi ~floor) in
+      for _ = 1 to 9 do
+        for _ = 1 to n + Rng.int rng 7 do
+          push ()
+        done;
+        if not (watch_agrees det ~taper ~n ~tones:[ fc; fd ] ~lo ~hi ~floor)
+        then ok := false
+      done;
+      !ok)
+
+let test_watch_band_edge () =
+  (* the default reference band opens at 5 + 1 + 0.8 = 6.8 Hz, bin 34 of
+     the 0.2 Hz grid; in floats 34 * 0.2 > 6.8, so the FFT path counts bin
+     34 inside the open band and the bank must too *)
+  Alcotest.(check bool) "34 * 0.2 > 6.8" true (34. *. 0.2 > 6.8);
+  let det = Elasticity.create () in
+  Elasticity.watch det ~tones:[| f5; Freq.hz 6. |] ~lo:(Freq.hz 6.8)
+    ~hi:(Freq.hz 9.8);
+  feed det (fun t -> 24e6 +. (4e6 *. sin (2. *. pi *. 6.8 *. t)));
+  match Elasticity.spectrum det with
+  | None -> Alcotest.fail "spectrum missing"
+  | Some s ->
+    let edge = s.Nimbus_dsp.Spectrum.amplitudes.(34) in
+    Alcotest.(check bool) "6.8 Hz dominates the band" true
+      (Float.equal edge (Nimbus_dsp.Spectrum.band_max s ~lo:6.8 ~hi:9.8));
+    check_close ~eps:(1e-9 *. edge) "bank reference includes bin 34" edge
+      (Elasticity.watch_reference det)
+
+(* --- allocation ----------------------------------------------------------- *)
+
+(* mean minor words per call of [f], after one warm-up call *)
+let words_per ~runs f =
+  f ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to runs do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int runs
+
+(* a multi-flow Nimbus that never elects itself, hearing a 5 Hz pulser in
+   its receive rate, run past one window so each further tick is steady *)
+let steady_watcher ~window =
+  let nim =
+    Nimbus.create
+      { (Nimbus.Config.default ~mu:(Z_estimator.Mu.known (Rate.mbps 96.))) with
+        multi_flow = true; kappa = 0.; fft_window = Time.secs window }
+  in
+  let now = ref 0. in
+  let cc = Nimbus.cc nim ~now:(fun () -> Time.secs !now) in
+  let tick = Option.get cc.Nimbus_cc.Cc_types.on_tick in
+  let step () =
+    now := !now +. 0.01;
+    tick
+      { Nimbus_cc.Cc_types.now = Time.secs !now; send_rate = Rate.bps 48e6;
+        recv_rate = Rate.bps (30e6 +. (6e6 *. sin (2. *. pi *. 5. *. !now)));
+        rtt = Time.ms 55.; srtt = Time.ms 55.; min_rtt = Time.ms 50.;
+        inflight_bytes = 300_000; delivered_bytes = 0; lost_packets = 0 }
+  in
+  for _ = 1 to int_of_float (window *. 100.) + 100 do
+    step ()
+  done;
+  (nim, step)
+
+let test_watcher_tick_words () =
+  let nim, step = steady_watcher ~window:5. in
+  let words = words_per ~runs:1000 step in
+  Alcotest.(check string) "still a watcher" "watcher"
+    (Nimbus.role_to_string (Nimbus.role nim));
+  if words >= 100. then
+    Alcotest.failf "steady watcher tick allocates %.1f minor words" words;
+  let _, short = steady_watcher ~window:2. in
+  check_close "independent of the window length" words
+    (words_per ~runs:1000 short)
+
+let test_eta_read_words () =
+  let det = Elasticity.create () in
+  feed det (fun t -> 24e6 +. (4e6 *. sin (2. *. pi *. 5. *. t)));
+  ignore (Elasticity.eta det ~freq:f5);
+  let words =
+    words_per ~runs:1000 (fun () -> ignore (Elasticity.eta det ~freq:f5))
+  in
+  if words > 4. then
+    Alcotest.failf "steady eta read allocates %.1f minor words" words
+
+let test_mode_frequency_must_be_probe_bin () =
+  let mu = Z_estimator.Mu.known (Rate.mbps 96.) in
+  (* the 1 s keep-alive window resolves whole hertz *)
+  Alcotest.(check bool) "5.5 Hz rejected" true
+    (try
+       ignore
+         (Nimbus.create
+            { (Nimbus.Config.default ~mu) with fp_competitive = Freq.hz 5.5 });
+       false
+     with Invalid_argument _ -> true);
+  ignore
+    (Nimbus.create
+       { (Nimbus.Config.default ~mu) with fp_competitive = Freq.hz 2. })
 
 (* --- nimbus closed loop --------------------------------------------------- *)
 
@@ -547,6 +717,9 @@ let suite =
           test_eta_retune_on_freq_change;
         Alcotest.test_case "streaming long run" `Quick
           test_eta_streaming_long_run;
+        Alcotest.test_case "watcher band edge" `Quick test_watch_band_edge;
+        Alcotest.test_case "steady eta read words" `Quick test_eta_read_words;
+        qtest prop_watch_agrees;
         qtest prop_detector_sinusoid_always_elastic;
         qtest prop_eta_streaming_agrees ] );
     ( "core.nimbus",
@@ -560,4 +733,8 @@ let suite =
         Alcotest.test_case "multiflow election" `Quick
           test_nimbus_multiflow_election;
         Alcotest.test_case "base rate positive" `Quick
-          test_nimbus_base_rate_positive ] ) ]
+          test_nimbus_base_rate_positive;
+        Alcotest.test_case "steady watcher tick words" `Quick
+          test_watcher_tick_words;
+        Alcotest.test_case "mode frequency is a probe bin" `Quick
+          test_mode_frequency_must_be_probe_bin ] ) ]
