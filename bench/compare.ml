@@ -2,11 +2,11 @@
    shape written by Micro.run).  Prints a GitHub-flavoured markdown table of
    per-benchmark deltas — CI appends it to GITHUB_STEP_SUMMARY so every PR
    shows its perf trajectory without downloading artifacts.  Negative ns
-   deltas mean the new run is faster; sim.pkts_per_wall_sec is
-   higher-is-better and gets its own table.
+   deltas mean the new run is faster.  End-to-end throughput is perfbench's
+   job (perfbench/README.md), not this table's.
 
    The parser is a deliberately small line scanner for exactly the shape
-   micro.ml writes (one benchmark object per line, one end_to_end line):
+   micro.ml writes (one benchmark object per line):
    there is no JSON library in the dependency set, and round-tripping our
    own writer does not justify adding one. *)
 
@@ -65,37 +65,25 @@ type row = {
   words : float;
 }
 
-(* (benchmark rows in file order, end-to-end rates if present) *)
+(* benchmark rows in file order *)
 let load path =
   let ic = open_in path in
   let rows = ref [] in
-  let pkts = ref nan in
-  let sweep = ref nan in
-  let parking = ref nan in
   (try
      while true do
        let line = input_line ic in
-       (match string_field line "name" with
+       match string_field line "name" with
        | Some name ->
          let field key = Option.value ~default:nan (num_field line key) in
          let row =
            { ns = field "ns_per_run"; words = field "minor_words_per_run" }
          in
          rows := (name, row) :: !rows
-       | None -> ());
-       (match num_field line "sim.pkts_per_wall_sec" with
-       | Some v -> pkts := v
-       | None -> ());
-       (match num_field line "sweep.paths_per_wall_sec" with
-       | Some v -> sweep := v
-       | None -> ());
-       match num_field line "sim.parking_lot.pkts_per_wall_sec" with
-       | Some v -> parking := v
        | None -> ()
      done
    with End_of_file -> ());
   close_in ic;
-  (List.rev !rows, !pkts, !sweep, !parking)
+  List.rev !rows
 
 let fnum v = if Float.is_finite v then Printf.sprintf "%.1f" v else "—"
 
@@ -111,8 +99,7 @@ let run ~old_file ~new_file =
   | exception Sys_error msg ->
     Printf.eprintf "compare: %s\n" msg;
     2
-  | ( (old_rows, old_pkts, old_sweep, old_parking),
-      (new_rows, new_pkts, new_sweep, new_parking) ) ->
+  | old_rows, new_rows ->
     (* every name from either file: new-file order first, then old-only *)
     let names =
       List.map fst new_rows
@@ -136,24 +123,4 @@ let run ~old_file ~new_file =
           (fdelta ~old_:o.ns ~new_:n.ns)
           (fnum o.words) (fnum n.words))
       names;
-    if
-      Float.is_finite old_pkts || Float.is_finite new_pkts
-      || Float.is_finite old_sweep || Float.is_finite new_sweep
-      || Float.is_finite old_parking || Float.is_finite new_parking
-    then begin
-      print_newline ();
-      print_endline "| end-to-end (higher is better) | old | new | Δ |";
-      print_endline "|---|---:|---:|---:|";
-      Printf.printf "| sim.pkts_per_wall_sec | %s | %s | %s |\n"
-        (fnum old_pkts) (fnum new_pkts)
-        (fdelta ~old_:old_pkts ~new_:new_pkts);
-      if Float.is_finite old_sweep || Float.is_finite new_sweep then
-        Printf.printf "| sweep.paths_per_wall_sec | %s | %s | %s |\n"
-          (fnum old_sweep) (fnum new_sweep)
-          (fdelta ~old_:old_sweep ~new_:new_sweep);
-      if Float.is_finite old_parking || Float.is_finite new_parking then
-        Printf.printf "| sim.parking_lot.pkts_per_wall_sec | %s | %s | %s |\n"
-          (fnum old_parking) (fnum new_parking)
-          (fdelta ~old_:old_parking ~new_:new_parking)
-    end;
     0

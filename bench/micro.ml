@@ -117,18 +117,20 @@ let event_queue =
          in
          Nimbus_sim.Engine.run_until e stop))
 
+(* the 48 Mbit/s, 600 kB-buffer dumbbell both simulated-run measurements
+   below share *)
+let dumbbell_48 e =
+  Nimbus_topology.Topology.dumbbell e
+    (Nimbus_topology.Topology.Link.Config.default ~rate:(Units.Rate.bps 48e6)
+       ~qdisc:(Nimbus_sim.Qdisc.droptail ~capacity_bytes:600_000))
+
 let sim_packet_second =
   Test.make ~name:"sim.cubic-flow.1s@48Mbps"
     (Staged.stage (fun () ->
          let e = Nimbus_sim.Engine.create Nimbus_sim.Engine.Config.default in
-         let qdisc = Nimbus_sim.Qdisc.droptail ~capacity_bytes:600_000 in
-         let bn =
-           Nimbus_sim.Bottleneck.create e
-             (Nimbus_sim.Bottleneck.Config.default ~rate:(Units.Rate.bps 48e6)
-                ~qdisc)
-         in
+         let topo, route = dumbbell_48 e in
          let _f =
-           Nimbus_cc.Flow.create e bn ~cc:(Nimbus_cc.Cubic.make ())
+           Nimbus_cc.Flow.create_via topo ~route ~cc:(Nimbus_cc.Cubic.make ())
              ~prop_rtt:(Units.Time.ms 50.) ()
          in
          Nimbus_sim.Engine.run_until e (Units.Time.secs 1.0)))
@@ -176,79 +178,6 @@ let benchmarks =
       event_queue; sim_packet_second; nimbus_tick ~traced:false;
       nimbus_tick ~traced:true ]
 
-(* End-to-end speed leaderboard: simulated packets delivered per second of
-   wall-clock time, on the same Cubic-vs-48Mbit/s scenario as
-   sim.cubic-flow.1s but run for 20 simulated seconds.  Reported as a rate
-   over one long run (best of three) rather than a Bechamel fit: the figure
-   of merit is the throughput of the whole event core — calendar-queue
-   scheduling included — not the latency of one short run. *)
-let pkts_per_wall_sec () =
-  let once () =
-    let e = Nimbus_sim.Engine.create Nimbus_sim.Engine.Config.default in
-    let qdisc = Nimbus_sim.Qdisc.droptail ~capacity_bytes:600_000 in
-    let bn =
-      Nimbus_sim.Bottleneck.create e
-        (Nimbus_sim.Bottleneck.Config.default ~rate:(Units.Rate.bps 48e6)
-           ~qdisc)
-    in
-    let _f =
-      Nimbus_cc.Flow.create e bn ~cc:(Nimbus_cc.Cubic.make ())
-        ~prop_rtt:(Units.Time.ms 50.) ()
-    in
-    let t0 = Clock.now () in
-    Nimbus_sim.Engine.run_until e (Units.Time.secs 20.0);
-    let wall = Int64.to_float (Int64.sub (Clock.now ()) t0) /. 1e9 in
-    float_of_int (Nimbus_sim.Bottleneck.delivered_packets bn) /. wall
-  in
-  let best = ref 0. in
-  for _ = 1 to 3 do
-    best := Float.max !best (once ())
-  done;
-  !best
-
-(* the same figure of merit for `nimbus_cli sweep`: complete sweep paths per
-   wall second on a small cubic-only fleet (quick profile, no checkpoint, no
-   triage), best of two.  Run without an ambient pool, so the number tracks
-   per-case cost — the shard/aggregation machinery rides along for free and
-   a regression in either shows up here. *)
-let sweep_paths_per_wall_sec () =
-  let module Sweep = Nimbus_experiments.Sweep in
-  let once () =
-    let cfg =
-      Sweep.config ~paths:4 ~schemes:[ Nimbus_experiments.Common.cubic ]
-        ~shard_size:4 ~triage_k:0 ()
-    in
-    let t0 = Clock.now () in
-    let o = Sweep.run cfg in
-    let wall = Int64.to_float (Int64.sub (Clock.now ()) t0) /. 1e9 in
-    float_of_int o.Sweep.paths_done /. wall
-  in
-  let best = ref 0. in
-  for _ = 1 to 2 do
-    best := Float.max !best (once ())
-  done;
-  !best
-
-(* the same figure of merit for the multi-bottleneck fabric: packets
-   finishing serialisation per wall second, summed over the parking-lot
-   chain's links (3 bottlenecks, ~300 flows, 5 simulated s), best of 2.
-   Hop-to-hop forwarding, the fabric conservation counters, and the
-   per-link invariant monitor are all on the measured path. *)
-let parking_pkts_per_wall_sec () =
-  let module P = Nimbus_experiments.Exp_parking_lot in
-  let once () =
-    let p = P.scaled_params ~links:3 ~flows:300 ~duration:5. () in
-    let t0 = Clock.now () in
-    let o = P.run_custom p in
-    let wall = Int64.to_float (Int64.sub (Clock.now ()) t0) /. 1e9 in
-    float_of_int o.P.delivered /. wall
-  in
-  let best = ref 0. in
-  for _ = 1 to 2 do
-    best := Float.max !best (once ())
-  done;
-  !best
-
 let estimate results name =
   match Hashtbl.find_opt results name with
   | None -> nan
@@ -266,19 +195,14 @@ let span_profile () =
   Fun.protect ~finally:Nimbus_trace.Span.disable (fun () ->
       let module Nimbus = Nimbus_core.Nimbus in
       let e = Nimbus_sim.Engine.create Nimbus_sim.Engine.Config.default in
-      let qdisc = Nimbus_sim.Qdisc.droptail ~capacity_bytes:600_000 in
-      let bn =
-        Nimbus_sim.Bottleneck.create e
-          (Nimbus_sim.Bottleneck.Config.default ~rate:(Units.Rate.bps 48e6)
-             ~qdisc)
-      in
+      let topo, route = dumbbell_48 e in
       let nim =
         Nimbus.create
           (Nimbus.Config.default
              ~mu:(Nimbus_core.Z_estimator.Mu.known (Units.Rate.bps 48e6)))
       in
       let _f =
-        Nimbus_cc.Flow.create e bn
+        Nimbus_cc.Flow.create_via topo ~route
           ~cc:(Nimbus.cc nim ~now:(fun () -> Nimbus_sim.Engine.now e))
           ~prop_rtt:(Units.Time.ms 50.) ()
       in
@@ -312,23 +236,6 @@ let run ?json ?assert_trace_overhead () =
   print_endline "== Span profile (nimbus flow, 10 simulated seconds) ==";
   let profile = span_profile () in
   print_string (if String.equal profile "" then "(no spans fired)\n" else profile);
-  print_newline ();
-  print_endline "== End-to-end leaderboard ==";
-  let pkts = pkts_per_wall_sec () in
-  Printf.printf
-    "sim.pkts_per_wall_sec %33.0f   (cubic @48Mbps, 20 simulated s, best of \
-     3)\n%!"
-    pkts;
-  let sweep_rate = sweep_paths_per_wall_sec () in
-  Printf.printf
-    "sweep.paths_per_wall_sec %30.2f   (4-path cubic fleet, quick profile, \
-     best of 2)\n%!"
-    sweep_rate;
-  let parking = parking_pkts_per_wall_sec () in
-  Printf.printf
-    "sim.parking_lot.pkts_per_wall_sec %21.0f   (3-link chain, ~300 flows, \
-     5 simulated s, best of 2)\n%!"
-    parking;
   (match json with
    | None -> ()
    | Some path ->
@@ -346,13 +253,7 @@ let run ?json ?assert_trace_overhead () =
            (num (estimate allocs name))
            (if i = last then "" else ","))
        names;
-     output_string oc "  ],\n";
-     Printf.fprintf oc
-       "  \"end_to_end\": {\"sim.pkts_per_wall_sec\": %s, \
-        \"sweep.paths_per_wall_sec\": %s, \
-        \"sim.parking_lot.pkts_per_wall_sec\": %s}\n"
-       (num pkts) (num sweep_rate) (num parking);
-     output_string oc "}\n";
+     output_string oc "  ]\n}\n";
      close_out oc;
      Printf.printf "wrote %s\n%!" path);
   (* the tracing-cost gate: full-mask (sinkless) tracing of the controller

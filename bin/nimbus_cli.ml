@@ -77,34 +77,54 @@ let list_cmd () =
     Registry.all;
   0
 
+(* [Some msg] names the first flag outside its domain; checked before
+   anything is built, so a bad value never reaches a constructor (an
+   infinite rate or a NaN duration would otherwise hang or run empty) *)
+let simulate_flag_error ~mbps ~rtt_ms ~duration ~cross_mbps =
+  let finite = Float.is_finite in
+  if not (finite mbps && mbps > 0.) then
+    Some (Printf.sprintf "--rate must be finite and > 0 (got %g)" mbps)
+  else if not (finite rtt_ms && rtt_ms >= 0.) then
+    Some (Printf.sprintf "--rtt must be finite and >= 0 (got %g)" rtt_ms)
+  else if not (finite duration && duration > 0.) then
+    Some (Printf.sprintf "--duration must be finite and > 0 (got %g)" duration)
+  else if not (finite cross_mbps && cross_mbps >= 0.) then
+    Some
+      (Printf.sprintf "--cross-rate must be finite and >= 0 (got %g)"
+         cross_mbps)
+  else None
+
 let simulate_cmd mbps rtt_ms duration cross_kind cross_mbps seed faults
     trace_out trace_filter =
+  (match simulate_flag_error ~mbps ~rtt_ms ~duration ~cross_mbps with
+   | Some msg ->
+     Printf.eprintf "simulate: %s\n" msg;
+     exit 2
+   | None -> ());
   Flags.with_trace ?out:trace_out ~filter:trace_filter @@ fun trace flush ->
   let l = Common.link ~mbps ~rtt_ms () in
   let net = Common.setup ~trace ~seed l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  let rng = net.Common.rng in
+  let { Common.engine; topo; route; bottleneck = bn; rng; _ } = net in
   (* drain the ring into the sink off the hot path, once a simulated second *)
   Engine.every engine ~dt:(Time.secs 1.0) (fun () -> flush ());
   (match cross_kind with
    | "none" -> ()
    | "cubic" ->
      ignore
-       (Flow.create engine bn ~cc:(Nimbus_cc.Cubic.make ())
+       (Flow.create_via topo ~route ~cc:(Nimbus_cc.Cubic.make ())
           ~prop_rtt:l.Common.prop_rtt ())
    | "poisson" ->
      ignore
-       (Source.poisson engine bn ~rng:(Rng.split rng)
+       (Source.poisson_via topo ~route ~rng:(Rng.split rng)
           ~rate:(Rate.mbps cross_mbps) ())
-   | "cbr" -> ignore (Source.cbr engine bn ~rate:(Rate.mbps cross_mbps) ())
+   | "cbr" ->
+     ignore (Source.cbr_via topo ~route ~rate:(Rate.mbps cross_mbps) ())
    | other ->
      Printf.eprintf "unknown cross traffic %S (none|cubic|poisson|cbr)\n" other;
      exit 2);
   let running = (Common.nimbus ()).Common.start_flow net () in
   let nim = Option.get running.Common.nimbus in
-  let monitor =
-    Invariant.create engine ~bottleneck:bn ~nimbus:[ ("nimbus", nim) ] ()
-  in
+  let monitor = Common.audit topo ~nimbus:[ ("nimbus", nim) ] in
   (match faults with
    | None -> ()
    | Some spec -> (

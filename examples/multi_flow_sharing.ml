@@ -6,6 +6,7 @@
 module Engine = Nimbus_sim.Engine
 module Bottleneck = Nimbus_sim.Bottleneck
 module Qdisc = Nimbus_sim.Qdisc
+module Topology = Nimbus_topology.Topology
 module Flow = Nimbus_cc.Flow
 module Nimbus = Nimbus_core.Nimbus
 module Z = Nimbus_core.Z_estimator
@@ -19,9 +20,11 @@ let () =
     Qdisc.droptail
       ~capacity_bytes:(int_of_float (Rate.to_bps mu *. 0.1 /. 8.))
   in
-  let bottleneck =
-    Bottleneck.create engine (Bottleneck.Config.default ~rate:mu ~qdisc)
+  (* the paper's network: one FIFO bottleneck, a one-link topology *)
+  let topo, route =
+    Topology.dumbbell engine (Topology.Link.Config.default ~rate:mu ~qdisc)
   in
+  let bottleneck = Topology.link_bottleneck (List.hd (Topology.links topo)) in
   let flows =
     List.init 3 (fun i ->
         let nim =
@@ -30,7 +33,7 @@ let () =
               multi_flow = true; seed = 1000 + (31 * i) }
         in
         let flow =
-          Flow.create engine bottleneck
+          Flow.create_via topo ~route
             ~cc:(Nimbus.cc nim ~now:(fun () -> Engine.now engine))
             ~prop_rtt:(Time.ms 50.)
             ~start:(Time.secs (float_of_int i *. 15.))

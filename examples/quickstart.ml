@@ -1,12 +1,14 @@
 (* Quickstart: the smallest end-to-end use of the library.
 
-   Build a 48 Mbit/s bottleneck, attach one Nimbus flow, throw first elastic
-   then inelastic cross traffic at it, and watch the elasticity detector
-   drive the mode.  Run with:  dune exec examples/quickstart.exe *)
+   Build a 48 Mbit/s bottleneck (a one-link topology), attach one Nimbus
+   flow, throw first elastic then inelastic cross traffic at it, and watch
+   the elasticity detector drive the mode.
+   Run with:  dune exec examples/quickstart.exe *)
 
 module Engine = Nimbus_sim.Engine
 module Bottleneck = Nimbus_sim.Bottleneck
 module Qdisc = Nimbus_sim.Qdisc
+module Topology = Nimbus_topology.Topology
 module Rng = Nimbus_sim.Rng
 module Flow = Nimbus_cc.Flow
 module Nimbus = Nimbus_core.Nimbus
@@ -23,15 +25,17 @@ let () =
     Qdisc.droptail
       ~capacity_bytes:(int_of_float (Rate.to_bps mu *. 0.1 /. 8.))
   in
-  let bottleneck =
-    Bottleneck.create engine (Bottleneck.Config.default ~rate:mu ~qdisc)
+  (* the paper's network: one FIFO bottleneck, a one-link topology *)
+  let topo, route =
+    Topology.dumbbell engine (Topology.Link.Config.default ~rate:mu ~qdisc)
   in
+  let bottleneck = Topology.link_bottleneck (List.hd (Topology.links topo)) in
 
   (* the Nimbus flow: Cubic when cross traffic is elastic, BasicDelay
      otherwise, switching on the FFT elasticity metric *)
   let nimbus = Nimbus.create (Nimbus.Config.default ~mu:(Z.Mu.known mu)) in
   let flow =
-    Flow.create engine bottleneck
+    Flow.create_via topo ~route
       ~cc:(Nimbus.cc nimbus ~now:(fun () -> Engine.now engine))
       ~prop_rtt:(Time.ms 50.) ()
   in
@@ -39,12 +43,12 @@ let () =
   (* cross traffic: a Cubic flow from t=20..60, then 24 Mbit/s Poisson *)
   Engine.schedule_at engine (Time.secs 20.) (fun () ->
       let cross =
-        Flow.create engine bottleneck ~cc:(Nimbus_cc.Cubic.make ())
+        Flow.create_via topo ~route ~cc:(Nimbus_cc.Cubic.make ())
           ~prop_rtt:(Time.ms 50.) ()
       in
       Engine.schedule_at engine (Time.secs 60.) (fun () -> Flow.apply cross Flow.Control.Stop));
   ignore
-    (Source.poisson engine bottleneck ~rng:(Rng.create 7) ~rate:(Rate.mbps 24.)
+    (Source.poisson_via topo ~route ~rng:(Rng.create 7) ~rate:(Rate.mbps 24.)
        ~start:(Time.secs 60.) ());
 
   (* report once per second *)

@@ -4,8 +4,8 @@
    Run with: dune exec examples/wan_bulk_transfer.exe *)
 
 module Engine = Nimbus_sim.Engine
-module Bottleneck = Nimbus_sim.Bottleneck
 module Qdisc = Nimbus_sim.Qdisc
+module Topology = Nimbus_topology.Topology
 module Rng = Nimbus_sim.Rng
 module Flow = Nimbus_cc.Flow
 module Nimbus = Nimbus_core.Nimbus
@@ -21,16 +21,16 @@ let () =
     Qdisc.droptail
       ~capacity_bytes:(int_of_float (Rate.to_bps mu *. 0.1 /. 8.))
   in
-  let bottleneck =
-    Bottleneck.create engine (Bottleneck.Config.default ~rate:mu ~qdisc)
+  (* the paper's network: one FIFO bottleneck, a one-link topology *)
+  let topo, route =
+    Topology.dumbbell engine (Topology.Link.Config.default ~rate:mu ~qdisc)
   in
   let wan =
-    Wan.create engine bottleneck ~rng:(Rng.create 42) ~load:(Rate.scale 0.5 mu)
-      ()
+    Wan.create topo ~route ~rng:(Rng.create 42) ~load:(Rate.scale 0.5 mu) ()
   in
   let nimbus = Nimbus.create (Nimbus.Config.default ~mu:(Z.Mu.known mu)) in
   let flow =
-    Flow.create engine bottleneck
+    Flow.create_via topo ~route
       ~cc:(Nimbus.cc nimbus ~now:(fun () -> Engine.now engine))
       ~prop_rtt:(Time.ms 50.) ()
   in

@@ -1,5 +1,4 @@
 module Engine = Nimbus_sim.Engine
-module Bottleneck = Nimbus_sim.Bottleneck
 module Packet = Nimbus_sim.Packet
 module Topology = Nimbus_topology.Topology
 module Time = Units.Time
@@ -32,10 +31,9 @@ let rate_ring_capacity = 2048
 
 type t = {
   engine : Engine.t;
-  (* injection point into the network: a bare [Bottleneck.enqueue] for the
-     classic dumbbell, or a topology ingress for multi-hop routes.  Mutable
-     only because wiring needs the flow's own sink closure ([t] itself) —
-     it is set once in [make] and never changes afterwards. *)
+  (* the route's topology ingress.  Mutable only because attaching needs
+     the flow's own sink closure ([t] itself) — it is set once in
+     [create_via] and never changes afterwards. *)
   mutable enqueue : Packet.t -> unit;
   cc : Cc_types.t;
   flow_id : int;
@@ -380,8 +378,16 @@ let check_rto t =
     try_send t
   end
 
+(* a completed [Finite] transfer with nothing in flight and nothing to
+   resend has no RTO to check and nothing to send: its tick would reschedule
+   itself until the run ends *)
+let finished t =
+  Option.is_some t.completion_time
+  && Hashtbl.length t.outstanding = 0
+  && not (data_available t)
+
 let rec tick_loop t =
-  if t.active then begin
+  if t.active && not (finished t) then begin
     Nimbus_trace.Span.enter Nimbus_trace.Span.Flow_tick;
     check_rto t;
     (match t.cc.Cc_types.on_tick with
@@ -400,15 +406,14 @@ let rec tick_loop t =
         tick_loop t)
   end
 
-(* [wire flow_id sink] registers [sink] as the flow's delivery callback
-   wherever its packets leave the network, and returns the injection
-   function — the one seam between the sender engine and the network
-   (direct bottleneck or multi-hop topology). *)
-let make engine ~wire ~cc ~prop_rtt ~fwd_frac ~pkt_size ~source ~start
-    ~on_complete ~tick_interval =
+let create_via topo ~route ~cc ~prop_rtt ?(fwd_frac = 0.5)
+    ?(pkt_size = Packet.default_data_size) ?(source = Backlogged) ?start
+    ?on_complete ?(tick_interval = Time.ms 10.) () =
+  let engine = Topology.engine topo in
   let prop_rtt = Time.to_secs prop_rtt in
   let tick_interval = Time.to_secs tick_interval in
-  if prop_rtt < 0. then invalid_arg "Flow.create: negative prop_rtt";
+  if not (Float.is_finite prop_rtt) || prop_rtt < 0. then
+    invalid_arg "Flow.create_via: prop_rtt must be finite and >= 0";
   let flow_id = Engine.fresh_flow_id engine in
   let start_time =
     match start with
@@ -433,27 +438,11 @@ let make engine ~wire ~cc ~prop_rtt ~fwd_frac ~pkt_size ~source ~start
       active = true;
       completion_time = None; extra_fwd_delay = 0.; ack_loss = None }
   in
-  t.enqueue <- wire flow_id (fun pkt -> handle_delivery t pkt);
+  t.enqueue <-
+    Topology.attach topo ~route ~flow:flow_id ~sink:(fun pkt ->
+        handle_delivery t pkt);
   Engine.schedule_at engine (Time.secs start_time) (fun () ->
       try_send t;
       Engine.schedule_in engine (Time.secs tick_interval) (fun () ->
           tick_loop t));
   t
-
-let create engine bottleneck ~cc ~prop_rtt ?(fwd_frac = 0.5)
-    ?(pkt_size = Packet.default_data_size) ?(source = Backlogged)
-    ?start ?on_complete ?(tick_interval = Time.ms 10.) () =
-  make engine
-    ~wire:(fun flow sink ->
-      Bottleneck.set_sink bottleneck ~flow sink;
-      fun pkt -> Bottleneck.enqueue bottleneck pkt)
-    ~cc ~prop_rtt ~fwd_frac ~pkt_size ~source ~start ~on_complete
-    ~tick_interval
-
-let create_via topo ~route ~cc ~prop_rtt ?(fwd_frac = 0.5)
-    ?(pkt_size = Packet.default_data_size) ?(source = Backlogged)
-    ?start ?on_complete ?(tick_interval = Time.ms 10.) () =
-  make (Topology.engine topo)
-    ~wire:(fun flow sink -> Topology.attach topo ~route ~flow ~sink)
-    ~cc ~prop_rtt ~fwd_frac ~pkt_size ~source ~start ~on_complete
-    ~tick_interval

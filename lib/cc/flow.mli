@@ -1,4 +1,4 @@
-(** The flow engine: one sender/receiver pair attached to the bottleneck.
+(** The flow engine: one sender/receiver pair attached to a network route.
 
     Responsibilities:
     - transmit data packets, either ACK-clocked against the controller's
@@ -20,7 +20,12 @@ type source =
 
 type t
 
-(** [create engine bottleneck ~cc ~prop_rtt ()] wires a flow up.
+(** [create_via topo ~route ~cc ~prop_rtt ()] wires a flow across a
+    {!Nimbus_topology.Topology} route — the one way a flow enters the
+    network. Packets are injected at the route's first link and the flow's
+    receiver sink fires after the last hop; per-link propagation delays add
+    to the [prop_rtt] end legs. The flow lives on the topology's engine. The
+    paper's single bottleneck is the one-link [Topology.dumbbell] route.
 
     @param prop_rtt two-way propagation delay excluding queueing
     @param fwd_frac fraction of [prop_rtt] after the bottleneck on the
@@ -29,29 +34,10 @@ type t
     @param source defaults to [Backlogged]
     @param start absolute start time (default: now)
     @param on_complete invoked once when a [Finite] source finishes
-    @param tick_interval controller tick period (default 10 ms) *)
-val create :
-  Nimbus_sim.Engine.t ->
-  Nimbus_sim.Bottleneck.t ->
-  cc:Cc_types.t ->
-  prop_rtt:Units.Time.t ->
-  ?fwd_frac:float ->
-  ?pkt_size:int ->
-  ?source:source ->
-  ?start:Units.Time.t ->
-  ?on_complete:(t -> unit) ->
-  ?tick_interval:Units.Time.t ->
-  unit ->
-  t
-
-(** [create_via topo ~route ~cc ~prop_rtt ()] wires a flow across a
-    multi-hop {!Nimbus_topology.Topology} route instead of a single
-    bottleneck: packets are injected at the route's first link and the
-    flow's receiver sink fires after the last hop (per-link propagation
-    delays add to the [prop_rtt] end legs). Options are as for {!create};
-    the flow lives on the topology's engine. A single-link route with zero
-    propagation delay is event-for-event identical to {!create} on that
-    link's bottleneck. *)
+    @param tick_interval controller tick period (default 10 ms); a
+           completed [Finite] flow with nothing left in flight stops
+           ticking
+    @raise Invalid_argument if [prop_rtt] is negative or not finite *)
 val create_via :
   Nimbus_topology.Topology.t ->
   route:Nimbus_topology.Topology.Route.t ->

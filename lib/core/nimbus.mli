@@ -155,7 +155,7 @@ module Config : sig
 end
 
 (** [create config] builds a Nimbus instance; pass [cc t] to
-    {!Nimbus_cc.Flow.create} with the same [tick_interval] as
+    {!Nimbus_cc.Flow.create_via} with the same [tick_interval] as
     [config.sample_interval].
 
     The keep-alive probes track both mode frequencies as whole DFT bins of

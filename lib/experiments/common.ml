@@ -8,6 +8,7 @@ module Nimbus = Nimbus_core.Nimbus
 module Z = Nimbus_core.Z_estimator
 module Series = Nimbus_metrics.Series
 module Monitor = Nimbus_metrics.Monitor
+module Invariant = Nimbus_metrics.Invariant
 module Stats = Nimbus_dsp.Stats
 module Time = Units.Time
 module Freq = Units.Freq
@@ -43,9 +44,9 @@ type net = {
   net_link : link;
 }
 
-(* the qdisc rng split happens before the topology is built, exactly where
-   the pre-topology setup split it — preserving the draw order is part of
-   the byte-identical-trace contract *)
+(* the qdisc rng split happens right after the run's rng is created and
+   before the topology is built — preserving the draw order is part of the
+   byte-identical-trace contract *)
 let qdisc_of ~rng l =
   let capacity_bytes =
     max (4 * 1500)
@@ -58,20 +59,35 @@ let qdisc_of ~rng l =
     Qdisc.pie ~capacity_bytes ~target_delay:target ~link_rate:l.mu
       ~rng:(Rng.split rng) ()
 
-let setup ?(trace = Nimbus_trace.Trace.disabled) ~seed l =
+let setup ?(trace = Nimbus_trace.Trace.disabled) ?queue ~seed l =
   let engine = Engine.create { trace } in
   let rng = Rng.create seed in
-  let qdisc = qdisc_of ~rng l in
+  let config =
+    match queue with
+    | Some queue -> queue rng
+    | None -> Bottleneck.Config.default ~rate:l.mu ~qdisc:(qdisc_of ~rng l)
+  in
   let topo, route =
     Topology.dumbbell engine
-      { bottleneck =
-          { (Bottleneck.Config.default ~rate:l.mu ~qdisc) with trace };
-        prop_delay = Time.zero }
+      { bottleneck = { config with trace }; prop_delay = Time.zero }
   in
   let bottleneck =
     Topology.link_bottleneck (List.hd (Topology.Route.links route))
   in
   { engine; topo; route; bottleneck; rng; net_link = l }
+
+let audit ?nimbus topo =
+  let monitor =
+    Invariant.create (Topology.engine topo)
+      ~bottlenecks:
+        (List.map
+           (fun l -> (Topology.link_label l, Topology.link_bottleneck l))
+           (Topology.links topo))
+      ?nimbus ()
+  in
+  Invariant.add_check monitor ~name:"topology-conservation" (fun () ->
+      Topology.conservation_check topo);
+  monitor
 
 type running = {
   flow : Flow.t;
@@ -170,12 +186,14 @@ type run_stats = {
   rtt_series : Series.t;
 }
 
-let instrument engine bottleneck running ~until =
+let instrument net running ~until =
+  let engine = net.engine in
   { tput_series =
       Monitor.flow_throughput engine running.flow ~interval:(Time.secs 1.0)
         ~until ();
     qdelay_series =
-      Monitor.queue_delay engine bottleneck ~interval:(Time.ms 100.) ~until ();
+      Monitor.queue_delay engine net.bottleneck ~interval:(Time.ms 100.)
+        ~until ();
     rtt_series =
       Monitor.flow_rtt engine running.flow ~interval:(Time.ms 100.) ~until ()
   }

@@ -50,11 +50,31 @@ type net = {
   net_link : link;  (** the description [setup] built from *)
 }
 
-(** [setup ?trace ~seed l] builds the dumbbell network.  When [trace] is
-    given it becomes the run's shared collector: it is installed on the
-    engine (where flows, faults, and invariant monitors find it) and on the
-    bottleneck, and scheme constructors pick it up via [Engine.trace]. *)
-val setup : ?trace:Nimbus_trace.Trace.t -> seed:int -> link -> net
+(** [setup ?trace ?queue ~seed l] builds the dumbbell network.  When
+    [trace] is given it becomes the run's shared collector: it is installed
+    on the engine (where flows, faults, and invariant monitors find it) and
+    on the bottleneck, and scheme constructors pick it up via
+    [Engine.trace].
+    @param queue [queue rng] is the link's queue configuration in place of
+           the one derived from [l] (its [trace] field is overridden). It
+           runs right after the run's RNG is created, so any split it makes
+           comes first — part of the byte-identical-trace contract. *)
+val setup :
+  ?trace:Nimbus_trace.Trace.t ->
+  ?queue:(Rng.t -> Bottleneck.Config.t) ->
+  seed:int ->
+  link ->
+  net
+
+(** [audit ?nimbus topo] starts the invariant monitor on [topo]'s engine:
+    every link's conservation ledger and queue (labelled by
+    [Topology.link_label]), the labelled Nimbus controllers, and the
+    fabric-level [topology-conservation] identity, which holds because all
+    traffic enters through [Topology.attach]. *)
+val audit :
+  ?nimbus:(string * Nimbus_core.Nimbus.t) list ->
+  Topology.t ->
+  Nimbus_metrics.Invariant.t
 
 (** A scheme is a named congestion-control configuration a primary flow can
     run, paired with optional introspection for mode-switching schemes. *)
@@ -110,10 +130,9 @@ type run_stats = {
   rtt_series : Nimbus_metrics.Series.t; (* 100 ms samples, seconds *)
 }
 
-(** [instrument engine bottleneck running ~until] attaches the standard
-    monitors. *)
-val instrument :
-  Engine.t -> Bottleneck.t -> running -> until:Units.Time.t -> run_stats
+(** [instrument net running ~until] attaches the standard monitors:
+    [running]'s throughput and RTT, and the bottleneck's queue delay. *)
+val instrument : net -> running -> until:Units.Time.t -> run_stats
 
 (** [mean s ~lo ~hi] / [pct s ~lo ~hi p] over a series window given in
     seconds, ignoring NaNs. *)

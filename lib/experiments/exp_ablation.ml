@@ -46,30 +46,30 @@ let observe (p : Common.profile) ?(share = 0.5) ?(pulse_shape = Nimbus_core.Puls
   let l = Common.link ~mbps:96. ~rtt_ms:50. ~buffer_bdp:2.0 () in
   let horizon = Common.scaled p 90. in
   let net = Common.setup ~seed l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  let rng = net.Common.rng in
+  let { Common.engine; topo; route; rng; _ } = net in
   (match cross with
    | `Poisson rate ->
      ignore
-       (Source.poisson engine bn ~rng:(Rng.split rng) ~rate:(Rate.bps rate) ())
+       (Source.poisson_via topo ~route ~rng:(Rng.split rng)
+          ~rate:(Rate.bps rate) ())
    | `Cubic n ->
      for _ = 1 to n do
        ignore
-         (Flow.create engine bn ~cc:(Nimbus_cc.Cubic.make ())
+         (Flow.create_via topo ~route ~cc:(Nimbus_cc.Cubic.make ())
             ~prop_rtt:l.Common.prop_rtt ())
      done
    | `Cubic_rtt ratio ->
      ignore
-       (Flow.create engine bn ~cc:(Nimbus_cc.Cubic.make ())
+       (Flow.create_via topo ~route ~cc:(Nimbus_cc.Cubic.make ())
           ~prop_rtt:(Time.scale ratio l.Common.prop_rtt) ())
    | `Cubic_late at ->
      Engine.schedule_at engine (Time.secs at) (fun () ->
          ignore
-           (Flow.create engine bn ~cc:(Nimbus_cc.Cubic.make ())
+           (Flow.create_via topo ~route ~cc:(Nimbus_cc.Cubic.make ())
               ~prop_rtt:l.Common.prop_rtt ()))
    | `Mixed_for_share ->
      ignore
-       (Source.poisson engine bn ~rng:(Rng.split rng)
+       (Source.poisson_via topo ~route ~rng:(Rng.split rng)
           ~rate:(Rate.scale (1. -. share) l.Common.mu) ()));
   let etas = ref [] and amps = ref [] in
   let zs = ref [] and ss = ref [] in
@@ -91,7 +91,7 @@ let observe (p : Common.profile) ?(share = 0.5) ?(pulse_shape = Nimbus_core.Puls
               ss := Rate.to_bps s.Nimbus.s_send_rate :: !ss) }
   in
   let flow =
-    Flow.create engine bn
+    Flow.create_via topo ~route
       ~cc:(Nimbus.cc nim ~now:(fun () -> Engine.now engine))
       ~prop_rtt:l.Common.prop_rtt ()
   in

@@ -16,12 +16,12 @@ let case (p : Common.profile) ~buffer_bdp ~seed (sch : Common.scheme) =
   let l = Common.link ~mbps:96. ~rtt_ms:50. ~buffer_bdp () in
   let horizon = Common.scaled p 120. in
   let net = Common.setup ~seed l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
+  let { Common.engine; topo; route; _ } = net in
   ignore
-    (Flow.create engine bn ~cc:(Nimbus_cc.Bbr.make ())
+    (Flow.create_via topo ~route ~cc:(Nimbus_cc.Bbr.make ())
        ~prop_rtt:l.Common.prop_rtt ());
   let running = sch.Common.start_flow net () in
-  let stats = Common.instrument engine bn running ~until:(Time.secs horizon) in
+  let stats = Common.instrument net running ~until:(Time.secs horizon) in
   Engine.run_until engine (Time.secs horizon);
   Common.mean stats.Common.tput_series ~lo:10. ~hi:horizon
 

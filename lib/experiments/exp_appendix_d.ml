@@ -24,10 +24,10 @@ let cbr_case (p : Common.profile) ~rate ~seed (sch : Common.scheme) =
   let l = Common.link ~mbps:96. ~rtt_ms:50. ~buffer_bdp:2.0 () in
   let horizon = Common.scaled p 60. in
   let net = Common.setup ~seed l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  ignore (Source.cbr engine bn ~rate:(Rate.bps rate) ());
+  let { Common.engine; topo; route; _ } = net in
+  ignore (Source.cbr_via topo ~route ~rate:(Rate.bps rate) ());
   let running = sch.Common.start_flow net () in
-  let stats = Common.instrument engine bn running ~until:(Time.secs horizon) in
+  let stats = Common.instrument net running ~until:(Time.secs horizon) in
   Engine.run_until engine (Time.secs horizon);
   ( Common.mean stats.Common.tput_series ~lo:10. ~hi:horizon,
     Common.mean stats.Common.qdelay_series ~lo:10. ~hi:horizon )
@@ -36,12 +36,12 @@ let reno_case (p : Common.profile) ~ratio ~seed (sch : Common.scheme) =
   let l = Common.link ~mbps:96. ~rtt_ms:50. ~buffer_bdp:2.0 () in
   let horizon = Common.scaled p 60. in
   let net = Common.setup ~seed l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
+  let { Common.engine; topo; route; _ } = net in
   ignore
-    (Flow.create engine bn ~cc:(Nimbus_cc.Reno.make ())
+    (Flow.create_via topo ~route ~cc:(Nimbus_cc.Reno.make ())
        ~prop_rtt:(Time.scale ratio l.Common.prop_rtt) ());
   let running = sch.Common.start_flow net () in
-  let stats = Common.instrument engine bn running ~until:(Time.secs horizon) in
+  let stats = Common.instrument net running ~until:(Time.secs horizon) in
   Engine.run_until engine (Time.secs horizon);
   Common.mean stats.Common.tput_series ~lo:10. ~hi:horizon
 

@@ -30,8 +30,7 @@ type mix =
 let case (p : Common.profile) ~link ~mix ~share ~pulse ~seed =
   let horizon = Common.scaled p 120. in
   let net = Common.setup ~seed link in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  let rng = net.Common.rng in
+  let { Common.engine; topo; route; rng; _ } = net in
   let mu = link.Common.mu in
   let truth_elastic =
     match mix with
@@ -41,21 +40,21 @@ let case (p : Common.profile) ~link ~mix ~share ~pulse ~seed =
   (match mix with
    | Inelastic ->
      ignore
-       (Source.poisson engine bn ~rng:(Rng.split rng)
+       (Source.poisson_via topo ~route ~rng:(Rng.split rng)
           ~rate:(Rate.scale (1. -. share) mu) ())
    | Elastic ->
      let n = max 1 (int_of_float (Float.round ((1. /. share) -. 1.))) in
      for _ = 1 to n do
        ignore
-         (Flow.create engine bn ~cc:(Nimbus_cc.Reno.make ())
+         (Flow.create_via topo ~route ~cc:(Nimbus_cc.Reno.make ())
             ~prop_rtt:link.Common.prop_rtt ())
      done
    | Mixed ->
      ignore
-       (Source.poisson engine bn ~rng:(Rng.split rng)
+       (Source.poisson_via topo ~route ~rng:(Rng.split rng)
           ~rate:(Rate.scale ((1. -. share) /. 2.) mu) ());
      ignore
-       (Flow.create engine bn ~cc:(Nimbus_cc.Reno.make ())
+       (Flow.create_via topo ~route ~cc:(Nimbus_cc.Reno.make ())
           ~prop_rtt:link.Common.prop_rtt ()));
   let running =
     (Common.nimbus ~pulse_frac:pulse ()).Common.start_flow net ()

@@ -18,9 +18,9 @@ let case (p : Common.profile) ~fp ~seed =
   let l = Common.link ~mbps:96. ~rtt_ms:50. ~buffer_bdp:2.0 () in
   let horizon = Common.scaled p 120. in
   let net = Common.setup ~seed l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
+  let { Common.engine; topo; route; _ } = net in
   ignore
-    (Flow.create engine bn ~cc:(Nimbus_cc.Vivace.make ())
+    (Flow.create_via topo ~route ~cc:(Nimbus_cc.Vivace.make ())
        ~prop_rtt:l.Common.prop_rtt ());
   let etas = ref [] in
   let nim =
@@ -34,7 +34,7 @@ let case (p : Common.profile) ~fp ~seed =
                 etas := d.Nimbus.d_eta :: !etas) }
   in
   ignore
-    (Flow.create engine bn
+    (Flow.create_via topo ~route
        ~cc:(Nimbus.cc nim ~now:(fun () -> Engine.now engine))
        ~prop_rtt:l.Common.prop_rtt ());
   Engine.run_until engine (Time.secs horizon);

@@ -64,8 +64,7 @@ let run_one (p : Common.profile) ~trace_mask case ~seed =
     end
   in
   let net = Common.setup ~trace ~seed l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  let rng = net.Common.rng in
+  let { Common.engine; topo; bottleneck = bn; rng; _ } = net in
   let n = 3 in
   let runnings =
     List.init n (fun i ->
@@ -91,7 +90,7 @@ let run_one (p : Common.profile) ~trace_mask case ~seed =
     | Error msg -> invalid_arg ("exp_faults: bad fault spec: " ^ msg)
   end;
   let monitor =
-    Invariant.create engine ~bottleneck:bn
+    Common.audit topo
       ~nimbus:
         (List.mapi
            (fun i r ->
@@ -99,7 +98,6 @@ let run_one (p : Common.profile) ~trace_mask case ~seed =
              | Some nim -> (Printf.sprintf "nimbus%d" i, nim)
              | None -> assert false)
            runnings)
-      ()
   in
   let kill_at = 0.5 *. h in
   let failover = ref nan in

@@ -23,11 +23,10 @@ let run (p : Common.profile) =
   in
   let run_scheme (sch : Common.scheme) =
     let net = Common.setup ~seed:11 l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  let rng = net.Common.rng in
+  let { Common.engine; topo; route; rng; _ } = net in
     let running = sch.Common.start_flow net () in
     let _sched =
-      Schedule.install engine bn ~rng
+      Schedule.install topo ~route ~rng
         ~phases:
           [ Schedule.phase ~start:(Time.secs t1) ~stop:(Time.secs te)
               ~inelastic:Rate.zero ~elastic_flows:1;
@@ -35,7 +34,7 @@ let run (p : Common.profile) =
               ~inelastic:(Rate.bps 24e6) ~elastic_flows:0 ]
         ()
     in
-    let stats = Common.instrument engine bn running ~until:(Time.secs ti) in
+    let stats = Common.instrument net running ~until:(Time.secs ti) in
     Engine.run_until engine (Time.secs ti);
     let row label lo hi fair =
       [ sch.Common.scheme_name; label;

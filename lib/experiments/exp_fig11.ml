@@ -17,10 +17,10 @@ let run_case (p : Common.profile) ~ladder ~seed (sch : Common.scheme) =
   let l = Common.link ~mbps:48. ~rtt_ms:50. ~buffer_bdp:2.0 () in
   let horizon = Common.scaled p 120. in
   let net = Common.setup ~seed l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  let _video = Video.create engine bn ~ladder () in
+  let { Common.engine; topo; route; _ } = net in
+  let _video = Video.create topo ~route ~ladder () in
   let running = sch.Common.start_flow net () in
-  let stats = Common.instrument engine bn running ~until:(Time.secs horizon) in
+  let stats = Common.instrument net running ~until:(Time.secs horizon) in
   Engine.run_until engine (Time.secs horizon);
   let lo = 15. and hi = horizon in
   ( Common.mean stats.Common.tput_series ~lo ~hi,

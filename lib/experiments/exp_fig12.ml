@@ -23,15 +23,14 @@ let run (p : Common.profile) =
   let l = Common.link ~mbps:96. ~rtt_ms:50. ~buffer_bdp:2.0 () in
   let horizon = Common.scaled p 300. in
   let net = Common.setup ~seed:12 l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  let rng = net.Common.rng in
+  let { Common.engine; topo; route; rng; _ } = net in
   let wan =
-    Wan.create engine bn ~rng:(Rng.split rng) ~profile:`Elephant
+    Wan.create topo ~route ~rng:(Rng.split rng) ~profile:`Elephant
       ~load:(Rate.scale 0.5 l.Common.mu) ()
   in
   let nim = Nimbus.create (Nimbus.Config.default ~mu:(Z.Mu.known l.Common.mu)) in
   ignore
-    (Flow.create engine bn
+    (Flow.create_via topo ~route
        ~cc:(Nimbus.cc nim ~now:(fun () -> Engine.now engine))
        ~prop_rtt:l.Common.prop_rtt ());
   let byte_truth = Accuracy.create () in

@@ -18,14 +18,13 @@ let run_one (p : Common.profile) ~load_frac ~seed (sch : Common.scheme) =
   let l = Common.link ~mbps:96. ~rtt_ms:50. ~buffer_bdp:2.0 () in
   let horizon = Common.scaled p 120. in
   let net = Common.setup ~seed l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  let rng = net.Common.rng in
+  let { Common.engine; topo; route; rng; _ } = net in
   let _wan =
-    Wan.create engine bn ~rng:(Rng.split rng)
+    Wan.create topo ~route ~rng:(Rng.split rng)
       ~load:(Rate.scale load_frac l.Common.mu) ()
   in
   let running = sch.Common.start_flow net () in
-  let stats = Common.instrument engine bn running ~until:(Time.secs horizon) in
+  let stats = Common.instrument net running ~until:(Time.secs horizon) in
   Engine.run_until engine (Time.secs horizon);
   let lo = 10. and hi = horizon in
   ( Common.pct stats.Common.tput_series ~lo ~hi 50.,

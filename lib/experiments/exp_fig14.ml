@@ -32,13 +32,12 @@ let inelastic_case (p : Common.profile) ~kind ~share ~seed (sch : Common.scheme)
   let l = Common.link ~mbps:96. ~rtt_ms:50. ~buffer_bdp:2.0 () in
   let horizon = Common.scaled p 60. in
   let net = Common.setup ~seed l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  let rng = net.Common.rng in
+  let { Common.engine; topo; route; rng; _ } = net in
   let rate = Rate.scale share l.Common.mu in
   (match kind with
-   | `Cbr -> ignore (Source.cbr engine bn ~rate ())
+   | `Cbr -> ignore (Source.cbr_via topo ~route ~rate ())
    | `Poisson ->
-     ignore (Source.poisson engine bn ~rng:(Rng.split rng) ~rate ()));
+     ignore (Source.poisson_via topo ~route ~rng:(Rng.split rng) ~rate ()));
   let running = sch.Common.start_flow net () in
   let accuracy =
     measure_accuracy engine running ~truth_elastic:false
@@ -51,9 +50,9 @@ let rtt_ratio_case (p : Common.profile) ~ratio ~seed (sch : Common.scheme) =
   let l = Common.link ~mbps:96. ~rtt_ms:50. ~buffer_bdp:2.0 () in
   let horizon = Common.scaled p 60. in
   let net = Common.setup ~seed l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
+  let { Common.engine; topo; route; _ } = net in
   ignore
-    (Flow.create engine bn ~cc:(Nimbus_cc.Reno.make ())
+    (Flow.create_via topo ~route ~cc:(Nimbus_cc.Reno.make ())
        ~prop_rtt:(Time.scale ratio l.Common.prop_rtt) ());
   let running = sch.Common.start_flow net () in
   let accuracy =

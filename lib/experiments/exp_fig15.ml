@@ -25,8 +25,7 @@ let case (p : Common.profile) ~mix ~ratio ~seed =
   let l = Common.link ~mbps:96. ~rtt_ms:50. ~buffer_bdp:2.0 () in
   let horizon = Common.scaled p 120. in
   let net = Common.setup ~seed l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  let rng = net.Common.rng in
+  let { Common.engine; topo; route; rng; _ } = net in
   let cross_rtt = Time.scale ratio l.Common.prop_rtt in
   let truth_elastic =
     match mix with
@@ -36,18 +35,21 @@ let case (p : Common.profile) ~mix ~ratio ~seed =
   (match mix with
    | Elastic ->
      ignore
-       (Flow.create engine bn ~cc:(Nimbus_cc.Reno.make ()) ~prop_rtt:cross_rtt ());
+       (Flow.create_via topo ~route ~cc:(Nimbus_cc.Reno.make ())
+          ~prop_rtt:cross_rtt ());
      ignore
-       (Flow.create engine bn ~cc:(Nimbus_cc.Reno.make ()) ~prop_rtt:cross_rtt ())
+       (Flow.create_via topo ~route ~cc:(Nimbus_cc.Reno.make ())
+          ~prop_rtt:cross_rtt ())
    | Inelastic ->
      ignore
-       (Source.poisson engine bn ~rng:(Rng.split rng)
+       (Source.poisson_via topo ~route ~rng:(Rng.split rng)
           ~rate:(Rate.scale 0.5 l.Common.mu) ())
    | Mixed ->
      ignore
-       (Flow.create engine bn ~cc:(Nimbus_cc.Reno.make ()) ~prop_rtt:cross_rtt ());
+       (Flow.create_via topo ~route ~cc:(Nimbus_cc.Reno.make ())
+          ~prop_rtt:cross_rtt ());
      ignore
-       (Source.poisson engine bn ~rng:(Rng.split rng)
+       (Source.poisson_via topo ~route ~rng:(Rng.split rng)
           ~rate:(Rate.scale 0.25 l.Common.mu) ()));
   let running = (Common.nimbus ()).Common.start_flow net () in
   let accuracy = Accuracy.create () in
@@ -64,10 +66,10 @@ let heterogeneous (p : Common.profile) ~flows ~seed =
   let l = Common.link ~mbps:96. ~rtt_ms:50. ~buffer_bdp:2.0 () in
   let horizon = Common.scaled p 120. in
   let net = Common.setup ~seed l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
+  let { Common.engine; topo; route; _ } = net in
   for n = 1 to flows do
     ignore
-      (Flow.create engine bn ~cc:(Nimbus_cc.Reno.make ())
+      (Flow.create_via topo ~route ~cc:(Nimbus_cc.Reno.make ())
          ~prop_rtt:(Time.secs (0.02 *. float_of_int n)) ())
   done;
   let running = (Common.nimbus ()).Common.start_flow net () in

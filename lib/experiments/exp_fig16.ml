@@ -21,7 +21,7 @@ let run (p : Common.profile) =
   let n = 4 in
   let horizon = (float_of_int n *. stagger) +. life in
   let net = Common.setup ~seed:16 l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
+  let { Common.engine; bottleneck = bn; _ } = net in
   (* Copa's default mode as the delay-control algorithm: its target rate
      1/(delta*d_q) is the same for every flow sharing the queue, so shares
      equalize -- BasicDelay's rate rule is satisfied by any split, and a

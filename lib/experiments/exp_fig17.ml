@@ -18,8 +18,7 @@ let run (p : Common.profile) =
   let te = t1 +. Common.scaled p 60. in
   let ti = te +. Common.scaled p 60. in
   let net = Common.setup ~seed:17 l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  let rng = net.Common.rng in
+  let { Common.engine; topo; route; bottleneck = bn; rng; _ } = net in
   let runnings =
     List.init 3 (fun i ->
         (Common.nimbus
@@ -28,7 +27,7 @@ let run (p : Common.profile) =
           .Common.start_flow net ())
   in
   let _sched =
-    Schedule.install engine bn ~rng
+    Schedule.install topo ~route ~rng
       ~phases:
         [ Schedule.phase ~start:(Time.secs t1) ~stop:(Time.secs te)
             ~inelastic:Rate.zero ~elastic_flows:3;

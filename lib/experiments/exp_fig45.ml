@@ -33,8 +33,7 @@ let run_case (p : Common.profile) ~elastic =
   let l = Common.link ~mbps:96. ~rtt_ms:50. ~buffer_bdp:2.0 () in
   let horizon = Common.scaled p 60. in
   let net = Common.setup ~seed:45 l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  let rng = net.Common.rng in
+  let { Common.engine; topo; route; rng; _ } = net in
   let cap = { s_samples = ref []; z_samples = ref [] } in
   let collect_from = horizon -. 10. in
   let nim =
@@ -50,15 +49,15 @@ let run_case (p : Common.profile) ~elastic =
               end) }
   in
   ignore
-    (Flow.create engine bn
+    (Flow.create_via topo ~route
        ~cc:(Nimbus.cc nim ~now:(fun () -> Engine.now engine))
        ~prop_rtt:l.Common.prop_rtt ());
   if elastic then
     ignore
-      (Flow.create engine bn ~cc:(Nimbus_cc.Cubic.make ())
+      (Flow.create_via topo ~route ~cc:(Nimbus_cc.Cubic.make ())
          ~prop_rtt:l.Common.prop_rtt ())
   else
-    ignore (Source.cbr engine bn ~rate:(Rate.bps 48e6) ());
+    ignore (Source.cbr_via topo ~route ~rate:(Rate.bps 48e6) ());
   ignore rng;
   Engine.run_until engine (Time.secs horizon);
   let arr r = Array.of_list (List.rev !r) in

@@ -29,8 +29,7 @@ let run_mix (p : Common.profile) ~target_frac ~seed =
   let l = Common.link ~mbps:96. ~rtt_ms:50. ~buffer_bdp:2.0 () in
   let horizon = Common.scaled p 120. in
   let net = Common.setup ~seed l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  let rng = net.Common.rng in
+  let { Common.engine; topo; route; bottleneck = bn; rng; _ } = net in
   let etas = ref [] in
   let nim =
     Nimbus.create
@@ -42,13 +41,13 @@ let run_mix (p : Common.profile) ~target_frac ~seed =
                 etas := d.Nimbus.d_eta :: !etas) }
   in
   ignore
-    (Flow.create engine bn
+    (Flow.create_via topo ~route
        ~cc:(Nimbus.cc nim ~now:(fun () -> Engine.now engine))
        ~prop_rtt:l.Common.prop_rtt ());
   let cubic_id =
     if target_frac > 0. then begin
       let f =
-        Flow.create engine bn ~cc:(Nimbus_cc.Cubic.make ())
+        Flow.create_via topo ~route ~cc:(Nimbus_cc.Cubic.make ())
           ~prop_rtt:l.Common.prop_rtt ()
       in
       Some (Flow.id f)
@@ -60,7 +59,8 @@ let run_mix (p : Common.profile) ~target_frac ~seed =
     if Rate.to_bps poisson_rate > 1e5 then
       Some
         (Source.flow_id
-           (Source.poisson engine bn ~rng:(Rng.split rng) ~rate:poisson_rate ()))
+           (Source.poisson_via topo ~route ~rng:(Rng.split rng)
+              ~rate:poisson_rate ()))
     else None
   in
   Engine.run_until engine (Time.secs horizon);

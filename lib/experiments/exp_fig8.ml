@@ -26,8 +26,7 @@ let phase_len = 20.
 let run_scheme (sch : Common.scheme) =
   let l = Common.link ~mbps:96. ~rtt_ms:50. ~buffer_bdp:2.0 () in
   let net = Common.setup ~seed:8 l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  let rng = net.Common.rng in
+  let { Common.engine; topo; route; rng; _ } = net in
   let phases =
     List.mapi
       (fun i (m, t) ->
@@ -38,9 +37,9 @@ let run_scheme (sch : Common.scheme) =
       script
   in
   let horizon = phase_len *. float_of_int (List.length script) in
-  let sched = Schedule.install engine bn ~rng ~phases () in
+  let sched = Schedule.install topo ~route ~rng ~phases () in
   let running = sch.Common.start_flow net () in
-  let stats = Common.instrument engine bn running ~until:(Time.secs horizon) in
+  let stats = Common.instrument net running ~until:(Time.secs horizon) in
   let accuracy = Accuracy.create () in
   (match running.Common.in_competitive with
    | Some mode ->

@@ -4,8 +4,7 @@
    first multi-bottleneck experiment: everything rides the topology fabric
    (routes via Topology.attach), so the invariant monitor audits packet
    conservation per link AND across the fabric, and the whole thing scales
-   to thousands of flows (the CI topology-smoke job and the
-   sim.parking_lot.pkts_per_wall_sec leaderboard both run through
+   to thousands of flows (the CI topology-smoke job runs through
    [run_custom]). *)
 
 module Engine = Nimbus_sim.Engine
@@ -43,7 +42,7 @@ let default_params =
     nimbus_per_link = 2; elastic_cross = 2; inelastic_frac = 0.15;
     duration = 60.; seed = 42 }
 
-(* CLI / CI / leaderboard entry point: [flows] is the total congestion-
+(* CLI / CI entry point: [flows] is the total congestion-
    controlled flow count (one Nimbus per link, the rest elastic cross
    traffic); rates stay per-link so the per-flow share shrinks as the fleet
    grows — the stress is queue contention, not byte volume *)
@@ -145,17 +144,8 @@ let run_custom ?(trace = Nimbus_trace.Trace.disabled) p =
            ()))
     (List.init (p.links - 1) (fun _ -> ()));
   (* invariant monitor: per-link conservation ledgers plus the fabric-level
-     identity (everything here enters through attach, so it must balance) *)
-  let monitor =
-    Invariant.create engine
-      ~bottlenecks:
-        (List.map
-           (fun l -> (Topology.link_label l, Topology.link_bottleneck l))
-           links)
-      ()
-  in
-  Invariant.add_check monitor ~name:"topology-conservation" (fun () ->
-      Topology.conservation_check topo);
+     identity *)
+  let monitor = Common.audit topo in
   (* per-link queue-delay means, sampled on a 100 ms tick *)
   let qd_sum = Array.make p.links 0. in
   let qd_n = ref 0 in

@@ -4,7 +4,7 @@
     built entirely on the {!Nimbus_topology.Topology} fabric: per-link AND
     fabric-wide packet conservation are audited by the invariant monitor,
     and the scenario scales to thousands of flows ([scaled_params] is the
-    CI topology-smoke and leaderboard entry point). *)
+    CI topology-smoke entry point). *)
 
 val id : string
 

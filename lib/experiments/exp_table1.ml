@@ -5,7 +5,6 @@
    traffic reads inelastic, and BBR flips with buffer depth. *)
 
 module Engine = Nimbus_sim.Engine
-module Rng = Nimbus_sim.Rng
 module Flow = Nimbus_cc.Flow
 module Source = Nimbus_traffic.Source
 module Time = Units.Time
@@ -19,52 +18,57 @@ type case = {
   label : string;
   expected : string;
   buffer_bdp : float;
-  install : Engine.t -> Nimbus_sim.Bottleneck.t -> Common.link -> Rng.t -> unit;
+  install : Common.net -> unit;
 }
 
-let flow cc engine bn (l : Common.link) _rng =
-  ignore (Flow.create engine bn ~cc ~prop_rtt:l.Common.prop_rtt ())
+let flow cc (net : Common.net) =
+  ignore
+    (Flow.create_via net.topo ~route:net.route ~cc
+       ~prop_rtt:net.net_link.prop_rtt ())
 
 let cases =
   [ { label = "Cubic"; expected = "Elastic"; buffer_bdp = 2.;
-      install = (fun e b l r -> flow (Nimbus_cc.Cubic.make ()) e b l r) };
+      install = (fun net -> flow (Nimbus_cc.Cubic.make ()) net) };
     { label = "Reno"; expected = "Elastic"; buffer_bdp = 2.;
-      install = (fun e b l r -> flow (Nimbus_cc.Reno.make ()) e b l r) };
+      install = (fun net -> flow (Nimbus_cc.Reno.make ()) net) };
     { label = "Copa"; expected = "Elastic"; buffer_bdp = 2.;
-      install = (fun e b l r -> flow (Nimbus_cc.Copa.make ()) e b l r) };
+      install = (fun net -> flow (Nimbus_cc.Copa.make ()) net) };
     { label = "Vegas"; expected = "Elastic"; buffer_bdp = 2.;
-      install = (fun e b l r -> flow (Nimbus_cc.Vegas.make ()) e b l r) };
+      install = (fun net -> flow (Nimbus_cc.Vegas.make ()) net) };
     { label = "BBR (deep buffer)"; expected = "Elastic"; buffer_bdp = 2.;
-      install = (fun e b l r -> flow (Nimbus_cc.Bbr.make ()) e b l r) };
+      install = (fun net -> flow (Nimbus_cc.Bbr.make ()) net) };
     { label = "BBR (shallow buffer)"; expected = "Inelastic"; buffer_bdp = 0.5;
-      install = (fun e b l r -> flow (Nimbus_cc.Bbr.make ()) e b l r) };
+      install = (fun net -> flow (Nimbus_cc.Bbr.make ()) net) };
     { label = "PCC-Vivace"; expected = "Inelastic"; buffer_bdp = 2.;
-      install = (fun e b l r -> flow (Nimbus_cc.Vivace.make ()) e b l r) };
+      install = (fun net -> flow (Nimbus_cc.Vivace.make ()) net) };
     { label = "Fixed window"; expected = "Elastic"; buffer_bdp = 2.;
       install =
-        (fun e b l r ->
-          flow (Nimbus_cc.Simple_cc.fixed_window ~segments:200 ()) e b l r) };
+        (fun net ->
+          flow (Nimbus_cc.Simple_cc.fixed_window ~segments:200 ()) net) };
     { label = "App-limited"; expected = "Inelastic"; buffer_bdp = 2.;
       install =
-        (fun engine bn l _ ->
+        (fun net ->
           (* a windowed transport trickle-fed by its application *)
           let f =
-            Flow.create engine bn ~cc:(Nimbus_cc.Cubic.make ())
-              ~prop_rtt:l.Common.prop_rtt ~source:Flow.App_limited ()
+            Flow.create_via net.topo ~route:net.route
+              ~cc:(Nimbus_cc.Cubic.make ()) ~prop_rtt:net.net_link.prop_rtt
+              ~source:Flow.App_limited ()
           in
-          Engine.every engine ~dt:(Time.ms 10.) (fun () -> Flow.supply f 30_000)) };
+          Engine.every net.engine ~dt:(Time.ms 10.) (fun () ->
+              Flow.supply f 30_000)) };
     { label = "Const. stream"; expected = "Inelastic"; buffer_bdp = 2.;
       install =
-        (fun engine bn _ _ ->
-          ignore (Source.cbr engine bn ~rate:(Rate.bps 48e6) ())) } ]
+        (fun net ->
+          ignore
+            (Source.cbr_via net.topo ~route:net.route ~rate:(Rate.bps 48e6)
+               ())) } ]
 
 let classify (p : Common.profile) case ~seed =
   let l = Common.link ~mbps:96. ~rtt_ms:50. ~buffer_bdp:case.buffer_bdp () in
   let horizon = Common.scaled p 120. in
   let net = Common.setup ~seed l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  let rng = net.Common.rng in
-  case.install engine bn l rng;
+  let engine = net.Common.engine in
+  case.install net;
   let running = (Common.nimbus ()).Common.start_flow net () in
   let elastic_samples = ref 0 and samples = ref 0 in
   (match running.Common.in_competitive with

@@ -22,9 +22,8 @@ let case (p : Common.profile) ~label ~seed ~install =
   let l = Common.link ~mbps:96. ~rtt_ms:50. ~buffer_bdp:2.0 () in
   let horizon = Common.scaled p 60. in
   let net = Common.setup ~seed l in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  let rng = net.Common.rng in
-  let cross_ids = install engine bn l rng in
+  let { Common.engine; topo; route; bottleneck = bn; _ } = net in
+  let cross_ids = install net in
   let z_acc = ref 0. and z_n = ref 0 in
   let nim =
     Nimbus.create
@@ -39,7 +38,7 @@ let case (p : Common.profile) ~label ~seed ~install =
               end) }
   in
   ignore
-    (Flow.create engine bn
+    (Flow.create_via topo ~route
        ~cc:(Nimbus.cc nim ~now:(fun () -> Engine.now engine))
        ~prop_rtt:l.Common.prop_rtt ());
   let errors = ref [] in
@@ -69,30 +68,35 @@ let run (p : Common.profile) =
      pool the error samples of [p.seeds] consecutive seeds per pattern *)
   let specs =
     [ ( "Poisson 24M", 31,
-        fun e b _ r ->
+        fun (net : Common.net) ->
           [ Source.flow_id
-              (Source.poisson e b ~rng:(Rng.split r) ~rate:(Rate.bps 24e6) ())
-          ] );
+              (Source.poisson_via net.topo ~route:net.route
+                 ~rng:(Rng.split net.rng) ~rate:(Rate.bps 24e6) ()) ] );
       ( "CBR 48M", 32,
-        fun e b _ _ ->
-          [ Source.flow_id (Source.cbr e b ~rate:(Rate.bps 48e6) ()) ] );
+        fun (net : Common.net) ->
+          [ Source.flow_id
+              (Source.cbr_via net.topo ~route:net.route ~rate:(Rate.bps 48e6)
+                 ()) ] );
       ( "1 Cubic", 33,
-        fun e b l _ ->
+        fun (net : Common.net) ->
           [ Flow.id
-              (Flow.create e b ~cc:(Nimbus_cc.Cubic.make ())
-                 ~prop_rtt:l.Common.prop_rtt ()) ] );
+              (Flow.create_via net.topo ~route:net.route
+                 ~cc:(Nimbus_cc.Cubic.make ())
+                 ~prop_rtt:net.net_link.prop_rtt ()) ] );
       ( "2 Cubic + Poisson 16M", 34,
-        fun e b l r ->
+        fun (net : Common.net) ->
+          let rtt = net.net_link.prop_rtt in
           let f1 =
-            Flow.create e b ~cc:(Nimbus_cc.Cubic.make ())
-              ~prop_rtt:l.Common.prop_rtt ()
+            Flow.create_via net.topo ~route:net.route
+              ~cc:(Nimbus_cc.Cubic.make ()) ~prop_rtt:rtt ()
           in
           let f2 =
-            Flow.create e b ~cc:(Nimbus_cc.Cubic.make ())
-              ~prop_rtt:(Time.scale 1.5 l.Common.prop_rtt) ()
+            Flow.create_via net.topo ~route:net.route
+              ~cc:(Nimbus_cc.Cubic.make ()) ~prop_rtt:(Time.scale 1.5 rtt) ()
           in
           let s =
-            Source.poisson e b ~rng:(Rng.split r) ~rate:(Rate.bps 16e6) ()
+            Source.poisson_via net.topo ~route:net.route
+              ~rng:(Rng.split net.rng) ~rate:(Rate.bps 16e6) ()
           in
           [ Flow.id f1; Flow.id f2; Source.flow_id s ] ) ]
   in

@@ -12,9 +12,7 @@ module Engine = Nimbus_sim.Engine
 module Rng = Nimbus_sim.Rng
 module Bottleneck = Nimbus_sim.Bottleneck
 module Qdisc = Nimbus_sim.Qdisc
-module Topology = Nimbus_topology.Topology
 module Wan = Nimbus_traffic.Wan
-module Invariant = Nimbus_metrics.Invariant
 module Time = Units.Time
 module Rate = Units.Rate
 
@@ -71,39 +69,30 @@ let kind path =
 let describe path =
   Printf.sprintf "%.0fM/%.0fms/%s" path.mbps path.rtt_ms (kind path)
 
-let setup ?(trace = Nimbus_trace.Trace.disabled) path ~seed =
-  let engine = Engine.create { trace } in
-  let rng = Rng.create seed in
+let setup ?trace path ~seed =
   let mu = path.mbps *. 1e6 in
   let prop_rtt = path.rtt_ms /. 1e3 in
   let capacity_bytes =
     max (4 * 1500) (int_of_float (mu *. prop_rtt *. path.buffer_bdp /. 8.))
   in
-  let qdisc = Qdisc.droptail ~capacity_bytes in
-  let random_loss =
-    if path.loss > 0. then Some (path.loss, Rng.split rng) else None
+  let queue rng =
+    let random_loss =
+      if path.loss > 0. then Some (path.loss, Rng.split rng) else None
+    in
+    let policer =
+      if path.policed then Some (Rate.bps (mu *. 0.85), 50 * 1500) else None
+    in
+    { (Bottleneck.Config.default ~rate:(Rate.bps mu)
+         ~qdisc:(Qdisc.droptail ~capacity_bytes))
+      with random_loss; policer }
   in
-  let policer =
-    if path.policed then Some (Rate.bps (mu *. 0.85), 50 * 1500) else None
-  in
-  let topo, route =
-    Topology.dumbbell engine
-      { bottleneck =
-          { (Bottleneck.Config.default ~rate:(Rate.bps mu) ~qdisc) with
-            random_loss; policer; trace };
-        prop_delay = Time.zero }
-  in
-  let bn = Topology.link_bottleneck (List.hd (Topology.Route.links route)) in
   let l =
     { Common.mu = Rate.bps mu;
       prop_rtt = Time.secs prop_rtt;
       buffer_bdp = path.buffer_bdp;
       aqm = `Droptail }
   in
-  let net =
-    { Common.engine; topo; route; bottleneck = bn; rng; net_link = l }
-  in
-  (net, mu, prop_rtt)
+  (Common.setup ?trace ~queue ~seed l, mu, prop_rtt)
 
 type outcome = {
   o_tput : float; (* mean throughput over [8 s, horizon], bps *)
@@ -114,23 +103,22 @@ type outcome = {
 let run ?trace ?watchdog ?(invariants = false) (p : Common.profile) path
     (sch : Common.scheme) ~seed =
   let net, mu, prop_rtt = setup ?trace path ~seed in
-  let engine = net.Common.engine and bn = net.Common.bottleneck in
-  let rng = net.Common.rng in
+  let { Common.engine; topo; route; rng; _ } = net in
   let horizon = Common.scaled p 60. in
   if path.wan_load > 0. then
     ignore
-      (Wan.create engine bn ~rng:(Rng.split rng) ~prop_rtt:(Time.secs prop_rtt)
+      (Wan.create topo ~route ~rng:(Rng.split rng)
+         ~prop_rtt:(Time.secs prop_rtt)
          ~load:(Rate.bps (path.wan_load *. mu)) ());
   let running = sch.Common.start_flow net () in
   let monitor =
     if invariants then
       Some
-        (Invariant.create engine ~bottleneck:bn
+        (Common.audit topo
            ~nimbus:
              (match running.Common.nimbus with
               | Some nim -> [ (sch.Common.scheme_name, nim) ]
-              | None -> [])
-           ())
+              | None -> []))
     else None
   in
   (* cooperative watchdog: polled once per simulated second so a case that
@@ -140,9 +128,11 @@ let run ?trace ?watchdog ?(invariants = false) (p : Common.profile) path
   (match watchdog with
    | None -> ()
    | Some check -> Engine.every engine ~dt:(Time.secs 1.0) check);
-  let stats = Common.instrument engine bn running ~until:(Time.secs horizon) in
+  let stats = Common.instrument net running ~until:(Time.secs horizon) in
   Engine.run_until engine (Time.secs horizon);
   { o_tput = Common.mean stats.Common.tput_series ~lo:8. ~hi:horizon;
     o_rtt = Common.mean stats.Common.rtt_series ~lo:8. ~hi:horizon;
     o_violations =
-      (match monitor with None -> 0 | Some m -> Invariant.count m) }
+      (match monitor with
+       | None -> 0
+       | Some m -> Nimbus_metrics.Invariant.count m) }

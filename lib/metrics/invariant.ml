@@ -43,8 +43,7 @@ let max_recorded = 1000
 
 type t = {
   engine : Engine.t;
-  (* audited links as (label, bottleneck): one entry for the classic
-     dumbbell, one per link for a topology *)
+  (* audited links as (label, bottleneck), one per topology link *)
   bottlenecks : (string * Bottleneck.t) list;
   watches : watch list;
   min_dwell : float;
@@ -112,7 +111,7 @@ let tick t () =
       | None -> ())
     t.checks
 
-let create engine ?bottleneck ?(bottlenecks = []) ?(nimbus = [])
+let create engine ?(bottlenecks = []) ?(nimbus = [])
     ?(min_dwell = Time.ms 250.) ?(interval = Time.ms 10.) ?until () =
   let watches =
     List.map
@@ -120,12 +119,6 @@ let create engine ?bottleneck ?(bottlenecks = []) ?(nimbus = [])
         { w_label = label; w_nimbus = nim; w_mode = Nimbus.mode nim;
           w_last_switch = neg_infinity })
       nimbus
-  in
-  let bottlenecks =
-    (match bottleneck with
-    | Some bn -> [ ("bottleneck", bn) ]
-    | None -> [])
-    @ bottlenecks
   in
   let t =
     { engine; bottlenecks; watches; min_dwell = Time.to_secs min_dwell;

@@ -3,7 +3,7 @@
     uncovers) silently corrupt result tables.
 
     Built-in rules:
-    - {e packet conservation} — at the bottleneck,
+    - {e packet conservation} — at every audited link,
       [offered = delivered + drops + queued] at every instant;
     - {e queue non-negativity} — byte and packet queue lengths [>= 0];
     - {e finite signals} — each watched Nimbus controller's ẑ and η are
@@ -38,13 +38,12 @@ type violation = {
 
 type t
 
-(** [create engine ?bottleneck ?bottlenecks ?nimbus ()] starts auditing on
-    a periodic engine event.
-    @param bottleneck link whose conservation ledger and queue to audit
-           (labelled ["bottleneck"] in violation details)
-    @param bottlenecks further labelled links to audit the same way — pass
-           one entry per topology link for per-link conservation (e.g.
-           labelled by [Topology.link_label])
+(** [create engine ?bottlenecks ?nimbus ()] starts auditing on a periodic
+    engine event.
+    @param bottlenecks labelled links whose conservation ledger and queue
+           to audit — one entry per topology link, labelled by
+           [Topology.link_label] (see [Common.audit], which also adds the
+           fabric-level identity)
     @param nimbus labelled controllers whose signals and mode switches to
            audit
     @param min_dwell minimum legal gap between mode switches (default
@@ -53,7 +52,6 @@ type t
     @param until stop auditing after this time *)
 val create :
   Nimbus_sim.Engine.t ->
-  ?bottleneck:Nimbus_sim.Bottleneck.t ->
   ?bottlenecks:(string * Nimbus_sim.Bottleneck.t) list ->
   ?nimbus:(string * Nimbus_core.Nimbus.t) list ->
   ?min_dwell:Units.Time.t ->

@@ -143,7 +143,7 @@ let find_route t ~src ~dst =
 
 (* Run [k pkt] once the packet has crossed [l]'s propagation delay.  A
    zero-delay link forwards with a direct call — no scheduled event — which
-   is what keeps the degenerate dumbbell byte-identical to direct wiring. *)
+   is what keeps the degenerate dumbbell's pinned trace unchanged. *)
 let after_prop t (l : link) k (pkt : Packet.t) =
   if l.prop_delay <= 0. then k pkt
   else begin

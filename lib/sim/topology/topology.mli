@@ -1,30 +1,28 @@
 (** Multi-bottleneck network fabric: a directed graph of nodes and links,
     each link owning its own {!Nimbus_sim.Bottleneck} (rate, qdisc, buffer)
-    plus a propagation delay, with per-flow routes as link lists.
-
-    This replaces ad-hoc [Engine] + [Bottleneck] + [set_sink] plumbing with
-    a declarative builder: create a topology, add nodes and links, build a
-    {!Route.t}, then {!attach} a flow's packet sink to the route and inject
-    packets through the returned ingress function. Packets carry a hop
+    plus a propagation delay, with per-flow routes as link lists. It is
+    the one way traffic enters the network: create a topology, add nodes
+    and links, build a {!Route.t}, then {!attach} a flow's packet sink to
+    the route and inject packets through the returned ingress function
+    ([Flow.create_via] and [Source.poisson_via]/[cbr_via] do this for
+    you). Packets carry a hop
     cursor ([Packet.hop]) and are forwarded link-to-link through the shared
     calendar-queue engine: after finishing serialisation at link [i] and
     crossing its propagation delay, a packet is enqueued at link [i+1], or
     delivered to the flow's sink after the last hop.
 
     The paper's dumbbell is the degenerate case — two nodes, one link, zero
-    propagation delay — and takes the exact same code path as the old
-    direct wiring: the ingress is a plain [Bottleneck.enqueue] and the
-    terminal delivery a direct call, with no extra scheduled events, so
-    dumbbell traces are byte-identical to pre-topology runs. That identity
-    is the migration-safety oracle for the experiment layer.
+    propagation delay: the ingress is a plain [Bottleneck.enqueue] and the
+    terminal delivery a direct call, with no extra scheduled events. Its
+    traces are pinned byte for byte by the topology test suite.
 
     Conservation: each link keeps its own offered/delivered/drops/queued
     ledger (see {!Nimbus_sim.Bottleneck}); the topology adds fabric-level
     counters — packets injected at ingresses, completed at terminal sinks,
     and in flight between links — tied together by {!conservation_check}.
-    The fabric-level identity assumes all traffic enters through {!attach}
-    ingresses; traffic enqueued directly at a link's bottleneck is counted
-    by that link's ledger only. *)
+    The fabric-level identity counts only traffic that enters through
+    {!attach} ingresses; a packet enqueued at a link's bottleneck by hand
+    would be counted by that link's ledger only. *)
 
 type t
 
@@ -98,8 +96,8 @@ val link_dst : link -> node
 (** [link_label l] is ["src->dst"]. *)
 val link_label : link -> string
 
-(** [link_bottleneck l] is the queue the link owns — for cross traffic
-    enqueued directly at one hop, fault injection, and per-link stats. *)
+(** [link_bottleneck l] is the queue the link owns — for fault injection,
+    queue monitors, and per-link stats. *)
 val link_bottleneck : link -> Nimbus_sim.Bottleneck.t
 
 val link_prop_delay : link -> Units.Time.t
@@ -142,9 +140,8 @@ val in_transit_packets : t -> int
     per link [offered = delivered + drops + queued], and across the fabric
     [Σ offered − injected − Σ delivered + completed + in_transit = 0]
     with [in_transit ≥ 0]. Otherwise [Some detail] describing the first
-    violation. The fabric identity only holds when all traffic enters via
-    {!attach} ingresses — pass it to [Invariant.add_check] in experiments
-    that respect that discipline. *)
+    violation. The experiment layer's invariant monitor ([Common.audit])
+    adds it to every audited run. *)
 val conservation_check : t -> string option
 
 (** [dumbbell engine config] is the two-node degenerate case: nodes

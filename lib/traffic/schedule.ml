@@ -1,4 +1,5 @@
 module Engine = Nimbus_sim.Engine
+module Topology = Nimbus_topology.Topology
 module Flow = Nimbus_cc.Flow
 module Cubic = Nimbus_cc.Cubic
 module Time = Units.Time
@@ -24,16 +25,17 @@ type t = {
 let phase_at t now =
   List.find_opt (fun p -> Time.(now >= p.p_start && now < p.p_end)) t.phases
 
-let install engine bottleneck ~rng ~phases ?(inelastic = `Poisson)
+let install topo ~route ~rng ~phases ?(inelastic = `Poisson)
     ?(prop_rtt = Time.ms 50.) ?elastic_cc () =
   if phases = [] then invalid_arg "Schedule.install: no phases";
+  let engine = Topology.engine topo in
   let make_cc =
     match elastic_cc with Some f -> f | None -> fun () -> Cubic.make ()
   in
   let source =
     match inelastic with
-    | `Poisson -> Source.poisson engine bottleneck ~rng ~rate:Rate.zero ()
-    | `Cbr -> Source.cbr engine bottleneck ~rate:Rate.zero ()
+    | `Poisson -> Source.poisson_via topo ~route ~rng ~rate:Rate.zero ()
+    | `Cbr -> Source.cbr_via topo ~route ~rate:Rate.zero ()
   in
   let t = { phases; created = [] } in
   List.iter
@@ -42,7 +44,7 @@ let install engine bottleneck ~rng ~phases ?(inelastic = `Poisson)
           Source.set_rate source p.inelastic;
           let flows =
             List.init p.elastic_flows (fun _ ->
-                Flow.create engine bottleneck ~cc:(make_cc ()) ~prop_rtt ())
+                Flow.create_via topo ~route ~cc:(make_cc ()) ~prop_rtt ())
           in
           t.created <- t.created @ flows;
           Engine.schedule_at engine p.p_end (fun () ->

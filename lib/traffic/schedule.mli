@@ -19,16 +19,17 @@ val phase :
 
 type t
 
-(** [install engine bottleneck ~rng ~phases ()] arms the scenario: an
-    open-loop source whose rate follows the script, and per-phase Cubic
-    flows started/stopped at the boundaries.
+(** [install topo ~route ~rng ~phases ()] arms the scenario on the
+    topology's engine: an open-loop source whose rate follows the script,
+    and per-phase Cubic flows started/stopped at the boundaries, all along
+    [route].
     @param inelastic [`Poisson] (default) or [`Cbr]
     @param prop_rtt RTT of the elastic cross-flows (default 50 ms)
     @param elastic_cc controller factory for the elastic flows (default
            Cubic) *)
 val install :
-  Nimbus_sim.Engine.t ->
-  Nimbus_sim.Bottleneck.t ->
+  Nimbus_topology.Topology.t ->
+  route:Nimbus_topology.Topology.Route.t ->
   rng:Nimbus_sim.Rng.t ->
   phases:phase list ->
   ?inelastic:[ `Poisson | `Cbr ] ->

@@ -1,5 +1,4 @@
 module Engine = Nimbus_sim.Engine
-module Bottleneck = Nimbus_sim.Bottleneck
 module Packet = Nimbus_sim.Packet
 module Rng = Nimbus_sim.Rng
 module Topology = Nimbus_topology.Topology
@@ -28,7 +27,14 @@ let flow_id t = t.flow_id
 
 let rate t = Rate.bps t.rate
 
-let set_rate t rate = t.rate <- Float.max 0. (Rate.to_bps rate)
+(* an infinite rate means a zero inter-packet gap, which would never let
+   simulated time advance; NaN would silently pause the source *)
+let finite_bps rate =
+  let bps = Rate.to_bps rate in
+  if not (Float.is_finite bps) then invalid_arg "Source: rate must be finite";
+  bps
+
+let set_rate t rate = t.rate <- Float.max 0. (finite_bps rate)
 
 let halt t = t.active <- false
 
@@ -57,40 +63,25 @@ let rec step t =
       Engine.schedule_in t.engine (Time.ms 10.) (fun () -> step t)
   end
 
-(* [wire flow_id] is the injection function — a bare [Bottleneck.enqueue]
-   or a topology ingress.  Open-loop sources never receive, so unlike
-   [Flow] no sink is registered. *)
-let make engine ~wire kind ~rate ~pkt_size ~start ~stop =
-  let rate = Rate.to_bps rate in
+(* Packets traverse every hop of [route] and are dropped on the floor after
+   the last one (open-loop traffic has no receiver), while still counting
+   into the fabric conservation ledger. *)
+let make topo ~route kind ~rate ~pkt_size ~start ~stop =
+  let engine = Topology.engine topo in
+  let rate = finite_bps rate in
   if rate < 0. then invalid_arg "Source: negative rate";
   let flow_id = Engine.fresh_flow_id engine in
   let t =
-    { engine; enqueue = wire flow_id; kind; flow_id; pkt_size;
-      stop = Option.map Time.to_secs stop; rate; seq = 0; active = true }
+    { engine; enqueue = Topology.attach topo ~route ~flow:flow_id ~sink:ignore;
+      kind; flow_id; pkt_size; stop = Option.map Time.to_secs stop; rate;
+      seq = 0; active = true }
   in
   let start = match start with Some s -> s | None -> Engine.now engine in
   Engine.schedule_at engine start (fun () -> step t);
   t
 
-let direct bottleneck _flow pkt = Bottleneck.enqueue bottleneck pkt
-
-let poisson engine bottleneck ~rng ~rate ?(pkt_size = 1500) ?start ?stop () =
-  make engine ~wire:(direct bottleneck) (Poisson rng) ~rate ~pkt_size ~start
-    ~stop
-
-let cbr engine bottleneck ~rate ?(pkt_size = 1500) ?start ?stop () =
-  make engine ~wire:(direct bottleneck) Cbr ~rate ~pkt_size ~start ~stop
-
-(* Routed variants: packets traverse every hop of [route] and are dropped
-   on the floor after the last one (open-loop traffic has no receiver),
-   while still counting into the fabric conservation ledger. *)
-let via topo ~route flow =
-  Topology.attach topo ~route ~flow ~sink:ignore
-
 let poisson_via topo ~route ~rng ~rate ?(pkt_size = 1500) ?start ?stop () =
-  make (Topology.engine topo) ~wire:(via topo ~route) (Poisson rng) ~rate
-    ~pkt_size ~start ~stop
+  make topo ~route (Poisson rng) ~rate ~pkt_size ~start ~stop
 
 let cbr_via topo ~route ~rate ?(pkt_size = 1500) ?start ?stop () =
-  make (Topology.engine topo) ~wire:(via topo ~route) Cbr ~rate ~pkt_size
-    ~start ~stop
+  make topo ~route Cbr ~rate ~pkt_size ~start ~stop

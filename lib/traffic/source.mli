@@ -1,42 +1,18 @@
 (** Raw, open-loop packet injectors — the inelastic cross traffic of the
-    paper's experiments. They push packets straight into the bottleneck with
-    no acknowledgements and no congestion response. *)
+    paper's experiments. They push packets along a
+    {!Nimbus_topology.Topology} route with no acknowledgements and no
+    congestion response: packets traverse every hop (loading each link's
+    queue) and evaporate after the last one, while counting into the fabric
+    conservation ledger. *)
 
 type t
 
-(** [poisson engine bottleneck ~rng ~rate ()] injects packets with
+(** [poisson_via topo ~route ~rng ~rate ()] injects packets with
     exponential inter-arrival times averaging [rate].
     @param pkt_size bytes (default 1500)
     @param start absolute start time (default now)
-    @param stop absolute stop time (default never) *)
-val poisson :
-  Nimbus_sim.Engine.t ->
-  Nimbus_sim.Bottleneck.t ->
-  rng:Nimbus_sim.Rng.t ->
-  rate:Units.Rate.t ->
-  ?pkt_size:int ->
-  ?start:Units.Time.t ->
-  ?stop:Units.Time.t ->
-  unit ->
-  t
-
-(** [cbr engine bottleneck ~rate ()] injects packets with deterministic
-    spacing — a constant-bit-rate stream. *)
-val cbr :
-  Nimbus_sim.Engine.t ->
-  Nimbus_sim.Bottleneck.t ->
-  rate:Units.Rate.t ->
-  ?pkt_size:int ->
-  ?start:Units.Time.t ->
-  ?stop:Units.Time.t ->
-  unit ->
-  t
-
-(** [poisson_via topo ~route ~rng ~rate ()] is {!poisson} injected along a
-    {!Nimbus_topology.Topology} route: packets traverse every hop (loading
-    each link's queue) and evaporate after the last one — open-loop traffic
-    has no receiver — while counting into the fabric conservation
-    ledger. *)
+    @param stop absolute stop time (default never)
+    @raise Invalid_argument if [rate] is negative or not finite *)
 val poisson_via :
   Nimbus_topology.Topology.t ->
   route:Nimbus_topology.Topology.Route.t ->
@@ -48,7 +24,8 @@ val poisson_via :
   unit ->
   t
 
-(** [cbr_via topo ~route ~rate ()] is {!cbr} injected along a route. *)
+(** [cbr_via topo ~route ~rate ()] injects packets with deterministic
+    spacing — a constant-bit-rate stream. Options as for {!poisson_via}. *)
 val cbr_via :
   Nimbus_topology.Topology.t ->
   route:Nimbus_topology.Topology.Route.t ->
@@ -63,7 +40,9 @@ val cbr_via :
 val flow_id : t -> int
 
 (** [set_rate t rate] changes the injection rate ({!Units.Rate.zero}
-    pauses); scripted scenarios use this to vary the inelastic load. *)
+    pauses, a negative rate counts as zero); scripted scenarios use this to
+    vary the inelastic load.
+    @raise Invalid_argument if [rate] is not finite *)
 val set_rate : t -> Units.Rate.t -> unit
 
 (** [rate t]. *)

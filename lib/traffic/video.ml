@@ -1,4 +1,5 @@
 module Engine = Nimbus_sim.Engine
+module Topology = Nimbus_topology.Topology
 module Flow = Nimbus_cc.Flow
 module Cubic = Nimbus_cc.Cubic
 module Ewma = Nimbus_dsp.Ewma
@@ -85,13 +86,14 @@ let rec poll t =
   if (not t.downloading) && t.buffer < t.buffer_high then request_chunk t;
   Engine.schedule_in t.engine (Time.secs poll_interval) (fun () -> poll t)
 
-let create engine bottleneck ~ladder ?(chunk_duration = Time.secs 4.)
+let create topo ~route ~ladder ?(chunk_duration = Time.secs 4.)
     ?(prop_rtt = Time.ms 50.) ?(buffer_low = Time.secs 8.)
     ?(buffer_high = Time.secs 20.) ?start () =
   if Array.length ladder = 0 then invalid_arg "Video.create: empty ladder";
+  let engine = Topology.engine topo in
   let start = match start with Some s -> s | None -> Engine.now engine in
   let flow =
-    Flow.create engine bottleneck ~cc:(Cubic.make ()) ~prop_rtt
+    Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt
       ~source:Flow.App_limited ~start ()
   in
   let ladder = Array.map Rate.to_bps ladder in

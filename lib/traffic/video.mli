@@ -15,7 +15,8 @@ val ladder_4k : Units.Rate.t array
 
 val ladder_1080p : Units.Rate.t array
 
-(** [create engine bottleneck ~ladder ()] starts a client.
+(** [create topo ~route ~ladder ()] starts a client whose transport flow
+    runs along [route], on the topology's engine.
     @param chunk_duration media time per chunk (default 4 s)
     @param prop_rtt transport propagation RTT (default 50 ms)
     @param buffer_low start panicking below this much buffered media
@@ -23,8 +24,8 @@ val ladder_1080p : Units.Rate.t array
     @param buffer_high stop requesting above this (default 20 s)
     @param start absolute start time *)
 val create :
-  Nimbus_sim.Engine.t ->
-  Nimbus_sim.Bottleneck.t ->
+  Nimbus_topology.Topology.t ->
+  route:Nimbus_topology.Topology.Route.t ->
   ladder:Units.Rate.t array ->
   ?chunk_duration:Units.Time.t ->
   ?prop_rtt:Units.Time.t ->

@@ -1,5 +1,5 @@
 module Engine = Nimbus_sim.Engine
-module Bottleneck = Nimbus_sim.Bottleneck
+module Topology = Nimbus_topology.Topology
 module Rng = Nimbus_sim.Rng
 module Flow = Nimbus_cc.Flow
 module Cubic = Nimbus_cc.Cubic
@@ -55,7 +55,8 @@ type record = {
    .mli. *)
 type t = {
   engine : Engine.t;
-  bottleneck : Bottleneck.t;
+  topo : Topology.t;
+  route : Topology.Route.t;
   rng : Rng.t;
   mixture : mixture;
   prop_rtt : float;
@@ -121,7 +122,7 @@ let launch t size =
   let flow =
     (* cross-flows have no tick-driven controller; a coarse tick (RTO checks
        only) keeps the per-flow overhead low at high arrival rates *)
-    Flow.create t.engine t.bottleneck ~cc:(Cubic.make ())
+    Flow.create_via t.topo ~route:t.route ~cc:(Cubic.make ())
       ~prop_rtt:(Time.secs prop_rtt) ~source:(Flow.Finite size) ~on_complete
       ~tick_interval:(Time.ms 100.) ()
   in
@@ -144,16 +145,17 @@ let rec schedule_arrival t =
         schedule_arrival t
       end)
 
-let create engine bottleneck ~rng ~load ?(profile = `Churny)
+let create topo ~route ~rng ~load ?(profile = `Churny)
     ?(prop_rtt = Time.ms 50.) ?(rtt_jitter_frac = 0.2) ?start ?stop
     ?(max_concurrent = 512) () =
+  let engine = Topology.engine topo in
   let load = Rate.to_bps load in
   if load <= 0. then invalid_arg "Wan.create: load <= 0";
   let mixture = mixture_of_profile profile in
   let mean_size = analytic_mean_size mixture in
   let arrival_rate = load /. 8. /. mean_size in
   let t =
-    { engine; bottleneck; rng; mixture; prop_rtt = Time.to_secs prop_rtt;
+    { engine; topo; route; rng; mixture; prop_rtt = Time.to_secs prop_rtt;
       rtt_jitter_frac; stop = Option.map Time.to_secs stop; max_concurrent;
       mean_size; arrival_mean = 1. /. arrival_rate; active = [];
       completed_elastic_bytes = 0; completed_total_bytes = 0; fcts = [];

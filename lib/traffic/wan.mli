@@ -24,7 +24,8 @@ type profile =
   | `Elephant
   ]
 
-(** [create engine bottleneck ~rng ~load ()] starts the generator.
+(** [create topo ~route ~rng ~load ()] starts the generator on the
+    topology's engine; every cross-flow runs along [route].
     @param load offered load (arrival rate × mean flow size)
     @param profile size mixture (default [`Churny])
     @param prop_rtt cross-flow propagation RTT (default 50 ms)
@@ -35,8 +36,8 @@ type profile =
     @param max_concurrent cap on simultaneously active cross-flows; arrivals
            beyond it are skipped and counted (default 512) *)
 val create :
-  Nimbus_sim.Engine.t ->
-  Nimbus_sim.Bottleneck.t ->
+  Nimbus_topology.Topology.t ->
+  route:Nimbus_topology.Topology.Route.t ->
   rng:Nimbus_sim.Rng.t ->
   load:Units.Rate.t ->
   ?profile:profile ->

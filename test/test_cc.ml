@@ -3,6 +3,7 @@
    invariant rather than an exact number. *)
 
 module Engine = Nimbus_sim.Engine
+module Topology = Nimbus_topology.Topology
 module Bottleneck = Nimbus_sim.Bottleneck
 module Qdisc = Nimbus_sim.Qdisc
 module Rng = Nimbus_sim.Rng
@@ -18,12 +19,12 @@ let check_close ?(eps = 1e-9) msg expected actual =
 let make_link ?(rate_bps = 24e6) ?(buffer_s = 0.1) () =
   let e = Engine.create Engine.Config.default in
   let capacity = int_of_float (rate_bps *. buffer_s /. 8.) in
-  let bn =
-    Bottleneck.create e
-      (Bottleneck.Config.default ~rate:(Rate.bps rate_bps)
+  let topo, route =
+    Topology.dumbbell e
+      (Topology.Link.Config.default ~rate:(Rate.bps rate_bps)
          ~qdisc:(Qdisc.droptail ~capacity_bytes:capacity))
   in
-  (e, bn)
+  (e, Topology.link_bottleneck (List.hd (Topology.links topo)), topo, route)
 
 let rtt50 = Time.ms 50.
 
@@ -33,26 +34,26 @@ let throughput flow ~seconds =
 (* --- flow engine --------------------------------------------------------- *)
 
 let test_flow_fills_link () =
-  let e, bn = make_link () in
-  let f = Flow.create e bn ~cc:(Cubic.make ()) ~prop_rtt:rtt50 () in
+  let e, _, topo, route = make_link () in
+  let f = Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt:rtt50 () in
   Engine.run_until e (Time.secs 20.);
   let tput = throughput f ~seconds:20. in
   Alcotest.(check bool) "utilizes >90%" true (tput > 0.9 *. 24e6);
   Alcotest.(check bool) "not above link" true (tput <= 24e6 *. 1.01)
 
 let test_flow_min_rtt_is_propagation () =
-  let e, bn = make_link () in
-  let f = Flow.create e bn ~cc:(Cubic.make ()) ~prop_rtt:rtt50 () in
+  let e, _, topo, route = make_link () in
+  let f = Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt:rtt50 () in
   Engine.run_until e (Time.secs 10.);
   (* min RTT = propagation + one serialization *)
   let expected = 0.05 +. (1500. *. 8. /. 24e6) in
   check_close ~eps:1e-4 "min rtt" expected (Time.to_secs (Flow.min_rtt f))
 
 let test_finite_flow_completes () =
-  let e, bn = make_link () in
+  let e, _, topo, route = make_link () in
   let completed = ref None in
   let f =
-    Flow.create e bn ~cc:(Cubic.make ()) ~prop_rtt:rtt50
+    Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt:rtt50
       ~source:(Flow.Finite 150_000)
       ~on_complete:(fun fl -> completed := Flow.completion_time fl)
       ()
@@ -65,10 +66,34 @@ let test_finite_flow_completes () =
   let fct = Time.to_secs (Option.get !completed) in
   Alcotest.(check bool) "fct sane" true (fct > 0.05 && fct < 5.)
 
-let test_app_limited_respects_supply () =
-  let e, bn = make_link () in
+(* a completed transfer with nothing in flight stops ticking: the engine
+   drains instead of running a 100 ms RTO tick until the end of time *)
+let test_finished_flow_drains () =
+  let e, _, topo, route = make_link () in
   let f =
-    Flow.create e bn ~cc:(Cubic.make ()) ~prop_rtt:rtt50
+    Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt:rtt50
+      ~source:(Flow.Finite 150_000) ~tick_interval:(Time.ms 100.) ()
+  in
+  Engine.run_until e (Time.secs 10.);
+  Alcotest.(check bool) "completed" true (Flow.completion_time f <> None);
+  Alcotest.(check int) "no events left" 0 (Engine.pending e)
+
+let test_rejects_bad_prop_rtt () =
+  let _, _, topo, route = make_link () in
+  List.iter
+    (fun rtt ->
+      match
+        Flow.create_via topo ~route ~cc:(Cubic.make ())
+          ~prop_rtt:(Time.secs rtt) ()
+      with
+      | _ -> Alcotest.failf "prop_rtt %g accepted" rtt
+      | exception Invalid_argument _ -> ())
+    [ nan; infinity; -0.01 ]
+
+let test_app_limited_respects_supply () =
+  let e, _, topo, route = make_link () in
+  let f =
+    Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt:rtt50
       ~source:Flow.App_limited ()
   in
   Flow.supply f 30_000;
@@ -78,9 +103,9 @@ let test_app_limited_respects_supply () =
 
 let test_loss_detection_and_retransmit () =
   (* tiny buffer forces drops; the finite transfer must still complete *)
-  let e, bn = make_link ~buffer_s:0.01 () in
+  let e, _, topo, route = make_link ~buffer_s:0.01 () in
   let f =
-    Flow.create e bn ~cc:(Reno.make ()) ~prop_rtt:rtt50
+    Flow.create_via topo ~route ~cc:(Reno.make ()) ~prop_rtt:rtt50
       ~source:(Flow.Finite 600_000) ()
   in
   Engine.run_until e (Time.secs 30.);
@@ -90,9 +115,9 @@ let test_loss_detection_and_retransmit () =
 
 let test_rate_measurement_tracks_pacing () =
   (* a CBR flow paced at 8 Mbps must measure S ~ R ~ 8 Mbps *)
-  let e, bn = make_link () in
+  let e, _, topo, route = make_link () in
   let f =
-    Flow.create e bn
+    Flow.create_via topo ~route
       ~cc:(Simple_cc.const_rate ~rate:(Rate.bps 8e6))
       ~prop_rtt:rtt50 ()
   in
@@ -103,8 +128,8 @@ let test_rate_measurement_tracks_pacing () =
   Alcotest.(check bool) "R close to 8M" true (Float.abs (r -. 8e6) < 0.8e6)
 
 let test_flow_stop () =
-  let e, bn = make_link () in
-  let f = Flow.create e bn ~cc:(Cubic.make ()) ~prop_rtt:rtt50 () in
+  let e, _, topo, route = make_link () in
+  let f = Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt:rtt50 () in
   Engine.schedule_at e (Time.secs 5.) (fun () -> Flow.apply f Flow.Control.Stop);
   Engine.run_until e (Time.secs 6.);
   let bytes_at_6 = Flow.received_bytes f in
@@ -114,9 +139,9 @@ let test_flow_stop () =
   Alcotest.(check bool) "stopped" true (Flow.stopped f)
 
 let test_delayed_start () =
-  let e, bn = make_link () in
+  let e, _, topo, route = make_link () in
   let f =
-    Flow.create e bn ~cc:(Cubic.make ()) ~prop_rtt:rtt50
+    Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt:rtt50
       ~start:(Time.secs 5.) ()
   in
   Engine.run_until e (Time.secs 4.);
@@ -126,9 +151,9 @@ let test_delayed_start () =
     (Flow.received_bytes f > 100_000)
 
 let test_two_flows_share () =
-  let e, bn = make_link ~rate_bps:48e6 () in
-  let f1 = Flow.create e bn ~cc:(Cubic.make ()) ~prop_rtt:rtt50 () in
-  let f2 = Flow.create e bn ~cc:(Cubic.make ()) ~prop_rtt:rtt50 () in
+  let e, _, topo, route = make_link ~rate_bps:48e6 () in
+  let f1 = Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt:rtt50 () in
+  let f2 = Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt:rtt50 () in
   Engine.run_until e (Time.secs 60.);
   let t1 = throughput f1 ~seconds:60. and t2 = throughput f2 ~seconds:60. in
   let jain = Nimbus_metrics.Fairness.jain [| t1; t2 |] in
@@ -215,8 +240,8 @@ let test_cubic_reset_cwnd () =
   check_close "reset" 99_000. (B.to_float (Cubic.cwnd_bytes c))
 
 let test_vegas_keeps_small_queue () =
-  let e, bn = make_link () in
-  let f = Flow.create e bn ~cc:(Vegas.make ()) ~prop_rtt:rtt50 () in
+  let e, bn, topo, route = make_link () in
+  let f = Flow.create_via topo ~route ~cc:(Vegas.make ()) ~prop_rtt:rtt50 () in
   Engine.run_until e (Time.secs 30.);
   (* alpha..beta packets of backlog: at 24 Mbps that is < 10 ms of queue *)
   Alcotest.(check bool) "throughput high" true
@@ -225,17 +250,18 @@ let test_vegas_keeps_small_queue () =
     (Time.to_secs (Bottleneck.queue_delay bn) < 0.012)
 
 let test_vegas_starves_against_cubic () =
-  let e, bn = make_link ~rate_bps:48e6 () in
-  let v = Flow.create e bn ~cc:(Vegas.make ()) ~prop_rtt:rtt50 () in
-  let c = Flow.create e bn ~cc:(Cubic.make ()) ~prop_rtt:rtt50 () in
+  let e, _, topo, route = make_link ~rate_bps:48e6 () in
+  let v = Flow.create_via topo ~route ~cc:(Vegas.make ()) ~prop_rtt:rtt50 () in
+  let c = Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt:rtt50 () in
   Engine.run_until e (Time.secs 40.);
   let tv = throughput v ~seconds:40. and tc = throughput c ~seconds:40. in
   Alcotest.(check bool) "vegas gets far less than cubic" true (tv < tc /. 2.)
 
 let test_copa_default_mode_low_delay () =
-  let e, bn = make_link () in
+  let e, bn, topo, route = make_link () in
   let f =
-    Flow.create e bn ~cc:(Copa.make ~switching:false ()) ~prop_rtt:rtt50 ()
+    Flow.create_via topo ~route ~cc:(Copa.make ~switching:false ())
+      ~prop_rtt:rtt50 ()
   in
   Engine.run_until e (Time.secs 30.);
   Alcotest.(check bool) "throughput decent" true
@@ -244,10 +270,11 @@ let test_copa_default_mode_low_delay () =
     (Time.to_secs (Bottleneck.queue_delay bn) < 0.05)
 
 let copa_competitive_fraction ~cbr_rate =
-  let e, bn = make_link ~rate_bps:96e6 () in
+  let e, _, topo, route = make_link ~rate_bps:96e6 () in
   let copa = Copa.create ~switching:true () in
-  ignore (Flow.create e bn ~cc:(Copa.cc copa) ~prop_rtt:rtt50 ());
-  ignore (Nimbus_traffic.Source.cbr e bn ~rate:(Rate.bps cbr_rate) ());
+  ignore (Flow.create_via topo ~route ~cc:(Copa.cc copa) ~prop_rtt:rtt50 ());
+  ignore (Nimbus_traffic.Source.cbr_via topo ~route
+      ~rate:(Rate.bps cbr_rate) ());
   let competitive_samples = ref 0 and samples = ref 0 in
   Engine.every e ~dt:(Time.ms 100.) ~start:(Time.secs 10.)
     ~until:(Time.secs 90.) (fun () ->
@@ -268,10 +295,10 @@ let test_copa_sticks_competitive_under_heavy_cbr () =
     (high > 0.05 && high > 4. *. low)
 
 let test_copa_default_under_light_cbr () =
-  let e, bn = make_link ~rate_bps:96e6 () in
+  let e, _, topo, route = make_link ~rate_bps:96e6 () in
   let copa = Copa.create ~switching:true () in
-  ignore (Flow.create e bn ~cc:(Copa.cc copa) ~prop_rtt:rtt50 ());
-  ignore (Nimbus_traffic.Source.cbr e bn ~rate:(Rate.bps 24e6) ());
+  ignore (Flow.create_via topo ~route ~cc:(Copa.cc copa) ~prop_rtt:rtt50 ());
+  ignore (Nimbus_traffic.Source.cbr_via topo ~route ~rate:(Rate.bps 24e6) ());
   let competitive_samples = ref 0 and samples = ref 0 in
   Engine.every e ~dt:(Time.ms 100.) ~start:(Time.secs 20.)
     ~until:(Time.secs 60.) (fun () ->
@@ -282,9 +309,9 @@ let test_copa_default_under_light_cbr () =
   Alcotest.(check bool) "mostly default mode" true (frac < 0.4)
 
 let test_bbr_estimates_bandwidth () =
-  let e, bn = make_link ~rate_bps:24e6 () in
+  let e, _, topo, route = make_link ~rate_bps:24e6 () in
   let b = Bbr.create () in
-  let f = Flow.create e bn ~cc:(Bbr.cc b) ~prop_rtt:rtt50 () in
+  let f = Flow.create_via topo ~route ~cc:(Bbr.cc b) ~prop_rtt:rtt50 () in
   Engine.run_until e (Time.secs 20.);
   let est = Rate.to_bps (Bbr.btl_bw b) in
   Alcotest.(check bool) "btl_bw within 25% of the link" true
@@ -293,23 +320,24 @@ let test_bbr_estimates_bandwidth () =
     (throughput f ~seconds:20. > 0.8 *. 24e6)
 
 let test_vivace_fills_link_solo () =
-  let e, bn = make_link ~rate_bps:24e6 () in
-  let f = Flow.create e bn ~cc:(Vivace.make ()) ~prop_rtt:rtt50 () in
+  let e, _, topo, route = make_link ~rate_bps:24e6 () in
+  let f = Flow.create_via topo ~route ~cc:(Vivace.make ()) ~prop_rtt:rtt50 () in
   Engine.run_until e (Time.secs 40.);
   Alcotest.(check bool) "ramps to a useful rate" true
     (throughput f ~seconds:40. > 0.4 *. 24e6)
 
 let test_compound_ramps_fast_when_idle () =
-  let e, bn = make_link ~rate_bps:48e6 () in
-  let f = Flow.create e bn ~cc:(Compound.make ()) ~prop_rtt:rtt50 () in
+  let e, _, topo, route = make_link ~rate_bps:48e6 () in
+  let f = Flow.create_via topo ~route ~cc:(Compound.make ())
+      ~prop_rtt:rtt50 () in
   Engine.run_until e (Time.secs 20.);
   Alcotest.(check bool) "good utilization" true
     (throughput f ~seconds:20. > 0.8 *. 48e6)
 
 let test_basic_delay_targets_queue () =
-  let e, bn = make_link ~rate_bps:48e6 () in
+  let e, bn, topo, route = make_link ~rate_bps:48e6 () in
   let f =
-    Flow.create e bn
+    Flow.create_via topo ~route
       ~cc:(Basic_delay.make ~mu:(Rate.bps 48e6) ())
       ~prop_rtt:rtt50 ()
   in
@@ -327,9 +355,9 @@ let test_basic_delay_targets_queue () =
     (mean_q > 0.004 && mean_q < 0.03)
 
 let test_const_rate_paces_exactly () =
-  let e, bn = make_link () in
+  let e, _, topo, route = make_link () in
   let f =
-    Flow.create e bn
+    Flow.create_via topo ~route
       ~cc:(Simple_cc.const_rate ~rate:(Rate.bps 4e6))
       ~prop_rtt:rtt50 ()
   in
@@ -338,9 +366,9 @@ let test_const_rate_paces_exactly () =
   Alcotest.(check bool) "4 Mbps +-10%" true (Float.abs (tput -. 4e6) < 0.4e6)
 
 let test_fixed_window_is_capped () =
-  let e, bn = make_link () in
+  let e, _, topo, route = make_link () in
   let f =
-    Flow.create e bn
+    Flow.create_via topo ~route
       ~cc:(Simple_cc.fixed_window ~segments:10 ())
       ~prop_rtt:(Time.ms 100.) ()
   in
@@ -365,6 +393,10 @@ let suite =
       [ Alcotest.test_case "fills link" `Quick test_flow_fills_link;
         Alcotest.test_case "min rtt" `Quick test_flow_min_rtt_is_propagation;
         Alcotest.test_case "finite completes" `Quick test_finite_flow_completes;
+        Alcotest.test_case "finished flow drains" `Quick
+          test_finished_flow_drains;
+        Alcotest.test_case "rejects bad prop_rtt" `Quick
+          test_rejects_bad_prop_rtt;
         Alcotest.test_case "app-limited supply" `Quick
           test_app_limited_respects_supply;
         Alcotest.test_case "loss + retransmit" `Quick

@@ -2,6 +2,7 @@
    elasticity detector, and the Nimbus controller (short closed-loop sims). *)
 
 module Engine = Nimbus_sim.Engine
+module Topology = Nimbus_topology.Topology
 module Bottleneck = Nimbus_sim.Bottleneck
 module Qdisc = Nimbus_sim.Qdisc
 module Rng = Nimbus_sim.Rng
@@ -504,31 +505,31 @@ let test_mode_frequency_must_be_probe_bin () =
 
 let make_link ?(rate_bps = 48e6) () =
   let e = Engine.create Engine.Config.default in
-  let bn =
-    Bottleneck.create e
-      (Bottleneck.Config.default ~rate:(Rate.bps rate_bps)
+  let topo, route =
+    Topology.dumbbell e
+      (Topology.Link.Config.default ~rate:(Rate.bps rate_bps)
          ~qdisc:
            (Qdisc.droptail
               ~capacity_bytes:(int_of_float (rate_bps *. 0.1 /. 8.))))
   in
-  (e, bn)
+  (e, Topology.link_bottleneck (List.hd (Topology.links topo)), topo, route)
 
-let start_nimbus ?(multi_flow = false) ?(seed = 1) e bn ~mu =
+let start_nimbus ?(multi_flow = false) ?(seed = 1) topo ~route ~mu =
   let nim =
     Nimbus.create
       { (Nimbus.Config.default ~mu:(Z_estimator.Mu.known (Rate.bps mu))) with
         multi_flow; seed }
   in
   let flow =
-    Flow.create e bn
-      ~cc:(Nimbus.cc nim ~now:(fun () -> Engine.now e))
+    Flow.create_via topo ~route
+      ~cc:(Nimbus.cc nim ~now:(fun () -> Engine.now (Topology.engine topo)))
       ~prop_rtt:(Time.ms 50.) ()
   in
   (nim, flow)
 
 let test_nimbus_solo_delay_mode () =
-  let e, bn = make_link () in
-  let nim, flow = start_nimbus e bn ~mu:48e6 in
+  let e, bn, topo, route = make_link () in
+  let nim, flow = start_nimbus topo ~route ~mu:48e6 in
   Engine.run_until e (Time.secs 30.);
   Alcotest.(check string) "delay mode" "delay"
     (Nimbus.mode_to_string (Nimbus.mode nim));
@@ -538,10 +539,11 @@ let test_nimbus_solo_delay_mode () =
     (Time.to_secs (Bottleneck.queue_delay bn) < 0.03)
 
 let test_nimbus_detects_cubic () =
-  let e, bn = make_link () in
-  let nim, flow = start_nimbus e bn ~mu:48e6 in
+  let e, _, topo, route = make_link () in
+  let nim, flow = start_nimbus topo ~route ~mu:48e6 in
   ignore
-    (Flow.create e bn ~cc:(Nimbus_cc.Cubic.make ()) ~prop_rtt:(Time.ms 50.) ());
+    (Flow.create_via topo ~route ~cc:(Nimbus_cc.Cubic.make ())
+       ~prop_rtt:(Time.ms 50.) ());
   let competitive = ref 0 and samples = ref 0 in
   Engine.every e ~dt:(Time.ms 100.) ~start:(Time.secs 10.)
     ~until:(Time.secs 60.) (fun () ->
@@ -554,10 +556,10 @@ let test_nimbus_detects_cubic () =
     (float_of_int (Flow.received_bytes flow * 8) /. 60. > 0.25 *. 48e6)
 
 let test_nimbus_stays_delay_on_poisson () =
-  let e, bn = make_link () in
-  let nim, flow = start_nimbus e bn ~mu:48e6 in
+  let e, _, topo, route = make_link () in
+  let nim, flow = start_nimbus topo ~route ~mu:48e6 in
   ignore
-    (Nimbus_traffic.Source.poisson e bn ~rng:(Rng.create 5)
+    (Nimbus_traffic.Source.poisson_via topo ~route ~rng:(Rng.create 5)
        ~rate:(Rate.bps 24e6) ());
   let delay = ref 0 and samples = ref 0 in
   Engine.every e ~dt:(Time.ms 100.) ~start:(Time.secs 10.)
@@ -572,11 +574,11 @@ let test_nimbus_stays_delay_on_poisson () =
 
 let test_nimbus_mode_transition () =
   (* cubic joins at t=20: nimbus must be competitive within ~10 s *)
-  let e, bn = make_link () in
-  let nim, _ = start_nimbus e bn ~mu:48e6 in
+  let e, _, topo, route = make_link () in
+  let nim, _ = start_nimbus topo ~route ~mu:48e6 in
   Engine.schedule_at e (Time.secs 20.) (fun () ->
       ignore
-        (Flow.create e bn ~cc:(Nimbus_cc.Cubic.make ())
+        (Flow.create_via topo ~route ~cc:(Nimbus_cc.Cubic.make ())
            ~prop_rtt:(Time.ms 50.) ()));
   Engine.run_until e (Time.secs 19.);
   Alcotest.(check string) "delay before" "delay"
@@ -586,8 +588,8 @@ let test_nimbus_mode_transition () =
     (Nimbus.mode_to_string (Nimbus.mode nim))
 
 let test_nimbus_single_flow_is_pulser () =
-  let e, bn = make_link () in
-  let nim, _ = start_nimbus e bn ~mu:48e6 in
+  let e, _, topo, route = make_link () in
+  let nim, _ = start_nimbus topo ~route ~mu:48e6 in
   Engine.run_until e (Time.secs 1.);
   Alcotest.(check string) "pulser" "pulser"
     (Nimbus.role_to_string (Nimbus.role nim));
@@ -597,9 +599,9 @@ let test_nimbus_single_flow_is_pulser () =
 let test_nimbus_multiflow_election () =
   (* two multi-flow Nimbus flows: exactly one should end up pulsing, and
      both should sit in delay mode with a short queue *)
-  let e, bn = make_link ~rate_bps:96e6 () in
-  let nim1, f1 = start_nimbus ~multi_flow:true ~seed:21 e bn ~mu:96e6 in
-  let nim2, f2 = start_nimbus ~multi_flow:true ~seed:77 e bn ~mu:96e6 in
+  let e, _, topo, route = make_link ~rate_bps:96e6 () in
+  let nim1, f1 = start_nimbus ~multi_flow:true ~seed:21 topo ~route ~mu:96e6 in
+  let nim2, f2 = start_nimbus ~multi_flow:true ~seed:77 topo ~route ~mu:96e6 in
   Engine.run_until e (Time.secs 60.);
   let pulsers =
     List.length
@@ -616,8 +618,8 @@ let test_nimbus_multiflow_election () =
     (t1 +. t2 > 0.8 *. 96e6)
 
 let test_nimbus_base_rate_positive () =
-  let e, bn = make_link () in
-  let nim, _ = start_nimbus e bn ~mu:48e6 in
+  let e, _, topo, route = make_link () in
+  let nim, _ = start_nimbus topo ~route ~mu:48e6 in
   Engine.run_until e (Time.secs 10.);
   Alcotest.(check bool) "positive base rate" true
     (Rate.to_bps (Nimbus.base_rate nim) > 0.)

@@ -4,6 +4,7 @@
    experiment runner. *)
 
 module Engine = Nimbus_sim.Engine
+module Topology = Nimbus_topology.Topology
 module Bottleneck = Nimbus_sim.Bottleneck
 module Qdisc = Nimbus_sim.Qdisc
 module Rng = Nimbus_sim.Rng
@@ -119,14 +120,14 @@ let test_parse_rejects_garbage () =
 
 let make_link ?(rate_bps = 48e6) () =
   let e = Engine.create Engine.Config.default in
-  let bn =
-    Bottleneck.create e
-      (Bottleneck.Config.default ~rate:(Rate.bps rate_bps)
+  let topo, route =
+    Topology.dumbbell e
+      (Topology.Link.Config.default ~rate:(Rate.bps rate_bps)
          ~qdisc:
            (Qdisc.droptail
               ~capacity_bytes:(int_of_float (rate_bps *. 0.1 /. 8.))))
   in
-  (e, bn)
+  (e, Topology.link_bottleneck (List.hd (Topology.links topo)), topo, route)
 
 let attach_spec ~engine ~bottleneck ?flows ~seed spec =
   match Fault.parse spec with
@@ -135,8 +136,8 @@ let attach_spec ~engine ~bottleneck ?flows ~seed spec =
     Fault.attach ~engine ~bottleneck ?flows ~rng:(Rng.create seed) plan
 
 let test_attach_rate_step_and_outage () =
-  let e, bn = make_link () in
-  ignore (Source.cbr e bn ~rate:(Rate.bps 40e6) ());
+  let e, bn, topo, route = make_link () in
+  ignore (Source.cbr_via topo ~route ~rate:(Rate.bps 40e6) ());
   attach_spec ~engine:e ~bottleneck:bn ~seed:3 "step@1:24;flap@2:1";
   Engine.run_until e (Time.secs 1.5);
   Alcotest.(check (float 1.)) "stepped to 24 Mbit/s" 24e6
@@ -158,9 +159,9 @@ let test_attach_rate_step_and_outage () =
     + Bottleneck.queued_packets bn)
 
 let test_attach_burst_loss () =
-  let e, bn = make_link () in
+  let e, bn, topo, route = make_link () in
   (* paced CBR below the link rate: every drop is the injector's *)
-  ignore (Source.cbr e bn ~rate:(Rate.bps 40e6) ());
+  ignore (Source.cbr_via topo ~route ~rate:(Rate.bps 40e6) ());
   attach_spec ~engine:e ~bottleneck:bn ~seed:5 "burst@1:1/0/0/0.4;lossoff@3";
   Engine.run_until e (Time.secs 1.) ;
   Alcotest.(check int) "clean before onset" 0 (Bottleneck.drops bn);
@@ -172,9 +173,10 @@ let test_attach_burst_loss () =
 
 let test_attach_ack_loss () =
   let throughput spec =
-    let e, bn = make_link () in
+    let e, bn, topo, route = make_link () in
     let f =
-      Flow.create e bn ~cc:(Nimbus_cc.Cubic.make ()) ~prop_rtt:(Time.ms 50.) ()
+      Flow.create_via topo ~route ~cc:(Nimbus_cc.Cubic.make ())
+        ~prop_rtt:(Time.ms 50.) ()
     in
     if not (String.equal spec "") then
       attach_spec ~engine:e ~bottleneck:bn ~flows:[| f |] ~seed:7 spec;
@@ -187,9 +189,10 @@ let test_attach_ack_loss () =
     (float_of_int faulted < 0.3 *. float_of_int clean)
 
 let test_attach_kill_and_validation () =
-  let e, bn = make_link () in
+  let e, bn, topo, route = make_link () in
   let f =
-    Flow.create e bn ~cc:(Nimbus_cc.Cubic.make ()) ~prop_rtt:(Time.ms 50.) ()
+    Flow.create_via topo ~route ~cc:(Nimbus_cc.Cubic.make ())
+      ~prop_rtt:(Time.ms 50.) ()
   in
   attach_spec ~engine:e ~bottleneck:bn ~flows:[| f |] ~seed:9 "kill@1:0";
   Alcotest.(check bool) "running before" false (Flow.stopped f);
@@ -204,20 +207,21 @@ let test_attach_kill_and_validation () =
 (* --- invariant monitor ---------------------------------------------------- *)
 
 let test_invariant_benign_run () =
-  let e, bn = make_link () in
+  let e, bn, topo, route = make_link () in
   ignore
-    (Flow.create e bn ~cc:(Nimbus_cc.Cubic.make ()) ~prop_rtt:(Time.ms 50.) ());
+    (Flow.create_via topo ~route ~cc:(Nimbus_cc.Cubic.make ())
+       ~prop_rtt:(Time.ms 50.) ());
   (* delay jitter stresses the reorder/timing paths while the monitor
      watches: a benign (if bumpy) run must produce zero violations *)
   attach_spec ~engine:e ~bottleneck:bn ~seed:11 "delay@1:10;jitter@2-4:5/100";
-  let m = Invariant.create e ~bottleneck:bn () in
+  let m = Nimbus_experiments.Common.audit topo in
   Engine.run_until e (Time.secs 5.);
   Alcotest.(check int) "no violations" 0 (Invariant.count m);
   Alcotest.(check bool) "ok" true (Invariant.ok m)
 
 let test_invariant_custom_check_fires () =
-  let e, bn = make_link () in
-  let m = Invariant.create e ~bottleneck:bn () in
+  let e, _, _, _ = make_link () in
+  let m = Invariant.create e () in
   Invariant.add_check m ~name:"always-bad" (fun () -> Some "boom");
   Engine.run_until e (Time.secs 0.5);
   Alcotest.(check bool) "violations recorded" true (Invariant.count m > 0);
@@ -236,7 +240,7 @@ let test_invariant_custom_check_fires () =
 (* --- pulser-failure recovery ---------------------------------------------- *)
 
 let test_pulser_death_failover () =
-  let e, bn = make_link ~rate_bps:96e6 () in
+  let e, _, topo, route = make_link ~rate_bps:96e6 () in
   let start seed =
     let nim =
       Nimbus.create
@@ -244,7 +248,7 @@ let test_pulser_death_failover () =
           with multi_flow = true; seed }
     in
     let flow =
-      Flow.create e bn
+      Flow.create_via topo ~route
         ~cc:(Nimbus.cc nim ~now:(fun () -> Engine.now e))
         ~prop_rtt:(Time.ms 50.) ()
     in

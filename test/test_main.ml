@@ -4,5 +4,5 @@ let () =
     @ Test_cc.suite
     @ Test_core.suite @ Test_traffic.suite @ Test_metrics.suite
     @ Test_faults.suite @ Test_experiments.suite @ Test_sweep.suite
-    @ Test_parallel.suite
+    @ Test_parallel.suite @ Test_cli.suite
     @ Test_trace.suite @ Test_lint.suite @ Test_analyze.suite)

@@ -1,7 +1,7 @@
 (* Tests for the measurement layer. *)
 
 module Engine = Nimbus_sim.Engine
-module Bottleneck = Nimbus_sim.Bottleneck
+module Topology = Nimbus_topology.Topology
 module Qdisc = Nimbus_sim.Qdisc
 open Nimbus_metrics
 module Time = Units.Time
@@ -61,16 +61,17 @@ let test_monitor_throughput_math () =
 
 let test_monitor_queue_delay () =
   let e = Engine.create Engine.Config.default in
-  let bn =
-    Bottleneck.create e
-      (Bottleneck.Config.default ~rate:(Rate.bps 12e6)
+  let topo, route =
+    Topology.dumbbell e
+      (Topology.Link.Config.default ~rate:(Rate.bps 12e6)
          ~qdisc:(Qdisc.droptail ~capacity_bytes:1_000_000))
   in
+  let bn = Topology.link_bottleneck (List.hd (Topology.links topo)) in
   let series = Monitor.queue_delay e bn ~interval:(Time.ms 10.) () in
-  (* enqueue 100 packets at t=0; queue drains at 1 ms/packet *)
+  (* inject 100 packets at t=0; queue drains at 1 ms/packet *)
+  let ingress = Topology.attach topo ~route ~flow:0 ~sink:ignore in
   for seq = 0 to 99 do
-    Bottleneck.enqueue bn
-      (Nimbus_sim.Packet.make ~flow:0 ~seq ~size:1500 ~now:Time.zero ())
+    ingress (Nimbus_sim.Packet.make ~flow:0 ~seq ~size:1500 ~now:Time.zero ())
   done;
   Engine.run_until e (Time.secs 0.2);
   let first = (Series.values series).(0) in

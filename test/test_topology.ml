@@ -1,9 +1,10 @@
 (* lib/sim/topology: the multi-bottleneck fabric.  The headline property is
-   the migration-safety oracle — a dumbbell run through the topology API
-   produces byte-identical traces to the old direct Engine+Bottleneck wiring
-   — plus multi-hop forwarding order, propagation timing, route validation,
-   per-link/fabric conservation (qcheck over random chains), ECN marking,
-   and the parking-lot experiment at the 1000-flow acceptance scale. *)
+   the pinned dumbbell trace — a traced one-link run must reproduce, byte
+   for byte, the JSONL the paper's single-bottleneck wiring has always
+   produced — plus multi-hop forwarding order, propagation timing, route
+   validation, per-link/fabric conservation (qcheck over random chains),
+   ECN marking, and the parking-lot experiment at the 1000-flow acceptance
+   scale. *)
 
 module Trace = Nimbus_trace.Trace
 module Sink = Nimbus_trace.Sink
@@ -21,21 +22,28 @@ module E = Nimbus_experiments
 module Time = Units.Time
 module Rate = Units.Rate
 
-(* --- dumbbell byte-identity (the migration-safety oracle) ------------------ *)
+(* --- pinned dumbbell trace ------------------------------------------------ *)
 
 let bn_config ~trace =
   { (Bottleneck.Config.default ~rate:(Rate.bps 48e6)
        ~qdisc:(Qdisc.droptail ~capacity_bytes:600_000))
     with trace }
 
+let wire_topology engine tr =
+  let topo, route =
+    Topology.dumbbell engine
+      { bottleneck = bn_config ~trace:tr; prop_delay = Time.zero }
+  in
+  fun ~cc -> Flow.create_via topo ~route ~cc ~prop_rtt:(Time.ms 50.) ()
+
 (* the Fig. 7 shape at test scale: one Nimbus flow, a Cubic flow joining
-   mid-run; [wire] is either the old direct wiring or the topology dumbbell *)
-let traced_scenario ~wire =
+   mid-run, on the one-link topology *)
+let traced_scenario () =
   let buf = Buffer.create 65536 in
   let tr = Trace.create ~mask:Trace.mask_all () in
   Trace.attach tr (Sink.jsonl_buffer buf);
   let engine = Engine.create { trace = tr } in
-  let start_flow = wire engine tr in
+  let start_flow = wire_topology engine tr in
   let nim =
     Nimbus.create
       { (Nimbus.Config.default ~mu:(Z_estimator.Mu.known (Rate.bps 48e6)))
@@ -48,25 +56,15 @@ let traced_scenario ~wire =
   Trace.close tr;
   Buffer.contents buf
 
-let wire_direct engine tr =
-  let bn = Bottleneck.create engine (bn_config ~trace:tr) in
-  fun ~cc -> Flow.create engine bn ~cc ~prop_rtt:(Time.ms 50.) ()
-
-let wire_topology engine tr =
-  let topo, route =
-    Topology.dumbbell engine
-      { bottleneck = bn_config ~trace:tr; prop_delay = Time.zero }
-  in
-  fun ~cc -> Flow.create_via topo ~route ~cc ~prop_rtt:(Time.ms 50.) ()
-
-let test_dumbbell_byte_identical () =
-  let direct = traced_scenario ~wire:wire_direct in
-  let via = traced_scenario ~wire:wire_topology in
-  Alcotest.(check bool) "trace is non-trivial" true
-    (String.length direct > 1000);
-  Alcotest.(check bool)
-    "topology dumbbell trace byte-identical to direct wiring" true
-    (String.equal direct via)
+(* Pinned from the last tree that still had a direct Engine+Bottleneck
+   wiring next to the topology, where both produced this trace: any change
+   to packet timing, event order or trace encoding on the one-link path
+   shows up here. *)
+let test_dumbbell_pinned_trace () =
+  let jsonl = traced_scenario () in
+  Alcotest.(check int) "trace length" 508_992 (String.length jsonl);
+  Alcotest.(check string) "trace digest" "23b797489c405ab0f02da018be1e3d80"
+    (Digest.to_hex (Digest.string jsonl))
 
 (* --- builders -------------------------------------------------------------- *)
 
@@ -259,26 +257,30 @@ let test_conservation_qcheck =
 (* overload a PIE queue and watch the decision split: with ECN on, early
    congestion becomes marks (and the mark travels on the packet); with ECN
    off (the default), the same pressure is drops only *)
-let pie_bottleneck ~ecn engine ~seed =
-  Bottleneck.create engine
-    (Bottleneck.Config.default ~rate:(Rate.mbps 12.)
-       ~qdisc:
-         (Qdisc.pie ~ecn ~capacity_bytes:1_000_000
-            ~target_delay:(Time.ms 5.) ~link_rate:(Rate.mbps 12.)
-            ~rng:(Rng.create seed) ()))
+let one_link engine qdisc =
+  Topology.dumbbell engine
+    (Topology.Link.Config.default ~rate:(Rate.mbps 12.) ~qdisc)
 
-let overload engine bn =
-  let src = Source.cbr engine bn ~rate:(Rate.mbps 24.) () in
+let pie_link ~ecn engine ~seed =
+  one_link engine
+    (Qdisc.pie ~ecn ~capacity_bytes:1_000_000 ~target_delay:(Time.ms 5.)
+       ~link_rate:(Rate.mbps 12.) ~rng:(Rng.create seed) ())
+
+(* 24 Mbit/s of CBR into the 12 Mbit/s link; re-attaching the source's flow
+   id swaps its evaporating sink for one that counts marked arrivals *)
+let overload engine (topo, route) =
+  let src = Source.cbr_via topo ~route ~rate:(Rate.mbps 24.) () in
   let marked = ref 0 in
-  Bottleneck.set_sink bn ~flow:(Source.flow_id src) (fun pkt ->
-      if pkt.Packet.ecn then incr marked);
+  let (_ : Packet.t -> unit) =
+    Topology.attach topo ~route ~flow:(Source.flow_id src) ~sink:(fun pkt ->
+        if pkt.Packet.ecn then incr marked)
+  in
   Engine.run_until engine (Time.secs 3.);
-  !marked
+  (Topology.link_bottleneck (List.hd (Topology.links topo)), !marked)
 
 let test_pie_ecn_marks () =
   let engine = Engine.create Engine.Config.default in
-  let bn = pie_bottleneck ~ecn:true engine ~seed:3 in
-  let marked = overload engine bn in
+  let bn, marked = overload engine (pie_link ~ecn:true engine ~seed:3) in
   Alcotest.(check bool) "ECN-enabled PIE marks under load" true
     (Bottleneck.marks bn > 0);
   Alcotest.(check bool) "marks ride the packets" true (marked > 0);
@@ -289,8 +291,7 @@ let test_pie_ecn_marks () =
 
 let test_pie_ecn_off_by_default () =
   let engine = Engine.create Engine.Config.default in
-  let bn = pie_bottleneck ~ecn:false engine ~seed:3 in
-  let marked = overload engine bn in
+  let bn, marked = overload engine (pie_link ~ecn:false engine ~seed:3) in
   Alcotest.(check int) "no marks with ECN off" 0 (Bottleneck.marks bn);
   Alcotest.(check int) "no marked packets with ECN off" 0 marked;
   Alcotest.(check bool) "pressure shows up as drops instead" true
@@ -298,12 +299,10 @@ let test_pie_ecn_off_by_default () =
 
 let test_droptail_never_marks () =
   let engine = Engine.create Engine.Config.default in
-  let bn =
-    Bottleneck.create engine
-      (Bottleneck.Config.default ~rate:(Rate.mbps 12.)
-         ~qdisc:(Qdisc.droptail ~capacity_bytes:30_000))
+  let bn, marked =
+    overload engine
+      (one_link engine (Qdisc.droptail ~capacity_bytes:30_000))
   in
-  let marked = overload engine bn in
   Alcotest.(check int) "droptail never marks" 0 (Bottleneck.marks bn);
   Alcotest.(check int) "no marked packets" 0 marked
 
@@ -327,8 +326,8 @@ let test_parking_lot_registered () =
 
 let suite =
   [ ( "topology.dumbbell",
-      [ Alcotest.test_case "byte-identical to direct wiring" `Quick
-          test_dumbbell_byte_identical ] );
+      [ Alcotest.test_case "pinned trace digest" `Quick
+          test_dumbbell_pinned_trace ] );
     ( "topology.forwarding",
       [ Alcotest.test_case "two-hop FIFO" `Quick test_two_hop_fifo;
         Alcotest.test_case "propagation timing" `Quick test_prop_delay_timing

@@ -8,6 +8,7 @@ module Event = Nimbus_trace.Event
 module Sink = Nimbus_trace.Sink
 module Span = Nimbus_trace.Span
 module Engine = Nimbus_sim.Engine
+module Topology = Nimbus_topology.Topology
 module Bottleneck = Nimbus_sim.Bottleneck
 module Qdisc = Nimbus_sim.Qdisc
 module Flow = Nimbus_cc.Flow
@@ -205,19 +206,22 @@ let test_summarize_binary_file () =
 
 let make_link ?(trace = Trace.disabled) () =
   let e = Engine.create { trace } in
-  let bn =
-    Bottleneck.create e
-      { (Bottleneck.Config.default ~rate:(Rate.bps 48e6)
-           ~qdisc:(Qdisc.droptail ~capacity_bytes:600_000))
-        with trace }
+  let topo, route =
+    Topology.dumbbell e
+      { bottleneck =
+          { (Bottleneck.Config.default ~rate:(Rate.bps 48e6)
+               ~qdisc:(Qdisc.droptail ~capacity_bytes:600_000))
+            with trace };
+        prop_delay = Time.zero }
   in
-  (e, bn)
+  (e, Topology.link_bottleneck (List.hd (Topology.links topo)), topo, route)
 
 let test_flow_apply () =
   let tr = Trace.create ~mask:Trace.mask_all () in
-  let e, bn = make_link ~trace:tr () in
+  let _, _, topo, route = make_link ~trace:tr () in
   let f =
-    Flow.create e bn ~cc:(Nimbus_cc.Cubic.make ()) ~prop_rtt:(Time.ms 50.) ()
+    Flow.create_via topo ~route ~cc:(Nimbus_cc.Cubic.make ())
+      ~prop_rtt:(Time.ms 50.) ()
   in
   Flow.apply f (Flow.Control.Extra_delay (Time.ms 20.));
   Alcotest.(check (float 1e-9)) "extra delay applied" 0.02
@@ -332,20 +336,20 @@ let traced_scenario ~mask ~seed =
   let buf = Buffer.create 65536 in
   let tr = Trace.create ~mask () in
   Trace.attach tr (Sink.jsonl_buffer buf);
-  let e, bn = make_link ~trace:tr () in
+  let e, _, topo, route = make_link ~trace:tr () in
   let nim =
     Nimbus.create
       { (Nimbus.Config.default ~mu:(Z_estimator.Mu.known (Rate.bps 48e6)))
         with seed; trace = tr }
   in
   let _flow =
-    Flow.create e bn
+    Flow.create_via topo ~route
       ~cc:(Nimbus.cc nim ~now:(fun () -> Engine.now e))
       ~prop_rtt:(Time.ms 50.) ()
   in
   Engine.schedule_at e (Time.secs 20.) (fun () ->
       ignore
-        (Flow.create e bn ~cc:(Nimbus_cc.Cubic.make ())
+        (Flow.create_via topo ~route ~cc:(Nimbus_cc.Cubic.make ())
            ~prop_rtt:(Time.ms 50.) ()));
   Engine.run_until e (Time.secs 32.);
   Trace.close tr;
