@@ -117,6 +117,21 @@ let event_queue =
          in
          Nimbus_sim.Engine.run_until e stop))
 
+(* 1000 events on one instant, then drain: the shape of a lockstep flow-tick
+   burst (the parking lot's cross-flows), which the spread-out row above
+   never produces *)
+let event_burst =
+  let e = Nimbus_sim.Engine.create Nimbus_sim.Engine.Config.default in
+  let at = Units.Time.secs 1e-3 in
+  let step = Units.Time.secs 1. in
+  Test.make ~name:"engine.burst.1000"
+    (Staged.stage (fun () ->
+         let now = Nimbus_sim.Engine.now e in
+         for _ = 1 to 1000 do
+           Nimbus_sim.Engine.schedule_in e at (fun () -> ())
+         done;
+         Nimbus_sim.Engine.run_until e (Units.Time.add now step)))
+
 (* the 48 Mbit/s, 600 kB-buffer dumbbell both simulated-run measurements
    below share *)
 let dumbbell_48 e =
@@ -175,7 +190,7 @@ let benchmarks =
   Test.make_grouped ~name:"nimbus"
     [ fft_plan 500; fft_plan 512; spectrum_analyze_into_500; goertzel_500;
       elasticity_eta; elasticity_eta_streaming; elasticity_eta_fft; z_estimate;
-      event_queue; sim_packet_second; nimbus_tick ~traced:false;
+      event_queue; event_burst; sim_packet_second; nimbus_tick ~traced:false;
       nimbus_tick ~traced:true ]
 
 let estimate results name =

@@ -18,23 +18,20 @@ type sent_info = {
   si_retx : bool;
 }
 
-(* Ring of acknowledged packets, for the Eq. 2 rate estimators. *)
-type acked_record = {
-  ar_sent_at : float;
-  ar_acked_at : float;
-  ar_cum_bytes : int; (* running total including this record *)
-}
-
 let reorder_window = 3
 
+(* power of two: ring indices wrap with [land (capacity - 1)] *)
 let rate_ring_capacity = 2048
 
 type t = {
   engine : Engine.t;
-  (* the route's topology ingress.  Mutable only because attaching needs
-     the flow's own sink closure ([t] itself) — it is set once in
-     [create_via] and never changes afterwards. *)
+  (* the route's topology ingress and the flow's two timer callbacks.
+     Mutable only because each closes over the flow itself: they are set
+     once in [create_via] and never change afterwards, so rescheduling a
+     timer allocates no closure. *)
   mutable enqueue : Packet.t -> unit;
+  mutable tick : unit -> unit;
+  mutable pace : unit -> unit;
   cc : Cc_types.t;
   flow_id : int;
   fwd_delay : float;
@@ -60,8 +57,14 @@ type t = {
   mutable min_rtt : float;
   mutable last_rtt : float;
   mutable last_progress : float;
-  acked_ring : acked_record array;
-  mutable acked_head : int;
+  (* Ring of acknowledged packets, for the Eq. 2 rate estimators, as three
+     parallel arrays so storing an ACK boxes nothing.  It starts empty and
+     doubles from 16 up to [rate_ring_capacity]; below that it never wraps,
+     so growing is a straight copy. *)
+  mutable acked_sent_at : Float.Array.t;
+  mutable acked_at : Float.Array.t;
+  mutable acked_cum_bytes : int array; (* running total including the entry *)
+  mutable acked_head : int; (* next write index *)
   mutable acked_count : int;
   mutable send_rate : float;
   mutable recv_rate : float;
@@ -165,15 +168,33 @@ let window_allows t =
 
 (* --- rate estimation (Eq. 2) -------------------------------------------- *)
 
-let push_acked t rec_ =
-  t.acked_ring.(t.acked_head) <- rec_;
-  t.acked_head <- (t.acked_head + 1) mod rate_ring_capacity;
+let grow_acked t =
+  let cap = Array.length t.acked_cum_bytes in
+  let ncap = max 16 (2 * cap) in
+  let sent = Float.Array.make ncap 0. and acked = Float.Array.make ncap 0. in
+  let cum = Array.make ncap 0 in
+  Float.Array.blit t.acked_sent_at 0 sent 0 cap;
+  Float.Array.blit t.acked_at 0 acked 0 cap;
+  Array.blit t.acked_cum_bytes 0 cum 0 cap;
+  t.acked_sent_at <- sent;
+  t.acked_at <- acked;
+  t.acked_cum_bytes <- cum;
+  t.acked_head <- cap
+
+let push_acked t ~sent_at ~acked_at ~cum_bytes =
+  if t.acked_count = Array.length t.acked_cum_bytes
+     && t.acked_count < rate_ring_capacity
+  then grow_acked t;
+  let i = t.acked_head in
+  Float.Array.set t.acked_sent_at i sent_at;
+  Float.Array.set t.acked_at i acked_at;
+  t.acked_cum_bytes.(i) <- cum_bytes;
+  t.acked_head <- (i + 1) land (Array.length t.acked_cum_bytes - 1);
   if t.acked_count < rate_ring_capacity then t.acked_count <- t.acked_count + 1
 
+(* ring index of the k-th newest entry (k = 0 is the newest) *)
 let nth_acked_from_end t k =
-  (* k = 0 is the newest record *)
-  t.acked_ring.(((t.acked_head - 1 - k) mod rate_ring_capacity
-                 + rate_ring_capacity) mod rate_ring_capacity)
+  (t.acked_head - 1 - k) land (Array.length t.acked_cum_bytes - 1)
 
 (* Number of packets forming "one window" for the S/R measurement: the data
    actually in flight, i.e. one RTT's worth of packets at the current rate.
@@ -188,9 +209,14 @@ let update_rates t =
   if t.acked_count >= n + 1 then begin
     let newest = nth_acked_from_end t 0 in
     let oldest = nth_acked_from_end t n in
-    let nbytes = newest.ar_cum_bytes - oldest.ar_cum_bytes in
-    let send_dt = newest.ar_sent_at -. oldest.ar_sent_at in
-    let recv_dt = newest.ar_acked_at -. oldest.ar_acked_at in
+    let nbytes = t.acked_cum_bytes.(newest) - t.acked_cum_bytes.(oldest) in
+    let send_dt =
+      Float.Array.get t.acked_sent_at newest
+      -. Float.Array.get t.acked_sent_at oldest
+    in
+    let recv_dt =
+      Float.Array.get t.acked_at newest -. Float.Array.get t.acked_at oldest
+    in
     if send_dt > 0. then t.send_rate <- float_of_int (nbytes * 8) /. send_dt;
     if recv_dt > 0. then t.recv_rate <- float_of_int (nbytes * 8) /. recv_dt
   end
@@ -288,7 +314,7 @@ and pace_one t =
       let interval =
         Float.max 0.0002 (Float.min 0.002 (pkt *. 8. /. rate))
       in
-      Engine.schedule_in t.engine (Time.secs interval) (fun () -> pace_one t)
+      Engine.schedule_in t.engine (Time.secs interval) t.pace
   end
 
 (* --- acknowledgements and loss detection -------------------------------- *)
@@ -335,11 +361,11 @@ and handle_ack t (pkt : Packet.t) =
         (if Float.is_nan t.srtt then rtt
          else (0.875 *. t.srtt) +. (0.125 *. rtt));
       let prev_cum =
-        if t.acked_count = 0 then 0 else (nth_acked_from_end t 0).ar_cum_bytes
+        if t.acked_count = 0 then 0
+        else t.acked_cum_bytes.(nth_acked_from_end t 0)
       in
-      push_acked t
-        { ar_sent_at = info.si_sent_at; ar_acked_at = now;
-          ar_cum_bytes = prev_cum + info.si_size };
+      push_acked t ~sent_at:info.si_sent_at ~acked_at:now
+        ~cum_bytes:(prev_cum + info.si_size);
       update_rates t
     end;
     if pkt.seq > t.highest_acked then t.highest_acked <- pkt.seq;
@@ -386,7 +412,7 @@ let finished t =
   && Hashtbl.length t.outstanding = 0
   && not (data_available t)
 
-let rec tick_loop t =
+let tick_loop t =
   if t.active && not (finished t) then begin
     Nimbus_trace.Span.enter Nimbus_trace.Span.Flow_tick;
     check_rto t;
@@ -402,8 +428,7 @@ let rec tick_loop t =
     | None -> ());
     try_send t;
     Nimbus_trace.Span.leave Nimbus_trace.Span.Flow_tick;
-    Engine.schedule_in t.engine (Time.secs t.tick_interval) (fun () ->
-        tick_loop t)
+    Engine.schedule_in t.engine (Time.secs t.tick_interval) t.tick
   end
 
 let create_via topo ~route ~cc ~prop_rtt ?(fwd_frac = 0.5)
@@ -421,7 +446,7 @@ let create_via topo ~route ~cc ~prop_rtt ?(fwd_frac = 0.5)
     | None -> Time.to_secs (Engine.now engine)
   in
   let t =
-    { engine; enqueue = ignore; cc; flow_id;
+    { engine; enqueue = ignore; tick = ignore; pace = ignore; cc; flow_id;
       fwd_delay = prop_rtt *. fwd_frac;
       rev_delay = prop_rtt *. (1. -. fwd_frac);
       pkt_size; source; on_complete; tick_interval; start_time;
@@ -430,10 +455,9 @@ let create_via topo ~route ~cc ~prop_rtt ?(fwd_frac = 0.5)
       inflight_bytes = 0; highest_acked = -1; supplied_bytes = 0;
       sent_app_bytes = 0; acked_bytes = 0; recv_bytes = 0; losses = 0;
       srtt = nan; min_rtt = nan; last_rtt = nan; last_progress = start_time;
-      acked_ring =
-        Array.make rate_ring_capacity
-          { ar_sent_at = 0.; ar_acked_at = 0.; ar_cum_bytes = 0 };
-      acked_head = 0; acked_count = 0; send_rate = nan; recv_rate = nan;
+      acked_sent_at = Float.Array.create 0; acked_at = Float.Array.create 0;
+      acked_cum_bytes = [||]; acked_head = 0; acked_count = 0;
+      send_rate = nan; recv_rate = nan;
       pacing_scheduled = false; pace_credit = 0.; last_pace_at = start_time;
       active = true;
       completion_time = None; extra_fwd_delay = 0.; ack_loss = None }
@@ -441,8 +465,9 @@ let create_via topo ~route ~cc ~prop_rtt ?(fwd_frac = 0.5)
   t.enqueue <-
     Topology.attach topo ~route ~flow:flow_id ~sink:(fun pkt ->
         handle_delivery t pkt);
+  t.tick <- (fun () -> tick_loop t);
+  t.pace <- (fun () -> pace_one t);
   Engine.schedule_at engine (Time.secs start_time) (fun () ->
       try_send t;
-      Engine.schedule_in engine (Time.secs tick_interval) (fun () ->
-          tick_loop t));
+      Engine.schedule_in engine (Time.secs tick_interval) t.tick);
   t

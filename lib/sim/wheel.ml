@@ -3,16 +3,26 @@
 
    Push and pop of a near-future event (within [nslots * width] of the
    cursor, which covers packet serialisation, pacing, and RTT-scale timers
-   at the default 64 µs slot width) cost O(slot occupancy) instead of the
-   heap's O(log n), and nothing is boxed on the way in: every slot stores
-   its entries in parallel arrays (flat float keys / int seqs / values),
-   exactly like {!Heap} after the unboxed-key rework.
+   at the default 64 µs slot width) cost O(1) in the common case instead of
+   the heap's O(log n), and nothing is boxed on the way in: every slot
+   stores its entries in parallel arrays (flat float keys / int seqs /
+   values), exactly like {!Heap} after the unboxed-key rework.
+
+   Sorted slots: a slot's live entries sit in [head, len) in (key, seq)
+   order, so its minimum is always at [head] and a pop just advances it.  A
+   push inserts from the tail.  Its seq is the largest handed out so far, so
+   it goes after every entry with a key <= its own: in-order arrivals and
+   same-instant bursts (hundreds of flow ticks landing in one slot) append
+   in O(1), and only an entry that undercuts later keys of its slot shifts
+   them.  A drained slot resets to [head = len = 0]; a full slot is
+   compacted in place when at least half of it is dead, and doubled
+   otherwise.
 
    Determinism: entries carry sequence numbers from one shared counter, and
    the pop rule is the global lexicographic (key, seq) minimum across both
-   structures — slots are min-scanned, not kept sorted — so the pop order is
-   *identical* to a single FIFO-tie-breaking heap's.  The slot min-scan is
-   what keeps ties deterministic under any push pattern.
+   structures — the slot head against the heap top — so the pop order is
+   *identical* to a single FIFO-tie-breaking heap's, under any push
+   pattern.
 
    Occupancy is tracked in a two-level bitmap (32 words x 32 bits, one
    summary word), so finding the next non-empty slot is a handful of mask
@@ -36,7 +46,8 @@ type 'a t = {
   slot_keys : float array array;
   slot_seqs : int array array;
   slot_vals : 'a array array;
-  slot_len : int array;
+  slot_head : int array; (* first live entry: the slot's minimum *)
+  slot_len : int array; (* one past the last live entry *)
   level0 : int array; (* occupancy bit per physical slot, 32 per word *)
   mutable level1 : int; (* bit w set iff level0.(w) <> 0 *)
   mutable cur : int; (* absolute slot index of the cursor *)
@@ -44,11 +55,10 @@ type 'a t = {
   far : 'a Heap.t; (* events at or beyond the wheel horizon *)
   mutable next_seq : int;
   (* cached location of the global minimum, invalidated by pops: -1 = none,
-     0 = wheel (cache_slot/cache_idx), 1 = heap top.  Ints only — a mutable
-     float field in this mixed record would box on every write. *)
+     0 = wheel (the head of cache_slot), 1 = heap top.  Ints only — a
+     mutable float field in this mixed record would box on every write. *)
   mutable cache_where : int;
   mutable cache_slot : int;
-  mutable cache_idx : int;
 }
 
 let default_width = 64e-6
@@ -61,6 +71,7 @@ let create ?(width = default_width) () =
     slot_keys = Array.make nslots [||];
     slot_seqs = Array.make nslots [||];
     slot_vals = Array.make nslots [||];
+    slot_head = Array.make nslots 0;
     slot_len = Array.make nslots 0;
     level0 = Array.make nwords 0;
     level1 = 0;
@@ -70,7 +81,6 @@ let create ?(width = default_width) () =
     next_seq = 0;
     cache_where = -1;
     cache_slot = 0;
-    cache_idx = 0;
   }
 
 let size t = t.wheel_count + Heap.size t.far
@@ -137,25 +147,42 @@ let first_occupied_from t p0 =
   end
 [@@alloc_free]
 
-let grow_slot t p ~key ~seq v =
+(* Room for one more entry at the tail of a full slot [p]: slide the live
+   range [head, len) down to 0 when at least half the slot is dead,
+   otherwise double the capacity (fresh arrays filled with the entry being
+   pushed, so no dummy element is ever needed).  Either way the live range
+   then starts at 0. *)
+let make_room t p ~key ~seq v =
+  let head = t.slot_head.(p) and len = t.slot_len.(p) in
   let cap = Array.length t.slot_keys.(p) in
-  let ncap = max 4 (2 * cap) in
-  let keys = Array.make ncap key in
-  let seqs = Array.make ncap seq in
-  let vals = Array.make ncap v in
-  Array.blit t.slot_keys.(p) 0 keys 0 t.slot_len.(p);
-  Array.blit t.slot_seqs.(p) 0 seqs 0 t.slot_len.(p);
-  Array.blit t.slot_vals.(p) 0 vals 0 t.slot_len.(p);
-  t.slot_keys.(p) <- keys;
-  t.slot_seqs.(p) <- seqs;
-  t.slot_vals.(p) <- vals
+  let live = len - head in
+  if head > 0 && 2 * head >= cap then begin
+    Array.blit t.slot_keys.(p) head t.slot_keys.(p) 0 live;
+    Array.blit t.slot_seqs.(p) head t.slot_seqs.(p) 0 live;
+    Array.blit t.slot_vals.(p) head t.slot_vals.(p) 0 live
+  end
+  else begin
+    let ncap = max 4 (2 * cap) in
+    let keys = Array.make ncap key in
+    let seqs = Array.make ncap seq in
+    let vals = Array.make ncap v in
+    Array.blit t.slot_keys.(p) head keys 0 live;
+    Array.blit t.slot_seqs.(p) head seqs 0 live;
+    Array.blit t.slot_vals.(p) head vals 0 live;
+    t.slot_keys.(p) <- keys;
+    t.slot_seqs.(p) <- seqs;
+    t.slot_vals.(p) <- vals
+  end;
+  t.slot_head.(p) <- 0;
+  t.slot_len.(p) <- live
 
 (* Is (key, seq) strictly before the cached global minimum? *)
 let beats_cache t key seq =
   if t.cache_where = 0 then begin
-    let ck = t.slot_keys.(t.cache_slot).(t.cache_idx) in
-    key < ck
-    || (Float.equal key ck && seq < t.slot_seqs.(t.cache_slot).(t.cache_idx))
+    let p = t.cache_slot in
+    let h = t.slot_head.(p) in
+    let ck = t.slot_keys.(p).(h) in
+    key < ck || (Float.equal key ck && seq < t.slot_seqs.(p).(h))
   end
   else begin
     let ck = Heap.top_key t.far in
@@ -176,20 +203,33 @@ let push t ~key v =
   end
   else begin
     let p = int_of_float (key /. t.width) land slot_mask in
-    let len = t.slot_len.(p) in
-    if len = Array.length t.slot_keys.(p) then
-      (grow_slot t p ~key ~seq v
+    if t.slot_len.(p) = Array.length t.slot_keys.(p) then
+      (make_room t p ~key ~seq v
       [@alloc_ok "amortized per-slot capacity doubling"]);
-    t.slot_keys.(p).(len) <- key;
-    t.slot_seqs.(p).(len) <- seq;
-    t.slot_vals.(p).(len) <- v;
+    (* decided before the insert can shift the cached slot's head *)
+    let beats = t.cache_where >= 0 && beats_cache t key seq in
+    let keys = t.slot_keys.(p)
+    and seqs = t.slot_seqs.(p)
+    and vals = t.slot_vals.(p) in
+    let head = t.slot_head.(p) and len = t.slot_len.(p) in
+    (* sorted insert from the tail: [seq] is the largest so far, so the new
+       entry goes after every key <= its own and only larger keys shift *)
+    let i = ref len in
+    while !i > head && keys.(!i - 1) > key do
+      keys.(!i) <- keys.(!i - 1);
+      seqs.(!i) <- seqs.(!i - 1);
+      vals.(!i) <- vals.(!i - 1);
+      decr i
+    done;
+    keys.(!i) <- key;
+    seqs.(!i) <- seq;
+    vals.(!i) <- v;
     t.slot_len.(p) <- len + 1;
-    if len = 0 then mark_slot t p;
+    if len = head then mark_slot t p;
     t.wheel_count <- t.wheel_count + 1;
-    if t.cache_where >= 0 && beats_cache t key seq then begin
+    if beats then begin
       t.cache_where <- 0;
-      t.cache_slot <- p;
-      t.cache_idx <- len
+      t.cache_slot <- p
     end
   end
 [@@alloc_free]
@@ -201,27 +241,18 @@ let locate t =
     if t.wheel_count = 0 then t.cache_where <- 1
     else begin
       let p = first_occupied_from t (t.cur land slot_mask) in
-      (* min-scan the slot: entries are unsorted, ties break by seq *)
-      let len = t.slot_len.(p) in
-      let keys = t.slot_keys.(p) and seqs = t.slot_seqs.(p) in
-      let best = ref 0 in
-      for i = 1 to len - 1 do
-        if
-          keys.(i) < keys.(!best)
-          || (Float.equal keys.(i) keys.(!best) && seqs.(i) < seqs.(!best))
-        then best := i
-      done;
-      (* slot minimum vs. heap top: all other slots hold larger keys, so
-         this comparison decides the global minimum *)
+      let h = t.slot_head.(p) in
+      let k = t.slot_keys.(p).(h) in
+      (* slot head vs. heap top: all other slots hold larger keys, so this
+         comparison decides the global minimum *)
       if
         Heap.is_empty t.far
-        || keys.(!best) < Heap.top_key t.far
-        || (Float.equal keys.(!best) (Heap.top_key t.far)
-           && seqs.(!best) < Heap.top_seq t.far)
+        || k < Heap.top_key t.far
+        || (Float.equal k (Heap.top_key t.far)
+           && t.slot_seqs.(p).(h) < Heap.top_seq t.far)
       then begin
         t.cache_where <- 0;
-        t.cache_slot <- p;
-        t.cache_idx <- !best
+        t.cache_slot <- p
       end
       else t.cache_where <- 1
     end
@@ -230,7 +261,8 @@ let locate t =
 
 let top_key t =
   locate t;
-  if t.cache_where = 0 then t.slot_keys.(t.cache_slot).(t.cache_idx)
+  if t.cache_where = 0 then
+    t.slot_keys.(t.cache_slot).(t.slot_head.(t.cache_slot))
   else Heap.top_key t.far
 [@@alloc_free]
 
@@ -249,17 +281,20 @@ let advance_to_key t key =
 let pop_top t =
   locate t;
   if t.cache_where = 0 then begin
-    let p = t.cache_slot and i = t.cache_idx in
-    let v = t.slot_vals.(p).(i) in
-    advance_to_key t t.slot_keys.(p).(i);
-    let last = t.slot_len.(p) - 1 in
-    if i < last then begin
-      t.slot_keys.(p).(i) <- t.slot_keys.(p).(last);
-      t.slot_seqs.(p).(i) <- t.slot_seqs.(p).(last);
-      t.slot_vals.(p).(i) <- t.slot_vals.(p).(last)
-    end;
-    t.slot_len.(p) <- last;
-    if last = 0 then unmark_slot t p;
+    let p = t.cache_slot in
+    let h = t.slot_head.(p) and last = t.slot_len.(p) - 1 in
+    let vals = t.slot_vals.(p) in
+    let v = vals.(h) in
+    advance_to_key t t.slot_keys.(p).(h);
+    (* drop the popped payload (and whatever it keeps alive) by aliasing a
+       live entry, so a drained slot retains at most one value *)
+    vals.(h) <- vals.(last);
+    if h = last then begin
+      t.slot_head.(p) <- 0;
+      t.slot_len.(p) <- 0;
+      unmark_slot t p
+    end
+    else t.slot_head.(p) <- h + 1;
     t.wheel_count <- t.wheel_count - 1;
     t.cache_where <- -1;
     v

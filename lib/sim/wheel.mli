@@ -4,10 +4,12 @@
     Scheduling a near-future event — within [1024 x width] of the cursor,
     which at the default 64 µs slot width is a ~65 ms horizon covering
     packet serialisation times, pacing ticks, and RTT-scale timers — is
-    O(1), and popping costs the occupancy of one slot rather than log of
-    the whole queue.  Events beyond the horizon spill into the heap and
-    migrate implicitly: by the time they are due, the cursor has advanced
-    and they pop straight from the heap.
+    O(1) when it arrives in key order or shares its key with earlier
+    events (a same-instant burst), and popping is O(1): each slot is kept
+    sorted, so its minimum is at its head.  A push that undercuts later
+    keys of its slot shifts only those.  Events beyond the horizon spill
+    into the heap and migrate implicitly: by the time they are due, the
+    cursor has advanced and they pop straight from the heap.
 
     Pop order is the global lexicographic (key, sequence) minimum across
     the slots and the heap, with sequence numbers drawn from one shared

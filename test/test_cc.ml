@@ -171,6 +171,49 @@ let test_fresh_ids_unique () =
   Alcotest.(check int) "fresh engine restarts the namespace" a
     (Engine.fresh_flow_id e2)
 
+(* An idle app-limited flow's tick checks the RTO, finds nothing to send and
+   reschedules itself with the flow's one tick closure.  Building a fresh
+   closure per firing would cost ~18.5 minor words per tick. *)
+let test_idle_tick_allocation () =
+  let e, _, topo, route = make_link () in
+  let _f =
+    Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt:rtt50
+      ~source:Flow.App_limited ()
+  in
+  Engine.run_until e (Time.secs 1.);
+  let before = Gc.minor_words () in
+  (* 1000 ticks of 10 ms *)
+  Engine.run_until e (Time.secs 11.);
+  let per_tick = (Gc.minor_words () -. before) /. 1000. in
+  if per_tick > 14. then
+    Alcotest.failf "idle tick allocates %.2f minor words (max 14)" per_tick
+
+(* The Eq. 2 send/receive rates of a seeded one-flow dumbbell, pinned bit
+   for bit.  The run acks well past 2048 packets, so the rate ring grows
+   through every size and then wraps. *)
+let test_rate_pins () =
+  let e, _, topo, route = make_link () in
+  let f = Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt:rtt50 () in
+  let _cross =
+    Nimbus_traffic.Source.poisson_via topo ~route ~rng:(Rng.create 7)
+      ~rate:(Rate.bps 4e6) ()
+  in
+  let bits r = Int64.bits_of_float (Rate.to_bps r) in
+  List.iter
+    (fun (at, send, recv) ->
+      Engine.run_until e (Time.secs at);
+      let label what = Printf.sprintf "%s rate at %gs" what at in
+      Alcotest.(check int64) (label "send") send (bits (Flow.send_rate f));
+      Alcotest.(check int64) (label "recv") recv (bits (Flow.recv_rate f)))
+    [ (0.5, 0x41807f74612afa60L, 0x41742e30a4924920L);
+      (1., 0x416b2071c71c7510L, 0x4167210d7943611eL);
+      (1.5, 0x4173f516d44aefafL, 0x41735deec4ec511dL);
+      (2., 0x4173335d555557a9L, 0x417386ad0456c9f5L);
+      (3., 0x417312cffffff8ffL, 0x417312cffffff8ffL);
+      (4., 0x4172d7a07c1f00d7L, 0x4172d7a07c1f00d7L) ];
+  Alcotest.(check bool) "acked past two ring lengths" true
+    (Flow.acked_bytes f / 1500 > 2 * 2048)
+
 (* --- individual algorithms ----------------------------------------------- *)
 
 let test_reno_halves_on_loss () =
@@ -406,7 +449,10 @@ let suite =
         Alcotest.test_case "stop" `Quick test_flow_stop;
         Alcotest.test_case "delayed start" `Quick test_delayed_start;
         Alcotest.test_case "two flows share" `Quick test_two_flows_share;
-        Alcotest.test_case "fresh ids" `Quick test_fresh_ids_unique ] );
+        Alcotest.test_case "fresh ids" `Quick test_fresh_ids_unique;
+        Alcotest.test_case "idle tick allocation" `Quick
+          test_idle_tick_allocation;
+        Alcotest.test_case "rate pins" `Quick test_rate_pins ] );
     ( "cc.reno",
       [ Alcotest.test_case "halves on loss" `Quick test_reno_halves_on_loss;
         Alcotest.test_case "slow start" `Quick test_reno_slow_start_doubles;

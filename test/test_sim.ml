@@ -136,6 +136,75 @@ let prop_wheel_matches_heap =
       done;
       !ok && Heap.is_empty h)
 
+let prop_wheel_dense_slots_match_heap =
+  (* the same contract where the one above cannot reach: several distinct
+     keys per slot (offsets below the 1 ms slot width), same-key bursts of
+     100-1000 entries (hundreds of flow ticks on one instant), pushes at
+     [key = now] into the slot being drained, far keys past the horizon,
+     and enough push/pop churn on a slot to make it both compact in place
+     and double *)
+  QCheck.Test.make ~count:60 ~name:"wheel: dense slots pop like the heap"
+    QCheck.(pair (int_range 0 100_000) (int_range 1 300))
+    (fun (seed, nops) ->
+      let rng = Rng.create seed in
+      let w = Wheel.create ~width:1e-3 () in
+      let h = Heap.create () in
+      let now = ref 0. in
+      let next = ref 0 in
+      let ok = ref true in
+      let push key =
+        Wheel.push w ~key !next;
+        Heap.push h ~key !next;
+        incr next
+      in
+      let pop_both () =
+        let wk = Wheel.top_key w and hk = Heap.top_key h in
+        let wv = Wheel.pop_top w and hv = Heap.pop_top h in
+        if not (Float.equal wk hk) || wv <> hv then ok := false;
+        now := hk
+      in
+      for _ = 1 to nops do
+        match Rng.int rng 10 with
+        | 0 ->
+          let key = !now +. (float_of_int (Rng.int rng 8) *. 2.5e-4) in
+          for _ = 1 to 100 + Rng.int rng 901 do
+            push key
+          done
+        | 1 | 2 -> push !now
+        | 3 -> push (!now +. 1.5 +. (float_of_int (Rng.int rng 4) *. 1e-4))
+        | 4 | 5 -> push (!now +. (float_of_int (Rng.int rng 40) *. 1e-4))
+        | _ ->
+          for _ = 1 to 1 + Rng.int rng 200 do
+            if not (Wheel.is_empty w) then pop_both ()
+          done
+      done;
+      while not (Wheel.is_empty w) do
+        pop_both ()
+      done;
+      !ok && Heap.is_empty h)
+
+let test_wheel_same_instant_burst () =
+  (* 1000 events on one instant, with earlier and later keys of the same
+     64 us slot pushed in between: pops come out in (key, push order) *)
+  let w = Wheel.create () in
+  let t0 = 0.03 in
+  let pushed = ref [] and n = ref 0 in
+  let push key =
+    Wheel.push w ~key !n;
+    pushed := (key, !n) :: !pushed;
+    incr n
+  in
+  for i = 0 to 999 do
+    push t0;
+    if i mod 50 = 0 then push (t0 -. (float_of_int (i / 50 + 1) *. 1e-6));
+    if i mod 70 = 0 then push (t0 +. (float_of_int (i / 70 + 1) *. 1e-6))
+  done;
+  let expected = List.map snd (List.sort compare !pushed) in
+  let rec drain acc =
+    if Wheel.is_empty w then List.rev acc else drain (Wheel.pop_top w :: acc)
+  in
+  Alcotest.(check (list int)) "(key, seq) order" expected (drain [])
+
 (* --- engine -------------------------------------------------------------- *)
 
 let test_engine_ordering () =
@@ -421,7 +490,10 @@ let suite =
         Alcotest.test_case "fifo across spill" `Quick
           test_wheel_fifo_across_spill;
         Alcotest.test_case "wraparound" `Quick test_wheel_wraparound;
-        qtest prop_wheel_matches_heap ] );
+        Alcotest.test_case "same-instant burst" `Quick
+          test_wheel_same_instant_burst;
+        qtest prop_wheel_matches_heap;
+        qtest prop_wheel_dense_slots_match_heap ] );
     ( "sim.engine",
       [ Alcotest.test_case "ordering" `Quick test_engine_ordering;
         Alcotest.test_case "horizon" `Quick test_engine_horizon;

@@ -308,6 +308,10 @@ let test_droptail_never_marks () =
 
 (* --- parking lot at acceptance scale --------------------------------------- *)
 
+(* Per-link offered / delivered / drops and the fabric's injected and
+   completed packets, pinned.  The 998 Cubic cross-flows tick in lockstep,
+   so hundreds of events land on one instant twice every 10 ms: this is the
+   tier-1 byte-identity oracle for that burst pattern in the event queue. *)
 let test_parking_lot_scale () =
   let p = E.Exp_parking_lot.scaled_params ~links:3 ~flows:1000 ~duration:2. () in
   let o = E.Exp_parking_lot.run_custom p in
@@ -315,10 +319,36 @@ let test_parking_lot_scale () =
     (o.E.Exp_parking_lot.flows >= 1000);
   Alcotest.(check int) "per-link + fabric conservation clean" 0
     o.E.Exp_parking_lot.violations;
-  Alcotest.(check bool) "traffic actually flowed" true
-    (o.E.Exp_parking_lot.delivered > 0);
-  Alcotest.(check int) "two tables" 2
-    (List.length o.E.Exp_parking_lot.tables)
+  let per_link, fabric =
+    match o.E.Exp_parking_lot.tables with
+    | [ per_link; fabric ] -> (per_link, fabric)
+    | ts -> Alcotest.failf "expected two tables, got %d" (List.length ts)
+  in
+  let column (t : E.Table.t) name =
+    let rec index i = function
+      | [] -> Alcotest.failf "no column %s" name
+      | h :: rest -> if h = name then i else index (i + 1) rest
+    in
+    let i = index 0 t.header in
+    List.map (fun row -> List.nth row i) t.rows
+  in
+  Alcotest.(check (list string)) "links"
+    [ "n0->n1"; "n1->n2"; "n2->n3" ] (column per_link "link");
+  Alcotest.(check (list string)) "offered" [ "14737"; "17134"; "7485" ]
+    (column per_link "offered");
+  Alcotest.(check (list string)) "delivered" [ "7999"; "7992"; "7453" ]
+    (column per_link "delivered");
+  Alcotest.(check (list string)) "drops" [ "6366"; "8743"; "0" ]
+    (column per_link "drops");
+  Alcotest.(check int) "delivered, all links" 23444
+    o.E.Exp_parking_lot.delivered;
+  let metric name =
+    match List.find_opt (fun row -> List.hd row = name) fabric.rows with
+    | Some [ _; v ] -> v
+    | _ -> Alcotest.failf "no fabric row %s" name
+  in
+  Alcotest.(check string) "injected" "29987" (metric "injected pkts");
+  Alcotest.(check string) "completed" "14051" (metric "completed pkts")
 
 let test_parking_lot_registered () =
   Alcotest.(check bool) "parking_lot is in the registry" true
