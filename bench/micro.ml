@@ -1,5 +1,5 @@
 (* Bechamel micro-benchmarks of the primitives every experiment leans on:
-   the FFT plan kernels, the reusable-state spectrum pipeline, the Goertzel
+   the FFT plan kernels, the one-shot spectrum pipeline, the Goertzel
    single-bin filter, the elasticity detector tick, the ẑ estimator,
    event-queue churn, and one simulated
    packet-second of a Cubic flow.  Each benchmark is measured against both
@@ -33,14 +33,14 @@ let fft_plan n =
          Array.fill buf.Nimbus_dsp.Cbuf.im 0 n 0.;
          Nimbus_dsp.Fft.Plan.execute plan buf))
 
-let spectrum_analyze_into_500 =
+(* one-shot analysis: window table, buffer and plan are built per run *)
+let spectrum_analyze_500 =
   let xs = signal 500 in
-  let st =
-    Nimbus_dsp.Spectrum.create_state ~window:Nimbus_dsp.Window.Hann
-      ~detrend:`Linear ~n:500 ~sample_rate:(Units.Freq.hz 100.) ()
-  in
-  Test.make ~name:"spectrum.analyze_into.500"
-    (Staged.stage (fun () -> ignore (Nimbus_dsp.Spectrum.analyze_into st xs)))
+  Test.make ~name:"spectrum.analyze.500"
+    (Staged.stage (fun () ->
+         ignore
+           (Nimbus_dsp.Spectrum.analyze ~window:Nimbus_dsp.Window.Hann
+              ~detrend:`Linear ~sample_rate:(Units.Freq.hz 100.) xs)))
 
 let goertzel_500 =
   let xs = signal 500 in
@@ -67,19 +67,8 @@ let elasticity_eta =
          Nimbus_core.Elasticity.add_sample det 0.1;
          ignore (Nimbus_core.Elasticity.eta det ~freq:(Units.Freq.hz 5.))))
 
-(* the same tick under its leaderboard name, so the JSON trajectory carries
-   an explicitly-streaming entry alongside the historical elasticity.eta.500
-   (which measured the Plan-FFT path before the sliding bank existed) *)
-let elasticity_eta_streaming =
-  let det = filled_detector () in
-  ignore (Nimbus_core.Elasticity.eta det ~freq:(Units.Freq.hz 5.));
-  Test.make ~name:"elasticity.eta.streaming.500"
-    (Staged.stage (fun () ->
-         Nimbus_core.Elasticity.add_sample det 0.1;
-         ignore (Nimbus_core.Elasticity.eta det ~freq:(Units.Freq.hz 5.))))
-
-(* the same tick forced down the full Plan-FFT reference path — the cost
-   every eta readout used to pay, kept for the old-vs-new delta table *)
+(* the same tick forced down the one-shot FFT reference path
+   ([eta_reference]), kept for the old-vs-new delta table *)
 let elasticity_eta_fft =
   let det = filled_detector () in
   Test.make ~name:"elasticity.eta.fft.500"
@@ -188,8 +177,8 @@ let nimbus_tick ~traced =
 
 let benchmarks =
   Test.make_grouped ~name:"nimbus"
-    [ fft_plan 500; fft_plan 512; spectrum_analyze_into_500; goertzel_500;
-      elasticity_eta; elasticity_eta_streaming; elasticity_eta_fft; z_estimate;
+    [ fft_plan 500; fft_plan 512; spectrum_analyze_500; goertzel_500;
+      elasticity_eta; elasticity_eta_fft; z_estimate;
       event_queue; event_burst; sim_packet_second; nimbus_tick ~traced:false;
       nimbus_tick ~traced:true ]
 

@@ -37,11 +37,3 @@ type t = {
   cwnd : unit -> Units.Bytes.t;
   pacing_rate : unit -> Units.Rate.t option;
 }
-
-let unconstrained ~name =
-  { name;
-    on_ack = (fun _ -> ());
-    on_loss = (fun _ -> ());
-    on_tick = None;
-    cwnd = (fun () -> Units.Bytes.bytes infinity);
-    pacing_rate = (fun () -> None) }

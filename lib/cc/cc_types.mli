@@ -59,6 +59,3 @@ type t = {
       (** [Some r] paces transmissions at [r]; [None] relies on pure ACK
           clocking against the window *)
 }
-
-(** A controller that never restricts sending; used by raw traffic sources. *)
-val unconstrained : name:string -> t

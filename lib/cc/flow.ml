@@ -108,8 +108,6 @@ let completion_time t = Option.map Time.secs t.completion_time
 
 let start_time t = Time.secs t.start_time
 
-let cc_name t = t.cc.Cc_types.name
-
 let supply t bytes =
   match t.source with
   | App_limited -> t.supplied_bytes <- t.supplied_bytes + bytes

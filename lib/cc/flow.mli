@@ -120,6 +120,3 @@ val completion_time : t -> Units.Time.t option
 
 (** [start_time t]. *)
 val start_time : t -> Units.Time.t
-
-(** [cc_name t]. *)
-val cc_name : t -> string

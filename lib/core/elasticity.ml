@@ -28,13 +28,6 @@ type t = {
   band_guard_hz : float;
   taper : Nimbus_dsp.Window.kind;
   detrend : Spectrum.detrend;
-  scratch : float array; (* chronological window copy fed to the analyzer *)
-  spec_state : Spectrum.state;
-  (* the spectrum is recomputed lazily, at most once per new sample;
-     [analyze_into] always returns the same physical record, so the [Some]
-     cell is allocated once and reused *)
-  mutable cached_spectrum : Spectrum.t option;
-  mutable dirty : bool;
   (* Streaming η: a sliding-DFT bank tuned to one pulse frequency — slot 0
      is the peak bin, slots 1.. the comparison band — built lazily on the
      first η evaluation at that frequency (the FFT fallback) and re-tuned
@@ -64,13 +57,7 @@ let create ?(sample_interval = Time.ms 10.) ?(window = Time.secs 5.0)
   let n = int_of_float (Float.round (window /. sample_interval)) in
   let sample_rate = 1. /. sample_interval in
   { ring = Ring.create n; sample_rate; eta_thresh; band_guard_hz; taper;
-    detrend;
-    scratch = Array.make n 0.;
-    spec_state =
-      Spectrum.create_state ~window:taper ~detrend ~n
-        ~sample_rate:(Freq.hz sample_rate) ();
-    cached_spectrum = None; dirty = true;
-    bank = None; tuned = [| nan |];
+    detrend; bank = None; tuned = [| nan |];
     watch = None; watch_bank = None; watch_gain = [| nan |] }
 
 let add_sample t z =
@@ -80,27 +67,26 @@ let add_sample t z =
     else z
   in
   Ring.push t.ring z;
-  t.dirty <- true;
   (match t.bank with Some bank -> Bank.push bank z | None -> ());
   match t.watch_bank with Some bank -> Bank.push bank z | None -> ()
 
 let ready t = Ring.is_full t.ring
 
+(* A chronological copy of the window.  Cold path: only spectra and bank
+   loads read the whole window. *)
+let window_copy t =
+  let xs = Array.make (Ring.capacity t.ring) 0. in
+  Ring.blit_to t.ring xs;
+  xs
+
 let spectrum t =
   if not (ready t) then None
-  else begin
-    if t.dirty then begin
-      Ring.blit_to t.ring t.scratch;
-      let s = Spectrum.analyze_into t.spec_state t.scratch in
-      (match t.cached_spectrum with
-      | Some _ -> () (* [s] is the same record the option already holds *)
-      | None -> t.cached_spectrum <- Some s);
-      t.dirty <- false
-    end;
-    t.cached_spectrum
-  end
+  else
+    Some
+      (Spectrum.analyze ~window:t.taper ~detrend:t.detrend
+         ~sample_rate:(Freq.hz t.sample_rate) (window_copy t))
 
-(* Reference η: the full Plan-FFT evaluation of Eq. 3 over the window. *)
+(* Reference η: the one-shot FFT evaluation of Eq. 3 over the window. *)
 let eta_fft t freq =
   match spectrum t with
   | None -> nan
@@ -142,8 +128,7 @@ let load_bank t ~tones ~lo ~hi =
   let bank =
     Bank.create ~window:n ~taper:t.taper ~detrend:t.detrend ~bins ()
   in
-  Ring.blit_to t.ring t.scratch;
-  Bank.load bank t.scratch;
+  Bank.load bank (window_copy t);
   bank
 
 (* (Re)tune the η bank to pulse frequency [freq]: the peak bin, then the

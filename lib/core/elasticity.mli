@@ -59,12 +59,13 @@ val ready : t -> bool
     ({!Nimbus_dsp.Goertzel.Bank}) tracks the peak bin and the comparison
     band incrementally as samples arrive.  The first evaluation at a given
     frequency — and any evaluation after the frequency changes, i.e. a mode
-    transition — answers from the full Plan-FFT path and re-tunes the bank.
+    transition — answers from a one-shot FFT
+    ({!Nimbus_dsp.Spectrum.analyze}) and re-tunes the bank.
     The two paths agree to floating-point rounding (QCheck-gated, see
     {!eta_reference}). *)
 val eta : t -> freq:Units.Freq.t -> float
 
-(** [eta_reference t ~freq] is Eq. 3 evaluated via the full Plan-FFT path,
+(** [eta_reference t ~freq] is Eq. 3 evaluated via the one-shot FFT,
     bypassing the streaming bank — the agreement oracle for tests and
     diagnostics. *)
 val eta_reference : t -> freq:Units.Freq.t -> float
@@ -72,9 +73,10 @@ val eta_reference : t -> freq:Units.Freq.t -> float
 (** [classify t ~freq] applies the threshold rule; [None] until {!ready}. *)
 val classify : t -> freq:Units.Freq.t -> verdict option
 
-(** [spectrum t] is the current amplitude spectrum of the window (mean
-    removed), for diagnostics and the Fig. 5 reproduction; [None] until
-    {!ready}. *)
+(** [spectrum t] is the amplitude spectrum of the current window, tapered
+    and detrended as the detector's, for diagnostics and the Fig. 5
+    reproduction; [None] until {!ready}.  Each call computes a fresh
+    spectrum; the detector keeps no FFT state. *)
 val spectrum : t -> Nimbus_dsp.Spectrum.t option
 
 (** [peak_amplitude t ~freq] is the spectrum amplitude at [freq]; [nan]

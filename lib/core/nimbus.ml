@@ -142,13 +142,6 @@ let role_to_string = function
   | Pulser -> "pulser"
   | Watcher -> "watcher"
 
-let evidence_to_string = function
-  | Ev_eta eta -> Printf.sprintf "eta=%.3g" eta
-  | Ev_pulser_heard m -> "pulser-heard:" ^ mode_to_string m
-  | Ev_pulser_quiet -> "pulser-quiet"
-  | Ev_pulser_lost -> "pulser-lost"
-  | Ev_elected -> "elected"
-
 module Config = struct
   type nonrec t = {
     mu : Z_estimator.Mu.t;
@@ -609,8 +602,6 @@ let recent_tone_alive t =
        in
        (not (Float.is_nan own)) && own >= mu_floor && amp >= 0.025 *. own
      end
-
-let tone_level t = Rate.bps (tone_level_bps t)
 
 let orphaned t ~now =
   (not (Float.is_nan t.tone_heard_at))

@@ -183,12 +183,6 @@ val last_eta : t -> float
 (** [last_z t] — most recent ẑ sample; {!Units.Rate.unknown} before any. *)
 val last_z : t -> Units.Rate.t
 
-(** [tone_level t] — oscillation amplitude of the fast pulse keep-alive
-    probe (a sliding DFT of the trailing ~1 s of the receive rate,
-    the louder of the two mode frequencies); {!Units.Rate.unknown} until the
-    probe window fills. *)
-val tone_level : t -> Units.Rate.t
-
 (** [base_rate t] — inner controller rate before pulse modulation. *)
 val base_rate : t -> Units.Rate.t
 
@@ -203,4 +197,3 @@ val mode_to_string : mode -> string
 
 val role_to_string : role -> string
 
-val evidence_to_string : evidence -> string

@@ -12,10 +12,6 @@ let of_real xs =
 
 let copy b = { re = Array.copy b.re; im = Array.copy b.im }
 
-let fill_zero b =
-  Array.fill b.re 0 (Array.length b.re) 0.;
-  Array.fill b.im 0 (Array.length b.im) 0.
-
 let get b i = (b.re.(i), b.im.(i))
 
 let set b i re im =
@@ -30,8 +26,6 @@ let mul b i re im =
 [@@alloc_free]
 
 let magnitude b i = Float.hypot b.re.(i) b.im.(i)
-
-let magnitudes b = Array.init (length b) (fun i -> magnitude b i)
 
 let scale b k =
   for i = 0 to length b - 1 do

@@ -20,9 +20,6 @@ val of_real : float array -> t
 (** [copy b] is a deep copy of [b]. *)
 val copy : t -> t
 
-(** [fill_zero b] resets every slot of [b] to [0 + 0i]. *)
-val fill_zero : t -> unit
-
 (** [get b i] is the [i]-th complex value as a [(re, im)] pair. *)
 val get : t -> int -> float * float
 
@@ -34,9 +31,6 @@ val mul : t -> int -> float -> float -> unit
 
 (** [magnitude b i] is [|b.(i)|]. *)
 val magnitude : t -> int -> float
-
-(** [magnitudes b] is the array of moduli of all slots. *)
-val magnitudes : t -> float array
 
 (** [scale b k] multiplies every slot by the real scalar [k]. *)
 val scale : t -> float -> unit

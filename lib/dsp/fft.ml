@@ -17,9 +17,9 @@ let pi = 4.0 *. atan 1.0
 module Plan = struct
   (* Precomputed tables for one power-of-two size: the bit-reversal
      permutation and every stage's twiddle factors (forward convention;
-     the inverse conjugates at use).  Stage [len = 2^s] stores its
-     [half = len/2] twiddles at offset [half - 1], so the flat arrays hold
-     exactly [n - 1] entries. *)
+     Bluestein's inner inverse transform conjugates them at use).  Stage
+     [len = 2^s] stores its [half = len/2] twiddles at offset [half - 1], so
+     the flat arrays hold exactly [n - 1] entries. *)
   type pow2 = {
     p_n : int;
     bitrev : int array;
@@ -29,10 +29,9 @@ module Plan = struct
 
   type bluestein_tables = {
     m_plan : pow2;              (* inner power-of-two plan, size m >= 2n-1 *)
-    chirp_re : float array;     (* forward chirp exp(-i·pi·q/n), length n *)
+    chirp_re : float array;     (* chirp exp(-i·pi·q/n), length n *)
     chirp_im : float array;
-    filt_fwd : Cbuf.t;          (* FFT of the chirp filter, forward variant *)
-    filt_inv : Cbuf.t;          (* same for the inverse transform *)
+    filt : Cbuf.t;              (* FFT of the chirp filter conj(chirp) *)
     scratch : Cbuf.t;           (* length m, reused by every execute *)
   }
 
@@ -131,21 +130,16 @@ module Plan = struct
       chirp_re.(i) <- cos theta;
       chirp_im.(i) <- sin theta
     done;
-    (* Chirp filter spectra.  The forward transform convolves with
-       conj(chirp); the inverse transform's chirp is conj(chirp), so its
-       filter is the chirp itself. *)
-    let filter im_sign =
-      let c = Cbuf.create m in
-      Cbuf.set c 0 chirp_re.(0) (im_sign *. chirp_im.(0));
-      for i = 1 to n - 1 do
-        Cbuf.set c i chirp_re.(i) (im_sign *. chirp_im.(i));
-        Cbuf.set c (m - i) chirp_re.(i) (im_sign *. chirp_im.(i))
-      done;
-      exec_pow2 m_plan ~inverse:false c;
-      c
-    in
-    { m_plan; chirp_re; chirp_im; filt_fwd = filter (-1.); filt_inv = filter 1.;
-      scratch = Cbuf.create m }
+    (* The transform convolves with conj(chirp); store that filter's
+       spectrum. *)
+    let filt = Cbuf.create m in
+    Cbuf.set filt 0 chirp_re.(0) (-.chirp_im.(0));
+    for i = 1 to n - 1 do
+      Cbuf.set filt i chirp_re.(i) (-.chirp_im.(i));
+      Cbuf.set filt (m - i) chirp_re.(i) (-.chirp_im.(i))
+    done;
+    exec_pow2 m_plan ~inverse:false filt;
+    { m_plan; chirp_re; chirp_im; filt; scratch = Cbuf.create m }
 
   let create n =
     if n <= 0 then invalid_arg "Fft.Plan.create: size must be positive";
@@ -156,9 +150,7 @@ module Plan = struct
 
   let size t = t.n
 
-  let exec_bluestein bt ~inverse n (b : Cbuf.t) =
-    (* the inverse chirp is the conjugate of the stored forward chirp *)
-    let csign = if inverse then -1.0 else 1.0 in
+  let exec_bluestein bt n (b : Cbuf.t) =
     let chirp_re = bt.chirp_re and chirp_im = bt.chirp_im in
     let a = bt.scratch in
     let m = Cbuf.length a in
@@ -168,13 +160,12 @@ module Plan = struct
     Array.fill aim 0 m 0.;
     for i = 0 to n - 1 do
       let xr = bre.(i) and xi = bim.(i) in
-      let cr = chirp_re.(i) and ci = csign *. chirp_im.(i) in
+      let cr = chirp_re.(i) and ci = chirp_im.(i) in
       are.(i) <- (xr *. cr) -. (xi *. ci);
       aim.(i) <- (xr *. ci) +. (xi *. cr)
     done;
     exec_pow2 bt.m_plan ~inverse:false a;
-    let filt = if inverse then bt.filt_inv else bt.filt_fwd in
-    let fre = filt.Cbuf.re and fim = filt.Cbuf.im in
+    let fre = bt.filt.Cbuf.re and fim = bt.filt.Cbuf.im in
     for i = 0 to m - 1 do
       let ar = are.(i) and ai = aim.(i) in
       are.(i) <- (ar *. fre.(i)) -. (ai *. fim.(i));
@@ -183,46 +174,34 @@ module Plan = struct
     exec_pow2 bt.m_plan ~inverse:true a;
     for i = 0 to n - 1 do
       let ar = are.(i) and ai = aim.(i) in
-      let cr = chirp_re.(i) and ci = csign *. chirp_im.(i) in
+      let cr = chirp_re.(i) and ci = chirp_im.(i) in
       bre.(i) <- (ar *. cr) -. (ai *. ci);
       bim.(i) <- (ar *. ci) +. (ai *. cr)
-    done;
-    if inverse then Cbuf.scale b (1.0 /. float_of_int n)
+    done
   [@@alloc_free]
 
-  let execute ?(inverse = false) t (b : Cbuf.t) =
+  let execute t (b : Cbuf.t) =
     if Cbuf.length b <> t.n then
       invalid_arg "Fft.Plan.execute: buffer length does not match plan size";
     Nimbus_trace.Span.enter Fft;
     (match t.kind with
-    | Pow2 p -> exec_pow2 p ~inverse b
-    | Bluestein bt -> exec_bluestein bt ~inverse t.n b);
+    | Pow2 p -> exec_pow2 p ~inverse:false b
+    | Bluestein bt -> exec_bluestein bt t.n b);
     Nimbus_trace.Span.leave Fft
   [@@alloc_free]
 end
 
-let dft ?(inverse = false) (b : Cbuf.t) =
+let dft (b : Cbuf.t) =
   let n = Cbuf.length b in
-  let sign = if inverse then 1.0 else -1.0 in
   let out = Cbuf.create n in
   for k = 0 to n - 1 do
     let sum_re = ref 0.0 and sum_im = ref 0.0 in
     for i = 0 to n - 1 do
-      let theta = sign *. 2.0 *. pi *. float_of_int (k * i) /. float_of_int n in
+      let theta = -2.0 *. pi *. float_of_int (k * i) /. float_of_int n in
       let wr = cos theta and wi = sin theta in
       sum_re := !sum_re +. ((b.Cbuf.re.(i) *. wr) -. (b.Cbuf.im.(i) *. wi));
       sum_im := !sum_im +. ((b.Cbuf.re.(i) *. wi) +. (b.Cbuf.im.(i) *. wr))
     done;
     Cbuf.set out k !sum_re !sum_im
   done;
-  if inverse then Cbuf.scale out (1.0 /. float_of_int n);
   out
-
-let real_amplitudes xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let spec = Cbuf.of_real xs in
-    Plan.execute (Plan.create n) spec;
-    Array.init ((n / 2) + 1) (fun k -> Cbuf.magnitude spec k)
-  end

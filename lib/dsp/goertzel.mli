@@ -9,14 +9,14 @@
 val power : float array -> sample_rate:Units.Freq.t -> freq:float -> float
 
 (** [magnitude xs ~sample_rate ~freq] is [sqrt (power xs ~sample_rate ~freq)],
-    directly comparable with the moduli returned by {!Fft.real_amplitudes}
-    when [freq] is an exact bin. *)
+    directly comparable with the amplitudes of {!Spectrum.analyze} (no
+    detrend, rectangular window) when [freq] is an exact bin. *)
 val magnitude :
   float array -> sample_rate:Units.Freq.t -> freq:float -> float
 
 (** A bank of sliding-DFT recurrences tracking a fixed set of DFT bins of
     the {e windowed, detrended} signal — the amplitudes agree with
-    {!Spectrum.analyze_into} over the same window, taper, and detrend mode
+    {!Spectrum.analyze} over the same window, taper, and detrend mode
     to floating-point rounding (periodic in-place resynchronisation bounds
     recurrence drift).  A push is O(bins) and an amplitude readout is O(1)
     in the window size: this is what makes the elasticity detector's
@@ -27,7 +27,7 @@ module Bank : sig
   (** [create ~window ~taper ~detrend ~bins ()] tracks the DFT bins [bins]
       (indices into the length-[window] DFT, each in [[0, window/2]]) of
       the last [window] samples, tapered and detrended exactly as
-      {!Spectrum.create_state} with the same parameters.  Cost per push:
+      {!Spectrum.analyze} with the same parameters.  Cost per push:
       [2*order + 1] complex recurrences per bin (order 0 rectangular,
       1 Hann/Hamming, 2 Blackman).
       @raise Invalid_argument if [window <= 0] or a bin is out of range. *)
@@ -59,7 +59,7 @@ module Bank : sig
   val bin : t -> int -> int
 
   (** [amplitude t slot] is the current [|X_k|] of the bin at [slot],
-      matching [Spectrum.analyze_into]'s amplitude for the same bin up to
+      matching [Spectrum.analyze]'s amplitude for the same bin up to
       rounding. Allocation-free. *)
   val amplitude : t -> int -> float
 

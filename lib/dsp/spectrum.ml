@@ -10,40 +10,17 @@ type detrend =
   | `Linear
   ]
 
-type state = {
-  st_n : int;
-  st_detrend : detrend;
-  coeffs : float array;
-  buf : Cbuf.t;
-  plan : Fft.Plan.t;
-  result : t;
-}
-
-let create_state ?(window = Window.Rectangular) ?(detrend = `Mean) ~n
-    ~sample_rate () =
+let analyze ?(window = Window.Rectangular) ?(detrend = `Mean) ~sample_rate xs
+    =
+  let n = Array.length xs in
   let rate = Units.Freq.to_hz sample_rate in
-  if n <= 0 then invalid_arg "Spectrum.create_state: n <= 0";
-  if rate <= 0. then invalid_arg "Spectrum.create_state: sample_rate <= 0";
-  {
-    st_n = n;
-    st_detrend = detrend;
-    coeffs = Window.coefficients window n;
-    buf = Cbuf.create n;
-    plan = Fft.Plan.create n;
-    result = { amplitudes = Array.make ((n / 2) + 1) 0.; sample_rate = rate; n };
-  }
-
-let state_size st = st.st_n
-
-let analyze_into st xs =
-  let n = st.st_n in
-  if Array.length xs <> n then
-    invalid_arg "Spectrum.analyze_into: signal length <> state size";
+  if n = 0 then invalid_arg "Spectrum.analyze: empty signal";
+  if rate <= 0. then invalid_arg "Spectrum.analyze: sample_rate <= 0";
   Nimbus_trace.Span.enter Spectrum;
   (* The detrended sample is xs.(i) - intercept - slope*i; computing the two
      coefficients first lets the fill loop below run without a scratch copy. *)
   let intercept = ref 0. and slope = ref 0. in
-  (match st.st_detrend with
+  (match detrend with
   | `None -> ()
   | `Mean ->
       let s = ref 0. in
@@ -75,20 +52,19 @@ let analyze_into st xs =
         intercept := (!sy -. (!slope *. sx)) /. nf
       end);
   let b = !intercept and a = !slope in
-  let re = st.buf.Cbuf.re and im = st.buf.Cbuf.im in
-  let coeffs = st.coeffs in
+  let coeffs = Window.coefficients window n in
+  let buf = Cbuf.create n in
+  let re = buf.Cbuf.re and im = buf.Cbuf.im in
   for i = 0 to n - 1 do
-    re.(i) <- (xs.(i) -. b -. (a *. float_of_int i)) *. coeffs.(i);
-    im.(i) <- 0.
+    re.(i) <- (xs.(i) -. b -. (a *. float_of_int i)) *. coeffs.(i)
   done;
-  Fft.Plan.execute st.plan st.buf;
-  let amps = st.result.amplitudes in
+  Fft.Plan.execute (Fft.Plan.create n) buf;
+  let amplitudes = Array.make ((n / 2) + 1) 0. in
   for k = 0 to n / 2 do
-    amps.(k) <- Float.hypot re.(k) im.(k)
+    amplitudes.(k) <- Float.hypot re.(k) im.(k)
   done;
   Nimbus_trace.Span.leave Spectrum;
-  st.result
-[@@alloc_free]
+  { amplitudes; sample_rate = rate; n }
 
 let bin_width s = s.sample_rate /. float_of_int s.n
 

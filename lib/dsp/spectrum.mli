@@ -19,36 +19,20 @@ type detrend =
                  rate mid-transition *)
   ]
 
-(** Reusable analysis state for a fixed signal length.
-
-    A [state] preallocates everything an analysis needs — the window
-    coefficients, the complex FFT buffer, the {!Fft.Plan.t}, and the result
-    record with its amplitude array — so that {!analyze_into} runs without
-    heap allocation.  A state owns mutable scratch: do not share one
-    between domains, and note that the [t] returned by {!analyze_into} aliases
-    the state's amplitude array (it is overwritten by the next call). *)
-type state
-
-(** [create_state ?window ?detrend ~n ~sample_rate ()] builds reusable state
-    for signals of exactly [n] samples.  [window] defaults to rectangular,
-    [detrend] to [`Mean].
-    @raise Invalid_argument if [n <= 0] or the rate is non-positive. *)
-val create_state :
+(** [analyze ?window ?detrend ~sample_rate xs] is the spectrum of [xs]:
+    detrended, tapered by [window], transformed through a fresh
+    {!Fft.Plan.t}, and read as [|X(k)|] for [k] in [0 .. n/2].  [window]
+    defaults to rectangular, [detrend] to [`Mean].  Each call builds its own
+    window table, buffer and plan, so the result is fresh and nothing is
+    shared between calls or domains.  Steady readouts of a sliding window
+    stream from a {!Goertzel.Bank} instead.
+    @raise Invalid_argument if [xs] is empty or the rate is non-positive. *)
+val analyze :
   ?window:Window.kind ->
   ?detrend:detrend ->
-  n:int ->
   sample_rate:Units.Freq.t ->
-  unit ->
-  state
-
-(** [state_size st] is the signal length [st] was built for. *)
-val state_size : state -> int
-
-(** [analyze_into st xs] computes the spectrum of [xs] into [st]'s reused
-    buffers.  The returned [t] is valid until the next [analyze_into] on the
-    same state.
-    @raise Invalid_argument if [Array.length xs <> state_size st]. *)
-val analyze_into : state -> float array -> t
+  float array ->
+  t
 
 (** [bin_width s] is the frequency spacing between adjacent bins, in Hz. *)
 val bin_width : t -> float

@@ -11,18 +11,21 @@ let coefficients kind n =
   else if n = 1 then [| 1.0 |]
   else begin
     let denom = float_of_int (n - 1) in
-    let at i =
+    (* filled in place: a float [Array.init] boxes each element on return *)
+    let w = Array.make n 1.0 in
+    for i = 0 to n - 1 do
       let x = float_of_int i /. denom in
-      match kind with
-      | Rectangular -> 1.0
-      | Hann -> 0.5 *. (1.0 -. cos (2.0 *. pi *. x))
-      | Hamming -> 0.54 -. (0.46 *. cos (2.0 *. pi *. x))
-      | Blackman ->
-        0.42
-        -. (0.5 *. cos (2.0 *. pi *. x))
-        +. (0.08 *. cos (4.0 *. pi *. x))
-    in
-    Array.init n at
+      w.(i) <-
+        (match kind with
+         | Rectangular -> 1.0
+         | Hann -> 0.5 *. (1.0 -. cos (2.0 *. pi *. x))
+         | Hamming -> 0.54 -. (0.46 *. cos (2.0 *. pi *. x))
+         | Blackman ->
+           0.42
+           -. (0.5 *. cos (2.0 *. pi *. x))
+           +. (0.08 *. cos (4.0 *. pi *. x)))
+    done;
+    w
   end
 
 let apply kind xs =

@@ -73,10 +73,7 @@ let run_case (p : Common.profile) ~elastic =
     float_of_int !best *. 0.01
   in
   let spectrum =
-    Spectrum.analyze_into
-      (Spectrum.create_state ~detrend:`Linear ~n:(Array.length z)
-         ~sample_rate:(Freq.hz 100.) ())
-      z
+    Spectrum.analyze ~detrend:`Linear ~sample_rate:(Freq.hz 100.) z
   in
   let eta = Nimbus.last_eta nim in
   (min_corr, min_lag, spectrum, eta)

@@ -40,8 +40,6 @@ let drop t =
   if lost then t.dropped <- t.dropped + 1;
   lost
 
-let in_bad t = t.bad
-
 let offered t = t.offered
 
 let dropped t = t.dropped

@@ -32,9 +32,6 @@ val create :
 (** [drop t] decides one packet's fate and advances the chain. *)
 val drop : t -> bool
 
-(** [in_bad t] is the current chain state. *)
-val in_bad : t -> bool
-
 (** [offered t] / [dropped t] — cumulative decision counts. *)
 val offered : t -> int
 

@@ -8,17 +8,14 @@ type t = {
   mutable enqueued_at : Time.t;
   mutable dequeued_at : Time.t;
   retransmission : bool;
-  mutable hop : int;
   mutable ecn : bool;
 }
 
 let default_data_size = 1500
 
-let ack_size = 40
-
 let make ~flow ~seq ~size ~now ?(retransmission = false) () =
   { flow; seq; size; sent_at = now; enqueued_at = Time.unknown;
-    dequeued_at = Time.unknown; retransmission; hop = 0; ecn = false }
+    dequeued_at = Time.unknown; retransmission; ecn = false }
 
 let queueing_delay p =
   if not (Time.is_known p.dequeued_at) then Time.unknown

@@ -19,23 +19,16 @@ type t = {
       (** finished serialisation at the bottleneck; [Time.unknown] until
           then *)
   retransmission : bool;
-  mutable hop : int;
-      (** index of the route link the packet is on (or has reached), for
-          multi-hop topologies; starts at [0] and is advanced by the
-          forwarding layer. Single-bottleneck wiring leaves it at [0]. *)
   mutable ecn : bool;
       (** congestion-experienced mark — set by an ECN-enabled AQM instead
           of dropping. Cleared at creation; never cleared in flight. *)
 }
 
-(** Conventional sizes, in bytes. *)
+(** Conventional data packet size, in bytes. *)
 val default_data_size : int
 
-val ack_size : int
-
 (** [make ~flow ~seq ~size ~now ?retransmission ()] is a fresh packet with
-    [sent_at = now], unset downstream timestamps, [hop = 0] and no ECN
-    mark. *)
+    [sent_at = now], unset downstream timestamps and no ECN mark. *)
 val make :
   flow:int ->
   seq:int ->

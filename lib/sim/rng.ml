@@ -48,11 +48,3 @@ let pareto t ~shape ~scale =
   if shape <= 0. || scale <= 0. then invalid_arg "Rng.pareto: non-positive parameter";
   let u = 1.0 -. uniform t in
   scale /. (u ** (1.0 /. shape))
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

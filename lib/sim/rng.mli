@@ -45,6 +45,3 @@ val lognormal : t -> mu:float -> sigma:float -> float
 (** [pareto t ~shape ~scale] samples a Pareto( shape ) with minimum [scale];
     heavy-tailed for [shape <= 2]. *)
 val pareto : t -> shape:float -> scale:float -> float
-
-(** [shuffle t a] permutes [a] in place (Fisher–Yates). *)
-val shuffle : t -> 'a array -> unit

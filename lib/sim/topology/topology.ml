@@ -78,8 +78,6 @@ let add_node t name =
   t.nodes_rev <- n :: t.nodes_rev;
   n
 
-let node_name n = n.name
-
 let nodes t = List.rev t.nodes_rev
 
 let add_link t ~src ~dst (c : Link.Config.t) =
@@ -95,15 +93,9 @@ let add_link t ~src ~dst (c : Link.Config.t) =
 
 let links t = List.rev t.links_rev
 
-let link_src l = l.src
-
-let link_dst l = l.dst
-
 let link_label l = l.src.name ^ "->" ^ l.dst.name
 
 let link_bottleneck l = l.bn
-
-let link_prop_delay l = Time.secs l.prop_delay
 
 (* BFS over links in creation order: minimum hop count, deterministic tie
    break (first-created links win). *)
@@ -167,9 +159,7 @@ let attach t ~route ~flow ~sink =
       let arrive =
         match List.nth_opt rl (i + 1) with
         | Some next ->
-          fun (pkt : Packet.t) ->
-            pkt.Packet.hop <- i + 1;
-            Bottleneck.enqueue next.bn pkt
+          fun (pkt : Packet.t) -> Bottleneck.enqueue next.bn pkt
         | None ->
           fun (pkt : Packet.t) ->
             t.completed <- t.completed + 1;
@@ -179,7 +169,6 @@ let attach t ~route ~flow ~sink =
     rl;
   let first = List.hd rl in
   fun (pkt : Packet.t) ->
-    pkt.Packet.hop <- 0;
     t.injected <- t.injected + 1;
     Bottleneck.enqueue first.bn pkt
 

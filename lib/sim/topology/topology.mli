@@ -5,8 +5,7 @@
     and links, build a {!Route.t}, then {!attach} a flow's packet sink to
     the route and inject packets through the returned ingress function
     ([Flow.create_via] and [Source.poisson_via]/[cbr_via] do this for
-    you). Packets carry a hop
-    cursor ([Packet.hop]) and are forwarded link-to-link through the shared
+    you). Packets are forwarded link-to-link through the shared
     calendar-queue engine: after finishing serialisation at link [i] and
     crossing its propagation delay, a packet is enqueued at link [i+1], or
     delivered to the flow's sink after the last hop.
@@ -75,8 +74,6 @@ val engine : t -> Nimbus_sim.Engine.t
     are ["src->dst"]); they need not be unique. *)
 val add_node : t -> string -> node
 
-val node_name : node -> string
-
 (** [nodes t] in creation order. *)
 val nodes : t -> node list
 
@@ -89,18 +86,12 @@ val add_link : t -> src:node -> dst:node -> Link.Config.t -> link
 (** [links t] in creation order. *)
 val links : t -> link list
 
-val link_src : link -> node
-
-val link_dst : link -> node
-
 (** [link_label l] is ["src->dst"]. *)
 val link_label : link -> string
 
 (** [link_bottleneck l] is the queue the link owns — for fault injection,
     queue monitors, and per-link stats. *)
 val link_bottleneck : link -> Nimbus_sim.Bottleneck.t
-
-val link_prop_delay : link -> Units.Time.t
 
 (** [find_route t ~src ~dst] is a minimum-hop route (BFS over links in
     creation order, so ties break deterministically), or [None] if [dst]

@@ -176,8 +176,6 @@ let bytes_split t =
     t.active;
   (!elastic, !total)
 
-let elastic_active t = List.exists (fun r -> r.elastic) t.active
-
 let persistent_elastic_active t ~now ~min_age ~min_size =
   let now = Time.to_secs now in
   let min_age = Time.to_secs min_age in

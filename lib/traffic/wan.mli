@@ -58,10 +58,6 @@ val elastic_threshold_bytes : int
     ground-truth elastic byte fraction of Fig. 12. *)
 val bytes_split : t -> int * int
 
-(** [elastic_active t] holds while at least one elastic-sized cross-flow is
-    still transferring. *)
-val elastic_active : t -> bool
-
 (** [persistent_elastic_active t ~now ~min_age ~min_size] holds while some
     elastic cross-flow of at least [min_size] bytes has been running for at
     least [min_age] — the detector's actual design target (§3.2: it needs

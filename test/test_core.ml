@@ -229,7 +229,7 @@ let test_detector_validation () =
     (try ignore (Elasticity.create ~eta_thresh:0.5 ()); false
      with Invalid_argument _ -> true)
 
-(* --- streaming eta vs the Plan-FFT reference ------------------------------ *)
+(* --- streaming eta vs the one-shot FFT reference -------------------------- *)
 
 let eta_agrees streaming reference =
   match Float.classify_float reference with
@@ -487,6 +487,21 @@ let test_eta_read_words () =
   if words > 4. then
     Alcotest.failf "steady eta read allocates %.1f minor words" words
 
+(* detectors hold no FFT state: a fresh one is its sample ring and little
+   else, and a default Nimbus (two detectors) stays small too *)
+let test_detector_retains_little () =
+  let words = Obj.reachable_words (Obj.repr (Elasticity.create ())) in
+  if words > 1_000 then
+    Alcotest.failf "fresh detector retains %d words" words
+
+let test_nimbus_retains_little () =
+  let nim =
+    Nimbus.create
+      (Nimbus.Config.default ~mu:(Z_estimator.Mu.known (Rate.mbps 96.)))
+  in
+  let words = Obj.reachable_words (Obj.repr nim) in
+  if words > 4_000 then Alcotest.failf "fresh Nimbus retains %d words" words
+
 let test_mode_frequency_must_be_probe_bin () =
   let mu = Z_estimator.Mu.known (Rate.mbps 96.) in
   (* the 1 s keep-alive window resolves whole hertz *)
@@ -721,6 +736,8 @@ let suite =
           test_eta_streaming_long_run;
         Alcotest.test_case "watcher band edge" `Quick test_watch_band_edge;
         Alcotest.test_case "steady eta read words" `Quick test_eta_read_words;
+        Alcotest.test_case "fresh detector retains little" `Quick
+          test_detector_retains_little;
         qtest prop_watch_agrees;
         qtest prop_detector_sinusoid_always_elastic;
         qtest prop_eta_streaming_agrees ] );
@@ -738,5 +755,7 @@ let suite =
           test_nimbus_base_rate_positive;
         Alcotest.test_case "steady watcher tick words" `Quick
           test_watcher_tick_words;
+        Alcotest.test_case "fresh Nimbus retains little" `Quick
+          test_nimbus_retains_little;
         Alcotest.test_case "mode frequency is a probe bin" `Quick
           test_mode_frequency_must_be_probe_bin ] ) ]

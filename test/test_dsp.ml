@@ -19,20 +19,12 @@ let sinusoid ~n ~sample_rate ~freq ~amp ~phase =
 
 (* transform [b] in place through a fresh plan: the radix-2 kernel on
    power-of-two lengths, Bluestein on every other *)
-let fft_in_place ?inverse b =
-  Fft.Plan.execute ?inverse (Fft.Plan.create (Cbuf.length b)) b
+let fft_in_place b = Fft.Plan.execute (Fft.Plan.create (Cbuf.length b)) b
 
-let fft ?inverse b =
+let fft b =
   let c = Cbuf.copy b in
-  fft_in_place ?inverse c;
+  fft_in_place c;
   c
-
-(* one-shot spectrum through a fresh analysis state *)
-let analyze ?window ?detrend xs ~sample_rate =
-  Spectrum.analyze_into
-    (Spectrum.create_state ?window ?detrend ~n:(Array.length xs) ~sample_rate
-       ())
-    xs
 
 let max_diff a b =
   let d = ref 0. in
@@ -131,13 +123,10 @@ let test_radix2_matches_dft () =
     Cbuf.set b i (Nimbus_sim.Rng.uniform rng) (Nimbus_sim.Rng.uniform rng)
   done;
   if max_diff (Fft.dft b) (fft b) > 1e-8 then
-    Alcotest.fail "radix2 deviates from DFT";
-  if max_diff (Fft.dft ~inverse:true b) (fft ~inverse:true b) > 1e-8 then
-    Alcotest.fail "inverse radix2 deviates from inverse DFT"
+    Alcotest.fail "radix2 deviates from DFT"
 
 let test_bluestein_matches_dft () =
-  (* lengths that are not powers of two take the plan's Bluestein kernel;
-     the inverse direction uses the conjugate chirp and its own filter *)
+  (* lengths that are not powers of two take the plan's Bluestein kernel *)
   List.iter
     (fun n ->
       let rng = Nimbus_sim.Rng.create (1000 + n) in
@@ -146,25 +135,8 @@ let test_bluestein_matches_dft () =
         Cbuf.set b i (Nimbus_sim.Rng.uniform rng) (Nimbus_sim.Rng.uniform rng)
       done;
       if max_diff (Fft.dft b) (fft b) > 1e-7 then
-        Alcotest.failf "bluestein deviates from DFT at n=%d" n;
-      if max_diff (Fft.dft ~inverse:true b) (fft ~inverse:true b) > 1e-9 then
-        Alcotest.failf "inverse bluestein deviates from DFT at n=%d" n)
+        Alcotest.failf "bluestein deviates from DFT at n=%d" n)
     [ 3; 5; 7; 12; 100; 500 ]
-
-let test_inverse_roundtrip () =
-  List.iter
-    (fun n ->
-      let rng = Nimbus_sim.Rng.create (2000 + n) in
-      let b = Cbuf.create n in
-      for i = 0 to n - 1 do
-        Cbuf.set b i
-          (Nimbus_sim.Rng.range rng ~lo:(-5.) ~hi:5.)
-          (Nimbus_sim.Rng.range rng ~lo:(-5.) ~hi:5.)
-      done;
-      let fwd = fft b in
-      let back = fft ~inverse:true fwd in
-      if max_diff b back > 1e-8 then Alcotest.failf "roundtrip fails at n=%d" n)
-    [ 8; 17; 500; 512 ]
 
 let test_plan_matches_dft () =
   List.iter
@@ -187,7 +159,12 @@ let test_plan_matches_dft () =
       Fft.Plan.execute plan again;
       if max_diff fwd again > 0. then
         Alcotest.failf "plan not reusable at n=%d" n;
-      Fft.Plan.execute ~inverse:true plan again;
+      (* the inverse through the forward plan: x = conj (FFT (conj X)) / n *)
+      let conj c = Array.iteri (fun i v -> c.Cbuf.im.(i) <- -.v) c.Cbuf.im in
+      conj again;
+      Fft.Plan.execute plan again;
+      conj again;
+      Cbuf.scale again (1. /. float_of_int n);
       if max_diff b again > 1e-8 then
         Alcotest.failf "plan roundtrip fails at n=%d" n)
     [ 1; 2; 3; 5; 7; 12; 100; 500; 512 ]
@@ -243,11 +220,6 @@ let test_parseval () =
   done;
   check_rel ~tol:1e-9 "parseval" time_energy (!freq_energy /. float_of_int n)
 
-let test_real_amplitudes_length () =
-  Alcotest.(check int) "n/2+1 odd" 251 (Array.length (Fft.real_amplitudes (Array.make 500 0.)));
-  Alcotest.(check int) "n/2+1 even" 257 (Array.length (Fft.real_amplitudes (Array.make 512 0.)));
-  Alcotest.(check int) "empty" 0 (Array.length (Fft.real_amplitudes [||]))
-
 let prop_fft_linearity =
   QCheck.Test.make ~count:50 ~name:"fft: transform is linear"
     QCheck.(pair (list_of_size (Gen.return 32) (float_bound_exclusive 10.)) (list_of_size (Gen.return 32) (float_bound_exclusive 10.)))
@@ -271,9 +243,11 @@ let test_goertzel_matches_fft () =
   let n = 500 in
   let xs = sinusoid ~n ~sample_rate:100. ~freq:5. ~amp:1.5 ~phase:0.7 in
   let g = Goertzel.magnitude xs ~sample_rate:(Units.Freq.hz 100.) ~freq:5. in
-  let amps = Fft.real_amplitudes xs in
+  let s =
+    Spectrum.analyze ~detrend:`None xs ~sample_rate:(Units.Freq.hz 100.)
+  in
   (* bin 25 = 5 Hz at 100 Hz / 500 samples *)
-  check_rel ~tol:1e-6 "goertzel vs fft" amps.(25) g
+  check_rel ~tol:1e-6 "goertzel vs fft" s.Spectrum.amplitudes.(25) g
 
 let test_goertzel_rejects_other_freq () =
   let xs = sinusoid ~n:500 ~sample_rate:100. ~freq:5. ~amp:1. ~phase:0. in
@@ -290,7 +264,7 @@ let bank_detrends : [ `None | `Mean | `Linear ] array =
   [| `None; `Mean; `Linear |]
 
 (* Feed all of [xs] through a bank tracking every bin of a length-[n] DFT,
-   then compare each amplitude with the Plan-FFT analyzer over the final
+   then compare each amplitude with the one-shot analyzer over the final
    window — the agreement contract behind the streaming η path. *)
 let bank_matches_spectrum ~n ~taper ~detrend xs =
   let total = Array.length xs in
@@ -298,7 +272,7 @@ let bank_matches_spectrum ~n ~taper ~detrend xs =
   let bank = Goertzel.Bank.create ~window:n ~taper ~detrend ~bins () in
   Array.iter (fun x -> Goertzel.Bank.push bank x) xs;
   let s =
-    analyze ~window:taper ~detrend
+    Spectrum.analyze ~window:taper ~detrend
       (Array.sub xs (total - n) n)
       ~sample_rate:(Units.Freq.hz 100.)
   in
@@ -488,7 +462,7 @@ let test_window_coherent_gain () =
 
 let test_spectrum_bin_mapping () =
   let xs = Array.make 500 0. in
-  let s = analyze xs ~sample_rate:(Units.Freq.hz 100.) in
+  let s = Spectrum.analyze xs ~sample_rate:(Units.Freq.hz 100.) in
   check_close "bin width" 0.2 (Spectrum.bin_width s);
   Alcotest.(check int) "bin of 5Hz" 25 (Spectrum.bin_of_freq s 5.);
   Alcotest.(check int) "clamp high" 250 (Spectrum.bin_of_freq s 1000.);
@@ -497,7 +471,7 @@ let test_spectrum_bin_mapping () =
 
 let test_spectrum_peak_and_band () =
   let xs = sinusoid ~n:500 ~sample_rate:100. ~freq:7. ~amp:1. ~phase:0. in
-  let s = analyze xs ~sample_rate:(Units.Freq.hz 100.) in
+  let s = Spectrum.analyze xs ~sample_rate:(Units.Freq.hz 100.) in
   let f, a = Spectrum.dominant s ~above:0.5 in
   check_close "dominant freq" 7. f;
   check_rel ~tol:1e-6 "dominant amp" 250. a;
@@ -509,52 +483,41 @@ let test_spectrum_peak_and_band () =
 let test_spectrum_detrend_linear () =
   (* a pure ramp should vanish almost entirely under linear detrending *)
   let xs = Array.init 500 (fun i -> 5e6 +. (1e4 *. float_of_int i)) in
-  let mean_only = analyze ~detrend:`Mean xs ~sample_rate:(Units.Freq.hz 100.) in
-  let linear = analyze ~detrend:`Linear xs ~sample_rate:(Units.Freq.hz 100.) in
+  let mean_only = Spectrum.analyze ~detrend:`Mean xs ~sample_rate:(Units.Freq.hz 100.) in
+  let linear = Spectrum.analyze ~detrend:`Linear xs ~sample_rate:(Units.Freq.hz 100.) in
   let low_mean = Spectrum.band_max mean_only ~lo:0.1 ~hi:10. in
   let low_linear = Spectrum.band_max linear ~lo:0.1 ~hi:10. in
   if low_linear > low_mean /. 100. then
     Alcotest.failf "linear detrend left %g vs %g" low_linear low_mean
 
+(* with no detrend and the rectangular window the analyzer is |DFT| over
+   bins 0 .. n/2, on both kernels *)
+let test_spectrum_matches_dft () =
+  List.iter
+    (fun n ->
+      let rng = Nimbus_sim.Rng.create (4000 + n) in
+      let xs = Array.init n (fun _ -> Nimbus_sim.Rng.range rng ~lo:(-1.) ~hi:1.) in
+      let s =
+        Spectrum.analyze ~detrend:`None xs ~sample_rate:(Units.Freq.hz 100.)
+      in
+      let oracle = Fft.dft (Cbuf.of_real xs) in
+      Alcotest.(check int) "n/2+1 bins" ((n / 2) + 1)
+        (Array.length s.Spectrum.amplitudes);
+      Array.iteri
+        (fun k a ->
+          check_close ~eps:1e-9
+            (Printf.sprintf "bin %d at n=%d" k n)
+            (Cbuf.magnitude oracle k) a)
+        s.Spectrum.amplitudes)
+    [ 1; 2; 3; 7; 100; 500; 512 ]
+
 let test_spectrum_rejects_bad_input () =
   Alcotest.check_raises "empty"
-    (Invalid_argument "Spectrum.create_state: n <= 0") (fun () ->
-      ignore (analyze [||] ~sample_rate:(Units.Freq.hz 100.)));
+    (Invalid_argument "Spectrum.analyze: empty signal") (fun () ->
+      ignore (Spectrum.analyze [||] ~sample_rate:(Units.Freq.hz 100.)));
   Alcotest.check_raises "bad rate"
-    (Invalid_argument "Spectrum.create_state: sample_rate <= 0") (fun () ->
-      ignore (analyze [| 1. |] ~sample_rate:(Units.Freq.hz 0.)))
-
-let test_spectrum_state_matches_analyze () =
-  let st =
-    Spectrum.create_state ~window:Window.Hann ~detrend:`Linear ~n:500
-      ~sample_rate:(Units.Freq.hz 100.) ()
-  in
-  Alcotest.(check int) "state size" 500 (Spectrum.state_size st);
-  (* reuse the same state for two different signals; each result must match
-     a fresh state's exactly *)
-  List.iter
-    (fun (freq, amp) ->
-      let xs = sinusoid ~n:500 ~sample_rate:100. ~freq ~amp ~phase:0.4 in
-      let fresh =
-        analyze ~window:Window.Hann ~detrend:`Linear xs
-          ~sample_rate:(Units.Freq.hz 100.)
-      in
-      let reused = Spectrum.analyze_into st xs in
-      check_close "bin width" (Spectrum.bin_width fresh)
-        (Spectrum.bin_width reused);
-      for k = 0 to 250 do
-        check_close ~eps:1e-12
-          (Printf.sprintf "amplitude bin %d at %g Hz" k freq)
-          (Spectrum.amplitude_at fresh (Spectrum.freq_of_bin fresh k))
-          (Spectrum.amplitude_at reused (Spectrum.freq_of_bin reused k))
-      done)
-    [ (7., 1.); (23.4, 0.3) ]
-
-let test_spectrum_state_validation () =
-  let st = Spectrum.create_state ~n:8 ~sample_rate:(Units.Freq.hz 100.) () in
-  Alcotest.check_raises "length mismatch"
-    (Invalid_argument "Spectrum.analyze_into: signal length <> state size")
-    (fun () -> ignore (Spectrum.analyze_into st (Array.make 9 0.)))
+    (Invalid_argument "Spectrum.analyze: sample_rate <= 0") (fun () ->
+      ignore (Spectrum.analyze [| 1. |] ~sample_rate:(Units.Freq.hz 0.)))
 
 (* --- ewma ---------------------------------------------------------------- *)
 
@@ -719,12 +682,9 @@ let suite =
         Alcotest.test_case "sinusoid bin" `Quick test_fft_sinusoid_bin;
         Alcotest.test_case "radix2 = DFT" `Quick test_radix2_matches_dft;
         Alcotest.test_case "bluestein = DFT" `Quick test_bluestein_matches_dft;
-        Alcotest.test_case "inverse roundtrip" `Quick test_inverse_roundtrip;
         Alcotest.test_case "plan = DFT + roundtrip" `Quick test_plan_matches_dft;
         Alcotest.test_case "plan validation" `Quick test_plan_validation;
         Alcotest.test_case "parseval" `Quick test_parseval;
-        Alcotest.test_case "real_amplitudes length" `Quick
-          test_real_amplitudes_length;
         qtest prop_fft_linearity;
         qtest prop_kernels_agree;
         qtest prop_kernels_agree_pow2 ] );
@@ -747,12 +707,10 @@ let suite =
       [ Alcotest.test_case "bin mapping" `Quick test_spectrum_bin_mapping;
         Alcotest.test_case "peak and band" `Quick test_spectrum_peak_and_band;
         Alcotest.test_case "linear detrend" `Quick test_spectrum_detrend_linear;
+        Alcotest.test_case "analyze = DFT magnitudes" `Quick
+          test_spectrum_matches_dft;
         Alcotest.test_case "input validation" `Quick
-          test_spectrum_rejects_bad_input;
-        Alcotest.test_case "reusable state = analyze" `Quick
-          test_spectrum_state_matches_analyze;
-        Alcotest.test_case "state validation" `Quick
-          test_spectrum_state_validation ] );
+          test_spectrum_rejects_bad_input ] );
     ( "dsp.ewma",
       [ Alcotest.test_case "first sample" `Quick test_ewma_first_sample;
         Alcotest.test_case "convergence" `Quick test_ewma_convergence;
