@@ -1,4 +1,4 @@
-(* Old-vs-new comparison of two --micro --json dumps (the BENCH_micro.json
+(* Old-vs-new comparison of two --json dumps (the BENCH_micro.json
    shape written by Micro.run).  Prints a GitHub-flavoured markdown table of
    per-benchmark deltas — CI appends it to GITHUB_STEP_SUMMARY so every PR
    shows its perf trajectory without downloading artifacts.  Negative ns

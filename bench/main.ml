@@ -1,86 +1,18 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (quick profile by default; --full for paper-scale runs), plus
-   Bechamel micro-benchmarks of the core primitives (--micro).
+(* Micro-benchmark harness: Bechamel micro-benchmarks of the core
+   primitives.  The paper's tables and figures are regenerated by
+   `nimbus_cli run`, and end-to-end speed is measured by perfbench/.
 
    Usage:
-     bench/main.exe                 run all experiments, quick profile
-     bench/main.exe --full          paper durations and repetitions
-     bench/main.exe --only fig8     one experiment
-     bench/main.exe --jobs 4        fan cases out over 4 domains
-     bench/main.exe --micro         only the Bechamel primitives
-     bench/main.exe --micro --json BENCH_micro.json
+     bench/main.exe                 run the micro-benchmarks
+     bench/main.exe --json BENCH_micro.json
                                     also dump machine-readable results
      bench/main.exe --compare OLD,NEW
-                                    markdown delta table of two JSON dumps
-     bench/main.exe --list          list experiment ids
+                                    markdown delta table of two JSON dumps *)
 
-   Tables are byte-identical whatever --jobs is: cases are seeded
-   independently and results are merged in input order.  Only the timing
-   trailer lines vary. *)
-
-module Registry = Nimbus_experiments.Registry
-module Table = Nimbus_experiments.Table
-module Common = Nimbus_experiments.Common
-module Pool = Nimbus_parallel.Pool
-
-let wall_secs () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
-
-let run_experiment profile (e : Registry.experiment) =
-  Printf.printf "\n### [%s] %s\n%!" e.Registry.id e.Registry.title;
-  let cpu0 = Sys.time () in
-  let wall0 = wall_secs () in
-  let tables = e.Registry.run profile in
-  List.iter Table.print tables;
-  Printf.printf "  (%.1f s wall, %.1f s cpu)\n%!"
-    (wall_secs () -. wall0)
-    (Sys.time () -. cpu0)
-
-let main compare full only micro list_ids jobs json assert_trace_overhead =
-  if list_ids then begin
-    List.iter print_endline Registry.ids;
-    0
-  end
-  else begin
-    match compare with
-    | Some (old_file, new_file) -> Compare.run ~old_file ~new_file
-    | None ->
-    let profile = if full then Common.full else Common.quick in
-    if micro then Micro.run ?json ?assert_trace_overhead ()
-    else begin
-      let todo =
-        match only with
-        | Some id -> (
-          match Registry.find id with
-          | Some e -> [ e ]
-          | None ->
-            Printf.eprintf "unknown experiment %S; try --list\n" id;
-            exit 2)
-        | None -> Registry.all
-      in
-      let jobs =
-        match jobs with
-        | Some j ->
-          if j < 1 then begin
-            Printf.eprintf "--jobs must be >= 1\n";
-            exit 2
-          end;
-          j
-        | None -> Domain.recommended_domain_count ()
-      in
-      Printf.printf
-        "nimbus reproduction bench: %d experiment(s), %s profile, %d job(s)\n%!"
-        (List.length todo)
-        (if full then "full" else "quick")
-        jobs;
-      Pool.run ~domains:jobs (fun pool ->
-          Common.set_pool (Some pool);
-          Fun.protect
-            ~finally:(fun () -> Common.set_pool None)
-            (fun () -> List.iter (run_experiment profile) todo));
-      if only = None && not full then ignore (Micro.run ?json ());
-      0
-    end
-  end
+let main compare json assert_trace_overhead =
+  match compare with
+  | Some (old_file, new_file) -> Compare.run ~old_file ~new_file
+  | None -> Micro.run ?json ?assert_trace_overhead ()
 
 open Cmdliner
 
@@ -91,39 +23,13 @@ let compare =
     & info [ "compare" ] ~docv:"OLD,NEW"
         ~doc:
           "Print a markdown table of per-benchmark deltas between two \
-           $(b,--micro --json) dumps and exit (CI appends it to the step \
-           summary).")
-
-let full =
-  Arg.(value & flag & info [ "full" ] ~doc:"Paper-scale durations and seeds.")
-
-let only =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "only" ] ~docv:"ID" ~doc:"Run a single experiment.")
-
-let micro =
-  Arg.(value & flag & info [ "micro" ] ~doc:"Only Bechamel micro-benchmarks.")
-
-let list_ids =
-  Arg.(value & flag & info [ "list" ] ~doc:"List experiment ids and exit.")
-
-let jobs =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Fan experiment cases out over $(docv) domains (default: the \
-           recommended domain count). Tables are byte-identical for any N.")
+           $(b,--json) dumps and exit (CI appends it to the step summary).")
 
 let json =
   Arg.(
     value
     & opt (some string) None
-    & info [ "json" ] ~docv:"FILE"
-        ~doc:"With $(b,--micro): also write results as JSON to $(docv).")
+    & info [ "json" ] ~docv:"FILE" ~doc:"Also write results as JSON to $(docv).")
 
 let assert_trace_overhead =
   Arg.(
@@ -133,17 +39,15 @@ let assert_trace_overhead =
         [ "assert-trace-overhead" ]
         ~docv:"PCT"
         ~doc:
-          "With $(b,--micro): exit nonzero if full-mask tracing slows the \
-           Nimbus controller tick (nimbus.tick.traced vs nimbus.tick.plain) \
-           by more than $(docv) percent AND by more than an absolute \
-           per-tick floor (the fixed record cost; see bench/micro.ml).")
+          "Exit nonzero if full-mask tracing slows the Nimbus controller tick \
+           (nimbus.tick.traced vs nimbus.tick.plain) by more than $(docv) \
+           percent AND by more than an absolute per-tick floor (the fixed \
+           record cost; see bench/micro.ml).")
 
 let cmd =
-  let doc = "regenerate the paper's tables and figures" in
+  let doc = "micro-benchmarks of the core primitives" in
   Cmd.v
     (Cmd.info "nimbus-bench" ~doc)
-    Term.(
-      const main $ compare $ full $ only $ micro $ list_ids $ jobs $ json
-      $ assert_trace_overhead)
+    Term.(const main $ compare $ json $ assert_trace_overhead)
 
 let () = exit (Cmd.eval' cmd)

@@ -92,12 +92,13 @@ let sink_for_path path oc =
 (* [with_trace ?out ~filter f] builds the run's collector: a sink on [out]
    (or a disabled collector when absent), handed to [f] together with a
    [flush] the caller should schedule off the hot path (e.g. on a 1 s engine
-   event).  The trace is flushed and closed when [f] returns. *)
+   event).  The trace is flushed and closed when [f] returns.  The filter is
+   checked even without [out]. *)
 let with_trace ?out ~filter f =
+  let mask = trace_mask filter in
   match out with
   | None -> f Trace.disabled (fun () -> ())
   | Some path ->
-    let mask = trace_mask filter in
     let tr = Trace.create ~mask () in
     let oc = open_out_bin path in
     Trace.attach tr (sink_for_path path oc);

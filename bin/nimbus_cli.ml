@@ -156,9 +156,8 @@ let simulate_cmd mbps rtt_ms duration cross_kind cross_mbps seed faults
 let faults_cmd full jobs seeds report_file trace_out trace_filter =
   let p = Flags.seeds_profile (profile full) seeds in
   let trace_mask =
-    match trace_out with
-    | None -> 0
-    | Some _ -> Flags.trace_mask trace_filter
+    let mask = Flags.trace_mask trace_filter in
+    match trace_out with None -> 0 | Some _ -> mask
   in
   let outcome =
     with_pool jobs (fun () -> Exp_faults.run_matrix ~trace_mask p)

@@ -5,7 +5,6 @@
 
 module Elasticity = Nimbus_core.Elasticity
 module Pulse = Nimbus_core.Pulse
-module Time = Units.Time
 module Freq = Units.Freq
 module Rate = Units.Rate
 
@@ -15,7 +14,7 @@ let () =
   let fp = 5.0 in
   let dt = 0.01 in
   let describe label make_sample =
-    let det = Elasticity.create ~sample_interval:(Time.secs dt) () in
+    let det = Elasticity.create () in
     for i = 0 to 499 do
       Elasticity.add_sample det (make_sample (float_of_int i *. dt))
     done;

@@ -2,23 +2,23 @@ module Time = Units.Time
 module Rate = Units.Rate
 module B = Units.Bytes
 
+(* Eq. 4's spare-capacity step α, delay-correction gain β and queueing-delay
+   target d_t *)
+let alpha = 0.8
+
+let beta = 0.5
+
+let delay_target = Time.to_secs (Time.ms 12.5)
+
 type t = {
   mutable mu : float;
-  alpha : float;
-  beta : float;
-  delay_target : float;
   mutable rate : float; (* bps *)
   mutable srtt : float;
 }
 
-let create ~mu ?(alpha = 0.8) ?(beta = 0.5)
-    ?(delay_target = Time.ms 12.5) ?initial_rate () =
+let create ~mu () =
   let mu = Rate.to_bps (Rate.bps_exn (Rate.to_bps mu)) in
-  let initial =
-    match initial_rate with Some r -> Rate.to_bps r | None -> mu /. 10.
-  in
-  { mu; alpha; beta; delay_target = Time.to_secs delay_target; rate = initial;
-    srtt = 0.1 }
+  { mu; rate = mu /. 10.; srtt = 0.1 }
 
 let rate t = Rate.bps t.rate
 
@@ -40,8 +40,8 @@ let update t (tk : Cc_types.tick) =
       let spare = t.mu -. s -. z in
       let rate =
         s
-        +. (t.alpha *. spare)
-        +. (t.beta *. t.mu /. x *. (x_min +. t.delay_target -. x))
+        +. (alpha *. spare)
+        +. (beta *. t.mu /. x *. (x_min +. delay_target -. x))
       in
       set_rate t (Rate.bps rate)
     end
@@ -56,5 +56,4 @@ let cc t =
       (fun () -> B.bytes (Float.max (4. *. 1500.) (2. *. t.rate *. t.srtt /. 8.)));
     pacing_rate = (fun () -> Some (Rate.bps t.rate)) }
 
-let make ~mu ?alpha ?beta ?delay_target ?initial_rate () =
-  cc (create ~mu ?alpha ?beta ?delay_target ?initial_rate ())
+let make ~mu () = cc (create ~mu ())

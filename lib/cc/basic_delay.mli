@@ -12,20 +12,11 @@
 
 type t
 
-(** @param mu bottleneck link rate
-    @param alpha spare-capacity step (default 0.8)
-    @param beta delay-correction gain (default 0.5)
-    @param delay_target d_t (default 12.5 ms)
-    @param initial_rate default µ/10
+(** [create ~mu ()] starts at µ/10 with α = 0.8, β = 0.5 and
+    d_t = 12.5 ms.
+    @param mu bottleneck link rate
     @raise Invalid_argument if [mu] is not finite and positive *)
-val create :
-  mu:Units.Rate.t ->
-  ?alpha:float ->
-  ?beta:float ->
-  ?delay_target:Units.Time.t ->
-  ?initial_rate:Units.Rate.t ->
-  unit ->
-  t
+val create : mu:Units.Rate.t -> unit -> t
 
 val cc : t -> Cc_types.t
 
@@ -43,11 +34,4 @@ val set_mu : t -> Units.Rate.t -> unit
     drive it directly while owning the pacing. *)
 val update : t -> Cc_types.tick -> unit
 
-val make :
-  mu:Units.Rate.t ->
-  ?alpha:float ->
-  ?beta:float ->
-  ?delay_target:Units.Time.t ->
-  ?initial_rate:Units.Rate.t ->
-  unit ->
-  Cc_types.t
+val make : mu:Units.Rate.t -> unit -> Cc_types.t

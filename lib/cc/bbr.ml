@@ -9,7 +9,6 @@ type phase =
   | Probe_rtt of float * phase (* end time, phase to resume *)
 
 type t = {
-  mss : float;
   mutable phase : phase;
   mutable btl_bw : float;  (* bps; windowed max *)
   bw_samples : (float * float) Queue.t; (* (time, bps) over ~10 RTT *)
@@ -25,12 +24,14 @@ type t = {
   mutable filters_updated_at : float;
 }
 
+let mss = float_of_int 1500
+
 let gain_cycle = [| 1.25; 0.75; 1.; 1.; 1.; 1.; 1.; 1. |]
 
 let startup_gain = 2.885
 
-let create ?(mss = 1500) () =
-  { mss = float_of_int mss; phase = Startup; btl_bw = 0.;
+let create () =
+  { phase = Startup; btl_bw = 0.;
     bw_samples = Queue.create (); rt_prop = infinity;
     rtt_samples = Queue.create (); full_bw = 0.; full_bw_count = 0;
     last_full_bw_check = 0.; cycle_start = 0.; last_probe_rtt = 0.;
@@ -39,7 +40,7 @@ let create ?(mss = 1500) () =
 let btl_bw t = Rate.bps t.btl_bw
 
 let bdp_bytes t =
-  if t.btl_bw <= 0. || not (Float.is_finite t.rt_prop) then 10. *. t.mss
+  if t.btl_bw <= 0. || not (Float.is_finite t.rt_prop) then 10. *. mss
   else t.btl_bw *. t.rt_prop /. 8.
 
 let prune_before q horizon =
@@ -128,9 +129,9 @@ let on_tick t (tk : Cc_types.tick) =
 
 let cwnd t =
   match t.phase with
-  | Probe_rtt _ -> 4. *. t.mss
-  | Startup | Drain -> Float.max (startup_gain *. bdp_bytes t) (10. *. t.mss)
-  | Probe_bw _ -> Float.max (2. *. bdp_bytes t) (4. *. t.mss)
+  | Probe_rtt _ -> 4. *. mss
+  | Startup | Drain -> Float.max (startup_gain *. bdp_bytes t) (10. *. mss)
+  | Probe_bw _ -> Float.max (2. *. bdp_bytes t) (4. *. mss)
 
 let pacing t =
   if t.btl_bw <= 0. then None
@@ -144,4 +145,4 @@ let cc t =
     cwnd = (fun () -> B.bytes (cwnd t));
     pacing_rate = (fun () -> pacing t) }
 
-let make ?mss () = cc (create ?mss ())
+let make () = cc (create ())

@@ -10,11 +10,12 @@
 
 type t
 
-val create : ?mss:int -> unit -> t
+(** [create ()] is a fresh instance sending 1500-byte segments. *)
+val create : unit -> t
 
 val cc : t -> Cc_types.t
 
 (** [btl_bw t] is the current bottleneck-bandwidth estimate. *)
 val btl_bw : t -> Units.Rate.t
 
-val make : ?mss:int -> unit -> Cc_types.t
+val make : unit -> Cc_types.t

@@ -2,7 +2,6 @@ module Time = Units.Time
 module B = Units.Bytes
 
 type state = {
-  mss : float;
   mutable lwnd : float; (* loss window, bytes *)
   mutable dwnd : float; (* delay window, bytes *)
   mutable ssthresh : float;
@@ -20,10 +19,11 @@ let zeta = 0.5
 
 let gamma = 30. (* segments of backlog before the delay window backs off *)
 
-let make ?(mss = 1500) () =
-  let mssf = float_of_int mss in
+let mss = float_of_int 1500
+
+let make () =
   let s =
-    { mss = mssf; lwnd = 10. *. mssf; dwnd = 0.; ssthresh = infinity;
+    { lwnd = 10. *. mss; dwnd = 0.; ssthresh = infinity;
       next_update = 0.; recovery_until = neg_infinity; srtt = 0.1 }
   in
   let window () = s.lwnd +. s.dwnd in
@@ -32,32 +32,32 @@ let make ?(mss = 1500) () =
     s.srtt <- Time.to_secs a.srtt;
     let win = window () in
     if s.lwnd < s.ssthresh then s.lwnd <- s.lwnd +. float_of_int a.bytes
-    else s.lwnd <- s.lwnd +. (s.mss *. float_of_int a.bytes /. win);
+    else s.lwnd <- s.lwnd +. (mss *. float_of_int a.bytes /. win);
     if now >= s.next_update then begin
       s.next_update <- now +. s.srtt;
       let rtt = Float.max s.srtt 1e-4 in
       let base = Float.max (Time.to_secs a.min_rtt) 1e-4 in
-      let diff_segments = win *. (1. -. (base /. rtt)) /. s.mss in
+      let diff_segments = win *. (1. -. (base /. rtt)) /. mss in
       if diff_segments < gamma then begin
-        let win_segments = win /. s.mss in
+        let win_segments = win /. mss in
         let grow = Float.max 0. ((alpha *. (win_segments ** k_exp)) -. 1.) in
-        s.dwnd <- s.dwnd +. (grow *. s.mss)
+        s.dwnd <- s.dwnd +. (grow *. mss)
       end
-      else s.dwnd <- Float.max 0. (s.dwnd -. (zeta *. diff_segments *. s.mss))
+      else s.dwnd <- Float.max 0. (s.dwnd -. (zeta *. diff_segments *. mss))
     end
   in
   let on_loss (l : Cc_types.loss) =
     match l.kind with
     | `Timeout ->
-      s.ssthresh <- Float.max (window () /. 2.) (2. *. s.mss);
-      s.lwnd <- 2. *. s.mss;
+      s.ssthresh <- Float.max (window () /. 2.) (2. *. mss);
+      s.lwnd <- 2. *. mss;
       s.dwnd <- 0.
     | `Dupack ->
       let now = Time.to_secs l.now in
       if now > s.recovery_until then begin
         s.recovery_until <- now +. s.srtt;
-        s.ssthresh <- Float.max (window () /. 2.) (2. *. s.mss);
-        s.lwnd <- Float.max (2. *. s.mss) (s.lwnd /. 2.);
+        s.ssthresh <- Float.max (window () /. 2.) (2. *. mss);
+        s.lwnd <- Float.max (2. *. mss) (s.lwnd /. 2.);
         s.dwnd <- s.dwnd /. 2.
       end
   in

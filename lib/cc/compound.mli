@@ -3,4 +3,5 @@
     polynomially while queueing delay is low and shrinks as delay builds.
     Used as a baseline in the paper's Fig. 8 walkthrough. *)
 
-val make : ?mss:int -> unit -> Cc_types.t
+(** [make ()] is a fresh instance sending 1500-byte segments. *)
+val make : unit -> Cc_types.t

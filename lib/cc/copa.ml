@@ -11,10 +11,15 @@ type sample = {
   rtt : float;
 }
 
+let mss_bytes = 1500
+
+let mss = float_of_int mss_bytes
+
+(* the default-mode δ *)
+let default_delta = 0.5
+
 type t = {
-  mss : float;
   switching : bool;
-  default_delta : float;
   mutable delta : float;
   mutable cwnd : float; (* bytes *)
   mutable velocity : float;
@@ -34,9 +39,9 @@ type t = {
 
 let long_window = 10.
 
-let create ?(mss = 1500) ?(switching = true) ?(delta = 0.5) () =
-  { mss = float_of_int mss; switching; default_delta = delta; delta;
-    cwnd = float_of_int (mss * 10); velocity = 1.; direction = 0;
+let create ?(switching = true) () =
+  { switching; delta = default_delta;
+    cwnd = float_of_int (mss_bytes * 10); velocity = 1.; direction = 0;
     last_direction_update = 0.; cwnd_at_last_direction = 0.;
     competitive = false; last_nearly_empty = 0.; samples = Queue.create ();
     srtt = 0.1; in_slow_start = true; last_loss_reaction = neg_infinity;
@@ -48,7 +53,7 @@ let cwnd_bytes t = B.bytes t.cwnd
 let in_competitive_mode t = t.competitive
 
 let reset_cwnd t bytes =
-  t.cwnd <- Float.max (2. *. t.mss) (B.to_float bytes);
+  t.cwnd <- Float.max (2. *. mss) (B.to_float bytes);
   t.in_slow_start <- false
 
 let prune t now =
@@ -86,10 +91,10 @@ let update_mode t now =
     let was_competitive = t.competitive in
     t.competitive <- now -. t.last_nearly_empty > 5. *. t.srtt;
     if t.competitive && not was_competitive then begin
-      t.delta <- t.default_delta;
+      t.delta <- default_delta;
       t.last_delta_increase <- now
     end;
-    if not t.competitive then t.delta <- t.default_delta
+    if not t.competitive then t.delta <- default_delta
   end
 
 let on_ack t (a : Cc_types.ack) =
@@ -110,7 +115,7 @@ let on_ack t (a : Cc_types.ack) =
   let rtt = Float.max t.srtt 1e-4 in
   let current_rate = t.cwnd /. rtt in
   let target_rate =
-    if dq <= 1e-6 then infinity else t.mss /. (t.delta *. dq)
+    if dq <= 1e-6 then infinity else mss /. (t.delta *. dq)
   in
   if t.in_slow_start then begin
     t.cwnd <- t.cwnd +. float_of_int a.bytes;
@@ -129,17 +134,17 @@ let on_ack t (a : Cc_types.ack) =
       t.cwnd_at_last_direction <- t.cwnd
     end;
     let step =
-      t.velocity *. t.mss *. float_of_int a.bytes /. (t.delta *. t.cwnd)
+      t.velocity *. mss *. float_of_int a.bytes /. (t.delta *. t.cwnd)
     in
     if current_rate < target_rate then t.cwnd <- t.cwnd +. step
-    else t.cwnd <- Float.max (2. *. t.mss) (t.cwnd -. step)
+    else t.cwnd <- Float.max (2. *. mss) (t.cwnd -. step)
   end
 
 let on_loss t (l : Cc_types.loss) =
   let now = Time.to_secs l.now in
   t.in_slow_start <- false;
   match l.kind with
-  | `Timeout -> t.cwnd <- 2. *. t.mss
+  | `Timeout -> t.cwnd <- 2. *. mss
   | `Dupack ->
     if now > t.last_loss_reaction +. t.srtt then begin
       t.last_loss_reaction <- now;
@@ -149,9 +154,9 @@ let on_loss t (l : Cc_types.loss) =
            following the target-rate rule, so the standing queue persists
            and the detector can stay stuck -- the paper's App. D behaviour *)
         let inv = Float.max 2. (1. /. t.delta /. 2.) in
-        t.delta <- Float.min t.default_delta (1. /. inv)
+        t.delta <- Float.min default_delta (1. /. inv)
       end
-      else t.cwnd <- Float.max (2. *. t.mss) (t.cwnd *. 0.7)
+      else t.cwnd <- Float.max (2. *. mss) (t.cwnd *. 0.7)
     end
 
 let cc t =
@@ -162,4 +167,4 @@ let cc t =
     cwnd = (fun () -> B.bytes t.cwnd);
     pacing_rate = (fun () -> None) }
 
-let make ?mss ?switching ?delta () = cc (create ?mss ?switching ?delta ())
+let make ?switching () = cc (create ?switching ())

@@ -16,9 +16,9 @@ type t
 (** [create ()] is a fresh Copa instance.
     @param switching enable the competitive-mode detector (default [true]);
            [false] pins Copa to its default mode, the configuration Nimbus
-           can adopt as a delay-control algorithm
-    @param delta the default-mode δ (default 0.5) *)
-val create : ?mss:int -> ?switching:bool -> ?delta:float -> unit -> t
+           can adopt as a delay-control algorithm.
+    Segments are 1500 bytes and the default-mode δ is 0.5. *)
+val create : ?switching:bool -> unit -> t
 
 val cc : t -> Cc_types.t
 
@@ -31,4 +31,4 @@ val in_competitive_mode : t -> bool
 (** [reset_cwnd t bytes] forces the window (mode switching support). *)
 val reset_cwnd : t -> Units.Bytes.t -> unit
 
-val make : ?mss:int -> ?switching:bool -> ?delta:float -> unit -> Cc_types.t
+val make : ?switching:bool -> unit -> Cc_types.t

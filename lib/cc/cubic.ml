@@ -1,10 +1,15 @@
 module Time = Units.Time
 module B = Units.Bytes
 
+let mss = float_of_int 1500
+
+let initial_cwnd = 10
+
+let c = 0.4
+
+let beta = 0.7
+
 type t = {
-  mss : float;
-  c : float;
-  beta : float;
   mutable cwnd : float; (* bytes *)
   mutable w_max : float; (* bytes *)
   mutable ssthresh : float; (* bytes *)
@@ -15,16 +20,15 @@ type t = {
   mutable srtt : float;
 }
 
-let create ?(mss = 1500) ?(initial_cwnd = 10) ?(c = 0.4) ?(beta = 0.7) () =
-  let mssf = float_of_int mss in
-  { mss = mssf; c; beta; cwnd = mssf *. float_of_int initial_cwnd;
+let create () =
+  { cwnd = mss *. float_of_int initial_cwnd;
     w_max = 0.; ssthresh = infinity; epoch_start = None; k = 0.; origin = 0.;
     recovery_until = neg_infinity; srtt = 0.1 }
 
 let cwnd_bytes t = B.bytes t.cwnd
 
 let reset_cwnd t bytes =
-  t.cwnd <- Float.max (2. *. t.mss) (B.to_float bytes);
+  t.cwnd <- Float.max (2. *. mss) (B.to_float bytes);
   t.w_max <- t.cwnd;
   t.ssthresh <- t.cwnd;
   t.epoch_start <- None
@@ -42,7 +46,7 @@ let on_ack t (a : Cc_types.ack) =
     | None ->
       t.epoch_start <- Some now;
       if t.cwnd < t.w_max then begin
-        t.k <- cbrt ((t.w_max -. t.cwnd) /. (t.mss *. t.c));
+        t.k <- cbrt ((t.w_max -. t.cwnd) /. (mss *. c));
         t.origin <- t.w_max
       end
       else begin
@@ -53,18 +57,18 @@ let on_ack t (a : Cc_types.ack) =
     (* target window one RTT in the future, per the Linux implementation *)
     let time = now -. epoch +. srtt in
     let dt = time -. t.k in
-    let target = t.origin +. (t.c *. dt *. dt *. dt *. t.mss) in
+    let target = t.origin +. (c *. dt *. dt *. dt *. mss) in
     if target > t.cwnd then
       t.cwnd <-
         t.cwnd +. ((target -. t.cwnd) *. float_of_int a.bytes /. t.cwnd)
     else
       (* plateau: inch upward so the flow is never fully static *)
-      t.cwnd <- t.cwnd +. (0.01 *. t.mss *. float_of_int a.bytes /. t.cwnd);
+      t.cwnd <- t.cwnd +. (0.01 *. mss *. float_of_int a.bytes /. t.cwnd);
     (* TCP-friendly region *)
     let rtt = Float.max srtt 1e-4 in
     let w_est =
-      (t.w_max *. t.beta)
-      +. (3. *. (1. -. t.beta) /. (1. +. t.beta) *. (time /. rtt) *. t.mss)
+      (t.w_max *. beta)
+      +. (3. *. (1. -. beta) /. (1. +. beta) *. (time /. rtt) *. mss)
     in
     if w_est > t.cwnd then t.cwnd <- w_est
   end
@@ -74,16 +78,16 @@ let on_loss t (l : Cc_types.loss) =
   match l.kind with
   | `Timeout ->
     t.w_max <- t.cwnd;
-    t.ssthresh <- Float.max (t.cwnd *. t.beta) (2. *. t.mss);
-    t.cwnd <- 2. *. t.mss;
+    t.ssthresh <- Float.max (t.cwnd *. beta) (2. *. mss);
+    t.cwnd <- 2. *. mss;
     t.epoch_start <- None;
     t.recovery_until <- now +. t.srtt
   | `Dupack ->
     if now > t.recovery_until then begin
       (* fast convergence *)
       t.w_max <-
-        (if t.cwnd < t.w_max then t.cwnd *. (1. +. t.beta) /. 2. else t.cwnd);
-      t.cwnd <- Float.max (t.cwnd *. t.beta) (2. *. t.mss);
+        (if t.cwnd < t.w_max then t.cwnd *. (1. +. beta) /. 2. else t.cwnd);
+      t.cwnd <- Float.max (t.cwnd *. beta) (2. *. mss);
       t.ssthresh <- t.cwnd;
       t.epoch_start <- None;
       t.recovery_until <- now +. t.srtt
@@ -97,5 +101,4 @@ let cc t =
     cwnd = (fun () -> B.bytes t.cwnd);
     pacing_rate = (fun () -> None) }
 
-let make ?mss ?initial_cwnd ?c ?beta () =
-  cc (create ?mss ?initial_cwnd ?c ?beta ())
+let make () = cc (create ())

@@ -8,12 +8,9 @@ type t
 (** [create ()] is a fresh instance; [cc t] adapts it to the engine
     interface. Exposing [t] lets Nimbus reach inside to reset the window when
     switching to competitive mode with the rate from 5 s ago (§4.1).
-    @param mss segment size, bytes (default 1500)
-    @param initial_cwnd initial window in segments (default 10)
-    @param c cubic coefficient (default 0.4)
-    @param beta multiplicative decrease factor (default 0.7) *)
-val create :
-  ?mss:int -> ?initial_cwnd:int -> ?c:float -> ?beta:float -> unit -> t
+    Segments are 1500 bytes, the initial window 10 segments, the cubic
+    coefficient 0.4 and the multiplicative decrease factor 0.7. *)
+val create : unit -> t
 
 val cc : t -> Cc_types.t
 
@@ -25,5 +22,4 @@ val cwnd_bytes : t -> Units.Bytes.t
 val reset_cwnd : t -> Units.Bytes.t -> unit
 
 (** [make ()] is [cc (create ())] for plain flows. *)
-val make :
-  ?mss:int -> ?initial_cwnd:int -> ?c:float -> ?beta:float -> unit -> Cc_types.t
+val make : unit -> Cc_types.t

@@ -20,6 +20,11 @@ type sent_info = {
 
 let reorder_window = 3
 
+let pkt_size = Packet.default_data_size
+
+(* share of [prop_rtt] on the forward leg, after the route *)
+let fwd_frac = 0.5
+
 (* power of two: ring indices wrap with [land (capacity - 1)] *)
 let rate_ring_capacity = 2048
 
@@ -36,7 +41,6 @@ type t = {
   flow_id : int;
   fwd_delay : float;
   rev_delay : float;
-  pkt_size : int;
   source : source;
   on_complete : (t -> unit) option;
   tick_interval : float;
@@ -156,12 +160,12 @@ let new_data_available t =
   match t.source with
   | Backlogged -> true
   | Finite size -> t.sent_app_bytes < size
-  | App_limited -> t.sent_app_bytes + t.pkt_size <= t.supplied_bytes
+  | App_limited -> t.sent_app_bytes + pkt_size <= t.supplied_bytes
 
 let data_available t = (not (Queue.is_empty t.retx_queue)) || new_data_available t
 
 let window_allows t =
-  float_of_int (t.inflight_bytes + t.pkt_size)
+  float_of_int (t.inflight_bytes + pkt_size)
   <= B.to_float (t.cc.Cc_types.cwnd ())
 
 (* --- rate estimation (Eq. 2) -------------------------------------------- *)
@@ -199,7 +203,7 @@ let nth_acked_from_end t k =
    (Using the controller's window *limit* would smear the estimate over many
    RTTs whenever the limit far exceeds actual usage.) *)
 let measurement_window t =
-  let n = t.inflight_bytes / t.pkt_size in
+  let n = t.inflight_bytes / pkt_size in
   max 8 (min n (rate_ring_capacity - 1))
 
 let update_rates t =
@@ -247,13 +251,13 @@ let rec handle_delivery t (pkt : Packet.t) =
 and send_packet t ~seq ~retransmission =
   let now = Engine.now t.engine in
   let pkt =
-    Packet.make ~flow:t.flow_id ~seq ~size:t.pkt_size ~now ~retransmission ()
+    Packet.make ~flow:t.flow_id ~seq ~size:pkt_size ~now ~retransmission ()
   in
   Hashtbl.replace t.outstanding seq
-    { si_sent_at = Time.to_secs now; si_size = t.pkt_size;
+    { si_sent_at = Time.to_secs now; si_size = pkt_size;
       si_retx = retransmission };
   Queue.push seq t.send_order;
-  t.inflight_bytes <- t.inflight_bytes + t.pkt_size;
+  t.inflight_bytes <- t.inflight_bytes + pkt_size;
   t.enqueue pkt
 
 and send_next t =
@@ -262,7 +266,7 @@ and send_next t =
   | None ->
     let seq = t.next_seq in
     t.next_seq <- t.next_seq + 1;
-    t.sent_app_bytes <- t.sent_app_bytes + t.pkt_size;
+    t.sent_app_bytes <- t.sent_app_bytes + pkt_size;
     send_packet t ~seq ~retransmission:false
 
 and try_send t =
@@ -299,10 +303,10 @@ and pace_one t =
       let rate = Float.max (Rate.to_bps rate) 16_000. in
       let dt = now -. t.last_pace_at in
       t.last_pace_at <- now;
-      let burst_cap = float_of_int (2 * t.pkt_size) in
+      let burst_cap = float_of_int (2 * pkt_size) in
       t.pace_credit <-
         Float.min burst_cap (t.pace_credit +. (rate *. dt /. 8.));
-      let pkt = float_of_int t.pkt_size in
+      let pkt = float_of_int pkt_size in
       while
         t.pace_credit >= pkt && window_allows t && data_available t
       do
@@ -429,8 +433,7 @@ let tick_loop t =
     Engine.schedule_in t.engine (Time.secs t.tick_interval) t.tick
   end
 
-let create_via topo ~route ~cc ~prop_rtt ?(fwd_frac = 0.5)
-    ?(pkt_size = Packet.default_data_size) ?(source = Backlogged) ?start
+let create_via topo ~route ~cc ~prop_rtt ?(source = Backlogged) ?start
     ?on_complete ?(tick_interval = Time.ms 10.) () =
   let engine = Topology.engine topo in
   let prop_rtt = Time.to_secs prop_rtt in
@@ -447,7 +450,7 @@ let create_via topo ~route ~cc ~prop_rtt ?(fwd_frac = 0.5)
     { engine; enqueue = ignore; tick = ignore; pace = ignore; cc; flow_id;
       fwd_delay = prop_rtt *. fwd_frac;
       rev_delay = prop_rtt *. (1. -. fwd_frac);
-      pkt_size; source; on_complete; tick_interval; start_time;
+      source; on_complete; tick_interval; start_time;
       next_seq = 0; outstanding = Hashtbl.create 64;
       send_order = Queue.create (); retx_queue = Queue.create ();
       inflight_bytes = 0; highest_acked = -1; supplied_bytes = 0;

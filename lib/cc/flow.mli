@@ -27,10 +27,9 @@ type t
     to the [prop_rtt] end legs. The flow lives on the topology's engine. The
     paper's single bottleneck is the one-link [Topology.dumbbell] route.
 
+    Data packets are 1500 bytes, and half of [prop_rtt] lies on each leg.
+
     @param prop_rtt two-way propagation delay excluding queueing
-    @param fwd_frac fraction of [prop_rtt] after the bottleneck on the
-           forward leg (default 0.5)
-    @param pkt_size data packet size in bytes (default 1500)
     @param source defaults to [Backlogged]
     @param start absolute start time (default: now)
     @param on_complete invoked once when a [Finite] source finishes
@@ -43,8 +42,6 @@ val create_via :
   route:Nimbus_topology.Topology.Route.t ->
   cc:Cc_types.t ->
   prop_rtt:Units.Time.t ->
-  ?fwd_frac:float ->
-  ?pkt_size:int ->
   ?source:source ->
   ?start:Units.Time.t ->
   ?on_complete:(t -> unit) ->

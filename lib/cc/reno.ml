@@ -1,40 +1,42 @@
 module Time = Units.Time
 module B = Units.Bytes
 
+let mss = float_of_int 1500
+
+let initial_cwnd = 10
+
 type t = {
-  mss : float;
   mutable cwnd : float; (* bytes *)
   mutable ssthresh : float; (* bytes *)
   mutable recovery_until : float;
   mutable srtt : float;
 }
 
-let create ?(mss = 1500) ?(initial_cwnd = 10) () =
-  let mssf = float_of_int mss in
-  { mss = mssf; cwnd = mssf *. float_of_int initial_cwnd;
+let create () =
+  { cwnd = mss *. float_of_int initial_cwnd;
     ssthresh = infinity; recovery_until = neg_infinity; srtt = 0.1 }
 
 let cwnd_bytes t = B.bytes t.cwnd
 
 let reset_cwnd t bytes =
-  t.cwnd <- Float.max (2. *. t.mss) (B.to_float bytes);
+  t.cwnd <- Float.max (2. *. mss) (B.to_float bytes);
   t.ssthresh <- t.cwnd
 
 let on_ack t (a : Cc_types.ack) =
   t.srtt <- Time.to_secs a.srtt;
   if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. float_of_int a.bytes
-  else t.cwnd <- t.cwnd +. (t.mss *. float_of_int a.bytes /. t.cwnd)
+  else t.cwnd <- t.cwnd +. (mss *. float_of_int a.bytes /. t.cwnd)
 
 let on_loss t (l : Cc_types.loss) =
   let now = Time.to_secs l.now in
   match l.kind with
   | `Timeout ->
-    t.ssthresh <- Float.max (t.cwnd /. 2.) (2. *. t.mss);
-    t.cwnd <- 2. *. t.mss;
+    t.ssthresh <- Float.max (t.cwnd /. 2.) (2. *. mss);
+    t.cwnd <- 2. *. mss;
     t.recovery_until <- now +. t.srtt
   | `Dupack ->
     if now > t.recovery_until then begin
-      t.ssthresh <- Float.max (t.cwnd /. 2.) (2. *. t.mss);
+      t.ssthresh <- Float.max (t.cwnd /. 2.) (2. *. mss);
       t.cwnd <- t.ssthresh;
       t.recovery_until <- now +. t.srtt
     end
@@ -47,4 +49,4 @@ let cc t =
     cwnd = (fun () -> B.bytes t.cwnd);
     pacing_rate = (fun () -> None) }
 
-let make ?mss ?initial_cwnd () = cc (create ?mss ?initial_cwnd ())
+let make () = cc (create ())

@@ -5,10 +5,9 @@ type t
 
 (** [create ()] is a fresh instance; [cc t] adapts it to the engine
     interface. [t] is exposed so Nimbus can reset the window on a mode
-    switch.
-    @param mss segment size, bytes (default 1500)
-    @param initial_cwnd initial window in segments (default 10) *)
-val create : ?mss:int -> ?initial_cwnd:int -> unit -> t
+    switch.  Segments are 1500 bytes and the initial window is 10
+    segments. *)
+val create : unit -> t
 
 val cc : t -> Cc_types.t
 
@@ -18,4 +17,4 @@ val cwnd_bytes : t -> Units.Bytes.t
 val reset_cwnd : t -> Units.Bytes.t -> unit
 
 (** [make ()] is [cc (create ())]. *)
-val make : ?mss:int -> ?initial_cwnd:int -> unit -> Cc_types.t
+val make : unit -> Cc_types.t

@@ -10,7 +10,9 @@ let const_rate ~rate =
     cwnd = (fun () -> B.bytes infinity);
     pacing_rate = (fun () -> Some rate) }
 
-let fixed_window ?(mss = 1500) ~segments () =
+let mss = 1500
+
+let fixed_window ~segments () =
   if segments <= 0 then invalid_arg "Simple_cc.fixed_window: segments <= 0";
   let cwnd = B.of_int (mss * segments) in
   { Cc_types.name = "fixed-window";

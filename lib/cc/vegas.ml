@@ -1,10 +1,18 @@
 module Time = Units.Time
 module B = Units.Bytes
 
+let mss_bytes = 1500
+
+let mss = float_of_int mss_bytes
+
+let initial_cwnd = 4
+
+(* target backlog bounds, segments *)
+let alpha = 2.
+
+let beta = 4.
+
 type t = {
-  mss : float;
-  alpha : float; (* segments *)
-  beta : float; (* segments *)
   mutable cwnd : float; (* bytes *)
   mutable next_update : float;
   mutable in_slow_start : bool;
@@ -12,15 +20,14 @@ type t = {
   mutable last_cut : float;
 }
 
-let create ?(mss = 1500) ?(initial_cwnd = 4) ?(alpha = 2.) ?(beta = 4.) () =
-  { mss = float_of_int mss; alpha; beta;
-    cwnd = float_of_int (mss * initial_cwnd); next_update = 0.;
+let create () =
+  { cwnd = float_of_int (mss_bytes * initial_cwnd); next_update = 0.;
     in_slow_start = true; ss_grow_toggle = false; last_cut = neg_infinity }
 
 let cwnd_bytes t = B.bytes t.cwnd
 
 let reset_cwnd t bytes =
-  t.cwnd <- Float.max (2. *. t.mss) (B.to_float bytes);
+  t.cwnd <- Float.max (2. *. mss) (B.to_float bytes);
   t.in_slow_start <- false
 
 let on_ack t (a : Cc_types.ack) =
@@ -33,24 +40,24 @@ let on_ack t (a : Cc_types.ack) =
     t.next_update <- now +. srtt;
     let rtt = Float.max srtt 1e-4 in
     let base = Float.max (Time.to_secs a.min_rtt) 1e-4 in
-    let diff_segments = t.cwnd *. (1. -. (base /. rtt)) /. t.mss in
+    let diff_segments = t.cwnd *. (1. -. (base /. rtt)) /. mss in
     if t.in_slow_start then begin
       t.ss_grow_toggle <- not t.ss_grow_toggle;
       if diff_segments > 1. then t.in_slow_start <- false
     end
-    else if diff_segments < t.alpha then t.cwnd <- t.cwnd +. t.mss
-    else if diff_segments > t.beta then
-      t.cwnd <- Float.max (2. *. t.mss) (t.cwnd -. t.mss)
+    else if diff_segments < alpha then t.cwnd <- t.cwnd +. mss
+    else if diff_segments > beta then
+      t.cwnd <- Float.max (2. *. mss) (t.cwnd -. mss)
   end
 
 let on_loss t (l : Cc_types.loss) =
   let now = Time.to_secs l.now in
   t.in_slow_start <- false;
   match l.kind with
-  | `Timeout -> t.cwnd <- 2. *. t.mss
+  | `Timeout -> t.cwnd <- 2. *. mss
   | `Dupack ->
     if now > t.last_cut +. 0.1 then begin
-      t.cwnd <- Float.max (2. *. t.mss) (t.cwnd /. 2.);
+      t.cwnd <- Float.max (2. *. mss) (t.cwnd /. 2.);
       t.last_cut <- now
     end
 
@@ -62,5 +69,4 @@ let cc t =
     cwnd = (fun () -> B.bytes t.cwnd);
     pacing_rate = (fun () -> None) }
 
-let make ?mss ?initial_cwnd ?alpha ?beta () =
-  cc (create ?mss ?initial_cwnd ?alpha ?beta ())
+let make () = cc (create ())

@@ -22,8 +22,6 @@ let fresh_mi ~now ~sign =
     n_rtt = 0; sum_t = 0.; sum_r = 0.; sum_tt = 0.; sum_tr = 0. }
 
 type t = {
-  mss : float;
-  epsilon : float;
   mutable rate : float; (* bps, the base rate r *)
   mutable current : mi;
   mutable pending : mi list; (* finalized, waiting for their ACKs (oldest first) *)
@@ -45,8 +43,15 @@ let exponent = 0.9
 
 let theta0 = 1e5 (* bps step per unit utility gradient *)
 
-let create ?(mss = 1500) ?(initial_rate = Rate.mbps 1.) ?(epsilon = 0.05) () =
-  { mss = float_of_int mss; epsilon; rate = Rate.to_bps initial_rate;
+let mss = float_of_int 1500
+
+let initial_rate = Rate.mbps 1.
+
+(* probe amplitude *)
+let epsilon = 0.05
+
+let create () =
+  { rate = Rate.to_bps initial_rate;
     current = fresh_mi ~now:0. ~sign:1.; pending = []; utilities = [];
     srtt = 0.1; amplifier = 0; last_step = 0.; started = false;
     doubling = true; prev_pair_utility = neg_infinity }
@@ -100,7 +105,7 @@ let apply_pair t ~u_plus ~u_minus =
   else begin
     (* online gradient ascent with confidence amplification and a dynamic
        boundary of 25% of the current rate *)
-    let denom = 2. *. t.epsilon *. (t.rate /. 1e6) in
+    let denom = 2. *. epsilon *. (t.rate /. 1e6) in
     let gradient = if Float.equal denom 0. then 0. else (u_plus -. u_minus) /. denom in
     let direction = if gradient >= 0. then 1. else -1. in
     if direction = t.last_step then t.amplifier <- min (t.amplifier + 1) 8
@@ -177,10 +182,9 @@ let cc t =
     on_tick = Some (on_tick t);
     cwnd =
       (fun () ->
-        B.bytes (Float.max (3. *. t.rate *. t.srtt /. 8.) (4. *. t.mss)));
+        B.bytes (Float.max (3. *. t.rate *. t.srtt /. 8.) (4. *. mss)));
     pacing_rate =
       (fun () ->
-        Some (Rate.bps (t.rate *. (1. +. (t.current.sign *. t.epsilon))))) }
+        Some (Rate.bps (t.rate *. (1. +. (t.current.sign *. epsilon))))) }
 
-let make ?mss ?initial_rate ?epsilon () =
-  cc (create ?mss ?initial_rate ?epsilon ())
+let make () = cc (create ())

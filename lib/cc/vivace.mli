@@ -11,15 +11,13 @@
 
 type t
 
-(** @param initial_rate starting rate (default 1 Mbit/s)
-    @param epsilon probe amplitude (default 0.05) *)
-val create :
-  ?mss:int -> ?initial_rate:Units.Rate.t -> ?epsilon:float -> unit -> t
+(** [create ()] starts at 1 Mbit/s with a probe amplitude ε of 0.05 and
+    1500-byte segments. *)
+val create : unit -> t
 
 val cc : t -> Cc_types.t
 
 (** [rate t] is the current base rate. *)
 val rate : t -> Units.Rate.t
 
-val make :
-  ?mss:int -> ?initial_rate:Units.Rate.t -> ?epsilon:float -> unit -> Cc_types.t
+val make : unit -> Cc_types.t

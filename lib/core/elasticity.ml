@@ -23,11 +23,7 @@ type watch = {
    path. *)
 type t = {
   ring : Ring.t;
-  sample_rate : float;
-  eta_thresh : float;
-  band_guard_hz : float;
   taper : Nimbus_dsp.Window.kind;
-  detrend : Spectrum.detrend;
   (* Streaming η: a sliding-DFT bank tuned to one pulse frequency — slot 0
      is the peak bin, slots 1.. the comparison band — built lazily on the
      first η evaluation at that frequency (the FFT fallback) and re-tuned
@@ -43,21 +39,24 @@ type t = {
   watch_gain : float array; (* [0] = n * the taper's coherent gain *)
 }
 
-let create ?(sample_interval = Time.ms 10.) ?(window = Time.secs 5.0)
-    ?(eta_thresh = 2.0) ?(band_guard = Freq.hz 0.5)
-    ?(taper = Nimbus_dsp.Window.Hann) ?(detrend = `Linear) () =
-  let sample_interval = Time.to_secs sample_interval in
+let sample_interval = Time.ms 10.
+
+let sample_secs = Time.to_secs sample_interval
+
+let sample_rate = 1. /. sample_secs
+
+let eta_thresh = 2.0
+
+(* the comparison band's edge guard and the detrend mode: see the .mli *)
+let band_guard_hz = Freq.to_hz (Freq.hz 0.5)
+
+let detrend : Spectrum.detrend = `Linear
+
+let create ?(window = Time.secs 5.0) ?(taper = Nimbus_dsp.Window.Hann) () =
   let window = Time.to_secs window in
-  let band_guard_hz = Freq.to_hz band_guard in
-  if sample_interval <= 0. then
-    invalid_arg "Elasticity.create: sample_interval";
-  if window <= sample_interval then invalid_arg "Elasticity.create: window";
-  if eta_thresh < 1. then invalid_arg "Elasticity.create: eta_thresh < 1";
-  if band_guard_hz < 0. then invalid_arg "Elasticity.create: negative guard";
-  let n = int_of_float (Float.round (window /. sample_interval)) in
-  let sample_rate = 1. /. sample_interval in
-  { ring = Ring.create n; sample_rate; eta_thresh; band_guard_hz; taper;
-    detrend; bank = None; tuned = [| nan |];
+  if window <= sample_secs then invalid_arg "Elasticity.create: window";
+  let n = int_of_float (Float.round (window /. sample_secs)) in
+  { ring = Ring.create n; taper; bank = None; tuned = [| nan |];
     watch = None; watch_bank = None; watch_gain = [| nan |] }
 
 let add_sample t z =
@@ -83,8 +82,8 @@ let spectrum t =
   if not (ready t) then None
   else
     Some
-      (Spectrum.analyze ~window:t.taper ~detrend:t.detrend
-         ~sample_rate:(Freq.hz t.sample_rate) (window_copy t))
+      (Spectrum.analyze ~window:t.taper ~detrend
+         ~sample_rate:(Freq.hz sample_rate) (window_copy t))
 
 (* Reference η: the one-shot FFT evaluation of Eq. 3 over the window. *)
 let eta_fft t freq =
@@ -93,8 +92,8 @@ let eta_fft t freq =
   | Some s ->
     let peak = Spectrum.amplitude_at s freq in
     let neighbour =
-      Spectrum.band_max s ~lo:(freq +. t.band_guard_hz)
-        ~hi:((2. *. freq) -. t.band_guard_hz)
+      Spectrum.band_max s ~lo:(freq +. band_guard_hz)
+        ~hi:((2. *. freq) -. band_guard_hz)
     in
     if neighbour <= 0. then if peak > 0. then infinity else nan
     else peak /. neighbour
@@ -113,7 +112,7 @@ let eta_bank bank =
    runs on a bank's first readout and on pulse-frequency changes. *)
 let load_bank t ~tones ~lo ~hi =
   let n = Ring.capacity t.ring in
-  let w = t.sample_rate /. float_of_int n in
+  let w = sample_rate /. float_of_int n in
   let top = n / 2 in
   let nearest f =
     let k = int_of_float (Float.round (f /. w)) in
@@ -126,7 +125,7 @@ let load_bank t ~tones ~lo ~hi =
   let band = List.filter in_band (List.init (top + 1) Fun.id) in
   let bins = Array.append (Array.map nearest tones) (Array.of_list band) in
   let bank =
-    Bank.create ~window:n ~taper:t.taper ~detrend:t.detrend ~bins ()
+    Bank.create ~window:n ~taper:t.taper ~detrend ~bins ()
   in
   Bank.load bank (window_copy t);
   bank
@@ -136,8 +135,8 @@ let load_bank t ~tones ~lo ~hi =
 let tune t freq =
   t.bank <-
     Some
-      (load_bank t ~tones:[| freq |] ~lo:(freq +. t.band_guard_hz)
-         ~hi:((2. *. freq) -. t.band_guard_hz));
+      (load_bank t ~tones:[| freq |] ~lo:(freq +. band_guard_hz)
+         ~hi:((2. *. freq) -. band_guard_hz));
   t.tuned.(0) <- freq
 
 let eta t ~freq =
@@ -164,7 +163,7 @@ let classify t ~freq =
   else begin
     let e = eta t ~freq in
     if Float.is_nan e then None
-    else Some (if e >= t.eta_thresh then Elastic else Inelastic)
+    else Some (if e >= eta_thresh then Elastic else Inelastic)
   end
 
 let peak_amplitude t ~freq =
@@ -220,12 +219,6 @@ let watch_reference t =
     Bank.band_max bank
       ~first:(Array.length (watched t).tones)
       ~last:(Bank.nbins bank - 1)
-
-let eta_thresh t = t.eta_thresh
-
-let sample_rate t = Freq.hz t.sample_rate
-
-let samples t = Ring.to_array t.ring
 
 let mean t =
   let c = Ring.count t.ring in

@@ -5,7 +5,7 @@
 
     [η = |FFT_z(f_p)| / max_{f ∈ (f_p, 2·f_p)} |FFT_z(f)|]   (Eq. 3)
 
-    Cross traffic is declared elastic when [η ≥ η_thresh] (default 2). *)
+    Cross traffic is declared elastic when [η ≥ {!eta_thresh}] (2). *)
 
 type verdict =
   | Elastic
@@ -13,35 +13,37 @@ type verdict =
 
 type t
 
+(** The detector's fixed operating point (Eq. 3): one ẑ sample every
+    {!sample_interval} (10 ms), and cross traffic is elastic when
+    [η ≥ {!eta_thresh}] (2).  The comparison band is guarded by 0.5 Hz at
+    both edges, i.e. the neighbour maximum is taken over
+    (f_p + 0.5 Hz, 2·f_p − 0.5 Hz) instead of the paper's open
+    (f_p, 2·f_p): the pulse fundamental and its second harmonic are
+    non-stationary, so their leakage spills a few bins past the band edges
+    and would otherwise dominate the neighbour maximum.  The window is
+    linearly detrended before the transform, because cross-traffic
+    transitions put large ramps in it whose broadband leakage otherwise
+    swamps the comparison band. *)
+
+(** [sample_interval] is 10 ms.  A caller feeding one sample per flow tick
+    must tick at this period, or every frequency is mis-scaled. *)
+val sample_interval : Units.Time.t
+
+(** [eta_thresh] is 2. *)
+val eta_thresh : float
+
 (** [create ()] builds a detector.
-    @param sample_interval period between ẑ samples (default 10 ms)
     @param window FFT duration (default 5 s); the window holds
            [window / sample_interval] samples (500 by default, transformed
            with the Bluestein FFT so a 5 Hz pulse lands exactly on a bin)
-    @param eta_thresh decision threshold (default 2.0)
-    @param band_guard guard margin excluded at both edges of the
-           comparison band, i.e. the neighbour maximum is taken over
-           (f_p + g, 2·f_p − g) instead of the paper's open (f_p, 2·f_p)
-           (default 0.5 Hz). The pulse fundamental and its second harmonic
-           are non-stationary, so their spectral leakage spills a few bins
-           past the band edges; without the guard that leakage — not cross
-           traffic — dominates the neighbour maximum and deflates η.
     @param taper analysis window (default Hann: the pulse response is
            non-stationary, and with the paper's raw rectangular FFT its
            leakage floods the comparison band during transitions; the
            rectangular option remains for the ablation bench)
-    @param detrend default [`Linear]: cross-traffic transitions put large
-           ramps in the window whose broadband leakage otherwise swamps the
-           comparison band *)
+    @raise Invalid_argument if [window] is not longer than
+           {!sample_interval} *)
 val create :
-  ?sample_interval:Units.Time.t ->
-  ?window:Units.Time.t ->
-  ?eta_thresh:float ->
-  ?band_guard:Units.Freq.t ->
-  ?taper:Nimbus_dsp.Window.kind ->
-  ?detrend:Nimbus_dsp.Spectrum.detrend ->
-  unit ->
-  t
+  ?window:Units.Time.t -> ?taper:Nimbus_dsp.Window.kind -> unit -> t
 
 (** [add_sample t z] appends one sample of the unit-agnostic analysis signal
     (ẑ in bits/s for the pulser's window, R(t) for a watcher's). [nan]
@@ -122,15 +124,6 @@ val tone_oscillation : t -> int -> float
     [0.] when no bin lies inside it; [nan] until {!ready}.
     @raise Invalid_argument without a {!watch}. *)
 val watch_reference : t -> float
-
-(** [eta_thresh t]. *)
-val eta_thresh : t -> float
-
-(** [sample_rate t]. *)
-val sample_rate : t -> Units.Freq.t
-
-(** [samples t] is the current window contents in chronological order. *)
-val samples : t -> float array
 
 (** [mean t] is the mean of the current window contents ([0.] when empty),
     computed without allocating. *)

@@ -89,11 +89,7 @@ type t = {
   pulse_shape : Pulse.shape;
   fp_competitive : float;
   fp_delay : float;
-  use_mode_frequencies : bool;
-  sample_interval : float;
   fft_window : float;
-  detect_interval : float;
-  eta_thresh : float;
   multi_flow : bool;
   kappa : float;
   rng : Rng.t;
@@ -115,7 +111,6 @@ type t = {
      off does not drag the survivor down with stale evidence. *)
   ztones : Bank.t;
   recent_len : int;            (* tone probe window, in samples *)
-  pulse_timeout : float;       (* silence after last tone before "orphaned" *)
   mutable tone_heard_at : float; (* nan until a pulser has ever been heard *)
   mutable follow_target : mode option; (* watcher switch-confirmation streak *)
   mutable follow_streak : int;
@@ -128,8 +123,6 @@ type t = {
   switch_streak : int;
   mutable inelastic_streak : int;
   mutable elastic_streak : int;
-  z_gate_delay : float;
-  min_z_frac : float;
   rate_reset : bool;
   trace : Trace.t;
 }
@@ -151,21 +144,12 @@ module Config = struct
     pulse_shape : Pulse.shape;
     fp_competitive : Freq.t;
     fp_delay : Freq.t;
-    use_mode_frequencies : bool option;
     fft_window : Time.t;
-    sample_interval : Time.t;
-    detect_interval : Time.t;
-    eta_thresh : float;
     multi_flow : bool;
     kappa : float;
-    delay_target : Time.t;
     switch_streak : int;
-    pulse_timeout : Time.t;
-    z_gate_delay : Time.t;
-    min_z_frac : float;
     rate_reset : bool;
     taper : Nimbus_dsp.Window.kind option;
-    detrend : Nimbus_dsp.Spectrum.detrend option;
     seed : int;
     trace : Trace.t;
     on_detection : (detection -> unit) option;
@@ -181,21 +165,12 @@ module Config = struct
       pulse_shape = Pulse.Asymmetric;
       fp_competitive = Freq.hz 5.;
       fp_delay = Freq.hz 6.;
-      use_mode_frequencies = None;
       fft_window = Time.secs 5.;
-      sample_interval = Time.ms 10.;
-      detect_interval = Time.ms 100.;
-      eta_thresh = 2.;
       multi_flow = false;
       kappa = 1.;
-      delay_target = Time.ms 12.5;
       switch_streak = 30;
-      pulse_timeout = Time.secs 1.;
-      z_gate_delay = Time.ms 3.;
-      min_z_frac = 0.05;
       rate_reset = true;
       taper = None;
-      detrend = None;
       seed = 0xD15EA5E;
       trace = Trace.disabled;
       on_detection = None;
@@ -203,27 +178,36 @@ module Config = struct
     }
 end
 
+(* The operating point the paper fixes.  A flow ticks once per ẑ sample,
+   so the tick period is the detector's sample interval. *)
+let sample_interval = Time.to_secs Elasticity.sample_interval
+
+let detect_interval = Time.to_secs (Time.ms 100.)
+
+(* watcher failover latency: once a pulse tone that was heard on the fast
+   keep-alive probe has been silent this long, the watcher is orphaned (its
+   evidence becomes [Ev_pulser_lost] and its Eq. 5 election is boosted) *)
+let pulse_timeout = Time.to_secs (Time.secs 1.)
+
+(* standing-queue threshold: below it the bottleneck has no backlog, Eq. 1 is
+   invalid (and nothing elastic can be present), so ẑ is forced to 0 *)
+let z_gate_delay = Time.to_secs (Time.ms 3.)
+
+(* minimum mean ẑ, as a fraction of µ, over the FFT window for an elastic
+   verdict: with no meaningful cross traffic Eq. 3 is a ratio of noise bins *)
+let min_z_frac = 0.05
+
 let create (cfg : Config.t) =
   let { Config.mu; competitive; delay; pulse_frac; pulse_shape;
-        fp_competitive; fp_delay; use_mode_frequencies; fft_window;
-        sample_interval; detect_interval; eta_thresh; multi_flow; kappa;
-        delay_target; switch_streak; pulse_timeout; z_gate_delay; min_z_frac;
-        rate_reset; taper; detrend; seed; trace; on_detection; on_sample } =
+        fp_competitive; fp_delay; fft_window; multi_flow; kappa;
+        switch_streak; rate_reset; taper; seed; trace; on_detection;
+        on_sample } =
     cfg
   in
-  let use_mode_frequencies =
-    match use_mode_frequencies with Some b -> b | None -> multi_flow
-  in
-  let mk_detector () =
-    Elasticity.create ~sample_interval ~window:fft_window ~eta_thresh ?taper
-      ?detrend ()
-  in
+  let mk_detector () = Elasticity.create ~window:fft_window ?taper () in
   let fp_competitive = Freq.to_hz fp_competitive in
   let fp_delay = Freq.to_hz fp_delay in
   let fft_window = Time.to_secs fft_window in
-  let sample_interval = Time.to_secs sample_interval in
-  let detect_interval = Time.to_secs detect_interval in
-  let z_gate_delay = Time.to_secs z_gate_delay in
   let mu_now = Rate.to_bps (Z_estimator.Mu.current mu ~now:Time.zero) in
   let mu_guess = if Float.is_nan mu_now then 10e6 else mu_now in
   let comp =
@@ -234,14 +218,13 @@ let create (cfg : Config.t) =
   let delay =
     match delay with
     | `Basic_delay ->
-      D_basic (Basic_delay.create ~mu:(Rate.bps mu_guess) ~delay_target ())
+      D_basic (Basic_delay.create ~mu:(Rate.bps mu_guess) ())
     | `Vegas -> D_vegas (Vegas.create ())
     | `Copa_default -> D_copa (Copa.create ~switching:false ())
   in
   let hist_len =
     max 2 (int_of_float (Float.round (fft_window /. sample_interval)))
   in
-  let pulse_timeout = Time.to_secs pulse_timeout in
   (* trailing ~1 s (never more than half the FFT window) for the tone probe *)
   let recent_len =
     max 2
@@ -277,10 +260,9 @@ let create (cfg : Config.t) =
       ~hi:(Freq.hz ((2. *. lo_f) -. 0.2))
   end;
   { mu; comp; delay; pulse_frac; pulse_shape; fp_competitive; fp_delay;
-    use_mode_frequencies; sample_interval; fft_window; detect_interval;
-    eta_thresh; multi_flow; kappa; rng = Rng.create seed; on_detection;
+    fft_window; multi_flow; kappa; rng = Rng.create seed; on_detection;
     on_sample; z_detector = mk_detector (); r_detector;
-    tones = tone_probe (); ztones = tone_probe (); recent_len; pulse_timeout;
+    tones = tone_probe (); ztones = tone_probe (); recent_len;
     tone_heard_at = nan; follow_target = None; follow_streak = 0;
     next_conflict_coin = 0.;
     rate_history = Ring.create hist_len;
@@ -298,8 +280,7 @@ let create (cfg : Config.t) =
       { last_eta = nan; last_z = nan; srtt = nan; next_detect = fft_window;
         mu_cache = mu_now };
     switch_streak;
-    inelastic_streak = 0; elastic_streak = 0; z_gate_delay; min_z_frac;
-    rate_reset; trace }
+    inelastic_streak = 0; elastic_streak = 0; rate_reset; trace }
 
 let mode t = t.mode
 
@@ -417,7 +398,7 @@ let pulse_freq_hz t =
   match t.role with
   | Watcher -> nan
   | Pulser ->
-    if t.use_mode_frequencies then
+    if t.multi_flow then
       (match t.mode with
        | Competitive -> t.fp_competitive
        | Delay -> t.fp_delay)
@@ -459,7 +440,7 @@ let emit_detection t ~now ~eta ~evidence =
 let pulser_detect t ~now =
   let fp = pulse_freq_hz t in
   (* fp's watcher-bank slot, fixed before the verdict below can switch mode *)
-  let fp_slot = if t.use_mode_frequencies then mode_slot t.mode else 0 in
+  let fp_slot = if t.multi_flow then mode_slot t.mode else 0 in
   if Elasticity.ready t.z_detector then begin
     let eta = Elasticity.eta t.z_detector ~freq:(Freq.hz fp) in
     (* with (almost) no cross traffic there is nothing whose elasticity the
@@ -471,7 +452,7 @@ let pulser_detect t ~now =
        low-pass leakage. *)
     let zbar = Elasticity.mean t.z_detector in
     let z_floor =
-      if Float.is_nan t.hot.mu_cache then 0. else t.min_z_frac *. t.hot.mu_cache
+      if Float.is_nan t.hot.mu_cache then 0. else min_z_frac *. t.hot.mu_cache
     in
     let eta = if zbar < z_floor then Float.min eta 1.0 else eta in
     (* Elasticity.eta is +inf when the reference band carries exactly zero
@@ -495,7 +476,7 @@ let pulser_detect t ~now =
          error), but require a sustained run of inelastic verdicts before
          dropping back to delay mode, since a single noisy FFT window
          mid-competition would otherwise starve the flow for seconds *)
-      if eta >= t.eta_thresh then begin
+      if eta >= Elasticity.eta_thresh then begin
         t.inelastic_streak <- 0;
         t.elastic_streak <- t.elastic_streak + 1;
         (* a couple of consecutive verdicts (~0.3 s) filter one-window
@@ -571,8 +552,8 @@ let audible_pulser t =
     let floor_amp =
       if Float.is_nan t.hot.mu_cache then infinity else 0.02 *. t.hot.mu_cache
     in
-    let c_ok = eta_c >= t.eta_thresh && osc_c >= floor_amp in
-    let d_ok = eta_d >= t.eta_thresh && osc_d >= floor_amp in
+    let c_ok = eta_c >= Elasticity.eta_thresh && osc_c >= floor_amp in
+    let d_ok = eta_d >= Elasticity.eta_thresh && osc_d >= floor_amp in
     if c_ok && (eta_c >= eta_d || not d_ok) then Some Competitive
     else if d_ok then Some Delay
     else None
@@ -605,7 +586,7 @@ let recent_tone_alive t =
 
 let orphaned t ~now =
   (not (Float.is_nan t.tone_heard_at))
-  && now -. t.tone_heard_at > t.pulse_timeout
+  && now -. t.tone_heard_at > pulse_timeout
 
 let watcher_detect t ~now =
   if Elasticity.ready t.r_detector then begin
@@ -672,7 +653,7 @@ let election t ~now ~recv_rate =
          probe needs to acquire the winner's tone, or the losers elect
          themselves before they can possibly hear the winner. *)
       let horizon = if orphaned t ~now then 1.5 else t.fft_window in
-      let p = t.kappa *. t.sample_interval /. horizon *. share in
+      let p = t.kappa *. sample_interval /. horizon *. share in
       let p = Float.max 0. (Float.min 1. p) in
       if Rng.bool t.rng ~p then begin
         t.role <- Pulser;
@@ -709,7 +690,7 @@ let on_tick t (tk : Cc_types.tick) =
     else if
       (not (Float.is_nan srtt))
       && (not (Float.is_nan min_rtt))
-      && srtt -. min_rtt < t.z_gate_delay
+      && srtt -. min_rtt < z_gate_delay
     then 0.
     else
       Rate.to_bps
@@ -749,7 +730,7 @@ let on_tick t (tk : Cc_types.tick) =
    | None -> ());
   election t ~now ~recv_rate;
   if now >= t.hot.next_detect then begin
-    t.hot.next_detect <- now +. t.detect_interval;
+    t.hot.next_detect <- now +. detect_interval;
     match t.role with
     | Pulser -> pulser_detect t ~now
     | Watcher -> watcher_detect t ~now

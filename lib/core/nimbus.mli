@@ -37,13 +37,13 @@ type delay_alg =
 (** What a detection was based on — the failure-recovery state machine made
     observable. Watchers report whether the pulser's tone is currently heard,
     has never been heard / recently faded ([Ev_pulser_quiet]), or has been
-    silent for longer than [pulse_timeout] after being heard
+    silent for longer than the 1 s pulse timeout after being heard
     ([Ev_pulser_lost], the orphaned state that boosts the Eq. 5 election). *)
 type evidence =
   | Ev_eta of float  (** pulser: its own Eq. 3 verdict *)
   | Ev_pulser_heard of mode  (** watcher: tone audible, following this mode *)
   | Ev_pulser_quiet  (** watcher: no tone, but not (yet) orphaned *)
-  | Ev_pulser_lost  (** watcher: tone lost for > [pulse_timeout] *)
+  | Ev_pulser_lost  (** watcher: tone lost for > 1 s *)
   | Ev_elected  (** this flow just won the election and became the pulser *)
 
 (** Detection outcome passed to the [on_detection] hook every detection
@@ -90,52 +90,25 @@ module Config : sig
             be an exact bin of the keep-alive probe window (see
             {!create}): a whole number of hertz at the defaults *)
     fp_delay : Units.Freq.t;
-        (** pulse frequency in delay mode; only pulsed when
-            [use_mode_frequencies] is on, but always probed for *)
-    use_mode_frequencies : bool option;
-        (** encode the mode in the pulse frequency
-            ([None]: on iff [multi_flow]) *)
+        (** pulse frequency in delay mode; only pulsed with [multi_flow],
+            but always probed for *)
     fft_window : Units.Time.t;  (** duration of ẑ per FFT *)
-    sample_interval : Units.Time.t;  (** tick period *)
-    detect_interval : Units.Time.t;  (** how often to re-run detection *)
-    eta_thresh : float;  (** detection threshold *)
     multi_flow : bool;
-        (** enable the pulser/watcher protocol ([false]: this flow
-            always pulses) *)
+        (** enable the pulser/watcher protocol, in which a pulser encodes
+            its mode in its pulse frequency ([false]: this flow always
+            pulses, at [fp_competitive]) *)
     kappa : float;
         (** election aggressiveness, expected pulsers per FFT window *)
-    delay_target : Units.Time.t;
-        (** BasicDelay's queueing-delay target *)
     switch_streak : int;
         (** consecutive inelastic detections required before leaving
             competitive mode (default 30, i.e. three seconds at the
             default detection interval); switching into competitive
             mode is immediate.  Set 1 to reproduce the paper's
             memoryless rule. *)
-    pulse_timeout : Units.Time.t;
-        (** watcher failover latency: once a pulse tone that was heard
-            on the fast keep-alive probe (a sliding DFT of the
-            trailing ~1 s of the receive rate at both mode frequencies) has been silent
-            this long, the watcher is {e orphaned} — its
-            [on_detection] evidence becomes [Ev_pulser_lost] and its
-            Eq. 5 election probability is boosted so a replacement
-            pulser appears within one FFT window of a pulser death *)
-    z_gate_delay : Units.Time.t;
-        (** standing-queue threshold: when [rtt − min_rtt] is below it
-            the bottleneck has no backlog, Eq. 1 is invalid (and
-            nothing elastic can be present), so the ẑ sample is forced
-            to 0 *)
-    min_z_frac : float;
-        (** minimum mean ẑ (as a fraction of µ) over the FFT window
-            for an elastic verdict — with no meaningful cross traffic
-            Eq. 3 is a ratio of noise bins, so η is forced ≤ 1 below
-            this floor *)
     rate_reset : bool;
         (** restore the pre-squeeze rate when entering competitive
             mode ([false] ablates §4.1's reset) *)
     taper : Nimbus_dsp.Window.kind option;
-        (** forwarded to {!Elasticity.create} *)
-    detrend : Nimbus_dsp.Spectrum.detrend option;
         (** forwarded to {!Elasticity.create} *)
     seed : int;  (** randomness for the election *)
     trace : Nimbus_trace.Trace.t;
@@ -147,22 +120,27 @@ module Config : sig
 
   (** [default ~mu] — the paper's defaults: Cubic/BasicDelay inners,
       0.25 pulse fraction, asymmetric pulses at 5/6 Hz, 5 s FFT window,
-      10 ms ticks, 100 ms detection, η threshold 2, single-flow,
-      κ = 1, 12.5 ms delay target, 30-streak hysteresis, 1 s pulse
-      timeout, 3 ms ẑ gate, 0.05 ẑ floor, rate reset on, tracing
-      off. *)
+      single-flow, κ = 1, 30-streak hysteresis, rate reset on, the
+      detector's own taper, tracing off. *)
   val default : mu:Z_estimator.Mu.t -> t
 end
 
 (** [create config] builds a Nimbus instance; pass [cc t] to
-    {!Nimbus_cc.Flow.create_via} with the same [tick_interval] as
-    [config.sample_interval].
+    {!Nimbus_cc.Flow.create_via} at its default tick interval.
+
+    The operating point is fixed: one ẑ sample per 10 ms tick
+    ({!Elasticity.sample_interval}), a detection every 100 ms, the
+    detector's η threshold of 2, BasicDelay's 12.5 ms delay target, a 1 s
+    pulse timeout after which a watcher that heard a pulser is orphaned
+    (its evidence becomes [Ev_pulser_lost] and its Eq. 5 election is
+    boosted), a 3 ms standing-queue gate below which ẑ is forced to 0, and
+    a floor of 0.05 µ on the mean ẑ for an elastic verdict.
 
     The keep-alive probes track both mode frequencies as whole DFT bins of
-    their window of [recent_len = round (min 1 s (fft_window / 2) /
-    sample_interval)] samples, so each of [fp_competitive] and [fp_delay]
-    must be a multiple of [1 / (recent_len · sample_interval)]: 1 Hz at
-    the default 5 s window and 10 ms ticks, where 2, 5 and 6 Hz qualify.
+    their window of [recent_len = round (min 1 s (fft_window / 2) / 10 ms)]
+    samples, so each of [fp_competitive] and [fp_delay] must be a multiple
+    of [1 / (recent_len · 10 ms)]: 1 Hz at the default 5 s window, where 2,
+    5 and 6 Hz qualify.
     @raise Invalid_argument if a mode frequency is not such a bin. *)
 val create : Config.t -> t
 

@@ -11,7 +11,6 @@ module Monitor = Nimbus_metrics.Monitor
 module Invariant = Nimbus_metrics.Invariant
 module Stats = Nimbus_dsp.Stats
 module Time = Units.Time
-module Freq = Units.Freq
 module Rate = Units.Rate
 
 type profile = {
@@ -111,9 +110,8 @@ let plain name make_cc =
         in
         { flow; in_competitive = None; nimbus = None }) }
 
-let nimbus ?name ?(delay = `Basic_delay) ?(competitive = `Cubic)
-    ?(pulse_frac = 0.25) ?(fp = Freq.hz 5.) ?(multi_flow = false) ?(seed = 1)
-    ?(estimate_mu = false) () =
+let nimbus ?name ?(delay = `Basic_delay) ?(pulse_frac = 0.25)
+    ?(multi_flow = false) ?(seed = 1) ?(estimate_mu = false) () =
   let scheme_name = match name with Some n -> n | None -> "nimbus" in
   { scheme_name;
     start_flow =
@@ -126,9 +124,7 @@ let nimbus ?name ?(delay = `Basic_delay) ?(competitive = `Cubic)
         let nim =
           Nimbus.create
             { (Nimbus.Config.default ~mu) with
-              delay; competitive; pulse_frac; fp_competitive = fp;
-              fp_delay = Freq.hz (Freq.to_hz fp +. 1.); multi_flow; seed;
-              trace = Engine.trace engine }
+              delay; pulse_frac; multi_flow; seed; trace = Engine.trace engine }
         in
         let flow =
           Flow.create_via net.topo ~route:net.route

@@ -93,9 +93,7 @@ type scheme = {
 val nimbus :
   ?name:string ->
   ?delay:Nimbus_core.Nimbus.delay_alg ->
-  ?competitive:Nimbus_core.Nimbus.competitive_alg ->
   ?pulse_frac:float ->
-  ?fp:Units.Freq.t ->
   ?multi_flow:bool ->
   ?seed:int ->
   ?estimate_mu:bool ->

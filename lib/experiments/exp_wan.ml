@@ -96,7 +96,7 @@ let run (p : Common.profile) =
         "Fig 21 (App B): p95 cross-flow FCT by size, normalized to Nimbus"
       ~header:
         ("scheme"
-        :: Array.to_list (Array.map Fct.bucket_label Fct.default_buckets))
+        :: Array.to_list (Array.map Fct.bucket_label Fct.buckets))
       ~notes:
         [ "shape: bbr/vivace inflate cross-flow FCTs at all sizes; nimbus \
            comparable to cubic, slightly better for short flows; vegas \

@@ -16,8 +16,7 @@ let check_p name p =
   if not (Float.is_finite p) || p < 0. || p > 1. then
     invalid_arg (Printf.sprintf "Gilbert_elliott: %s not in [0, 1]" name)
 
-let create ~rng ?(start_bad = false) ~p_enter ~p_exit ~loss_good ~loss_bad ()
-    =
+let create ~rng ~p_enter ~p_exit ~loss_good ~loss_bad () =
   check_p "p_enter" p_enter;
   check_p "p_exit" p_exit;
   check_p "loss_good" loss_good;
@@ -27,7 +26,7 @@ let create ~rng ?(start_bad = false) ~p_enter ~p_exit ~loss_good ~loss_bad ()
      Bernoulli stream a uniform random_loss would draw from [rng] *)
   let state_rng = Rng.split rng in
   { loss_rng = rng; state_rng; p_enter; p_exit; loss_good; loss_bad;
-    bad = start_bad; offered = 0; dropped = 0 }
+    bad = false; offered = 0; dropped = 0 }
 
 let drop t =
   let p = if t.bad then t.loss_bad else t.loss_good in

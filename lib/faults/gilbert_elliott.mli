@@ -17,11 +17,10 @@ type t
 
 (** [create ~rng ~p_enter ~p_exit ~loss_good ~loss_bad ()] builds an
     injector. [rng] is consumed for loss draws; the state chain uses a
-    stream split off it. [start_bad] defaults to [false].
+    stream split off it.  The chain starts in the good state.
     @raise Invalid_argument if any probability is outside [0, 1]. *)
 val create :
   rng:Nimbus_sim.Rng.t ->
-  ?start_bad:bool ->
   p_enter:float ->
   p_exit:float ->
   loss_good:float ->

@@ -1,6 +1,6 @@
-let default_buckets = [| 15_000; 150_000; 1_500_000; 15_000_000; 150_000_000 |]
+let buckets = [| 15_000; 150_000; 1_500_000; 15_000_000; 150_000_000 |]
 
-let bucketize ?(buckets = default_buckets) fcts =
+let bucketize fcts =
   let groups = Array.map (fun _ -> ref []) buckets in
   Array.iter
     (fun (size, fct) ->

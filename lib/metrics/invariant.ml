@@ -41,12 +41,17 @@ type watch = {
 
 let max_recorded = 1000
 
+(* minimum legal gap between two mode switches of a watched controller *)
+let min_dwell = Time.to_secs (Time.ms 250.)
+
+(* audit period *)
+let interval = Time.ms 10.
+
 type t = {
   engine : Engine.t;
   (* audited links as (label, bottleneck), one per topology link *)
   bottlenecks : (string * Bottleneck.t) list;
   watches : watch list;
-  min_dwell : float;
   mutable recorded : violation list; (* newest first, capped *)
   mutable total : int;
   mutable checks : (string * (unit -> string option)) list;
@@ -90,7 +95,7 @@ let check_watch t w =
   let mode = Nimbus.mode w.w_nimbus in
   if mode <> w.w_mode then begin
     let now = Time.to_secs (Engine.now t.engine) in
-    if now -. w.w_last_switch < t.min_dwell then
+    if now -. w.w_last_switch < min_dwell then
       record t Mode_hysteresis
         (Printf.sprintf "%s: %s -> %s only %.3f s after the previous switch"
            w.w_label
@@ -111,8 +116,7 @@ let tick t () =
       | None -> ())
     t.checks
 
-let create engine ?(bottlenecks = []) ?(nimbus = [])
-    ?(min_dwell = Time.ms 250.) ?(interval = Time.ms 10.) ?until () =
+let create engine ?(bottlenecks = []) ?(nimbus = []) () =
   let watches =
     List.map
       (fun (label, nim) ->
@@ -121,10 +125,10 @@ let create engine ?(bottlenecks = []) ?(nimbus = [])
       nimbus
   in
   let t =
-    { engine; bottlenecks; watches; min_dwell = Time.to_secs min_dwell;
+    { engine; bottlenecks; watches;
       recorded = []; total = 0; checks = [] }
   in
-  Engine.every engine ~dt:interval ?until (tick t);
+  Engine.every engine ~dt:interval (tick t);
   t
 
 let add_check t ~name check = t.checks <- t.checks @ [ (name, check) ]

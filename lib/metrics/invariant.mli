@@ -10,7 +10,7 @@
       finite or NaN (the repo-wide "not yet measured" sentinel), never
       infinite;
     - {e mode-switch hysteresis} — two mode switches of a watched controller
-      closer than [min_dwell] mean the asymmetric-hysteresis contract broke
+      closer than 250 ms mean the asymmetric-hysteresis contract broke
       (a genuine switch needs a ≥ 3-verdict streak, i.e. ≥ 300 ms).
 
     Additional experiment-specific predicates can be attached with
@@ -38,25 +38,18 @@ type violation = {
 
 type t
 
-(** [create engine ?bottlenecks ?nimbus ()] starts auditing on a periodic
-    engine event.
+(** [create engine ?bottlenecks ?nimbus ()] starts auditing every 10 ms of
+    simulated time, for the rest of the run.
     @param bottlenecks labelled links whose conservation ledger and queue
            to audit — one entry per topology link, labelled by
            [Topology.link_label] (see [Common.audit], which also adds the
            fabric-level identity)
     @param nimbus labelled controllers whose signals and mode switches to
-           audit
-    @param min_dwell minimum legal gap between mode switches (default
-           250 ms)
-    @param interval audit period (default 10 ms)
-    @param until stop auditing after this time *)
+           audit *)
 val create :
   Nimbus_sim.Engine.t ->
   ?bottlenecks:(string * Nimbus_sim.Bottleneck.t) list ->
   ?nimbus:(string * Nimbus_core.Nimbus.t) list ->
-  ?min_dwell:Units.Time.t ->
-  ?interval:Units.Time.t ->
-  ?until:Units.Time.t ->
   unit ->
   t
 

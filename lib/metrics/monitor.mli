@@ -1,21 +1,19 @@
 (** Periodic probes that turn live simulation state into {!Series.t}. *)
 
-(** [probe engine ~interval ?start ?until f] samples [f ()] every [interval]
-    into a fresh series. *)
+(** [probe engine ~interval ?until f] samples [f ()] every [interval],
+    from [interval] after now, into a fresh series. *)
 val probe :
   Nimbus_sim.Engine.t ->
   interval:Units.Time.t ->
-  ?start:Units.Time.t ->
   ?until:Units.Time.t ->
   (unit -> float) ->
   Series.t
 
-(** [throughput engine ~interval ?start ?until counter] converts a cumulative
+(** [throughput engine ~interval ?until counter] converts a cumulative
     byte counter into a bits-per-second series (delta per interval). *)
 val throughput :
   Nimbus_sim.Engine.t ->
   interval:Units.Time.t ->
-  ?start:Units.Time.t ->
   ?until:Units.Time.t ->
   (unit -> int) ->
   Series.t
@@ -25,7 +23,6 @@ val flow_throughput :
   Nimbus_sim.Engine.t ->
   Nimbus_cc.Flow.t ->
   interval:Units.Time.t ->
-  ?start:Units.Time.t ->
   ?until:Units.Time.t ->
   unit ->
   Series.t
@@ -36,7 +33,6 @@ val queue_delay :
   Nimbus_sim.Engine.t ->
   Nimbus_sim.Bottleneck.t ->
   interval:Units.Time.t ->
-  ?start:Units.Time.t ->
   ?until:Units.Time.t ->
   unit ->
   Series.t
@@ -47,7 +43,6 @@ val flow_rtt :
   Nimbus_sim.Engine.t ->
   Nimbus_cc.Flow.t ->
   interval:Units.Time.t ->
-  ?start:Units.Time.t ->
   ?until:Units.Time.t ->
   unit ->
   Series.t

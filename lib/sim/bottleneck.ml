@@ -25,7 +25,6 @@ type t = {
   mutable busy : bool;
   mutable drops : int;
   mutable marks : int;
-  drops_by_flow : (int, int) Hashtbl.t;
   delivered_by_flow : (int, int) Hashtbl.t;
   mutable busy_secs : float;
   (* packet-conservation ledger: every offered packet must end up delivered,
@@ -35,7 +34,6 @@ type t = {
   mutable delivered_pkts : int;
   mutable queued_pkts : int;
   trace : Trace.t;
-  pkt_sample : int;
   mutable enq_count : int;
   mutable del_count : int;
 }
@@ -47,18 +45,18 @@ module Config = struct
     random_loss : (float * Rng.t) option;
     policer : (Rate.t * int) option;
     trace : Trace.t;
-    pkt_sample : int;
   }
 
   let default ~rate ~qdisc =
     { rate; qdisc; random_loss = None; policer = None;
-      trace = Trace.disabled; pkt_sample = 64 }
+      trace = Trace.disabled }
 end
+
+(* trace every [pkt_sample]-th enqueue and delivery; drops are all traced *)
+let pkt_sample = 64
 
 let create engine (c : Config.t) =
   let rate = Rate.bps_exn (Rate.to_bps c.rate) in
-  if c.pkt_sample < 1 then
-    invalid_arg "Bottleneck.create: pkt_sample must be >= 1";
   let policer =
     Option.map
       (fun (prate, burst) ->
@@ -70,14 +68,11 @@ let create engine (c : Config.t) =
     random_loss = c.random_loss; loss_model = None; policer;
     fifo = Queue.create (); sinks = Hashtbl.create 16; qlen = 0;
     busy = false; drops = 0; marks = 0;
-    drops_by_flow = Hashtbl.create 16;
     delivered_by_flow = Hashtbl.create 16; busy_secs = 0.; offered_pkts = 0;
-    delivered_pkts = 0; queued_pkts = 0; trace = c.trace;
-    pkt_sample = c.pkt_sample; enq_count = 0; del_count = 0 }
+    delivered_pkts = 0; queued_pkts = 0; trace = c.trace; enq_count = 0;
+    del_count = 0 }
 
 let set_sink t ~flow f = Hashtbl.replace t.sinks flow f
-
-let trace t = t.trace
 
 let now_s t = Time.to_secs (Engine.now t.engine)
 [@@unit_ok "raw-seconds view feeding float trace sinks"]
@@ -93,7 +88,6 @@ let bump tbl key n =
 
 let record_drop t (pkt : Packet.t) ~reason =
   t.drops <- t.drops + 1;
-  bump t.drops_by_flow pkt.flow 1;
   (* drops are rare and diagnostic gold, so they are never sampled out *)
   if Trace.want t.trace Tev.Packet then
     Trace.pkt_drop t.trace ~now:(now_s t) ~flow:pkt.flow ~seq:pkt.seq ~reason
@@ -104,7 +98,7 @@ let deliver t (pkt : Packet.t) =
   t.queued_pkts <- t.queued_pkts - 1;
   if Trace.want t.trace Tev.Packet then begin
     t.del_count <- t.del_count + 1;
-    if t.del_count mod t.pkt_sample = 0 then
+    if t.del_count mod pkt_sample = 0 then
       Trace.pkt_deliver t.trace ~now:(now_s t) ~flow:pkt.flow ~seq:pkt.seq
         ~qdelay:(Time.to_secs (Packet.queueing_delay pkt))
   end;
@@ -192,7 +186,7 @@ let enqueue t pkt =
     t.queued_pkts <- t.queued_pkts + 1;
     if Trace.want t.trace Tev.Packet then begin
       t.enq_count <- t.enq_count + 1;
-      if t.enq_count mod t.pkt_sample = 0 then
+      if t.enq_count mod pkt_sample = 0 then
         Trace.pkt_enqueue t.trace ~now:(Time.to_secs now) ~flow:pkt.Packet.flow
           ~seq:pkt.Packet.seq ~qlen:t.qlen
     end;
@@ -215,9 +209,6 @@ let queue_delay t =
 let drops t = t.drops
 
 let marks t = t.marks
-
-let drops_for t ~flow =
-  Option.value ~default:0 (Hashtbl.find_opt t.drops_by_flow flow)
 
 let delivered_bytes t ~flow =
   Option.value ~default:0 (Hashtbl.find_opt t.delivered_by_flow flow)

@@ -26,10 +26,8 @@ module Config : sig
             dropped instead of queued *)
     trace : Nimbus_trace.Trace.t;
         (** collector for [packet]/[bottleneck] events (default
-            {!Nimbus_trace.Trace.disabled}) *)
-    pkt_sample : int;
-        (** trace every [pkt_sample]-th enqueue/delivery (default 64;
-            drops are always traced) *)
+            {!Nimbus_trace.Trace.disabled}); every 64th enqueue and
+            delivery is traced, and every drop *)
   }
 
   (** [default ~rate ~qdisc] — no loss, no policer, tracing off. *)
@@ -37,8 +35,8 @@ module Config : sig
 end
 
 (** [create engine config] builds an idle bottleneck.
-    @raise Invalid_argument if [config.rate] is not finite and positive
-    or [config.pkt_sample < 1]. *)
+    @raise Invalid_argument if [config.rate] is not finite and
+    positive. *)
 val create : Engine.t -> Config.t -> t
 
 (** [set_sink t ~flow f] registers the delivery callback for [flow]'s packets
@@ -65,9 +63,6 @@ val set_loss_model : t -> (Packet.t -> bool) option -> unit
 
 (** Observability *)
 
-(** [trace t] is the collector this link emits to. *)
-val trace : t -> Nimbus_trace.Trace.t
-
 (** [rate t] is the current drain rate µ. *)
 val rate : t -> Units.Rate.t
 
@@ -87,9 +82,6 @@ val drops : t -> int
     with ECN enabled. Marked packets are admitted, so they appear in the
     conservation ledger as delivered/queued, never as drops. *)
 val marks : t -> int
-
-(** [drops_for t ~flow] is the cumulative drops of one flow. *)
-val drops_for : t -> flow:int -> int
 
 (** [delivered_bytes t ~flow] is the cumulative bytes serialised for
     [flow]. *)

@@ -100,11 +100,6 @@ let decide t ~now ~qlen_bytes ~pkt_size =
     pie_decide s ~now:(Time.to_secs now) ~qlen_bytes ~pkt_size
       ~capacity:t.capacity_bytes
 
-let admit t ~now ~qlen_bytes ~pkt_size =
-  match decide t ~now ~qlen_bytes ~pkt_size with
-  | Admit | Mark -> true
-  | Drop -> false
-
 let name t =
   match t.kind with
   | Droptail -> "droptail"

@@ -47,10 +47,5 @@ val capacity_bytes : t -> int
 val decide :
   t -> now:Units.Time.t -> qlen_bytes:int -> pkt_size:int -> decision
 
-(** [admit t ~now ~qlen_bytes ~pkt_size] is [decide _ <> Drop] — kept for
-    callers that do not distinguish marking from plain admission. Advances
-    internal AQM state. *)
-val admit : t -> now:Units.Time.t -> qlen_bytes:int -> pkt_size:int -> bool
-
 (** [name t] is ["droptail"] or ["pie"]. *)
 val name : t -> string

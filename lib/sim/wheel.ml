@@ -3,7 +3,7 @@
 
    Push and pop of a near-future event (within [nslots * width] of the
    cursor, which covers packet serialisation, pacing, and RTT-scale timers
-   at the default 64 µs slot width) cost O(1) in the common case instead of
+   at the 64 µs slot width) cost O(1) in the common case instead of
    the heap's O(log n), and nothing is boxed on the way in: every slot
    stores its entries in parallel arrays (flat float keys / int seqs /
    values), exactly like {!Heap} after the unboxed-key rework.
@@ -41,8 +41,10 @@ let slot_mask = nslots - 1
 let word_bits = 32
 let nwords = nslots / word_bits (* 32: level-1 summary fits one int *)
 
+(* slot width, seconds *)
+let width = 64e-6
+
 type 'a t = {
-  width : float; (* slot width, seconds *)
   slot_keys : float array array;
   slot_seqs : int array array;
   slot_vals : 'a array array;
@@ -61,13 +63,8 @@ type 'a t = {
   mutable cache_slot : int;
 }
 
-let default_width = 64e-6
-
-let create ?(width = default_width) () =
-  if not (Float.is_finite width && width > 0.) then
-    invalid_arg "Wheel.create: width must be finite and positive";
+let create () =
   {
-    width;
     slot_keys = Array.make nslots [||];
     slot_seqs = Array.make nslots [||];
     slot_vals = Array.make nslots [||];
@@ -193,7 +190,7 @@ let beats_cache t key seq =
 let push t ~key v =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  if key /. t.width -. float_of_int t.cur >= float_of_int nslots then begin
+  if key /. width -. float_of_int t.cur >= float_of_int nslots then begin
     (* far timer: spill to the heap, same shared sequence numbering *)
     Heap.push_seq t.far ~key ~seq v;
     (* if it became the global minimum, the cached location "heap top"
@@ -202,7 +199,7 @@ let push t ~key v =
     if t.cache_where >= 0 && beats_cache t key seq then t.cache_where <- 1
   end
   else begin
-    let p = int_of_float (key /. t.width) land slot_mask in
+    let p = int_of_float (key /. width) land slot_mask in
     if t.slot_len.(p) = Array.length t.slot_keys.(p) then
       (make_room t p ~key ~seq v
       [@alloc_ok "amortized per-slot capacity doubling"]);
@@ -269,7 +266,7 @@ let top_key t =
 (* Advance the cursor to the absolute slot of a popped minimum: every
    remaining entry is >= the minimum, hence lands at or after that slot. *)
 let advance_to_key t key =
-  let s_real = key /. t.width in
+  let s_real = key /. width in
   (* int_of_float is undefined past the int range; a key that far out can
      only come from the heap and needs no cursor movement anyway *)
   if s_real < 4.0e18 then begin

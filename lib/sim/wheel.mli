@@ -2,7 +2,7 @@
     events with a binary-heap ({!Heap}) overflow for far timers.
 
     Scheduling a near-future event — within [1024 x width] of the cursor,
-    which at the default 64 µs slot width is a ~65 ms horizon covering
+    which at the 64 µs slot width is a ~65 ms horizon covering
     packet serialisation times, pacing ticks, and RTT-scale timers — is
     O(1) when it arrives in key order or shares its key with earlier
     events (a same-instant burst), and popping is O(1): each slot is kept
@@ -22,10 +22,8 @@
 
 type 'a t
 
-(** [create ?width ()] is an empty queue with the given slot width in
-    seconds (default 64 µs).  @raise Invalid_argument if [width] is not
-    finite and positive. *)
-val create : ?width:float -> unit -> 'a t
+(** [create ()] is an empty queue with 64 µs slots. *)
+val create : unit -> 'a t
 
 (** [size t] is the number of pending events (slots + overflow heap). *)
 val size : 'a t -> int

@@ -74,16 +74,6 @@ let read_file path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> Ok (really_input_string ic (in_channel_length ic)))
 
-let events_of_binary s =
-  let n = (String.length s - String.length Event.binary_magic)
-          / Event.binary_record_size
-  in
-  List.filter_map
-    (fun i ->
-      Event.of_binary s
-        ~pos:(String.length Event.binary_magic + (i * Event.binary_record_size)))
-    (List.init (max 0 n) Fun.id)
-
 (* A deliberately small JSONL reader: we only ever parse trace files we
    wrote ourselves, so a field scanner beats a JSON dependency. *)
 let json_field line key =
@@ -106,93 +96,113 @@ let json_field line key =
       String.sub line start (!stop - start))
     (find 0)
 
-let strip_quotes s =
+let quoted s =
   let n = String.length s in
   if n >= 2 && Char.equal s.[0] '"' && Char.equal s.[n - 1] '"' then
-    String.sub s 1 (n - 2)
-  else s
+    Some (String.sub s 1 (n - 2))
+  else None
 
-let summarize_lines ~total ~t0 ~t1 ~counts ~notable =
+let is_notable = function
+  | "mode_switch" | "detection" | "elected" | "demoted" | "violation"
+  | "fault_fired" ->
+    true
+  | _ -> false
+
+let starts_with s prefix =
+  String.length s >= String.length prefix
+  && String.equal (String.sub s 0 (String.length prefix)) prefix
+
+(* Every record of a trace as (time, event name, line to list if notable),
+   in file order, or the first reason the file is not a whole trace. *)
+let binary_records s =
+  let magic = String.length Event.binary_magic in
+  let body = String.length s - magic in
+  if body mod Event.binary_record_size <> 0 then
+    Error
+      (Printf.sprintf
+         "binary trace: %d-byte body is not a whole number of %d-byte records"
+         body Event.binary_record_size)
+  else
+    let rec go i acc =
+      if i * Event.binary_record_size = body then Ok (List.rev acc)
+      else
+        match
+          Event.of_binary s ~pos:(magic + (i * Event.binary_record_size))
+        with
+        | None -> Error (Printf.sprintf "binary trace: record %d does not decode" i)
+        | Some (time, ev) ->
+          let name = Event.name ev in
+          let line =
+            if is_notable name then begin
+              let b = Buffer.create 128 in
+              Event.to_json b ~time ev;
+              Buffer.contents b
+            end
+            else ""
+          in
+          go (i + 1) ((time, name, line) :: acc)
+    in
+    go 0 []
+
+let jsonl_records s =
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
+    | line :: rest when String.equal (String.trim line) "" -> go (i + 1) acc rest
+    | line :: rest -> (
+      let closed =
+        let l = String.trim line in
+        starts_with l "{" && Char.equal l.[String.length l - 1] '}'
+      in
+      let time = Option.bind (json_field line "t") float_of_string_opt in
+      let name = Option.bind (json_field line "ev") quoted in
+      match (closed, time, name) with
+      | true, Some time, Some name -> go (i + 1) ((time, name, line) :: acc) rest
+      | _ ->
+        Error
+          (Printf.sprintf
+             "JSONL trace: line %d is not an object with a numeric \"t\" and \
+              a string \"ev\""
+             i))
+  in
+  go 1 [] (String.split_on_char '\n' s)
+
+let summarize records =
+  let counts = Hashtbl.create 17 in
+  List.iter
+    (fun (_, name, _) ->
+      Hashtbl.replace counts name
+        (1 + Option.value ~default:0 (Hashtbl.find_opt counts name)))
+    records;
   let b = Buffer.create 1024 in
-  Printf.bprintf b "events: %d\n" total;
-  if total > 0 then
-    Printf.bprintf b "span: %s .. %s s\n" (Event.float_str t0)
-      (Event.float_str t1);
+  Printf.bprintf b "events: %d\n" (List.length records);
+  (match records with
+   | [] -> ()
+   | (t0, _, _) :: _ ->
+     let t1, _, _ = List.nth records (List.length records - 1) in
+     Printf.bprintf b "span: %s .. %s s\n" (Event.float_str t0)
+       (Event.float_str t1));
   List.iter
     (fun (name, n) -> Printf.bprintf b "  %-14s %d\n" name n)
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) counts);
+    (List.sort
+       (fun (a, _) (b, _) -> String.compare a b)
+       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []));
+  let notable = List.filter (fun (_, name, _) -> is_notable name) records in
   if notable <> [] then begin
     Buffer.add_string b "notable:\n";
-    List.iter (fun line -> Printf.bprintf b "  %s\n" line) (List.rev notable)
+    List.iter (fun (_, _, line) -> Printf.bprintf b "  %s\n" line) notable
   end;
   Buffer.contents b
 
-let summarize_events evs =
-  let counts = Hashtbl.create 17 in
-  let notable = ref [] in
-  let total = ref 0 in
-  let t0 = ref Float.nan and t1 = ref Float.nan in
-  let line_buf = Buffer.create 256 in
-  List.iter
-    (fun (time, ev) ->
-      incr total;
-      if Float.is_nan !t0 then t0 := time;
-      t1 := time;
-      let name = Event.name ev in
-      Hashtbl.replace counts name
-        (1 + Option.value ~default:0 (Hashtbl.find_opt counts name));
-      (match ev with
-       | Event.Mode_switch _ | Event.Detection _ | Event.Elected _
-       | Event.Demoted | Event.Violation _ | Event.Fault_fired _ ->
-         Buffer.clear line_buf;
-         Event.to_json line_buf ~time ev;
-         notable := Buffer.contents line_buf :: !notable
-       | _ -> ()))
-    evs;
-  summarize_lines ~total:!total ~t0:!t0 ~t1:!t1
-    ~counts:(Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])
-    ~notable:!notable
-
-let summarize_jsonl s =
-  let counts = Hashtbl.create 17 in
-  let notable = ref [] in
-  let total = ref 0 in
-  let t0 = ref Float.nan and t1 = ref Float.nan in
-  String.split_on_char '\n' s
-  |> List.iter (fun line ->
-         if not (String.equal (String.trim line) "") then begin
-           incr total;
-           (match Option.bind (json_field line "t") float_of_string_opt with
-            | Some t ->
-              if Float.is_nan !t0 then t0 := t;
-              t1 := t
-            | None -> ());
-           let name =
-             match json_field line "ev" with
-             | Some v -> strip_quotes v
-             | None -> "?"
-           in
-           Hashtbl.replace counts name
-             (1 + Option.value ~default:0 (Hashtbl.find_opt counts name));
-           match name with
-           | "mode_switch" | "detection" | "elected" | "demoted" | "violation"
-           | "fault_fired" ->
-             notable := line :: !notable
-           | _ -> ()
-         end);
-  summarize_lines ~total:!total ~t0:!t0 ~t1:!t1
-    ~counts:(Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])
-    ~notable:!notable
-
 let summarize_file path =
-  match read_file path with
-  | Error _ as e -> e
-  | Ok s ->
-    let is_binary =
-      String.length s >= String.length Event.binary_magic
-      && String.equal
-           (String.sub s 0 (String.length Event.binary_magic))
-           Event.binary_magic
-    in
-    if is_binary then Ok (summarize_events (events_of_binary s))
-    else Ok (summarize_jsonl s)
+  let ( let* ) = Result.bind in
+  let* s = read_file path in
+  let* records =
+    if starts_with s Event.binary_magic then binary_records s
+    else if starts_with s Event.csv_header then
+      Error "CSV trace: only JSONL and binary traces can be summarized"
+    else if
+      String.equal (String.trim s) "" || starts_with (String.trim s) "{"
+    then jsonl_records s
+    else Error "not a trace: neither NIMTRC01 binary nor JSONL"
+  in
+  Ok (summarize records)

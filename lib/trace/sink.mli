@@ -35,5 +35,9 @@ val null : t
 (** [summarize_file path] reads a JSONL or binary trace file (sniffed
     by magic) and renders a human-readable summary: event counts by
     kind, the time range, and every mode-switch / election / violation
-    line in order. *)
+    line in order.  It is [Error] when the file cannot be read, is a CSV
+    trace, is neither NIMTRC01 binary nor JSONL, has a binary body that is
+    not a whole number of records or holds a record that does not decode,
+    or has a JSONL line that is not an object with a numeric ["t"] and a
+    string ["ev"]. *)
 val summarize_file : string -> (string, string) result

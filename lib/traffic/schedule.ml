@@ -25,13 +25,9 @@ type t = {
 let phase_at t now =
   List.find_opt (fun p -> Time.(now >= p.p_start && now < p.p_end)) t.phases
 
-let install topo ~route ~rng ~phases ?(inelastic = `Poisson)
-    ?(prop_rtt = Time.ms 50.) ?elastic_cc () =
+let install topo ~route ~rng ~phases ?(inelastic = `Poisson) () =
   if phases = [] then invalid_arg "Schedule.install: no phases";
   let engine = Topology.engine topo in
-  let make_cc =
-    match elastic_cc with Some f -> f | None -> fun () -> Cubic.make ()
-  in
   let source =
     match inelastic with
     | `Poisson -> Source.poisson_via topo ~route ~rng ~rate:Rate.zero ()
@@ -44,7 +40,8 @@ let install topo ~route ~rng ~phases ?(inelastic = `Poisson)
           Source.set_rate source p.inelastic;
           let flows =
             List.init p.elastic_flows (fun _ ->
-                Flow.create_via topo ~route ~cc:(make_cc ()) ~prop_rtt ())
+                Flow.create_via topo ~route ~cc:(Cubic.make ())
+                  ~prop_rtt:(Time.ms 50.) ())
           in
           t.created <- t.created @ flows;
           Engine.schedule_at engine p.p_end (fun () ->

@@ -21,20 +21,15 @@ type t
 
 (** [install topo ~route ~rng ~phases ()] arms the scenario on the
     topology's engine: an open-loop source whose rate follows the script,
-    and per-phase Cubic flows started/stopped at the boundaries, all along
-    [route].
-    @param inelastic [`Poisson] (default) or [`Cbr]
-    @param prop_rtt RTT of the elastic cross-flows (default 50 ms)
-    @param elastic_cc controller factory for the elastic flows (default
-           Cubic) *)
+    and per-phase Cubic flows with a 50 ms propagation RTT, started and
+    stopped at the boundaries, all along [route].
+    @param inelastic [`Poisson] (default) or [`Cbr] *)
 val install :
   Nimbus_topology.Topology.t ->
   route:Nimbus_topology.Topology.Route.t ->
   rng:Nimbus_sim.Rng.t ->
   phases:phase list ->
   ?inelastic:[ `Poisson | `Cbr ] ->
-  ?prop_rtt:Units.Time.t ->
-  ?elastic_cc:(unit -> Nimbus_cc.Cc_types.t) ->
   unit ->
   t
 

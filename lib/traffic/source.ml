@@ -16,12 +16,13 @@ type t = {
   enqueue : Packet.t -> unit;
   kind : kind;
   flow_id : int;
-  pkt_size : int;
   stop : float option;
   mutable rate : float;
   mutable seq : int;
   mutable active : bool;
 }
+
+let pkt_size = 1500
 
 let flow_id t = t.flow_id
 
@@ -39,7 +40,7 @@ let set_rate t rate = t.rate <- Float.max 0. (finite_bps rate)
 let halt t = t.active <- false
 
 let interval t =
-  let bits = float_of_int (t.pkt_size * 8) in
+  let bits = float_of_int (pkt_size * 8) in
   match t.kind with
   | Cbr -> bits /. t.rate
   | Poisson rng -> Rng.exponential rng ~mean:(bits /. t.rate)
@@ -52,7 +53,7 @@ let rec step t =
   if t.active && not expired then begin
     if t.rate > 0. then begin
       let pkt =
-        Packet.make ~flow:t.flow_id ~seq:t.seq ~size:t.pkt_size ~now ()
+        Packet.make ~flow:t.flow_id ~seq:t.seq ~size:pkt_size ~now ()
       in
       t.seq <- t.seq + 1;
       t.enqueue pkt;
@@ -66,22 +67,22 @@ let rec step t =
 (* Packets traverse every hop of [route] and are dropped on the floor after
    the last one (open-loop traffic has no receiver), while still counting
    into the fabric conservation ledger. *)
-let make topo ~route kind ~rate ~pkt_size ~start ~stop =
+let make topo ~route kind ~rate ~start ~stop =
   let engine = Topology.engine topo in
   let rate = finite_bps rate in
   if rate < 0. then invalid_arg "Source: negative rate";
   let flow_id = Engine.fresh_flow_id engine in
   let t =
     { engine; enqueue = Topology.attach topo ~route ~flow:flow_id ~sink:ignore;
-      kind; flow_id; pkt_size; stop = Option.map Time.to_secs stop; rate;
+      kind; flow_id; stop = Option.map Time.to_secs stop; rate;
       seq = 0; active = true }
   in
   let start = match start with Some s -> s | None -> Engine.now engine in
   Engine.schedule_at engine start (fun () -> step t);
   t
 
-let poisson_via topo ~route ~rng ~rate ?(pkt_size = 1500) ?start ?stop () =
-  make topo ~route (Poisson rng) ~rate ~pkt_size ~start ~stop
+let poisson_via topo ~route ~rng ~rate ?start ?stop () =
+  make topo ~route (Poisson rng) ~rate ~start ~stop
 
-let cbr_via topo ~route ~rate ?(pkt_size = 1500) ?start ?stop () =
-  make topo ~route Cbr ~rate ~pkt_size ~start ~stop
+let cbr_via topo ~route ~rate ?start ?stop () =
+  make topo ~route Cbr ~rate ~start ~stop

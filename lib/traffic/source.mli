@@ -8,8 +8,8 @@
 type t
 
 (** [poisson_via topo ~route ~rng ~rate ()] injects packets with
-    exponential inter-arrival times averaging [rate].
-    @param pkt_size bytes (default 1500)
+    exponential inter-arrival times averaging [rate], in 1500-byte
+    packets.
     @param start absolute start time (default now)
     @param stop absolute stop time (default never)
     @raise Invalid_argument if [rate] is negative or not finite *)
@@ -18,7 +18,6 @@ val poisson_via :
   route:Nimbus_topology.Topology.Route.t ->
   rng:Nimbus_sim.Rng.t ->
   rate:Units.Rate.t ->
-  ?pkt_size:int ->
   ?start:Units.Time.t ->
   ?stop:Units.Time.t ->
   unit ->
@@ -30,7 +29,6 @@ val cbr_via :
   Nimbus_topology.Topology.t ->
   route:Nimbus_topology.Topology.Route.t ->
   rate:Units.Rate.t ->
-  ?pkt_size:int ->
   ?start:Units.Time.t ->
   ?stop:Units.Time.t ->
   unit ->

@@ -15,23 +15,15 @@ val ladder_4k : Units.Rate.t array
 
 val ladder_1080p : Units.Rate.t array
 
-(** [create topo ~route ~ladder ()] starts a client whose transport flow
-    runs along [route], on the topology's engine.
-    @param chunk_duration media time per chunk (default 4 s)
-    @param prop_rtt transport propagation RTT (default 50 ms)
-    @param buffer_low start panicking below this much buffered media
-           (default 8 s)
-    @param buffer_high stop requesting above this (default 20 s)
-    @param start absolute start time *)
+(** [create topo ~route ~ladder ()] starts a client now, whose transport
+    flow runs along [route] with a 50 ms propagation RTT, on the topology's
+    engine.  Chunks hold 4 s of media; below 8 s of buffered media the
+    client drops to the lowest bitrate, and above 20 s it stops
+    requesting. *)
 val create :
   Nimbus_topology.Topology.t ->
   route:Nimbus_topology.Topology.Route.t ->
   ladder:Units.Rate.t array ->
-  ?chunk_duration:Units.Time.t ->
-  ?prop_rtt:Units.Time.t ->
-  ?buffer_low:Units.Time.t ->
-  ?buffer_high:Units.Time.t ->
-  ?start:Units.Time.t ->
   unit ->
   t
 

@@ -9,6 +9,12 @@ module B = Units.Bytes
 
 let elastic_threshold_bytes = 10 * 1500
 
+(* uniform per-flow RTT jitter, ± fraction *)
+let rtt_jitter_frac = 0.2
+
+(* cap on simultaneously active cross-flows *)
+let max_concurrent = 512
+
 (* Two heavy-tailed size mixtures (lognormal "mice" body + Pareto "elephant"
    tail), both calibrated against wide-area measurements but emphasising
    different regimes of the same reality:
@@ -60,9 +66,7 @@ type t = {
   rng : Rng.t;
   mixture : mixture;
   prop_rtt : float;
-  rtt_jitter_frac : float;
   stop : float option;
-  max_concurrent : int;
   mean_size : float;
   arrival_mean : float; (* seconds between arrivals *)
   mutable active : record list;
@@ -103,7 +107,7 @@ let retire t record =
 
 let launch t size =
   let jitter =
-    1. +. Rng.range t.rng ~lo:(-.t.rtt_jitter_frac) ~hi:t.rtt_jitter_frac
+    1. +. Rng.range t.rng ~lo:(-.rtt_jitter_frac) ~hi:rtt_jitter_frac
   in
   let prop_rtt = Float.max 0.002 (t.prop_rtt *. jitter) in
   let elastic = size > elastic_threshold_bytes in
@@ -139,15 +143,14 @@ let rec schedule_arrival t =
       let expired = match t.stop with Some s -> now >= s | None -> false in
       if not expired then begin
         t.arrivals <- t.arrivals + 1;
-        if List.length t.active >= t.max_concurrent then
+        if List.length t.active >= max_concurrent then
           t.skipped <- t.skipped + 1
         else launch t (draw_size t);
         schedule_arrival t
       end)
 
 let create topo ~route ~rng ~load ?(profile = `Churny)
-    ?(prop_rtt = Time.ms 50.) ?(rtt_jitter_frac = 0.2) ?start ?stop
-    ?(max_concurrent = 512) () =
+    ?(prop_rtt = Time.ms 50.) ?start ?stop () =
   let engine = Topology.engine topo in
   let load = Rate.to_bps load in
   if load <= 0. then invalid_arg "Wan.create: load <= 0";
@@ -156,7 +159,7 @@ let create topo ~route ~rng ~load ?(profile = `Churny)
   let arrival_rate = load /. 8. /. mean_size in
   let t =
     { engine; topo; route; rng; mixture; prop_rtt = Time.to_secs prop_rtt;
-      rtt_jitter_frac; stop = Option.map Time.to_secs stop; max_concurrent;
+      stop = Option.map Time.to_secs stop;
       mean_size; arrival_mean = 1. /. arrival_rate; active = [];
       completed_elastic_bytes = 0; completed_total_bytes = 0; fcts = [];
       arrivals = 0; skipped = 0 }

@@ -28,13 +28,12 @@ type profile =
     topology's engine; every cross-flow runs along [route].
     @param load offered load (arrival rate × mean flow size)
     @param profile size mixture (default [`Churny])
+    Each cross-flow's RTT is [prop_rtt] jittered uniformly by ±20%.  At
+    most 512 cross-flows run at once; arrivals beyond the cap
+    are skipped and counted.
     @param prop_rtt cross-flow propagation RTT (default 50 ms)
-    @param rtt_jitter_frac uniform per-flow RTT jitter, ± fraction
-           (default 0.2)
     @param start default now
-    @param stop stop generating new arrivals (existing flows finish)
-    @param max_concurrent cap on simultaneously active cross-flows; arrivals
-           beyond it are skipped and counted (default 512) *)
+    @param stop stop generating new arrivals (existing flows finish) *)
 val create :
   Nimbus_topology.Topology.t ->
   route:Nimbus_topology.Topology.Route.t ->
@@ -42,10 +41,8 @@ val create :
   load:Units.Rate.t ->
   ?profile:profile ->
   ?prop_rtt:Units.Time.t ->
-  ?rtt_jitter_frac:float ->
   ?start:Units.Time.t ->
   ?stop:Units.Time.t ->
-  ?max_concurrent:int ->
   unit ->
   t
 

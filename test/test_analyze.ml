@@ -255,34 +255,6 @@ let test_units_clean () =
     "the reasoned suppression is used, not stale" []
     (rules_of (in_file "clean_cases.ml" (A.Suppress.stale sup)))
 
-(* --- baseline matching ------------------------------------------------------ *)
-
-let test_baseline () =
-  let f ~line rule =
-    A.Finding.v ~pass_:"alloc" ~rule ~file:"lib/x/y.ml" ~line "msg"
-  in
-  let entry rule =
-    {
-      A.Baseline.key = "alloc|" ^ rule ^ "|lib/x/y.ml";
-      raw = "{\"pass\":\"alloc\"}";
-    }
-  in
-  let { A.Baseline.fresh; accepted; stale } =
-    A.Baseline.apply
-      [ entry "alloc-tuple"; entry "alloc-record" ]
-      [ f ~line:10 "alloc-tuple"; f ~line:99 "alloc-closure" ]
-  in
-  Alcotest.(check (list string))
-    "unbaselined finding stays fresh" [ "alloc-closure" ] (rules_of fresh);
-  (* line number differs from wherever the entry was recorded: still accepted *)
-  Alcotest.(check (list string))
-    "baselined finding accepted line-insensitively" [ "alloc-tuple" ]
-    (rules_of accepted);
-  Alcotest.(check (list string))
-    "unused entry reported stale"
-    [ "alloc|alloc-record|lib/x/y.ml" ]
-    (List.map (fun (e : A.Baseline.entry) -> e.key) stale)
-
 (* --- the real repo stays clean ---------------------------------------------- *)
 
 let test_repo_clean () =
@@ -375,7 +347,6 @@ let suite =
         Alcotest.test_case "race: clean fixture" `Quick test_race_clean;
         Alcotest.test_case "units: bad fixture" `Quick test_units_bad;
         Alcotest.test_case "units: clean fixture" `Quick test_units_clean;
-        Alcotest.test_case "baseline matching" `Quick test_baseline;
         Alcotest.test_case "repo passes its own gates" `Quick test_repo_clean;
       ] );
   ]

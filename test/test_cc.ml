@@ -217,7 +217,7 @@ let test_rate_pins () =
 (* --- individual algorithms ----------------------------------------------- *)
 
 let test_reno_halves_on_loss () =
-  let r = Reno.create ~mss:1500 ~initial_cwnd:10 () in
+  let r = Reno.create () in
   let cc = Reno.cc r in
   (* leave slow start by faking a loss, then grow in CA *)
   cc.Cc_types.on_loss
@@ -232,7 +232,7 @@ let test_reno_halves_on_loss () =
     (B.to_float (Reno.cwnd_bytes r))
 
 let test_reno_slow_start_doubles () =
-  let r = Reno.create ~mss:1500 ~initial_cwnd:2 () in
+  let r = Reno.create () in
   let cc = Reno.cc r in
   let ack now =
     cc.Cc_types.on_ack
@@ -242,24 +242,27 @@ let test_reno_slow_start_doubles () =
   in
   ack 0.1;
   ack 0.2;
-  check_close "2 acks add 2 mss" 6000. (B.to_float (Reno.cwnd_bytes r))
+  (* from the initial window of 10 segments *)
+  check_close "2 acks add 2 mss" 18000. (B.to_float (Reno.cwnd_bytes r))
 
 let test_reno_timeout_resets () =
-  let r = Reno.create ~mss:1500 ~initial_cwnd:20 () in
+  let r = Reno.create () in
   (Reno.cc r).Cc_types.on_loss
     { Cc_types.now = Time.secs 1.; seq = 0; bytes = 1500; inflight_bytes = 0;
       kind = `Timeout };
   check_close "collapses to 2 mss" 3000. (B.to_float (Reno.cwnd_bytes r))
 
 let test_cubic_reduces_by_beta () =
-  let c = Cubic.create ~mss:1500 ~initial_cwnd:100 () in
+  let c = Cubic.create () in
+  Cubic.reset_cwnd c (B.bytes 150_000.);
   (Cubic.cc c).Cc_types.on_loss
     { Cc_types.now = Time.secs 5.; seq = 0; bytes = 1500; inflight_bytes = 0;
       kind = `Dupack };
   check_close "beta cut" (150_000. *. 0.7) (B.to_float (Cubic.cwnd_bytes c))
 
 let test_cubic_grows_toward_wmax () =
-  let c = Cubic.create ~mss:1500 ~initial_cwnd:100 () in
+  let c = Cubic.create () in
+  Cubic.reset_cwnd c (B.bytes 150_000.);
   let cc = Cubic.cc c in
   cc.Cc_types.on_loss
     { Cc_types.now = Time.zero; seq = 0; bytes = 1500; inflight_bytes = 0;

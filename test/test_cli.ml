@@ -2,7 +2,9 @@
    must be rejected with exit 2 before anything is built.  Unchecked, an
    infinite cross rate hangs the run, a NaN runs silently with no cross
    traffic or an empty timeline, and a non-positive link rate or negative
-   RTT escapes as an uncaught exception (exit 125). *)
+   RTT escapes as an uncaught exception (exit 125).  Likewise `trace` must
+   exit 2 on a file that is not a whole trace, instead of summarizing
+   garbage. *)
 
 let cli = "../bin/nimbus_cli.exe"
 
@@ -31,7 +33,30 @@ let bad_values =
     "--rate=inf";
     "--rtt=nan";
     "--rtt=-10";
-    "--rtt=inf" ]
+    "--rtt=inf";
+    "--trace-filter=bogus" ]
+
+(* [trace] of a file holding [contents] *)
+let summarize contents =
+  let path = Filename.temp_file "nimtrace" ".dat" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc;
+  Sys.command (Printf.sprintf "%s trace %s > /dev/null 2>&1" cli path)
+
+let random_bytes =
+  let st = Random.State.make [| 100 |] in
+  String.init 100 (fun _ -> Char.chr (Random.State.int st 256))
+
+let bad_traces =
+  [ ("100 random bytes", random_bytes);
+    ("binary header plus 2 stray bytes", "NIMTRC01\x00\x01");
+    ("truncated JSONL line", "{\"t\":1,\n");
+    ("CSV trace", "time,ev,a,b,c,d,i1,i2,i3\n0.5,demoted,0,0,0,0,0,0,0\n") ]
+
+let trace_rejected contents () =
+  Alcotest.(check int) "trace exits 2" 2 (summarize contents)
 
 let test_valid_run () =
   Alcotest.(check int) "a short valid run exits 0" 0
@@ -42,4 +67,9 @@ let suite =
       Alcotest.test_case "valid flags run" `Quick test_valid_run
       :: List.map
            (fun args -> Alcotest.test_case args `Quick (rejected args))
-           bad_values ) ]
+           bad_values );
+    ( "cli.trace",
+      List.map
+        (fun (name, contents) ->
+          Alcotest.test_case name `Quick (trace_rejected contents))
+        bad_traces ) ]

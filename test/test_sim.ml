@@ -74,13 +74,13 @@ let test_wheel_fifo_across_spill () =
   (* a key first lands in the overflow heap (beyond the 1024-slot horizon),
      then — after the cursor advances — the same key lands in a slot; the
      shared sequence counter must keep the pops in push order *)
-  let w = Wheel.create ~width:1e-3 () in
-  Wheel.push w ~key:1.2 "a" (* 1200 slots ahead: spills to the heap *);
-  Wheel.push w ~key:0.5 "b" (* in a slot *);
+  let w = Wheel.create () (* 1024 x 64 us ~ 65.5 ms horizon *) in
+  Wheel.push w ~key:0.0768 "a" (* 1200 slots ahead: spills to the heap *);
+  Wheel.push w ~key:0.03 "b" (* in a slot *);
   Alcotest.(check string) "near event first" "b" (Wheel.pop_top w);
-  (* cursor is now at slot 500, so 1.2 is within the horizon *)
-  Wheel.push w ~key:1.2 "c";
-  Wheel.push w ~key:1.2 "d";
+  (* cursor is now at slot 468, so 0.0768 is within the horizon *)
+  Wheel.push w ~key:0.0768 "c";
+  Wheel.push w ~key:0.0768 "d";
   (* explicit lets: list elements would evaluate right-to-left *)
   let first = Wheel.pop_top w in
   let second = Wheel.pop_top w in
@@ -111,7 +111,7 @@ let prop_wheel_matches_heap =
     QCheck.(pair (int_range 0 100_000) (int_range 1 400))
     (fun (seed, nops) ->
       let rng = Rng.create seed in
-      let w = Wheel.create ~width:1e-3 () in
+      let w = Wheel.create () in
       let h = Heap.create () in
       let now = ref 0. in
       let next = ref 0 in
@@ -124,7 +124,7 @@ let prop_wheel_matches_heap =
       in
       for _ = 1 to nops do
         if Wheel.is_empty w || Rng.bool rng ~p:0.7 then begin
-          let key = !now +. (float_of_int (Rng.int rng 40) /. 8.) in
+          let key = !now +. (float_of_int (Rng.int rng 40) *. 8e-3) in
           Wheel.push w ~key !next;
           Heap.push h ~key !next;
           incr next
@@ -138,7 +138,7 @@ let prop_wheel_matches_heap =
 
 let prop_wheel_dense_slots_match_heap =
   (* the same contract where the one above cannot reach: several distinct
-     keys per slot (offsets below the 1 ms slot width), same-key bursts of
+     keys per slot (offsets below the 64 us slot width), same-key bursts of
      100-1000 entries (hundreds of flow ticks on one instant), pushes at
      [key = now] into the slot being drained, far keys past the horizon,
      and enough push/pop churn on a slot to make it both compact in place
@@ -147,7 +147,7 @@ let prop_wheel_dense_slots_match_heap =
     QCheck.(pair (int_range 0 100_000) (int_range 1 300))
     (fun (seed, nops) ->
       let rng = Rng.create seed in
-      let w = Wheel.create ~width:1e-3 () in
+      let w = Wheel.create () in
       let h = Heap.create () in
       let now = ref 0. in
       let next = ref 0 in
@@ -166,13 +166,13 @@ let prop_wheel_dense_slots_match_heap =
       for _ = 1 to nops do
         match Rng.int rng 10 with
         | 0 ->
-          let key = !now +. (float_of_int (Rng.int rng 8) *. 2.5e-4) in
+          let key = !now +. (float_of_int (Rng.int rng 8) *. 1.6e-5) in
           for _ = 1 to 100 + Rng.int rng 901 do
             push key
           done
         | 1 | 2 -> push !now
-        | 3 -> push (!now +. 1.5 +. (float_of_int (Rng.int rng 4) *. 1e-4))
-        | 4 | 5 -> push (!now +. (float_of_int (Rng.int rng 40) *. 1e-4))
+        | 3 -> push (!now +. 0.096 +. (float_of_int (Rng.int rng 4) *. 6.4e-6))
+        | 4 | 5 -> push (!now +. (float_of_int (Rng.int rng 40) *. 6.4e-6))
         | _ ->
           for _ = 1 to 1 + Rng.int rng 200 do
             if not (Wheel.is_empty w) then pop_both ()
@@ -351,9 +351,11 @@ let test_packet_fields () =
 let test_droptail_capacity () =
   let q = Qdisc.droptail ~capacity_bytes:3000 in
   Alcotest.(check bool) "admit within" true
-    (Qdisc.admit q ~now:Time.zero ~qlen_bytes:1500 ~pkt_size:1500);
-  Alcotest.(check bool) "reject overflow" false
-    (Qdisc.admit q ~now:Time.zero ~qlen_bytes:1501 ~pkt_size:1500);
+    (Qdisc.decide q ~now:Time.zero ~qlen_bytes:1500 ~pkt_size:1500
+     = Qdisc.Admit);
+  Alcotest.(check bool) "reject overflow" true
+    (Qdisc.decide q ~now:Time.zero ~qlen_bytes:1501 ~pkt_size:1500
+     = Qdisc.Drop);
   Alcotest.(check string) "name" "droptail" (Qdisc.name q)
 
 let test_pie_drops_under_load () =
@@ -367,8 +369,8 @@ let test_pie_drops_under_load () =
   let drops = ref 0 in
   for i = 1 to 4000 do
     let now = Time.ms (float_of_int i) in
-    if not (Qdisc.admit q ~now ~qlen_bytes:900_000 ~pkt_size:1500) then
-      incr drops
+    if Qdisc.decide q ~now ~qlen_bytes:900_000 ~pkt_size:1500 = Qdisc.Drop
+    then incr drops
   done;
   Alcotest.(check bool) "pie drops under sustained load" true (!drops > 50)
 
@@ -381,7 +383,8 @@ let test_pie_spares_short_queue () =
   let drops = ref 0 in
   for i = 1 to 2000 do
     let now = Time.ms (float_of_int i) in
-    if not (Qdisc.admit q ~now ~qlen_bytes:3000 ~pkt_size:1500) then incr drops
+    if Qdisc.decide q ~now ~qlen_bytes:3000 ~pkt_size:1500 = Qdisc.Drop then
+      incr drops
   done;
   Alcotest.(check int) "no drops below target/2" 0 !drops
 
@@ -433,7 +436,6 @@ let test_bottleneck_drops_at_capacity () =
   let _ = drain_packets e bn ~flow:0 ~count:10 ~size:1500 in
   (* capacity 3 pkts: 3 admitted instantly, 7 dropped *)
   Alcotest.(check int) "drops" 7 (Bottleneck.drops bn);
-  Alcotest.(check int) "drops for flow" 7 (Bottleneck.drops_for bn ~flow:0);
   check_close "queue delay" (4500. *. 8. /. 1e6) (Time.to_secs (Bottleneck.queue_delay bn))
 
 let test_bottleneck_random_loss () =

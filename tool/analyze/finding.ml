@@ -1,6 +1,6 @@
 (* One finding, shared by every pass.  [pass_] names the pass that produced
    it (parsetree / determinism / layering / alloc), [rule] is the stable
-   machine-readable id the baseline and the tests key on. *)
+   machine-readable id the tests key on. *)
 
 type t = {
   pass_ : string;
@@ -11,10 +11,6 @@ type t = {
 }
 
 let v ~pass_ ~rule ~file ~line message = { pass_; rule; file; line; message }
-
-(* Baseline entries match on pass|rule|file, not line: a suppression must
-   survive unrelated edits above the offending code. *)
-let key f = String.concat "|" [ f.pass_; f.rule; f.file ]
 
 let compare a b =
   let c = String.compare a.file b.file in
@@ -45,8 +41,8 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let to_json ?(baselined = false) f =
+let to_json f =
   Printf.sprintf
-    {|{"pass":"%s","rule":"%s","file":"%s","line":%d,"baselined":%b,"message":"%s"}|}
+    {|{"pass":"%s","rule":"%s","file":"%s","line":%d,"message":"%s"}|}
     (json_escape f.pass_) (json_escape f.rule) (json_escape f.file) f.line
-    baselined (json_escape f.message)
+    (json_escape f.message)

@@ -10,10 +10,6 @@ type t = {
 
 val v : pass_:string -> rule:string -> file:string -> line:int -> string -> t
 
-val key : t -> string
-(** Baseline matching key: [pass|rule|file].  Line numbers are deliberately
-    excluded so suppressions survive unrelated edits above the finding. *)
-
 val compare : t -> t -> int
 (** Order by file, line, rule, message — the report order. *)
 
@@ -21,5 +17,5 @@ val pp : Format.formatter -> t -> unit
 
 val json_escape : string -> string
 
-val to_json : ?baselined:bool -> t -> string
+val to_json : t -> string
 (** One JSONL object per finding. *)

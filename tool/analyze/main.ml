@@ -18,16 +18,17 @@
    --suppressions lists every suppression attribute grouped by kind with
    its status and exits 0.
 
-   Exit code is 1 iff any finding is not covered by the baseline file.
-   --json writes the machine-readable JSONL report; --dot writes the
-   dependency graph extracted by the layering pass; --summary-md writes a
-   per-pass markdown table (for CI step summaries). *)
+   Exit code is 1 iff there is any finding: an in-source
+   [@det_ok]/[@alloc_ok]/[@shared_ok]/[@unit_ok] carrying its reason is the
+   one way to accept one.  --json writes the machine-readable JSONL report;
+   --dot writes the dependency graph extracted by the layering pass;
+   --summary-md writes a per-pass markdown table (for CI step summaries). *)
 
 open Nimbus_analyze
 
 let usage =
   "analyze [--src-root DIR]... [--cmt-root DIR]... [--layers FILE] \
-   [--baseline FILE] [--json FILE] [--dot FILE] [--summary-md FILE] \
+   [--json FILE] [--dot FILE] [--summary-md FILE] \
    [--det-libs a,b] [--race-libs a,b] [--units-libs a,b] \
    [--pass NAME[,NAME...]]... [--suppressions] [--quiet]\n\n\
    pass names: parsetree determinism layering alloc race units suppress"
@@ -40,7 +41,6 @@ let () =
   let src_roots = ref [] in
   let cmt_roots = ref [] in
   let layers_file = ref "" in
-  let baseline_file = ref "" in
   let json_file = ref "" in
   let dot_file = ref "" in
   let det_libs = ref Determinism.default_scope in
@@ -58,8 +58,6 @@ let () =
        "DIR build tree root scanned for .cmt files (repeatable)");
       ("--layers", Arg.Set_string layers_file,
        "FILE declared layer contract (layers.sexp)");
-      ("--baseline", Arg.Set_string baseline_file,
-       "FILE JSONL baseline of accepted findings");
       ("--json", Arg.Set_string json_file,
        "FILE write the JSONL findings report here");
       ("--dot", Arg.Set_string dot_file,
@@ -99,8 +97,7 @@ let () =
                else passes := p :: !passes)
              (String.split_on_char ',' arg)),
        "NAME[,NAME...] run only the named passes (repeatable, \
-        comma-separable); stale-baseline reporting is disabled under a \
-        filter");
+        comma-separable)");
       ("--suppressions", Arg.Set list_suppressions,
        " list every [@det_ok]/[@alloc_ok]/[@shared_ok]/[@unit_ok] grouped \
         by kind with file:line, reason, and status, then exit 0");
@@ -247,18 +244,6 @@ let () =
      @ suppress_findings)
   in
 
-  (* baseline split *)
-  let entries =
-    if !baseline_file = "" then []
-    else
-      match Baseline.load !baseline_file with
-      | Ok es -> es
-      | Error msg ->
-        Printf.eprintf "analyze: %s\n" msg;
-        exit 2
-  in
-  let { Baseline.fresh; accepted; stale } = Baseline.apply entries findings in
-
   (* reports *)
   (if !dot_file <> "" then
      let oc = open_out !dot_file in
@@ -266,23 +251,11 @@ let () =
      close_out oc);
   (if !json_file <> "" then begin
      let oc = open_out !json_file in
-     List.iter
-       (fun f -> output_string oc (Finding.to_json ~baselined:false f ^ "\n"))
-       fresh;
-     List.iter
-       (fun f -> output_string oc (Finding.to_json ~baselined:true f ^ "\n"))
-       accepted;
+     List.iter (fun f -> output_string oc (Finding.to_json f ^ "\n")) findings;
      close_out oc
    end);
-  if not !quiet then begin
-    List.iter (fun f -> Format.printf "%a@." Finding.pp f) fresh;
-    if not filtered then
-      List.iter
-        (fun (e : Baseline.entry) ->
-          Format.printf
-            "analyze: stale baseline entry (no matching finding): %s@." e.key)
-        stale
-  end;
+  if not !quiet then
+    List.iter (fun f -> Format.printf "%a@." Finding.pp f) findings;
   List.iter
     (fun (name, count, secs) ->
       Printf.printf "analyze: pass %-11s %3d finding(s) in %.2fs\n" name count
@@ -303,11 +276,11 @@ let () =
      close_out oc
    end);
   Printf.printf
-    "analyze: %d finding(s) (%d baselined, %d alloc-free function(s) \
-     verified, %d domain-safe function(s) certified, %d pool site(s) \
-     checked, %d definition(s) unit-checked)\n"
-    (List.length findings) (List.length accepted)
+    "analyze: %d finding(s) (%d alloc-free function(s) verified, %d \
+     domain-safe function(s) certified, %d pool site(s) checked, %d \
+     definition(s) unit-checked)\n"
+    (List.length findings)
     (List.length alloc_result.Alloc.verified)
     (List.length race_result.Race.certified)
     race_result.Race.sites units_result.Units_flow.checked;
-  if fresh <> [] then exit 1
+  if findings <> [] then exit 1
