@@ -62,9 +62,9 @@ let trace_out =
     & opt (some string) None
     & info [ "trace" ] ~docv:"FILE"
         ~doc:
-          "Record a structured event trace to $(docv). The format follows \
-           the extension: .csv and .bin select CSV and compact binary, \
-           anything else JSONL. Summarize with `nimbus_cli trace FILE'.")
+          "Record a structured event trace to $(docv) as JSONL, one event \
+           per line, whatever its extension. Summarize with `nimbus_cli \
+           trace FILE'.")
 
 let trace_filter =
   Arg.(
@@ -84,11 +84,6 @@ let trace_mask filter =
     Printf.eprintf "bad --trace-filter: %s\n" msg;
     exit 2
 
-let sink_for_path path oc =
-  if Filename.check_suffix path ".csv" then Sink.csv oc
-  else if Filename.check_suffix path ".bin" then Sink.binary oc
-  else Sink.jsonl oc
-
 (* [with_trace ?out ~filter f] builds the run's collector: a sink on [out]
    (or a disabled collector when absent), handed to [f] together with a
    [flush] the caller should schedule off the hot path (e.g. on a 1 s engine
@@ -101,7 +96,7 @@ let with_trace ?out ~filter f =
   | Some path ->
     let tr = Trace.create ~mask () in
     let oc = open_out_bin path in
-    Trace.attach tr (sink_for_path path oc);
+    Trace.attach tr (Sink.jsonl oc);
     Fun.protect
       ~finally:(fun () -> Trace.close tr)
       (fun () -> f tr (fun () -> Trace.flush tr))

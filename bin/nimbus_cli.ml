@@ -483,7 +483,7 @@ let trace_t =
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Summarize a trace file (JSONL or .bin) recorded with --trace: \
+         "Summarize a JSONL trace file recorded with --trace: \
           event counts per kind, time span, and notable events (mode \
           switches, elections, faults, violations).")
     Term.(const trace_cmd $ file)

@@ -85,6 +85,9 @@ type t = {
   mu : Z_estimator.Mu.t;
   comp : comp_inner;
   delay : delay_inner;
+  comp_cc : Cc_types.t;  (* [comp]'s hooks, built once: no record per ACK *)
+  delay_cc : Cc_types.t option;  (* [delay]'s; [None] for Basic_delay, which
+                                    ignores ACKs and losses *)
   pulse_frac : float;
   pulse_shape : Pulse.shape;
   fp_competitive : float;
@@ -222,6 +225,15 @@ let create (cfg : Config.t) =
     | `Vegas -> D_vegas (Vegas.create ())
     | `Copa_default -> D_copa (Copa.create ~switching:false ())
   in
+  let comp_cc =
+    match comp with C_cubic c -> Cubic.cc c | C_reno r -> Reno.cc r
+  in
+  let delay_cc =
+    match delay with
+    | D_basic _ -> None
+    | D_vegas v -> Some (Vegas.cc v)
+    | D_copa c -> Some (Copa.cc c)
+  in
   let hist_len =
     max 2 (int_of_float (Float.round (fft_window /. sample_interval)))
   in
@@ -259,9 +271,10 @@ let create (cfg : Config.t) =
       ~lo:(Freq.hz (hi_f +. 0.8))
       ~hi:(Freq.hz ((2. *. lo_f) -. 0.2))
   end;
-  { mu; comp; delay; pulse_frac; pulse_shape; fp_competitive; fp_delay;
-    fft_window; multi_flow; kappa; rng = Rng.create seed; on_detection;
-    on_sample; z_detector = mk_detector (); r_detector;
+  { mu; comp; delay; comp_cc; delay_cc; pulse_frac; pulse_shape;
+    fp_competitive; fp_delay; fft_window; multi_flow; kappa;
+    rng = Rng.create seed; on_detection; on_sample;
+    z_detector = mk_detector (); r_detector;
     tones = tone_probe (); ztones = tone_probe (); recent_len;
     tone_heard_at = nan; follow_target = None; follow_streak = 0;
     next_conflict_coin = 0.;
@@ -303,31 +316,6 @@ let comp_reset t bytes =
   match t.comp with
   | C_cubic c -> Cubic.reset_cwnd c bytes
   | C_reno r -> Reno.reset_cwnd r bytes
-
-let comp_cc t =
-  match t.comp with
-  | C_cubic c -> Cubic.cc c
-  | C_reno r -> Reno.cc r
-
-let comp_on_ack t a = (comp_cc t).Cc_types.on_ack a
-
-let comp_on_loss t l = (comp_cc t).Cc_types.on_loss l
-
-let delay_cc t =
-  match t.delay with
-  | D_basic b -> Basic_delay.cc b
-  | D_vegas v -> Vegas.cc v
-  | D_copa c -> Copa.cc c
-
-let delay_on_ack t a =
-  match t.delay with
-  | D_basic _ -> ()
-  | D_vegas _ | D_copa _ -> (delay_cc t).Cc_types.on_ack a
-
-let delay_on_loss t l =
-  match t.delay with
-  | D_basic _ -> ()
-  | D_vegas _ | D_copa _ -> (delay_cc t).Cc_types.on_loss l
 
 let srtt_or t default = if Float.is_nan t.hot.srtt then default else t.hot.srtt
 
@@ -740,14 +728,16 @@ let on_tick t (tk : Cc_types.tick) =
 (* --- the engine-facing controller ----------------------------------------- *)
 
 let on_ack t a =
-  match t.mode with
-  | Competitive -> comp_on_ack t a
-  | Delay -> delay_on_ack t a
+  match (t.mode, t.delay_cc) with
+  | Competitive, _ -> t.comp_cc.on_ack a
+  | Delay, Some cc -> cc.on_ack a
+  | Delay, None -> ()
 
 let on_loss t l =
-  match t.mode with
-  | Competitive -> comp_on_loss t l
-  | Delay -> delay_on_loss t l
+  match (t.mode, t.delay_cc) with
+  | Competitive, _ -> t.comp_cc.on_loss l
+  | Delay, Some cc -> cc.on_loss l
+  | Delay, None -> ()
 
 (* Bytes sent in excess of the base rate during one positive pulse lobe:
    the half-sine of amplitude A over T/4 integrates to A·(T/4)·(2/π) bits. *)

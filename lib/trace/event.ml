@@ -364,38 +364,6 @@ let decode ~kind ~a ~b ~c ~d ~i1 ~i2 ~i3 =
   | 16 -> Some (Violation { rule = i1 })
   | _ -> None
 
-(* [slots ev] is the inverse of {!decode}: (kind, a, b, c, d, i1, i2, i3). *)
-let slots = function
-  | Sched { at; pending } -> (0, at, 0., 0., 0., pending, 0, 0)
-  | Pkt_enqueue { flow; seq; qlen } -> (1, 0., 0., 0., 0., flow, seq, qlen)
-  | Pkt_deliver { flow; seq; qdelay } -> (2, qdelay, 0., 0., 0., flow, seq, 0)
-  | Pkt_drop { flow; seq; reason } ->
-    (3, 0., 0., 0., 0., flow, seq, drop_reason_code reason)
-  | Rate_set { before_mbps; after_mbps } ->
-    (4, before_mbps, after_mbps, 0., 0., 0, 0, 0)
-  | Loss_model { installed } ->
-    (5, 0., 0., 0., 0., (if installed then 1 else 0), 0, 0)
-  | Fault_fired { fault; p1; p2 } ->
-    (6, p1, p2, 0., 0., fault_kind_code fault, 0, 0)
-  | Flow_control { flow; control; value } ->
-    (7, value, 0., 0., 0., flow, control_kind_code control, 0)
-  | Z_tick { z_mbps; send_mbps; recv_mbps; base_mbps } ->
-    (8, z_mbps, send_mbps, recv_mbps, base_mbps, 0, 0, 0)
-  | Window { eta; zbar; tone_lo; tone_hi } ->
-    (9, eta, zbar, tone_lo, tone_hi, 0, 0, 0)
-  | Pulse_phase { freq_hz; value } -> (10, freq_hz, value, 0., 0., 0, 0, 0)
-  | Detection { eta; mode; role; evidence } ->
-    (11, eta, 0., 0., 0., mode_code mode, role_code role,
-     evidence_code evidence)
-  | Mode_switch { from_mode; to_mode; role } ->
-    (12, 0., 0., 0., 0., mode_code from_mode, mode_code to_mode,
-     role_code role)
-  | Elected { p } -> (13, p, 0., 0., 0., 0, 0, 0)
-  | Demoted -> (14, 0., 0., 0., 0., 0, 0, 0)
-  | Keepalive { tone; alive } ->
-    (15, tone, 0., 0., 0., (if alive then 1 else 0), 0, 0)
-  | Violation { rule } -> (16, 0., 0., 0., 0., rule, 0, 0)
-
 (* --- serialization --------------------------------------------------------- *)
 
 let float_str x =
@@ -452,41 +420,3 @@ let to_json buf ~time ev =
     | Violation { rule } -> bpf buf {|,"rule":%d|} rule
   end;
   Buffer.add_char buf '}'
-
-let csv_header = "time,ev,a,b,c,d,i1,i2,i3"
-
-let to_csv buf ~time ev =
-  let kind, a, b, c, d, i1, i2, i3 = slots ev in
-  ignore kind;
-  bpf buf "%s,%s,%s,%s,%s,%s,%d,%d,%d" (float_str time) (name ev)
-    (float_str a) (float_str b) (float_str c) (float_str d) i1 i2 i3
-
-let binary_magic = "NIMTRC01"
-let binary_record_size = 1 + (5 * 8) + (3 * 4)
-
-let to_binary buf ~time ev =
-  let kind, a, b, c, d, i1, i2, i3 = slots ev in
-  Buffer.add_uint8 buf kind;
-  Buffer.add_int64_le buf (Int64.bits_of_float time);
-  Buffer.add_int64_le buf (Int64.bits_of_float a);
-  Buffer.add_int64_le buf (Int64.bits_of_float b);
-  Buffer.add_int64_le buf (Int64.bits_of_float c);
-  Buffer.add_int64_le buf (Int64.bits_of_float d);
-  Buffer.add_int32_le buf (Int32.of_int i1);
-  Buffer.add_int32_le buf (Int32.of_int i2);
-  Buffer.add_int32_le buf (Int32.of_int i3)
-
-let of_binary s ~pos =
-  if pos < 0 || pos + binary_record_size > String.length s then None
-  else begin
-    let f off = Int64.float_of_bits (String.get_int64_le s (pos + 1 + (8 * off))) in
-    let i off = Int32.to_int (String.get_int32_le s (pos + 41 + (4 * off))) in
-    let kind = Char.code s.[pos] in
-    let time = f 0 in
-    match
-      decode ~kind ~a:(f 1) ~b:(f 2) ~c:(f 3) ~d:(f 4) ~i1:(i 0) ~i2:(i 1)
-        ~i3:(i 2)
-    with
-    | Some ev -> Some (time, ev)
-    | None -> None
-  end

@@ -1,11 +1,10 @@
-(** Typed trace events and their wire codecs.
+(** Typed trace events and their JSONL codec.
 
-    Every event flattens to a fixed-width slot record — one kind byte,
+    Every event flattens to a fixed-width slot record — one kind code,
     a timestamp, four floats and three ints — so the collector
     ({!Trace}) can buffer events in preallocated parallel arrays
     without allocating.  The structured {!t} view only exists on the
-    flush path, where sinks serialize it to JSONL, CSV or the compact
-    binary format.
+    flush path, where sinks serialize it to JSONL.
 
     Floats are serialized with shortest-round-trip formatting so a
     JSONL trace is byte-identical for identical runs regardless of how
@@ -158,7 +157,7 @@ type t =
 (** [category ev] is the category [ev] is filtered under. *)
 val category : t -> cat
 
-(** [name ev] is the short event name used in JSONL/CSV output. *)
+(** [name ev] is the short event name used in JSONL output. *)
 val name : t -> string
 
 (** {1 Codecs} *)
@@ -184,22 +183,3 @@ val float_str : float -> string
 (** [to_json buf ~time ev] appends one JSONL object (no trailing
     newline). *)
 val to_json : Buffer.t -> time:float -> t -> unit
-
-val csv_header : string
-
-(** [to_csv buf ~time ev] appends one CSV row (no trailing newline)
-    under {!csv_header}. *)
-val to_csv : Buffer.t -> time:float -> t -> unit
-
-(** Compact binary format: an 8-byte magic header {!binary_magic}
-    followed by fixed 53-byte little-endian records. *)
-val binary_magic : string
-
-(** [to_binary buf ~time ev] appends one binary record. *)
-val to_binary : Buffer.t -> time:float -> t -> unit
-
-(** [of_binary s ~pos] decodes the record at byte offset [pos];
-    [None] if truncated or unknown. *)
-val of_binary : string -> pos:int -> (float * t) option
-
-val binary_record_size : int

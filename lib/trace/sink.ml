@@ -32,26 +32,6 @@ let jsonl oc =
   in
   { emit; close }
 
-let csv oc =
-  let buf, spill, close = buffered_channel oc in
-  Buffer.add_string buf Event.csv_header;
-  Buffer.add_char buf '\n';
-  let emit ~time ev =
-    Event.to_csv buf ~time ev;
-    Buffer.add_char buf '\n';
-    if Buffer.length buf > 4096 then spill ()
-  in
-  { emit; close }
-
-let binary oc =
-  let buf, spill, close = buffered_channel oc in
-  Buffer.add_string buf Event.binary_magic;
-  let emit ~time ev =
-    Event.to_binary buf ~time ev;
-    if Buffer.length buf > 4096 then spill ()
-  in
-  { emit; close }
-
 let jsonl_buffer buf =
   let emit ~time ev =
     Event.to_json buf ~time ev;
@@ -108,42 +88,8 @@ let is_notable = function
     true
   | _ -> false
 
-let starts_with s prefix =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
-(* Every record of a trace as (time, event name, line to list if notable),
-   in file order, or the first reason the file is not a whole trace. *)
-let binary_records s =
-  let magic = String.length Event.binary_magic in
-  let body = String.length s - magic in
-  if body mod Event.binary_record_size <> 0 then
-    Error
-      (Printf.sprintf
-         "binary trace: %d-byte body is not a whole number of %d-byte records"
-         body Event.binary_record_size)
-  else
-    let rec go i acc =
-      if i * Event.binary_record_size = body then Ok (List.rev acc)
-      else
-        match
-          Event.of_binary s ~pos:(magic + (i * Event.binary_record_size))
-        with
-        | None -> Error (Printf.sprintf "binary trace: record %d does not decode" i)
-        | Some (time, ev) ->
-          let name = Event.name ev in
-          let line =
-            if is_notable name then begin
-              let b = Buffer.create 128 in
-              Event.to_json b ~time ev;
-              Buffer.contents b
-            end
-            else ""
-          in
-          go (i + 1) ((time, name, line) :: acc)
-    in
-    go 0 []
-
+(* Every record of a JSONL trace as (time, event name, line), in file order,
+   or the first line that is not a whole trace record. *)
 let jsonl_records s =
   let rec go i acc = function
     | [] -> Ok (List.rev acc)
@@ -151,7 +97,7 @@ let jsonl_records s =
     | line :: rest -> (
       let closed =
         let l = String.trim line in
-        starts_with l "{" && Char.equal l.[String.length l - 1] '}'
+        Char.equal l.[0] '{' && Char.equal l.[String.length l - 1] '}'
       in
       let time = Option.bind (json_field line "t") float_of_string_opt in
       let name = Option.bind (json_field line "ev") quoted in
@@ -160,8 +106,8 @@ let jsonl_records s =
       | _ ->
         Error
           (Printf.sprintf
-             "JSONL trace: line %d is not an object with a numeric \"t\" and \
-              a string \"ev\""
+             "not a JSONL trace: line %d is not an object with a numeric \"t\" \
+              and a string \"ev\""
              i))
   in
   go 1 [] (String.split_on_char '\n' s)
@@ -194,15 +140,4 @@ let summarize records =
   Buffer.contents b
 
 let summarize_file path =
-  let ( let* ) = Result.bind in
-  let* s = read_file path in
-  let* records =
-    if starts_with s Event.binary_magic then binary_records s
-    else if starts_with s Event.csv_header then
-      Error "CSV trace: only JSONL and binary traces can be summarized"
-    else if
-      String.equal (String.trim s) "" || starts_with (String.trim s) "{"
-    then jsonl_records s
-    else Error "not a trace: neither NIMTRC01 binary nor JSONL"
-  in
-  Ok (summarize records)
+  Result.map summarize (Result.bind (read_file path) jsonl_records)

@@ -1,9 +1,9 @@
 (** Pluggable trace sinks.
 
     A sink consumes decoded {!Event.t}s on the flush path (never on
-    the hot path) and serializes them somewhere: a channel as JSONL,
-    CSV or compact binary, a caller-owned {!Buffer.t}, or an
-    in-memory list for tests. *)
+    the hot path) and serializes them somewhere: a channel or a
+    caller-owned {!Buffer.t} as JSONL, or an in-memory list for tests.
+    JSONL is the only trace file format. *)
 
 type t = {
   emit : time:float -> Event.t -> unit;
@@ -12,14 +12,6 @@ type t = {
 
 (** [jsonl oc] writes one JSON object per line; [close] closes [oc]. *)
 val jsonl : out_channel -> t
-
-(** [csv oc] writes {!Event.csv_header} then one row per event;
-    [close] closes [oc]. *)
-val csv : out_channel -> t
-
-(** [binary oc] writes {!Event.binary_magic} then fixed-width records;
-    [close] closes [oc]. *)
-val binary : out_channel -> t
 
 (** [jsonl_buffer buf] appends JSONL lines to a caller-owned buffer;
     [close] is a no-op (the caller owns [buf]). *)
@@ -32,12 +24,10 @@ val memory : unit -> t * (unit -> (float * Event.t) list)
 (** [null] discards everything. *)
 val null : t
 
-(** [summarize_file path] reads a JSONL or binary trace file (sniffed
-    by magic) and renders a human-readable summary: event counts by
-    kind, the time range, and every mode-switch / election / violation
-    line in order.  It is [Error] when the file cannot be read, is a CSV
-    trace, is neither NIMTRC01 binary nor JSONL, has a binary body that is
-    not a whole number of records or holds a record that does not decode,
-    or has a JSONL line that is not an object with a numeric ["t"] and a
-    string ["ev"]. *)
+(** [summarize_file path] reads a JSONL trace file and renders a
+    human-readable summary: event counts by kind, the time range, and
+    every mode-switch / election / violation line in order.  It is
+    [Error] when the file cannot be read or has a non-blank line that is
+    not an object with a numeric ["t"] and a string ["ev"], so any other
+    format is rejected. *)
 val summarize_file : string -> (string, string) result

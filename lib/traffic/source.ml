@@ -9,14 +9,13 @@ type kind =
   | Poisson of Rng.t
   | Cbr
 
-(* Rate and stop time stay raw float (bits/s, seconds) internally — the
-   typed boundary is the .mli. *)
+(* The rate stays raw float (bits/s) internally — the typed boundary is the
+   .mli. *)
 type t = {
   engine : Engine.t;
   enqueue : Packet.t -> unit;
   kind : kind;
   flow_id : int;
-  stop : float option;
   mutable rate : float;
   mutable seq : int;
   mutable active : bool;
@@ -47,10 +46,7 @@ let interval t =
 
 let rec step t =
   let now = Engine.now t.engine in
-  let expired =
-    match t.stop with Some s -> Time.to_secs now >= s | None -> false
-  in
-  if t.active && not expired then begin
+  if t.active then begin
     if t.rate > 0. then begin
       let pkt =
         Packet.make ~flow:t.flow_id ~seq:t.seq ~size:pkt_size ~now ()
@@ -67,22 +63,21 @@ let rec step t =
 (* Packets traverse every hop of [route] and are dropped on the floor after
    the last one (open-loop traffic has no receiver), while still counting
    into the fabric conservation ledger. *)
-let make topo ~route kind ~rate ~start ~stop =
+let make topo ~route kind ~rate ~start =
   let engine = Topology.engine topo in
   let rate = finite_bps rate in
   if rate < 0. then invalid_arg "Source: negative rate";
   let flow_id = Engine.fresh_flow_id engine in
   let t =
     { engine; enqueue = Topology.attach topo ~route ~flow:flow_id ~sink:ignore;
-      kind; flow_id; stop = Option.map Time.to_secs stop; rate;
-      seq = 0; active = true }
+      kind; flow_id; rate; seq = 0; active = true }
   in
   let start = match start with Some s -> s | None -> Engine.now engine in
   Engine.schedule_at engine start (fun () -> step t);
   t
 
-let poisson_via topo ~route ~rng ~rate ?start ?stop () =
-  make topo ~route (Poisson rng) ~rate ~start ~stop
+let poisson_via topo ~route ~rng ~rate ?start () =
+  make topo ~route (Poisson rng) ~rate ~start
 
-let cbr_via topo ~route ~rate ?start ?stop () =
-  make topo ~route Cbr ~rate ~start ~stop
+let cbr_via topo ~route ~rate ?start () =
+  make topo ~route Cbr ~rate ~start

@@ -10,8 +10,7 @@ type t
 (** [poisson_via topo ~route ~rng ~rate ()] injects packets with
     exponential inter-arrival times averaging [rate], in 1500-byte
     packets.
-    @param start absolute start time (default now)
-    @param stop absolute stop time (default never)
+    @param start absolute start time (default now); {!halt} stops it
     @raise Invalid_argument if [rate] is negative or not finite *)
 val poisson_via :
   Nimbus_topology.Topology.t ->
@@ -19,7 +18,6 @@ val poisson_via :
   rng:Nimbus_sim.Rng.t ->
   rate:Units.Rate.t ->
   ?start:Units.Time.t ->
-  ?stop:Units.Time.t ->
   unit ->
   t
 
@@ -30,7 +28,6 @@ val cbr_via :
   route:Nimbus_topology.Topology.Route.t ->
   rate:Units.Rate.t ->
   ?start:Units.Time.t ->
-  ?stop:Units.Time.t ->
   unit ->
   t
 

@@ -66,7 +66,6 @@ type t = {
   rng : Rng.t;
   mixture : mixture;
   prop_rtt : float;
-  stop : float option;
   mean_size : float;
   arrival_mean : float; (* seconds between arrivals *)
   mutable active : record list;
@@ -139,18 +138,13 @@ let launch t size =
 let rec schedule_arrival t =
   let gap = Rng.exponential t.rng ~mean:t.arrival_mean in
   Engine.schedule_in t.engine (Time.secs gap) (fun () ->
-      let now = Time.to_secs (Engine.now t.engine) in
-      let expired = match t.stop with Some s -> now >= s | None -> false in
-      if not expired then begin
-        t.arrivals <- t.arrivals + 1;
-        if List.length t.active >= max_concurrent then
-          t.skipped <- t.skipped + 1
-        else launch t (draw_size t);
-        schedule_arrival t
-      end)
+      t.arrivals <- t.arrivals + 1;
+      if List.length t.active >= max_concurrent then t.skipped <- t.skipped + 1
+      else launch t (draw_size t);
+      schedule_arrival t)
 
 let create topo ~route ~rng ~load ?(profile = `Churny)
-    ?(prop_rtt = Time.ms 50.) ?start ?stop () =
+    ?(prop_rtt = Time.ms 50.) () =
   let engine = Topology.engine topo in
   let load = Rate.to_bps load in
   if load <= 0. then invalid_arg "Wan.create: load <= 0";
@@ -159,13 +153,13 @@ let create topo ~route ~rng ~load ?(profile = `Churny)
   let arrival_rate = load /. 8. /. mean_size in
   let t =
     { engine; topo; route; rng; mixture; prop_rtt = Time.to_secs prop_rtt;
-      stop = Option.map Time.to_secs stop;
       mean_size; arrival_mean = 1. /. arrival_rate; active = [];
       completed_elastic_bytes = 0; completed_total_bytes = 0; fcts = [];
       arrivals = 0; skipped = 0 }
   in
-  let start = match start with Some s -> s | None -> Engine.now engine in
-  Engine.schedule_at engine start (fun () -> schedule_arrival t);
+  (* the first gap is drawn by a deferred event rather than inline; the
+     pinned traces and digests depend on that extra event in the schedule *)
+  Engine.schedule_at engine (Engine.now engine) (fun () -> schedule_arrival t);
   t
 
 let bytes_split t =

@@ -31,9 +31,7 @@ type profile =
     Each cross-flow's RTT is [prop_rtt] jittered uniformly by ±20%.  At
     most 512 cross-flows run at once; arrivals beyond the cap
     are skipped and counted.
-    @param prop_rtt cross-flow propagation RTT (default 50 ms)
-    @param start default now
-    @param stop stop generating new arrivals (existing flows finish) *)
+    @param prop_rtt cross-flow propagation RTT (default 50 ms) *)
 val create :
   Nimbus_topology.Topology.t ->
   route:Nimbus_topology.Topology.Route.t ->
@@ -41,8 +39,6 @@ val create :
   load:Units.Rate.t ->
   ?profile:profile ->
   ?prop_rtt:Units.Time.t ->
-  ?start:Units.Time.t ->
-  ?stop:Units.Time.t ->
   unit ->
   t
 

@@ -58,6 +58,17 @@ let bad_traces =
 let trace_rejected contents () =
   Alcotest.(check int) "trace exits 2" 2 (summarize contents)
 
+(* every subcommand writes JSONL, whatever the extension *)
+let test_bin_suffix_is_jsonl () =
+  let path = Filename.temp_file "nimtrace" ".bin" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Alcotest.(check int) "simulate --trace x.bin exits 0" 0
+    (simulate ("--trace " ^ Filename.quote path));
+  Alcotest.(check int) "trace x.bin exits 0" 0
+    (Sys.command
+       (Printf.sprintf "%s trace %s > /dev/null 2>&1" cli
+          (Filename.quote path)))
+
 let test_valid_run () =
   Alcotest.(check int) "a short valid run exits 0" 0
     (simulate "--cross=cbr --cross-rate=24")
@@ -72,4 +83,6 @@ let suite =
       List.map
         (fun (name, contents) ->
           Alcotest.test_case name `Quick (trace_rejected contents))
-        bad_traces ) ]
+        bad_traces
+      @ [ Alcotest.test_case "x.bin trace reads back" `Quick
+            test_bin_suffix_is_jsonl ] ) ]

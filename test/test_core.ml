@@ -600,6 +600,28 @@ let test_nimbus_mode_transition () =
   Alcotest.(check string) "competitive after" "competitive"
     (Nimbus.mode_to_string (Nimbus.mode nim))
 
+(* An ACK in competitive mode goes straight to the inner Cubic's hook: no
+   per-ACK controller record or closures on top of Cubic's own update, which
+   allocates 2 words (a fresh record and its closures made it 23). *)
+let test_nimbus_competitive_ack_words () =
+  let e, _, topo, route = make_link () in
+  let nim, _ = start_nimbus topo ~route ~mu:48e6 in
+  ignore
+    (Flow.create_via topo ~route ~cc:(Nimbus_cc.Cubic.make ())
+       ~prop_rtt:(Time.ms 50.) ());
+  Engine.run_until e (Time.secs 20.);
+  Alcotest.(check string) "competitive" "competitive"
+    (Nimbus.mode_to_string (Nimbus.mode nim));
+  let cc = Nimbus.cc nim ~now:(fun () -> Engine.now e) in
+  let ack =
+    { Nimbus_cc.Cc_types.now = Engine.now e; seq = 0; bytes = 1500;
+      rtt = Time.ms 55.; min_rtt = Time.ms 50.; srtt = Time.ms 55.;
+      inflight_bytes = 300_000; delivered_bytes = 0 }
+  in
+  let words = words_per ~runs:1000 (fun () -> cc.on_ack ack) in
+  if words > 4. then
+    Alcotest.failf "competitive on_ack allocates %.1f minor words" words
+
 let test_nimbus_single_flow_is_pulser () =
   let e, _, topo, route = make_link () in
   let nim, _ = start_nimbus topo ~route ~mu:48e6 in
@@ -753,6 +775,8 @@ let suite =
           test_nimbus_base_rate_positive;
         Alcotest.test_case "steady watcher tick words" `Quick
           test_watcher_tick_words;
+        Alcotest.test_case "competitive ack words" `Quick
+          test_nimbus_competitive_ack_words;
         Alcotest.test_case "fresh Nimbus retains little" `Quick
           test_nimbus_retains_little;
         Alcotest.test_case "mode frequency is a probe bin" `Quick

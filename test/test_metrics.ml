@@ -52,7 +52,10 @@ let test_monitor_throughput_math () =
   let counter = ref 0 in
   (* grow the counter by 1250 bytes every 100 ms = 100 kbit/s *)
   Engine.every e ~dt:(Time.ms 100.) (fun () -> counter := !counter + 1250);
-  let series = Monitor.throughput e ~interval:(Time.secs 1.0) (fun () -> !counter) in
+  let series =
+    Monitor.throughput e ~interval:(Time.secs 1.0) ~until:(Time.secs 10.)
+      (fun () -> !counter)
+  in
   Engine.run_until e (Time.secs 10.);
   let values = Series.values series in
   Alcotest.(check bool) "some samples" true (Array.length values >= 9);
@@ -67,7 +70,9 @@ let test_monitor_queue_delay () =
          ~qdisc:(Qdisc.droptail ~capacity_bytes:1_000_000))
   in
   let bn = Topology.link_bottleneck (List.hd (Topology.links topo)) in
-  let series = Monitor.queue_delay e bn ~interval:(Time.ms 10.) () in
+  let series =
+    Monitor.queue_delay e bn ~interval:(Time.ms 10.) ~until:(Time.secs 0.2) ()
+  in
   (* inject 100 packets at t=0; queue drains at 1 ms/packet *)
   let ingress = Topology.attach topo ~route ~flow:0 ~sink:ignore in
   for seq = 0 to 99 do

@@ -1,4 +1,4 @@
-(* lib/trace: ring semantics, codecs, sinks, spans, and the end-to-end
+(* lib/trace: ring semantics, the JSONL codec, sinks, spans, and the end-to-end
    guarantees the tracing layer advertises — deterministic byte-identical
    JSONL for a given seed (whatever the pool size) and an allocation-free
    disabled path. *)
@@ -107,23 +107,41 @@ let sample_events : (float * Event.t) list =
     (8., Event.Keepalive { tone = 1.5; alive = true });
     (9., Event.Violation { rule = 3 }) ]
 
-let test_binary_roundtrip () =
-  let buf = Buffer.create 1024 in
-  List.iter (fun (time, ev) -> Event.to_binary buf ~time ev) sample_events;
-  let s = Buffer.contents buf in
-  Alcotest.(check int) "record size"
-    (List.length sample_events * Event.binary_record_size)
-    (String.length s);
-  List.iteri
-    (fun i (time, ev) ->
-      match Event.of_binary s ~pos:(i * Event.binary_record_size) with
-      | None -> Alcotest.failf "record %d did not decode" i
-      | Some (time', ev') ->
-        Alcotest.(check (float 0.)) "time round-trips" time time';
-        if ev' <> ev then
-          Alcotest.failf "event %d did not round-trip (%s)" i
-            (Event.name ev))
-    sample_events
+(* Each emitter writes its kind code and slots; [Event.decode] must read the
+   same event back.  One emitter per [sample_events] entry, in order. *)
+let test_ring_roundtrip () =
+  let tr = Trace.create ~mask:Trace.mask_all () in
+  let sink, collected = Sink.memory () in
+  Trace.attach tr sink;
+  Trace.sched tr ~now:0.5 ~at:0.75 ~pending:12;
+  Trace.pkt_enqueue tr ~now:1. ~flow:1 ~seq:42 ~qlen:3000;
+  Trace.pkt_deliver tr ~now:1.1 ~flow:1 ~seq:42 ~qdelay:0.0125;
+  Trace.pkt_drop tr ~now:1.2 ~flow:2 ~seq:7 ~reason:Event.Policer;
+  Trace.rate_set tr ~now:2. ~before:48. ~after:0.;
+  Trace.loss_model tr ~now:2.1 ~installed:true;
+  Trace.fault_fired tr ~now:3. ~fault:Event.F_burst ~p1:0.05 ~p2:0.4;
+  Trace.flow_control tr ~now:3.5 ~flow:0 ~control:Event.C_stop ~value:0.;
+  Trace.z_tick tr ~now:4. ~z:23.75 ~send:48. ~recv:47.5 ~base:24.;
+  Trace.window tr ~now:5. ~eta:2.25 ~zbar:20. ~lo:0.5 ~hi:3.;
+  Trace.pulse_phase tr ~now:5.1 ~freq:5. ~value:6.;
+  Trace.detection tr ~now:6. ~eta:0.75 ~mode:Event.Delay ~role:Event.Watcher
+    ~evidence:Event.Quiet;
+  Trace.mode_switch tr ~now:6.5 ~from_mode:Event.Delay
+    ~to_mode:Event.Competitive ~role:Event.Pulser;
+  Trace.elected tr ~now:7. ~p:0.125;
+  Trace.demoted tr ~now:7.5;
+  Trace.keepalive tr ~now:8. ~tone:1.5 ~alive:true;
+  Trace.violation tr ~now:9. ~rule:3;
+  Trace.flush tr;
+  let got = collected () in
+  Alcotest.(check int) "one event per emitter" (List.length sample_events)
+    (List.length got);
+  List.iter2
+    (fun (time, ev) (time', ev') ->
+      Alcotest.(check (float 0.)) "time round-trips" time time';
+      if ev' <> ev then
+        Alcotest.failf "%s did not round-trip through the ring" (Event.name ev))
+    sample_events got
 
 let test_float_str () =
   Alcotest.(check string) "short decimal" "0.1" (Event.float_str 0.1);
@@ -187,20 +205,6 @@ let test_summarize_file () =
     Alcotest.(check bool) "counts z ticks" true (contains_sub summary "z_tick");
     Alcotest.(check bool) "counts the switch" true
       (contains_sub summary "mode_switch")
-
-let test_summarize_binary_file () =
-  let path = Filename.temp_file "nimtrace" ".bin" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let tr = Trace.create ~mask:Trace.mask_all () in
-  let oc = open_out_bin path in
-  Trace.attach tr (Sink.binary oc);
-  Trace.elected tr ~now:1.5 ~p:0.25;
-  Trace.close tr;
-  match Sink.summarize_file path with
-  | Error e -> Alcotest.fail e
-  | Ok summary ->
-    Alcotest.(check bool) "decodes the election" true
-      (contains_sub summary "elected")
 
 (* --- Flow.apply ------------------------------------------------------------ *)
 
@@ -429,15 +433,12 @@ let suite =
           test_clear_keeps_counters;
         Alcotest.test_case "category filtering" `Quick test_category_filter;
         Alcotest.test_case "parse_filter" `Quick test_parse_filter;
-        Alcotest.test_case "binary codec round-trips" `Quick
-          test_binary_roundtrip;
+        Alcotest.test_case "emitters round-trip" `Quick test_ring_roundtrip;
         Alcotest.test_case "float_str shortest round-trip" `Quick
           test_float_str;
         Alcotest.test_case "json line shape" `Quick test_json_shape;
         Alcotest.test_case "memory sink + flush" `Quick test_memory_sink_flush;
         Alcotest.test_case "summarize jsonl file" `Quick test_summarize_file;
-        Alcotest.test_case "summarize binary file" `Quick
-          test_summarize_binary_file;
         Alcotest.test_case "Flow.apply controls + validation" `Quick
           test_flow_apply;
         Alcotest.test_case "span aggregation (fake clock)" `Quick

@@ -43,17 +43,14 @@ let test_poisson_mean_rate () =
   if Float.abs (rate -. 24e6) > 1.5e6 then
     Alcotest.failf "poisson rate %.2fM != ~24M" (rate /. 1e6)
 
-let test_source_start_stop () =
+let test_source_delayed_start () =
   let e, bn, topo, route = make_link () in
   let s = Source.cbr_via topo ~route ~rate:(Rate.bps 12e6)
-      ~start:(Time.secs 5.) ~stop:(Time.secs 10.) () in
+      ~start:(Time.secs 5.) () in
   Engine.run_until e (Time.secs 4.);
   Alcotest.(check int) "silent before start" 0 (delivered bn s);
-  Engine.run_until e (Time.secs 20.);
-  let total = float_of_int (delivered bn s * 8) in
-  (* ~5 s of traffic *)
-  Alcotest.(check bool) "stops at stop time" true
-    (total > 0.8 *. 5. *. 12e6 && total < 1.2 *. 5. *. 12e6)
+  Engine.run_until e (Time.secs 6.);
+  Alcotest.(check bool) "sending after start" true (delivered bn s > 0)
 
 let test_source_set_rate () =
   let e, bn, topo, route = make_link () in
@@ -284,7 +281,7 @@ let suite =
   [ ( "traffic.source",
       [ Alcotest.test_case "cbr rate" `Quick test_cbr_rate;
         Alcotest.test_case "poisson mean" `Quick test_poisson_mean_rate;
-        Alcotest.test_case "start/stop" `Quick test_source_start_stop;
+        Alcotest.test_case "delayed start" `Quick test_source_delayed_start;
         Alcotest.test_case "set_rate" `Quick test_source_set_rate;
         Alcotest.test_case "halt" `Quick test_source_halt;
         Alcotest.test_case "rejects non-finite rate" `Quick

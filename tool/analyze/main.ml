@@ -29,7 +29,6 @@ open Nimbus_analyze
 let usage =
   "analyze [--src-root DIR]... [--cmt-root DIR]... [--layers FILE] \
    [--json FILE] [--dot FILE] [--summary-md FILE] \
-   [--det-libs a,b] [--race-libs a,b] [--units-libs a,b] \
    [--pass NAME[,NAME...]]... [--suppressions] [--quiet]\n\n\
    pass names: parsetree determinism layering alloc race units suppress"
 
@@ -43,9 +42,6 @@ let () =
   let layers_file = ref "" in
   let json_file = ref "" in
   let dot_file = ref "" in
-  let det_libs = ref Determinism.default_scope in
-  let race_libs = ref Race.default_scope in
-  let units_libs = ref None in
   let summary_md = ref "" in
   let passes = ref [] in
   let list_suppressions = ref false in
@@ -62,24 +58,6 @@ let () =
        "FILE write the JSONL findings report here");
       ("--dot", Arg.Set_string dot_file,
        "FILE write the layering-pass dependency graph here");
-      ("--det-libs",
-       Arg.String
-         (fun s -> det_libs := String.split_on_char ',' s
-                               |> List.filter (fun l -> l <> "")),
-       "a,b override the determinism-pass library scope");
-      ("--race-libs",
-       Arg.String
-         (fun s -> race_libs := String.split_on_char ',' s
-                                |> List.filter (fun l -> l <> "")),
-       "a,b override the race-pass mutable-global sweep scope");
-      ("--units-libs",
-       Arg.String
-         (fun s ->
-           units_libs :=
-             Some
-               (String.split_on_char ',' s
-               |> List.filter (fun l -> l <> ""))),
-       "a,b override the units-pass library scope (dataflow and boundary)");
       ("--summary-md", Arg.Set_string summary_md,
        "FILE write a per-pass findings/runtime markdown table here");
       ("--pass",
@@ -137,7 +115,7 @@ let () =
     if not (enabled "determinism") then []
     else
       timed "determinism" (fun () ->
-          let fs = Determinism.check ~sup ~scope:!det_libs defs units in
+          let fs = Determinism.check ~sup ~scope:Determinism.default_scope defs units in
           (fs, List.length fs))
   in
   let layer_findings, edges, layers =
@@ -177,7 +155,7 @@ let () =
       { Race.findings = []; certified = []; sites = 0 }
     else
       timed "race" (fun () ->
-          let r = Race.check ~sup ~scope:!race_libs defs units in
+          let r = Race.check ~sup ~scope:Race.default_scope defs units in
           (r, List.length r.Race.findings))
   in
   let units_result, registry_findings =
@@ -185,15 +163,12 @@ let () =
     else
       timed "units" (fun () ->
           let api, registry_findings = Unit_api.create defs in
-          let flow_scope =
-            Option.value !units_libs ~default:Units_flow.default_scope
+          let flow =
+            Units_flow.check ~sup ~scope:Units_flow.default_scope api defs
           in
-          let boundary_scope =
-            Option.value !units_libs ~default:Units_boundary.default_scope
-          in
-          let flow = Units_flow.check ~sup ~scope:flow_scope api defs in
           let boundary =
-            Units_boundary.check ~sup ~scope:boundary_scope api defs
+            Units_boundary.check ~sup ~scope:Units_boundary.default_scope api
+              defs
           in
           let r =
             {
