@@ -5,7 +5,6 @@
 
 module Common = Nimbus_experiments.Common
 module Trace = Nimbus_trace.Trace
-module Sink = Nimbus_trace.Sink
 
 open Cmdliner
 
@@ -84,7 +83,7 @@ let trace_mask filter =
     Printf.eprintf "bad --trace-filter: %s\n" msg;
     exit 2
 
-(* [with_trace ?out ~filter f] builds the run's collector: a sink on [out]
+(* [with_trace ?out ~filter f] builds the run's collector, writing to [out]
    (or a disabled collector when absent), handed to [f] together with a
    [flush] the caller should schedule off the hot path (e.g. on a 1 s engine
    event).  The trace is flushed and closed when [f] returns.  The filter is
@@ -96,7 +95,7 @@ let with_trace ?out ~filter f =
   | Some path ->
     let tr = Trace.create ~mask () in
     let oc = open_out_bin path in
-    Trace.attach tr (Sink.jsonl oc);
+    Trace.attach tr (`Channel oc);
     Fun.protect
       ~finally:(fun () -> Trace.close tr)
       (fun () -> f tr (fun () -> Trace.flush tr))

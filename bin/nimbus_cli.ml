@@ -105,7 +105,7 @@ let simulate_cmd mbps rtt_ms duration cross_kind cross_mbps seed faults
   let l = Common.link ~mbps ~rtt_ms () in
   let net = Common.setup ~trace ~seed l in
   let { Common.engine; topo; route; bottleneck = bn; rng; _ } = net in
-  (* drain the ring into the sink off the hot path, once a simulated second *)
+  (* flush the ring off the hot path, once a simulated second *)
   Engine.every engine ~dt:(Time.secs 1.0) (fun () -> flush ());
   (match cross_kind with
    | "none" -> ()
@@ -242,7 +242,7 @@ let sweep_cmd full jobs paths seed schemes shard_size budget retries
     0
 
 let trace_cmd file =
-  match Nimbus_trace.Sink.summarize_file file with
+  match Nimbus_trace.Trace.summarize_file file with
   | Ok summary ->
     print_string summary;
     0
@@ -370,8 +370,8 @@ let sweep_t =
       value & opt int 2
       & info [ "retries" ] ~docv:"N"
           ~doc:
-            "Retries per failed case (capped exponential backoff between \
-             attempts) before it becomes a failure cell.")
+            "Retries per failed case, each on a rekeyed seed, before it \
+             becomes a failure cell.")
   in
   let checkpoint =
     Arg.(

@@ -297,7 +297,7 @@ let set_crash_hook h = Atomic.set crash_hook h
 
 let rekey seed = seed lxor 0x9E3779B9 [@@domain_safe "pure integer mixing"]
 
-let run_case ?check ?(attempts = 2) ?backoff ~label ~seed f =
+let run_case ?check ?(attempts = 2) ~label ~seed f =
   if attempts < 1 then invalid_arg "Common.run_case: attempts must be >= 1";
   let attempt seed =
     (match
@@ -343,10 +343,7 @@ let run_case ?check ?(attempts = 2) ?backoff ~label ~seed f =
         record_crash c;
         Error c
       end
-      else begin
-        (match backoff with None -> () | Some wait -> wait ~attempt:(k + 1));
-        go (k + 1) (rekey seed_k) e bt
-      end
+      else go (k + 1) (rekey seed_k) e bt
   in
   go 1 seed (Failure "unreached") ""
 [@@domain_safe

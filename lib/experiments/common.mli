@@ -185,13 +185,10 @@ type crash = {
     results whatever pool runs them.
     @param check result validation — [Some msg] marks the result invalid and
            is treated exactly like a raise
-    @param attempts total tries (>= 1)
-    @param backoff called before retry attempt [k] (2-based) — the sweep's
-           capped exponential sleep; must be domain-safe *)
+    @param attempts total tries (>= 1) *)
 val run_case :
   ?check:('a -> string option) ->
   ?attempts:int ->
-  ?backoff:(attempt:int -> unit) ->
   label:string ->
   seed:int ->
   (seed:int -> 'a) ->

@@ -59,7 +59,7 @@ let run_one (p : Common.profile) ~trace_mask case ~seed =
     if trace_mask = 0 then Nimbus_trace.Trace.disabled
     else begin
       let tr = Nimbus_trace.Trace.create ~mask:trace_mask () in
-      Nimbus_trace.Trace.attach tr (Nimbus_trace.Sink.jsonl_buffer tbuf);
+      Nimbus_trace.Trace.attach tr (`Buffer tbuf);
       tr
     end
   in

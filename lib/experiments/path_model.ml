@@ -49,11 +49,6 @@ let next s =
     policed;
     wan_load = Rng.range rng ~lo:0.1 ~hi:0.5 }
 
-let skip s n =
-  for _ = 1 to n do
-    ignore (next s)
-  done
-
 let sample ~count ~seed =
   let s = sampler ~seed in
   (* explicit loop: the stream is sequential, so paths must be drawn in id

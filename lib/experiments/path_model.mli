@@ -23,10 +23,6 @@ val sampler : seed:int -> sampler
 (** [next s] draws the next path; O(1), six RNG draws. *)
 val next : sampler -> t
 
-(** [skip s n] discards the next [n] paths (resume: the stream must still
-    advance through checkpointed shards). *)
-val skip : sampler -> int -> unit
-
 (** [sample ~count ~seed] is the first [count] paths of the stream. *)
 val sample : count:int -> seed:int -> t list
 

@@ -8,9 +8,9 @@
      byte-identical final table to an uninterrupted run, at any --jobs;
    - watchdog + retry: each case gets a wall-clock budget (polled once per
      simulated second — cooperative, there is no safe cross-domain
-     preemption) and crashes/timeouts are retried on rekeyed seeds under
-     capped exponential backoff before being recorded as typed failure
-     cells, never aborting the sweep;
+     preemption) and crashes/timeouts are retried at once on rekeyed seeds
+     before being recorded as typed failure cells, never aborting the
+     sweep;
    - streaming aggregation: P² quantile estimators and Welford accumulators
      (lib/dsp Stats) fed in deterministic shard order, so aggregator memory
      is O(1) in path count — no per-path row is ever materialized;
@@ -24,7 +24,6 @@
 module Stats = Nimbus_dsp.Stats
 module Event = Nimbus_trace.Event
 module Trace = Nimbus_trace.Trace
-module Sink = Nimbus_trace.Sink
 
 exception Case_timeout
 
@@ -46,7 +45,6 @@ type config = {
   sw_shard : int;
   sw_budget : float; (* wall secs per case attempt; <= 0 disables *)
   sw_retries : int; (* retries after the first attempt *)
-  sw_backoff : float; (* base retry delay, secs; doubles, capped at 1 s *)
   sw_checkpoint : string option;
   sw_resume : bool;
   sw_stop_after : int option; (* stop once this many shards are done *)
@@ -54,7 +52,6 @@ type config = {
   sw_triage_dir : string option;
   sw_triage_only : bool; (* skip the shards: triage from the checkpoint *)
   sw_clock : unit -> float; (* wall clock for the watchdog *)
-  sw_sleep : float -> unit; (* backoff sleep *)
   sw_log : string -> unit; (* progress; never part of the tables *)
 }
 
@@ -76,10 +73,10 @@ let scheme_of_name name =
   | _ -> None
 
 let config ?(paths = 100) ?(seed = 1819) ?schemes ?(profile = Common.quick)
-    ?(shard_size = 32) ?(budget = 0.) ?(retries = 2) ?(backoff = 0.05)
-    ?checkpoint ?(resume = false) ?stop_after ?(triage_k = 0) ?triage_dir
-    ?(triage_only = false) ?(clock = Unix.gettimeofday)
-    ?(sleep = Unix.sleepf) ?(log = fun _ -> ()) () =
+    ?(shard_size = 32) ?(budget = 0.) ?(retries = 2) ?checkpoint
+    ?(resume = false) ?stop_after ?(triage_k = 0) ?triage_dir
+    ?(triage_only = false) ?(clock = Unix.gettimeofday) ?(log = fun _ -> ())
+    () =
   if paths < 1 then invalid_arg "Sweep.config: paths must be >= 1";
   if shard_size < 1 then invalid_arg "Sweep.config: shard_size must be >= 1";
   if retries < 0 then invalid_arg "Sweep.config: retries must be >= 0";
@@ -91,12 +88,11 @@ let config ?(paths = 100) ?(seed = 1819) ?schemes ?(profile = Common.quick)
     invalid_arg "Sweep.config: --triage-only requires --triage-k >= 1";
   { sw_paths = paths; sw_seed = seed; sw_schemes = schemes;
     sw_profile = profile; sw_shard = shard_size; sw_budget = budget;
-    sw_retries = retries; sw_backoff = backoff; sw_checkpoint = checkpoint;
+    sw_retries = retries; sw_checkpoint = checkpoint;
     (* triage-only must never truncate the checkpoint it feeds on *)
     sw_resume = resume || triage_only; sw_stop_after = stop_after;
     sw_triage_k = triage_k; sw_triage_dir = triage_dir;
-    sw_triage_only = triage_only; sw_clock = clock; sw_sleep = sleep;
-    sw_log = log }
+    sw_triage_only = triage_only; sw_clock = clock; sw_log = log }
 
 (* --- checkpoint format -----------------------------------------------------
 
@@ -412,11 +408,6 @@ let run_cell cfg path sch : cell =
   let label =
     Printf.sprintf "sweep/p%d/%s" path.Path_model.p_id sch.Common.scheme_name
   in
-  let backoff ~attempt =
-    if cfg.sw_backoff > 0. then
-      cfg.sw_sleep
-        (Float.min 1. (cfg.sw_backoff *. (2. ** float_of_int (attempt - 2))))
-  in
   let f ~seed =
     let watchdog =
       if cfg.sw_budget > 0. then begin
@@ -434,7 +425,7 @@ let run_cell cfg path sch : cell =
       ~check:(fun (t, r) ->
         if Float.is_finite t && Float.is_finite r then None
         else Some "non-finite sweep statistic")
-      ~attempts:(cfg.sw_retries + 1) ~backoff ~label ~seed:(case_seed path) f
+      ~attempts:(cfg.sw_retries + 1) ~label ~seed:(case_seed path) f
   with
   | Ok cell -> Ok cell
   | Error c -> (
@@ -456,7 +447,7 @@ let run_shard cfg paths =
         (cfg
         [@shared_ok
           "immutable sweep configuration built before the fan-out; its \
-           clock/sleep closures are stateless wall-clock primitives"])
+           clock closure is a stateless wall-clock primitive"])
         path sch)
     cases
 
@@ -600,7 +591,7 @@ let run_triage cfg agg =
         ~f:(fun (path, sch) ->
           let tbuf = Buffer.create 65536 in
           let tr = Trace.create ~mask () in
-          Trace.attach tr (Sink.jsonl_buffer tbuf);
+          Trace.attach tr (`Buffer tbuf);
           let result =
             match
               Common.run_case ~attempts:1

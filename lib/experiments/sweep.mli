@@ -34,7 +34,6 @@ type config = {
   sw_shard : int;  (** paths per shard (checkpoint granularity) *)
   sw_budget : float;  (** wall secs per case attempt; [<= 0.] disables *)
   sw_retries : int;  (** retries after the first attempt *)
-  sw_backoff : float;  (** base retry delay, secs; doubles, capped at 1 s *)
   sw_checkpoint : string option;
   sw_resume : bool;
   sw_stop_after : int option;
@@ -49,7 +48,6 @@ type config = {
           run that wrote the checkpoint.
           @raise Checkpoint_incomplete if any shard is missing *)
   sw_clock : unit -> float;  (** watchdog wall clock (tests inject a fake) *)
-  sw_sleep : float -> unit;  (** backoff sleep (tests inject a no-op) *)
   sw_log : string -> unit;  (** progress; never part of the tables *)
 }
 
@@ -64,7 +62,6 @@ val config :
   ?shard_size:int ->
   ?budget:float ->
   ?retries:int ->
-  ?backoff:float ->
   ?checkpoint:string ->
   ?resume:bool ->
   ?stop_after:int ->
@@ -72,7 +69,6 @@ val config :
   ?triage_dir:string ->
   ?triage_only:bool ->
   ?clock:(unit -> float) ->
-  ?sleep:(float -> unit) ->
   ?log:(string -> unit) ->
   unit ->
   config

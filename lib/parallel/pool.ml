@@ -154,18 +154,6 @@ let map t ~f n =
             site"])
        n)
 
-let map_reduce t ~f ~reduce ~init n =
-  (* results are reduced strictly in index order, so the outcome is
-     independent of how indices were scheduled across domains *)
-  Array.fold_left reduce init
-    (map t
-       ~f:
-         (f
-         [@shared_ok
-           "forwarded unchanged; capture-checked at the original caller's \
-            site"])
-       n)
-
 let run ?domains f =
   let pool = create ?domains () in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)

@@ -4,7 +4,7 @@
     Each {!map} shares one atomic index dispenser between the pool's worker
     domains and the calling domain, which always participates; a map issued
     from inside a pool task therefore drains itself and cannot deadlock.
-    Results are stored by index and returned (or reduced) in index order, so
+    Results are stored by index and returned in index order, so
     output is deterministic regardless of scheduling — a pool of
     parallelism 1 runs everything sequentially in the caller.
 
@@ -42,11 +42,6 @@ val try_map : t -> f:(int -> 'a) -> int -> ('a, job_error) result array
     backtrace.
     @raise Invalid_argument if [n < 0]. *)
 val map : t -> f:(int -> 'a) -> int -> 'a array
-
-(** [map_reduce t ~f ~reduce ~init n] folds [reduce] over the results of
-    [map t ~f n] strictly in index order. *)
-val map_reduce :
-  t -> f:(int -> 'a) -> reduce:('b -> 'a -> 'b) -> init:'b -> int -> 'b
 
 (** [shutdown t] stops and joins the worker domains.  Calling {!map} after
     shutdown runs entirely in the caller. *)

@@ -10,10 +10,9 @@ type 'a t = {
   mutable seqs : int array;
   mutable vals : 'a array;
   mutable size : int;
-  mutable next_seq : int;
 }
 
-let create () = { keys = [||]; seqs = [||]; vals = [||]; size = 0; next_seq = 0 }
+let create () = { keys = [||]; seqs = [||]; vals = [||]; size = 0 }
 
 let size h = h.size
 
@@ -67,11 +66,6 @@ let push_seq h ~key ~seq v =
   done
 [@@alloc_free]
 
-let push h ~key v =
-  let seq = h.next_seq in
-  h.next_seq <- seq + 1;
-  push_seq h ~key ~seq v
-
 (* top_key/top_seq/pop_top are the raw drain-loop primitives: no option or
    tuple wrapping, so the engine event loop stays allocation-free.  All
    require a non-empty heap (unchecked: callers test [is_empty] first). *)
@@ -113,15 +107,3 @@ let pop_top h =
   end;
   top
 [@@alloc_free]
-
-let pop h =
-  if h.size = 0 then None
-  else begin
-    let key = top_key h in
-    let value = pop_top h in
-    Some (key, value)
-  end
-
-let peek_key h = if h.size = 0 then None else Some h.keys.(0)
-
-let clear h = h.size <- 0

@@ -1,9 +1,10 @@
-(** Binary min-heap keyed by float, with FIFO order among equal keys.
+(** Binary min-heap ordered by a float key, then by a caller-supplied
+    sequence number among equal keys.
 
     Backs the far-timer side of the event queue ({!Wheel} holds the
-    near-future side): keys are simulated timestamps, and FIFO tie-breaking
-    keeps same-instant events in the order they were scheduled, which makes
-    simulations deterministic.
+    near-future side): keys are simulated timestamps, and the sequence
+    number keeps same-instant events in the order they were scheduled,
+    which makes simulations deterministic.
 
     Entries are stored in parallel arrays — a flat (unboxed) float array of
     keys, an int array of sequence numbers, and a value array — so a push
@@ -20,22 +21,14 @@ val size : 'a t -> int
 (** [is_empty h]. *)
 val is_empty : 'a t -> bool
 
-(** [push h ~key v] inserts [v] with priority [key], assigning the next
-    internal sequence number (FIFO among equal keys). *)
-val push : 'a t -> key:float -> 'a -> unit
-
-(** [push_seq h ~key ~seq v] inserts with a caller-supplied sequence number.
-    {!Wheel} uses this to keep one global FIFO order across the calendar
-    slots and the overflow heap; do not mix with {!push} on the same heap
-    unless the caller's numbers and the internal counter are disjoint. *)
+(** [push_seq h ~key ~seq v] inserts [v] with priority [key] and the
+    caller's sequence number [seq], which orders entries of equal key
+    (lowest first).  {!Wheel} numbers its pushes itself, to keep one global
+    FIFO order across the calendar slots and the overflow heap. *)
 val push_seq : 'a t -> key:float -> seq:int -> 'a -> unit
 
-(** [pop h] removes and returns the minimum-key entry, or [None] when empty. *)
-val pop : 'a t -> (float * 'a) option
-
 (** [top_key h] is the minimum key.  The heap must be non-empty (unchecked);
-    unlike {!peek_key} it allocates nothing, which is what the engine drain
-    loop needs. *)
+    it allocates nothing, which is what the engine drain loop needs. *)
 val top_key : 'a t -> float
 
 (** [top_seq h] is the sequence number of the minimum entry (non-empty,
@@ -44,11 +37,5 @@ val top_key : 'a t -> float
 val top_seq : 'a t -> int
 
 (** [pop_top h] removes and returns the minimum-key value.  The heap must be
-    non-empty (unchecked); the allocation-free counterpart of {!pop}. *)
+    non-empty (unchecked). *)
 val pop_top : 'a t -> 'a
-
-(** [peek_key h] is the minimum key without removing it. *)
-val peek_key : 'a t -> float option
-
-(** [clear h] removes all entries. *)
-val clear : 'a t -> unit

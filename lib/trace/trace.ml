@@ -2,7 +2,10 @@
    field: slot [i] owns floats[5i .. 5i+4] (time, a, b, c, d) and
    ints[4i .. 4i+3] (kind, i1, i2, i3).  A record therefore touches two
    cache lines instead of nine, which is what keeps full-mask tracing of
-   the 10 ms controller tick inside its overhead budget. *)
+   the 10 ms controller tick inside its overhead budget.
+
+   Each emitter below fixes its event's kind code and which slots carry
+   what; [write_line] is the one reader of that layout. *)
 let fstride = 5
 
 let istride = 4
@@ -16,8 +19,10 @@ type t = {
   mutable len : int;
   mutable dropped : int;
   mutable total : int;
-  mutable sink : Sink.t option;
+  mutable out : output option;
 }
+
+and output = [ `Channel of out_channel | `Buffer of Buffer.t ]
 
 let create ?(capacity = 65536) ~mask () =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be >= 1";
@@ -30,7 +35,7 @@ let create ?(capacity = 65536) ~mask () =
     len = 0;
     dropped = 0;
     total = 0;
-    sink = None;
+    out = None;
   }
 
 let disabled =
@@ -43,7 +48,7 @@ let disabled =
     len = 0;
     dropped = 0;
     total = 0;
-    sink = None;
+    out = None;
   }
 
 let enabled t = t.mask <> 0
@@ -124,6 +129,61 @@ let bit_mode = Event.cat_bit Event.Mode
 let bit_election = Event.cat_bit Event.Election
 let bit_invariant = Event.cat_bit Event.Invariant
 
+(* Enumeration codes, and the JSONL string of each, indexed by code. *)
+let mode_code : Event.mode -> int = function Delay -> 0 | Competitive -> 1
+let mode_names = [| "delay"; "competitive" |]
+let role_code : Event.role -> int = function Pulser -> 0 | Watcher -> 1
+let role_names = [| "pulser"; "watcher" |]
+
+let evidence_code : Event.evidence -> int = function
+  | Eta -> 0
+  | Heard_delay -> 1
+  | Heard_competitive -> 2
+  | Quiet -> 3
+  | Lost -> 4
+  | Won -> 5
+
+let evidence_names =
+  [| "eta"; "heard_delay"; "heard_competitive"; "quiet"; "lost"; "won" |]
+
+let drop_reason_code : Event.drop_reason -> int = function
+  | Queue_full -> 0
+  | Policer -> 1
+  | Random_loss -> 2
+  | Modeled_loss -> 3
+
+let drop_reason_names = [| "queue"; "policer"; "random"; "model" |]
+
+let fault_kind_code : Event.fault_kind -> int = function
+  | F_burst -> 0
+  | F_loss_off -> 1
+  | F_rate_step -> 2
+  | F_outage -> 3
+  | F_delay_step -> 4
+  | F_jitter -> 5
+  | F_ack_loss -> 6
+  | F_ack_off -> 7
+  | F_kill -> 8
+
+let fault_kind_names =
+  [| "burst"; "lossoff"; "step"; "flap"; "delay"; "jitter"; "acks";
+     "acksoff"; "kill" |]
+
+let control_kind_code : Event.control_kind -> int = function
+  | C_extra_delay -> 0
+  | C_ack_loss -> 1
+  | C_ack_off -> 2
+  | C_stop -> 3
+
+let control_kind_names = [| "extra_delay"; "ack_loss"; "ack_off"; "stop" |]
+
+(* One emitter per kind code; [kind_names] is indexed by that code. *)
+let kind_names =
+  [| "sched"; "pkt_enqueue"; "pkt_deliver"; "pkt_drop"; "rate_set";
+     "loss_model"; "fault_fired"; "flow_control"; "z_tick"; "window";
+     "pulse_phase"; "detection"; "mode_switch"; "elected"; "demoted";
+     "keepalive"; "violation" |]
+
 let sched t ~now ~at ~pending =
   record t bit_engine ~kind:0 ~now ~a:at ~b:0. ~c:0. ~d:0. ~i1:pending ~i2:0
     ~i3:0
@@ -139,7 +199,7 @@ let pkt_deliver t ~now ~flow ~seq ~qdelay =
 
 let pkt_drop t ~now ~flow ~seq ~reason =
   record t bit_packet ~kind:3 ~now ~a:0. ~b:0. ~c:0. ~d:0. ~i1:flow ~i2:seq
-    ~i3:(Event.drop_reason_code reason)
+    ~i3:(drop_reason_code reason)
 
 let rate_set t ~now ~before ~after =
   record t bit_bottleneck ~kind:4 ~now ~a:before ~b:after ~c:0. ~d:0. ~i1:0
@@ -152,12 +212,12 @@ let loss_model t ~now ~installed =
 
 let fault_fired t ~now ~fault ~p1 ~p2 =
   record t bit_fault ~kind:6 ~now ~a:p1 ~b:p2 ~c:0. ~d:0.
-    ~i1:(Event.fault_kind_code fault)
+    ~i1:(fault_kind_code fault)
     ~i2:0 ~i3:0
 
 let flow_control t ~now ~flow ~control ~value =
   record t bit_flow ~kind:7 ~now ~a:value ~b:0. ~c:0. ~d:0. ~i1:flow
-    ~i2:(Event.control_kind_code control)
+    ~i2:(control_kind_code control)
     ~i3:0
 
 let z_tick t ~now ~z ~send ~recv ~base =
@@ -174,13 +234,11 @@ let pulse_phase t ~now ~freq ~value =
 
 let detection t ~now ~eta ~mode ~role ~evidence =
   record t bit_mode ~kind:11 ~now ~a:eta ~b:0. ~c:0. ~d:0.
-    ~i1:(Event.mode_code mode) ~i2:(Event.role_code role)
-    ~i3:(Event.evidence_code evidence)
+    ~i1:(mode_code mode) ~i2:(role_code role) ~i3:(evidence_code evidence)
 
 let mode_switch t ~now ~from_mode ~to_mode ~role =
   record t bit_mode ~kind:12 ~now ~a:0. ~b:0. ~c:0. ~d:0.
-    ~i1:(Event.mode_code from_mode) ~i2:(Event.mode_code to_mode)
-    ~i3:(Event.role_code role)
+    ~i1:(mode_code from_mode) ~i2:(mode_code to_mode) ~i3:(role_code role)
 
 let elected t ~now ~p =
   record t bit_election ~kind:13 ~now ~a:p ~b:0. ~c:0. ~d:0. ~i1:0 ~i2:0 ~i3:0
@@ -208,30 +266,190 @@ let clear t =
   t.head <- 0;
   t.len <- 0
 
-let iter t f =
-  for k = 0 to t.len - 1 do
-    let i = t.head + k in
-    let i = if i >= t.cap then i - t.cap else i in
-    let fi = i * fstride and ii = i * istride in
-    match
-      Event.decode ~kind:t.ints.(ii) ~a:t.floats.(fi + 1)
-        ~b:t.floats.(fi + 2) ~c:t.floats.(fi + 3) ~d:t.floats.(fi + 4)
-        ~i1:t.ints.(ii + 1) ~i2:t.ints.(ii + 2) ~i3:t.ints.(ii + 3)
-    with
-    | Some ev -> f ~time:t.floats.(fi) ev
-    | None -> ()
-  done
+(* --- writing --------------------------------------------------------------- *)
 
-let attach t sink = t.sink <- Some sink
+let bpf = Printf.bprintf
 
+(* Slot [i] as one JSONL object and its newline. *)
+let write_line buf t i =
+  let fi = i * fstride and ii = i * istride in
+  let f k = Event.float_str t.floats.(fi + k) and n k = t.ints.(ii + k) in
+  let kind = n 0 in
+  bpf buf {|{"t":%s,"ev":"%s"|} (f 0) kind_names.(kind);
+  begin
+    match kind with
+    | 0 -> bpf buf {|,"at":%s,"pending":%d|} (f 1) (n 1)
+    | 1 -> bpf buf {|,"flow":%d,"seq":%d,"qlen":%d|} (n 1) (n 2) (n 3)
+    | 2 -> bpf buf {|,"flow":%d,"seq":%d,"qdelay":%s|} (n 1) (n 2) (f 1)
+    | 3 ->
+      bpf buf {|,"flow":%d,"seq":%d,"reason":"%s"|} (n 1) (n 2)
+        drop_reason_names.(n 3)
+    | 4 -> bpf buf {|,"before":%s,"after":%s|} (f 1) (f 2)
+    | 5 -> bpf buf {|,"installed":%b|} (n 1 <> 0)
+    | 6 ->
+      bpf buf {|,"fault":"%s","p1":%s,"p2":%s|} fault_kind_names.(n 1) (f 1)
+        (f 2)
+    | 7 ->
+      bpf buf {|,"flow":%d,"control":"%s","value":%s|} (n 1)
+        control_kind_names.(n 2) (f 1)
+    | 8 ->
+      bpf buf {|,"z":%s,"send":%s,"recv":%s,"base":%s|} (f 1) (f 2) (f 3)
+        (f 4)
+    | 9 ->
+      bpf buf {|,"eta":%s,"zbar":%s,"lo":%s,"hi":%s|} (f 1) (f 2) (f 3) (f 4)
+    | 10 -> bpf buf {|,"freq":%s,"value":%s|} (f 1) (f 2)
+    | 11 ->
+      bpf buf {|,"eta":%s,"mode":"%s","role":"%s","evidence":"%s"|} (f 1)
+        mode_names.(n 1) role_names.(n 2) evidence_names.(n 3)
+    | 12 ->
+      bpf buf {|,"from":"%s","to":"%s","role":"%s"|} mode_names.(n 1)
+        mode_names.(n 2) role_names.(n 3)
+    | 13 -> bpf buf {|,"p":%s|} (f 1)
+    | 15 -> bpf buf {|,"tone":%s,"alive":%b|} (f 1) (n 1 <> 0)
+    | 16 -> bpf buf {|,"rule":%d|} (n 1)
+    | _ -> (* 14, demoted: no payload *) ()
+  end;
+  Buffer.add_string buf "}\n"
+
+let attach t out = t.out <- Some out
+
+(* A channel gets its lines through a page-sized staging buffer, so a flush
+   of a full ring never holds the whole batch in memory. *)
 let flush t =
-  match t.sink with
+  match t.out with
   | None -> ()
-  | Some sink ->
-    iter t (fun ~time ev -> sink.Sink.emit ~time ev);
+  | Some out ->
+    let buf, spill =
+      match out with
+      | `Buffer buf -> (buf, fun () -> ())
+      | `Channel oc ->
+        let buf = Buffer.create 8192 in
+        ( buf,
+          fun () ->
+            Buffer.output_buffer oc buf;
+            Buffer.clear buf )
+    in
+    for k = 0 to t.len - 1 do
+      let i = t.head + k in
+      write_line buf t (if i >= t.cap then i - t.cap else i);
+      if Buffer.length buf > 4096 then spill ()
+    done;
+    spill ();
     clear t
 
 let close t =
   flush t;
-  (match t.sink with Some sink -> sink.Sink.close () | None -> ());
-  t.sink <- None
+  (match t.out with Some (`Channel oc) -> close_out oc | _ -> ());
+  t.out <- None
+
+(* --- reading --------------------------------------------------------------- *)
+
+(* A deliberately small JSONL reader: trace files are ones [flush] wrote, so
+   a field scanner beats a JSON dependency.  [field line pat] is the raw
+   text after the first [pat] (a quoted key and its colon), up to the next
+   ',' or '}'. *)
+let field line pat =
+  let len = String.length line and plen = String.length pat in
+  let rec at i j =
+    j = plen || (Char.equal line.[i + j] pat.[j] && at i (j + 1))
+  in
+  let rec find i =
+    if i + plen > len then None
+    else if at i 0 then Some (i + plen)
+    else find (i + 1)
+  in
+  Option.map
+    (fun start ->
+      let stop = ref start in
+      while
+        !stop < len && (match line.[!stop] with ',' | '}' -> false | _ -> true)
+      do
+        incr stop
+      done;
+      String.sub line start (!stop - start))
+    (find 0)
+
+let unquote s =
+  let n = String.length s in
+  if n >= 2 && Char.equal s.[0] '"' && Char.equal s.[n - 1] '"' then
+    Some (String.sub s 1 (n - 2))
+  else None
+
+let is_notable = function
+  | "mode_switch" | "detection" | "elected" | "demoted" | "violation"
+  | "fault_fired" ->
+    true
+  | _ -> false
+
+(* [(time, name)] of a whole trace record, or [None]. *)
+let record_of line =
+  let l = String.trim line in
+  match
+    ( String.starts_with ~prefix:"{" l && String.ends_with ~suffix:"}" l,
+      Option.bind (field line {|"t":|}) float_of_string_opt,
+      Option.bind (field line {|"ev":|}) unquote )
+  with
+  | true, Some time, Some name -> Some (time, name)
+  | _ -> None
+
+let not_a_trace lineno =
+  Error
+    (Printf.sprintf
+       "not a JSONL trace: line %d is not an object with a numeric \"t\" and \
+        a string \"ev\""
+       lineno)
+
+(* One pass over the lines, keeping only the per-kind counts, the first and
+   last time, and the notable lines.  Every line [flush] writes ends in a
+   newline, so a last line without one is a trace cut short. *)
+let summarize ic =
+  let counts = Hashtbl.create 17 in
+  let events = ref 0 and first = ref nan and last = ref nan in
+  let notable = ref [] in
+  let rec go lineno =
+    let start = pos_in ic in
+    match In_channel.input_line ic with
+    | None -> Ok ()
+    | Some line when pos_in ic - start = String.length line ->
+      Error
+        (Printf.sprintf "not a JSONL trace: line %d is cut short (no newline)"
+           lineno)
+    | Some line when String.equal (String.trim line) "" -> go (lineno + 1)
+    | Some line -> (
+      match record_of line with
+      | None -> not_a_trace lineno
+      | Some (time, name) ->
+        incr events;
+        if !events = 1 then first := time;
+        last := time;
+        Hashtbl.replace counts name
+          (1 + Option.value ~default:0 (Hashtbl.find_opt counts name));
+        if is_notable name then notable := line :: !notable;
+        go (lineno + 1))
+  in
+  Result.map
+    (fun () ->
+      let b = Buffer.create 1024 in
+      bpf b "events: %d\n" !events;
+      if !events > 0 then
+        bpf b "span: %s .. %s s\n" (Event.float_str !first)
+          (Event.float_str !last);
+      List.iter
+        (fun (name, n) -> bpf b "  %-14s %d\n" name n)
+        (List.sort
+           (fun (a, _) (b, _) -> String.compare a b)
+           (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []));
+      if !notable <> [] then begin
+        Buffer.add_string b "notable:\n";
+        List.iter (fun line -> bpf b "  %s\n" line) (List.rev !notable)
+      end;
+      Buffer.contents b)
+    (go 1)
+
+let summarize_file path =
+  match open_in_bin path with
+  | exception Sys_error msg -> Error msg
+  | ic -> (
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () -> try summarize ic with Sys_error msg -> Error msg))

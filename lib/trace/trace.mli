@@ -10,8 +10,9 @@
 
     The buffer is a true ring: once [capacity] events are pending the
     oldest pending event is overwritten and counted in {!dropped}.
-    {!flush} drains pending events (oldest first) to the attached
-    {!Sink.t}, away from the hot path. *)
+    {!flush} writes pending events (oldest first) to the attached output
+    as JSONL, one object per line, away from the hot path;
+    {!summarize_file} reads such a file back. *)
 
 type t
 
@@ -54,54 +55,77 @@ val total : t -> int
 (** [clear t] discards pending events (keeps cumulative counters). *)
 val clear : t -> unit
 
-(** [iter t f] decodes pending events oldest-first without draining. *)
-val iter : t -> (time:float -> Event.t -> unit) -> unit
+(** {1 Output} *)
 
-(** {1 Sinks} *)
+(** Where {!flush} writes: a channel ({!close} closes it) or a
+    caller-owned buffer. *)
+type output = [ `Channel of out_channel | `Buffer of Buffer.t ]
 
-val attach : t -> Sink.t -> unit
+(** [attach t out] sets where {!flush} writes, replacing any earlier
+    output. *)
+val attach : t -> output -> unit
 
-(** [flush t] drains pending events to the attached sink (no-op
-    without one, keeping them pending). *)
+(** [flush t] writes the pending events to the attached output, oldest
+    first, one JSONL line each, and empties the ring (no-op without an
+    output, keeping them pending).  Every line is
+    [{"t":<now>,"ev":"<name>",<fields>}] then a newline, where [name] and
+    [fields] are the ones each emitter below lists; floats are written
+    with {!Event.float_str}. *)
 val flush : t -> unit
 
-(** [close t] flushes, closes and detaches the sink. *)
+(** [close t] flushes, closes a [`Channel] output, and detaches it. *)
 val close : t -> unit
 
 (** {1 Emitters}
 
-    One per {!Event.t} kind.  All are cheap masked no-ops when the
-    category is filtered out, but wrap hot-path calls in
+    One per event kind.  Each doc gives the event's JSONL name and its
+    fields in order.  All are cheap masked no-ops when the category is
+    filtered out, but wrap hot-path calls in
     [if Trace.want t cat then ...] anyway: OCaml boxes float arguments
     at non-inlined call boundaries, and the guard keeps the disabled
     path allocation-free without relying on the inliner.  [~now] is
     simulation time in seconds; rates are in Mbit/s. *)
 
+(** [sched] (engine): ["at"] the fire time, ["pending"] events. *)
 val sched : t -> now:float -> at:float -> pending:int -> unit
+
+(** [pkt_enqueue] (packet): ["flow"], ["seq"], ["qlen"] bytes. *)
 val pkt_enqueue : t -> now:float -> flow:int -> seq:int -> qlen:int -> unit
+
+(** [pkt_deliver] (packet): ["flow"], ["seq"], ["qdelay"] seconds. *)
 val pkt_deliver : t -> now:float -> flow:int -> seq:int -> qdelay:float -> unit
 
+(** [pkt_drop] (packet): ["flow"], ["seq"], ["reason"]. *)
 val pkt_drop :
   t -> now:float -> flow:int -> seq:int -> reason:Event.drop_reason -> unit
 
+(** [rate_set] (bottleneck): ["before"], ["after"]. *)
 val rate_set : t -> now:float -> before:float -> after:float -> unit
+
+(** [loss_model] (bottleneck): ["installed"], a JSON boolean. *)
 val loss_model : t -> now:float -> installed:bool -> unit
 
+(** [fault_fired] (fault): ["fault"], ["p1"], ["p2"]. *)
 val fault_fired :
   t -> now:float -> fault:Event.fault_kind -> p1:float -> p2:float -> unit
 
+(** [flow_control] (flow): ["flow"], ["control"], ["value"]. *)
 val flow_control :
   t -> now:float -> flow:int -> control:Event.control_kind -> value:float ->
   unit
 
+(** [z_tick] (detector): ["z"], ["send"], ["recv"], ["base"]. *)
 val z_tick :
   t -> now:float -> z:float -> send:float -> recv:float -> base:float -> unit
 
+(** [window] (spectrum): ["eta"], ["zbar"], ["lo"], ["hi"]. *)
 val window :
   t -> now:float -> eta:float -> zbar:float -> lo:float -> hi:float -> unit
 
+(** [pulse_phase] (pulse): ["freq"], ["value"]. *)
 val pulse_phase : t -> now:float -> freq:float -> value:float -> unit
 
+(** [detection] (mode): ["eta"], ["mode"], ["role"], ["evidence"]. *)
 val detection :
   t ->
   now:float ->
@@ -111,6 +135,7 @@ val detection :
   evidence:Event.evidence ->
   unit
 
+(** [mode_switch] (mode): ["from"], ["to"], ["role"]. *)
 val mode_switch :
   t ->
   now:float ->
@@ -119,7 +144,26 @@ val mode_switch :
   role:Event.role ->
   unit
 
+(** [elected] (election): ["p"]. *)
 val elected : t -> now:float -> p:float -> unit
+
+(** [demoted] (election): no fields. *)
 val demoted : t -> now:float -> unit
+
+(** [keepalive] (election): ["tone"], ["alive"], a JSON boolean. *)
 val keepalive : t -> now:float -> tone:float -> alive:bool -> unit
+
+(** [violation] (invariant): ["rule"], a {!Nimbus_metrics.Invariant} rule
+    code. *)
 val violation : t -> now:float -> rule:int -> unit
+
+(** {1 Reading} *)
+
+(** [summarize_file path] reads a JSONL trace file in one streaming pass
+    and renders a human-readable summary: event counts by kind, the first
+    and last time, and every [detection], [mode_switch], [elected],
+    [demoted], [fault_fired] and [violation] line in order.  It is [Error] when the file cannot be read,
+    has a non-blank line that is not an object with a numeric ["t"] and a
+    string ["ev"] (so any other format is rejected), or ends in a line
+    with no newline (a trace cut short). *)
+val summarize_file : string -> (string, string) result

@@ -58,6 +58,14 @@ let bad_traces =
 let trace_rejected contents () =
   Alcotest.(check int) "trace exits 2" 2 (summarize contents)
 
+(* reading a directory fails after it opens, so it is an error, not an
+   uncaught exception *)
+let test_directory_rejected () =
+  Alcotest.(check int) "trace DIR exits 2" 2
+    (Sys.command
+       (Printf.sprintf "%s trace %s > /dev/null 2>&1" cli
+          (Filename.quote (Filename.get_temp_dir_name ()))))
+
 (* every subcommand writes JSONL, whatever the extension *)
 let test_bin_suffix_is_jsonl () =
   let path = Filename.temp_file "nimtrace" ".bin" in
@@ -68,6 +76,35 @@ let test_bin_suffix_is_jsonl () =
     (Sys.command
        (Printf.sprintf "%s trace %s > /dev/null 2>&1" cli
           (Filename.quote path)))
+
+(* The fault matrix's full trace, pinned: it carries 16 of the 17 event
+   kinds (every one but [violation]), including the fault, flow-control,
+   bottleneck and election events the dumbbell pin in [test_topology] never
+   sees, so any change to the JSONL encoding of those shows up here.  The
+   matrix concatenates per-case buffers in input order, so the bytes are the
+   same for any [--jobs]. *)
+let test_faults_trace_pinned () =
+  List.iter
+    (fun jobs ->
+      let path = Filename.temp_file "nimfaults" ".jsonl" in
+      Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+      Alcotest.(check int)
+        (Printf.sprintf "faults --jobs %d exits 0" jobs)
+        0
+        (Sys.command
+           (Printf.sprintf
+              "%s faults --seeds 1 --jobs %d --trace %s --trace-filter all \
+               > /dev/null 2>&1"
+              cli jobs (Filename.quote path)));
+      let size = In_channel.with_open_bin path In_channel.length in
+      Alcotest.(check int64)
+        (Printf.sprintf "--jobs %d trace length" jobs)
+        16_224_467L size;
+      Alcotest.(check string)
+        (Printf.sprintf "--jobs %d trace digest" jobs)
+        "6891f1f475a7da29bd119def77060309"
+        (Digest.to_hex (Digest.file path)))
+    [ 1; 2 ]
 
 let test_valid_run () =
   Alcotest.(check int) "a short valid run exits 0" 0
@@ -84,5 +121,8 @@ let suite =
         (fun (name, contents) ->
           Alcotest.test_case name `Quick (trace_rejected contents))
         bad_traces
-      @ [ Alcotest.test_case "x.bin trace reads back" `Quick
-            test_bin_suffix_is_jsonl ] ) ]
+      @ [ Alcotest.test_case "a directory" `Quick test_directory_rejected;
+          Alcotest.test_case "x.bin trace reads back" `Quick
+            test_bin_suffix_is_jsonl;
+          Alcotest.test_case "faults trace pinned" `Slow
+            test_faults_trace_pinned ] ) ]

@@ -55,14 +55,6 @@ let test_nested_map () =
         (Array.init 6 (fun i -> (80 * i) + 28))
         sums)
 
-let test_map_reduce () =
-  Pool.run ~domains:4 (fun p ->
-      Alcotest.(check int) "sum 0..999" 499500
-        (Pool.map_reduce p ~f:(fun i -> i) ~reduce:( + ) ~init:0 1000);
-      (* non-commutative reduce still sees index order *)
-      Alcotest.(check string) "concat in order" "0123456789"
-        (Pool.map_reduce p ~f:string_of_int ~reduce:( ^ ) ~init:"" 10))
-
 let test_shutdown_idempotent () =
   let p = Pool.create ~domains:3 () in
   Pool.shutdown p;
@@ -158,7 +150,6 @@ let suite =
         Alcotest.test_case "empty map" `Quick test_map_empty;
         Alcotest.test_case "exception propagation" `Quick test_map_exception;
         Alcotest.test_case "nested maps" `Quick test_nested_map;
-        Alcotest.test_case "map_reduce" `Quick test_map_reduce;
         Alcotest.test_case "shutdown" `Quick test_shutdown_idempotent;
         Alcotest.test_case "try_map isolation" `Quick test_try_map_isolation;
         QCheck_alcotest.to_alcotest prop_mutation_determinism ] );

@@ -10,48 +10,64 @@ let check_close ?(eps = 1e-9) msg expected actual =
 
 (* --- heap ---------------------------------------------------------------- *)
 
+(* every entry's key, in pop order *)
+let drain_keys h =
+  let rec go acc =
+    if Heap.is_empty h then List.rev acc
+    else begin
+      let k = Heap.top_key h in
+      ignore (Heap.pop_top h);
+      go (k :: acc)
+    end
+  in
+  go []
+
 let test_heap_sorted_pops () =
   let h = Heap.create () in
-  List.iter (fun k -> Heap.push h ~key:k k) [ 5.; 1.; 4.; 2.; 3. ];
-  let rec drain acc =
-    match Heap.pop h with
-    | None -> List.rev acc
-    | Some (k, _) -> drain (k :: acc)
-  in
-  Alcotest.(check (list (float 0.))) "sorted" [ 1.; 2.; 3.; 4.; 5. ] (drain [])
+  List.iteri
+    (fun seq k -> Heap.push_seq h ~key:k ~seq k)
+    [ 5.; 1.; 4.; 2.; 3. ];
+  Alcotest.(check (list (float 0.))) "sorted" [ 1.; 2.; 3.; 4.; 5. ]
+    (drain_keys h)
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
-  List.iter (fun v -> Heap.push h ~key:1. v) [ "a"; "b"; "c" ];
-  let pop () = match Heap.pop h with Some (_, v) -> v | None -> "?" in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  Alcotest.(check (list string)) "fifo among equal keys" [ "a"; "b"; "c" ]
-    [ first; second; third ]
+  (* equal keys pop by sequence number, whatever the push order *)
+  List.iter
+    (fun (seq, v) -> Heap.push_seq h ~key:1. ~seq v)
+    [ (2, "c"); (0, "a"); (1, "b") ];
+  let first = Heap.pop_top h in
+  let second = Heap.pop_top h in
+  let third = Heap.pop_top h in
+  Alcotest.(check (list string)) "sequence order among equal keys"
+    [ "a"; "b"; "c" ] [ first; second; third ]
 
-let test_heap_peek_clear () =
+let test_heap_top () =
   let h = Heap.create () in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Heap.push h ~key:2. ();
-  Heap.push h ~key:1. ();
-  Alcotest.(check (option (float 0.))) "peek" (Some 1.) (Heap.peek_key h);
+  Heap.push_seq h ~key:2. ~seq:0 ();
+  Heap.push_seq h ~key:1. ~seq:1 ();
+  Alcotest.(check (float 0.)) "top key" 1. (Heap.top_key h);
+  Alcotest.(check int) "top seq" 1 (Heap.top_seq h);
   Alcotest.(check int) "size" 2 (Heap.size h);
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h)
+  Heap.pop_top h;
+  Alcotest.(check (float 0.)) "next key" 2. (Heap.top_key h);
+  Alcotest.(check int) "next seq" 0 (Heap.top_seq h);
+  Heap.pop_top h;
+  Alcotest.(check bool) "drained" true (Heap.is_empty h)
 
 let prop_heap_sorts =
   QCheck.Test.make ~count:100 ~name:"heap: pops are sorted"
     QCheck.(list (float_bound_exclusive 1000.))
     (fun keys ->
       let h = Heap.create () in
-      List.iter (fun k -> Heap.push h ~key:k ()) keys;
-      let rec drain prev =
-        match Heap.pop h with
-        | None -> true
-        | Some (k, ()) -> k >= prev && drain k
-      in
-      drain neg_infinity)
+      List.iteri (fun seq k -> Heap.push_seq h ~key:k ~seq ()) keys;
+      let popped = drain_keys h in
+      List.length popped = List.length keys
+      && fst
+           (List.fold_left
+              (fun (ok, prev) k -> (ok && k >= prev, k))
+              (true, neg_infinity) popped))
 
 (* --- wheel --------------------------------------------------------------- *)
 
@@ -126,7 +142,7 @@ let prop_wheel_matches_heap =
         if Wheel.is_empty w || Rng.bool rng ~p:0.7 then begin
           let key = !now +. (float_of_int (Rng.int rng 40) *. 8e-3) in
           Wheel.push w ~key !next;
-          Heap.push h ~key !next;
+          Heap.push_seq h ~key ~seq:!next !next;
           incr next
         end
         else pop_both ()
@@ -154,7 +170,7 @@ let prop_wheel_dense_slots_match_heap =
       let ok = ref true in
       let push key =
         Wheel.push w ~key !next;
-        Heap.push h ~key !next;
+        Heap.push_seq h ~key ~seq:!next !next;
         incr next
       in
       let pop_both () =
@@ -485,7 +501,7 @@ let suite =
   [ ( "sim.heap",
       [ Alcotest.test_case "sorted pops" `Quick test_heap_sorted_pops;
         Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
-        Alcotest.test_case "peek/clear" `Quick test_heap_peek_clear;
+        Alcotest.test_case "top_key/top_seq" `Quick test_heap_top;
         qtest prop_heap_sorts ] );
     ( "sim.wheel",
       [ Alcotest.test_case "sorted pops" `Quick test_wheel_sorted_pops;

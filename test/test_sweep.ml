@@ -106,8 +106,10 @@ let test_path_prefix_property () =
   Alcotest.(check bool) "first 25 of 100 = sample 25" true (small = prefix);
   (* the sampler interface agrees with the batch one *)
   let s = Path_model.sampler ~seed:1819 in
-  Path_model.skip s 10;
-  Alcotest.(check bool) "skip 10 then next = 11th" true
+  for _ = 1 to 10 do
+    ignore (Path_model.next s)
+  done;
+  Alcotest.(check bool) "11th next = 11th path" true
     (Path_model.next s = List.nth large 10)
 
 let test_path_describe () =
@@ -170,9 +172,7 @@ let temp_name suffix =
 let base_cfg ?checkpoint ?resume ?stop_after ?triage_only () =
   Sweep.config ~paths:4 ~seed:7 ~schemes:[ E.Common.cubic; E.Common.vegas ]
     ~shard_size:2 ~retries:1 ?checkpoint ?resume ?stop_after ~triage_k:2
-    ?triage_only
-    ~sleep:(fun _ -> ())
-    ()
+    ?triage_only ()
 
 let rendered outcome = List.map E.Table.render outcome.Sweep.tables
 
@@ -277,7 +277,7 @@ let test_crash_cells () =
   @@ fun () ->
   let cfg =
     Sweep.config ~paths:2 ~seed:7 ~schemes:[ E.Common.cubic; E.Common.vegas ]
-      ~shard_size:2 ~retries:1 ~triage_k:1 ~sleep:(fun _ -> ()) ()
+      ~shard_size:2 ~retries:1 ~triage_k:1 ()
   in
   let o = Sweep.run cfg in
   Alcotest.(check bool) "not interrupted" false o.Sweep.interrupted;
@@ -299,24 +299,20 @@ let test_crash_cells () =
 
 let test_watchdog_timeout_cells () =
   (* a fake wall clock that leaps 1000 s per reading: every attempt blows
-     any positive budget at its first poll, deterministically, and the
-     backoff sleep is a recorded no-op *)
+     any positive budget at its first poll, deterministically *)
   let now = ref 0. in
-  let slept = ref 0 in
   let cfg =
     Sweep.config ~paths:1 ~seed:7 ~schemes:[ E.Common.cubic ] ~shard_size:1
-      ~budget:5. ~retries:2 ~backoff:0.25 ~triage_k:0
+      ~budget:5. ~retries:2 ~triage_k:0
       ~clock:(fun () ->
         now := !now +. 1000.;
         !now)
-      ~sleep:(fun _ -> incr slept)
       ()
   in
   E.Common.clear_crashes ();
   let o = Sweep.run cfg in
   E.Common.clear_crashes ();
   Alcotest.(check int) "one failure" 1 o.Sweep.failures;
-  Alcotest.(check int) "backoff slept once per retry" 2 !slept;
   let t = List.hd o.Sweep.tables in
   let row = List.hd t.E.Table.rows in
   (* per-scheme table: scheme ok timeout crash ... *)

@@ -7,7 +7,6 @@
    scale. *)
 
 module Trace = Nimbus_trace.Trace
-module Sink = Nimbus_trace.Sink
 module Engine = Nimbus_sim.Engine
 module Bottleneck = Nimbus_sim.Bottleneck
 module Qdisc = Nimbus_sim.Qdisc
@@ -41,7 +40,7 @@ let wire_topology engine tr =
 let traced_scenario () =
   let buf = Buffer.create 65536 in
   let tr = Trace.create ~mask:Trace.mask_all () in
-  Trace.attach tr (Sink.jsonl_buffer buf);
+  Trace.attach tr (`Buffer buf);
   let engine = Engine.create { trace = tr } in
   let start_flow = wire_topology engine tr in
   let nim =

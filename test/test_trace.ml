@@ -1,11 +1,10 @@
-(* lib/trace: ring semantics, the JSONL codec, sinks, spans, and the end-to-end
-   guarantees the tracing layer advertises — deterministic byte-identical
-   JSONL for a given seed (whatever the pool size) and an allocation-free
-   disabled path. *)
+(* lib/trace: ring semantics, the JSONL writer and reader, spans, and the
+   end-to-end guarantees the tracing layer advertises — deterministic
+   byte-identical JSONL for a given seed (whatever the pool size) and an
+   allocation-free disabled path. *)
 
 module Trace = Nimbus_trace.Trace
 module Event = Nimbus_trace.Event
-module Sink = Nimbus_trace.Sink
 module Span = Nimbus_trace.Span
 module Engine = Nimbus_sim.Engine
 module Topology = Nimbus_topology.Topology
@@ -25,6 +24,17 @@ let contains_sub haystack needle =
   in
   nl = 0 || go 0
 
+(* the JSONL lines [tr]'s pending events flush to *)
+let flushed_lines tr =
+  let buf = Buffer.create 1024 in
+  Trace.attach tr (`Buffer buf);
+  Trace.flush tr;
+  List.filter
+    (fun l -> not (String.equal l ""))
+    (String.split_on_char '\n' (Buffer.contents buf))
+
+let line_time line = Scanf.sscanf line {|{"t":%f,|} Fun.id
+
 (* --- ring buffer ----------------------------------------------------------- *)
 
 let test_ring_wraparound () =
@@ -35,11 +45,9 @@ let test_ring_wraparound () =
   Alcotest.(check int) "recorded caps at capacity" 4 (Trace.recorded tr);
   Alcotest.(check int) "overwritten events counted" 6 (Trace.dropped tr);
   Alcotest.(check int) "total counts everything" 10 (Trace.total tr);
-  let times = ref [] in
-  Trace.iter tr (fun ~time _ -> times := time :: !times);
   Alcotest.(check (list (float 0.)))
     "keeps the newest events, oldest first" [ 6.; 7.; 8.; 9. ]
-    (List.rev !times)
+    (List.map line_time (flushed_lines tr))
 
 let test_clear_keeps_counters () =
   let tr = Trace.create ~capacity:4 ~mask:Trace.mask_all () in
@@ -80,39 +88,30 @@ let test_parse_filter () =
   | Ok _ -> Alcotest.fail "bogus category accepted"
   | Error _ -> ()
 
-(* --- codecs ---------------------------------------------------------------- *)
+(* --- JSONL writer ---------------------------------------------------------- *)
 
-let sample_events : (float * Event.t) list =
-  [ (0.5, Event.Sched { at = 0.75; pending = 12 });
-    (1., Event.Pkt_enqueue { flow = 1; seq = 42; qlen = 3000 });
-    (1.1, Event.Pkt_deliver { flow = 1; seq = 42; qdelay = 0.0125 });
-    (1.2, Event.Pkt_drop { flow = 2; seq = 7; reason = Event.Policer });
-    (2., Event.Rate_set { before_mbps = 48.; after_mbps = 0. });
-    (2.1, Event.Loss_model { installed = true });
-    (3., Event.Fault_fired { fault = Event.F_burst; p1 = 0.05; p2 = 0.4 });
-    (3.5, Event.Flow_control { flow = 0; control = Event.C_stop; value = 0. });
-    (4., Event.Z_tick
-           { z_mbps = 23.75; send_mbps = 48.; recv_mbps = 47.5;
-             base_mbps = 24. });
-    (5., Event.Window { eta = 2.25; zbar = 20.; tone_lo = 0.5; tone_hi = 3. });
-    (5.1, Event.Pulse_phase { freq_hz = 5.; value = 6. });
-    (6., Event.Detection
-           { eta = 0.75; mode = Event.Delay; role = Event.Watcher;
-             evidence = Event.Quiet });
-    (6.5, Event.Mode_switch
-            { from_mode = Event.Delay; to_mode = Event.Competitive;
-              role = Event.Pulser });
-    (7., Event.Elected { p = 0.125 });
-    (7.5, Event.Demoted);
-    (8., Event.Keepalive { tone = 1.5; alive = true });
-    (9., Event.Violation { rule = 3 }) ]
+(* Each emitter's exact line: its name, its fields in order, and floats in
+   shortest round-trip form.  One emitter per line, in order. *)
+let golden_lines =
+  [ {|{"t":0.5,"ev":"sched","at":0.75,"pending":12}|};
+    {|{"t":1,"ev":"pkt_enqueue","flow":1,"seq":42,"qlen":3000}|};
+    {|{"t":1.1,"ev":"pkt_deliver","flow":1,"seq":42,"qdelay":0.0125}|};
+    {|{"t":1.2,"ev":"pkt_drop","flow":2,"seq":7,"reason":"policer"}|};
+    {|{"t":2,"ev":"rate_set","before":48,"after":0}|};
+    {|{"t":2.1,"ev":"loss_model","installed":true}|};
+    {|{"t":3,"ev":"fault_fired","fault":"burst","p1":0.05,"p2":0.4}|};
+    {|{"t":3.5,"ev":"flow_control","flow":0,"control":"stop","value":0}|};
+    {|{"t":4,"ev":"z_tick","z":23.75,"send":48,"recv":47.5,"base":24}|};
+    {|{"t":5,"ev":"window","eta":2.25,"zbar":20,"lo":0.5,"hi":3}|};
+    {|{"t":5.1,"ev":"pulse_phase","freq":5,"value":6}|};
+    {|{"t":6,"ev":"detection","eta":0.75,"mode":"delay","role":"watcher","evidence":"quiet"}|};
+    {|{"t":6.5,"ev":"mode_switch","from":"delay","to":"competitive","role":"pulser"}|};
+    {|{"t":7,"ev":"elected","p":0.125}|};
+    {|{"t":7.5,"ev":"demoted"}|};
+    {|{"t":8,"ev":"keepalive","tone":1.5,"alive":true}|};
+    {|{"t":9,"ev":"violation","rule":3}|} ]
 
-(* Each emitter writes its kind code and slots; [Event.decode] must read the
-   same event back.  One emitter per [sample_events] entry, in order. *)
-let test_ring_roundtrip () =
-  let tr = Trace.create ~mask:Trace.mask_all () in
-  let sink, collected = Sink.memory () in
-  Trace.attach tr sink;
+let emit_one_of_each tr =
   Trace.sched tr ~now:0.5 ~at:0.75 ~pending:12;
   Trace.pkt_enqueue tr ~now:1. ~flow:1 ~seq:42 ~qlen:3000;
   Trace.pkt_deliver tr ~now:1.1 ~flow:1 ~seq:42 ~qdelay:0.0125;
@@ -131,17 +130,68 @@ let test_ring_roundtrip () =
   Trace.elected tr ~now:7. ~p:0.125;
   Trace.demoted tr ~now:7.5;
   Trace.keepalive tr ~now:8. ~tone:1.5 ~alive:true;
-  Trace.violation tr ~now:9. ~rule:3;
-  Trace.flush tr;
-  let got = collected () in
-  Alcotest.(check int) "one event per emitter" (List.length sample_events)
-    (List.length got);
-  List.iter2
-    (fun (time, ev) (time', ev') ->
-      Alcotest.(check (float 0.)) "time round-trips" time time';
-      if ev' <> ev then
-        Alcotest.failf "%s did not round-trip through the ring" (Event.name ev))
-    sample_events got
+  Trace.violation tr ~now:9. ~rule:3
+
+(* the string value of [key] in a JSONL line *)
+let string_field key line =
+  let pat = Printf.sprintf {|"%s":"|} key in
+  let rec find i =
+    if String.equal (String.sub line i (String.length pat)) pat then
+      i + String.length pat
+    else find (i + 1)
+  in
+  let start = find 0 in
+  String.sub line start (String.index_from line start '"' - start)
+
+(* Each emitter writes its golden line, and each enumeration value its
+   string (one event per value, in declaration order). *)
+let test_json_shape () =
+  let tr = Trace.create ~mask:Trace.mask_all () in
+  emit_one_of_each tr;
+  Alcotest.(check (list string)) "one golden line per emitter" golden_lines
+    (flushed_lines tr);
+  let written key emit values =
+    List.iter emit values;
+    List.map (string_field key) (flushed_lines tr)
+  in
+  Alcotest.(check (list string)) "drop reasons"
+    [ "queue"; "policer"; "random"; "model" ]
+    (written "reason"
+       (fun reason -> Trace.pkt_drop tr ~now:0. ~flow:0 ~seq:0 ~reason)
+       Event.[ Queue_full; Policer; Random_loss; Modeled_loss ]);
+  Alcotest.(check (list string)) "fault kinds"
+    [ "burst"; "lossoff"; "step"; "flap"; "delay"; "jitter"; "acks";
+      "acksoff"; "kill" ]
+    (written "fault"
+       (fun fault -> Trace.fault_fired tr ~now:0. ~fault ~p1:0. ~p2:0.)
+       Event.
+         [ F_burst; F_loss_off; F_rate_step; F_outage; F_delay_step;
+           F_jitter; F_ack_loss; F_ack_off; F_kill ]);
+  Alcotest.(check (list string)) "control kinds"
+    [ "extra_delay"; "ack_loss"; "ack_off"; "stop" ]
+    (written "control"
+       (fun control -> Trace.flow_control tr ~now:0. ~flow:0 ~control ~value:0.)
+       Event.[ C_extra_delay; C_ack_loss; C_ack_off; C_stop ]);
+  Alcotest.(check (list string)) "evidence"
+    [ "eta"; "heard_delay"; "heard_competitive"; "quiet"; "lost"; "won" ]
+    (written "evidence"
+       (fun evidence ->
+         Trace.detection tr ~now:0. ~eta:0. ~mode:Event.Delay
+           ~role:Event.Pulser ~evidence)
+       Event.[ Eta; Heard_delay; Heard_competitive; Quiet; Lost; Won ]);
+  (* the values golden_lines does not show, and non-finite floats *)
+  Trace.mode_switch tr ~now:0. ~from_mode:Event.Competitive
+    ~to_mode:Event.Delay ~role:Event.Watcher;
+  Trace.detection tr ~now:0. ~eta:nan ~mode:Event.Competitive
+    ~role:Event.Pulser ~evidence:Event.Won;
+  Trace.loss_model tr ~now:0. ~installed:false;
+  Trace.keepalive tr ~now:0. ~tone:neg_infinity ~alive:false;
+  Alcotest.(check (list string)) "other modes, roles and booleans"
+    [ {|{"t":0,"ev":"mode_switch","from":"competitive","to":"delay","role":"watcher"}|};
+      {|{"t":0,"ev":"detection","eta":nan,"mode":"competitive","role":"pulser","evidence":"won"}|};
+      {|{"t":0,"ev":"loss_model","installed":false}|};
+      {|{"t":0,"ev":"keepalive","tone":-inf,"alive":false}|} ]
+    (flushed_lines tr)
 
 let test_float_str () =
   Alcotest.(check string) "short decimal" "0.1" (Event.float_str 0.1);
@@ -157,54 +207,176 @@ let test_float_str () =
         Alcotest.failf "%h does not round-trip through %S" x s)
     [ 0.1; 1. /. 3.; 1e-300; 6.02e23; -0.0125; Float.pi ]
 
-let test_json_shape () =
-  let buf = Buffer.create 256 in
-  Event.to_json buf ~time:6.5
-    (Event.Mode_switch
-       { from_mode = Event.Delay; to_mode = Event.Competitive;
-         role = Event.Pulser });
-  Alcotest.(check string) "mode_switch line"
-    {|{"t":6.5,"ev":"mode_switch","from":"delay","to":"competitive","role":"pulser"}|}
-    (Buffer.contents buf)
+(* --- outputs --------------------------------------------------------------- *)
 
-(* --- sinks ----------------------------------------------------------------- *)
-
-let test_memory_sink_flush () =
+let test_buffer_flush_close () =
   let tr = Trace.create ~capacity:8 ~mask:Trace.mask_all () in
-  let sink, collected = Sink.memory () in
-  Trace.attach tr sink;
+  let buf = Buffer.create 256 in
+  Trace.flush tr;
   Trace.elected tr ~now:1. ~p:0.5;
+  Trace.flush tr;
+  Alcotest.(check int) "no output: flush keeps events pending" 1
+    (Trace.recorded tr);
+  Trace.attach tr (`Buffer buf);
   Trace.demoted tr ~now:2.;
   Trace.flush tr;
   Alcotest.(check int) "ring drained" 0 (Trace.recorded tr);
-  (match collected () with
-   | [ (t1, Event.Elected { p }); (t2, Event.Demoted) ] ->
-     Alcotest.(check (float 0.)) "first time" 1. t1;
-     Alcotest.(check (float 0.)) "second time" 2. t2;
-     Alcotest.(check (float 0.)) "payload" 0.5 p
-   | evs -> Alcotest.failf "unexpected events (%d)" (List.length evs));
+  Alcotest.(check string) "both lines, oldest first"
+    "{\"t\":1,\"ev\":\"elected\",\"p\":0.5}\n{\"t\":2,\"ev\":\"demoted\"}\n"
+    (Buffer.contents buf);
   Trace.elected tr ~now:3. ~p:1.;
   Trace.close tr;
   Alcotest.(check int) "close flushes the rest" 3
-    (List.length (collected ()))
+    (List.length (String.split_on_char '\n' (Buffer.contents buf)) - 1);
+  Trace.demoted tr ~now:4.;
+  Trace.flush tr;
+  Alcotest.(check int) "close detaches the buffer" 1 (Trace.recorded tr);
+  Alcotest.(check int) "nothing written after close" 3
+    (List.length (String.split_on_char '\n' (Buffer.contents buf)) - 1)
+
+(* a full ring written through a channel comes out whole: every pending
+   event, oldest first, past the channel's staging threshold *)
+let test_channel_output () =
+  let path = Filename.temp_file "nimtrace" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let tr = Trace.create ~capacity:500 ~mask:Trace.mask_all () in
+  Trace.attach tr (`Channel (open_out_bin path));
+  for i = 0 to 999 do
+    Trace.z_tick tr ~now:(float_of_int i) ~z:1. ~send:2. ~recv:3. ~base:4.
+  done;
+  let expected = Buffer.create 4096 in
+  let mirror = Trace.create ~capacity:500 ~mask:Trace.mask_all () in
+  for i = 500 to 999 do
+    Trace.z_tick mirror ~now:(float_of_int i) ~z:1. ~send:2. ~recv:3. ~base:4.
+  done;
+  Trace.attach mirror (`Buffer expected);
+  Trace.flush mirror;
+  Trace.close tr;
+  Alcotest.(check string) "file holds the newest 500 lines"
+    (Buffer.contents expected)
+    (In_channel.with_open_bin path In_channel.input_all)
+
+(* --- JSONL reader ---------------------------------------------------------- *)
+
+let with_file contents f =
+  let path = Filename.temp_file "nimtrace" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+  f path
+
+let summarize contents = with_file contents Trace.summarize_file
+
+(* a valid multi-line trace: one line of every kind *)
+let sample_trace =
+  let buf = Buffer.create 2048 in
+  let tr = Trace.create ~mask:Trace.mask_all () in
+  Trace.attach tr (`Buffer buf);
+  emit_one_of_each tr;
+  Trace.close tr;
+  Buffer.contents buf
+
+(* Every emitter's line reads back: its time to the bit, its kind, and
+   the reader counts it once under that kind. *)
+let test_emitters_roundtrip () =
+  let lines =
+    List.filter (fun l -> not (String.equal l ""))
+      (String.split_on_char '\n' sample_trace)
+  in
+  let kinds =
+    [ "sched"; "pkt_enqueue"; "pkt_deliver"; "pkt_drop"; "rate_set";
+      "loss_model"; "fault_fired"; "flow_control"; "z_tick"; "window";
+      "pulse_phase"; "detection"; "mode_switch"; "elected"; "demoted";
+      "keepalive"; "violation" ]
+  in
+  Alcotest.(check (list (float 0.))) "times read back exactly"
+    [ 0.5; 1.; 1.1; 1.2; 2.; 2.1; 3.; 3.5; 4.; 5.; 5.1; 6.; 6.5; 7.; 7.5;
+      8.; 9. ]
+    (List.map line_time lines);
+  Alcotest.(check (list string)) "kinds read back in order" kinds
+    (List.map (string_field "ev") lines);
+  match summarize sample_trace with
+  | Error e -> Alcotest.fail e
+  | Ok summary ->
+    Alcotest.(check bool) "reader counts every event" true
+      (contains_sub summary "events: 17\nspan: 0.5 .. 9 s\n");
+    List.iter
+      (fun kind ->
+        if not (contains_sub summary (Printf.sprintf "  %-14s 1\n" kind))
+        then Alcotest.failf "summary does not count one %s:\n%s" kind summary)
+      kinds
 
 let test_summarize_file () =
   let path = Filename.temp_file "nimtrace" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let tr = Trace.create ~mask:Trace.mask_all () in
   let oc = open_out_bin path in
-  Trace.attach tr (Sink.jsonl oc);
+  Trace.attach tr (`Channel oc);
   Trace.z_tick tr ~now:0.01 ~z:10. ~send:48. ~recv:47. ~base:24.;
   Trace.z_tick tr ~now:0.02 ~z:11. ~send:48. ~recv:47. ~base:24.;
   Trace.mode_switch tr ~now:0.03 ~from_mode:Event.Delay
     ~to_mode:Event.Competitive ~role:Event.Pulser;
   Trace.close tr;
-  match Sink.summarize_file path with
+  match Trace.summarize_file path with
   | Error e -> Alcotest.fail e
   | Ok summary ->
-    Alcotest.(check bool) "counts z ticks" true (contains_sub summary "z_tick");
-    Alcotest.(check bool) "counts the switch" true
-      (contains_sub summary "mode_switch")
+    Alcotest.(check string) "summary"
+      "events: 3\n\
+       span: 0.01 .. 0.03 s\n\
+      \  mode_switch    1\n\
+      \  z_tick         2\n\
+       notable:\n\
+      \  {\"t\":0.03,\"ev\":\"mode_switch\",\"from\":\"delay\",\"to\":\"competitive\",\"role\":\"pulser\"}\n"
+      summary
+
+(* Every byte-truncation of a whole trace: a cut at a line boundary is a
+   shorter whole trace, and a cut anywhere else is an [Error] — including
+   the cut just before a newline, which leaves a complete-looking object. *)
+let test_truncations () =
+  let n = String.length sample_trace in
+  for len = 0 to n do
+    let cut = String.sub sample_trace 0 len in
+    let at_boundary = len = 0 || Char.equal sample_trace.[len - 1] '\n' in
+    match summarize cut with
+    | Ok _ when not at_boundary ->
+      Alcotest.failf "cut at byte %d/%d summarized as a whole trace" len n
+    | Error e when at_boundary ->
+      Alcotest.failf "cut at line boundary %d/%d rejected: %s" len n e
+    | Ok _ | Error _ -> ()
+    | exception exn ->
+      Alcotest.failf "cut at byte %d/%d raised %s" len n
+        (Printexc.to_string exn)
+  done;
+  (match summarize "{\"t\":1,\"ev\":\"demoted\"}" with
+   | Error e ->
+     Alcotest.(check bool) "error names the line" true
+       (contains_sub e "line 1")
+   | Ok _ -> Alcotest.fail "last line with no newline accepted");
+  match Trace.summarize_file (Filename.get_temp_dir_name ()) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a directory summarized as a trace"
+  | exception exn ->
+    Alcotest.failf "a directory raised %s" (Printexc.to_string exn)
+
+let total contents =
+  match summarize contents with
+  | Ok _ | Error _ -> true
+  | exception exn ->
+    QCheck.Test.fail_reportf "raised %s" (Printexc.to_string exn)
+
+let prop_byte_flips =
+  QCheck.Test.make ~count:300 ~name:"summarize: byte flips"
+    QCheck.(
+      pair (int_bound (String.length sample_trace - 1)) (int_range 0 255))
+    (fun (pos, byte) ->
+      total
+        (String.mapi
+           (fun i c -> if i = pos then Char.chr byte else c)
+           sample_trace))
+
+let prop_random_bytes =
+  QCheck.Test.make ~count:300 ~name:"summarize: random bytes"
+    QCheck.(string_gen_of_size Gen.(int_bound 300) Gen.char)
+    total
 
 (* --- Flow.apply ------------------------------------------------------------ *)
 
@@ -240,15 +412,17 @@ let test_flow_apply () =
   Flow.apply f Flow.Control.Stop;
   Alcotest.(check bool) "stopped" true (Flow.stopped f);
   (* each successful mutation left a flow_control event *)
-  let controls = ref [] in
-  Trace.iter tr (fun ~time:_ ev ->
-      match ev with
-      | Event.Flow_control { control; _ } -> controls := control :: !controls
-      | _ -> ());
-  Alcotest.(check int) "four control events" 4 (List.length !controls);
-  Alcotest.(check bool) "kinds in order" true
-    (List.rev !controls
-    = [ Event.C_extra_delay; Event.C_ack_loss; Event.C_ack_off; Event.C_stop ])
+  let controls =
+    List.filter_map
+      (fun l ->
+        if contains_sub l {|"ev":"flow_control"|} then
+          Some (string_field "control" l)
+        else None)
+      (flushed_lines tr)
+  in
+  Alcotest.(check (list string)) "four control events, in order"
+    [ "extra_delay"; "ack_loss"; "ack_off"; "stop" ]
+    controls
 
 (* --- spans ----------------------------------------------------------------- *)
 
@@ -339,7 +513,7 @@ let test_enabled_steady_alloc () =
 let traced_scenario ~mask ~seed =
   let buf = Buffer.create 65536 in
   let tr = Trace.create ~mask () in
-  Trace.attach tr (Sink.jsonl_buffer buf);
+  Trace.attach tr (`Buffer buf);
   let e, _, topo, route = make_link ~trace:tr () in
   let nim =
     Nimbus.create
@@ -433,12 +607,19 @@ let suite =
           test_clear_keeps_counters;
         Alcotest.test_case "category filtering" `Quick test_category_filter;
         Alcotest.test_case "parse_filter" `Quick test_parse_filter;
-        Alcotest.test_case "emitters round-trip" `Quick test_ring_roundtrip;
+        Alcotest.test_case "emitters round-trip" `Quick
+          test_emitters_roundtrip;
         Alcotest.test_case "float_str shortest round-trip" `Quick
           test_float_str;
         Alcotest.test_case "json line shape" `Quick test_json_shape;
-        Alcotest.test_case "memory sink + flush" `Quick test_memory_sink_flush;
+        Alcotest.test_case "buffer flush + close" `Quick
+          test_buffer_flush_close;
+        Alcotest.test_case "channel output: full ring" `Quick
+          test_channel_output;
         Alcotest.test_case "summarize jsonl file" `Quick test_summarize_file;
+        Alcotest.test_case "summarize: truncations" `Quick test_truncations;
+        QCheck_alcotest.to_alcotest prop_byte_flips;
+        QCheck_alcotest.to_alcotest prop_random_bytes;
         Alcotest.test_case "Flow.apply controls + validation" `Quick
           test_flow_apply;
         Alcotest.test_case "span aggregation (fake clock)" `Quick

@@ -4,7 +4,7 @@
    to a doc comment.  Three sub-rules:
 
    1. Capture analysis at every pool entry point — [Pool.map] /
-      [Pool.try_map] / [Pool.map_reduce] / [Pool.submit],
+      [Pool.try_map] / [Pool.submit],
       [Common.map_cases] / [Common.run_seeds], and [Domain.spawn].  A task
       closure passed there runs on an arbitrary domain; any *free* variable
       it captures from an enclosing function must classify domain-safe
@@ -49,7 +49,6 @@ let canonical_entries =
   [
     ("Nimbus_parallel__Pool.map", ("Pool.map", Labelled_f));
     ("Nimbus_parallel__Pool.try_map", ("Pool.try_map", Labelled_f));
-    ("Nimbus_parallel__Pool.map_reduce", ("Pool.map_reduce", Labelled_f));
     ("Nimbus_parallel__Pool.submit", ("Pool.submit", Any_arrow));
     ("Nimbus_experiments__Common.map_cases", ("Common.map_cases", Labelled_f));
     ("Nimbus_experiments__Common.run_seeds", ("Common.run_seeds", Any_arrow));
@@ -63,7 +62,6 @@ let external_entries =
     ("Domain.spawn", ("Domain.spawn", Any_arrow));
     ("Nimbus_parallel.Pool.map", ("Pool.map", Labelled_f));
     ("Nimbus_parallel.Pool.try_map", ("Pool.try_map", Labelled_f));
-    ("Nimbus_parallel.Pool.map_reduce", ("Pool.map_reduce", Labelled_f));
     ("Nimbus_parallel.Pool.submit", ("Pool.submit", Any_arrow));
     ("Nimbus_experiments.Common.map_cases", ("Common.map_cases", Labelled_f));
     ("Nimbus_experiments.Common.run_seeds", ("Common.run_seeds", Any_arrow));

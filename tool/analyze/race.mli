@@ -1,7 +1,7 @@
 (** Race / domain-safety pass.
 
     Capture analysis at every pool entry point ([Pool.map] / [try_map] /
-    [map_reduce] / [submit], [Common.map_cases] / [run_seeds],
+    [submit], [Common.map_cases] / [run_seeds],
     [Domain.spawn]), transitive [@@domain_safe] function certification,
     and a sweep for module-level mutable state in the simulation-reachable
     libraries.  Suppressed with reasoned [@shared_ok "why"] attributes,
