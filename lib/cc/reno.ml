@@ -18,10 +18,6 @@ let create () =
 
 let cwnd_bytes t = B.bytes t.cwnd
 
-let reset_cwnd t bytes =
-  t.cwnd <- Float.max (2. *. mss) (B.to_float bytes);
-  t.ssthresh <- t.cwnd
-
 let on_ack t (a : Cc_types.ack) =
   t.srtt <- Time.to_secs a.srtt;
   if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. float_of_int a.bytes

@@ -24,12 +24,6 @@ let create () =
   { cwnd = float_of_int (mss_bytes * initial_cwnd); next_update = 0.;
     in_slow_start = true; ss_grow_toggle = false; last_cut = neg_infinity }
 
-let cwnd_bytes t = B.bytes t.cwnd
-
-let reset_cwnd t bytes =
-  t.cwnd <- Float.max (2. *. mss) (B.to_float bytes);
-  t.in_slow_start <- false
-
 let on_ack t (a : Cc_types.ack) =
   let now = Time.to_secs a.now in
   let srtt = Time.to_secs a.srtt in

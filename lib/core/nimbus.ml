@@ -1,7 +1,5 @@
 module Cc_types = Nimbus_cc.Cc_types
 module Cubic = Nimbus_cc.Cubic
-module Reno = Nimbus_cc.Reno
-module Vegas = Nimbus_cc.Vegas
 module Copa = Nimbus_cc.Copa
 module Basic_delay = Nimbus_cc.Basic_delay
 module Ring = Nimbus_dsp.Ring
@@ -24,14 +22,10 @@ type role =
   | Pulser
   | Watcher
 
-type competitive_alg =
-  [ `Cubic
-  | `Reno
-  ]
+type competitive_alg = [ `Cubic ]
 
 type delay_alg =
   [ `Basic_delay
-  | `Vegas
   | `Copa_default
   ]
 
@@ -58,13 +52,8 @@ type sample = {
   s_base_rate : Units.Rate.t;
 }
 
-type comp_inner =
-  | C_cubic of Cubic.t
-  | C_reno of Reno.t
-
 type delay_inner =
   | D_basic of Basic_delay.t
-  | D_vegas of Vegas.t
   | D_copa of Copa.t
 
 (* Internal state stays raw float (bits/s, Hz, seconds) — detection maths and
@@ -83,7 +72,7 @@ type hot = {
 
 type t = {
   mu : Z_estimator.Mu.t;
-  comp : comp_inner;
+  comp : Cubic.t;
   delay : delay_inner;
   comp_cc : Cc_types.t;  (* [comp]'s hooks, built once: no record per ACK *)
   delay_cc : Cc_types.t option;  (* [delay]'s; [None] for Basic_delay, which
@@ -201,7 +190,7 @@ let z_gate_delay = Time.to_secs (Time.ms 3.)
 let min_z_frac = 0.05
 
 let create (cfg : Config.t) =
-  let { Config.mu; competitive; delay; pulse_frac; pulse_shape;
+  let { Config.mu; competitive = `Cubic; delay; pulse_frac; pulse_shape;
         fp_competitive; fp_delay; fft_window; multi_flow; kappa;
         switch_streak; rate_reset; taper; seed; trace; on_detection;
         on_sample } =
@@ -213,25 +202,17 @@ let create (cfg : Config.t) =
   let fft_window = Time.to_secs fft_window in
   let mu_now = Rate.to_bps (Z_estimator.Mu.current mu ~now:Time.zero) in
   let mu_guess = if Float.is_nan mu_now then 10e6 else mu_now in
-  let comp =
-    match competitive with
-    | `Cubic -> C_cubic (Cubic.create ())
-    | `Reno -> C_reno (Reno.create ())
-  in
+  let comp = Cubic.create () in
   let delay =
     match delay with
     | `Basic_delay ->
       D_basic (Basic_delay.create ~mu:(Rate.bps mu_guess) ())
-    | `Vegas -> D_vegas (Vegas.create ())
     | `Copa_default -> D_copa (Copa.create ~switching:false ())
   in
-  let comp_cc =
-    match comp with C_cubic c -> Cubic.cc c | C_reno r -> Reno.cc r
-  in
+  let comp_cc = Cubic.cc comp in
   let delay_cc =
     match delay with
     | D_basic _ -> None
-    | D_vegas v -> Some (Vegas.cc v)
     | D_copa c -> Some (Copa.cc c)
   in
   let hist_len =
@@ -307,15 +288,7 @@ let detector t = t.z_detector
 
 (* --- inner-controller plumbing ------------------------------------------ *)
 
-let comp_cwnd t =
-  match t.comp with
-  | C_cubic c -> Cubic.cwnd_bytes c
-  | C_reno r -> Reno.cwnd_bytes r
-
-let comp_reset t bytes =
-  match t.comp with
-  | C_cubic c -> Cubic.reset_cwnd c bytes
-  | C_reno r -> Reno.reset_cwnd r bytes
+let comp_cwnd t = Cubic.cwnd_bytes t.comp
 
 let srtt_or t default = if Float.is_nan t.hot.srtt then default else t.hot.srtt
 
@@ -325,7 +298,6 @@ let rate_of_cwnd t cwnd = cwnd *. 8. /. Float.max (srtt_or t 0.1) 1e-3
 let delay_rate t =
   match t.delay with
   | D_basic b -> Rate.to_bps (Basic_delay.rate b)
-  | D_vegas v -> rate_of_cwnd t (B.to_float (Vegas.cwnd_bytes v))
   | D_copa c -> rate_of_cwnd t (B.to_float (Copa.cwnd_bytes c))
 
 let base_rate_bps t =
@@ -370,12 +342,11 @@ let switch_to t target ~now =
          if Float.is_nan t.hot.mu_cache then restore else Float.min restore t.hot.mu_cache
        in
        let cwnd = restore *. srtt_or t 0.1 /. 8. in
-       comp_reset t (B.bytes cwnd)
+       Cubic.reset_cwnd t.comp (B.bytes cwnd)
      | Delay ->
        let current = rate_of_cwnd t (B.to_float (comp_cwnd t)) in
        (match t.delay with
         | D_basic b -> Basic_delay.set_rate b (Rate.bps current)
-        | D_vegas v -> Vegas.reset_cwnd v (comp_cwnd t)
         | D_copa c -> Copa.reset_cwnd c (comp_cwnd t)));
     t.mode <- target
   end

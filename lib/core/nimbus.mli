@@ -1,9 +1,9 @@
 (** Nimbus: mode-switching congestion control driven by elasticity detection
     (§4, §6 of the paper).
 
-    A Nimbus flow runs a TCP-competitive algorithm (Cubic or Reno) when the
-    elasticity detector reports elastic cross traffic, and a delay-controlling
-    algorithm (BasicDelay, Vegas, or Copa's default mode) otherwise. The
+    A Nimbus flow runs Cubic when the elasticity detector reports elastic
+    cross traffic, and a delay-controlling algorithm (BasicDelay, or Copa's
+    default mode) otherwise. The
     sender modulates its pacing rate with asymmetric sinusoidal pulses and
     reads the cross-traffic response off the FFT of ẑ(t).
 
@@ -23,14 +23,11 @@ type role =
   | Pulser
   | Watcher
 
-type competitive_alg =
-  [ `Cubic
-  | `Reno
-  ]
+(** The TCP-competitive inner: Cubic, as in the paper's evaluation. *)
+type competitive_alg = [ `Cubic ]
 
 type delay_alg =
   [ `Basic_delay
-  | `Vegas
   | `Copa_default
   ]
 

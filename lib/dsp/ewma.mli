@@ -10,13 +10,9 @@ type t
     more. @raise Invalid_argument outside that range. *)
 val create : alpha:float -> t
 
-(** [create_time_constant ~tau ~dt] derives alpha for samples arriving every
-    [dt] seconds so the filter has time constant [tau] seconds
-    (alpha = 1 − exp(−dt/τ)). *)
-val create_time_constant : tau:float -> dt:float -> t
-
 (** [create_cutoff ~freq ~dt] derives alpha so the −3 dB point of the filter
-    sits at [freq] Hz for samples arriving every [dt] seconds. *)
+    sits at [freq] Hz for samples arriving every [dt] seconds: the time
+    constant is τ = 1/(2π·freq) and alpha = 1 − exp(−dt/τ). *)
 val create_cutoff : freq:float -> dt:float -> t
 
 (** [update t x] folds in sample [x] and returns the new average. The first

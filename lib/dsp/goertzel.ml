@@ -41,10 +41,10 @@ module Bank = struct
                                                + V^{w_k + m*alpha})
 
      so one tracked bin costs 2*order+1 recurrences (order 0 for
-     rectangular, 1 for Hann/Hamming, 2 for Blackman).  Linear/mean
-     detrending commutes with the DFT: with sliding sums S = sum x_i and
-     T = sum i*x_i the analyzer's least-squares intercept b and slope a
-     are recovered in O(1), and the detrended bin is
+     rectangular, 1 for Hann).  Linear detrending commutes with the DFT:
+     with sliding sums S = sum x_i and T = sum i*x_i the analyzer's
+     least-squares intercept b and slope a are recovered in O(1), and the
+     detrended bin is
 
        X_k = raw_k - b*C_k - a*D_k,   C_k = sum_i w_i e^{-jw_k i},
                                       D_k = sum_i w_i i e^{-jw_k i}
@@ -61,8 +61,6 @@ module Bank = struct
   let series = function
     | Window.Rectangular -> [| 1.0 |]
     | Window.Hann -> [| 0.5; -0.5 |]
-    | Window.Hamming -> [| 0.54; -0.46 |]
-    | Window.Blackman -> [| 0.42; -0.5; 0.08 |]
 
   type t = {
     n : int;
@@ -85,7 +83,7 @@ module Bank = struct
     mutable head : int;
     mutable count : int;
     mutable until_resync : int;
-    detrend : [ `None | `Mean | `Linear ];
+    detrend : [ `None | `Linear ];
     (* sliding detrend sums live in a float array: mutable float fields in
        this mixed record would box on every write *)
     sums : float array;
@@ -142,7 +140,7 @@ module Bank = struct
     let cim = Array.make (max 1 nbins) 0. in
     let dre = Array.make (max 1 nbins) 0. in
     let dim = Array.make (max 1 nbins) 0. in
-    let corrected = match detrend with `None -> 0 | `Mean | `Linear -> nbins in
+    let corrected = match detrend with `None -> 0 | `Linear -> nbins in
     let coeffs = if corrected = 0 then [||] else Window.coefficients taper n in
     for b = 0 to corrected - 1 do
       let wk = 2. *. pi *. float_of_int bins.(b) /. float_of_int n in
@@ -266,9 +264,6 @@ module Bank = struct
     match t.detrend with
     | `None ->
       t.sums.(2) <- 0.;
-      t.sums.(3) <- 0.
-    | `Mean ->
-      t.sums.(2) <- s /. t.nf;
       t.sums.(3) <- 0.
     | `Linear ->
       if t.n < 2 then begin

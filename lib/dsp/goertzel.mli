@@ -16,8 +16,8 @@ val magnitude :
 
 (** A bank of sliding-DFT recurrences tracking a fixed set of DFT bins of
     the {e windowed, detrended} signal — the amplitudes agree with
-    {!Spectrum.analyze} over the same window, taper, and detrend mode
-    to floating-point rounding (periodic in-place resynchronisation bounds
+    {!Spectrum.analyze} over the same window, taper (rectangular or Hann)
+    and detrend mode ([`None] or [`Linear]) to floating-point rounding (periodic in-place resynchronisation bounds
     recurrence drift).  A push is O(bins) and an amplitude readout is O(1)
     in the window size: this is what makes the elasticity detector's
     steady-state tick O(1) instead of one FFT per tick. *)
@@ -29,12 +29,12 @@ module Bank : sig
       the last [window] samples, tapered and detrended exactly as
       {!Spectrum.analyze} with the same parameters.  Cost per push:
       [2*order + 1] complex recurrences per bin (order 0 rectangular,
-      1 Hann/Hamming, 2 Blackman).
+      1 Hann).
       @raise Invalid_argument if [window <= 0] or a bin is out of range. *)
   val create :
     window:int ->
     taper:Window.kind ->
-    detrend:[ `None | `Mean | `Linear ] ->
+    detrend:[ `None | `Linear ] ->
     bins:int array ->
     unit ->
     t

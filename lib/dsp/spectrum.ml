@@ -6,12 +6,10 @@ type t = {
 
 type detrend =
   [ `None
-  | `Mean
   | `Linear
   ]
 
-let analyze ?(window = Window.Rectangular) ?(detrend = `Mean) ~sample_rate xs
-    =
+let analyze ?(window = Window.Rectangular) ~detrend ~sample_rate xs =
   let n = Array.length xs in
   let rate = Units.Freq.to_hz sample_rate in
   if n = 0 then invalid_arg "Spectrum.analyze: empty signal";
@@ -22,12 +20,6 @@ let analyze ?(window = Window.Rectangular) ?(detrend = `Mean) ~sample_rate xs
   let intercept = ref 0. and slope = ref 0. in
   (match detrend with
   | `None -> ()
-  | `Mean ->
-      let s = ref 0. in
-      for i = 0 to n - 1 do
-        s := !s +. xs.(i)
-      done;
-      intercept := !s /. float_of_int n
   | `Linear ->
       if n < 2 then begin
         let s = ref 0. in

@@ -3,7 +3,10 @@
 
     The elasticity metric (Eq. 3 of the paper) is a ratio of values read off
     such a spectrum: the amplitude at the pulse frequency over the largest
-    amplitude strictly inside the band (f_p, 2·f_p). *)
+    amplitude strictly inside the band (f_p, 2·f_p).  Every caller names its
+    detrend: the detector and Fig. 5 subtract the least-squares line, and
+    the undetrended spectrum is the oracle for the pulse keep-alive
+    probes' banks. *)
 
 type t = {
   amplitudes : float array; (* |X(k)| for k in 0 .. n/2 *)
@@ -12,24 +15,23 @@ type t = {
 }
 
 type detrend =
-  [ `None
-  | `Mean    (** subtract the mean (kills DC leakage) *)
-  | `Linear  (** subtract the least-squares line — also removes ramps, the
+  [ `None    (** the raw signal: the oracle for the undetrended probe banks *)
+  | `Linear  (** subtract the least-squares line — removes DC and ramps, the
                  dominant contamination when the signal is a cross-traffic
                  rate mid-transition *)
   ]
 
-(** [analyze ?window ?detrend ~sample_rate xs] is the spectrum of [xs]:
+(** [analyze ?window ~detrend ~sample_rate xs] is the spectrum of [xs]:
     detrended, tapered by [window], transformed through a fresh
     {!Fft.Plan.t}, and read as [|X(k)|] for [k] in [0 .. n/2].  [window]
-    defaults to rectangular, [detrend] to [`Mean].  Each call builds its own
+    defaults to rectangular.  Each call builds its own
     window table, buffer and plan, so the result is fresh and nothing is
     shared between calls or domains.  Steady readouts of a sliding window
     stream from a {!Goertzel.Bank} instead.
     @raise Invalid_argument if [xs] is empty or the rate is non-positive. *)
 val analyze :
   ?window:Window.kind ->
-  ?detrend:detrend ->
+  detrend:detrend ->
   sample_rate:Units.Freq.t ->
   float array ->
   t

@@ -1,8 +1,6 @@
 type kind =
   | Rectangular
   | Hann
-  | Hamming
-  | Blackman
 
 let pi = 4.0 *. atan 1.0
 
@@ -18,19 +16,10 @@ let coefficients kind n =
       w.(i) <-
         (match kind with
          | Rectangular -> 1.0
-         | Hann -> 0.5 *. (1.0 -. cos (2.0 *. pi *. x))
-         | Hamming -> 0.54 -. (0.46 *. cos (2.0 *. pi *. x))
-         | Blackman ->
-           0.42
-           -. (0.5 *. cos (2.0 *. pi *. x))
-           +. (0.08 *. cos (4.0 *. pi *. x)))
+         | Hann -> 0.5 *. (1.0 -. cos (2.0 *. pi *. x)))
     done;
     w
   end
-
-let apply kind xs =
-  let w = coefficients kind (Array.length xs) in
-  Array.mapi (fun i x -> x *. w.(i)) xs
 
 let coherent_gain kind n =
   if n <= 0 then 0.0

@@ -1,20 +1,15 @@
 (** Tapering windows for spectral analysis.
 
-    The paper's detector runs on raw (rectangular) windows; the others are
-    provided for the ablation benches that study spectral-leakage effects on
-    the elasticity metric. *)
+    The elasticity detector tapers its FFT window with Hann; the pulse
+    keep-alive probes and ablation 7 (Hann vs rectangular) use the
+    rectangular window. *)
 
 type kind =
   | Rectangular
   | Hann
-  | Hamming
-  | Blackman
 
 (** [coefficients kind n] is the length-[n] window. *)
 val coefficients : kind -> int -> float array
-
-(** [apply kind xs] is a windowed copy of [xs]. *)
-val apply : kind -> float array -> float array
 
 (** [coherent_gain kind n] is the mean of the window coefficients — divide
     amplitudes by it to compare peak heights across window kinds. *)

@@ -9,6 +9,7 @@ module Z = Nimbus_core.Z_estimator
 module Series = Nimbus_metrics.Series
 module Monitor = Nimbus_metrics.Monitor
 module Invariant = Nimbus_metrics.Invariant
+module Accuracy = Nimbus_metrics.Accuracy
 module Stats = Nimbus_dsp.Stats
 module Time = Units.Time
 module Rate = Units.Rate
@@ -193,6 +194,16 @@ let instrument net running ~until =
     rtt_series =
       Monitor.flow_rtt engine running.flow ~interval:(Time.ms 100.) ~until ()
   }
+
+let measure_accuracy engine running ~start ~until truth =
+  let accuracy = Accuracy.create () in
+  (match running.in_competitive with
+   | Some mode ->
+     Engine.every engine ~dt:(Time.ms 100.) ~start ~until (fun () ->
+         Accuracy.record accuracy ~predicted_elastic:(mode ())
+           ~truth_elastic:(truth ()))
+   | None -> ());
+  accuracy
 
 let window_values s ~lo ~hi =
   let xs = Series.values_between s ~lo:(Time.secs lo) ~hi:(Time.secs hi) in

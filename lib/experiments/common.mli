@@ -132,6 +132,17 @@ type run_stats = {
     [running]'s throughput and RTT, and the bottleneck's queue delay. *)
 val instrument : net -> running -> until:Units.Time.t -> run_stats
 
+(** [measure_accuracy engine running ~start ~until truth] scores
+    [running]'s mode against [truth ()] every 100 ms from [start] to
+    [until]; it records nothing for a scheme with no mode. *)
+val measure_accuracy :
+  Nimbus_sim.Engine.t ->
+  running ->
+  start:Units.Time.t ->
+  until:Units.Time.t ->
+  (unit -> bool) ->
+  Nimbus_metrics.Accuracy.t
+
 (** [mean s ~lo ~hi] / [pct s ~lo ~hi p] over a series window given in
     seconds, ignoring NaNs. *)
 val mean : Nimbus_metrics.Series.t -> lo:float -> hi:float -> float

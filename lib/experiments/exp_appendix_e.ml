@@ -59,13 +59,10 @@ let case (p : Common.profile) ~link ~mix ~share ~pulse ~seed =
   let running =
     (Common.nimbus ~pulse_frac:pulse ()).Common.start_flow net ()
   in
-  let accuracy = Accuracy.create () in
-  (match running.Common.in_competitive with
-   | Some mode ->
-     Engine.every engine ~dt:(Time.ms 100.) ~start:(Time.secs 10.)
-       ~until:(Time.secs horizon) (fun () ->
-         Accuracy.record accuracy ~predicted_elastic:(mode ()) ~truth_elastic)
-   | None -> ());
+  let accuracy =
+    Common.measure_accuracy engine running ~start:(Time.secs 10.)
+      ~until:(Time.secs horizon) (fun () -> truth_elastic)
+  in
   Engine.run_until engine (Time.secs horizon);
   Accuracy.accuracy accuracy
 

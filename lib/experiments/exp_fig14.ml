@@ -18,16 +18,6 @@ let id = "fig14"
 
 let title = "Fig 14: classification accuracy vs Copa"
 
-let measure_accuracy engine running ~truth_elastic ~from_t ~until =
-  let accuracy = Accuracy.create () in
-  (match running.Common.in_competitive with
-   | Some mode ->
-     Engine.every engine ~dt:(Time.ms 100.) ~start:from_t ~until (fun () ->
-         Accuracy.record accuracy ~predicted_elastic:(mode ())
-           ~truth_elastic)
-   | None -> ());
-  accuracy
-
 let inelastic_case (p : Common.profile) ~kind ~share ~seed (sch : Common.scheme) =
   let l = Common.link ~mbps:96. ~rtt_ms:50. ~buffer_bdp:2.0 () in
   let horizon = Common.scaled p 60. in
@@ -40,8 +30,8 @@ let inelastic_case (p : Common.profile) ~kind ~share ~seed (sch : Common.scheme)
      ignore (Source.poisson_via topo ~route ~rng:(Rng.split rng) ~rate ()));
   let running = sch.Common.start_flow net () in
   let accuracy =
-    measure_accuracy engine running ~truth_elastic:false
-      ~from_t:(Time.secs 10.) ~until:(Time.secs horizon)
+    Common.measure_accuracy engine running ~start:(Time.secs 10.)
+      ~until:(Time.secs horizon) (fun () -> false)
   in
   Engine.run_until engine (Time.secs horizon);
   Accuracy.accuracy accuracy
@@ -56,8 +46,8 @@ let rtt_ratio_case (p : Common.profile) ~ratio ~seed (sch : Common.scheme) =
        ~prop_rtt:(Time.scale ratio l.Common.prop_rtt) ());
   let running = sch.Common.start_flow net () in
   let accuracy =
-    measure_accuracy engine running ~truth_elastic:true ~from_t:(Time.secs 10.)
-      ~until:(Time.secs horizon)
+    Common.measure_accuracy engine running ~start:(Time.secs 10.)
+      ~until:(Time.secs horizon) (fun () -> true)
   in
   Engine.run_until engine (Time.secs horizon);
   Accuracy.accuracy accuracy

@@ -52,13 +52,10 @@ let case (p : Common.profile) ~mix ~ratio ~seed =
        (Source.poisson_via topo ~route ~rng:(Rng.split rng)
           ~rate:(Rate.scale 0.25 l.Common.mu) ()));
   let running = (Common.nimbus ()).Common.start_flow net () in
-  let accuracy = Accuracy.create () in
-  (match running.Common.in_competitive with
-   | Some mode ->
-     Engine.every engine ~dt:(Time.ms 100.) ~start:(Time.secs 10.)
-       ~until:(Time.secs horizon) (fun () ->
-         Accuracy.record accuracy ~predicted_elastic:(mode ()) ~truth_elastic)
-   | None -> ());
+  let accuracy =
+    Common.measure_accuracy engine running ~start:(Time.secs 10.)
+      ~until:(Time.secs horizon) (fun () -> truth_elastic)
+  in
   Engine.run_until engine (Time.secs horizon);
   Accuracy.accuracy accuracy
 
@@ -73,14 +70,10 @@ let heterogeneous (p : Common.profile) ~flows ~seed =
          ~prop_rtt:(Time.secs (0.02 *. float_of_int n)) ())
   done;
   let running = (Common.nimbus ()).Common.start_flow net () in
-  let accuracy = Accuracy.create () in
-  (match running.Common.in_competitive with
-   | Some mode ->
-     Engine.every engine ~dt:(Time.ms 100.) ~start:(Time.secs 10.)
-       ~until:(Time.secs horizon) (fun () ->
-         Accuracy.record accuracy ~predicted_elastic:(mode ())
-           ~truth_elastic:true)
-   | None -> ());
+  let accuracy =
+    Common.measure_accuracy engine running ~start:(Time.secs 10.)
+      ~until:(Time.secs horizon) (fun () -> true)
+  in
   Engine.run_until engine (Time.secs horizon);
   Accuracy.accuracy accuracy
 

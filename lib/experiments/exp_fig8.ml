@@ -40,15 +40,11 @@ let run_scheme (sch : Common.scheme) =
   let sched = Schedule.install topo ~route ~rng ~phases () in
   let running = sch.Common.start_flow net () in
   let stats = Common.instrument net running ~until:(Time.secs horizon) in
-  let accuracy = Accuracy.create () in
-  (match running.Common.in_competitive with
-   | Some mode ->
-     Engine.every engine ~dt:(Time.ms 100.) ~start:(Time.secs 5.)
-       ~until:(Time.secs horizon) (fun () ->
-         let now = Engine.now engine in
-         Accuracy.record accuracy ~predicted_elastic:(mode ())
-           ~truth_elastic:(Schedule.elastic_present sched ~now))
-   | None -> ());
+  let accuracy =
+    Common.measure_accuracy engine running ~start:(Time.secs 5.)
+      ~until:(Time.secs horizon) (fun () ->
+        Schedule.elastic_present sched ~now:(Engine.now engine))
+  in
   Engine.run_until engine (Time.secs horizon);
   let err_acc = ref 0. and err_n = ref 0 in
   let phase_rows =

@@ -23,12 +23,10 @@ type params = {
   seed : int;
 }
 
-val default_params : params
-
 (** [scaled_params ~links ~flows ()] sizes the scenario to a total of
     [flows] congestion-controlled flows (one Nimbus per link, the rest
     elastic cross traffic spread over the adjacent pairs — rounded up, so
-    the realized {!total_flows} may slightly exceed [flows]).
+    the realized flow count may slightly exceed [flows]).
     @raise Invalid_argument if [links < 2] or [flows < links]. *)
 val scaled_params :
   ?mbps:float ->
@@ -39,21 +37,20 @@ val scaled_params :
   unit ->
   params
 
-(** [total_flows p] is the congestion-controlled flow count (Nimbus +
-    elastic cross; poisson sources are open-loop and not counted). *)
-val total_flows : params -> int
-
 type outcome = {
   tables : Table.t list;
   violations : int;  (** invariant-monitor violations (0 = healthy) *)
   report : string;  (** the monitor's violation report (CI artifact) *)
   delivered : int;  (** packets that finished serialisation, all links *)
-  flows : int;  (** {!total_flows} of the params actually run *)
+  flows : int;
+      (** congestion-controlled flows run (Nimbus + elastic cross; poisson
+          sources are open-loop and not counted) *)
 }
 
 (** [run_custom p] builds the chain topology, runs it to [p.duration], and
     returns tables plus the machine-checkable outcome. *)
 val run_custom : ?trace:Nimbus_trace.Trace.t -> params -> outcome
 
-(** Registry entry: {!default_params} at the profile-scaled duration. *)
+(** Registry entry: the default 3-link chain at the profile-scaled
+    duration. *)
 val run : Common.profile -> Table.t list

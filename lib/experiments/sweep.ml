@@ -2,9 +2,9 @@
    population from Path_model run at 10^4+ paths × a protocol matrix,
    sharded over the ambient domain pool and hardened end-to-end:
 
-   - checkpoint/resume: completed shards are appended to a versioned
-     checkpoint file via atomic tmp-write+rename, so a sweep killed at any
-     point restarts from its last completed shard and produces a
+   - checkpoint/resume: each completed shard is appended to a versioned,
+     per-line checksummed checkpoint file, so a sweep killed at any point
+     restarts from its last completed shard and produces a
      byte-identical final table to an uninterrupted run, at any --jobs;
    - watchdog + retry: each case gets a wall-clock budget (polled once per
      simulated second — cooperative, there is no safe cross-domain
@@ -106,8 +106,8 @@ let config ?(paths = 100) ?(seed = 1819) ?schemes ?(profile = Common.quick)
    resumed aggregation folds bit-identical values.  Every shard line carries
    an FNV-1a checksum of its body; a torn or corrupted line (and everything
    after it) is dropped on resume, and the file is rewritten to its validated
-   prefix.  Updates go through tmp-write+rename, so the file on disk is
-   always a complete prefix of the sweep. *)
+   prefix through tmp-write+rename.  A live shard's line is appended and
+   flushed, so a crash can at worst tear the last line, which resume drops. *)
 
 let magic = "NIMSWP01"
 
@@ -176,30 +176,21 @@ let parse_shard_line line =
         | _ -> None
     end
 
-(* Atomic checkpoint update: stream-copy the current file plus the new line
-   into <file>.tmp (64 KiB chunks, O(1) memory) and rename it into place. *)
-let atomic_append path ~header line =
-  let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  (match open_in_bin path with
-   | ic ->
-     let buf = Bytes.create 65536 in
-     let rec copy () =
-       let k = input ic buf 0 (Bytes.length buf) in
-       if k > 0 then begin
-         output oc buf 0 k;
-         copy ()
-       end
-     in
-     copy ();
-     close_in ic
-   | exception Sys_error _ ->
-     output_string oc header;
-     output_string oc "\n");
+(* Append one shard line; closing the channel flushes it.  The file always
+   ends in a newline here (write_fresh or load_checkpoint wrote it last), and
+   an empty one (a resume that found no file) gets the header first. *)
+let append_line path ~header line =
+  let oc =
+    open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644
+      path
+  in
+  if out_channel_length oc = 0 then begin
+    output_string oc header;
+    output_char oc '\n'
+  end;
   output_string oc line;
-  output_string oc "\n";
-  close_out oc;
-  Sys.rename tmp path
+  output_char oc '\n';
+  close_out oc
 
 let write_fresh path ~header =
   let tmp = path ^ ".tmp" in
@@ -236,23 +227,21 @@ let load_checkpoint path ~header ~accept =
     Buffer.add_string kept header;
     Buffer.add_char kept '\n';
     let shards = ref 0 in
-    (try
-       let stop = ref false in
-       while not !stop do
-         match input_line ic with
-         | exception End_of_file -> stop := true
-         | line -> (
-           match parse_shard_line line with
-           | Some (idx, base, cells) when idx = !shards && accept ~base cells ->
-             incr shards;
-             Buffer.add_string kept line;
-             Buffer.add_char kept '\n'
-           | Some _ | None ->
-             (* out-of-order, truncated, or corrupt: drop this line and
-                everything after it *)
-             stop := true)
-       done
-     with e -> raise e);
+    let stop = ref false in
+    while not !stop do
+      match input_line ic with
+      | exception End_of_file -> stop := true
+      | line -> (
+        match parse_shard_line line with
+        | Some (idx, base, cells) when idx = !shards && accept ~base cells ->
+          incr shards;
+          Buffer.add_string kept line;
+          Buffer.add_char kept '\n'
+        | Some _ | None ->
+          (* out-of-order, truncated, or corrupt: drop this line and
+             everything after it *)
+          stop := true)
+    done;
     let tmp = path ^ ".tmp" in
     let oc = open_out_bin tmp in
     Buffer.output_buffer oc kept;
@@ -473,7 +462,7 @@ let fmt_cell = function
   | Error (F_timeout k) -> Printf.sprintf "!timeout(%d att)" k
   | Error (F_crash k) -> Printf.sprintf "!crash(%d att)" k
 
-let tables cfg agg ~triage_rows =
+let tables cfg agg =
   let q p2 = Stats.P2.quantile p2 in
   let per_scheme =
     Table.make ~title:"Fleet sweep: per-scheme aggregate over sampled paths"
@@ -555,7 +544,7 @@ let tables cfg agg ~triage_rows =
                @ List.map fmt_cell w.w_cells)
              agg.worst) ]
   in
-  ([ per_scheme ] @ pair_tables @ worst_table, triage_rows)
+  [ per_scheme ] @ pair_tables @ worst_table
 
 (* --- triage ---------------------------------------------------------------- *)
 
@@ -733,7 +722,7 @@ let run cfg =
     let paths = List.init nb (fun _ -> Path_model.next sampler) in
     let cells = run_shard cfg paths in
     (match cfg.sw_checkpoint with
-     | Some path -> atomic_append path ~header (shard_line ~idx ~base cells)
+     | Some path -> append_line path ~header (shard_line ~idx ~base cells)
      | None -> ());
     List.iter2 (feed_path cfg agg) paths (chunk nschemes cells);
     shard := idx + 1;
@@ -753,7 +742,7 @@ let run cfg =
       total_shards; paths_done = agg.paths_done; failures = agg.failures }
   else begin
     let triage_rows = run_triage cfg agg in
-    let tables, triage_rows = tables cfg agg ~triage_rows in
+    let tables = tables cfg agg in
     { tables = tables @ triage_table cfg triage_rows;
       interrupted = false; completed_shards = !shard; total_shards;
       paths_done = agg.paths_done; failures = agg.failures }

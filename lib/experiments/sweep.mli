@@ -76,8 +76,6 @@ val config :
 (** [scheme_of_name "cubic"] — the CLI's scheme registry. *)
 val scheme_of_name : string -> Common.scheme option
 
-val default_schemes : unit -> Common.scheme list
-
 type outcome = {
   tables : Table.t list;  (** empty when [interrupted] *)
   interrupted : bool;  (** [sw_stop_after] fired before the sweep finished *)
@@ -94,8 +92,6 @@ type outcome = {
 val run : config -> outcome
 
 (** {1 Checkpoint internals} — exposed for the test suite. *)
-
-val header_line : config -> string
 
 val shard_line : idx:int -> base:int -> cell list -> string
 

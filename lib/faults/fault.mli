@@ -61,9 +61,6 @@ type event =
 
 type plan = event list
 
-(** [event_time ev] is when the event fires. *)
-val event_time : event -> Units.Time.t
-
 (** [parse spec] reads the CLI syntax above. *)
 val parse : string -> (plan, string) result
 

@@ -18,6 +18,7 @@ let rule_to_string = function
   | Mode_hysteresis -> "mode-hysteresis"
   | Custom name -> name
 
+(* the stable code of the trace layer's [violation] event *)
 let rule_code = function
   | Conservation -> 0
   | Queue_nonneg -> 1

@@ -23,13 +23,6 @@ type rule =
   | Mode_hysteresis
   | Custom of string  (** an {!add_check} predicate, by name *)
 
-val rule_to_string : rule -> string
-
-(** [rule_code rule] — stable small-integer code used by the trace layer's
-    [violation] event ([Conservation] 0, [Queue_nonneg] 1, [Finite_signal] 2,
-    [Mode_hysteresis] 3, any [Custom] 4). *)
-val rule_code : rule -> int
-
 type violation = {
   v_time : Units.Time.t;
   v_rule : rule;

@@ -87,13 +87,8 @@ let retire t step =
   t.pending <- List.filter (fun s -> s != step) t.pending;
   Mutex.unlock t.m
 
-type job_error = {
-  exn : exn;
-  backtrace : Printexc.raw_backtrace;
-}
-
-let try_map t ~f n =
-  if n < 0 then invalid_arg "Pool.try_map: negative size";
+let map t ~f n =
+  if n < 0 then invalid_arg "Pool.map: negative size";
   if n = 0 then [||]
   else begin
     let results = Array.make n None in
@@ -104,13 +99,12 @@ let try_map t ~f n =
       let i = Atomic.fetch_and_add next 1 in
       if i >= n then false
       else begin
-        (* a raising job is captured in its own slot, with its backtrace,
-           so one crashed index cannot poison the others *)
+        (* a raising job is captured in its own slot, with the backtrace of
+           the domain that ran it, so every other index still runs *)
         (match f i with
         | r -> results.(i) <- Some (Ok r)
         | exception exn ->
-          let backtrace = Printexc.get_raw_backtrace () in
-          results.(i) <- Some (Error { exn; backtrace }));
+          results.(i) <- Some (Error (exn, Printexc.get_raw_backtrace ())));
         if Atomic.fetch_and_add completed 1 = n - 1 then begin
           (* last index done: wake the submitting caller if it is waiting *)
           Mutex.lock m;
@@ -133,26 +127,15 @@ let try_map t ~f n =
     done;
     Mutex.unlock m;
     retire t step;
+    (* index order: the lowest-indexed failure is the one re-raised *)
     Array.map
       (function
-        | Some r -> r
+        | Some (Ok r) -> r
+        | Some (Error (exn, backtrace)) ->
+          Printexc.raise_with_backtrace exn backtrace
         | None -> assert false (* completed = n *))
       results
   end
-
-let map t ~f n =
-  Array.map
-    (function
-      | Ok r -> r
-      | Error { exn; backtrace } ->
-        Printexc.raise_with_backtrace exn backtrace)
-    (try_map t
-       ~f:
-         (f
-         [@shared_ok
-           "forwarded unchanged; capture-checked at the original caller's \
-            site"])
-       n)
 
 let run ?domains f =
   let pool = create ?domains () in

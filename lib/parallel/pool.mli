@@ -23,23 +23,10 @@ val create : ?domains:int -> unit -> t
 (** [parallelism t] is the pool's total parallelism (workers + caller). *)
 val parallelism : t -> int
 
-(** A job that raised: the exception together with the backtrace captured on
-    the domain that ran it. *)
-type job_error = {
-  exn : exn;
-  backtrace : Printexc.raw_backtrace;
-}
-
-(** [try_map t ~f n] evaluates [f 0 .. f (n-1)] across the pool, capturing
-    each raising job as [Error] in its own slot — one crashed index never
-    affects the others, and the pool stays fully usable afterwards.
-    @raise Invalid_argument if [n < 0]. *)
-val try_map : t -> f:(int -> 'a) -> int -> ('a, job_error) result array
-
 (** [map t ~f n] is [[| f 0; ...; f (n-1) |]], evaluated across the pool.
     If any [f i] raises, every index still runs to completion and then the
-    lowest-indexed failure is re-raised in the caller with its original
-    backtrace.
+    lowest-indexed failure is re-raised in the caller with the backtrace
+    captured on the domain that ran it; the pool stays usable.
     @raise Invalid_argument if [n < 0]. *)
 val map : t -> f:(int -> 'a) -> int -> 'a array
 

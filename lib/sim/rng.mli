@@ -36,9 +36,6 @@ val bool : t -> p:float -> bool
 (** [exponential t ~mean] samples Exp with the given mean. *)
 val exponential : t -> mean:float -> float
 
-(** [normal t] is a standard normal deviate (Box–Muller). *)
-val normal : t -> float
-
 (** [lognormal t ~mu ~sigma] is [exp (mu + sigma·N(0,1))]. *)
 val lognormal : t -> mu:float -> sigma:float -> float
 

@@ -97,42 +97,6 @@ let link_label l = l.src.name ^ "->" ^ l.dst.name
 
 let link_bottleneck l = l.bn
 
-(* BFS over links in creation order: minimum hop count, deterministic tie
-   break (first-created links win). *)
-let find_route t ~src ~dst =
-  if src.node_id = dst.node_id then None
-  else begin
-    let all = links t in
-    let visited = ref [ src.node_id ] in
-    (* frontier entries carry the reversed link path that reached them *)
-    let frontier = ref [ (src, []) ] in
-    let found = ref None in
-    while Option.is_none !found && not (List.is_empty !frontier) do
-      let next_frontier = ref [] in
-      List.iter
-        (fun (n, path_rev) ->
-          List.iter
-            (fun l ->
-              if
-                Option.is_none !found
-                && l.src.node_id = n.node_id
-                && not (List.mem l.dst.node_id !visited)
-              then begin
-                let path_rev = l :: path_rev in
-                if l.dst.node_id = dst.node_id then
-                  found := Some (List.rev path_rev)
-                else begin
-                  visited := l.dst.node_id :: !visited;
-                  next_frontier := (l.dst, path_rev) :: !next_frontier
-                end
-              end)
-            all)
-        !frontier;
-      frontier := List.rev !next_frontier
-    done;
-    Option.map Route.of_links !found
-  end
-
 (* Run [k pkt] once the packet has crossed [l]'s propagation delay.  A
    zero-delay link forwards with a direct call — no scheduled event — which
    is what keeps the degenerate dumbbell's pinned trace unchanged. *)

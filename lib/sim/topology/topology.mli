@@ -93,11 +93,6 @@ val link_label : link -> string
     queue monitors, and per-link stats. *)
 val link_bottleneck : link -> Nimbus_sim.Bottleneck.t
 
-(** [find_route t ~src ~dst] is a minimum-hop route (BFS over links in
-    creation order, so ties break deterministically), or [None] if [dst]
-    is unreachable. *)
-val find_route : t -> src:node -> dst:node -> Route.t option
-
 (** [attach t ~route ~flow ~sink] wires [flow]'s packets along [route]:
     every hop forwards to the next link, and packets leaving the last hop
     are handed to [sink]. Returns the ingress function that injects a

@@ -16,8 +16,6 @@ type id =
   | Engine_drain  (** one [Engine.run_until] drain *)
   | Flow_tick  (** one congestion-control flow tick *)
 
-val id_to_string : id -> string
-
 (** Enable aggregation (and reset nothing — see {!reset}). *)
 val enable : unit -> unit
 

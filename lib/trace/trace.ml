@@ -399,12 +399,13 @@ let not_a_trace lineno =
         a string \"ev\""
        lineno)
 
-(* One pass over the lines, keeping only the per-kind counts, the first and
-   last time, and the notable lines.  Every line [flush] writes ends in a
+(* One pass over the lines, keeping only the per-kind counts, the smallest
+   and largest time, and the notable lines.  File order is not time order:
+   the fault matrix concatenates per-case buffers that each restart at 0.  Every line [flush] writes ends in a
    newline, so a last line without one is a trace cut short. *)
 let summarize ic =
   let counts = Hashtbl.create 17 in
-  let events = ref 0 and first = ref nan and last = ref nan in
+  let events = ref 0 and lo = ref infinity and hi = ref neg_infinity in
   let notable = ref [] in
   let rec go lineno =
     let start = pos_in ic in
@@ -420,8 +421,8 @@ let summarize ic =
       | None -> not_a_trace lineno
       | Some (time, name) ->
         incr events;
-        if !events = 1 then first := time;
-        last := time;
+        lo := Float.min !lo time;
+        hi := Float.max !hi time;
         Hashtbl.replace counts name
           (1 + Option.value ~default:0 (Hashtbl.find_opt counts name));
         if is_notable name then notable := line :: !notable;
@@ -432,8 +433,8 @@ let summarize ic =
       let b = Buffer.create 1024 in
       bpf b "events: %d\n" !events;
       if !events > 0 then
-        bpf b "span: %s .. %s s\n" (Event.float_str !first)
-          (Event.float_str !last);
+        bpf b "span: %s .. %s s\n" (Event.float_str !lo)
+          (Event.float_str !hi);
       List.iter
         (fun (name, n) -> bpf b "  %-14s %d\n" name n)
         (List.sort

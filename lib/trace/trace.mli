@@ -160,8 +160,8 @@ val violation : t -> now:float -> rule:int -> unit
 (** {1 Reading} *)
 
 (** [summarize_file path] reads a JSONL trace file in one streaming pass
-    and renders a human-readable summary: event counts by kind, the first
-    and last time, and every [detection], [mode_switch], [elected],
+    and renders a human-readable summary: event counts by kind, the
+    smallest and largest time, and every [detection], [mode_switch], [elected],
     [demoted], [fault_fired] and [violation] line in order.  It is [Error] when the file cannot be read,
     has a non-blank line that is not an object with a numeric ["t"] and a
     string ["ev"] (so any other format is rejected), or ends in a line

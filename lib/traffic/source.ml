@@ -18,7 +18,6 @@ type t = {
   flow_id : int;
   mutable rate : float;
   mutable seq : int;
-  mutable active : bool;
 }
 
 let pkt_size = 1500
@@ -36,8 +35,6 @@ let finite_bps rate =
 
 let set_rate t rate = t.rate <- Float.max 0. (finite_bps rate)
 
-let halt t = t.active <- false
-
 let interval t =
   let bits = float_of_int (pkt_size * 8) in
   match t.kind with
@@ -46,19 +43,15 @@ let interval t =
 
 let rec step t =
   let now = Engine.now t.engine in
-  if t.active then begin
-    if t.rate > 0. then begin
-      let pkt =
-        Packet.make ~flow:t.flow_id ~seq:t.seq ~size:pkt_size ~now ()
-      in
-      t.seq <- t.seq + 1;
-      t.enqueue pkt;
-      Engine.schedule_in t.engine (Time.secs (interval t)) (fun () -> step t)
-    end
-    else
-      (* paused: poll for a rate change *)
-      Engine.schedule_in t.engine (Time.ms 10.) (fun () -> step t)
+  if t.rate > 0. then begin
+    let pkt = Packet.make ~flow:t.flow_id ~seq:t.seq ~size:pkt_size ~now () in
+    t.seq <- t.seq + 1;
+    t.enqueue pkt;
+    Engine.schedule_in t.engine (Time.secs (interval t)) (fun () -> step t)
   end
+  else
+    (* paused: poll for a rate change *)
+    Engine.schedule_in t.engine (Time.ms 10.) (fun () -> step t)
 
 (* Packets traverse every hop of [route] and are dropped on the floor after
    the last one (open-loop traffic has no receiver), while still counting
@@ -70,7 +63,7 @@ let make topo ~route kind ~rate ~start =
   let flow_id = Engine.fresh_flow_id engine in
   let t =
     { engine; enqueue = Topology.attach topo ~route ~flow:flow_id ~sink:ignore;
-      kind; flow_id; rate; seq = 0; active = true }
+      kind; flow_id; rate; seq = 0 }
   in
   let start = match start with Some s -> s | None -> Engine.now engine in
   Engine.schedule_at engine start (fun () -> step t);

@@ -10,7 +10,7 @@ type t
 (** [poisson_via topo ~route ~rng ~rate ()] injects packets with
     exponential inter-arrival times averaging [rate], in 1500-byte
     packets.
-    @param start absolute start time (default now); {!halt} stops it
+    @param start absolute start time (default now)
     @raise Invalid_argument if [rate] is negative or not finite *)
 val poisson_via :
   Nimbus_topology.Topology.t ->
@@ -42,6 +42,3 @@ val set_rate : t -> Units.Rate.t -> unit
 
 (** [rate t]. *)
 val rate : t -> Units.Rate.t
-
-(** [halt t] stops the source permanently. *)
-val halt : t -> unit

@@ -42,12 +42,9 @@ val create :
   unit ->
   t
 
-(** [elastic_threshold_bytes] — flows strictly larger than this are counted
-    elastic (10 packets of 1500 B). *)
-val elastic_threshold_bytes : int
-
 (** [bytes_split t] is [(elastic, total)] cumulative bytes received by
-    cross-flow receivers — sampled periodically, the ratio of deltas is the
+    cross-flow receivers, a flow counting as elastic when it is larger than
+    10 packets of 1500 B — sampled periodically, the ratio of deltas is the
     ground-truth elastic byte fraction of Fig. 12. *)
 val bytes_split : t -> int * int
 

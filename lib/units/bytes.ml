@@ -9,12 +9,6 @@ let of_int n = float_of_int n
 let of_bits b = b /. 8.
 [@@unit_ctor "bytes"]
 
-let kib x = x *. 1024.
-[@@unit_ctor "bytes"]
-
-let mib x = x *. 1048576.
-[@@unit_ctor "bytes"]
-
 let of_float x = x
 [@@unit_ctor "bytes"]
 
@@ -24,12 +18,7 @@ let to_float x = x
 let to_bits x = x *. 8.
 [@@unit_accessor "bytes"]
 
-let to_int_trunc x = int_of_float x
-[@@unit_accessor "bytes"]
-
 let zero = 0.
-
-let is_finite = Float.is_finite
 
 let add = ( +. )
 
@@ -54,5 +43,3 @@ let ( <= ) a b = Float.compare a b <= 0
 let ( > ) a b = Float.compare a b > 0
 
 let ( >= ) a b = Float.compare a b >= 0
-
-let pp fmt x = Format.fprintf fmt "%gB" x

@@ -2,8 +2,7 @@
 
     Phantom-typed [private float] (volumes turn fractional the moment they
     meet a rate, e.g. pacing credit); see {!Time} for the conventions.
-    Integral packet/window byte counts convert in via {!of_int} and out via
-    the truncating {!to_int_trunc}. *)
+    Integral packet/window byte counts convert in via {!of_int}. *)
 
 type t = private float
 
@@ -16,10 +15,6 @@ val of_int : int -> t
 (** [of_bits b] is [b/8] bytes. *)
 val of_bits : float -> t
 
-val kib : float -> t
-
-val mib : float -> t
-
 val of_float : float -> t
 
 (** {1 Accessors} *)
@@ -29,14 +24,9 @@ val to_float : t -> float
 (** [to_bits v] is [8·v]. *)
 val to_bits : t -> float
 
-(** [to_int_trunc v] truncates toward zero. *)
-val to_int_trunc : t -> int
-
-(** {1 Constants and predicates} *)
+(** {1 Constants} *)
 
 val zero : t
-
-val is_finite : t -> bool
 
 (** {1 Arithmetic} *)
 
@@ -65,5 +55,3 @@ val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 
 val ( >= ) : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

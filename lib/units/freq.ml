@@ -3,12 +3,6 @@ type t = float
 let hz x = x
 [@@unit_ctor "freq"]
 
-let hz_exn x =
-  if not (Float.is_finite x) || Float.compare x 0. <= 0 then
-    invalid_arg "Freq.hz_exn: frequency must be finite and positive";
-  x
-[@@unit_ctor "freq"]
-
 let of_float x = x
 [@@unit_ctor "freq"]
 
@@ -33,9 +27,6 @@ let max = Float.max
 let period f = Time.secs (1. /. f)
 [@@unit_conv "1/freq = time"]
 
-let of_period dt = 1. /. Time.to_secs dt
-[@@unit_conv "1/time = freq"]
-
 let compare = Float.compare
 
 let equal = Float.equal
@@ -47,5 +38,3 @@ let ( <= ) a b = Float.compare a b <= 0
 let ( > ) a b = Float.compare a b > 0
 
 let ( >= ) a b = Float.compare a b >= 0
-
-let pp fmt x = Format.fprintf fmt "%gHz" x

@@ -1,18 +1,13 @@
 (** Frequencies in hertz — pulse fundamentals, FFT bins, sample rates.
 
     Phantom-typed [private float]; see {!Time} for the conventions (free
-    upcast to [float], NaN as the "unknown" sentinel, [_exn] constructors
-    checked for configuration boundaries). *)
+    upcast to [float], NaN as the "unknown" sentinel). *)
 
 type t = private float
 
 (** {1 Constructors} *)
 
 val hz : float -> t
-
-(** [hz_exn x] is [hz x].
-    @raise Invalid_argument if [x] is not finite or [x <= 0.]. *)
-val hz_exn : float -> t
 
 val of_float : float -> t
 
@@ -44,9 +39,6 @@ val max : t -> t -> t
 (** [period f] is [1/f] seconds. *)
 val period : t -> Time.t
 
-(** [of_period dt] is [1/dt] Hz. *)
-val of_period : Time.t -> t
-
 (** {1 Comparison} *)
 
 val compare : t -> t -> int
@@ -60,5 +52,3 @@ val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 
 val ( >= ) : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -3,9 +3,6 @@ type t = float
 let bps x = x
 [@@unit_ctor "rate"]
 
-let kbps x = x *. 1e3
-[@@unit_ctor "rate"]
-
 let mbps x = x *. 1e6
 [@@unit_ctor "rate"]
 
@@ -36,13 +33,9 @@ let unknown = Float.nan
 
 let is_known x = not (Float.is_nan x)
 
-let is_finite = Float.is_finite
-
 let add = ( +. )
 
 let sub = ( -. )
-
-let neg x = -.x
 
 let scale k x = k *. x
 
@@ -53,9 +46,6 @@ let min = Float.min
 let max = Float.max
 
 let clamp ~lo ~hi x = Float.max lo (Float.min hi x)
-
-let of_volume v ~per = Bytes.to_bits v /. Time.to_secs per
-[@@unit_conv "bytes / time = rate"]
 
 let volume r ~over = Bytes.of_bits (r *. Time.to_secs over)
 [@@unit_conv "rate x time = bytes"]
@@ -74,8 +64,3 @@ let ( <= ) a b = Float.compare a b <= 0
 let ( > ) a b = Float.compare a b > 0
 
 let ( >= ) a b = Float.compare a b >= 0
-
-let pp fmt x =
-  if Float.abs x >= 1e6 then
-    Format.fprintf fmt "%gMbit/s" (x /. 1e6)
-  else Format.fprintf fmt "%gbit/s" x

@@ -6,17 +6,14 @@
     a configured rate must be finite and positive (e.g. a link rate).
 
     The cross-unit operators encode Eq. 2's dimensional structure once, so
-    call sites stop hand-rolling [bytes·8/dt]:
-    [of_volume v ~per:dt] (a measured rate), [volume r ~over:dt] (credit
-    accrual), and [tx_time r v] (serialisation delay). *)
+    call sites stop hand-rolling [bytes·8/dt]: [volume r ~over:dt] (credit
+    accrual) and [tx_time r v] (serialisation delay). *)
 
 type t = private float
 
 (** {1 Constructors} *)
 
 val bps : float -> t
-
-val kbps : float -> t
 
 val mbps : float -> t
 
@@ -45,15 +42,11 @@ val unknown : t
 
 val is_known : t -> bool
 
-val is_finite : t -> bool
-
 (** {1 Arithmetic} *)
 
 val add : t -> t -> t
 
 val sub : t -> t -> t
-
-val neg : t -> t
 
 val scale : float -> t -> t
 
@@ -67,9 +60,6 @@ val max : t -> t -> t
 val clamp : lo:t -> hi:t -> t -> t
 
 (** {1 Cross-unit} *)
-
-(** [of_volume v ~per:dt] is the rate moving volume [v] in time [dt]. *)
-val of_volume : Bytes.t -> per:Time.t -> t
 
 (** [volume r ~over:dt] is the volume moved at [r] during [dt]. *)
 val volume : t -> over:Time.t -> Bytes.t
@@ -90,5 +80,3 @@ val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 
 val ( >= ) : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

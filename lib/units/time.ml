@@ -9,15 +9,6 @@ let ms x = x *. 1e-3
 let us x = x *. 1e-6
 [@@unit_ctor "time"]
 
-let mins x = x *. 60.
-[@@unit_ctor "time"]
-
-let secs_exn x =
-  if not (Float.is_finite x) then
-    invalid_arg "Time.secs_exn: non-finite seconds";
-  x
-[@@unit_ctor "time"]
-
 let of_float x = x
 [@@unit_ctor "time"]
 
@@ -42,8 +33,6 @@ let add = ( +. )
 
 let sub = ( -. )
 
-let neg x = -.x
-
 let abs = Float.abs
 
 let scale k x = k *. x
@@ -67,5 +56,3 @@ let ( <= ) a b = Float.compare a b <= 0
 let ( > ) a b = Float.compare a b > 0
 
 let ( >= ) a b = Float.compare a b >= 0
-
-let pp fmt x = Format.fprintf fmt "%gs" x

@@ -6,9 +6,8 @@
     never silently flow into an API expecting seconds.
 
     The codebase's "not yet measured" sentinel is NaN; {!unknown} and
-    {!is_known} make that convention explicit. Plain constructors are total
-    (NaN is a legal payload); the [_exn] variant rejects non-finite input for
-    configuration boundaries. *)
+    {!is_known} make that convention explicit. Constructors are total (NaN
+    is a legal payload); {!Rate.bps_exn} checks a configured link rate. *)
 
 type t = private float
 
@@ -19,11 +18,6 @@ val secs : float -> t
 val ms : float -> t
 
 val us : float -> t
-
-val mins : float -> t
-
-(** [secs_exn x] is [secs x]. @raise Invalid_argument if [x] is not finite. *)
-val secs_exn : float -> t
 
 val of_float : float -> t
 
@@ -53,8 +47,6 @@ val add : t -> t -> t
 
 val sub : t -> t -> t
 
-val neg : t -> t
-
 val abs : t -> t
 
 (** [scale k x] is the duration [k·x]. *)
@@ -82,5 +74,3 @@ val ( <= ) : t -> t -> bool
 val ( > ) : t -> t -> bool
 
 val ( >= ) : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -371,12 +371,11 @@ let prop_watch_agrees =
     ~name:"elasticity: watcher bank = spectrum readouts"
     QCheck.(
       pair
-        (triple (int_range 0 100_000) (int_range 40 160) (int_range 0 3))
+        (triple (int_range 0 100_000) (int_range 40 160) (int_range 0 1))
         (pair (int_range 4 16) (int_range 4 16)))
     (fun ((seed, n, ti), (c2, d2)) ->
       let taper =
-        [| Nimbus_dsp.Window.Rectangular; Nimbus_dsp.Window.Hann;
-           Nimbus_dsp.Window.Hamming; Nimbus_dsp.Window.Blackman |].(ti)
+        [| Nimbus_dsp.Window.Rectangular; Nimbus_dsp.Window.Hann |].(ti)
       in
       let fc = float_of_int c2 /. 2. and fd = float_of_int d2 /. 2. in
       let lo = Float.max fc fd +. 0.8 and hi = (2. *. Float.min fc fd) -. 0.2 in

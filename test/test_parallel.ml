@@ -63,28 +63,21 @@ let test_shutdown_idempotent () =
   Alcotest.(check (array int)) "post-shutdown map" [| 0; 2; 4 |]
     (Pool.map p ~f:(fun i -> 2 * i) 3)
 
-let test_try_map_isolation () =
-  (* one raising job lands in its own Error slot; every other index still
-     completes and the pool stays fully usable afterwards *)
+let test_map_runs_every_job () =
+  (* two raising jobs: every other index still completes, the lowest-indexed
+     failure is the one re-raised, and the pool stays fully usable *)
   Pool.run ~domains:4 (fun p ->
-      let results =
-        Pool.try_map p
-          ~f:(fun i -> if i = 13 then failwith "boom13" else 2 * i)
-          32
-      in
-      Array.iteri
-        (fun i r ->
-          match r with
-          | Ok v -> Alcotest.(check int) (Printf.sprintf "slot %d" i) (2 * i) v
-          | Error { Pool.exn; _ } ->
-            Alcotest.(check int) "only index 13 fails" 13 i;
-            Alcotest.(check string) "captured exception" "boom13"
-              (match exn with Failure m -> m | _ -> "<unexpected>"))
-        results;
-      Alcotest.(check int) "exactly one failed slot" 1
-        (Array.fold_left
-           (fun n r -> match r with Error _ -> n + 1 | Ok _ -> n)
-           0 results);
+      let ran = Atomic.make 0 in
+      Alcotest.check_raises "lowest index re-raised" (Failure "boom13")
+        (fun () ->
+          ignore
+            (Pool.map p
+               ~f:(fun i ->
+                 Atomic.incr ran;
+                 if i = 13 || i = 20 then failwith (Printf.sprintf "boom%d" i)
+                 else 2 * i)
+               32));
+      Alcotest.(check int) "every job ran" 32 (Atomic.get ran);
       Alcotest.(check (array int)) "pool reusable" [| 0; 1; 2; 3 |]
         (Pool.map p ~f:(fun i -> i) 4))
 
@@ -151,7 +144,7 @@ let suite =
         Alcotest.test_case "exception propagation" `Quick test_map_exception;
         Alcotest.test_case "nested maps" `Quick test_nested_map;
         Alcotest.test_case "shutdown" `Quick test_shutdown_idempotent;
-        Alcotest.test_case "try_map isolation" `Quick test_try_map_isolation;
+        Alcotest.test_case "map runs every job" `Quick test_map_runs_every_job;
         QCheck_alcotest.to_alcotest prop_mutation_determinism ] );
     ( "parallel.harness",
       [ Alcotest.test_case "jobs 1 = jobs 4 tables" `Slow test_jobs_determinism

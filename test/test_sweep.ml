@@ -224,6 +224,27 @@ let test_resume_corrupt_trailer () =
   let resumed = rendered (Sweep.run (base_cfg ~checkpoint:ck ~resume:true ())) in
   Alcotest.(check (list string)) "recovers from torn trailer" reference resumed
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_resume_half_appended_line () =
+  (* a kill while shard 1's line is being appended leaves half of it after
+     shard 0's: resume drops it, reruns shard 1 and appends it whole, so the
+     checkpoint ends byte-identical to an uninterrupted run's *)
+  let ck = temp_name ".ck" and full = temp_name ".ck" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ ck; full ])
+  @@ fun () ->
+  let reference = rendered (Sweep.run (base_cfg ~checkpoint:full ())) in
+  let checkpoint = read_file full in
+  ignore (Sweep.run (base_cfg ~checkpoint:ck ~stop_after:1 ()));
+  let shard1 = List.nth (String.split_on_char '\n' checkpoint) 2 in
+  Out_channel.with_open_gen [ Open_wronly; Open_append; Open_binary ] 0o644 ck
+    (fun oc -> output_string oc (String.sub shard1 0 (String.length shard1 / 2)));
+  let resumed = rendered (Sweep.run (base_cfg ~checkpoint:ck ~resume:true ())) in
+  Alcotest.(check (list string)) "tables byte-identical" reference resumed;
+  Alcotest.(check string) "checkpoint byte-identical" checkpoint (read_file ck)
+
 let test_resume_incompatible_header () =
   let ck = temp_name ".ck" in
   Fun.protect ~finally:(fun () -> if Sys.file_exists ck then Sys.remove ck)
@@ -360,6 +381,8 @@ let suite =
           test_resume_byte_identical;
         Alcotest.test_case "torn-trailer recovery" `Slow
           test_resume_corrupt_trailer;
+        Alcotest.test_case "half-appended shard line" `Slow
+          test_resume_half_appended_line;
         Alcotest.test_case "incompatible header" `Slow
           test_resume_incompatible_header;
         Alcotest.test_case "triage-only byte-identical" `Slow

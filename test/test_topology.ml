@@ -173,32 +173,6 @@ let test_route_validation () =
          Topology.attach topo ~route:foreign ~flow:0 ~sink:ignore));
   Alcotest.(check string) "link label" "a->b" (Topology.link_label ab)
 
-let test_find_route () =
-  let engine = Engine.create Engine.Config.default in
-  let topo = Topology.create engine in
-  let n = Array.init 4 (fun i -> Topology.add_node topo (string_of_int i)) in
-  let cfg =
-    { Topology.Link.Config.bottleneck =
-        Bottleneck.Config.default ~rate:(Rate.mbps 10.)
-          ~qdisc:(Qdisc.droptail ~capacity_bytes:100_000);
-      prop_delay = Time.zero }
-  in
-  (* diamond 0->1->3 and 0->2->3, plus a direct shortcut 0->3 *)
-  ignore (Topology.add_link topo ~src:n.(0) ~dst:n.(1) cfg);
-  ignore (Topology.add_link topo ~src:n.(1) ~dst:n.(3) cfg);
-  ignore (Topology.add_link topo ~src:n.(0) ~dst:n.(2) cfg);
-  ignore (Topology.add_link topo ~src:n.(2) ~dst:n.(3) cfg);
-  let direct = Topology.add_link topo ~src:n.(0) ~dst:n.(3) cfg in
-  (match Topology.find_route topo ~src:n.(0) ~dst:n.(3) with
-   | None -> Alcotest.fail "route exists"
-   | Some r ->
-     Alcotest.(check int) "BFS finds the min-hop route" 1
-       (Topology.Route.hops r);
-     Alcotest.(check bool) "via the shortcut" true
-       (List.memq direct (Topology.Route.links r)));
-  Alcotest.(check bool) "unreachable is None" true
-    (Topology.find_route topo ~src:n.(3) ~dst:n.(0) = None)
-
 (* --- conservation over random chains (qcheck) ------------------------------ *)
 
 (* random small chains under mixed attached traffic: after any run, every
@@ -362,8 +336,7 @@ let suite =
         Alcotest.test_case "propagation timing" `Quick test_prop_delay_timing
       ] );
     ( "topology.routes",
-      [ Alcotest.test_case "validation" `Quick test_route_validation;
-        Alcotest.test_case "find_route BFS" `Quick test_find_route ] );
+      [ Alcotest.test_case "validation" `Quick test_route_validation ] );
     ( "topology.conservation", [ test_conservation_qcheck ] );
     ( "topology.ecn",
       [ Alcotest.test_case "pie marks when enabled" `Quick test_pie_ecn_marks;

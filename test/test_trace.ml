@@ -305,6 +305,25 @@ let test_emitters_roundtrip () =
         then Alcotest.failf "summary does not count one %s:\n%s" kind summary)
       kinds
 
+(* The fault matrix concatenates per-case buffers, each restarting at
+   t = 0: the span is the smallest and largest time, not file order. *)
+let test_summarize_concatenated_cases () =
+  let case times =
+    let buf = Buffer.create 256 in
+    let tr = Trace.create ~mask:Trace.mask_all () in
+    Trace.attach tr (`Buffer buf);
+    List.iter
+      (fun now -> Trace.z_tick tr ~now ~z:10. ~send:48. ~recv:47. ~base:24.)
+      times;
+    Trace.close tr;
+    Buffer.contents buf
+  in
+  match summarize (case [ 0.01; 2.5; 7. ] ^ case [ 0.; 0.02; 3. ]) with
+  | Error e -> Alcotest.fail e
+  | Ok summary ->
+    Alcotest.(check bool) "min .. max over both cases" true
+      (contains_sub summary "events: 6\nspan: 0 .. 7 s\n")
+
 let test_summarize_file () =
   let path = Filename.temp_file "nimtrace" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
@@ -617,6 +636,8 @@ let suite =
         Alcotest.test_case "channel output: full ring" `Quick
           test_channel_output;
         Alcotest.test_case "summarize jsonl file" `Quick test_summarize_file;
+        Alcotest.test_case "summarize: concatenated cases" `Quick
+          test_summarize_concatenated_cases;
         Alcotest.test_case "summarize: truncations" `Quick test_truncations;
         QCheck_alcotest.to_alcotest prop_byte_flips;
         QCheck_alcotest.to_alcotest prop_random_bytes;

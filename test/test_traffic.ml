@@ -65,15 +65,6 @@ let test_source_set_rate () =
   Alcotest.(check bool) "resumed at new rate" true
     (delivered bn s - at_5 > 10_000_000)
 
-let test_source_halt () =
-  let e, bn, topo, route = make_link () in
-  let s = Source.cbr_via topo ~route ~rate:(Rate.bps 12e6) () in
-  Engine.schedule_at e (Time.secs 2.) (fun () -> Source.halt s);
-  Engine.run_until e (Time.secs 10.);
-  let total = delivered bn s in
-  Alcotest.(check bool) "halted" true
-    (total < int_of_float (3. *. 12e6 /. 8.))
-
 (* an infinite rate is a zero inter-packet gap (simulated time would never
    advance) and NaN would silently pause the source: both are rejected, at
    creation and in set_rate *)
@@ -283,7 +274,6 @@ let suite =
         Alcotest.test_case "poisson mean" `Quick test_poisson_mean_rate;
         Alcotest.test_case "delayed start" `Quick test_source_delayed_start;
         Alcotest.test_case "set_rate" `Quick test_source_set_rate;
-        Alcotest.test_case "halt" `Quick test_source_halt;
         Alcotest.test_case "rejects non-finite rate" `Quick
           test_source_rejects_non_finite_rate ] );
     ( "traffic.wan",

@@ -52,36 +52,14 @@ let prop_bytes_bits_roundtrip =
   QCheck.Test.make ~count:500 ~name:"units: to_bits (of_bits b) = b" finite
     (fun b -> Float.equal (B.to_bits (B.of_bits b)) b)
 
-let prop_time_us_mins_scaling =
-  QCheck.Test.make ~count:500
-    ~name:"units: secs (x*1e-6) = us x, secs (60x) = mins x" finite (fun x ->
-      Time.equal (Time.secs (x *. 1e-6)) (Time.us x)
-      && Time.equal (Time.secs (x *. 60.)) (Time.mins x))
+let prop_time_us_scaling =
+  QCheck.Test.make ~count:500 ~name:"units: secs (x*1e-6) = us x, exactly"
+    finite
+    (fun x -> Time.equal (Time.secs (x *. 1e-6)) (Time.us x))
 
-let prop_rate_kbps_gbps_scaling =
-  QCheck.Test.make ~count:500
-    ~name:"units: bps (x*1e3) = kbps x, bps (x*1e9) = gbps x" finite (fun x ->
-      Rate.equal (Rate.bps (x *. 1e3)) (Rate.kbps x)
-      && Rate.equal (Rate.bps (x *. 1e9)) (Rate.gbps x))
-
-let prop_bytes_kib_mib_scaling =
-  QCheck.Test.make ~count:500
-    ~name:"units: bytes (1024x) = kib x, bytes (2^20 x) = mib x" finite
-    (fun x ->
-      B.equal (B.bytes (x *. 1024.)) (B.kib x)
-      && B.equal (B.bytes (x *. 1048576.)) (B.mib x))
-
-(* powers of two scale exactly, so the kib/mib round trips are lossless *)
-let prop_bytes_pow2_roundtrip =
-  QCheck.Test.make ~count:500 ~name:"units: kib/mib round-trip is exact" finite
-    (fun x ->
-      Float.equal (B.to_float (B.kib x) /. 1024.) x
-      && Float.equal (B.to_float (B.mib x) /. 1048576.) x)
-
-let prop_bytes_int_roundtrip =
-  QCheck.Test.make ~count:500 ~name:"units: to_int_trunc (of_int n) = n"
-    (QCheck.int_range (-1_099_511_627_776) 1_099_511_627_776) (fun n ->
-      B.to_int_trunc (B.of_int n) = n)
+let prop_rate_gbps_scaling =
+  QCheck.Test.make ~count:500 ~name:"units: bps (x*1e9) = gbps x" finite
+    (fun x -> Rate.equal (Rate.bps (x *. 1e9)) (Rate.gbps x))
 
 (* --- arithmetic is payload arithmetic -------------------------------------- *)
 
@@ -121,18 +99,6 @@ let prop_rate_mbps_accessor =
       Float.equal (Rate.to_mbps (Rate.bps x)) (x /. 1e6)
       && close (Rate.to_mbps (Rate.mbps x)) x)
 
-let prop_freq_period_involution =
-  QCheck.Test.make ~count:500 ~name:"units: of_period (period f) = f" positive
-    (fun f ->
-      close (Freq.to_hz (Freq.of_period (Freq.period (Freq.hz f)))) f)
-
-let prop_rate_volume_roundtrip =
-  QCheck.Test.make ~count:500
-    ~name:"units: of_volume (volume r ~over:dt) ~per:dt = r"
-    QCheck.(pair positive positive) (fun (r, dt) ->
-      let rate = Rate.bps r and dt = Time.secs dt in
-      close (Rate.to_bps (Rate.of_volume (Rate.volume rate ~over:dt) ~per:dt)) r)
-
 let prop_rate_tx_time =
   QCheck.Test.make ~count:500 ~name:"units: tx_time r v = 8v/r seconds"
     QCheck.(pair positive positive) (fun (r, v) ->
@@ -152,14 +118,10 @@ let test_exn_constructors () =
     | _ -> false
     | exception Invalid_argument _ -> true
   in
-  Alcotest.(check bool) "secs_exn nan raises" true
-    (raises (fun () -> Time.secs_exn Float.nan));
   Alcotest.(check bool) "bps_exn 0 raises" true
     (raises (fun () -> Rate.bps_exn 0.));
   Alcotest.(check bool) "bps_exn inf raises" true
     (raises (fun () -> Rate.bps_exn Float.infinity));
-  Alcotest.(check bool) "hz_exn -1 raises" true
-    (raises (fun () -> Freq.hz_exn (-1.)));
   Alcotest.(check bool) "bps_exn accepts finite positive" true
     (Float.equal (Rate.to_bps (Rate.bps_exn 5.)) 5.)
 
@@ -177,18 +139,13 @@ let suite =
         qtest prop_time_ms_scaling;
         qtest prop_rate_mbps_scaling;
         qtest prop_bytes_bits_roundtrip;
-        qtest prop_time_us_mins_scaling;
-        qtest prop_rate_kbps_gbps_scaling;
-        qtest prop_bytes_kib_mib_scaling;
-        qtest prop_bytes_pow2_roundtrip;
-        qtest prop_bytes_int_roundtrip;
+        qtest prop_time_us_scaling;
+        qtest prop_rate_gbps_scaling;
         qtest prop_time_ms_accessor;
         qtest prop_rate_mbps_accessor;
         qtest prop_time_add_is_float_add;
         qtest prop_scale_is_float_mul;
         qtest prop_compare_agrees_with_float;
-        qtest prop_freq_period_involution;
-        qtest prop_rate_volume_roundtrip;
         qtest prop_rate_tx_time;
         Alcotest.test_case "unknown/zero sentinels" `Quick test_unknown_sentinel;
         Alcotest.test_case "_exn constructors reject" `Quick test_exn_constructors;

@@ -3,9 +3,10 @@
    Everything that crosses the domain pool must be certified, not trusted
    to a doc comment.  Three sub-rules:
 
-   1. Capture analysis at every pool entry point — [Pool.map] /
-      [Pool.try_map] / [Pool.submit],
-      [Common.map_cases] / [Common.run_seeds], and [Domain.spawn].  A task
+   1. Capture analysis at every pool entry point — [Pool.map], the
+      pool's internal [submit] (which [Pool.map] publishes its step
+      through), [Common.map_cases] / [Common.run_seeds], and
+      [Domain.spawn].  A task
       closure passed there runs on an arbitrary domain; any *free* variable
       it captures from an enclosing function must classify domain-safe
       ({!Type_class}), or carry an in-source
@@ -48,7 +49,6 @@ type task_filter = Labelled_f | Any_arrow
 let canonical_entries =
   [
     ("Nimbus_parallel__Pool.map", ("Pool.map", Labelled_f));
-    ("Nimbus_parallel__Pool.try_map", ("Pool.try_map", Labelled_f));
     ("Nimbus_parallel__Pool.submit", ("Pool.submit", Any_arrow));
     ("Nimbus_experiments__Common.map_cases", ("Common.map_cases", Labelled_f));
     ("Nimbus_experiments__Common.run_seeds", ("Common.run_seeds", Any_arrow));
@@ -61,8 +61,6 @@ let external_entries =
   [
     ("Domain.spawn", ("Domain.spawn", Any_arrow));
     ("Nimbus_parallel.Pool.map", ("Pool.map", Labelled_f));
-    ("Nimbus_parallel.Pool.try_map", ("Pool.try_map", Labelled_f));
-    ("Nimbus_parallel.Pool.submit", ("Pool.submit", Any_arrow));
     ("Nimbus_experiments.Common.map_cases", ("Common.map_cases", Labelled_f));
     ("Nimbus_experiments.Common.run_seeds", ("Common.run_seeds", Any_arrow));
   ]

@@ -1,8 +1,7 @@
 (** Race / domain-safety pass.
 
-    Capture analysis at every pool entry point ([Pool.map] / [try_map] /
-    [submit], [Common.map_cases] / [run_seeds],
-    [Domain.spawn]), transitive [@@domain_safe] function certification,
+    Capture analysis at every pool entry point ([Pool.map] and the pool's
+    internal [submit], [Common.map_cases] / [run_seeds], [Domain.spawn]), transitive [@@domain_safe] function certification,
     and a sweep for module-level mutable state in the simulation-reachable
     libraries.  Suppressed with reasoned [@shared_ok "why"] attributes,
     tracked by {!Suppress}. *)

@@ -27,16 +27,16 @@ let carriers =
   [
     ( "Time",
       Dim.Time,
-      [ "secs"; "ms"; "us"; "mins"; "secs_exn"; "of_float" ],
+      [ "secs"; "ms"; "us"; "of_float" ],
       [ "to_secs"; "to_ms"; "to_float" ] );
     ( "Rate",
       Dim.Rate,
-      [ "bps"; "kbps"; "mbps"; "gbps"; "bps_exn"; "of_float" ],
+      [ "bps"; "mbps"; "gbps"; "bps_exn"; "of_float" ],
       [ "to_bps"; "to_mbps"; "to_float" ] );
-    ("Freq", Dim.Freq, [ "hz"; "hz_exn"; "of_float" ], [ "to_hz"; "to_float" ]);
+    ("Freq", Dim.Freq, [ "hz"; "of_float" ], [ "to_hz"; "to_float" ]);
     ( "Bytes",
       Dim.Bytes,
-      [ "bytes"; "of_bits"; "kib"; "mib"; "of_float" ],
+      [ "bytes"; "of_bits"; "of_float" ],
       [ "to_float"; "to_bits" ] );
   ]
 
@@ -44,8 +44,7 @@ let carriers =
    their signatures; they only appear here so a [@unit_conv]-style lookup
    of a registry name never falls through to "unknown call" heuristics *)
 let builtin_convs =
-  [ "Rate.of_volume"; "Rate.volume"; "Rate.tx_time"; "Freq.period";
-    "Freq.of_period" ]
+  [ "Rate.volume"; "Rate.tx_time"; "Freq.period" ]
 
 let spellings modname fn =
   [ "Units__" ^ modname ^ "." ^ fn; "Units." ^ modname ^ "." ^ fn ]
