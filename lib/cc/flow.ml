@@ -28,12 +28,15 @@ let fwd_frac = 0.5
 (* power of two: ring indices wrap with [land (capacity - 1)] *)
 let rate_ring_capacity = 2048
 
+let empty_floats = Float.Array.create 0
+
 type t = {
   engine : Engine.t;
-  (* the route's topology ingress and the flow's two timer callbacks.
-     Mutable only because each closes over the flow itself: they are set
-     once in [create_via] and never change afterwards, so rescheduling a
-     timer allocates no closure. *)
+  (* the route's topology ingress and the flow's two timer callbacks ([tick]
+     is the RTO deadline timer of a tickless flow).  Mutable only because
+     each closes over the flow itself: they are set once in [create_via] and
+     never change afterwards, so rescheduling a timer allocates no
+     closure. *)
   mutable enqueue : Packet.t -> unit;
   mutable tick : unit -> unit;
   mutable pace : unit -> unit;
@@ -45,6 +48,13 @@ type t = {
   on_complete : (t -> unit) option;
   tick_interval : float;
   start_time : float;
+  (* An ACK-clocked flow keeps no tick, only an RTO deadline timer: the grid
+     instant it is armed for, the grid instant before it, and the grid
+     instant (at or before now) it was stepped from.  A ticking flow's
+     [rto_prev] stays NaN, which no deadline test passes. *)
+  mutable rto_at : float;
+  mutable rto_prev : float;
+  mutable rto_base : float;
   (* sender state *)
   mutable next_seq : int;
   outstanding : (int, sent_info) Hashtbl.t;
@@ -223,6 +233,53 @@ let update_rates t =
     if recv_dt > 0. then t.recv_rate <- float_of_int (nbytes * 8) /. recv_dt
   end
 
+(* --- retransmission timeout --------------------------------------------- *)
+
+(* The RTO deadline test at instant [at]: more than the RTO, 1 s before the
+   first RTT sample and max(0.4 s, 3 srtt) after, has passed since the last
+   progress.  It is monotone in [at].  Inlined, so that no float is boxed
+   per ACK or per grid step. *)
+let[@inline] rto_due t at =
+  let elapsed = at -. t.last_progress in
+  if Float.is_nan t.srtt then elapsed > 1.0
+  else elapsed > 0.4 && elapsed > 3.0 *. t.srtt
+[@@alloc_free]
+
+(* Arm the deadline timer at the first instant of the tick grid after
+   [from] (itself a grid instant) where the deadline test passes.  The grid
+   is stepped by the same additions the tick makes, and the timer goes in
+   at the grid value itself, so [check_rto] sees the instants a tick would
+   show it. *)
+let arm_rto t ~from =
+  let prev = ref from and at = ref (from +. t.tick_interval) in
+  while not (rto_due t !at) do
+    prev := !at;
+    at := !at +. t.tick_interval
+  done;
+  t.rto_base <- from;
+  t.rto_prev <- !prev;
+  t.rto_at <- !at;
+  Engine.schedule_at t.engine (Time.secs !at) t.tick
+
+(* A completed [Finite] transfer with nothing in flight and nothing to
+   resend has no RTO to check and nothing to send: its timers stop.  Only the
+   ACK that empties [outstanding] can make a flow finished (every acked
+   packet was received first), so [handle_ack] releases it there. *)
+let finished t =
+  Option.is_some t.completion_time
+  && Hashtbl.length t.outstanding = 0
+  && not (data_available t)
+
+(* A finished flow keeps only its counters: no later event reads its rate
+   ring or its table of outstanding packets. *)
+let release t =
+  Hashtbl.reset t.outstanding;
+  t.acked_sent_at <- empty_floats;
+  t.acked_at <- empty_floats;
+  t.acked_cum_bytes <- [||];
+  t.acked_head <- 0;
+  t.acked_count <- 0
+
 (* --- transmission ------------------------------------------------------- *)
 
 let receiver_got t (pkt : Packet.t) =
@@ -377,16 +434,15 @@ and handle_ack t (pkt : Packet.t) =
         rtt = Time.secs t.last_rtt; min_rtt = Time.secs t.min_rtt;
         srtt = Time.secs t.srtt; inflight_bytes = t.inflight_bytes;
         delivered_bytes = t.acked_bytes };
-    try_send t
-
-(* --- retransmission timeout --------------------------------------------- *)
-
-let rto t =
-  if Float.is_nan t.srtt then 1.0 else Float.max 0.4 (3.0 *. t.srtt)
+    try_send t;
+    (* the ACK moved the deadline; by monotonicity, it now falls before the
+       armed instant iff the grid instant before that one is due *)
+    if rto_due t t.rto_prev then arm_rto t ~from:t.rto_base;
+    if finished t then release t
 
 let check_rto t =
   let now = now_secs t in
-  if t.inflight_bytes > 0 && now -. t.last_progress > rto t then begin
+  if t.inflight_bytes > 0 && rto_due t now then begin
     (* whole window presumed lost *)
     let lost = Hashtbl.fold (fun seq _ acc -> seq :: acc) t.outstanding [] in
     let lost = List.sort Int.compare lost in
@@ -405,14 +461,6 @@ let check_rto t =
         inflight_bytes = 0; kind = `Timeout };
     try_send t
   end
-
-(* a completed [Finite] transfer with nothing in flight and nothing to
-   resend has no RTO to check and nothing to send: its tick would reschedule
-   itself until the run ends *)
-let finished t =
-  Option.is_some t.completion_time
-  && Hashtbl.length t.outstanding = 0
-  && not (data_available t)
 
 let tick_loop t =
   if t.active && not (finished t) then begin
@@ -433,6 +481,20 @@ let tick_loop t =
     Engine.schedule_in t.engine (Time.secs t.tick_interval) t.tick
   end
 
+(* The RTO deadline timer of a tickless flow.  An earlier arming may have
+   left a stale timer behind: only the first timer at the armed instant
+   acts. *)
+let rto_timer t =
+  let now = now_secs t in
+  if Float.equal now t.rto_at then begin
+    Nimbus_trace.Span.enter Nimbus_trace.Span.Flow_tick;
+    if t.active && not (finished t) then begin
+      check_rto t;
+      arm_rto t ~from:now
+    end;
+    Nimbus_trace.Span.leave Nimbus_trace.Span.Flow_tick
+  end
+
 let create_via topo ~route ~cc ~prop_rtt ?(source = Backlogged) ?start
     ?on_complete ?(tick_interval = Time.ms 10.) () =
   let engine = Topology.engine topo in
@@ -440,23 +502,32 @@ let create_via topo ~route ~cc ~prop_rtt ?(source = Backlogged) ?start
   let tick_interval = Time.to_secs tick_interval in
   if not (Float.is_finite prop_rtt) || prop_rtt < 0. then
     invalid_arg "Flow.create_via: prop_rtt must be finite and >= 0";
+  if not (Float.is_finite tick_interval) || tick_interval <= 0. then
+    invalid_arg "Flow.create_via: tick_interval must be finite and > 0";
   let flow_id = Engine.fresh_flow_id engine in
   let start_time =
     match start with
     | Some s -> Time.to_secs s
     | None -> Time.to_secs (Engine.now engine)
   in
+  let tickless =
+    Option.is_none cc.Cc_types.on_tick
+    && Option.is_none (cc.Cc_types.pacing_rate ())
+    && (match source with App_limited -> false | Backlogged | Finite _ -> true)
+  in
   let t =
     { engine; enqueue = ignore; tick = ignore; pace = ignore; cc; flow_id;
       fwd_delay = prop_rtt *. fwd_frac;
       rev_delay = prop_rtt *. (1. -. fwd_frac);
       source; on_complete; tick_interval; start_time;
+      rto_at = start_time; rto_prev = (if tickless then start_time else nan);
+      rto_base = start_time;
       next_seq = 0; outstanding = Hashtbl.create 64;
       send_order = Queue.create (); retx_queue = Queue.create ();
       inflight_bytes = 0; highest_acked = -1; supplied_bytes = 0;
       sent_app_bytes = 0; acked_bytes = 0; recv_bytes = 0; losses = 0;
       srtt = nan; min_rtt = nan; last_rtt = nan; last_progress = start_time;
-      acked_sent_at = Float.Array.create 0; acked_at = Float.Array.create 0;
+      acked_sent_at = empty_floats; acked_at = empty_floats;
       acked_cum_bytes = [||]; acked_head = 0; acked_count = 0;
       send_rate = nan; recv_rate = nan;
       pacing_scheduled = false; pace_credit = 0.; last_pace_at = start_time;
@@ -466,9 +537,18 @@ let create_via topo ~route ~cc ~prop_rtt ?(source = Backlogged) ?start
   t.enqueue <-
     Topology.attach topo ~route ~flow:flow_id ~sink:(fun pkt ->
         handle_delivery t pkt);
-  t.tick <- (fun () -> tick_loop t);
   t.pace <- (fun () -> pace_one t);
-  Engine.schedule_at engine (Time.secs start_time) (fun () ->
-      try_send t;
-      Engine.schedule_in engine (Time.secs tick_interval) t.tick);
+  (* each closure captures only [t], to keep a flow's set-up small *)
+  if tickless then begin
+    t.tick <- (fun () -> rto_timer t);
+    Engine.schedule_at engine (Time.secs start_time) (fun () ->
+        try_send t;
+        arm_rto t ~from:t.start_time)
+  end
+  else begin
+    t.tick <- (fun () -> tick_loop t);
+    Engine.schedule_at engine (Time.secs start_time) (fun () ->
+        try_send t;
+        Engine.schedule_in t.engine (Time.secs t.tick_interval) t.tick)
+  end;
   t

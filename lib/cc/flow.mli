@@ -10,6 +10,13 @@
       packets (Eq. 2 of the paper) and report them to the controller on a
       10 ms tick, mirroring the CCP loop.
 
+    Only a flow that needs the tick keeps one: a controller with an
+    [on_tick] hook or a pacing rate, or an [App_limited] source.  An
+    ACK-clocked flow (a window-only controller such as Cubic with a
+    [Backlogged] or [Finite] source) moves only on ACKs and losses; it keeps
+    a single RTO deadline timer instead, which fires on the tick's grid, so
+    a timeout happens at exactly the instant the tick would have found it.
+
     The engine is congestion-control agnostic: all algorithms, including
     Nimbus itself, plug in through {!Cc_types.t}. *)
 
@@ -33,10 +40,12 @@ type t
     @param source defaults to [Backlogged]
     @param start absolute start time (default: now)
     @param on_complete invoked once when a [Finite] source finishes
-    @param tick_interval controller tick period (default 10 ms); a
-           completed [Finite] flow with nothing left in flight stops
-           ticking
-    @raise Invalid_argument if [prop_rtt] is negative or not finite *)
+    @param tick_interval controller tick period (default 10 ms).  For an
+           ACK-clocked flow it only sets the grid [start + k * interval]
+           on which the RTO can fire.  A completed [Finite] flow with
+           nothing left in flight stops its timers.
+    @raise Invalid_argument if [prop_rtt] is negative or not finite, or if
+    [tick_interval] is not finite and positive *)
 val create_via :
   Nimbus_topology.Topology.t ->
   route:Nimbus_topology.Topology.Route.t ->

@@ -66,12 +66,10 @@ let push_seq h ~key ~seq v =
   done
 [@@alloc_free]
 
-(* top_key/top_seq/pop_top are the raw drain-loop primitives: no option or
-   tuple wrapping, so the engine event loop stays allocation-free.  All
-   require a non-empty heap (unchecked: callers test [is_empty] first). *)
+(* top_key/pop_top are the raw primitives: no option or tuple wrapping.
+   Both require a non-empty heap (unchecked: callers test [is_empty]
+   first). *)
 let top_key h = h.keys.(0) [@@alloc_free]
-
-let top_seq h = h.seqs.(0) [@@alloc_free]
 
 let swap h i j =
   let k = h.keys.(i) and s = h.seqs.(i) and v = h.vals.(i) in

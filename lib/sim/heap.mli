@@ -8,9 +8,19 @@
 
     Entries are stored in parallel arrays — a flat (unboxed) float array of
     keys, an int array of sequence numbers, and a value array — so a push
-    allocates nothing beyond the amortized capacity doublings. *)
+    allocates nothing beyond the amortized capacity doublings.
 
-type 'a t
+    The record is [private] so that {!Wheel} can read the minimum entry,
+    [keys.(0)] and [seqs.(0)], in place: a float returned by a call across
+    modules is boxed, and the wheel compares against the heap top on every
+    pop while a far timer is pending. *)
+
+type 'a t = private {
+  mutable keys : float array;  (** heap-ordered; [keys.(0)] is the minimum *)
+  mutable seqs : int array;  (** [seqs.(i)] goes with [keys.(i)] *)
+  mutable vals : 'a array;
+  mutable size : int;  (** live entries, at indices [0 .. size - 1] *)
+}
 
 (** [create ()] is an empty heap. *)
 val create : unit -> 'a t
@@ -27,14 +37,10 @@ val is_empty : 'a t -> bool
     FIFO order across the calendar slots and the overflow heap. *)
 val push_seq : 'a t -> key:float -> seq:int -> 'a -> unit
 
-(** [top_key h] is the minimum key.  The heap must be non-empty (unchecked);
-    it allocates nothing, which is what the engine drain loop needs. *)
+(** [top_key h] is the minimum key.  The heap must be non-empty (unchecked).
+    Called from another module it returns a boxed float, two minor words per
+    call; a hot path reads [h.keys.(0)] instead. *)
 val top_key : 'a t -> float
-
-(** [top_seq h] is the sequence number of the minimum entry (non-empty,
-    unchecked) — {!Wheel} compares it against slot entries to order
-    same-instant events across the two structures. *)
-val top_seq : 'a t -> int
 
 (** [pop_top h] removes and returns the minimum-key value.  The heap must be
     non-empty (unchecked). *)

@@ -54,7 +54,11 @@ type 'a t = {
   mutable level1 : int; (* bit w set iff level0.(w) <> 0 *)
   mutable cur : int; (* absolute slot index of the cursor *)
   mutable wheel_count : int;
-  far : 'a Heap.t; (* events at or beyond the wheel horizon *)
+  (* events at or beyond the wheel horizon.  Its minimum is read in place
+     ([far.keys.(0)], [far.seqs.(0)]), never through [Heap.top_key]: a float
+     returned across modules is boxed, and [locate] compares against the
+     heap top on every pop while a far timer is pending. *)
+  far : 'a Heap.t;
   mutable next_seq : int;
   (* cached location of the global minimum, invalidated by pops: -1 = none,
      0 = wheel (the head of cache_slot), 1 = heap top.  Ints only — a
@@ -80,7 +84,7 @@ let create () =
     cache_slot = 0;
   }
 
-let size t = t.wheel_count + Heap.size t.far
+let size t = t.wheel_count + t.far.Heap.size
 
 let is_empty t = size t = 0
 
@@ -182,8 +186,8 @@ let beats_cache t key seq =
     key < ck || (Float.equal key ck && seq < t.slot_seqs.(p).(h))
   end
   else begin
-    let ck = Heap.top_key t.far in
-    key < ck || (Float.equal key ck && seq < Heap.top_seq t.far)
+    let ck = t.far.Heap.keys.(0) in
+    key < ck || (Float.equal key ck && seq < t.far.Heap.seqs.(0))
   end
 [@@alloc_free]
 
@@ -232,7 +236,7 @@ let push t ~key v =
 [@@alloc_free]
 
 (* Locate the global (key, seq) minimum and cache it.  Requires a non-empty
-   wheel (unchecked, like Heap.top_key). *)
+   wheel (unchecked, like [Heap.top_key]). *)
 let locate t =
   if t.cache_where < 0 then begin
     if t.wheel_count = 0 then t.cache_where <- 1
@@ -242,11 +246,12 @@ let locate t =
       let k = t.slot_keys.(p).(h) in
       (* slot head vs. heap top: all other slots hold larger keys, so this
          comparison decides the global minimum *)
+      let far = t.far in
       if
-        Heap.is_empty t.far
-        || k < Heap.top_key t.far
-        || (Float.equal k (Heap.top_key t.far)
-           && t.slot_seqs.(p).(h) < Heap.top_seq t.far)
+        far.Heap.size = 0
+        || k < far.Heap.keys.(0)
+        || (Float.equal k far.Heap.keys.(0)
+           && t.slot_seqs.(p).(h) < far.Heap.seqs.(0))
       then begin
         t.cache_where <- 0;
         t.cache_slot <- p
@@ -260,13 +265,15 @@ let top_key t =
   locate t;
   if t.cache_where = 0 then
     t.slot_keys.(t.cache_slot).(t.slot_head.(t.cache_slot))
-  else Heap.top_key t.far
+  else t.far.Heap.keys.(0)
 [@@alloc_free]
 
-(* Advance the cursor to the absolute slot of a popped minimum: every
-   remaining entry is >= the minimum, hence lands at or after that slot. *)
-let advance_to_key t key =
-  let s_real = key /. width in
+(* Advance the cursor to the absolute slot of a popped minimum, [keys.(i)]:
+   every remaining entry is >= the minimum, hence lands at or after that
+   slot.  The key is passed as its array and index because a float argument
+   to a call that is not inlined is boxed, two words per pop. *)
+let advance_to_key t (keys : float array) i =
+  let s_real = keys.(i) /. width in
   (* int_of_float is undefined past the int range; a key that far out can
      only come from the heap and needs no cursor movement anyway *)
   if s_real < 4.0e18 then begin
@@ -282,7 +289,7 @@ let pop_top t =
     let h = t.slot_head.(p) and last = t.slot_len.(p) - 1 in
     let vals = t.slot_vals.(p) in
     let v = vals.(h) in
-    advance_to_key t t.slot_keys.(p).(h);
+    advance_to_key t t.slot_keys.(p) h;
     (* drop the popped payload (and whatever it keeps alive) by aliasing a
        live entry, so a drained slot retains at most one value *)
     vals.(h) <- vals.(last);
@@ -297,7 +304,7 @@ let pop_top t =
     v
   end
   else begin
-    advance_to_key t (Heap.top_key t.far);
+    advance_to_key t t.far.Heap.keys 0;
     t.cache_where <- -1;
     Heap.pop_top t.far
   end

@@ -123,8 +123,9 @@ let launch t size =
     | None -> ()
   in
   let flow =
-    (* cross-flows have no tick-driven controller; a coarse tick (RTO checks
-       only) keeps the per-flow overhead low at high arrival rates *)
+    (* a Cubic cross-flow is ACK-clocked, so it keeps no tick, only an RTO
+       deadline timer; [tick_interval] sets that timer's grid, whose 100 ms
+       steps are the instants an RTO can fire at *)
     Flow.create_via t.topo ~route:t.route ~cc:(Cubic.make ())
       ~prop_rtt:(Time.secs prop_rtt) ~source:(Flow.Finite size) ~on_complete
       ~tick_interval:(Time.ms 100.) ()

@@ -214,6 +214,73 @@ let test_rate_pins () =
   Alcotest.(check bool) "acked past two ring lengths" true
     (Flow.acked_bytes f / 1500 > 2 * 2048)
 
+(* Every RTO instant of a dumbbell Cubic flow whose ACKs all drop from 1 s
+   on, pinned bit for bit at two tick intervals: the retransmission timeout
+   fires on the grid start + k * interval, and only there. *)
+let rto_instants ~tick_interval =
+  let e, _, topo, route = make_link () in
+  let timeouts = ref [] in
+  let cubic = Cubic.make () in
+  let cc =
+    { cubic with
+      Cc_types.on_loss =
+        (fun (l : Cc_types.loss) ->
+          if l.kind = `Timeout then
+            timeouts := Int64.bits_of_float (Time.to_secs l.now) :: !timeouts;
+          cubic.Cc_types.on_loss l) }
+  in
+  let f =
+    Flow.create_via topo ~route ~cc ~prop_rtt:rtt50 ~tick_interval ()
+  in
+  Engine.schedule_at e (Time.secs 1.) (fun () ->
+      Flow.apply f (Flow.Control.Ack_loss (Some (fun () -> true))));
+  Engine.run_until e (Time.secs 6.);
+  List.rev !timeouts
+
+let test_rto_instants_pinned () =
+  let hex l = String.concat " " (List.map (Printf.sprintf "0x%LxL") l) in
+  List.iter
+    (fun (ms, expected) ->
+      let got = rto_instants ~tick_interval:(Time.ms ms) in
+      if got <> expected then
+        Alcotest.failf "%g ms tick: RTO instants\n  got      %s\n  expected %s"
+          ms (hex got) (hex expected))
+    (* the 100 ms grid's float steps show: 1.5 s is 0x3ff8000000000000 *)
+    [ ( 10.,
+        [ 0x3ff7ae147ae147b3L; 0x3ffee147ae147ae8L; 0x40030a3d70a3d6fbL;
+          0x4006a3d70a3d707fL; 0x400a3d70a3d70a03L; 0x400dd70a3d70a387L;
+          0x4010b851eb851e86L; 0x4012851eb851eb48L; 0x401451eb851eb80aL;
+          0x40161eb851eb84ccL; 0x4017eb851eb8518eL ] );
+      ( 100.,
+        [ 0x3ff8000000000001L; 0x4000000000000001L; 0x4004000000000002L;
+          0x4008000000000003L; 0x400c000000000004L; 0x4010000000000002L;
+          0x4012000000000000L; 0x4013fffffffffffeL; 0x4015fffffffffffcL;
+          0x4017fffffffffffaL ] ) ]
+
+(* A backlogged Cubic flow moves only on ACKs and losses, so it keeps no
+   10 ms tick: its one timer is the RTO deadline, which fires about once per
+   RTO (0.4 s) while ACKs keep moving the deadline on.  A ticking flow
+   would open ~1000 [Flow_tick] scopes in 10 s. *)
+let test_ack_clocked_flow_does_not_tick () =
+  let module Span = Nimbus_trace.Span in
+  let e, _, topo, route = make_link () in
+  let f = Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt:rtt50 () in
+  Span.reset ();
+  Span.enable ();
+  let ticks =
+    Fun.protect
+      ~finally:(fun () -> Span.disable (); Span.reset ())
+      (fun () ->
+        Engine.run_until e (Time.secs 10.);
+        List.fold_left
+          (fun n (s : Span.stat) ->
+            if s.s_id = Span.Flow_tick then n + s.s_count else n)
+          0 (Span.stats ()))
+  in
+  Alcotest.(check bool) "the flow ran" true (Flow.acked_bytes f > 1_000_000);
+  if ticks = 0 || ticks >= 50 then
+    Alcotest.failf "%d Flow_tick scopes in 10 s (want 1 to 49)" ticks
+
 (* --- individual algorithms ----------------------------------------------- *)
 
 let test_reno_halves_on_loss () =
@@ -455,7 +522,11 @@ let suite =
         Alcotest.test_case "fresh ids" `Quick test_fresh_ids_unique;
         Alcotest.test_case "idle tick allocation" `Quick
           test_idle_tick_allocation;
-        Alcotest.test_case "rate pins" `Quick test_rate_pins ] );
+        Alcotest.test_case "rate pins" `Quick test_rate_pins;
+        Alcotest.test_case "RTO instants pinned" `Quick
+          test_rto_instants_pinned;
+        Alcotest.test_case "ack-clocked flow does not tick" `Quick
+          test_ack_clocked_flow_does_not_tick ] );
     ( "cc.reno",
       [ Alcotest.test_case "halves on loss" `Quick test_reno_halves_on_loss;
         Alcotest.test_case "slow start" `Quick test_reno_slow_start_doubles;

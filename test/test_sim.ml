@@ -48,11 +48,11 @@ let test_heap_top () =
   Heap.push_seq h ~key:2. ~seq:0 ();
   Heap.push_seq h ~key:1. ~seq:1 ();
   Alcotest.(check (float 0.)) "top key" 1. (Heap.top_key h);
-  Alcotest.(check int) "top seq" 1 (Heap.top_seq h);
+  Alcotest.(check int) "top seq" 1 h.Heap.seqs.(0);
   Alcotest.(check int) "size" 2 (Heap.size h);
   Heap.pop_top h;
   Alcotest.(check (float 0.)) "next key" 2. (Heap.top_key h);
-  Alcotest.(check int) "next seq" 0 (Heap.top_seq h);
+  Alcotest.(check int) "next seq" 0 h.Heap.seqs.(0);
   Heap.pop_top h;
   Alcotest.(check bool) "drained" true (Heap.is_empty h)
 
@@ -104,6 +104,26 @@ let test_wheel_fifo_across_spill () =
   Alcotest.(check (list string)) "FIFO across heap and slots" [ "a"; "c"; "d" ]
     [ first; second; third ];
   Alcotest.(check bool) "drained" true (Wheel.is_empty w)
+
+(* With a far timer pending in the overflow heap, every pop compares the
+   slot head against the heap top.  Read through [Heap.top_key], that boxed a
+   float per comparison, and passing the popped key to [advance_to_key] as a
+   float boxed one more; read in place, a pop allocates nothing. *)
+let test_wheel_far_timer_pop_alloc () =
+  let w = Wheel.create () in
+  Wheel.push w ~key:100. ();
+  for _ = 1 to 100 do
+    Wheel.push w ~key:1e-3 ();
+    Wheel.pop_top w
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    Wheel.push w ~key:1e-3 ();
+    Wheel.pop_top w
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10k push/pop" 0. words;
+  Alcotest.(check int) "the far timer is still pending" 1 (Wheel.size w)
 
 let test_wheel_wraparound () =
   (* interleaved push/pop walking far past nslots * width: the physical
@@ -508,6 +528,8 @@ let suite =
         Alcotest.test_case "fifo across spill" `Quick
           test_wheel_fifo_across_spill;
         Alcotest.test_case "wraparound" `Quick test_wheel_wraparound;
+        Alcotest.test_case "far timer pop allocates nothing" `Quick
+          test_wheel_far_timer_pop_alloc;
         Alcotest.test_case "same-instant burst" `Quick
           test_wheel_same_instant_burst;
         qtest prop_wheel_matches_heap;
