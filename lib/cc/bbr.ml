@@ -111,10 +111,10 @@ let pacing_gain t =
   | Probe_rtt _ -> 1.
 
 let on_ack t (a : Cc_types.ack) =
-  let now = Time.to_secs a.now in
-  t.srtt <- Time.to_secs a.srtt;
+  let now = Time.to_secs a.times.now in
+  t.srtt <- Time.to_secs a.times.srtt;
   t.inflight <- a.inflight_bytes;
-  Queue.push (now, Time.to_secs a.rtt) t.rtt_samples;
+  Queue.push (now, Time.to_secs a.times.rtt) t.rtt_samples;
   update_filters t now;
   advance t now
 

@@ -1,12 +1,16 @@
+type ack_times = {
+  mutable now : Units.Time.t;
+  mutable rtt : Units.Time.t;
+  mutable min_rtt : Units.Time.t;
+  mutable srtt : Units.Time.t;
+}
+
 type ack = {
-  now : Units.Time.t;
-  seq : int;
+  times : ack_times;
+  mutable seq : int;
   bytes : int;
-  rtt : Units.Time.t;
-  min_rtt : Units.Time.t;
-  srtt : Units.Time.t;
-  inflight_bytes : int;
-  delivered_bytes : int;
+  mutable inflight_bytes : int;
+  mutable delivered_bytes : int;
 }
 
 type loss = {

@@ -10,16 +10,26 @@
     or feed a window where a rate is expected. "Not yet measured" is
     [Time.unknown] / [Rate.unknown] (NaN), as in the rest of the system. *)
 
-(** Event delivered for every acknowledged packet. *)
+(** The time fields of an {!ack}: a record of floats only, which OCaml
+    stores unboxed, so refilling it for every ACK allocates nothing. *)
+type ack_times = {
+  mutable now : Units.Time.t;
+  mutable rtt : Units.Time.t;
+      (** latest sample: from this packet unless it was a retransmission
+          (Karn's rule), then the previous one *)
+  mutable min_rtt : Units.Time.t;  (** minimum observed so far *)
+  mutable srtt : Units.Time.t;  (** smoothed RTT *)
+}
+
+(** Event delivered for every acknowledged packet.  A flow refills one
+    record for each of its ACKs, so a controller reads the fields during
+    [on_ack] and must not keep the record itself. *)
 type ack = {
-  now : Units.Time.t;
-  seq : int;  (** sequence number of the acked packet *)
+  times : ack_times;
+  mutable seq : int;  (** sequence number of the acked packet *)
   bytes : int;  (** payload bytes acknowledged *)
-  rtt : Units.Time.t;  (** sample from this packet *)
-  min_rtt : Units.Time.t;  (** minimum observed so far *)
-  srtt : Units.Time.t;  (** smoothed RTT *)
-  inflight_bytes : int;  (** after this ack *)
-  delivered_bytes : int;  (** cumulative *)
+  mutable inflight_bytes : int;  (** after this ack *)
+  mutable delivered_bytes : int;  (** cumulative *)
 }
 
 (** Loss signal. [`Dupack] approximates fast retransmit; [`Timeout] is an RTO

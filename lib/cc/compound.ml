@@ -28,15 +28,15 @@ let make () =
   in
   let window () = s.lwnd +. s.dwnd in
   let on_ack (a : Cc_types.ack) =
-    let now = Time.to_secs a.now in
-    s.srtt <- Time.to_secs a.srtt;
+    let now = Time.to_secs a.times.now in
+    s.srtt <- Time.to_secs a.times.srtt;
     let win = window () in
     if s.lwnd < s.ssthresh then s.lwnd <- s.lwnd +. float_of_int a.bytes
     else s.lwnd <- s.lwnd +. (mss *. float_of_int a.bytes /. win);
     if now >= s.next_update then begin
       s.next_update <- now +. s.srtt;
       let rtt = Float.max s.srtt 1e-4 in
-      let base = Float.max (Time.to_secs a.min_rtt) 1e-4 in
+      let base = Float.max (Time.to_secs a.times.min_rtt) 1e-4 in
       let diff_segments = win *. (1. -. (base /. rtt)) /. mss in
       if diff_segments < gamma then begin
         let win_segments = win /. mss in

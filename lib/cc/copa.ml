@@ -98,9 +98,9 @@ let update_mode t now =
   end
 
 let on_ack t (a : Cc_types.ack) =
-  let now = Time.to_secs a.now in
-  t.srtt <- Time.to_secs a.srtt;
-  Queue.push { at = now; rtt = Time.to_secs a.rtt } t.samples;
+  let now = Time.to_secs a.times.now in
+  t.srtt <- Time.to_secs a.times.srtt;
+  Queue.push { at = now; rtt = Time.to_secs a.times.rtt } t.samples;
   let rtt_min, rtt_max, standing = rtt_stats t now in
   let dq = standing -. rtt_min in
   let max_dq = rtt_max -. rtt_min in

@@ -9,55 +9,63 @@ let c = 0.4
 
 let beta = 0.7
 
-type t = {
-  mutable cwnd : float; (* bytes *)
+(* [cwnd] is read across the module boundary on every send ([cc.cwnd ()]),
+   so it stays a boxed field that a read returns as is.  The rest is
+   written per ACK and read rarely, so it lives in a record of floats
+   only, which stores unboxed (DESIGN.md §13, the [-opaque] rule). *)
+type state = {
   mutable w_max : float; (* bytes *)
   mutable ssthresh : float; (* bytes *)
-  mutable epoch_start : float option;
+  mutable epoch_start : float; (* NaN until the epoch starts *)
   mutable k : float;
   mutable origin : float; (* bytes *)
   mutable recovery_until : float;
   mutable srtt : float;
 }
 
+type t = {
+  mutable cwnd : float; (* bytes *)
+  s : state;
+}
+
 let create () =
   { cwnd = mss *. float_of_int initial_cwnd;
-    w_max = 0.; ssthresh = infinity; epoch_start = None; k = 0.; origin = 0.;
-    recovery_until = neg_infinity; srtt = 0.1 }
+    s =
+      { w_max = 0.; ssthresh = infinity; epoch_start = nan; k = 0.;
+        origin = 0.; recovery_until = neg_infinity; srtt = 0.1 } }
 
 let cwnd_bytes t = B.bytes t.cwnd
 
 let reset_cwnd t bytes =
   t.cwnd <- Float.max (2. *. mss) (B.to_float bytes);
-  t.w_max <- t.cwnd;
-  t.ssthresh <- t.cwnd;
-  t.epoch_start <- None
+  t.s.w_max <- t.cwnd;
+  t.s.ssthresh <- t.cwnd;
+  t.s.epoch_start <- nan
 
 let cbrt x = if x < 0. then -.((-.x) ** (1. /. 3.)) else x ** (1. /. 3.)
 
 let on_ack t (a : Cc_types.ack) =
-  let srtt = Time.to_secs a.srtt in
-  t.srtt <- srtt;
-  if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. float_of_int a.bytes
+  let s = t.s in
+  let srtt = Time.to_secs a.times.srtt in
+  s.srtt <- srtt;
+  if t.cwnd < s.ssthresh then t.cwnd <- t.cwnd +. float_of_int a.bytes
   else begin
-    let now = Time.to_secs a.now in
-    (match t.epoch_start with
-    | Some _ -> ()
-    | None ->
-      t.epoch_start <- Some now;
-      if t.cwnd < t.w_max then begin
-        t.k <- cbrt ((t.w_max -. t.cwnd) /. (mss *. c));
-        t.origin <- t.w_max
+    let now = Time.to_secs a.times.now in
+    if Float.is_nan s.epoch_start then begin
+      s.epoch_start <- now;
+      if t.cwnd < s.w_max then begin
+        s.k <- cbrt ((s.w_max -. t.cwnd) /. (mss *. c));
+        s.origin <- s.w_max
       end
       else begin
-        t.k <- 0.;
-        t.origin <- t.cwnd
-      end);
-    let epoch = Option.get t.epoch_start in
+        s.k <- 0.;
+        s.origin <- t.cwnd
+      end
+    end;
     (* target window one RTT in the future, per the Linux implementation *)
-    let time = now -. epoch +. srtt in
-    let dt = time -. t.k in
-    let target = t.origin +. (c *. dt *. dt *. dt *. mss) in
+    let time = now -. s.epoch_start +. srtt in
+    let dt = time -. s.k in
+    let target = s.origin +. (c *. dt *. dt *. dt *. mss) in
     if target > t.cwnd then
       t.cwnd <-
         t.cwnd +. ((target -. t.cwnd) *. float_of_int a.bytes /. t.cwnd)
@@ -67,30 +75,31 @@ let on_ack t (a : Cc_types.ack) =
     (* TCP-friendly region *)
     let rtt = Float.max srtt 1e-4 in
     let w_est =
-      (t.w_max *. beta)
+      (s.w_max *. beta)
       +. (3. *. (1. -. beta) /. (1. +. beta) *. (time /. rtt) *. mss)
     in
     if w_est > t.cwnd then t.cwnd <- w_est
   end
 
 let on_loss t (l : Cc_types.loss) =
+  let s = t.s in
   let now = Time.to_secs l.now in
   match l.kind with
   | `Timeout ->
-    t.w_max <- t.cwnd;
-    t.ssthresh <- Float.max (t.cwnd *. beta) (2. *. mss);
+    s.w_max <- t.cwnd;
+    s.ssthresh <- Float.max (t.cwnd *. beta) (2. *. mss);
     t.cwnd <- 2. *. mss;
-    t.epoch_start <- None;
-    t.recovery_until <- now +. t.srtt
+    s.epoch_start <- nan;
+    s.recovery_until <- now +. s.srtt
   | `Dupack ->
-    if now > t.recovery_until then begin
+    if now > s.recovery_until then begin
       (* fast convergence *)
-      t.w_max <-
-        (if t.cwnd < t.w_max then t.cwnd *. (1. +. beta) /. 2. else t.cwnd);
+      s.w_max <-
+        (if t.cwnd < s.w_max then t.cwnd *. (1. +. beta) /. 2. else t.cwnd);
       t.cwnd <- Float.max (t.cwnd *. beta) (2. *. mss);
-      t.ssthresh <- t.cwnd;
-      t.epoch_start <- None;
-      t.recovery_until <- now +. t.srtt
+      s.ssthresh <- t.cwnd;
+      s.epoch_start <- nan;
+      s.recovery_until <- now +. s.srtt
     end
 
 let cc t =

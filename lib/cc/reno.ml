@@ -19,7 +19,7 @@ let create () =
 let cwnd_bytes t = B.bytes t.cwnd
 
 let on_ack t (a : Cc_types.ack) =
-  t.srtt <- Time.to_secs a.srtt;
+  t.srtt <- Time.to_secs a.times.srtt;
   if t.cwnd < t.ssthresh then t.cwnd <- t.cwnd +. float_of_int a.bytes
   else t.cwnd <- t.cwnd +. (mss *. float_of_int a.bytes /. t.cwnd)
 

@@ -25,15 +25,15 @@ let create () =
     in_slow_start = true; ss_grow_toggle = false; last_cut = neg_infinity }
 
 let on_ack t (a : Cc_types.ack) =
-  let now = Time.to_secs a.now in
-  let srtt = Time.to_secs a.srtt in
+  let now = Time.to_secs a.times.now in
+  let srtt = Time.to_secs a.times.srtt in
   (* slow start doubles every other RTT *)
   if t.in_slow_start && t.ss_grow_toggle then
     t.cwnd <- t.cwnd +. float_of_int a.bytes;
   if now >= t.next_update then begin
     t.next_update <- now +. srtt;
     let rtt = Float.max srtt 1e-4 in
-    let base = Float.max (Time.to_secs a.min_rtt) 1e-4 in
+    let base = Float.max (Time.to_secs a.times.min_rtt) 1e-4 in
     let diff_segments = t.cwnd *. (1. -. (base /. rtt)) /. mss in
     if t.in_slow_start then begin
       t.ss_grow_toggle <- not t.ss_grow_toggle;

@@ -152,10 +152,10 @@ let on_tick t (tk : Cc_types.tick) =
   else t.current <- fresh_mi ~now:(Time.to_secs tk.now) ~sign:1.
 
 let on_ack t (a : Cc_types.ack) =
-  let rtt = Time.to_secs a.rtt in
-  t.srtt <- Time.to_secs a.srtt;
+  let rtt = Time.to_secs a.times.rtt in
+  t.srtt <- Time.to_secs a.times.srtt;
   t.started <- true;
-  let sent_at = Time.to_secs a.now -. rtt in
+  let sent_at = Time.to_secs a.times.now -. rtt in
   match find_mi t sent_at with
   | None -> ()
   | Some m ->

@@ -56,25 +56,29 @@ let event_time = function
   | Ack_loss_off at ->
     at
 
+(* the shortest of 15 or 17 significant digits that reads back as [x], so
+   that a printed plan parses to the same numbers *)
+let num x =
+  let s = Printf.sprintf "%.15g" x in
+  if Float.equal (float_of_string s) x then s else Printf.sprintf "%.17g" x
+
 let to_string plan =
-  let f = Printf.sprintf in
+  let f = Printf.sprintf and secs t = num (Time.to_secs t) in
+  let ms t = num (Time.to_ms t) in
   let clause = function
     | Burst_loss { at; p_enter; p_exit; loss_good; loss_bad } ->
-      f "burst@%g:%g/%g/%g/%g" (Time.to_secs at) p_enter p_exit loss_good
-        loss_bad
-    | Loss_off at -> f "lossoff@%g" (Time.to_secs at)
+      f "burst@%s:%s/%s/%s/%s" (secs at) (num p_enter) (num p_exit)
+        (num loss_good) (num loss_bad)
+    | Loss_off at -> f "lossoff@%s" (secs at)
     | Rate_step { at; rate } ->
-      f "step@%g:%g" (Time.to_secs at) (Rate.to_mbps rate)
-    | Outage { at; duration } ->
-      f "flap@%g:%g" (Time.to_secs at) (Time.to_secs duration)
-    | Delay_step { at; extra } ->
-      f "delay@%g:%g" (Time.to_secs at) (Time.to_ms extra)
+      f "step@%s:%s" (secs at) (num (Rate.to_mbps rate))
+    | Outage { at; duration } -> f "flap@%s:%s" (secs at) (secs duration)
+    | Delay_step { at; extra } -> f "delay@%s:%s" (secs at) (ms extra)
     | Delay_jitter { at; until; amp; period } ->
-      f "jitter@%g-%g:%g/%g" (Time.to_secs at) (Time.to_secs until)
-        (Time.to_ms amp) (Time.to_ms period)
-    | Ack_loss { at; p } -> f "acks@%g:%g" (Time.to_secs at) p
-    | Ack_loss_off at -> f "acksoff@%g" (Time.to_secs at)
-    | Kill_flow { at; index } -> f "kill@%g:%d" (Time.to_secs at) index
+      f "jitter@%s-%s:%s/%s" (secs at) (secs until) (ms amp) (ms period)
+    | Ack_loss { at; p } -> f "acks@%s:%s" (secs at) (num p)
+    | Ack_loss_off at -> f "acksoff@%s" (secs at)
+    | Kill_flow { at; index } -> f "kill@%s:%d" (secs at) index
   in
   String.concat ";" (List.map clause plan)
 
@@ -98,6 +102,20 @@ let nonneg_param clause s =
   if v < 0. then Error (Printf.sprintf "fault clause %S: negative value" clause)
   else Ok v
 
+(* [T] or [T0-T1]: the first '-' that is not a leading sign or an
+   exponent's sign ends [T0] *)
+let split_span s =
+  let n = String.length s in
+  let rec find i =
+    if i >= n then None
+    else if s.[i] = '-' && i > 0 && s.[i - 1] <> 'e' && s.[i - 1] <> 'E' then
+      Some i
+    else find (i + 1)
+  in
+  match find 0 with
+  | None -> (s, None)
+  | Some i -> (String.sub s 0 i, Some (String.sub s (i + 1) (n - i - 1)))
+
 let parse_clause clause =
   let clause = String.trim clause in
   let* kind, rest =
@@ -116,28 +134,39 @@ let parse_clause clause =
           (String.sub rest (i + 1) (String.length rest - i - 1)) )
     | None -> (rest, [])
   in
-  let* at =
-    match String.index_opt time_part '-' with
-    | Some _ -> nonneg_param clause (List.hd (String.split_on_char '-' time_part))
-    | None -> nonneg_param clause time_part
-  in
+  let lo, hi = split_span time_part in
+  let* at = nonneg_param clause lo in
+  (* only [jitter] takes a span; every other kind is one instant *)
   let span () =
-    match String.split_on_char '-' time_part with
-    | [ _; hi ] ->
+    match hi with
+    | Some hi ->
       let* hi = nonneg_param clause hi in
       if hi <= at then
         Error (Printf.sprintf "fault clause %S: empty time span" clause)
       else Ok hi
-    | _ -> Error (Printf.sprintf "fault clause %S: expected TIME-TIME" clause)
+    | None -> Error (Printf.sprintf "fault clause %S: expected TIME-TIME" clause)
   in
-  let arity n =
+  let count n =
     if List.length params = n then Ok ()
     else
       Error
         (Printf.sprintf "fault clause %S: expected %d parameter(s)" clause n)
   in
+  let instant () =
+    match hi with
+    | None -> Ok ()
+    | Some _ ->
+      Error
+        (Printf.sprintf "fault clause %S: %s takes one instant, not a span"
+           clause kind)
+  in
+  let arity n =
+    let* () = instant () in
+    count n
+  in
   match kind with
   | "burst" ->
+    let* () = instant () in
     let* probs =
       match params with
       | [ pe; px; lb ] -> Ok (pe, px, "0", lb)
@@ -171,8 +200,8 @@ let parse_clause clause =
     let* ms = float_param clause (List.nth params 0) in
     Ok (Delay_step { at = Time.secs at; extra = Time.ms ms })
   | "jitter" ->
-    let* () = arity 2 in
     let* until = span () in
+    let* () = count 2 in
     let* amp_ms = nonneg_param clause (List.nth params 0) in
     let* period_ms = nonneg_param clause (List.nth params 1) in
     if period_ms <= 0. then

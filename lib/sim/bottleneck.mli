@@ -40,10 +40,14 @@ end
 val create : Engine.t -> Config.t -> t
 
 (** [set_sink t ~flow f] registers the delivery callback for [flow]'s packets
-    (invoked when a packet finishes serialisation at the link head). *)
+    (invoked when a packet finishes serialisation at the link head).  Sinks
+    are kept in an array indexed by flow id, which an engine hands out
+    densely from 0.
+    @raise Invalid_argument if [flow] is negative. *)
 val set_sink : t -> flow:int -> (Packet.t -> unit) -> unit
 
-(** [enqueue t pkt] submits [pkt]; it is either queued or dropped. *)
+(** [enqueue t pkt] submits [pkt]; it is either queued or dropped.
+    @raise Invalid_argument if [pkt.flow] is negative. *)
 val enqueue : t -> Packet.t -> unit
 
 (** Fault hooks (driven by [lib/faults]) *)

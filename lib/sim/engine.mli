@@ -1,10 +1,12 @@
 (** Discrete-event simulation engine.
 
-    A single mutable clock plus an event queue of thunks — a calendar-queue
-    {!Wheel} (O(1) near-future pushes, heap spill for far timers, FIFO order
-    among equal timestamps). All network elements, congestion controllers,
-    and traffic sources advance by scheduling callbacks on the shared
-    engine.
+    A single mutable clock plus an event queue — a calendar-queue {!Wheel}
+    (O(1) near-future pushes, heap spill for far timers, FIFO order among
+    equal timestamps). All network elements, congestion controllers, and
+    traffic sources advance by scheduling callbacks on the shared engine:
+    thunks, or packet legs ({!schedule_pkt_in}) that apply a handler built
+    once to a packet, so that moving a packet builds no closure.  Queued
+    events sit in recycled cells, and the drain loop allocates nothing.
 
     All clock readings and delays are {!Units.Time.t} — the engine is the
     root of the time dimension, so a hertz or Mbit/s value can never reach
@@ -44,8 +46,14 @@ val trace : t -> Nimbus_trace.Trace.t
     flows, and therefore their traces, identically. *)
 val fresh_flow_id : t -> int
 
-(** [now t] is the current simulated time. *)
+(** [now t] is the current simulated time.  The result is boxed at most
+    once per event and shared by every caller until the clock moves. *)
 val now : t -> Units.Time.t
+
+(** [clock t] is a one-slot array whose slot 0 holds the current time in
+    seconds.  Hot readers in other modules keep it and read it in place,
+    which boxes nothing; it must not be written. *)
+val clock : t -> Float.Array.t
 
 (** [schedule_at t time f] runs [f] when the clock reaches [time]. Scheduling
     in the past — or at a NaN/infinite time, which would silently corrupt the
@@ -55,6 +63,13 @@ val schedule_at : t -> Units.Time.t -> (unit -> unit) -> unit
 (** [schedule_in t delay f] runs [f] after [delay] ([delay >= Time.zero] and
     finite; NaN/infinite delays raise [Invalid_argument]). *)
 val schedule_in : t -> Units.Time.t -> (unit -> unit) -> unit
+
+(** [schedule_pkt_in t delay h pkt] runs [h pkt] after [delay], with the
+    same validation and the same place in the event order as
+    [schedule_in t delay (fun () -> h pkt)], but without building that
+    closure: a handler made once carries every packet. *)
+val schedule_pkt_in :
+  t -> Units.Time.t -> (Packet.t -> unit) -> Packet.t -> unit
 
 (** [every t ~dt ?start ?until f] runs [f] at [start] (default: [now + dt])
     and every [dt] thereafter, stopping after [until] when given. *)

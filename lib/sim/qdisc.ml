@@ -43,6 +43,8 @@ let pie ?(ecn = false) ~capacity_bytes ~target_delay ~link_rate ~rng () =
 
 let capacity_bytes t = t.capacity_bytes
 
+let reads_clock t = match t.kind with Droptail -> false | Pie _ -> true
+
 let pie_update_interval = 0.015
 
 let pie_alpha = 0.125

@@ -47,5 +47,9 @@ val capacity_bytes : t -> int
 val decide :
   t -> now:Units.Time.t -> qlen_bytes:int -> pkt_size:int -> decision
 
+(** [reads_clock t] holds when {!decide} reads its [~now] argument: PIE
+    does, drop-tail does not, so a caller can skip boxing the clock. *)
+val reads_clock : t -> bool
+
 (** [name t] is ["droptail"] or ["pie"]. *)
 val name : t -> string

@@ -1,19 +1,30 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives in 8 bytes rather than a [mutable int64] field:
+   every store of an [int64] into a record field boxes it (3 words per
+   draw), while [Bytes.get/set_int64_ne] read and write it in place.
+   [bits], [mix] and [uniform] are inlined, so a draw through [uniform],
+   [bool] or [exponential] keeps the state unboxed end to end. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let bits t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let create seed = of_state (mix (Int64.of_int seed))
 
-let split t = { state = bits t }
+let[@inline] bits t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
+
+let split t = of_state (bits t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
@@ -22,7 +33,7 @@ let int t bound =
   r mod bound
 
 (* 53 random mantissa bits -> [0, 1) *)
-let uniform t =
+let[@inline] uniform t =
   let r = Int64.shift_right_logical (bits t) 11 in
   Int64.to_float r *. 0x1.0p-53
 

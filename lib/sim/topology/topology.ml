@@ -12,7 +12,7 @@ type link = {
   src : node;
   dst : node;
   bn : Bottleneck.t;
-  prop_delay : float; (* seconds; the typed boundary is the .mli *)
+  prop_delay : Time.t; (* boxed once: every forwarding event passes it *)
 }
 
 type t = {
@@ -87,7 +87,7 @@ let add_link t ~src ~dst (c : Link.Config.t) =
   if not (Float.is_finite prop) || prop < 0. then
     invalid_arg "Topology.add_link: prop_delay must be finite and >= 0";
   let bn = Bottleneck.create t.engine c.bottleneck in
-  let l = { src; dst; bn; prop_delay = prop } in
+  let l = { src; dst; bn; prop_delay = c.prop_delay } in
   t.links_rev <- l :: t.links_rev;
   l
 
@@ -96,18 +96,6 @@ let links t = List.rev t.links_rev
 let link_label l = l.src.name ^ "->" ^ l.dst.name
 
 let link_bottleneck l = l.bn
-
-(* Run [k pkt] once the packet has crossed [l]'s propagation delay.  A
-   zero-delay link forwards with a direct call — no scheduled event — which
-   is what keeps the degenerate dumbbell's pinned trace unchanged. *)
-let after_prop t (l : link) k (pkt : Packet.t) =
-  if l.prop_delay <= 0. then k pkt
-  else begin
-    t.in_transit <- t.in_transit + 1;
-    Engine.schedule_in t.engine (Time.secs l.prop_delay) (fun () ->
-        t.in_transit <- t.in_transit - 1;
-        k pkt)
-  end
 
 let attach t ~route ~flow ~sink =
   let rl = Route.links route in
@@ -129,7 +117,24 @@ let attach t ~route ~flow ~sink =
             t.completed <- t.completed + 1;
             sink pkt
       in
-      Bottleneck.set_sink l.bn ~flow (fun pkt -> after_prop t l arrive pkt))
+      (* [arrive] runs once the packet has crossed [l]'s propagation
+         delay, through one [landed] handler per (link, flow).  A
+         zero-delay link forwards with a direct call — no scheduled event —
+         which is what keeps the degenerate dumbbell's pinned trace
+         unchanged. *)
+      let crossed =
+        if (l.prop_delay :> float) <= 0. then arrive
+        else begin
+          let landed pkt =
+            t.in_transit <- t.in_transit - 1;
+            arrive pkt
+          in
+          fun pkt ->
+            t.in_transit <- t.in_transit + 1;
+            Engine.schedule_pkt_in t.engine l.prop_delay landed pkt
+        end
+      in
+      Bottleneck.set_sink l.bn ~flow crossed)
     rl;
   let first = List.hd rl in
   fun (pkt : Packet.t) ->

@@ -65,6 +65,10 @@ type 'a t = {
      mutable float field in this mixed record would box on every write. *)
   mutable cache_where : int;
   mutable cache_slot : int;
+  (* one-slot key register: {!push_reg} reads its key here and
+     {!load_top_key} writes the minimum here, so no key crosses a module
+     boundary as a boxed float argument or result *)
+  reg : Float.Array.t;
 }
 
 let create () =
@@ -82,7 +86,10 @@ let create () =
     next_seq = 0;
     cache_where = -1;
     cache_slot = 0;
+    reg = Float.Array.make 1 0.;
   }
+
+let key_reg t = t.reg
 
 let size t = t.wheel_count + t.far.Heap.size
 
@@ -177,8 +184,9 @@ let make_room t p ~key ~seq v =
   t.slot_head.(p) <- 0;
   t.slot_len.(p) <- live
 
-(* Is (key, seq) strictly before the cached global minimum? *)
-let beats_cache t key seq =
+(* Is (key, seq) strictly before the cached global minimum?  Inlined: [key]
+   is an unboxed local of [push_reg], and a call would box it. *)
+let[@inline] beats_cache t key seq =
   if t.cache_where = 0 then begin
     let p = t.cache_slot in
     let h = t.slot_head.(p) in
@@ -191,7 +199,8 @@ let beats_cache t key seq =
   end
 [@@alloc_free]
 
-let push t ~key v =
+let push_reg t v =
+  let key = Float.Array.unsafe_get t.reg 0 in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   if key /. width -. float_of_int t.cur >= float_of_int nslots then begin
@@ -235,6 +244,11 @@ let push t ~key v =
   end
 [@@alloc_free]
 
+let push t ~key v =
+  Float.Array.unsafe_set t.reg 0 key;
+  push_reg t v
+[@@alloc_free]
+
 (* Locate the global (key, seq) minimum and cache it.  Requires a non-empty
    wheel (unchecked, like [Heap.top_key]). *)
 let locate t =
@@ -261,11 +275,17 @@ let locate t =
   end
 [@@alloc_free]
 
-let top_key t =
+let load_top_key t =
   locate t;
-  if t.cache_where = 0 then
-    t.slot_keys.(t.cache_slot).(t.slot_head.(t.cache_slot))
-  else t.far.Heap.keys.(0)
+  Float.Array.unsafe_set t.reg 0
+    (if t.cache_where = 0 then
+       t.slot_keys.(t.cache_slot).(t.slot_head.(t.cache_slot))
+     else t.far.Heap.keys.(0))
+[@@alloc_free]
+
+let top_key t =
+  load_top_key t;
+  Float.Array.unsafe_get t.reg 0
 [@@alloc_free]
 
 (* Advance the cursor to the absolute slot of a popped minimum, [keys.(i)]:

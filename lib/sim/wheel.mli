@@ -36,8 +36,22 @@ val is_empty : 'a t -> bool
 val push : 'a t -> key:float -> 'a -> unit
 
 (** [top_key t] is the minimum key.  The queue must be non-empty
-    (unchecked, like {!Heap.top_key}); allocates nothing. *)
+    (unchecked, like {!Heap.top_key}).  Called from another module it
+    returns a boxed float; a hot caller uses {!load_top_key}. *)
 val top_key : 'a t -> float
+
+(** [key_reg t] is the queue's one-slot key register, through which
+    {!push_reg} and {!load_top_key} pass keys unboxed: a float argument or
+    result of a call across modules is boxed, two words per event. *)
+val key_reg : 'a t -> Float.Array.t
+
+(** [push_reg t v] is [push t ~key v] with [key] read from slot 0 of
+    {!key_reg}. *)
+val push_reg : 'a t -> 'a -> unit
+
+(** [load_top_key t] writes the minimum key into slot 0 of {!key_reg}.
+    The queue must be non-empty (unchecked). *)
+val load_top_key : 'a t -> unit
 
 (** [pop_top t] removes and returns the value with the minimum
     (key, sequence).  The queue must be non-empty (unchecked). *)

@@ -18,6 +18,8 @@ type t = {
   flow_id : int;
   mutable rate : float;
   mutable seq : int;
+  (* the next send, built once; mutable only because it closes over [t] *)
+  mutable step : unit -> unit;
 }
 
 let pkt_size = 1500
@@ -41,17 +43,16 @@ let interval t =
   | Cbr -> bits /. t.rate
   | Poisson rng -> Rng.exponential rng ~mean:(bits /. t.rate)
 
-let rec step t =
-  let now = Engine.now t.engine in
+let step t =
   if t.rate > 0. then begin
-    let pkt = Packet.make ~flow:t.flow_id ~seq:t.seq ~size:pkt_size ~now () in
+    t.enqueue { Packet.flow = t.flow_id; seq = t.seq; size = pkt_size;
+                ecn = false };
     t.seq <- t.seq + 1;
-    t.enqueue pkt;
-    Engine.schedule_in t.engine (Time.secs (interval t)) (fun () -> step t)
+    Engine.schedule_in t.engine (Time.secs (interval t)) t.step
   end
   else
     (* paused: poll for a rate change *)
-    Engine.schedule_in t.engine (Time.ms 10.) (fun () -> step t)
+    Engine.schedule_in t.engine (Time.ms 10.) t.step
 
 (* Packets traverse every hop of [route] and are dropped on the floor after
    the last one (open-loop traffic has no receiver), while still counting
@@ -63,10 +64,11 @@ let make topo ~route kind ~rate ~start =
   let flow_id = Engine.fresh_flow_id engine in
   let t =
     { engine; enqueue = Topology.attach topo ~route ~flow:flow_id ~sink:ignore;
-      kind; flow_id; rate; seq = 0 }
+      kind; flow_id; rate; seq = 0; step = ignore }
   in
+  t.step <- (fun () -> step t);
   let start = match start with Some s -> s | None -> Engine.now engine in
-  Engine.schedule_at engine start (fun () -> step t);
+  Engine.schedule_at engine start t.step;
   t
 
 let poisson_via topo ~route ~rng ~rate ?start () =

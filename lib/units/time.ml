@@ -1,7 +1,6 @@
 type t = float
 
-let secs x = x
-[@@unit_ctor "time"]
+external secs : float -> t = "%identity"
 
 let ms x = x *. 1e-3
 [@@unit_ctor "time"]
@@ -9,17 +8,14 @@ let ms x = x *. 1e-3
 let us x = x *. 1e-6
 [@@unit_ctor "time"]
 
-let of_float x = x
-[@@unit_ctor "time"]
+external of_float : float -> t = "%identity"
 
-let to_secs x = x
-[@@unit_accessor "time"]
+external to_secs : t -> float = "%identity"
 
 let to_ms x = x *. 1e3
 [@@unit_accessor "time"]
 
-let to_float x = x
-[@@unit_accessor "time"]
+external to_float : t -> float = "%identity"
 
 let zero = 0.
 

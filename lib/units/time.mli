@@ -11,23 +11,27 @@
 
 type t = private float
 
-(** {1 Constructors} *)
+(** {1 Constructors}
 
-val secs : float -> t
+    The four conversions in seconds are identity primitives: they compile
+    to nothing even across the [-opaque] module boundary, so wrapping or
+    unwrapping a float in seconds never boxes it (DESIGN.md §13). *)
+
+external secs : float -> t = "%identity"
 
 val ms : float -> t
 
 val us : float -> t
 
-val of_float : float -> t
+external of_float : float -> t = "%identity"
 
 (** {1 Accessors} *)
 
-val to_secs : t -> float
+external to_secs : t -> float = "%identity"
 
 val to_ms : t -> float
 
-val to_float : t -> float
+external to_float : t -> float = "%identity"
 
 (** {1 Constants and predicates} *)
 

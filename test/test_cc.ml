@@ -281,7 +281,127 @@ let test_ack_clocked_flow_does_not_tick () =
   if ticks = 0 || ticks >= 50 then
     Alcotest.failf "%d Flow_tick scopes in 10 s (want 1 to 49)" ticks
 
-(* --- individual algorithms ----------------------------------------------- *)
+(* --- the scoreboard --------------------------------------------------------- *)
+
+(* Every controller event of a dumbbell Cubic flow, digested: each ACK's
+   seq, bytes, inflight and delivered counts and the bits of its now, rtt,
+   srtt and min_rtt, and each loss's kind, seq, bytes, inflight and instant.
+   Returns the digest, the ACK count, the ACKs for a seq declared lost
+   earlier (Karn's rule keeps their RTT out), the bytes of the first
+   timeout, the flow's loss count and received bytes, and the count that
+   [setup]'s reader returns after the run. *)
+let cc_fingerprint ~seconds ~setup =
+  let e, bn, topo, route = make_link () in
+  let b = Buffer.create 65536 in
+  let acks = ref 0 and after_loss = ref 0 and first_timeout = ref 0 in
+  let lost = Hashtbl.create 64 in
+  let bits t = Int64.bits_of_float (Time.to_secs t) in
+  let cubic = Cubic.make () in
+  let cc =
+    { cubic with
+      Cc_types.on_ack =
+        (fun (a : Cc_types.ack) ->
+          incr acks;
+          if Hashtbl.mem lost a.seq then incr after_loss;
+          Printf.bprintf b "a %d %d %d %d %Lx %Lx %Lx %Lx\n" a.seq a.bytes
+            a.inflight_bytes a.delivered_bytes (bits a.times.now)
+            (bits a.times.rtt) (bits a.times.srtt) (bits a.times.min_rtt);
+          cubic.Cc_types.on_ack a);
+      on_loss =
+        (fun (l : Cc_types.loss) ->
+          Hashtbl.replace lost l.seq ();
+          if l.kind = `Timeout && !first_timeout = 0 then
+            first_timeout := l.bytes;
+          Printf.bprintf b "l %s %d %d %d %Lx\n"
+            (match l.kind with `Dupack -> "d" | `Timeout -> "t")
+            l.seq l.bytes l.inflight_bytes (bits l.now);
+          cubic.Cc_types.on_loss l) }
+  in
+  let f = Flow.create_via topo ~route ~cc ~prop_rtt:rtt50 () in
+  let extra = setup e bn f in
+  Engine.run_until e (Time.secs seconds);
+  ( Digest.to_hex (Digest.string (Buffer.contents b)),
+    !acks, !after_loss, !first_timeout, Flow.lost_packets f,
+    Flow.received_bytes f, extra () )
+
+let fingerprint =
+  Alcotest.(
+    pair string
+      (pair int (pair int (pair int (pair int (pair int int))))))
+
+let nest (d, a, k, t, l, r, x) = (d, (a, (k, (t, (l, (r, x))))))
+
+(* Every ACK drops from 1 s to 2.5 s: the RTO declares a window of 191
+   packets lost at once (the scoreboard scan must hand them to the
+   retransmission queue in ascending order), and the retransmissions' ACKs
+   take Karn's path.  Values recorded on the hash-table scoreboard. *)
+let test_scoreboard_rto_window () =
+  let got =
+    cc_fingerprint ~seconds:5. ~setup:(fun e _ f ->
+        Engine.schedule_at e (Time.secs 1.) (fun () ->
+            Flow.apply f (Flow.Control.Ack_loss (Some (fun () -> true))));
+        Engine.schedule_at e (Time.secs 2.5) (fun () ->
+            Flow.apply f (Flow.Control.Ack_loss None));
+        fun () -> 0)
+  in
+  Alcotest.check fingerprint "RTO with 191 packets outstanding"
+    (nest ("158f62ec5709519ad77c1a35ab0f69f7", 1814, 431, 286500, 756,
+           3162000, 0))
+    (nest got)
+
+(* Delay jitter of up to 30 ms, redrawn every 5 ms from 1 s to 4 s, reorders
+   deliveries: packets overtaken by three later ones are declared lost, and
+   ACKs arrive late for seqs already declared lost — 3190 ACKs leave the
+   receiver and 2691 reach [on_ack], so the typed legs must carry each
+   packet to its own ACK.  Values recorded on the hash-table scoreboard. *)
+let test_scoreboard_reordering () =
+  let got =
+    cc_fingerprint ~seconds:5. ~setup:(fun e bn f ->
+        let sent_acks = ref 0 in
+        Flow.apply f
+          (Flow.Control.Ack_loss
+             (Some
+                (fun () ->
+                  incr sent_acks;
+                  false)));
+        Nimbus_faults.Fault.attach ~engine:e ~bottleneck:bn ~flows:[| f |]
+          ~rng:(Rng.create 3)
+          [ Nimbus_faults.Fault.Delay_jitter
+              { at = Time.secs 1.; until = Time.secs 4.; amp = Time.ms 30.;
+                period = Time.ms 5. } ];
+        fun () -> !sent_acks)
+  in
+  Alcotest.check fingerprint "jitter reorders deliveries"
+    (nest ("a993ff989535f5a7e0817488cbde5a4e", 2691, 737, 0, 956, 4785000,
+           3190))
+    (nest got)
+
+(* The packet path allocates little more than the packets: 4 Cubic flows and
+   a 24 Mbit/s Poisson source on a 96 Mbit/s, 50 ms dumbbell for 2 s.
+   Minor words per packet delivered at the link: ~7.7 measured (the 5-word
+   packets, Cubic's boxed window, the Poisson draw). *)
+let test_dumbbell_words_per_packet () =
+  let e, bn, topo, route = make_link ~rate_bps:96e6 ~buffer_s:0.1 () in
+  let rng = Rng.create 1 in
+  for j = 0 to 3 do
+    ignore
+      (Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt:rtt50
+         ~start:(Time.ms (float_of_int (j * 50))) ())
+  done;
+  ignore
+    (Nimbus_traffic.Source.poisson_via topo ~route ~rng:(Rng.split rng)
+       ~rate:(Rate.mbps 24.) ());
+  (* ramp-up first: the growth of every ring and table is behind us *)
+  Engine.run_until e (Time.secs 1.);
+  let pkts0 = Bottleneck.delivered_packets bn in
+  let before = Gc.minor_words () in
+  Engine.run_until e (Time.secs 3.);
+  let words = Gc.minor_words () -. before in
+  let pkts = Bottleneck.delivered_packets bn - pkts0 in
+  Alcotest.(check bool) "the link carried ~2 s of packets" true (pkts > 15_000);
+  let per_pkt = words /. float_of_int pkts in
+  if per_pkt > 9. then
+    Alcotest.failf "%.2f minor words per packet (want <= 9)" per_pkt
 
 let test_reno_halves_on_loss () =
   let r = Reno.create () in
@@ -303,9 +423,9 @@ let test_reno_slow_start_doubles () =
   let cc = Reno.cc r in
   let ack now =
     cc.Cc_types.on_ack
-      { Cc_types.now = Time.secs now; seq = 0; bytes = 1500; rtt = rtt50;
-        min_rtt = rtt50; srtt = rtt50; inflight_bytes = 0;
-        delivered_bytes = 0 }
+      { Cc_types.times =
+          { now = Time.secs now; rtt = rtt50; min_rtt = rtt50; srtt = rtt50 };
+        seq = 0; bytes = 1500; inflight_bytes = 0; delivered_bytes = 0 }
   in
   ack 0.1;
   ack 0.2;
@@ -338,9 +458,10 @@ let test_cubic_grows_toward_wmax () =
   (* feed acks over simulated seconds; window must recover toward w_max *)
   for i = 1 to 2000 do
     cc.Cc_types.on_ack
-      { Cc_types.now = Time.secs (float_of_int i /. 100.); seq = i;
-        bytes = 1500; rtt = rtt50; min_rtt = rtt50; srtt = rtt50;
-        inflight_bytes = 0; delivered_bytes = 0 }
+      { Cc_types.times =
+          { now = Time.secs (float_of_int i /. 100.); rtt = rtt50;
+            min_rtt = rtt50; srtt = rtt50 };
+        seq = i; bytes = 1500; inflight_bytes = 0; delivered_bytes = 0 }
   done;
   Alcotest.(check bool) "recovers above the cut" true
     (B.to_float (Cubic.cwnd_bytes c) > low);
@@ -526,7 +647,13 @@ let suite =
         Alcotest.test_case "RTO instants pinned" `Quick
           test_rto_instants_pinned;
         Alcotest.test_case "ack-clocked flow does not tick" `Quick
-          test_ack_clocked_flow_does_not_tick ] );
+          test_ack_clocked_flow_does_not_tick;
+        Alcotest.test_case "scoreboard: RTO of a 191-packet window" `Quick
+          test_scoreboard_rto_window;
+        Alcotest.test_case "scoreboard: reordering and late ACKs" `Quick
+          test_scoreboard_reordering;
+        Alcotest.test_case "dumbbell words per packet" `Quick
+          test_dumbbell_words_per_packet ] );
     ( "cc.reno",
       [ Alcotest.test_case "halves on loss" `Quick test_reno_halves_on_loss;
         Alcotest.test_case "slow start" `Quick test_reno_slow_start_doubles;

@@ -613,9 +613,10 @@ let test_nimbus_competitive_ack_words () =
     (Nimbus.mode_to_string (Nimbus.mode nim));
   let cc = Nimbus.cc nim ~now:(fun () -> Engine.now e) in
   let ack =
-    { Nimbus_cc.Cc_types.now = Engine.now e; seq = 0; bytes = 1500;
-      rtt = Time.ms 55.; min_rtt = Time.ms 50.; srtt = Time.ms 55.;
-      inflight_bytes = 300_000; delivered_bytes = 0 }
+    { Nimbus_cc.Cc_types.times =
+        { now = Engine.now e; rtt = Time.ms 55.; min_rtt = Time.ms 50.;
+          srtt = Time.ms 55. };
+      seq = 0; bytes = 1500; inflight_bytes = 300_000; delivered_bytes = 0 }
   in
   let words = words_per ~runs:1000 (fun () -> cc.on_ack ack) in
   if words > 4. then

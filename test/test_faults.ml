@@ -107,14 +107,77 @@ let test_parse_all_clauses () =
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok plan -> Alcotest.(check int) "nine events" 9 (List.length plan)
 
+(* Only jitter takes a span: a span on any other kind, or garbage after
+   the '-', is an error. *)
 let test_parse_rejects_garbage () =
-  let bad = [ "bogus@1"; "burst@x:0.1/0.2"; "kill@1"; "step@1:"; "@3:2" ] in
+  let bad =
+    [ "bogus@1"; "burst@x:0.1/0.2"; "kill@1"; "step@1:"; "@3:2";
+      "jitter@1-2-3:10/100"; "jitter@2-1:10/100"; "jitter@1-x:10/100";
+      "jitter@1:10/100"; "burst@1-2:0.1/0.2/0.3"; "step@1-garbage:5";
+      "flap@2-1-x:0.5"; "lossoff@3-zzz" ]
+  in
   List.iter
     (fun spec ->
       match Fault.parse spec with
       | Ok _ -> Alcotest.failf "accepted garbage %S" spec
       | Error _ -> ())
     bad
+
+(* a time in exponent notation is one instant, not a span *)
+let test_parse_exponent_times () =
+  match Fault.parse "step@1e-05:24;jitter@2.5e-3-1E1:10/100" with
+  | Error e -> Alcotest.failf "parse failed: %s" e
+  | Ok [ Fault.Rate_step { at; _ }; Fault.Delay_jitter { at = j0; until; _ } ]
+    ->
+    Alcotest.(check (float 0.)) "step at" 1e-5 (Time.to_secs at);
+    Alcotest.(check (float 0.)) "jitter from" 2.5e-3 (Time.to_secs j0);
+    Alcotest.(check (float 0.)) "jitter until" 10. (Time.to_secs until)
+  | Ok _ -> Alcotest.fail "expected a step and a jitter"
+
+(* Specs built from the grammar's own pieces, good and bad, so that a fair
+   share parses: each clause is KIND@TIME[-TIME][:PARAMS]. *)
+let spec_gen =
+  let open QCheck.Gen in
+  let kinds =
+    [ "burst"; "lossoff"; "step"; "flap"; "delay"; "jitter"; "acks";
+      "acksoff"; "kill"; "bogus"; "" ]
+  in
+  let times = [ "0"; "1"; "2.5"; "1e-05"; "3E2"; "-1"; "x"; "nan"; "" ] in
+  let params =
+    [ ""; ":"; ":0.1"; ":1"; ":24"; ":-5"; ":inf"; ":0.05/0.4/0.3";
+      ":0.1/0.2/0.3/0.4"; ":10/100"; ":10/0"; ":1/2/3"; ":3x" ]
+  in
+  let clause =
+    map
+      (fun (k, (t0, (t1, p))) ->
+        k ^ "@" ^ t0 ^ (match t1 with Some t -> "-" ^ t | None -> "") ^ p)
+      (pair (oneofl kinds)
+         (pair (oneofl times) (pair (opt (oneofl times)) (oneofl params))))
+  in
+  map (String.concat ";") (list_size (int_range 1 4) clause)
+
+(* [parse] is total: on any string it returns [Ok] or [Error] and never
+   raises, and a plan it accepts prints to a spec that parses again. *)
+let parse_is_total spec =
+  match Fault.parse spec with
+  | Error _ -> true
+  | Ok plan -> (
+    match Fault.parse (Fault.to_string plan) with
+    | Ok plan2 -> List.length plan2 = List.length plan
+    | Error e -> QCheck.Test.fail_reportf "%S reprinted fails: %s" spec e)
+
+let prop_parse_total_strings =
+  QCheck.Test.make ~count:2000 ~name:"fault plan: parse is total on any string"
+    QCheck.(string_gen_of_size Gen.(int_range 0 40) (Gen.oneofl
+      [ '0'; '1'; '5'; '.'; '-'; 'e'; '@'; ':'; '/'; ';'; ','; ' '; 'k';
+        'i'; 'l'; 's'; 't'; 'p'; 'x'; 'j' ]))
+    parse_is_total
+
+let prop_parse_total_specs =
+  QCheck.Test.make ~count:2000
+    ~name:"fault plan: accepted specs reprint to specs that parse"
+    (QCheck.make ~print:(fun s -> s) spec_gen)
+    parse_is_total
 
 (* --- attach: link faults -------------------------------------------------- *)
 
@@ -396,7 +459,9 @@ let suite =
     ( "faults.plan",
       [ Alcotest.test_case "parse round trip" `Quick test_parse_roundtrip;
         Alcotest.test_case "all clauses" `Quick test_parse_all_clauses;
-        Alcotest.test_case "rejects garbage" `Quick test_parse_rejects_garbage ]
+        Alcotest.test_case "rejects garbage" `Quick test_parse_rejects_garbage;
+        Alcotest.test_case "exponent times" `Quick test_parse_exponent_times;
+        qtest prop_parse_total_strings; qtest prop_parse_total_specs ]
     );
     ( "faults.attach",
       [ Alcotest.test_case "rate step and outage" `Quick

@@ -315,7 +315,97 @@ let test_engine_nested_schedule () =
   Engine.run_until e (Time.secs 5.);
   Alcotest.(check (list (float 1e-9))) "nested" [ 1.; 2. ] (List.rev !hits)
 
+(* Events of both kinds, at one instant, run in the order they were
+   scheduled, and a leg carries its own packet. *)
+let test_engine_packet_legs_in_order () =
+  let e = Engine.create Engine.Config.default in
+  let seen = ref [] in
+  let leg (p : Packet.t) = seen := p.Packet.seq :: !seen in
+  let pkt seq = Packet.make ~flow:0 ~seq ~size:1500 ~now:Time.zero () in
+  Engine.schedule_pkt_in e (Time.ms 1.) leg (pkt 0);
+  Engine.schedule_in e (Time.ms 1.) (fun () -> seen := 100 :: !seen);
+  Engine.schedule_pkt_in e (Time.ms 1.) leg (pkt 1);
+  Engine.schedule_pkt_in e (Time.us 500.) leg (pkt 2);
+  Engine.run_until e (Time.secs 1.);
+  Alcotest.(check (list int)) "pop order" [ 2; 0; 100; 1 ] (List.rev !seen);
+  Alcotest.(check bool) "a negative delay is rejected" true
+    (match Engine.schedule_pkt_in e (Time.ms (-1.)) leg (pkt 3) with
+     | () -> false
+     | exception Invalid_argument _ -> true)
+
+(* minor words per event, over 10 000 events scheduled 300 µs ahead (within
+   the wheel's horizon) after warm-up batches.  Each batch moves the clock
+   by half the wheel (512 slots of 64 µs), so batches reuse the two slots
+   that have grown to hold one: a batch in a fresh slot would measure that
+   slot's growth instead. *)
+let engine_words_per_event schedule =
+  let e = Engine.create Engine.Config.default in
+  let step = Time.us 32_768. in
+  let batch () =
+    for _ = 1 to 1000 do
+      schedule e
+    done;
+    Engine.run_until e (Time.add (Engine.now e) step)
+  in
+  for _ = 1 to 3 do
+    batch ()
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10 do
+    batch ()
+  done;
+  (Gc.minor_words () -. before) /. 10_000.
+
+(* Queued events sit in recycled cells and the drain loop passes keys
+   through the queue's key register, so with the handler, the packet and
+   the delay made beforehand, an event allocates nothing: a packet leg
+   builds no closure, and a thunk made once is reused.  (Only each batch's
+   own horizon arithmetic allocates, 4 words per 1000 events.) *)
+let test_engine_events_allocate_nothing () =
+  let delay = Time.us 300. in
+  let pkt = Packet.make ~flow:0 ~seq:0 ~size:1500 ~now:Time.zero () in
+  let leg (_ : Packet.t) = () and thunk () = () in
+  List.iter
+    (fun (what, words) ->
+      if words > 0.01 then
+        Alcotest.failf "%s: %.4f minor words per event (want ~0)" what words)
+    [ ( "schedule_pkt_in",
+        engine_words_per_event (fun e -> Engine.schedule_pkt_in e delay leg pkt)
+      );
+      ("schedule_in", engine_words_per_event (fun e -> Engine.schedule_in e delay thunk))
+    ]
+
 (* --- rng ----------------------------------------------------------------- *)
+
+(* The state moved from a boxed [int64] field into 8 bytes; the streams did
+   not move.  The first eight draws of seed 42, recorded before the move. *)
+let test_rng_pinned_draws () =
+  let r = Rng.create 42 in
+  List.iter
+    (fun x -> Alcotest.(check int64) "bits" x (Rng.bits r))
+    [ 0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L;
+      0xc4b6b24ef01890eL; 0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L;
+      0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L ];
+  let r = Rng.create 42 in
+  List.iter
+    (fun x ->
+      Alcotest.(check int64) "uniform bits" (Int64.bits_of_float x)
+        (Int64.bits_of_float (Rng.uniform r)))
+    [ 0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3;
+      0x1.896d649de031p-5; 0x1.f62d40dca5d82p-1; 0x1.e187e2fea8348p-3;
+      0x1.1e0b12d313f7cp-2; 0x1.392025051c93p-3 ]
+
+(* PIE draws [Rng.bool] per packet; a draw boxes nothing *)
+let test_rng_bool_allocates_nothing () =
+  let r = Rng.create 7 in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    if Rng.bool r ~p:0.5 then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10k draws" 0. words;
+  Alcotest.(check bool) "draws vary" true (!hits > 4000 && !hits < 6000)
 
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
@@ -374,13 +464,29 @@ let prop_rng_int_bound =
 
 (* --- packet -------------------------------------------------------------- *)
 
+(* A packet carries no timestamps; when it leaves the link is what a sink
+   recording [Engine.now] sees. *)
 let test_packet_fields () =
   let p = Packet.make ~flow:3 ~seq:7 ~size:1500 ~now:(Time.secs 2.5) () in
   Alcotest.(check int) "flow" 3 p.Packet.flow;
   Alcotest.(check int) "seq" 7 p.Packet.seq;
-  check_close "sent_at" 2.5 (Time.to_secs p.Packet.sent_at);
-  Alcotest.(check bool) "queueing delay nan before dequeue" true
-    (not (Time.is_known (Packet.queueing_delay p)))
+  Alcotest.(check int) "size" 1500 p.Packet.size;
+  Alcotest.(check bool) "no ECN mark" false p.Packet.ecn;
+  let e = Engine.create Engine.Config.default in
+  let bn =
+    Bottleneck.create e
+      (Bottleneck.Config.default ~rate:(Rate.bps 12e6)
+         ~qdisc:(Qdisc.droptail ~capacity_bytes:1_000_000))
+  in
+  let left = ref [] in
+  Bottleneck.set_sink bn ~flow:3 (fun q ->
+      left := (q.Packet.seq, Time.to_secs (Engine.now e)) :: !left);
+  Engine.schedule_at e (Time.secs 2.5) (fun () -> Bottleneck.enqueue bn p);
+  Engine.run_until e (Time.secs 3.);
+  (* one 1500-byte serialisation at 12 Mbit/s: 1 ms after it arrived *)
+  match !left with
+  | [ (7, at) ] -> check_close ~eps:1e-12 "left the link at" 2.501 at
+  | _ -> Alcotest.fail "expected exactly packet 7 to leave the link"
 
 (* --- qdisc --------------------------------------------------------------- *)
 
@@ -426,9 +532,11 @@ let test_pie_spares_short_queue () =
 
 (* --- bottleneck ---------------------------------------------------------- *)
 
+(* the sink records each packet with the instant it left the link *)
 let drain_packets engine bn ~flow ~count ~size =
   let delivered = ref [] in
-  Bottleneck.set_sink bn ~flow (fun p -> delivered := p :: !delivered);
+  Bottleneck.set_sink bn ~flow (fun p ->
+      delivered := (p, Engine.now engine) :: !delivered);
   for seq = 0 to count - 1 do
     Bottleneck.enqueue bn
       (Packet.make ~flow ~seq ~size ~now:(Engine.now engine) ())
@@ -446,8 +554,8 @@ let test_bottleneck_serialization_rate () =
   Engine.run_until e (Time.secs 1.);
   Alcotest.(check int) "all delivered" 10 (List.length !delivered);
   (* 10 pkts * 1500 B * 8 / 12 Mbps = 10 ms *)
-  let last = List.hd !delivered in
-  check_close ~eps:1e-9 "last dequeue time" 0.01 (Time.to_secs last.Packet.dequeued_at);
+  let _, last_at = List.hd !delivered in
+  check_close ~eps:1e-9 "last dequeue time" 0.01 (Time.to_secs last_at);
   check_close ~eps:1e-9 "busy time" 0.01 (Time.to_secs (Bottleneck.busy_time bn))
 
 let test_bottleneck_fifo_order () =
@@ -459,7 +567,7 @@ let test_bottleneck_fifo_order () =
   in
   let delivered = drain_packets e bn ~flow:0 ~count:20 ~size:1000 in
   Engine.run_until e (Time.secs 1.);
-  let seqs = List.rev_map (fun p -> p.Packet.seq) !delivered in
+  let seqs = List.rev_map (fun (p, _) -> p.Packet.seq) !delivered in
   Alcotest.(check (list int)) "fifo" (List.init 20 (fun i -> i)) seqs
 
 let test_bottleneck_drops_at_capacity () =
@@ -541,7 +649,11 @@ let suite =
         Alcotest.test_case "rejects past" `Quick test_engine_rejects_past;
         Alcotest.test_case "rejects non-finite" `Quick
           test_engine_rejects_non_finite;
-        Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule ] );
+        Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
+        Alcotest.test_case "packet legs in order" `Quick
+          test_engine_packet_legs_in_order;
+        Alcotest.test_case "events allocate nothing" `Quick
+          test_engine_events_allocate_nothing ] );
     ( "sim.rng",
       [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
         Alcotest.test_case "split independent" `Quick test_rng_split_independent;
@@ -549,6 +661,10 @@ let suite =
         Alcotest.test_case "exponential mean" `Quick test_rng_exponential_mean;
         Alcotest.test_case "bool probability" `Quick test_rng_bool_probability;
         Alcotest.test_case "pareto minimum" `Quick test_rng_pareto_minimum;
+        Alcotest.test_case "pinned draws of seed 42" `Quick
+          test_rng_pinned_draws;
+        Alcotest.test_case "bool allocates nothing" `Quick
+          test_rng_bool_allocates_nothing;
         qtest prop_rng_int_bound ] );
     ("sim.packet", [ Alcotest.test_case "fields" `Quick test_packet_fields ]);
     ( "sim.qdisc",

@@ -50,6 +50,9 @@ let whitelist =
       "Array.unsafe_set"; "Array.fill"; "Array.blit"; "Array.unsafe_blit";
       "Bytes.length"; "Bytes.get"; "Bytes.set"; "Bytes.unsafe_get";
       "Bytes.unsafe_set"; "Bytes.fill"; "Bytes.blit"; "Bytes.unsafe_blit";
+      "Bytes.get_int64_ne"; "Bytes.set_int64_ne"; "Float.Array.length";
+      "Float.Array.get"; "Float.Array.set"; "Float.Array.unsafe_get";
+      "Float.Array.unsafe_set";
       "String.length"; "String.get"; "String.unsafe_get";
       (* scalar module functions *)
       "Char.code"; "Char.chr"; "Char.unsafe_chr"; "Int.min"; "Int.max";
@@ -242,6 +245,10 @@ and check_def st (d : Defs.vdef) =
         (finding ~rule:"alloc-partial-app" ~source e
            "partial application allocates a closure");
     match fn.exp_desc with
+    | Texp_ident (_, _, { val_kind = Types.Val_prim { prim_name; _ }; _ })
+      when String.equal prim_name "%identity" ->
+      (* an identity primitive ([Units.Time.secs]...) compiles to nothing *)
+      visit_args args
     | Texp_ident (p, _, _) -> (
       let name = Cmt_scan.normalize_path st.tables.aliases p in
       if List.mem name ref_ops then

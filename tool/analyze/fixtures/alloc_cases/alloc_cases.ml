@@ -18,6 +18,20 @@ let clean_caller xs = clean_sum xs +. 1.
 let clean_suppressed n = Array.length ((Array.make n 0) [@alloc_ok])
 [@@alloc_free]
 
+(* verifies: in-place float-array slots and 8-byte integer state, the
+   unboxed stores of the packet path and the Rng *)
+let clean_slots (a : Float.Array.t) (b : Bytes.t) =
+  Float.Array.set a 0 (Float.Array.get a 1 +. 1.);
+  Float.Array.unsafe_set a 1 (Float.Array.unsafe_get a 0);
+  Bytes.set_int64_ne b 0 (Bytes.get_int64_ne b 0)
+[@@alloc_free]
+
+(* verifies: an identity primitive compiles to nothing *)
+external id_secs : float -> float = "%identity"
+
+let clean_identity x = id_secs x +. 1.
+[@@alloc_free]
+
 (* alloc-tuple *)
 let bad_tuple x = (x, x + 1)
 [@@alloc_free]
