@@ -83,6 +83,15 @@ let trace_mask filter =
     Printf.eprintf "bad --trace-filter: %s\n" msg;
     exit 2
 
+(* [open_output ~flag path] opens [path] for writing before the run starts,
+   so an unwritable path (a directory, a missing parent) exits 2 with a
+   message instead of escaping as an exception once the work is done *)
+let open_output ~flag path =
+  try open_out_bin path
+  with Sys_error msg ->
+    Printf.eprintf "%s: cannot write %s\n" flag msg;
+    exit 2
+
 (* [with_trace ?out ~filter f] builds the run's collector, writing to [out]
    (or a disabled collector when absent), handed to [f] together with a
    [flush] the caller should schedule off the hot path (e.g. on a 1 s engine
@@ -93,8 +102,8 @@ let with_trace ?out ~filter f =
   match out with
   | None -> f Trace.disabled (fun () -> ())
   | Some path ->
+    let oc = open_output ~flag:"--trace" path in
     let tr = Trace.create ~mask () in
-    let oc = open_out_bin path in
     Trace.attach tr (`Channel oc);
     Fun.protect
       ~finally:(fun () -> Trace.close tr)

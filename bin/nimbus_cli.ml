@@ -7,7 +7,7 @@
      sweep      fleet-scale Monte-Carlo path sweep with checkpointed
                 resume, watchdog/retry, and worst-k auto-triage; exits 3
                 when interrupted by --stop-after, 2 on an incompatible
-                checkpoint
+                checkpoint or an unwritable output path
      simulate   one Nimbus flow vs configurable cross traffic, with a
                 per-second timeline of throughput / queue delay / mode
      faults     the fault matrix under the invariant monitor; exits 1 on
@@ -159,23 +159,20 @@ let faults_cmd full jobs seeds report_file trace_out trace_filter =
     let mask = Flags.trace_mask trace_filter in
     match trace_out with None -> 0 | Some _ -> mask
   in
+  (* both files are written after the run, so open them before it *)
+  let report_oc = Option.map (Flags.open_output ~flag:"--report") report_file
+  and trace_oc = Option.map (Flags.open_output ~flag:"--trace") trace_out in
   let outcome =
     with_pool jobs (fun () -> Exp_faults.run_matrix ~trace_mask p)
   in
   List.iter Table.print outcome.Exp_faults.tables;
   print_string outcome.Exp_faults.report;
-  (match report_file with
-   | None -> ()
-   | Some path ->
-     let oc = open_out path in
-     output_string oc outcome.Exp_faults.report;
-     close_out oc);
-  (match trace_out with
-   | None -> ()
-   | Some path ->
-     let oc = open_out_bin path in
-     output_string oc outcome.Exp_faults.traces;
-     close_out oc);
+  let write text oc =
+    output_string oc text;
+    close_out oc
+  in
+  Option.iter (write outcome.Exp_faults.report) report_oc;
+  Option.iter (write outcome.Exp_faults.traces) trace_oc;
   if outcome.Exp_faults.violations > 0 then 1 else 0
 
 (* reduced-scale CI entry point for the topology fabric: run the parking-lot
@@ -226,10 +223,10 @@ let sweep_cmd full jobs paths seed schemes shard_size budget retries
       exit 2
   in
   match with_pool jobs (fun () -> Sweep.run cfg) with
-  | exception Sweep.Checkpoint_incompatible msg ->
-    Printf.eprintf "%s\n" msg;
-    2
-  | exception Sweep.Checkpoint_incomplete msg ->
+  | exception
+      Sweep.Output_error
+        ( Sweep.Checkpoint_incompatible msg | Sweep.Checkpoint_incomplete msg
+        | Sweep.Unwritable msg ) ->
     Printf.eprintf "%s\n" msg;
     2
   | outcome when outcome.Sweep.interrupted ->

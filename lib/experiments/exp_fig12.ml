@@ -35,22 +35,26 @@ let run (p : Common.profile) =
        ~prop_rtt:l.Common.prop_rtt ());
   let byte_truth = Accuracy.create () in
   let persistent_truth = Accuracy.create () in
-  let prev_elastic = ref 0 and prev_total = ref 0 in
+  (* the first tick, at 10 s, only takes the byte counters' baseline, so
+     every byte-fraction sample covers one second *)
+  let prev = ref None in
   let fractions = ref [] in
   Engine.every engine ~dt:(Time.secs 1.0) ~start:(Time.secs 10.)
     ~until:(Time.secs horizon) (fun () ->
       let now = Engine.now engine in
       let predicted = Nimbus.mode nim = Nimbus.Competitive in
       let elastic, total = Wan.bytes_split wan in
-      let de = elastic - !prev_elastic and dt = total - !prev_total in
-      prev_elastic := elastic;
-      prev_total := total;
-      if dt > 0 then begin
-        let frac = float_of_int de /. float_of_int dt in
-        fractions := frac :: !fractions;
-        Accuracy.record byte_truth ~predicted_elastic:predicted
-          ~truth_elastic:(frac > truth_threshold)
-      end;
+      (match !prev with
+       | Some (prev_elastic, prev_total) when total > prev_total ->
+         let frac =
+           float_of_int (elastic - prev_elastic)
+           /. float_of_int (total - prev_total)
+         in
+         fractions := frac :: !fractions;
+         Accuracy.record byte_truth ~predicted_elastic:predicted
+           ~truth_elastic:(frac > truth_threshold)
+       | _ -> ());
+      prev := Some (elastic, total);
       Accuracy.record persistent_truth ~predicted_elastic:predicted
         ~truth_elastic:
           (Wan.persistent_elastic_active wan ~now ~min_age:(Time.secs 2.)

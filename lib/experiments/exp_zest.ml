@@ -42,7 +42,10 @@ let case (p : Common.profile) ~label ~seed ~install =
        ~cc:(Nimbus.cc nim ~now:(fun () -> Engine.now engine))
        ~prop_rtt:l.Common.prop_rtt ());
   let errors = ref [] in
-  let prev = ref 0 in
+  (* the first tick, at 10 s, only takes the baseline of the cross byte
+     counter and of the ẑ accumulator: each sample then compares ẑ and the
+     cross traffic over the same one-second window *)
+  let prev = ref None in
   Engine.every engine ~dt:(Time.secs 1.0) ~start:(Time.secs 10.)
     ~until:(Time.secs horizon) (fun () ->
       let delivered =
@@ -50,13 +53,16 @@ let case (p : Common.profile) ~label ~seed ~install =
           (fun acc fid -> acc + Bottleneck.delivered_bytes bn ~flow:fid)
           0 cross_ids
       in
-      let truth = float_of_int ((delivered - !prev) * 8) /. 1.0 in
-      prev := delivered;
-      if !z_n > 0 && truth > 1e6 then begin
-        let z_mean = !z_acc /. float_of_int !z_n in
-        errors :=
-          Stats.relative_error ~actual:z_mean ~expected:truth :: !errors
-      end;
+      (match !prev with
+       | Some before ->
+         let truth = float_of_int ((delivered - before) * 8) /. 1.0 in
+         if !z_n > 0 && truth > 1e6 then begin
+           let z_mean = !z_acc /. float_of_int !z_n in
+           errors :=
+             Stats.relative_error ~actual:z_mean ~expected:truth :: !errors
+         end
+       | None -> ());
+      prev := Some delivered;
       z_acc := 0.;
       z_n := 0);
   Engine.run_until engine (Time.secs horizon);
@@ -130,5 +136,5 @@ let run (p : Common.profile) =
       ~header:[ "cross traffic"; "windows"; "rel err p50"; "rel err p95" ]
       ~notes:
         [ "paper: p50 = 1.3%, p95 = 7.5% -- expect single-digit p50 and \
-           p95 within a few tens of percent across patterns" ]
+           p95 across patterns" ]
       rows ]

@@ -27,9 +27,20 @@ module Trace = Nimbus_trace.Trace
 
 exception Case_timeout
 
-exception Checkpoint_incompatible of string
+type output_error =
+  | Checkpoint_incompatible of string
+  | Checkpoint_incomplete of string
+  | Unwritable of string
 
-exception Checkpoint_incomplete of string
+exception Output_error of output_error
+
+let fail e = raise (Output_error e)
+
+(* checkpoint and triage file I/O: a path that cannot be read or written is
+   a typed error, never a stray Sys_error *)
+let io f =
+  try f ()
+  with Sys_error msg -> fail (Unwritable ("sweep output: " ^ msg))
 
 type failure =
   | F_timeout of int (* attempts consumed *)
@@ -177,77 +188,79 @@ let parse_shard_line line =
     end
 
 (* Append one shard line; closing the channel flushes it.  The file always
-   ends in a newline here (write_fresh or load_checkpoint wrote it last), and
+   ends in a newline here (a fresh sweep or load_checkpoint wrote it last), and
    an empty one (a resume that found no file) gets the header first. *)
 let append_line path ~header line =
-  let oc =
-    open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644
-      path
-  in
+  io @@ fun () ->
+  Out_channel.with_open_gen
+    [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 path
+  @@ fun oc ->
   if out_channel_length oc = 0 then begin
     output_string oc header;
     output_char oc '\n'
   end;
   output_string oc line;
-  output_char oc '\n';
-  close_out oc
+  output_char oc '\n'
 
-let write_fresh path ~header =
+(* [replace path contents] writes through tmp+rename, so a crash leaves
+   either the old file or the new one; a failed rename takes the tmp file
+   with it *)
+let replace path contents =
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc header;
-  output_string oc "\n";
-  close_out oc;
-  Sys.rename tmp path
+  io @@ fun () ->
+  Out_channel.with_open_bin tmp (fun oc -> output_string oc contents);
+  try Sys.rename tmp path
+  with Sys_error _ as e ->
+    Sys.remove tmp;
+    raise e
 
 (* [load_checkpoint path ~header ~accept] validates the header, then feeds
    each complete, checksum-clean, in-order shard line to [accept] until one
    is rejected (or the file ends / corrupts), rewrites the file to exactly
    the accepted prefix (tmp-write+rename), and returns the number of shards
    accepted.  A missing file is an empty checkpoint.
-   @raise Checkpoint_incompatible when the header does not match [header]
-   (different sweep parameters — resuming would silently mix populations) *)
+   @raise Output_error [Checkpoint_incompatible] when the header does not
+   match [header] (different sweep parameters — resuming would silently mix
+   populations) *)
 let load_checkpoint path ~header ~accept =
-  match open_in_bin path with
-  | exception Sys_error _ -> 0
-  | ic ->
-    Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-    (match input_line ic with
-     | exception End_of_file ->
-       raise (Checkpoint_incompatible (path ^ ": empty checkpoint file"))
-     | first ->
-       if not (String.equal first header) then
-         raise
-           (Checkpoint_incompatible
-              (Printf.sprintf
-                 "%s: checkpoint header does not match this sweep's \
-                  parameters\n  file:   %s\n  sweep:  %s"
-                 path first header)));
+  if not (Sys.file_exists path) then 0
+  else begin
     let kept = Buffer.create 4096 in
     Buffer.add_string kept header;
     Buffer.add_char kept '\n';
     let shards = ref 0 in
-    let stop = ref false in
-    while not !stop do
-      match input_line ic with
-      | exception End_of_file -> stop := true
-      | line -> (
-        match parse_shard_line line with
-        | Some (idx, base, cells) when idx = !shards && accept ~base cells ->
-          incr shards;
-          Buffer.add_string kept line;
-          Buffer.add_char kept '\n'
-        | Some _ | None ->
-          (* out-of-order, truncated, or corrupt: drop this line and
-             everything after it *)
-          stop := true)
-    done;
-    let tmp = path ^ ".tmp" in
-    let oc = open_out_bin tmp in
-    Buffer.output_buffer oc kept;
-    close_out oc;
-    Sys.rename tmp path;
+    io (fun () ->
+        In_channel.with_open_bin path @@ fun ic ->
+        (match input_line ic with
+         | exception End_of_file ->
+           fail (Checkpoint_incompatible (path ^ ": empty checkpoint file"))
+         | first ->
+           if not (String.equal first header) then
+             fail
+               (Checkpoint_incompatible
+                  (Printf.sprintf
+                     "%s: checkpoint header does not match this sweep's \
+                      parameters\n  file:   %s\n  sweep:  %s"
+                     path first header)));
+        let stop = ref false in
+        while not !stop do
+          match input_line ic with
+          | exception End_of_file -> stop := true
+          | line -> (
+            match parse_shard_line line with
+            | Some (idx, base, cells) when idx = !shards && accept ~base cells
+              ->
+              incr shards;
+              Buffer.add_string kept line;
+              Buffer.add_char kept '\n'
+            | Some _ | None ->
+              (* out-of-order, truncated, or corrupt: drop this line and
+                 everything after it *)
+              stop := true)
+        done);
+    replace path (Buffer.contents kept);
     !shards
+  end
 
 (* --- streaming aggregation ------------------------------------------------- *)
 
@@ -613,7 +626,6 @@ let run_triage cfg agg =
     (match cfg.sw_triage_dir with
      | None -> ()
      | Some dir ->
-       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
        List.iter
          (fun row ->
            let file =
@@ -621,9 +633,9 @@ let run_triage cfg agg =
                (Printf.sprintf "path%d_%s.jsonl" row.tr_path.Path_model.p_id
                   row.tr_scheme)
            in
-           let oc = open_out_bin file in
-           output_string oc row.tr_trace;
-           close_out oc)
+           io (fun () ->
+               Out_channel.with_open_bin file (fun oc ->
+                   output_string oc row.tr_trace)))
          rows);
     rows
   end
@@ -667,7 +679,22 @@ type outcome = {
   failures : int;
 }
 
+(* every output path is checked before the first shard runs, so a bad one
+   fails in a second instead of after the whole sweep *)
+let check_outputs cfg =
+  (match cfg.sw_checkpoint with
+   | Some path when Sys.file_exists path && Sys.is_directory path ->
+     fail (Unwritable ("--checkpoint " ^ path ^ ": is a directory"))
+   | _ -> ());
+  match cfg.sw_triage_dir with
+  | Some dir when cfg.sw_triage_k > 0 ->
+    io (fun () -> if not (Sys.file_exists dir) then Sys.mkdir dir 0o755);
+    if not (Sys.is_directory dir) then
+      fail (Unwritable ("--triage-dir " ^ dir ^ ": not a directory"))
+  | _ -> ()
+
 let run cfg =
+  check_outputs cfg;
   let nschemes = List.length cfg.sw_schemes in
   let total_shards = (cfg.sw_paths + cfg.sw_shard - 1) / cfg.sw_shard in
   let shard_paths idx =
@@ -700,7 +727,7 @@ let run cfg =
         (Printf.sprintf "resume: %d/%d shard(s) restored from %s" n
            total_shards path);
       if cfg.sw_triage_only && n < total_shards then
-        raise
+        fail
           (Checkpoint_incomplete
              (Printf.sprintf
                 "%s: --triage-only needs a complete checkpoint, but only \
@@ -710,7 +737,7 @@ let run cfg =
       n
     | Some path ->
       (* fresh sweep: truncate whatever was there *)
-      write_fresh path ~header;
+      replace path (header ^ "\n");
       0
     | None -> 0
   in

@@ -10,13 +10,23 @@
     exceeds its per-attempt wall-clock budget. *)
 exception Case_timeout
 
-(** Raised when [sw_resume] finds a checkpoint whose header was written by a
-    sweep with different parameters. *)
-exception Checkpoint_incompatible of string
+(** Why a sweep's checkpoint or triage output is unusable; each carries the
+    message to print. *)
+type output_error =
+  | Checkpoint_incompatible of string
+      (** [sw_resume] found a checkpoint whose header was written by a sweep
+          with different parameters *)
+  | Checkpoint_incomplete of string
+      (** [sw_triage_only] is set but the checkpoint does not cover every
+          shard: triage can only be replayed from a complete sweep *)
+  | Unwritable of string
+      (** the checkpoint or [sw_triage_dir] cannot be read or written (a
+          directory given as the checkpoint, a file as the triage dir, a
+          missing parent, a failed write) *)
 
-(** Raised when [sw_triage_only] is set but the checkpoint does not cover
-    every shard: triage can only be replayed from a complete sweep. *)
-exception Checkpoint_incomplete of string
+(** Raised by {!run}, which checks both output paths before the first
+    shard. *)
+exception Output_error of output_error
 
 type failure =
   | F_timeout of int  (** attempts consumed *)
@@ -46,7 +56,8 @@ type config = {
           checkpoint (implies [sw_resume]) and go straight to the worst-k
           triage re-runs — the final tables are byte-identical to the full
           run that wrote the checkpoint.
-          @raise Checkpoint_incomplete if any shard is missing *)
+          @raise Output_error [Checkpoint_incomplete] if any shard is
+          missing *)
   sw_clock : unit -> float;  (** watchdog wall clock (tests inject a fake) *)
   sw_log : string -> unit;  (** progress; never part of the tables *)
 }
@@ -88,7 +99,7 @@ type outcome = {
 (** [run cfg] executes (or resumes) the sweep.  Deterministic given
     [sw_budget <= 0]: the final tables are byte-identical whatever the pool
     size and however many times the sweep was interrupted and resumed.
-    @raise Checkpoint_incompatible see {!exception-Checkpoint_incompatible} *)
+    @raise Output_error see {!output_error} *)
 val run : config -> outcome
 
 (** {1 Checkpoint internals} — exposed for the test suite. *)

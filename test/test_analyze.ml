@@ -28,13 +28,16 @@ let test_det_bad () =
   let units = scan fixtures_root in
   let aliases = A.Cmt_scan.alias_mods units in
   let defs = A.Defs.collect aliases units in
-  let findings = A.Determinism.check ~scope:[ "af_det_bad" ] defs units in
+  let findings =
+    A.Determinism.check ~sup:(A.Suppress.create ()) ~scope:[ "af_det_bad" ]
+      defs units
+  in
   Alcotest.(check (list string))
     "expected rule ids, in order"
     [
       "det-hashtbl-order"; "det-poly-compare"; "det-poly-compare";
       "det-poly-compare"; "det-global-random"; "det-global-random";
-      "det-wall-clock";
+      "det-wall-clock"; "det-bare-suppression";
     ]
     (List.map (fun f -> f.A.Finding.rule) findings);
   List.iter
@@ -51,7 +54,9 @@ let test_det_clean () =
   let defs = A.Defs.collect aliases units in
   Alcotest.(check (list string))
     "clean fixture passes (including the [@det_ok] suppression)" []
-    (rules_of (A.Determinism.check ~scope:[ "af_det_clean" ] defs units))
+    (rules_of
+       (A.Determinism.check ~sup:(A.Suppress.create ()) ~scope:[ "af_det_clean" ]
+          defs units))
 
 (* --- layering pass ---------------------------------------------------------- *)
 
@@ -115,7 +120,9 @@ let test_alloc_fixtures () =
   let units = scan fixtures_root in
   let aliases = A.Cmt_scan.alias_mods units in
   let defs = A.Defs.collect aliases units in
-  let { A.Alloc.findings; verified } = A.Alloc.check defs in
+  let { A.Alloc.findings; verified } =
+    A.Alloc.check ~sup:(A.Suppress.create ()) defs
+  in
   Alcotest.(check (list string))
     "exactly the clean definitions verify"
     [
@@ -134,7 +141,7 @@ let test_alloc_fixtures () =
         true (List.mem expected rules))
     [
       "alloc-tuple"; "alloc-closure"; "alloc-call"; "alloc-construct";
-      "alloc-ref-escape"; "alloc-callee";
+      "alloc-ref-escape"; "alloc-callee"; "alloc-bare-suppression";
     ];
   List.iter
     (fun f ->
@@ -263,17 +270,17 @@ let test_repo_clean () =
   let units = scan lib_root in
   let aliases = A.Cmt_scan.alias_mods units in
   let defs = A.Defs.collect aliases units in
+  let sup = A.Suppress.create () in
   Alcotest.(check (list string))
     "determinism: simulation-reachable libs clean" []
-    (rules_of
-       (A.Determinism.check ~scope:A.Determinism.default_scope defs units));
+    (rules_of (A.Determinism.check ~sup ~scope:A.Defs.sim_libs defs units));
   (match A.Layering.parse_layers (A.Sexp.load layers_file) with
   | Error msg -> Alcotest.fail msg
   | Ok layers ->
     let findings, _ = A.Layering.check layers units in
     Alcotest.(check (list string))
       "layering: real DAG matches layers.sexp" [] (rules_of findings));
-  let { A.Alloc.findings; verified } = A.Alloc.check defs in
+  let { A.Alloc.findings; verified } = A.Alloc.check ~sup defs in
   Alcotest.(check (list string))
     "alloc: all [@@alloc_free] bodies verify" [] (rules_of findings);
   Alcotest.(check bool)
@@ -305,9 +312,8 @@ let test_repo_clean () =
       "Nimbus_cc__Flow.sb_add"; "Nimbus_cc__Flow.sb_remove";
       "Nimbus_cc__Flow.ring_push"; "Nimbus_cc__Flow.ring_pop";
     ];
-  let sup = A.Suppress.create () in
   let { A.Race.findings = race_findings; certified; sites } =
-    A.Race.check ~sup ~scope:A.Race.default_scope defs units
+    A.Race.check ~sup ~scope:A.Defs.sim_libs defs units
   in
   Alcotest.(check (list string))
     "race: every pool boundary certified clean or reasoned" []

@@ -106,6 +106,43 @@ let test_faults_trace_pinned () =
         (Digest.to_hex (Digest.file path)))
     [ 1; 2 ]
 
+(* An output path that cannot be written (a directory as a file, a file as
+   a directory) is rejected with exit 2 before the run, not by an uncaught
+   Sys_error (exit 125) once the work is done.  Each case gets a fresh
+   directory and file, removed afterwards with whatever a failed write left
+   beside them. *)
+let unwritable_outputs =
+  let sweep = "sweep --paths 2 --shard-size 1 --schemes cubic" in
+  [ ("simulate --trace DIR", fun ~dir ~file:_ ->
+        "simulate --duration 1 --trace " ^ dir);
+    ("parking --trace DIR", fun ~dir ~file:_ ->
+        "parking --links 2 --flows 2 --duration 1 --trace " ^ dir);
+    ("faults --report DIR", fun ~dir ~file:_ ->
+        "faults --seeds 1 --report " ^ dir);
+    ("faults --trace DIR", fun ~dir ~file:_ ->
+        "faults --seeds 1 --trace " ^ dir);
+    ("sweep --checkpoint DIR", fun ~dir ~file:_ ->
+        sweep ^ " --checkpoint " ^ dir);
+    ("sweep --checkpoint DIR --resume", fun ~dir ~file:_ ->
+        sweep ^ " --resume --checkpoint " ^ dir);
+    ("sweep --triage-dir FILE", fun ~dir:_ ~file ->
+        sweep ^ " --triage-k 1 --triage-dir " ^ file) ]
+
+let output_rejected args () =
+  let dir = Filename.temp_dir "nimcli" "" in
+  let file = Filename.temp_file "nimcli" ".out" in
+  Fun.protect ~finally:(fun () ->
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ file; dir ^ ".tmp" ];
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  Alcotest.(check int) "exits 2" 2
+    (Sys.command
+       (Printf.sprintf "%s %s > /dev/null 2>&1" cli
+          (args ~dir:(Filename.quote dir) ~file:(Filename.quote file))))
+
 let test_valid_run () =
   Alcotest.(check int) "a short valid run exits 0" 0
     (simulate "--cross=cbr --cross-rate=24")
@@ -116,6 +153,11 @@ let suite =
       :: List.map
            (fun args -> Alcotest.test_case args `Quick (rejected args))
            bad_values );
+    ( "cli.output",
+      List.map
+        (fun (name, args) ->
+          Alcotest.test_case name `Quick (output_rejected args))
+        unwritable_outputs );
     ( "cli.trace",
       List.map
         (fun (name, contents) ->

@@ -54,6 +54,25 @@ let test_fig7_analytic () =
     let tables = e.E.Registry.run E.Common.quick in
     Alcotest.(check int) "one table" 1 (List.length tables)
 
+(* §3.1: every ẑ error sample compares ẑ and the cross traffic over the
+   same one-second window, both baselined at 10 s where sampling starts, so
+   no pattern's p95 exceeds the paper's 7.5% *)
+let test_zest_p95 () =
+  match E.Registry.find "zest" with
+  | None -> Alcotest.fail "zest missing"
+  | Some e ->
+    List.iter
+      (fun (t : E.Table.t) ->
+        List.iter
+          (fun row ->
+            let p95 = List.nth row 3 in
+            Alcotest.(check bool)
+              (Printf.sprintf "%s p95 %s <= 7%%" (List.hd row) p95)
+              true
+              (Scanf.sscanf p95 "%d%%" (fun pct -> pct <= 7)))
+          t.rows)
+      (e.E.Registry.run E.Common.quick)
+
 let test_common_link () =
   let l = E.Common.link ~mbps:96. ~rtt_ms:50. () in
   Alcotest.(check (float 0.001)) "mu" 96e6 (Rate.to_bps l.E.Common.mu);
@@ -94,7 +113,9 @@ let suite =
     ( "experiments.registry",
       [ Alcotest.test_case "unique ids" `Quick test_registry_unique_ids;
         Alcotest.test_case "find" `Quick test_registry_find;
-        Alcotest.test_case "fig7 runs" `Quick test_fig7_analytic ] );
+        Alcotest.test_case "fig7 runs" `Quick test_fig7_analytic;
+        Alcotest.test_case "zest p95 within the paper's 7.5%" `Quick
+          test_zest_p95 ] );
     ( "experiments.common",
       [ Alcotest.test_case "link" `Quick test_common_link;
         Alcotest.test_case "profiles" `Quick test_common_profiles;

@@ -256,7 +256,7 @@ let test_resume_incompatible_header () =
   in
   Alcotest.(check bool) "different seed rejected" true
     (match Sweep.run other with
-     | exception Sweep.Checkpoint_incompatible _ -> true
+     | exception Sweep.Output_error (Sweep.Checkpoint_incompatible _) -> true
      | _ -> false)
 
 let test_triage_only_byte_identical () =
@@ -279,7 +279,7 @@ let test_triage_only_incomplete () =
   ignore (Sweep.run (base_cfg ~checkpoint:ck ~stop_after:1 ()));
   Alcotest.(check bool) "partial checkpoint rejected" true
     (match Sweep.run (base_cfg ~checkpoint:ck ~triage_only:true ()) with
-     | exception Sweep.Checkpoint_incomplete _ -> true
+     | exception Sweep.Output_error (Sweep.Checkpoint_incomplete _) -> true
      | _ -> false);
   Alcotest.(check bool) "triage-only without checkpoint rejected" true
     (match base_cfg ~triage_only:true () with

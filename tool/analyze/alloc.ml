@@ -6,9 +6,11 @@
    escaping refs, partial applications — and resolves statically-known
    callees: a call to another function whose definition is in the scanned
    cmt set is analyzed recursively (memoized, cycle-safe); a call to a
-   function annotated [@@alloc_free] or [@alloc_ok] is trusted; calls to a
-   small whitelist of non-allocating stdlib primitives are allowed; anything
-   else is flagged.  [@alloc_ok] on an expression exempts that subtree.
+   function annotated [@@alloc_free] is trusted; calls to a small whitelist
+   of non-allocating stdlib primitives are allowed; anything else is
+   flagged.  [@alloc_ok "why"] on an expression exempts that subtree, and on
+   a binding it exempts every call to that binding; both go through
+   {!Suppress.guard}.
 
    Two deliberate blind spots, documented in DESIGN.md §13: float/int64
    boxing at non-inlined call boundaries is invisible in the typedtree (the
@@ -98,58 +100,26 @@ let is_known_allocating name =
 
 type state = {
   tables : Defs.t;
-  sup : Suppress.tracker option;
-  verdicts : (string, Finding.t list) Hashtbl.t;
-  in_progress : (string, unit) Hashtbl.t;
+  sink : Suppress.sink;
+  verdicts : (string, Finding.t list option) Hashtbl.t;
 }
 
 let finding ~rule ~source (e : Typedtree.expression) message =
   Finding.v ~pass_:"alloc" ~rule ~file:source
     ~line:e.exp_loc.loc_start.pos_lnum message
 
-let rec verdict st (d : Defs.vdef) =
-  match Hashtbl.find_opt st.verdicts d.d_key with
-  | Some fs -> fs
-  | None ->
-    if Hashtbl.mem st.in_progress d.d_key then []
-    else begin
-      Hashtbl.replace st.in_progress d.d_key ();
-      let fs = check_def st d in
-      Hashtbl.remove st.in_progress d.d_key;
-      Hashtbl.replace st.verdicts d.d_key fs;
-      fs
-    end
+let rec verdict st d =
+  Defs.memo st.verdicts ~cycle:[]
+    (fun d -> snd (Suppress.trial st.sink (fun () -> check_def st d)))
+    d
 
 and check_def st (d : Defs.vdef) =
-  let findings = ref [] in
   let local_refs = Hashtbl.create 8 in
-  let sink = ref (fun f -> findings := f :: !findings) in
-  let add f = !sink f in
-  (* count the findings a subtree would produce, without emitting them *)
-  let trial f =
-    let saved = !sink in
-    let n = ref 0 in
-    sink := (fun _ -> incr n);
-    Fun.protect ~finally:(fun () -> sink := saved) f;
-    !n
-  in
-  let sup_visited ~fallback ~fired (a : Parsetree.attribute) =
-    Option.iter
-      (fun t ->
-        Suppress.visited t ~attr:a.attr_name.txt ~file:d.d_source
-          ~line:(Suppress.attr_line ~fallback a)
-          ~reason:(Defs.attr_reason a) ~fired)
-      st.sup
-  in
+  let add = Suppress.emit st.sink in
   let source = d.d_source in
   let rec visit (e : Typedtree.expression) =
-    match Defs.find_attr "alloc_ok" e.exp_attributes with
-    | Some a ->
-      (* trial-visit the exempted subtree so a suppression that no longer
-         suppresses anything is reported stale *)
-      let n = trial (fun () -> visit_core e) in
-      sup_visited ~fallback:e.exp_loc.loc_start.pos_lnum ~fired:(n > 0) a
-    | None -> visit_core e
+    Suppress.guard st.sink ~file:source ~fallback:e.exp_loc.loc_start.pos_lnum
+      e.exp_attributes (fun () -> visit_core e)
   and visit_core (e : Typedtree.expression) =
     match e.exp_desc with
       | Texp_apply (fn, args) -> visit_apply e fn args
@@ -229,14 +199,7 @@ and check_def st (d : Defs.vdef) =
           (finding ~rule:"alloc-other" ~source e
              "allocating construct (object/first-class module/letop)")
       | _ -> descend e
-  and descend e =
-    let it =
-      {
-        Tast_iterator.default_iterator with
-        expr = (fun _ e -> visit e);
-      }
-    in
-    Tast_iterator.default_iterator.expr it e
+  and descend e = Defs.children visit e
   and visit_args args =
     List.iter (function _, Some a -> visit a | _, None -> ()) args
   and visit_apply e fn args =
@@ -270,31 +233,22 @@ and check_def st (d : Defs.vdef) =
       else if Hashtbl.mem whitelist name then visit_args args
       else begin
         (match Defs.resolve st.tables ~modpath:d.d_modpath name with
+        | Some callee when Defs.has_attr "alloc_free" callee.d_attrs -> ()
         | Some callee ->
-          if Defs.has_attr "alloc_free" callee.d_attrs then ()
-          else if Defs.has_attr "alloc_ok" callee.d_attrs then
-            (* binding-level [@@alloc_ok]: trusted without checking the
-               body; the trust itself counts as a use of the suppression *)
-            Option.iter
-              (fun a ->
-                Option.iter
-                  (fun t ->
-                    Suppress.visited t ~attr:"alloc_ok" ~file:callee.d_source
-                      ~line:(Suppress.attr_line ~fallback:callee.d_line a)
-                      ~reason:(Defs.attr_reason a) ~fired:true)
-                  st.sup)
-              (Defs.find_attr "alloc_ok" callee.d_attrs)
-          else (
-            match verdict st callee with
-            | [] -> ()
-            | f0 :: _ ->
-              add
-                (finding ~rule:"alloc-callee" ~source e
-                   (Printf.sprintf
-                      "callee %s allocates (%s:%d [%s] %s); annotate it \
-                       [@@alloc_free] once fixed"
-                      callee.d_key f0.Finding.file f0.Finding.line
-                      f0.Finding.rule f0.Finding.message)))
+          (* a binding-level [@@alloc_ok] on the callee suppresses what its
+             body would report here *)
+          Suppress.guard st.sink ~file:callee.d_source ~fallback:callee.d_line
+            callee.d_attrs (fun () ->
+              match verdict st callee with
+              | [] -> ()
+              | f0 :: _ ->
+                add
+                  (finding ~rule:"alloc-callee" ~source e
+                     (Printf.sprintf
+                        "callee %s allocates (%s:%d [%s] %s); annotate it \
+                         [@@alloc_free] once fixed"
+                        callee.d_key f0.Finding.file f0.Finding.line
+                        f0.Finding.rule f0.Finding.message)))
         | None ->
           if is_known_allocating name then
             add
@@ -346,8 +300,7 @@ and check_def st (d : Defs.vdef) =
       analyze_fn ~after_opt:false body
     | _ -> visit e
   in
-  analyze_fn ~after_opt:false d.d_expr;
-  List.rev !findings
+  analyze_fn ~after_opt:false d.d_expr
 
 (* --- entry point ----------------------------------------------------------- *)
 
@@ -356,27 +309,15 @@ type result = {
   verified : string list;  (* [@@alloc_free] definitions that checked clean *)
 }
 
-let check ?sup (tables : Defs.t) =
+let check ~sup (tables : Defs.t) =
   let st =
-    {
-      tables;
-      sup;
-      verdicts = Hashtbl.create 64;
-      in_progress = Hashtbl.create 16;
-    }
+    { tables; sink = Suppress.sink sup ~attr:"alloc_ok";
+      verdicts = Hashtbl.create 64 }
   in
-  let annotated =
-    Hashtbl.fold
-      (fun _ (d : Defs.vdef) acc ->
-        if Defs.has_attr "alloc_free" d.d_attrs then d :: acc else acc)
-      tables.defs []
-    |> List.sort (fun (a : Defs.vdef) b -> String.compare a.d_key b.d_key)
+  let verified, failed =
+    List.partition
+      (fun d -> verdict st d = [])
+      (Defs.annotated "alloc_free" tables)
   in
-  List.fold_left
-    (fun acc d ->
-      match verdict st d with
-      | [] -> { acc with verified = d.d_key :: acc.verified }
-      | fs -> { acc with findings = acc.findings @ fs })
-    { findings = []; verified = [] }
-    annotated
-  |> fun r -> { r with verified = List.rev r.verified }
+  { findings = List.concat_map (verdict st) failed;
+    verified = List.map (fun (d : Defs.vdef) -> d.d_key) verified }

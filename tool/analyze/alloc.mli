@@ -1,8 +1,7 @@
 (** Allocation pass: verify [@@alloc_free] function bodies never heap-allocate.
 
-    Escape hatches: [@alloc_ok] on an expression exempts that subtree;
-    [@alloc_ok] on a whole binding marks it assumed-safe for callers without
-    checking the body.  Float boxing at call boundaries is out of scope
+    Escape hatches: [@alloc_ok "why"] on an expression exempts that
+    subtree; on a whole binding it exempts the calls to it.  Float boxing at call boundaries is out of scope
     (dynamic minor-words slope tests cover it). *)
 
 type result = {
@@ -10,7 +9,7 @@ type result = {
   verified : string list;  (** [@@alloc_free] definitions that checked clean *)
 }
 
-val check : ?sup:Suppress.tracker -> Defs.t -> result
-(** [check ?sup defs] analyzes every [@@alloc_free] definition in the
+val check : sup:Suppress.tracker -> Defs.t -> result
+(** [check ~sup defs] analyzes every [@@alloc_free] definition in the
     collected tables, resolving statically-known callees recursively;
     [sup] tracks [@alloc_ok] staleness. *)

@@ -17,6 +17,8 @@ type unit_info = {
   str : Typedtree.structure option;
 }
 
+(* an entry that vanishes mid-walk (a concurrent build replacing an
+   archive) is skipped, not an uncaught Sys_error *)
 let rec walk dir f =
   match Sys.readdir dir with
   | entries ->
@@ -24,7 +26,10 @@ let rec walk dir f =
     Array.iter
       (fun entry ->
         let path = Filename.concat dir entry in
-        if Sys.is_directory path then walk path f else f path)
+        match Sys.is_directory path with
+        | true -> walk path f
+        | false -> f path
+        | exception Sys_error _ -> ())
       entries
   | exception Sys_error _ -> ()
 

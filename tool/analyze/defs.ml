@@ -5,8 +5,11 @@
    (keyed "Modpath.name"), resolve a referenced name from inside some module
    back to its definition (trying enclosing scopes innermost-first), and see
    through dune's wrapped-library alias modules as well as in-source
-   [module X = Y] aliases.  This module factors that out of the original
-   alloc pass so the race pass reuses it verbatim. *)
+   [module X = Y] aliases.  It also holds the plumbing every typedtree pass
+   shares: which definitions a pass checks ([annotated], [in_libs]), the
+   walk over sub-expressions, and the one memoized, cycle-cut verdict per
+   definition ([memo]) behind alloc verification, race certification and
+   units summaries. *)
 
 type vdef = {
   d_key : string;
@@ -218,3 +221,47 @@ let resolve t ~modpath name = resolve_in t t.defs ~modpath name
 let resolve_type t ~modpath name = resolve_in t t.types ~modpath name
 
 let is_module_level t id = Hashtbl.mem t.module_level (Ident.unique_name id)
+
+(* --- shared pass plumbing --------------------------------------------------- *)
+
+let sim_libs =
+  [ "nimbus_sim"; "nimbus_topology"; "nimbus_core"; "nimbus_dsp";
+    "nimbus_faults" ]
+
+let annotated attr t =
+  Hashtbl.fold
+    (fun _ d acc -> if has_attr attr d.d_attrs then d :: acc else acc)
+    t.defs []
+  |> List.sort (fun a b -> String.compare a.d_key b.d_key)
+
+let in_libs libs t =
+  let lib_of d =
+    Cmt_scan.lib_of_modname
+      (match String.index_opt d.d_modpath '.' with
+      | Some i -> String.sub d.d_modpath 0 i
+      | None -> d.d_modpath)
+  in
+  Hashtbl.fold
+    (fun _ d acc -> if List.mem (lib_of d) libs then d :: acc else acc)
+    t.defs []
+  |> List.sort (fun a b ->
+         match String.compare a.d_source b.d_source with
+         | 0 -> (
+           match Int.compare a.d_line b.d_line with
+           | 0 -> String.compare a.d_key b.d_key
+           | c -> c)
+         | c -> c)
+
+let children f e =
+  let it = { Tast_iterator.default_iterator with expr = (fun _ e -> f e) } in
+  Tast_iterator.default_iterator.expr it e
+
+let memo tbl ~cycle f d =
+  match Hashtbl.find_opt tbl d.d_key with
+  | Some (Some v) -> v
+  | Some None -> cycle
+  | None ->
+    Hashtbl.replace tbl d.d_key None;
+    let v = f d in
+    Hashtbl.replace tbl d.d_key (Some v);
+    v

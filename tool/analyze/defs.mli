@@ -1,6 +1,6 @@
-(** Shared definition/type-declaration tables and name resolution for the
-    typedtree passes (alloc, race).  Collected once per driver run from the
-    scanned cmt units. *)
+(** Shared definition/type-declaration tables, name resolution and pass
+    plumbing for the typedtree passes.  Collected once per driver run from
+    the scanned cmt units. *)
 
 (** One module-level value binding. *)
 type vdef = {
@@ -68,3 +68,24 @@ val resolve_type : t -> modpath:string -> string -> tdecl option
 (** [is_module_level t id] is true iff [id] is a module-level value ident of
     some scanned unit (as opposed to a function-local binding). *)
 val is_module_level : t -> Ident.t -> bool
+
+(** The libraries reachable from an engine run (sim, topology, core, dsp,
+    faults): the determinism pass's scope and the race pass's
+    mutable-global sweep. *)
+val sim_libs : string list
+
+(** [annotated attr t] — the definitions carrying [[@@attr]], by key. *)
+val annotated : string -> t -> vdef list
+
+(** [in_libs libs t] — the definitions owned by one of [libs], by
+    source file, line, then key. *)
+val in_libs : string list -> t -> vdef list
+
+(** [children f e] applies [f] to each direct sub-expression of [e]. *)
+val children : (Typedtree.expression -> unit) -> Typedtree.expression -> unit
+
+(** [memo tbl ~cycle f d] is [f d], computed once per definition key and
+    kept in [tbl]; a definition reached again while its own [f] is still
+    running gets [cycle] ([None] in [tbl] marks it). *)
+val memo :
+  (string, 'a option) Hashtbl.t -> cycle:'a -> (vdef -> 'a) -> vdef -> 'a

@@ -67,10 +67,6 @@ let () =
 (* the polymorphic structural operations det-poly-compare polices *)
 let poly_ops = [ "="; "<>"; "compare"; "Hashtbl.hash"; "Hashtbl.seeded_hash" ]
 
-let default_scope =
-  [ "nimbus_sim"; "nimbus_topology"; "nimbus_core"; "nimbus_dsp";
-    "nimbus_faults" ]
-
 (* --- float-bearing type test for det-poly-compare --------------------------- *)
 
 (* Whether a value of [ty] can contain a float anywhere structural
@@ -121,44 +117,26 @@ let bears_float (defs : Defs.t) ~modpath ty0 =
   in
   go 30 ty0
 
-let check_unit ?sup (defs : Defs.t) (u : Cmt_scan.unit_info) =
+let check_unit sink (defs : Defs.t) (u : Cmt_scan.unit_info) =
   let aliases = defs.Defs.aliases in
-  match u.str with
-  | None -> []
-  | Some str ->
-    let findings = ref [] in
-    (* stack of active [@det_ok] frames; a banned ident under one marks the
-       innermost frame as having suppressed something *)
-    let frames = ref [] in
-    let report ~rule ~line msg =
-      match !frames with
-      | fired :: _ -> fired := true
-      | [] ->
-        findings :=
-          Finding.v ~pass_:"determinism" ~rule ~file:u.source ~line msg
-          :: !findings
-    in
-    let expr self (e : Typedtree.expression) =
-      let frame =
-        match Defs.find_attr "det_ok" e.exp_attributes with
-        | Some a ->
-          let fired = ref false in
-          frames := fired :: !frames;
-          Some (a, e.exp_loc.loc_start.pos_lnum, fired)
-        | None -> None
-      in
-      (match e.exp_desc with
-      | Texp_ident (p, _, _) -> (
-        let name = Cmt_scan.normalize_path aliases p in
-        match Hashtbl.find_opt banned name with
-        | Some (rule, msg) ->
-          report ~rule ~line:e.exp_loc.loc_start.pos_lnum
-            (Printf.sprintf "%s: %s" name msg)
-        | None -> ())
-      | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
-        let name = Cmt_scan.normalize_path aliases p in
-        if List.mem name poly_ops then (
-          let offending =
+  let report ~rule ~line msg =
+    Suppress.emit sink
+      (Finding.v ~pass_:"determinism" ~rule ~file:u.source ~line msg)
+  in
+  let expr self (e : Typedtree.expression) =
+    let line = e.exp_loc.loc_start.pos_lnum in
+    Suppress.guard sink ~file:u.source ~fallback:line e.exp_attributes
+      (fun () ->
+        (match e.exp_desc with
+        | Texp_ident (p, _, _) -> (
+          let name = Cmt_scan.normalize_path aliases p in
+          match Hashtbl.find_opt banned name with
+          | Some (rule, msg) ->
+            report ~rule ~line (Printf.sprintf "%s: %s" name msg)
+          | None -> ())
+        | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, args) ->
+          let name = Cmt_scan.normalize_path aliases p in
+          if List.mem name poly_ops then
             List.find_map
               (function
                 | _, Some (a : Typedtree.expression)
@@ -166,40 +144,29 @@ let check_unit ?sup (defs : Defs.t) (u : Cmt_scan.unit_info) =
                   Some a.exp_type
                 | _ -> None)
               args
-          in
-          match offending with
-          | Some ty ->
-            report ~rule:"det-poly-compare"
-              ~line:e.exp_loc.loc_start.pos_lnum
-              (Printf.sprintf
-                 "polymorphic %s on float-bearing type %s; structural \
-                  compare/hash disagrees with IEEE float semantics on NaN, \
-                  so use Float.equal/Float.compare (or a typed comparator) \
-                  to keep traces byte-identical"
-                 name
-                 (Format.asprintf "%a" Printtyp.type_expr ty))
-          | None -> ())
-      | _ -> ());
-      Tast_iterator.default_iterator.expr self e;
-      match frame with
-      | Some (a, fallback, fired) ->
-        frames := List.tl !frames;
-        Option.iter
-          (fun t ->
-            Suppress.visited t ~attr:"det_ok" ~file:u.source
-              ~line:(Suppress.attr_line ~fallback a)
-              ~reason:(Defs.attr_reason a) ~fired:!fired)
-          sup
-      | None -> ()
-    in
-    let iter = { Tast_iterator.default_iterator with expr } in
-    iter.structure iter str;
-    List.rev !findings
+            |> Option.iter (fun ty ->
+                   report ~rule:"det-poly-compare" ~line
+                     (Printf.sprintf
+                        "polymorphic %s on float-bearing type %s; \
+                         structural compare/hash disagrees with IEEE float \
+                         semantics on NaN, so use Float.equal/Float.compare \
+                         (or a typed comparator) to keep traces \
+                         byte-identical"
+                        name
+                        (Format.asprintf "%a" Printtyp.type_expr ty)))
+        | _ -> ());
+        Tast_iterator.default_iterator.expr self e)
+  in
+  let iter = { Tast_iterator.default_iterator with expr } in
+  Option.iter (iter.structure iter) u.str
 
-let check ?sup ~scope (defs : Defs.t) units =
-  List.concat_map
-    (fun (u : Cmt_scan.unit_info) ->
-      match u.lib with
-      | Some lib when List.mem lib scope -> check_unit ?sup defs u
-      | _ -> [])
-    units
+let check ~sup ~scope (defs : Defs.t) units =
+  let sink = Suppress.sink sup ~attr:"det_ok" in
+  snd
+    (Suppress.trial sink (fun () ->
+         List.iter
+           (fun (u : Cmt_scan.unit_info) ->
+             match u.lib with
+             | Some lib when List.mem lib scope -> check_unit sink defs u
+             | _ -> ())
+           units))

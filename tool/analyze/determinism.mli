@@ -3,17 +3,13 @@
     float-bearing types ([det-poly-compare]) inside the scoped libraries.
     Exempt an expression with [@det_ok "reason"]. *)
 
-val default_scope : string list
-(** nimbus_sim, nimbus_core, nimbus_dsp, nimbus_faults — everything
-    reachable from an engine run. *)
-
 val check :
-  ?sup:Suppress.tracker ->
+  sup:Suppress.tracker ->
   scope:string list ->
   Defs.t ->
   Cmt_scan.unit_info list ->
   Finding.t list
-(** [check ?sup ~scope defs units] checks every implementation unit whose
-    owning library is in [scope]; [defs] supplies alias normalization and
-    the type declarations det-poly-compare resolves through; [sup] tracks
-    [@det_ok] staleness. *)
+(** [check ~sup ~scope defs units] checks every implementation unit whose
+    owning library is in [scope] ({!Defs.sim_libs} for the repo); [defs]
+    supplies alias normalization and the type declarations det-poly-compare
+    resolves through; [sup] tracks [@det_ok] use. *)

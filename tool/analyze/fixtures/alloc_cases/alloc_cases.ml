@@ -14,8 +14,9 @@ let clean_sum xs =
 let clean_caller xs = clean_sum xs +. 1.
 [@@alloc_free]
 
-(* verifies: the allocation is acknowledged with [@alloc_ok] *)
-let clean_suppressed n = Array.length ((Array.make n 0) [@alloc_ok])
+(* verifies: the allocation is acknowledged with a reasoned [@alloc_ok] *)
+let clean_suppressed n =
+  Array.length ((Array.make n 0) [@alloc_ok "fixture: acknowledged"])
 [@@alloc_free]
 
 (* verifies: in-place float-array slots and 8-byte integer state, the
@@ -60,4 +61,9 @@ let bad_ref_escape x =
 let helper_allocates x = [ x ]
 
 let bad_caller x = helper_allocates x
+[@@alloc_free]
+
+(* alloc-bare-suppression: an [@alloc_ok] without a reason string is itself
+   a finding, though it still swallows the allocation underneath *)
+let bad_bare n = Array.length ((Array.make n 0) [@alloc_ok])
 [@@alloc_free]

@@ -38,10 +38,6 @@
    All [@shared_ok] suppressions must carry a reason string and are
    tracked by {!Suppress} so stale ones surface as findings. *)
 
-let default_scope =
-  [ "nimbus_sim"; "nimbus_topology"; "nimbus_core"; "nimbus_dsp";
-    "nimbus_faults" ]
-
 (* --- entry points ----------------------------------------------------------- *)
 
 type task_filter = Labelled_f | Any_arrow
@@ -89,15 +85,13 @@ let banned_prefixes =
     "Format.err_formatter";
   ]
 
-let starts_with p s =
-  String.length s >= String.length p && String.sub s 0 (String.length p) = p
-
 let is_banned name =
   Hashtbl.mem banned_exact name
-  || (List.exists (fun p -> starts_with p name) banned_prefixes
+  || (List.exists (fun prefix -> String.starts_with ~prefix name)
+        banned_prefixes
      (* explicit-state Random.State is fine; only self-seeding is ambient *)
      && not
-          (starts_with "Random.State." name
+          (String.starts_with ~prefix:"Random.State." name
           && name <> "Random.State.make_self_init"))
 
 (* stdlib modules whose functions only touch their arguments: shared-state
@@ -123,36 +117,12 @@ let stdlib_modules =
 
 type state = {
   defs : Defs.t;
-  sup : Suppress.tracker option;
-  emit : (Finding.t -> unit) ref;
-  cert_verdicts : (string, Finding.t list) Hashtbl.t;
-  cert_in_progress : (string, unit) Hashtbl.t;
+  sink : Suppress.sink;
+  certs : (string, Finding.t list option) Hashtbl.t;
 }
 
 let finding st ~rule ~file ~line message =
-  !(st.emit) (Finding.v ~pass_:"race" ~rule ~file ~line message)
-
-(* run [f] with findings counted but discarded; returns how many fired *)
-let trial st f =
-  let saved = !(st.emit) in
-  let n = ref 0 in
-  st.emit := (fun _ -> incr n);
-  Fun.protect ~finally:(fun () -> st.emit := saved) f;
-  !n
-
-let sup_visited st ~file ~fallback ~fired (a : Parsetree.attribute) =
-  let line = Suppress.attr_line ~fallback a in
-  (match st.sup with
-  | Some t ->
-    Suppress.visited t ~attr:a.attr_name.txt ~file ~line
-      ~reason:(Defs.attr_reason a) ~fired
-  | None -> ());
-  if Defs.attr_reason a = None then
-    finding st ~rule:"race-bare-suppression" ~file ~line
-      "[@shared_ok] must carry a reason string: [@shared_ok \"why this \
-       sharing is safe\"]"
-
-let shared_ok attrs = Defs.find_attr "shared_ok" attrs
+  Suppress.emit st.sink (Finding.v ~pass_:"race" ~rule ~file ~line message)
 
 (* --- type helpers ----------------------------------------------------------- *)
 
@@ -180,42 +150,26 @@ let check_task st ~(u : Cmt_scan.unit_info) ~entry (te : Typedtree.expression)
     List.iter
       (fun occs ->
         let o = List.hd occs in
-        let suppression () =
-          List.find_map
-            (fun (oc : Freevars.occ) ->
-              Option.map (fun a -> (oc, a)) (shared_ok oc.Freevars.o_attrs))
-            occs
+        (* the first occurrence carrying [@shared_ok], if any, suppresses
+           the capture; on a capture the pass finds harmless it is stale *)
+        let oc =
+          Option.value ~default:o
+            (List.find_opt
+               (fun (oc : Freevars.occ) -> Defs.has_attr "shared_ok" oc.o_attrs)
+               occs)
         in
-        (* a suppression on a capture the pass finds harmless anyway is
-           stale, and must be reported as such rather than silently kept *)
-        let stale_visit () =
-          match suppression () with
-          | Some (oc, a) ->
-            sup_visited st ~file ~fallback:oc.Freevars.o_line ~fired:false a
-          | None -> ()
-        in
-        if Defs.is_module_level st.defs o.Freevars.o_id then stale_visit ()
-        else
-          match
-            Type_class.classify st.defs ~modpath:u.modname o.Freevars.o_type
-          with
-          | Type_class.Safe -> stale_visit ()
-          | Type_class.Unsafe why -> (
-            match suppression () with
-            | Some (oc, a) ->
-              sup_visited st ~file ~fallback:oc.Freevars.o_line ~fired:true a
-            | None ->
-              finding st ~rule:"race-unsafe-capture" ~file
-                ~line:o.Freevars.o_line
-                (Printf.sprintf
-                   "task passed to %s captures %s : %s — %s; create it \
-                    inside the task body, make it domain-safe, or annotate \
-                    the capture (%s [@shared_ok \"why\"])"
-                   entry
-                   (Ident.name o.Freevars.o_id)
-                   (type_str o.Freevars.o_type)
-                   why
-                   (Ident.name o.Freevars.o_id))))
+        Suppress.guard st.sink ~file ~fallback:oc.o_line oc.o_attrs (fun () ->
+            if not (Defs.is_module_level st.defs o.o_id) then
+              match Type_class.classify st.defs ~modpath:u.modname o.o_type with
+              | Type_class.Safe -> ()
+              | Type_class.Unsafe why ->
+                finding st ~rule:"race-unsafe-capture" ~file ~line:o.o_line
+                  (Printf.sprintf
+                     "task passed to %s captures %s : %s — %s; create it \
+                      inside the task body, make it domain-safe, or annotate \
+                      the capture (%s [@shared_ok \"why\"])"
+                     entry (Ident.name o.o_id) (type_str o.o_type) why
+                     (Ident.name o.o_id))))
       (Freevars.free te)
   | Texp_ident (p, _, _) -> (
     let name = Cmt_scan.normalize_path st.defs.Defs.aliases p in
@@ -289,16 +243,10 @@ let scan_sites st (u : Cmt_scan.unit_info) =
                     label = Asttypes.Nolabel
                     && is_arrowish st ~modpath:u.modname 5 a.exp_type
                 in
-                if is_task then (
-                  match shared_ok a.exp_attributes with
-                  | Some at ->
-                    let n =
-                      trial st (fun () -> check_task st ~u ~entry a)
-                    in
-                    sup_visited st ~file:u.source
-                      ~fallback:a.exp_loc.loc_start.pos_lnum
-                      ~fired:(n > 0) at
-                  | None -> check_task st ~u ~entry a)
+                if is_task then
+                  Suppress.guard st.sink ~file:u.source
+                    ~fallback:a.exp_loc.loc_start.pos_lnum a.exp_attributes
+                    (fun () -> check_task st ~u ~entry a)
               | None -> ())
             args)
       | _ -> ());
@@ -310,44 +258,25 @@ let scan_sites st (u : Cmt_scan.unit_info) =
 
 (* --- sub-rule 2: [@@domain_safe] certification ------------------------------ *)
 
-let rec cert_verdict st (d : Defs.vdef) =
-  match Hashtbl.find_opt st.cert_verdicts d.Defs.d_key with
-  | Some fs -> fs
-  | None ->
-    if Hashtbl.mem st.cert_in_progress d.Defs.d_key then []
-    else begin
-      Hashtbl.replace st.cert_in_progress d.Defs.d_key ();
-      let fs = check_cert st d in
-      Hashtbl.remove st.cert_in_progress d.Defs.d_key;
-      Hashtbl.replace st.cert_verdicts d.Defs.d_key fs;
-      fs
-    end
+let rec cert_verdict st d =
+  Defs.memo st.certs ~cycle:[]
+    (fun d -> snd (Suppress.trial st.sink (fun () -> check_cert st d)))
+    d
 
 and check_cert st (d : Defs.vdef) =
-  let acc = ref [] in
-  let saved = !(st.emit) in
-  st.emit := (fun f -> acc := f :: !acc);
   let file = d.Defs.d_source and modpath = d.Defs.d_modpath in
   let bound = Freevars.bound_idents d.Defs.d_expr in
   let rec visit (e : Typedtree.expression) =
-    match shared_ok e.exp_attributes with
-    | Some a ->
-      let n = trial st (fun () -> visit_core e) in
-      sup_visited st ~file ~fallback:e.exp_loc.loc_start.pos_lnum
-        ~fired:(n > 0) a
-    | None -> visit_core e
+    Suppress.guard st.sink ~file ~fallback:e.exp_loc.loc_start.pos_lnum
+      e.exp_attributes (fun () -> visit_core e)
   and visit_core (e : Typedtree.expression) =
     match e.exp_desc with
     | Texp_apply (({ exp_desc = Texp_ident (p, _, _); _ } as fn), args) ->
-      (match shared_ok fn.exp_attributes with
-      | Some a ->
-        let n = trial st (fun () -> visit_call fn p) in
-        sup_visited st ~file ~fallback:fn.exp_loc.loc_start.pos_lnum
-          ~fired:(n > 0) a
-      | None -> visit_call fn p);
+      Suppress.guard st.sink ~file ~fallback:fn.exp_loc.loc_start.pos_lnum
+        fn.exp_attributes (fun () -> visit_call fn p);
       List.iter (function _, Some a -> visit a | _, None -> ()) args
     | Texp_ident (p, _, _) -> visit_ident e p
-    | _ -> descend e
+    | _ -> Defs.children visit e
   and visit_call (fn : Typedtree.expression) p =
     let name = Cmt_scan.normalize_path st.defs.Defs.aliases p in
     let line = fn.exp_loc.loc_start.pos_lnum in
@@ -408,15 +337,8 @@ and check_cert st (d : Defs.vdef) =
              d.Defs.d_key
              (Cmt_scan.normalize_path st.defs.Defs.aliases p)
              (type_str e.exp_type) why)
-  and descend e =
-    let it =
-      { Tast_iterator.default_iterator with expr = (fun _ e -> visit e) }
-    in
-    Tast_iterator.default_iterator.expr it e
   in
-  visit d.Defs.d_expr;
-  st.emit := saved;
-  List.rev !acc
+  visit d.Defs.d_expr
 
 (* --- sub-rule 3: module-level mutable state sweep --------------------------- *)
 
@@ -440,31 +362,23 @@ let sweep st ~scope (units : Cmt_scan.unit_info list) =
           | _ -> ()
         and vb modpath (v : Typedtree.value_binding) =
           match Defs.binding_name v.vb_pat with
-          | Some txt -> (
+          | Some txt ->
             let ty = v.vb_pat.pat_type in
-            if is_arrowish st ~modpath 5 ty then ()
-            else
-              match Type_class.classify st.defs ~modpath ty with
-              | Type_class.Safe -> (
-                match shared_ok v.vb_attributes with
-                | Some a ->
-                  sup_visited st ~file:u.source
-                    ~fallback:v.vb_loc.loc_start.pos_lnum ~fired:false a
-                | None -> ())
-              | Type_class.Unsafe why -> (
-                match shared_ok v.vb_attributes with
-                | Some a ->
-                  sup_visited st ~file:u.source
-                    ~fallback:v.vb_loc.loc_start.pos_lnum ~fired:true a
-                | None ->
-                  finding st ~rule:"race-mutable-global" ~file:u.source
-                    ~line:v.vb_loc.loc_start.pos_lnum
-                    (Printf.sprintf
-                       "module-level mutable state %s.%s : %s — %s; this \
-                        library runs on pool domains, so thread the state \
-                        through explicitly, or synchronise it and annotate \
-                        the binding [@@shared_ok \"why\"]"
-                       modpath txt (type_str ty) why)))
+            if not (is_arrowish st ~modpath 5 ty) then
+              Suppress.guard st.sink ~file:u.source
+                ~fallback:v.vb_loc.loc_start.pos_lnum v.vb_attributes
+                (fun () ->
+                  match Type_class.classify st.defs ~modpath ty with
+                  | Type_class.Safe -> ()
+                  | Type_class.Unsafe why ->
+                    finding st ~rule:"race-mutable-global" ~file:u.source
+                      ~line:v.vb_loc.loc_start.pos_lnum
+                      (Printf.sprintf
+                         "module-level mutable state %s.%s : %s — %s; this \
+                          library runs on pool domains, so thread the \
+                          state through explicitly, or synchronise it and \
+                          annotate the binding [@@shared_ok \"why\"]"
+                         modpath txt (type_str ty) why))
           | _ -> ()
         in
         str_items u.modname str
@@ -479,34 +393,22 @@ type result = {
   sites : int;  (* pool entry-point call sites capture-checked *)
 }
 
-let check ?sup ~scope (defs : Defs.t) (units : Cmt_scan.unit_info list) =
-  let collected = ref [] in
+let check ~sup ~scope (defs : Defs.t) (units : Cmt_scan.unit_info list) =
   let st =
-    {
-      defs;
-      sup;
-      emit = ref (fun f -> collected := f :: !collected);
-      cert_verdicts = Hashtbl.create 64;
-      cert_in_progress = Hashtbl.create 16;
-    }
+    { defs; sink = Suppress.sink sup ~attr:"shared_ok";
+      certs = Hashtbl.create 64 }
   in
-  let sites = List.fold_left (fun n u -> n + scan_sites st u) 0 units in
-  sweep st ~scope units;
-  let annotated =
-    Hashtbl.fold
-      (fun _ (d : Defs.vdef) acc ->
-        if Defs.has_attr "domain_safe" d.Defs.d_attrs then d :: acc else acc)
-      defs.Defs.defs []
-    |> List.sort (fun (a : Defs.vdef) b -> String.compare a.d_key b.d_key)
+  let sites, found =
+    Suppress.trial st.sink (fun () ->
+        let sites = List.fold_left (fun n u -> n + scan_sites st u) 0 units in
+        sweep st ~scope units;
+        sites)
   in
-  let certified =
-    List.filter_map
-      (fun (d : Defs.vdef) ->
-        match cert_verdict st d with
-        | [] -> Some d.Defs.d_key
-        | fs ->
-          collected := fs @ !collected;
-          None)
-      annotated
+  let certified, failed =
+    List.partition
+      (fun d -> cert_verdict st d = [])
+      (Defs.annotated "domain_safe" defs)
   in
-  { findings = List.rev !collected; certified; sites }
+  { findings = found @ List.concat_map (cert_verdict st) failed;
+    certified = List.map (fun (d : Defs.vdef) -> d.d_key) certified;
+    sites }

@@ -13,13 +13,12 @@ type result = {
   sites : int;  (** pool entry-point call sites capture-checked *)
 }
 
-(** [check ?sup ~scope defs units] runs all three sub-rules; [scope] is the
-    library list swept for module-level mutable state. *)
+(** [check ~sup ~scope defs units] runs all three sub-rules; [scope] is the
+    library list swept for module-level mutable state ({!Defs.sim_libs} for
+    the repo). *)
 val check :
-  ?sup:Suppress.tracker ->
+  sup:Suppress.tracker ->
   scope:string list ->
   Defs.t ->
   Cmt_scan.unit_info list ->
   result
-
-val default_scope : string list

@@ -1,13 +1,16 @@
-(* Suppression accounting, shared by the determinism, alloc, race, and
-   units passes.
+(* Suppression protocol, shared by the determinism, alloc, race, and units
+   passes.
 
-   Every pass that honours an escape-hatch attribute ([@det_ok] /
-   [@alloc_ok] / [@shared_ok] / [@unit_ok]) reports two events here: [see] when the pass
-   *visits* a suppression (so its effect is decidable this run) and [use]
-   when the suppression actually prevented at least one finding.  A visited
+   Each pass honours one escape-hatch attribute ([@det_ok] / [@alloc_ok] /
+   [@shared_ok] / [@unit_ok]) and emits its findings through a [sink].
+   [guard] is the one way a pass meets a suppression: it runs the guarded
+   check with its findings captured instead of reported, records the
+   suppression as *visited* (its effect was decidable this run) and as
+   *used* when the check produced at least one finding, and reports a
+   suppression without a reason string as a finding of its own.  A visited
    suppression that suppressed nothing is *stale* — dead weight that would
-   hide a future regression — and is reported as a finding of its own, so
-   the escape hatches cannot rot.
+   hide a future regression — and {!stale} reports it, so the escape
+   hatches cannot rot.
 
    Separately, [collect] scans every unit for all suppression attributes
    (whether or not any pass visited them) to power `analyze
@@ -27,59 +30,88 @@ type tracker = { seen : (string * string * int, entry) Hashtbl.t }
 let create () = { seen = Hashtbl.create 64 }
 
 (* the canonical line of a suppression is the attribute's own location (the
-   carrying expression may span several lines); both the passes and
-   [collect] must use this so their records line up *)
+   carrying expression may span several lines); both [guard] and [collect]
+   use this so their records line up *)
 let attr_line ~fallback (a : Parsetree.attribute) =
   let l = a.attr_loc.loc_start.pos_lnum in
   if l > 0 then l else fallback
 
-let see t ~attr ~file ~line ~reason =
-  let key = (attr, file, line) in
-  if not (Hashtbl.mem t.seen key) then
-    Hashtbl.replace t.seen key
-      { s_attr = attr; s_file = file; s_line = line; s_reason = reason;
-        s_used = false }
+(* each escape hatch, the pass that honours it, and that pass's rule for a
+   suppression without a reason; the order is the audit listing's *)
+let hatches =
+  [
+    ("det_ok", ("determinism", "det-bare-suppression"));
+    ("alloc_ok", ("alloc", "alloc-bare-suppression"));
+    ("shared_ok", ("race", "race-bare-suppression"));
+    ("unit_ok", ("units", "unit-bare-suppression"));
+  ]
 
-let use t ~attr ~file ~line =
-  match Hashtbl.find_opt t.seen (attr, file, line) with
-  | Some e -> e.s_used <- true
-  | None ->
-    Hashtbl.replace t.seen (attr, file, line)
-      { s_attr = attr; s_file = file; s_line = line; s_reason = None;
-        s_used = true }
+let suppression_attrs = List.map fst hatches
 
-(* convenience: record a visited suppression and mark it used iff it
-   prevented at least one finding *)
-let visited t ~attr ~file ~line ~reason ~fired =
-  see t ~attr ~file ~line ~reason;
-  if fired then use t ~attr ~file ~line
+(* --- the protocol ----------------------------------------------------------- *)
 
-let entries t =
-  Hashtbl.fold (fun _ e acc -> e :: acc) t.seen []
+type sink = {
+  tracker : tracker;
+  attr : string;
+  mutable out : Finding.t -> unit;
+}
+
+let sink tracker ~attr = { tracker; attr; out = ignore }
+
+let emit s f = s.out f
+
+let trial s f =
+  let saved = s.out in
+  let found = ref [] in
+  s.out <- (fun x -> found := x :: !found);
+  let r = Fun.protect ~finally:(fun () -> s.out <- saved) f in
+  (r, List.rev !found)
+
+let guard s ~file ~fallback attrs f =
+  match Defs.find_attr s.attr attrs with
+  | None -> f ()
+  | Some a ->
+    let r, found = trial s f in
+    let line = attr_line ~fallback a and reason = Defs.attr_reason a in
+    let key = (s.attr, file, line) in
+    let e =
+      match Hashtbl.find_opt s.tracker.seen key with
+      | Some e -> e
+      | None ->
+        let e =
+          { s_attr = s.attr; s_file = file; s_line = line; s_reason = reason;
+            s_used = false }
+        in
+        Hashtbl.replace s.tracker.seen key e;
+        e
+    in
+    if found <> [] then e.s_used <- true;
+    if reason = None then begin
+      let pass_, rule = List.assoc s.attr hatches in
+      emit s
+        (Finding.v ~pass_ ~rule ~file ~line
+           (Printf.sprintf
+              "[@%s] must carry a reason string: [@%s \"why this is safe\"]"
+              s.attr s.attr))
+    end;
+    r
+
+let stale t =
+  Hashtbl.fold (fun _ e acc -> if e.s_used then acc else e :: acc) t.seen []
   |> List.sort (fun a b ->
          match String.compare a.s_file b.s_file with
          | 0 -> Int.compare a.s_line b.s_line
          | c -> c)
-
-let stale t =
-  List.filter_map
-    (fun e ->
-      if e.s_used then None
-      else
-        Some
-          (Finding.v ~pass_:"suppress" ~rule:"suppress-stale" ~file:e.s_file
-             ~line:e.s_line
-             (Printf.sprintf
-                "[@%s%s] no longer suppresses any finding; remove it"
-                e.s_attr
-                (match e.s_reason with
-                | Some r -> Printf.sprintf " %S" r
-                | None -> ""))))
-    (entries t)
+  |> List.map (fun e ->
+         Finding.v ~pass_:"suppress" ~rule:"suppress-stale" ~file:e.s_file
+           ~line:e.s_line
+           (Printf.sprintf "[@%s%s] no longer suppresses any finding; remove it"
+              e.s_attr
+              (match e.s_reason with
+              | Some r -> Printf.sprintf " %S" r
+              | None -> "")))
 
 (* --- the audit listing ------------------------------------------------------ *)
-
-let suppression_attrs = [ "det_ok"; "alloc_ok"; "shared_ok"; "unit_ok" ]
 
 type listed = {
   l_attr : string;

@@ -1,38 +1,41 @@
-(** Suppression accounting shared by the determinism, alloc, race, and
-    units passes: which [@det_ok]/[@alloc_ok]/[@shared_ok]/[@unit_ok]
-    escapes were visited, which actually suppressed a finding, and which
-    are stale. *)
+(** The suppression protocol shared by the determinism, alloc, race, and
+    units passes: each pass emits its findings through a {!sink}, and every
+    [@det_ok]/[@alloc_ok]/[@shared_ok]/[@unit_ok] it meets goes through
+    {!guard}, which records which escapes were visited and which actually
+    suppressed a finding, and reports one without a reason string. *)
 
 type tracker
 
 val create : unit -> tracker
 
-(** Canonical line of a suppression attribute (its own location, falling
-    back to the carrying node's line for ghost locations).  Passes and
-    {!collect} must agree on this for staleness to line up. *)
-val attr_line : fallback:int -> Parsetree.attribute -> int
+(** A pass's findings sink, bound to the escape-hatch attribute that pass
+    honours.  Findings emitted outside {!trial} are dropped. *)
+type sink
 
-(** [see t ~attr ~file ~line ~reason] records that a pass visited a
-    suppression, i.e. its effect was decidable this run. *)
-val see :
-  tracker -> attr:string -> file:string -> line:int -> reason:string option ->
-  unit
+(** [sink t ~attr] — [attr] is one of {!suppression_attrs}. *)
+val sink : tracker -> attr:string -> sink
 
-(** [use t ~attr ~file ~line] records that the suppression prevented at
-    least one finding. *)
-val use : tracker -> attr:string -> file:string -> line:int -> unit
+val emit : sink -> Finding.t -> unit
 
-(** [visited t ... ~fired] is [see] followed by [use] when [fired]. *)
-val visited :
-  tracker -> attr:string -> file:string -> line:int ->
-  reason:string option -> fired:bool -> unit
+(** [trial s f] runs [f] and returns, instead of reporting them, the
+    findings it emitted, in emission order. *)
+val trial : sink -> (unit -> 'a) -> 'a * Finding.t list
+
+(** [guard s ~file ~fallback attrs f] is [f ()] when [attrs] carries no
+    suppression of [s]'s attribute.  Otherwise it runs [f] under
+    {!trial}, discards what [f] found, records the suppression as
+    visited (and used iff [f] found something), and emits a
+    [*-bare-suppression] finding if the attribute has no reason string.
+    [fallback] is the line of the carrying node, for ghost locations. *)
+val guard :
+  sink -> file:string -> fallback:int -> Parsetree.attributes ->
+  (unit -> 'a) -> 'a
 
 (** Visited suppressions that suppressed nothing, as findings
     (pass ["suppress"], rule ["suppress-stale"]). *)
 val stale : tracker -> Finding.t list
 
-(** The escape-hatch attribute names the audit listing recognises, in
-    display order. *)
+(** The escape-hatch attribute names, in display order. *)
 val suppression_attrs : string list
 
 (** One suppression attribute found in the scanned units (for the

@@ -16,36 +16,11 @@ let default_scope =
   [ "nimbus_core"; "nimbus_cc"; "nimbus_sim"; "nimbus_topology";
     "nimbus_dsp" ]
 
-type state = {
-  defs : Defs.t;
-  api : Unit_api.t;
-  sup : Suppress.tracker option;
-  emit : (Finding.t -> unit) ref;
-}
+type state = { defs : Defs.t; api : Unit_api.t; sink : Suppress.sink }
 
 let finding st ~file ~line message =
-  !(st.emit)
+  Suppress.emit st.sink
     (Finding.v ~pass_:"units" ~rule:"unit-raw-boundary" ~file ~line message)
-
-let trial st f =
-  let saved = !(st.emit) in
-  let n = ref 0 in
-  st.emit := (fun _ -> incr n);
-  Fun.protect ~finally:(fun () -> st.emit := saved) f;
-  !n
-
-let sup_visited st ~file ~fallback ~fired (a : Parsetree.attribute) =
-  let line = Suppress.attr_line ~fallback a in
-  (match st.sup with
-  | Some t ->
-    Suppress.visited t ~attr:a.attr_name.txt ~file ~line
-      ~reason:(Defs.attr_reason a) ~fired
-  | None -> ());
-  if Defs.attr_reason a = None then
-    !(st.emit)
-      (Finding.v ~pass_:"units" ~rule:"unit-bare-suppression" ~file ~line
-         "[@unit_ok] must carry a reason string: [@unit_ok \"why this raw \
-          float boundary is deliberate\"]")
 
 let is_float_ty (ty : Types.type_expr) =
   match Types.get_desc ty with
@@ -156,38 +131,12 @@ let check_def st (d : Defs.vdef) =
 
 (* --- entry point ------------------------------------------------------------ *)
 
-let lib_of_def (d : Defs.vdef) =
-  let head =
-    match String.index_opt d.Defs.d_modpath '.' with
-    | Some i -> String.sub d.Defs.d_modpath 0 i
-    | None -> d.Defs.d_modpath
-  in
-  Cmt_scan.lib_of_modname head
-
-let check ?sup ~scope (api : Unit_api.t) (defs : Defs.t) =
-  let collected = ref [] in
-  let st =
-    { defs; api; sup; emit = ref (fun f -> collected := f :: !collected) }
-  in
-  let scoped =
-    Hashtbl.fold
-      (fun _ (d : Defs.vdef) acc ->
-        if List.mem (lib_of_def d) scope then d :: acc else acc)
-      defs.Defs.defs []
-    |> List.sort (fun (a : Defs.vdef) b ->
-           let c = String.compare a.d_source b.d_source in
-           if c <> 0 then c
-           else
-             let c = Int.compare a.d_line b.d_line in
-             if c <> 0 then c else String.compare a.d_key b.d_key)
-  in
-  List.iter
-    (fun (d : Defs.vdef) ->
-      match Defs.find_attr "unit_ok" d.Defs.d_attrs with
-      | Some a ->
-        let n = trial st (fun () -> check_def st d) in
-        sup_visited st ~file:d.Defs.d_source ~fallback:d.Defs.d_line
-          ~fired:(n > 0) a
-      | None -> check_def st d)
-    scoped;
-  List.rev !collected
+let check ~sup ~scope (api : Unit_api.t) (defs : Defs.t) =
+  let st = { defs; api; sink = Suppress.sink sup ~attr:"unit_ok" } in
+  snd
+    (Suppress.trial st.sink (fun () ->
+         List.iter
+           (fun (d : Defs.vdef) ->
+             Suppress.guard st.sink ~file:d.d_source ~fallback:d.d_line
+               d.d_attrs (fun () -> check_def st d))
+           (Defs.in_libs scope defs)))

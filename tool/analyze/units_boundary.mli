@@ -8,7 +8,7 @@
 val default_scope : string list
 
 val check :
-  ?sup:Suppress.tracker ->
+  sup:Suppress.tracker ->
   scope:string list ->
   Unit_api.t ->
   Defs.t ->

@@ -85,36 +85,12 @@ type ctx = { file : string; modpath : string }
 type state = {
   defs : Defs.t;
   api : Unit_api.t;
-  sup : Suppress.tracker option;
-  emit : (Finding.t -> unit) ref;
-  summaries : (string, summary) Hashtbl.t;
-  in_progress : (string, unit) Hashtbl.t;
+  sink : Suppress.sink;
+  summaries : (string, summary option) Hashtbl.t;
 }
 
 let finding st ~rule ~file ~line message =
-  !(st.emit) (Finding.v ~pass_:"units" ~rule ~file ~line message)
-
-(* run [f] with findings counted but discarded; returns how many fired *)
-let trial st f =
-  let saved = !(st.emit) in
-  let n = ref 0 in
-  st.emit := (fun _ -> incr n);
-  Fun.protect ~finally:(fun () -> st.emit := saved) f;
-  !n
-
-let sup_visited st ~file ~fallback ~fired (a : Parsetree.attribute) =
-  let line = Suppress.attr_line ~fallback a in
-  (match st.sup with
-  | Some t ->
-    Suppress.visited t ~attr:a.attr_name.txt ~file ~line
-      ~reason:(Defs.attr_reason a) ~fired
-  | None -> ());
-  if Defs.attr_reason a = None then
-    finding st ~rule:"unit-bare-suppression" ~file ~line
-      "[@unit_ok] must carry a reason string: [@unit_ok \"why these \
-       dimensions may meet\"]"
-
-let unit_ok attrs = Defs.find_attr "unit_ok" attrs
+  Suppress.emit st.sink (Finding.v ~pass_:"units" ~rule ~file ~line message)
 
 (* --- pattern binding / parameter stripping ---------------------------------- *)
 
@@ -149,14 +125,8 @@ let rec strip_params env idx (e : Typedtree.expression) =
 (* --- evaluation ------------------------------------------------------------- *)
 
 let rec eval st ctx env (e : Typedtree.expression) : taint =
-  match unit_ok e.exp_attributes with
-  | Some a ->
-    let r = ref Top in
-    let n = trial st (fun () -> r := eval_core st ctx env e) in
-    sup_visited st ~file:ctx.file ~fallback:e.exp_loc.loc_start.pos_lnum
-      ~fired:(n > 0) a;
-    !r
-  | None -> eval_core st ctx env e
+  Suppress.guard st.sink ~file:ctx.file ~fallback:e.exp_loc.loc_start.pos_lnum
+    e.exp_attributes (fun () -> eval_core st ctx env e)
 
 and eval_core st ctx env (e : Typedtree.expression) : taint =
   match e.exp_desc with
@@ -174,14 +144,9 @@ and eval_core st ctx env (e : Typedtree.expression) : taint =
     List.iter
       (fun (vb : Typedtree.value_binding) ->
         let t =
-          match unit_ok vb.vb_attributes with
-          | Some a ->
-            let r = ref Top in
-            let n = trial st (fun () -> r := eval st ctx env vb.vb_expr) in
-            sup_visited st ~file:ctx.file
-              ~fallback:vb.vb_loc.loc_start.pos_lnum ~fired:(n > 0) a;
-            !r
-          | None -> eval st ctx env vb.vb_expr
+          Suppress.guard st.sink ~file:ctx.file
+            ~fallback:vb.vb_loc.loc_start.pos_lnum vb.vb_attributes
+            (fun () -> eval st ctx env vb.vb_expr)
         in
         bind_pat env vb.vb_pat t)
       vbs;
@@ -216,13 +181,7 @@ and eval_core st ctx env (e : Typedtree.expression) : taint =
   | Texp_open (_, body) -> eval st ctx env body
   | _ ->
     (* everything else: check the children, degrade to untracked *)
-    let it =
-      {
-        Tast_iterator.default_iterator with
-        expr = (fun _ e -> ignore (eval st ctx env e));
-      }
-    in
-    Tast_iterator.default_iterator.expr it e;
+    Defs.children (fun e -> ignore (eval st ctx env e)) e;
     Top
 
 and ident_taint st ctx env p (vd : Types.value_description) =
@@ -346,29 +305,15 @@ and eval_op st ctx ~name ~line op positional all_positional =
 (* Result taint of a definition as a function of its parameters, computed
    with findings discarded (the definition's own findings are emitted once,
    by its direct check).  Cycles summarize to untracked. *)
-and summarize st (d : Defs.vdef) =
-  match Hashtbl.find_opt st.summaries d.Defs.d_key with
-  | Some s -> s
-  | None ->
-    if Hashtbl.mem st.in_progress d.Defs.d_key then
-      { s_params = 0; s_taint = Top }
-    else begin
-      Hashtbl.replace st.in_progress d.Defs.d_key ();
-      let ctx = { file = d.Defs.d_source; modpath = d.Defs.d_modpath } in
+and summarize st d =
+  Defs.memo st.summaries ~cycle:{ s_params = 0; s_taint = Top }
+    (fun d ->
       let env = Hashtbl.create 8 in
       let params, body = strip_params env 0 d.Defs.d_expr in
-      let saved = !(st.emit) in
-      st.emit := (fun _ -> ());
-      let t =
-        Fun.protect
-          ~finally:(fun () -> st.emit := saved)
-          (fun () -> eval st ctx env body)
-      in
-      Hashtbl.remove st.in_progress d.Defs.d_key;
-      let s = { s_params = params; s_taint = t } in
-      Hashtbl.replace st.summaries d.Defs.d_key s;
-      s
-    end
+      let ctx = { file = d.Defs.d_source; modpath = d.Defs.d_modpath } in
+      let t, _ = Suppress.trial st.sink (fun () -> eval st ctx env body) in
+      { s_params = params; s_taint = t })
+    d
 
 (* --- entry point ------------------------------------------------------------ *)
 
@@ -377,48 +322,21 @@ type result = {
   checked : int;  (* module-level definitions the dataflow evaluated *)
 }
 
-let lib_of_def (d : Defs.vdef) =
-  let head =
-    match String.index_opt d.Defs.d_modpath '.' with
-    | Some i -> String.sub d.Defs.d_modpath 0 i
-    | None -> d.Defs.d_modpath
-  in
-  Cmt_scan.lib_of_modname head
-
-let check ?sup ~scope (api : Unit_api.t) (defs : Defs.t) =
-  let collected = ref [] in
+let check ~sup ~scope (api : Unit_api.t) (defs : Defs.t) =
   let st =
-    {
-      defs;
-      api;
-      sup;
-      emit = ref (fun f -> collected := f :: !collected);
-      summaries = Hashtbl.create 256;
-      in_progress = Hashtbl.create 16;
-    }
+    { defs; api; sink = Suppress.sink sup ~attr:"unit_ok";
+      summaries = Hashtbl.create 256 }
   in
-  let scoped =
-    Hashtbl.fold
-      (fun _ (d : Defs.vdef) acc ->
-        if List.mem (lib_of_def d) scope then d :: acc else acc)
-      defs.Defs.defs []
-    |> List.sort (fun (a : Defs.vdef) b ->
-           let c = String.compare a.d_source b.d_source in
-           if c <> 0 then c
-           else
-             let c = Int.compare a.d_line b.d_line in
-             if c <> 0 then c else String.compare a.d_key b.d_key)
+  let scoped = Defs.in_libs scope defs in
+  let (), findings =
+    Suppress.trial st.sink (fun () ->
+        List.iter
+          (fun (d : Defs.vdef) ->
+            let ctx = { file = d.d_source; modpath = d.d_modpath } in
+            let env = Hashtbl.create 16 in
+            let _, body = strip_params env 0 d.d_expr in
+            Suppress.guard st.sink ~file:d.d_source ~fallback:d.d_line
+              d.d_attrs (fun () -> ignore (eval st ctx env body)))
+          scoped)
   in
-  List.iter
-    (fun (d : Defs.vdef) ->
-      let ctx = { file = d.Defs.d_source; modpath = d.Defs.d_modpath } in
-      let env = Hashtbl.create 16 in
-      let _, body = strip_params env 0 d.Defs.d_expr in
-      match unit_ok d.Defs.d_attrs with
-      | Some a ->
-        let n = trial st (fun () -> ignore (eval st ctx env body)) in
-        sup_visited st ~file:d.Defs.d_source ~fallback:d.Defs.d_line
-          ~fired:(n > 0) a
-      | None -> ignore (eval st ctx env body))
-    scoped;
-  { findings = List.rev !collected; checked = List.length scoped }
+  { findings; checked = List.length scoped }

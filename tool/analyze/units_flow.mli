@@ -15,4 +15,4 @@ type result = {
 }
 
 val check :
-  ?sup:Suppress.tracker -> scope:string list -> Unit_api.t -> Defs.t -> result
+  sup:Suppress.tracker -> scope:string list -> Unit_api.t -> Defs.t -> result
