@@ -67,5 +67,12 @@ type t = {
           algorithms *)
   pacing_rate : unit -> Units.Rate.t option;
       (** [Some r] paces transmissions at [r]; [None] relies on pure ACK
-          clocking against the window *)
+          clocking against the window.
+
+          Contract: once it has answered [Some _], it never answers [None]
+          again (BBR's bottleneck estimate stays positive once it has a
+          sample).  A flow relies on this: while its pacer is scheduled it
+          does not ask after an ACK or a tick, and reads the rate only
+          when the pacer wakes (at most 2 ms later), so the hook runs
+          about once per wake, not once per ACK. *)
 }

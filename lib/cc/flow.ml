@@ -452,8 +452,12 @@ let rec send_next t =
     send_packet t ~seq ~retx:false
   end
 
+(* A scheduled pacer reads the rate at its next wake, at most 2 ms away,
+   and a controller never goes from [Some] back to [None] (the
+   {!Cc_types.t.pacing_rate} contract), so asking again here would only
+   find [Some _] and leave the pacer as it is. *)
 and try_send t =
-  if t.active then begin
+  if t.active && not t.pacing_scheduled then begin
     match t.cc.Cc_types.pacing_rate () with
     | Some _ -> ensure_pacing t
     | None ->

@@ -207,10 +207,12 @@ let tone_amplitude t i =
 
 (* |FFT(f)| of a windowed sinusoid of amplitude a is a·N·cg/2 where cg is
    the taper's coherent gain; invert that to read the amplitude back. *)
+let[@inline] oscillation t amp = 2. *. amp /. t.watch_gain.(0)
+
 let tone_oscillation t i =
   match watch_bank t with
   | None -> nan
-  | Some bank -> 2. *. Bank.amplitude bank i /. t.watch_gain.(0)
+  | Some bank -> oscillation t (Bank.amplitude bank i)
 
 let watch_reference t =
   match watch_bank t with
@@ -220,6 +222,27 @@ let watch_reference t =
       ~first:(Array.length (watched t).tones)
       ~last:(Bank.nbins bank - 1)
 
-let mean t =
+(* The three readers above in one call, each level written into [dst]:
+   a watcher reads them all on every tick it searches, and a float
+   returned across a module boundary is boxed. *)
+let watch_levels t dst =
+  match watch_bank t with
+  | None -> false
+  | Some bank ->
+    let k = Array.length (watched t).tones in
+    for i = 0 to k - 1 do
+      Bank.amplitude_to bank i dst i;
+      Float.Array.set dst (k + i) (oscillation t (Float.Array.get dst i))
+    done;
+    Bank.band_max_to bank ~first:k ~last:(Bank.nbins bank - 1) dst (2 * k);
+    true
+
+(* the sum passes through [dst.(i)] rather than a box *)
+let mean_to t dst i =
   let c = Ring.count t.ring in
-  if c = 0 then 0. else Ring.sum t.ring /. float_of_int c
+  if c = 0 then Float.Array.set dst i 0.
+  else begin
+    Ring.sum_to t.ring dst i;
+    Float.Array.set dst i (Float.Array.get dst i /. float_of_int c)
+  end
+[@@alloc_free]

@@ -125,6 +125,15 @@ val tone_oscillation : t -> int -> float
     @raise Invalid_argument without a {!watch}. *)
 val watch_reference : t -> float
 
-(** [mean t] is the mean of the current window contents ([0.] when empty),
-    computed without allocating. *)
-val mean : t -> float
+(** [watch_levels t dst] is [false] until {!ready}.  Then, for the [k]
+    watched tones, it writes [tone_amplitude t i] into [dst.(i)] and
+    [tone_oscillation t i] into [dst.(k + i)], and [watch_reference t] into
+    [dst.(2k)], and is [true]: the same bits as the three readers, with no
+    boxed float per level.
+    @raise Invalid_argument without a {!watch}. *)
+val watch_levels : t -> Float.Array.t -> bool
+
+(** [mean_to t dst i] writes the mean of the current window contents ([0.]
+    when empty) into [dst.(i)], without allocating: a float returned
+    across a module boundary would be boxed. *)
+val mean_to : t -> Float.Array.t -> int -> unit

@@ -68,6 +68,9 @@ type hot = {
   mutable srtt : float;
   mutable next_detect : float;
   mutable mu_cache : float;
+  (* the pulser's burst allowance, refreshed at the end of every tick (see
+     [refresh]): it changes only at ticks *)
+  mutable burst : float;
 }
 
 type t = {
@@ -103,6 +106,10 @@ type t = {
      off does not drag the survivor down with stale evidence. *)
   ztones : Bank.t;
   recent_len : int;            (* tone probe window, in samples *)
+  (* the floats the tick and the pacing hook read from other modules,
+     written here by their readers so that reading them boxes nothing; the
+     [lv_*] indices *)
+  levels : Float.Array.t;
   mutable tone_heard_at : float; (* nan until a pulser has ever been heard *)
   mutable follow_target : mode option; (* watcher switch-confirmation streak *)
   mutable follow_streak : int;
@@ -112,6 +119,14 @@ type t = {
   mutable mode : mode;
   mutable role : role;
   hot : hot;
+  (* The hooks' answers that change only at ticks, boxed once per tick by
+     [refresh] so that the per-packet [cwnd] and [pacing_rate] return them
+     as they are: the Delay-mode window over Basic_delay, a watcher's
+     pacing rate, and the pulser's waveform amplitude and frequency. *)
+  mutable basic_cwnd : B.t;
+  mutable watch_pace : Rate.t option;
+  mutable wave_amp : Rate.t;
+  mutable wave_freq : Freq.t;
   switch_streak : int;
   mutable inelastic_streak : int;
   mutable elastic_streak : int;
@@ -169,6 +184,20 @@ module Config = struct
       on_sample = None;
     }
 end
+
+(* [levels] layout: [Elasticity.watch_levels]'s tone amplitudes,
+   oscillations and reference for the two mode tones, then the keep-alive
+   probe's level, a detector's window mean and the pulser's waveform
+   value *)
+let lv_amp_c = 0
+let lv_amp_d = 1
+let lv_osc_c = 2
+let lv_osc_d = 3
+let lv_reference = 4
+let lv_tone = 5
+let lv_mean = 6
+let lv_wave = 7
+let lv_count = 8
 
 (* The operating point the paper fixes.  A flow ticks once per ẑ sample,
    so the tick period is the detector's sample interval. *)
@@ -257,6 +286,7 @@ let create (cfg : Config.t) =
     rng = Rng.create seed; on_detection; on_sample;
     z_detector = mk_detector (); r_detector;
     tones = tone_probe (); ztones = tone_probe (); recent_len;
+    levels = Float.Array.make lv_count 0.;
     tone_heard_at = nan; follow_target = None; follow_streak = 0;
     next_conflict_coin = 0.;
     rate_history = Ring.create hist_len;
@@ -272,7 +302,10 @@ let create (cfg : Config.t) =
     role = (if multi_flow then Watcher else Pulser);
     hot =
       { last_eta = nan; last_z = nan; srtt = nan; next_detect = fft_window;
-        mu_cache = mu_now };
+        mu_cache = mu_now; burst = 0. };
+    (* placeholders until [cc] refreshes them *)
+    basic_cwnd = B.bytes nan; watch_pace = None; wave_amp = Rate.unknown;
+    wave_freq = Freq.unknown;
     switch_streak;
     inelastic_streak = 0; elastic_streak = 0; rate_reset; trace }
 
@@ -288,24 +321,35 @@ let detector t = t.z_detector
 
 (* --- inner-controller plumbing ------------------------------------------ *)
 
+(* Cubic keeps its window boxed, so this read allocates nothing *)
 let comp_cwnd t = Cubic.cwnd_bytes t.comp
 
-let srtt_or t default = if Float.is_nan t.hot.srtt then default else t.hot.srtt
+(* The helpers the per-packet hooks use are inlined: a float passed to or
+   returned from a call that is not inlined travels boxed. *)
+let[@inline] srtt_or t default =
+  if Float.is_nan t.hot.srtt then default else t.hot.srtt
+[@@alloc_free]
 
 (* rate in bits per second of a window-based controller *)
-let rate_of_cwnd t cwnd = cwnd *. 8. /. Float.max (srtt_or t 0.1) 1e-3
+let[@inline] rate_of_cwnd t cwnd =
+  cwnd *. 8. /. Float.max (srtt_or t 0.1) 1e-3
+[@@alloc_free]
 
-let delay_rate t =
-  match t.delay with
-  | D_basic b -> Rate.to_bps (Basic_delay.rate b)
-  | D_copa c -> rate_of_cwnd t (B.to_float (Copa.cwnd_bytes c))
-
-let base_rate_bps t =
+(* the inner controller's rate; Basic_delay, like Cubic, keeps its rate
+   boxed, so reading it allocates nothing *)
+let[@inline] base_rate_bps t =
   match t.mode with
   | Competitive -> rate_of_cwnd t (B.to_float (comp_cwnd t))
-  | Delay -> delay_rate t
+  | Delay ->
+    (match t.delay with
+     | D_basic b -> Rate.to_bps (Basic_delay.rate b)
+     | D_copa c -> rate_of_cwnd t (B.to_float (Copa.cwnd_bytes c)))
+[@@alloc_free]
 
-let base_rate t = Rate.bps (base_rate_bps t)
+(* Not inlined: the tick hands the result on to the rate history and the
+   smoothing filter, and a call returns Basic_delay's box as it is, where an
+   inlined read is unboxed and then boxed again for each of them. *)
+let[@inline never] base_rate t = Rate.bps (base_rate_bps t)
 
 (* --- trace plumbing ------------------------------------------------------- *)
 
@@ -368,20 +412,20 @@ let pulse_freq t = Freq.hz (pulse_freq_hz t)
 (* the watcher and probe bank slot of a mode's pulse frequency *)
 let mode_slot = function Competitive -> 0 | Delay -> 1
 
-let pulse_value t ~now =
-  match t.role with
-  | Watcher -> 0.
-  | Pulser ->
-    if Float.is_nan t.hot.mu_cache then 0.
-    else
-      Rate.to_bps
-        (Pulse.value ~shape:t.pulse_shape
-           ~amplitude:(Rate.bps (t.pulse_frac *. t.hot.mu_cache))
-           ~freq:(Freq.hz (pulse_freq_hz t))
-           now)
-
-let pulse_amplitude t =
+let[@inline] pulse_amplitude t =
   if Float.is_nan t.hot.mu_cache then 0. else t.pulse_frac *. t.hot.mu_cache
+[@@alloc_free]
+
+(* A pulser's waveform offset at [now] in bits/s, 0 until µ is known.  The
+   amplitude, frequency and instant come in boxed and the value goes out
+   through [levels], so the call boxes nothing. *)
+let[@inline] pulse_offset t ~amplitude ~freq now =
+  if Float.is_nan t.hot.mu_cache then 0.
+  else begin
+    Pulse.value_to ~shape:t.pulse_shape ~amplitude ~freq now t.levels lv_wave;
+    Float.Array.get t.levels lv_wave
+  end
+[@@alloc_free]
 
 (* --- detection ------------------------------------------------------------ *)
 
@@ -409,7 +453,8 @@ let pulser_detect t ~now =
        an amplitude that is a sizeable fraction of the pulse amplitude;
        requiring it suppresses residues such as a smoothed Nimbus watcher's
        low-pass leakage. *)
-    let zbar = Elasticity.mean t.z_detector in
+    Elasticity.mean_to t.z_detector t.levels lv_mean;
+    let zbar = Float.Array.get t.levels lv_mean in
     let z_floor =
       if Float.is_nan t.hot.mu_cache then 0. else min_z_frac *. t.hot.mu_cache
     in
@@ -498,16 +543,16 @@ let pulser_detect t ~now =
    watcher is a sizeable fraction of µ — a floor of 2% µ rejects noise that
    happens to win the ratio test. *)
 let audible_pulser t =
-  let r = t.r_detector in
-  if not (Elasticity.ready r) then None
+  let lv = t.levels in
+  if not (Elasticity.watch_levels t.r_detector lv) then None
   else begin
-    let amp_c = Elasticity.tone_amplitude r 0 in
-    let amp_d = Elasticity.tone_amplitude r 1 in
-    let reference = Elasticity.watch_reference r in
+    let amp_c = Float.Array.get lv lv_amp_c in
+    let amp_d = Float.Array.get lv lv_amp_d in
+    let reference = Float.Array.get lv lv_reference in
     let eta_c = if reference > 0. then amp_c /. reference else 0. in
     let eta_d = if reference > 0. then amp_d /. reference else 0. in
-    let osc_c = Elasticity.tone_oscillation r 0 in
-    let osc_d = Elasticity.tone_oscillation r 1 in
+    let osc_c = Float.Array.get lv lv_osc_c in
+    let osc_d = Float.Array.get lv lv_osc_d in
     let floor_amp =
       if Float.is_nan t.hot.mu_cache then infinity else 0.02 *. t.hot.mu_cache
     in
@@ -520,10 +565,12 @@ let audible_pulser t =
 
 (* Oscillation amplitude over the trailing ~1 s of the receive rate at
    whichever mode frequency is louder. *)
-let tone_level_bps t =
+let[@inline] tone_level_bps t =
   if not (Bank.filled t.tones) then nan
-  else
-    2. /. float_of_int t.recent_len *. Bank.band_max t.tones ~first:0 ~last:1
+  else begin
+    Bank.band_max_to t.tones ~first:0 ~last:1 t.levels lv_tone;
+    2. /. float_of_int t.recent_len *. Float.Array.get t.levels lv_tone
+  end
 
 (* [tone_heard_at] refresh: does the trailing ~1 s of the receive rate still
    carry pulse-magnitude energy at either mode frequency?  The floor scales
@@ -535,7 +582,8 @@ let recent_tone_alive t =
   let amp = tone_level_bps t in
   (not (Float.is_nan amp))
   && begin
-       let own = Elasticity.mean t.r_detector in
+       Elasticity.mean_to t.r_detector t.levels lv_mean;
+       let own = Float.Array.get t.levels lv_mean in
        let mu_floor =
          if Float.is_nan t.hot.mu_cache then infinity
          else 0.01 *. t.hot.mu_cache
@@ -625,90 +673,7 @@ let election t ~now ~recv_rate =
     end
   end
 
-(* --- tick ----------------------------------------------------------------- *)
-
-let on_tick t (tk : Cc_types.tick) =
-  Span.enter Detector_tick;
-  let now = Time.to_secs tk.now in
-  let srtt = Time.to_secs tk.srtt in
-  let min_rtt = Time.to_secs tk.min_rtt in
-  let recv_rate = Rate.to_bps tk.recv_rate in
-  if not (Float.is_nan srtt) then t.hot.srtt <- srtt;
-  Z_estimator.Mu.observe t.mu ~now:tk.now ~recv_rate:tk.recv_rate;
-  t.hot.mu_cache <- Rate.to_bps (Z_estimator.Mu.current t.mu ~now:tk.now);
-  (match t.delay with
-   | D_basic b when not (Float.is_nan t.hot.mu_cache) ->
-     Basic_delay.set_mu b (Rate.bps t.hot.mu_cache)
-   | _ -> ());
-  (* ẑ and receive-rate windows.  Eq. 1 requires a busy bottleneck: with no
-     standing queue the ratio degenerates to µ − S, which tracks our own
-     pulses and would read as elastic cross traffic.  No standing queue also
-     means nothing elastic is backlogged, so ẑ = 0 is the truthful sample. *)
-  let z =
-    if Float.is_nan t.hot.mu_cache then nan
-    else if
-      (not (Float.is_nan srtt))
-      && (not (Float.is_nan min_rtt))
-      && srtt -. min_rtt < z_gate_delay
-    then 0.
-    else
-      Rate.to_bps
-        (Z_estimator.estimate ~mu:(Rate.bps t.hot.mu_cache)
-           ~send_rate:tk.send_rate ~recv_rate:tk.recv_rate)
-  in
-  t.hot.last_z <- z;
-  Elasticity.add_sample t.z_detector z;
-  let r_sample = if Float.is_nan recv_rate then 0. else recv_rate in
-  Elasticity.add_sample t.r_detector r_sample;
-  Bank.push t.tones r_sample;
-  Bank.push t.ztones (if Float.is_nan z then 0. else z);
-  (* delay-mode controller runs on ticks *)
-  (match (t.mode, t.delay) with
-   | Delay, D_basic b -> Basic_delay.update b tk
-   | _ -> ());
-  let base = base_rate_bps t in
-  Ring.push t.rate_history base;
-  ignore (Ewma.update t.smoothed_rate base);
-  if Trace.want t.trace Tev.Detector then
-    Trace.z_tick t.trace ~now ~z:(z *. 1e-6)
-      ~send:(Rate.to_bps tk.send_rate *. 1e-6)
-      ~recv:(recv_rate *. 1e-6) ~base:(base *. 1e-6);
-  if Trace.want t.trace Tev.Pulse then begin
-    match t.role with
-    | Pulser ->
-      Trace.pulse_phase t.trace ~now ~freq:(pulse_freq_hz t)
-        ~value:(pulse_value t ~now:(Time.secs now) *. 1e-6)
-    | Watcher -> ()
-  end;
-  (match t.on_sample with
-   | Some f ->
-     f
-       { s_time = tk.now; s_send_rate = tk.send_rate;
-         s_recv_rate = tk.recv_rate; s_z = Rate.bps z;
-         s_base_rate = Rate.bps base }
-   | None -> ());
-  election t ~now ~recv_rate;
-  if now >= t.hot.next_detect then begin
-    t.hot.next_detect <- now +. detect_interval;
-    match t.role with
-    | Pulser -> pulser_detect t ~now
-    | Watcher -> watcher_detect t ~now
-  end;
-  Span.leave Detector_tick
-
-(* --- the engine-facing controller ----------------------------------------- *)
-
-let on_ack t a =
-  match (t.mode, t.delay_cc) with
-  | Competitive, _ -> t.comp_cc.on_ack a
-  | Delay, Some cc -> cc.on_ack a
-  | Delay, None -> ()
-
-let on_loss t l =
-  match (t.mode, t.delay_cc) with
-  | Competitive, _ -> t.comp_cc.on_loss l
-  | Delay, Some cc -> cc.on_loss l
-  | Delay, None -> ()
+(* --- the per-packet hooks ------------------------------------------------ *)
 
 (* Bytes sent in excess of the base rate during one positive pulse lobe:
    the half-sine of amplitude A over T/4 integrates to A·(T/4)·(2/π) bits. *)
@@ -725,37 +690,155 @@ let pulse_burst_bytes t =
    the inner TCP window itself (so Nimbus stays ACK-clock disciplined and
    takes its fair share of drops) plus exactly one pulse burst; in delay mode
    it is a generous anti-runaway bound on the controlled rate. *)
-let cwnd_bytes t =
-  let srtt = srtt_or t 0.1 in
+let[@inline] delay_cwnd_bytes t ~base =
+  let headroom =
+    match t.role with Pulser -> pulse_amplitude t | Watcher -> 0.
+  in
+  Float.max (8. *. 1500.) (2. *. (base +. headroom) *. srtt_or t 0.1 /. 8.)
+[@@alloc_free]
+
+let cwnd t =
   match t.mode with
   | Competitive ->
-    (match t.role with
-     | Pulser -> B.to_float (comp_cwnd t) +. pulse_burst_bytes t
-     | Watcher ->
-       (* a window-limited watcher would be ACK-clocked -- i.e. genuinely
-          elastic cross traffic to the pulser; keep it rate-paced at the
-          smoothed rate with a loose anti-runaway cap instead *)
-       1.5 *. B.to_float (comp_cwnd t))
+    let w = B.to_float (comp_cwnd t) in
+    B.bytes
+      (match t.role with
+       | Pulser -> w +. t.hot.burst
+       | Watcher ->
+         (* a window-limited watcher would be ACK-clocked -- i.e. genuinely
+            elastic cross traffic to the pulser; keep it rate-paced at the
+            smoothed rate with a loose anti-runaway cap instead *)
+         1.5 *. w)
   | Delay ->
-    let headroom =
-      match t.role with Pulser -> pulse_amplitude t | Watcher -> 0.
-    in
-    Float.max (8. *. 1500.)
-      (2. *. (base_rate_bps t +. headroom) *. srtt /. 8.)
+    (match t.delay with
+     | D_basic _ -> t.basic_cwnd
+     | D_copa _ -> B.bytes (delay_cwnd_bytes t ~base:(base_rate_bps t)))
 
-let pacing_rate_bps t ~now =
+let pacing_rate t ~now =
   match t.role with
-  | Watcher -> Float.max 100_000. (Ewma.value t.smoothed_rate)
+  | Watcher -> t.watch_pace
   | Pulser ->
     let base = base_rate_bps t in
-    Float.max 100_000. (base +. pulse_value t ~now)
+    let pulse =
+      pulse_offset t ~amplitude:t.wave_amp ~freq:t.wave_freq (now ())
+    in
+    Some (Rate.bps (Float.max 100_000. (base +. pulse)))
+
+(* Re-derive the hooks' per-tick answers from the state the tick left:
+   everything they read except the inner window and the clock changes
+   only at ticks. *)
+let refresh t =
+  (match t.role with
+   | Watcher ->
+     t.watch_pace <-
+       (* the average read in place: [Ewma.value] would box it *)
+       Some (Rate.bps (Float.max 100_000. t.smoothed_rate.Ewma.s.avg))
+   | Pulser ->
+     t.wave_amp <- Rate.bps (pulse_amplitude t);
+     t.wave_freq <- pulse_freq t;
+     t.hot.burst <- pulse_burst_bytes t);
+  match (t.mode, t.delay) with
+  | Delay, D_basic _ ->
+    t.basic_cwnd <- B.bytes (delay_cwnd_bytes t ~base:(base_rate_bps t))
+  | Delay, D_copa _ | Competitive, _ -> ()
+
+(* --- tick ----------------------------------------------------------------- *)
+
+let on_tick t (tk : Cc_types.tick) =
+  Span.enter Detector_tick;
+  let now = Time.to_secs tk.now in
+  let srtt = Time.to_secs tk.srtt in
+  let min_rtt = Time.to_secs tk.min_rtt in
+  let recv_rate = Rate.to_bps tk.recv_rate in
+  if not (Float.is_nan srtt) then t.hot.srtt <- srtt;
+  Z_estimator.Mu.observe t.mu ~now:tk.now ~recv_rate:tk.recv_rate;
+  (* µ stays in its box for the calls below: re-boxing [mu_cache] would
+     allocate *)
+  let mu = Z_estimator.Mu.current t.mu ~now:tk.now in
+  t.hot.mu_cache <- Rate.to_bps mu;
+  (match t.delay with
+   | D_basic b when not (Float.is_nan t.hot.mu_cache) -> Basic_delay.set_mu b mu
+   | _ -> ());
+  (* ẑ and receive-rate windows.  Eq. 1 requires a busy bottleneck: with no
+     standing queue the ratio degenerates to µ − S, which tracks our own
+     pulses and would read as elastic cross traffic.  No standing queue also
+     means nothing elastic is backlogged, so ẑ = 0 is the truthful sample. *)
+  let z =
+    if Float.is_nan t.hot.mu_cache then nan
+    else if
+      (not (Float.is_nan srtt))
+      && (not (Float.is_nan min_rtt))
+      && srtt -. min_rtt < z_gate_delay
+    then 0.
+    else
+      Rate.to_bps
+        (Z_estimator.estimate ~mu ~send_rate:tk.send_rate
+           ~recv_rate:tk.recv_rate)
+  in
+  t.hot.last_z <- z;
+  Elasticity.add_sample t.z_detector z;
+  let r_sample = if Float.is_nan recv_rate then 0. else recv_rate in
+  Elasticity.add_sample t.r_detector r_sample;
+  Bank.push t.tones r_sample;
+  Bank.push t.ztones (if Float.is_nan z then 0. else z);
+  (* delay-mode controller runs on ticks *)
+  (match (t.mode, t.delay) with
+   | Delay, D_basic b -> Basic_delay.update b tk
+   | _ -> ());
+  let base = Rate.to_bps (base_rate t) in
+  Ring.push t.rate_history base;
+  Ewma.update t.smoothed_rate base;
+  if Trace.want t.trace Tev.Detector then
+    Trace.z_tick t.trace ~now ~z:(z *. 1e-6)
+      ~send:(Rate.to_bps tk.send_rate *. 1e-6)
+      ~recv:(recv_rate *. 1e-6) ~base:(base *. 1e-6);
+  if Trace.want t.trace Tev.Pulse then begin
+    match t.role with
+    | Pulser ->
+      Trace.pulse_phase t.trace ~now ~freq:(pulse_freq_hz t)
+        ~value:
+          (pulse_offset t
+             ~amplitude:(Rate.bps (pulse_amplitude t))
+             ~freq:(pulse_freq t) (Time.secs now)
+          *. 1e-6)
+    | Watcher -> ()
+  end;
+  (match t.on_sample with
+   | Some f ->
+     f
+       { s_time = tk.now; s_send_rate = tk.send_rate;
+         s_recv_rate = tk.recv_rate; s_z = Rate.bps z;
+         s_base_rate = Rate.bps base }
+   | None -> ());
+  election t ~now ~recv_rate;
+  if now >= t.hot.next_detect then begin
+    t.hot.next_detect <- now +. detect_interval;
+    match t.role with
+    | Pulser -> pulser_detect t ~now
+    | Watcher -> watcher_detect t ~now
+  end;
+  refresh t;
+  Span.leave Detector_tick
+
+(* --- the engine-facing controller ----------------------------------------- *)
+
+let on_ack t a =
+  match (t.mode, t.delay_cc) with
+  | Competitive, _ -> t.comp_cc.on_ack a
+  | Delay, Some cc -> cc.on_ack a
+  | Delay, None -> ()
+
+let on_loss t l =
+  match (t.mode, t.delay_cc) with
+  | Competitive, _ -> t.comp_cc.on_loss l
+  | Delay, Some cc -> cc.on_loss l
+  | Delay, None -> ()
 
 let cc t ~now =
+  refresh t;
   { Cc_types.name = "nimbus";
     on_ack = (fun a -> on_ack t a);
     on_loss = (fun l -> on_loss t l);
     on_tick = Some (fun tk -> on_tick t tk);
-    cwnd = (fun () -> B.bytes (cwnd_bytes t));
-    pacing_rate =
-      (fun () ->
-        Some (Rate.bps (pacing_rate_bps t ~now:(now ())))) }
+    cwnd = (fun () -> cwnd t);
+    pacing_rate = (fun () -> pacing_rate t ~now) }

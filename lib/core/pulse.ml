@@ -11,7 +11,8 @@ let pi = 4.0 *. atan 1.0
 (* The waveform maths runs on raw floats (bits/s, Hz, seconds); the typed
    boundary is the .mli. *)
 
-let value_raw ~shape ~amplitude ~freq t =
+(* inlined into both readers below: a float returned from a call is boxed *)
+let[@inline] value_raw ~shape ~amplitude ~freq t =
   if freq <= 0. then invalid_arg "Pulse.value: freq <= 0";
   if amplitude < 0. then invalid_arg "Pulse.value: negative amplitude";
   let period = 1. /. freq in
@@ -34,6 +35,12 @@ let value ~shape ~amplitude ~freq t =
   Rate.bps
     (value_raw ~shape ~amplitude:(Rate.to_bps amplitude)
        ~freq:(Freq.to_hz freq) (Time.to_secs t))
+
+let value_to ~shape ~amplitude ~freq t dst i =
+  Float.Array.set dst i
+    (value_raw ~shape ~amplitude:(Rate.to_bps amplitude)
+       ~freq:(Freq.to_hz freq) (Time.to_secs t))
+[@@alloc_free]
 
 let min_send_rate ~shape ~amplitude =
   match shape with

@@ -20,6 +20,20 @@ val value :
   Units.Time.t ->
   Units.Rate.t
 
+(** [value_to ~shape ~amplitude ~freq t dst i] writes
+    [Rate.to_bps (value ~shape ~amplitude ~freq t)] into [dst.(i)]: the same
+    bits, without the box a float returned across a module boundary takes.
+    A pulser's pacing hook reads its waveform this way on every pacer wake.
+    @raise Invalid_argument as {!value} does. *)
+val value_to :
+  shape:shape ->
+  amplitude:Units.Rate.t ->
+  freq:Units.Freq.t ->
+  Units.Time.t ->
+  Float.Array.t ->
+  int ->
+  unit
+
 (** [min_send_rate ~shape ~amplitude] is the lowest mean rate that keeps the
     modulated rate non-negative throughout the period: [A/3] for the
     asymmetric pulse, [A] for the symmetric one. *)

@@ -42,6 +42,11 @@ module Mu : sig
   val observe : t -> now:Units.Time.t -> recv_rate:Units.Rate.t -> unit
 
   (** [current t ~now] is the µ estimate; {!Units.Rate.unknown} if nothing
-      observed yet. *)
+      observed yet.  It forgets samples older than the window without
+      recomputing the estimate, which only {!observe} moves.
+
+      Both calls cost O(1) amortized (a monotone max-deque) and expect
+      [now] not to decrease from one call to the next, as simulated time
+      does not. *)
   val current : t -> now:Units.Time.t -> Units.Rate.t
 end

@@ -1,12 +1,19 @@
-type t = {
+(* The average lives in a record of floats only, which OCaml stores flat, so
+   an update writes it without allocating; a mutable float field of the
+   mixed record would take a fresh box on every write. *)
+type state = {
   alpha : float;
   mutable avg : float;
+}
+
+type t = {
+  s : state;
   mutable initialized : bool;
 }
 
 let create ~alpha =
   if alpha <= 0. || alpha > 1. then invalid_arg "Ewma.create: alpha not in (0,1]";
-  { alpha; avg = 0.; initialized = false }
+  { s = { alpha; avg = 0. }; initialized = false }
 
 let create_time_constant ~tau ~dt =
   if tau <= 0. || dt <= 0. then
@@ -19,17 +26,18 @@ let create_cutoff ~freq ~dt =
   create_time_constant ~tau ~dt
 
 let update t x =
-  if t.initialized then t.avg <- t.avg +. (t.alpha *. (x -. t.avg))
+  let s = t.s in
+  if t.initialized then s.avg <- s.avg +. (s.alpha *. (x -. s.avg))
   else begin
-    t.avg <- x;
+    s.avg <- x;
     t.initialized <- true
-  end;
-  t.avg
+  end
+[@@alloc_free]
 
-let value t = t.avg
+let value t = t.s.avg
 
 let initialized t = t.initialized
 
 let reset t =
-  t.avg <- 0.;
+  t.s.avg <- 0.;
   t.initialized <- false

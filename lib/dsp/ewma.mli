@@ -4,7 +4,19 @@
     sits below the pulsing frequencies, so the pulser never mistakes a watcher
     for elastic cross traffic (§6 of the paper). *)
 
-type t
+(** The average sits in a record of floats only, which stores it unboxed.
+    The types are [private] so that a caller in another module can read
+    [t.s.avg] in place: {!value} returns a fresh box, as every float
+    returned across a module boundary does. *)
+type state = private {
+  alpha : float;
+  mutable avg : float;
+}
+
+type t = private {
+  s : state;
+  mutable initialized : bool;
+}
 
 (** [create ~alpha] with [0 < alpha <= 1]; larger [alpha] weights new samples
     more. @raise Invalid_argument outside that range. *)
@@ -15,9 +27,9 @@ val create : alpha:float -> t
     constant is τ = 1/(2π·freq) and alpha = 1 − exp(−dt/τ). *)
 val create_cutoff : freq:float -> dt:float -> t
 
-(** [update t x] folds in sample [x] and returns the new average. The first
-    sample initialises the average. *)
-val update : t -> float -> float
+(** [update t x] folds in sample [x]; {!value} reads the new average. The
+    first sample initialises the average. It allocates nothing. *)
+val update : t -> float -> unit
 
 (** [value t] is the current average ([0.] before any sample). *)
 val value : t -> float

@@ -226,23 +226,31 @@ module Bank = struct
     t.until_resync <- resync_mult * n
   [@@alloc_free]
 
+  (* The component loop reads its arrays hoisted into locals and without
+     bounds checks: every one of them has at least [ncomp] cells. *)
   let push t x =
     let n = t.n in
-    let x_old = t.win.(t.head) in
-    t.win.(t.head) <- x;
-    t.head <- (t.head + 1) mod n;
+    let win = t.win and h = t.head in
+    let x_old = Array.unsafe_get win h in
+    Array.unsafe_set win h x;
+    t.head <- (if h = n - 1 then 0 else h + 1);
     if t.count < n then t.count <- t.count + 1;
     (* T before S: the T recurrence needs the pre-update S *)
-    let s = t.sums.(0) in
-    t.sums.(1) <-
-      t.sums.(1) -. s +. x_old +. (float_of_int (n - 1) *. x);
-    t.sums.(0) <- s -. x_old +. x;
+    let sums = t.sums in
+    let s = sums.(0) in
+    sums.(1) <- sums.(1) -. s +. x_old +. (float_of_int (n - 1) *. x);
+    sums.(0) <- s -. x_old +. x;
+    let vre = t.vre and vim = t.vim in
+    let rot_re = t.rot_re and rot_im = t.rot_im in
+    let inj_re = t.inj_re and inj_im = t.inj_im in
     for c = 0 to t.ncomp - 1 do
-      let vr = t.vre.(c) -. x_old and vi = t.vim.(c) in
-      t.vre.(c) <-
-        (t.rot_re.(c) *. vr) -. (t.rot_im.(c) *. vi) +. (x *. t.inj_re.(c));
-      t.vim.(c) <-
-        (t.rot_re.(c) *. vi) +. (t.rot_im.(c) *. vr) +. (x *. t.inj_im.(c))
+      let vr = Array.unsafe_get vre c -. x_old
+      and vi = Array.unsafe_get vim c in
+      let rr = Array.unsafe_get rot_re c and ri = Array.unsafe_get rot_im c in
+      Array.unsafe_set vre c
+        ((rr *. vr) -. (ri *. vi) +. (x *. Array.unsafe_get inj_re c));
+      Array.unsafe_set vim c
+        ((rr *. vi) +. (ri *. vr) +. (x *. Array.unsafe_get inj_im c))
     done;
     t.until_resync <- t.until_resync - 1;
     if t.until_resync <= 0 then resync t
@@ -307,6 +315,18 @@ module Bank = struct
   let band_max t ~first ~last =
     fit_trend t;
     max_detrended t ~first ~last
+  [@@alloc_free]
+
+  (* The same readouts written into [dst.(i)]: a float returned from a call
+     in another module is boxed, one written into a float array is not. *)
+  let amplitude_to t slot dst i =
+    fit_trend t;
+    Float.Array.set dst i (detrended t slot)
+  [@@alloc_free]
+
+  let band_max_to t ~first ~last dst i =
+    fit_trend t;
+    Float.Array.set dst i (max_detrended t ~first ~last)
   [@@alloc_free]
 
   let peak_ratio t ~slot ~first ~last =

@@ -71,6 +71,14 @@ module Bank : sig
       2 words per slot and this costs 2 in all. *)
   val band_max : t -> first:int -> last:int -> float
 
+  (** [amplitude_to t slot dst i] writes [amplitude t slot] into [dst.(i)]
+      and [band_max_to t ~first ~last dst i] writes
+      [band_max t ~first ~last] there: the same bits, with no boxed result,
+      for a caller that reads several levels per tick. *)
+  val amplitude_to : t -> int -> Float.Array.t -> int -> unit
+
+  val band_max_to : t -> first:int -> last:int -> Float.Array.t -> int -> unit
+
   (** [peak_ratio t ~slot ~first ~last] is
       [amplitude t slot /. band_max t ~first ~last] in one call: Eq. 3's η
       when [slot] holds the pulse bin and the range its comparison band.

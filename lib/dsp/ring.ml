@@ -15,31 +15,48 @@ let count t = t.count
 let is_full t = t.count = Array.length t.buf
 
 let push t x =
-  t.buf.(t.head) <- x;
-  t.head <- (t.head + 1) mod Array.length t.buf;
-  if t.count < Array.length t.buf then t.count <- t.count + 1
-
-let to_array t =
   let n = Array.length t.buf in
-  let start = (t.head - t.count + n) mod n in
-  Array.init t.count (fun i -> t.buf.((start + i) mod n))
+  t.buf.(t.head) <- x;
+  t.head <- (if t.head = n - 1 then 0 else t.head + 1);
+  if t.count < n then t.count <- t.count + 1
+
+(* The stored samples, oldest first, are the two contiguous segments
+   [buf.(start .. start + first - 1)] and [buf.(0 .. count - first - 1)]:
+   the readers below walk them in that order, with no index arithmetic
+   per sample. *)
+let[@inline] start t =
+  let n = Array.length t.buf in
+  (t.head - t.count + n) mod n
+
+let[@inline] first_len t start = min t.count (Array.length t.buf - start)
 
 let blit_to t dst =
   if Array.length dst < t.count then invalid_arg "Ring.blit_to: dst too small";
-  let n = Array.length t.buf in
-  let start = (t.head - t.count + n) mod n in
-  let first = min t.count (n - start) in
+  let start = start t in
+  let first = first_len t start in
   Array.blit t.buf start dst 0 first;
   if first < t.count then Array.blit t.buf 0 dst first (t.count - first)
 
-let sum t =
-  let n = Array.length t.buf in
-  let start = (t.head - t.count + n) mod n in
+let to_array t =
+  let xs = Array.make t.count 0. in
+  blit_to t xs;
+  xs
+
+let[@inline] sum t =
+  let start = start t in
+  let first = first_len t start in
+  let buf = t.buf in
   let acc = ref 0. in
-  for i = 0 to t.count - 1 do
-    acc := !acc +. t.buf.((start + i) mod n)
+  for i = start to start + first - 1 do
+    acc := !acc +. Array.unsafe_get buf i
+  done;
+  for i = 0 to t.count - first - 1 do
+    acc := !acc +. Array.unsafe_get buf i
   done;
   !acc
+[@@alloc_free]
+
+let sum_to t dst i = Float.Array.set dst i (sum t) [@@alloc_free]
 
 let last t =
   if t.count = 0 then invalid_arg "Ring.last: empty";
@@ -55,10 +72,13 @@ let clear t =
   t.count <- 0
 
 let fold t ~init ~f =
-  let n = Array.length t.buf in
-  let start = (t.head - t.count + n) mod n in
+  let start = start t in
+  let first = first_len t start in
   let acc = ref init in
-  for i = 0 to t.count - 1 do
-    acc := f !acc t.buf.((start + i) mod n)
+  for i = start to start + first - 1 do
+    acc := f !acc t.buf.(i)
+  done;
+  for i = 0 to t.count - first - 1 do
+    acc := f !acc t.buf.(i)
   done;
   !acc

@@ -29,8 +29,13 @@ val to_array : t -> float array
     @raise Invalid_argument if [dst] is shorter than [count t]. *)
 val blit_to : t -> float array -> unit
 
-(** [sum t] is the sum of the stored samples, without allocating. *)
+(** [sum t] is the sum of the stored samples in chronological order, without
+    allocating. *)
 val sum : t -> float
+
+(** [sum_to t dst i] writes [sum t] into [dst.(i)]: the same bits, without
+    the box a float returned across a module boundary takes. *)
+val sum_to : t -> Float.Array.t -> int -> unit
 
 (** [last t] is the most recent sample. @raise Invalid_argument when empty. *)
 val last : t -> float

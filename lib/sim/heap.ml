@@ -38,7 +38,10 @@ let grow h ~key ~seq v =
   h.seqs <- seqs;
   h.vals <- vals
 
-let push_seq h ~key ~seq v =
+(* The key comes as an array and an index, not as a float argument: a float
+   passed to a call across modules is boxed, two words per push. *)
+let push_seq h keys i ~seq v =
+  let key = Float.Array.get keys i in
   if h.size = Array.length h.keys then
     (grow h ~key ~seq v [@alloc_ok "amortized capacity doubling"]);
   (* sift up *)

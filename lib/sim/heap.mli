@@ -31,11 +31,14 @@ val size : 'a t -> int
 (** [is_empty h]. *)
 val is_empty : 'a t -> bool
 
-(** [push_seq h ~key ~seq v] inserts [v] with priority [key] and the
-    caller's sequence number [seq], which orders entries of equal key
+(** [push_seq h keys i ~seq v] inserts [v] with priority [keys.(i)] and
+    the caller's sequence number [seq], which orders entries of equal key
     (lowest first).  {!Wheel} numbers its pushes itself, to keep one global
-    FIFO order across the calendar slots and the overflow heap. *)
-val push_seq : 'a t -> key:float -> seq:int -> 'a -> unit
+    FIFO order across the calendar slots and the overflow heap, and hands
+    over its key register: a float argument to a call across modules is
+    boxed, so a key already in a float array goes over as the array and an
+    index, and the push allocates nothing. *)
+val push_seq : 'a t -> Float.Array.t -> int -> seq:int -> 'a -> unit
 
 (** [top_key h] is the minimum key.  The heap must be non-empty (unchecked).
     Called from another module it returns a boxed float, two minor words per

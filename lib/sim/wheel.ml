@@ -205,7 +205,9 @@ let push_reg t v =
   t.next_seq <- seq + 1;
   if key /. width -. float_of_int t.cur >= float_of_int nslots then begin
     (* far timer: spill to the heap, same shared sequence numbering *)
-    Heap.push_seq t.far ~key ~seq v;
+    (* the key goes over in its register, not as a float argument, which
+       would box it on every far push (RTO arms, [Engine.every] ticks) *)
+    Heap.push_seq t.far t.reg 0 ~seq v;
     (* if it became the global minimum, the cached location "heap top"
        remains valid by re-reading the top; otherwise the cache still points
        at the unchanged minimum *)

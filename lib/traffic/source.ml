@@ -17,12 +17,19 @@ type t = {
   kind : kind;
   flow_id : int;
   mutable rate : float;
+  (* the mean inter-packet gap in seconds, [pkt_size] bits over [rate]:
+     refreshed with the rate, so a send passes a box that already exists
+     (a float computed per packet is boxed to cross into [Rng] or
+     [Engine]) *)
+  mutable gap : float;
   mutable seq : int;
   (* the next send, built once; mutable only because it closes over [t] *)
   mutable step : unit -> unit;
 }
 
 let pkt_size = 1500
+
+let pkt_bits = float_of_int (pkt_size * 8)
 
 let flow_id t = t.flow_id
 
@@ -35,13 +42,14 @@ let finite_bps rate =
   if not (Float.is_finite bps) then invalid_arg "Source: rate must be finite";
   bps
 
-let set_rate t rate = t.rate <- Float.max 0. (finite_bps rate)
+let set_rate t rate =
+  t.rate <- Float.max 0. (finite_bps rate);
+  t.gap <- pkt_bits /. t.rate
 
 let interval t =
-  let bits = float_of_int (pkt_size * 8) in
   match t.kind with
-  | Cbr -> bits /. t.rate
-  | Poisson rng -> Rng.exponential rng ~mean:(bits /. t.rate)
+  | Cbr -> t.gap
+  | Poisson rng -> Rng.exponential rng ~mean:t.gap
 
 let step t =
   if t.rate > 0. then begin
@@ -64,7 +72,7 @@ let make topo ~route kind ~rate ~start =
   let flow_id = Engine.fresh_flow_id engine in
   let t =
     { engine; enqueue = Topology.attach topo ~route ~flow:flow_id ~sink:ignore;
-      kind; flow_id; rate; seq = 0; step = ignore }
+      kind; flow_id; rate; gap = pkt_bits /. rate; seq = 0; step = ignore }
   in
   t.step <- (fun () -> step t);
   let start = match start with Some s -> s | None -> Engine.now engine in

@@ -84,7 +84,7 @@ let rec poll t =
   end;
   if t.downloading && Flow.received_bytes t.flow >= t.chunk_target then begin
     let elapsed = Float.max (now -. t.chunk_started) 1e-3 in
-    ignore (Ewma.update t.tput (float_of_int (t.chunk_bytes * 8) /. elapsed));
+    Ewma.update t.tput (float_of_int (t.chunk_bytes * 8) /. elapsed);
     t.buffer <- t.buffer +. chunk_duration;
     t.chunks <- t.chunks + 1;
     t.downloading <- false;

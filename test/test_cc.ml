@@ -127,6 +127,29 @@ let test_rate_measurement_tracks_pacing () =
   Alcotest.(check bool) "S close to 8M" true (Float.abs (s -. 8e6) < 0.8e6);
   Alcotest.(check bool) "R close to 8M" true (Float.abs (r -. 8e6) < 0.8e6)
 
+(* A scheduled pacer reads the rate when it wakes; an ACK or a tick does not
+   ask again ([Cc_types.t.pacing_rate]'s contract).  At 12 Mbit/s a wake
+   comes every 1 ms packet time, so 2 s hold about 2000 wakes, one ask each,
+   plus the flow's set-up check and its start.  Asking on every ACK as well
+   would double the count. *)
+let test_paced_flow_asks_on_wake () =
+  let e, _, topo, route = make_link ~rate_bps:48e6 () in
+  let inner = Simple_cc.const_rate ~rate:(Rate.mbps 12.) in
+  let asks = ref 0 in
+  let cc =
+    { inner with
+      Cc_types.pacing_rate =
+        (fun () ->
+          incr asks;
+          inner.Cc_types.pacing_rate ()) }
+  in
+  let f = Flow.create_via topo ~route ~cc ~prop_rtt:rtt50 () in
+  Engine.run_until e (Time.secs 2.);
+  let acks = Flow.acked_bytes f / 1500 in
+  Alcotest.(check bool) "the flow ran at its rate" true (acks > 1900);
+  if !asks < 1990 || !asks > 2010 then
+    Alcotest.failf "%d pacing_rate calls for %d ACKs (want ~2002)" !asks acks
+
 let test_flow_stop () =
   let e, _, topo, route = make_link () in
   let f = Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt:rtt50 () in
@@ -637,6 +660,8 @@ let suite =
           test_loss_detection_and_retransmit;
         Alcotest.test_case "rate measurement" `Quick
           test_rate_measurement_tracks_pacing;
+        Alcotest.test_case "paced flow asks pacing_rate only when the pacer wakes"
+          `Quick test_paced_flow_asks_on_wake;
         Alcotest.test_case "stop" `Quick test_flow_stop;
         Alcotest.test_case "delayed start" `Quick test_delayed_start;
         Alcotest.test_case "two flows share" `Quick test_two_flows_share;

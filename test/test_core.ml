@@ -622,6 +622,45 @@ let test_nimbus_competitive_ack_words () =
   if words > 4. then
     Alcotest.failf "competitive on_ack allocates %.1f minor words" words
 
+(* The control path allocates little per packet: 4 multi-flow Nimbus flows
+   (watchers that elect a pulser) and 16 Mbit/s Poisson on a 96 Mbit/s,
+   50 ms dumbbell for 15 s.  A watcher answers [cwnd] and [pacing_rate]
+   from boxes refreshed once per tick, and a paced flow asks for the rate
+   once per pacer wake, not per ACK.  Minor words per packet delivered at
+   the link from 6 s on: 9.11 measured, 20.97 when every ACK asked for a
+   freshly computed rate and a watcher tick boxed each level it read. *)
+let test_nimbus_watcher_words_per_packet () =
+  let e, bn, topo, route = make_link ~rate_bps:96e6 () in
+  let rng = Rng.create 1 in
+  for k = 0 to 3 do
+    let nim =
+      Nimbus.create
+        { (Nimbus.Config.default ~mu:(Z_estimator.Mu.known (Rate.mbps 96.)))
+          with multi_flow = true; seed = 1009 + k }
+    in
+    ignore
+      (Flow.create_via topo ~route
+         ~cc:(Nimbus.cc nim ~now:(fun () -> Engine.now e))
+         ~prop_rtt:(Time.ms 50.)
+         ~start:(Time.ms (float_of_int (k * 100)))
+         ())
+  done;
+  ignore
+    (Nimbus_traffic.Source.poisson_via topo ~route
+       ~rng:(Rng.split rng) ~rate:(Rate.mbps 16.) ());
+  (* ramp-up first: every ring, table and bank is built by then *)
+  Engine.run_until e (Time.secs 6.);
+  let pkts0 = Bottleneck.delivered_packets bn in
+  let before = Gc.minor_words () in
+  Engine.run_until e (Time.secs 15.);
+  let words = Gc.minor_words () -. before in
+  let pkts = Bottleneck.delivered_packets bn - pkts0 in
+  Alcotest.(check bool) "the link carried ~9 s of packets" true
+    (pkts > 50_000);
+  let per_pkt = words /. float_of_int pkts in
+  if per_pkt > 9.5 then
+    Alcotest.failf "%.2f minor words per packet (want <= 9.5)" per_pkt
+
 let test_nimbus_single_flow_is_pulser () =
   let e, _, topo, route = make_link () in
   let nim, _ = start_nimbus topo ~route ~mu:48e6 in
@@ -672,6 +711,22 @@ let prop_pulse_bounded =
       in
       Float.abs v <= amplitude +. 1e-6)
 
+let prop_pulse_value_to =
+  QCheck.Test.make ~count:200 ~name:"pulse: value_to writes value's bits"
+    QCheck.(
+      quad bool (float_range 0. 1e8) (float_range 0.5 20.)
+        (float_range (-10.) 10.))
+    (fun (asym, amplitude, freq, t) ->
+      let shape = if asym then Pulse.Asymmetric else Pulse.Symmetric in
+      let amplitude = Rate.bps amplitude and freq = Freq.hz freq in
+      let t = Time.secs t in
+      let dst = Float.Array.make 3 nan in
+      Pulse.value_to ~shape ~amplitude ~freq t dst 2;
+      Int64.equal
+        (Int64.bits_of_float (Float.Array.get dst 2))
+        (Int64.bits_of_float
+           (Rate.to_bps (Pulse.value ~shape ~amplitude ~freq t))))
+
 let prop_pulse_zero_mean =
   QCheck.Test.make ~count:50 ~name:"pulse: zero mean for any amplitude/freq"
     QCheck.(pair (float_range 1e3 1e8) (float_range 0.5 20.))
@@ -682,6 +737,78 @@ let prop_pulse_zero_mean =
              ~freq:(Freq.hz freq) ~samples:4000)
       in
       Float.abs m < amplitude *. 2e-3)
+
+(* The µ max filter as a fold over a queue of every sample in the window:
+   the rule the monotone deque must reproduce bit for bit. *)
+module Mu_fold = struct
+  type t = {
+    window : float;
+    samples : (float * float) Queue.t;
+    mutable best : float;
+  }
+
+  let create window = { window; samples = Queue.create (); best = nan }
+
+  let prune t horizon =
+    let continue = ref true in
+    while !continue do
+      match Queue.peek_opt t.samples with
+      | Some (at, _) when at < horizon -> ignore (Queue.pop t.samples)
+      | _ -> continue := false
+    done
+
+  let observe t ~now ~rate =
+    if Float.is_finite rate && rate > 0. then begin
+      Queue.push (now, rate) t.samples;
+      prune t (now -. t.window);
+      t.best <-
+        Queue.fold (fun acc (_, r) -> Float.max acc r) neg_infinity t.samples
+    end
+
+  let current t ~now =
+    prune t (now -. t.window);
+    if Float.is_finite t.best then t.best else nan
+end
+
+let prop_mu_deque_matches_fold =
+  (* time-ordered streams of observations, NaN, +-inf, 0 and negative
+     samples among them, with [current] calls in between: every [current]
+     must equal the fold's bit for bit *)
+  let sample =
+    QCheck.Gen.(
+      frequency
+        [ (6, float_range 1e5 1e8); (1, return nan); (1, return infinity);
+          (1, return neg_infinity); (1, return 0.); (1, float_range (-1e8) 0.);
+          (* ties: equal rates must keep the newest *)
+          (2, map (fun k -> float_of_int k *. 1e6) (int_range 1 4)) ])
+  in
+  let op =
+    QCheck.Gen.(
+      pair (float_range 0. 0.4) (pair bool sample))
+  in
+  QCheck.Test.make ~count:300 ~name:"mu: deque estimator equals the fold"
+    QCheck.(
+      make
+        Gen.(pair (float_range 0.05 3.) (list_size (int_range 0 400) op)))
+    (fun (window, ops) ->
+      let mu = Z_estimator.Mu.estimator ~window:(Time.secs window) () in
+      let ref_ = Mu_fold.create window in
+      let now = ref 0. in
+      List.for_all
+        (fun (dt, (is_observe, rate)) ->
+          now := !now +. dt;
+          if is_observe then begin
+            Z_estimator.Mu.observe mu ~now:(Time.secs !now)
+              ~recv_rate:(Rate.bps rate);
+            Mu_fold.observe ref_ ~now:!now ~rate;
+            true
+          end
+          else begin
+            let got = Rate.to_bps (Z_estimator.Mu.current mu ~now:(Time.secs !now)) in
+            let want = Mu_fold.current ref_ ~now:!now in
+            Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want)
+          end)
+        ops)
 
 let prop_z_estimate_clamped =
   QCheck.Test.make ~count:200 ~name:"z: estimate always within [0, mu]"
@@ -724,7 +851,8 @@ let suite =
         Alcotest.test_case "min send rate" `Quick test_pulse_min_send_rate;
         Alcotest.test_case "validation" `Quick test_pulse_validation;
         qtest prop_pulse_bounded;
-        qtest prop_pulse_zero_mean ] );
+        qtest prop_pulse_zero_mean;
+        qtest prop_pulse_value_to ] );
     ( "core.z_estimator",
       [ Alcotest.test_case "exact" `Quick test_z_estimator_exact;
         Alcotest.test_case "clamps" `Quick test_z_estimator_clamps;
@@ -733,6 +861,7 @@ let suite =
         Alcotest.test_case "mu estimator" `Quick test_mu_estimator_tracks_max;
         Alcotest.test_case "mu ignores non-finite" `Quick
           test_mu_estimator_ignores_non_finite;
+        qtest prop_mu_deque_matches_fold;
         qtest prop_z_estimate_clamped;
         qtest prop_z_estimate_inverts ] );
     ( "core.elasticity",
@@ -779,5 +908,7 @@ let suite =
           test_nimbus_competitive_ack_words;
         Alcotest.test_case "fresh Nimbus retains little" `Quick
           test_nimbus_retains_little;
+        Alcotest.test_case "watcher dumbbell words per packet" `Quick
+          test_nimbus_watcher_words_per_packet;
         Alcotest.test_case "mode frequency is a probe bin" `Quick
           test_mode_frequency_must_be_probe_bin ] ) ]

@@ -522,19 +522,20 @@ let test_spectrum_rejects_bad_input () =
 let test_ewma_first_sample () =
   let e = Ewma.create ~alpha:0.3 in
   Alcotest.(check bool) "uninit" false (Ewma.initialized e);
-  check_close "first" 10. (Ewma.update e 10.);
+  Ewma.update e 10.;
+  check_close "first" 10. (Ewma.value e);
   Alcotest.(check bool) "init" true (Ewma.initialized e)
 
 let test_ewma_convergence () =
   let e = Ewma.create ~alpha:0.5 in
   for _ = 1 to 60 do
-    ignore (Ewma.update e 42.)
+    Ewma.update e 42.
   done;
   check_rel ~tol:1e-9 "converges" 42. (Ewma.value e)
 
 let test_ewma_reset () =
   let e = Ewma.create ~alpha:0.5 in
-  ignore (Ewma.update e 10.);
+  Ewma.update e 10.;
   Ewma.reset e;
   Alcotest.(check bool) "reset" false (Ewma.initialized e);
   check_close "zero" 0. (Ewma.value e)
@@ -544,10 +545,10 @@ let test_ewma_time_constant () =
      response to a step reaches 1 - 1/e *)
   let dt = 0.01 and tau = 0.5 in
   let e = Ewma.create_cutoff ~freq:(1. /. (2. *. Float.pi *. tau)) ~dt in
-  ignore (Ewma.update e 0.);
+  Ewma.update e 0.;
   let steps = int_of_float (tau /. dt) in
   for _ = 1 to steps do
-    ignore (Ewma.update e 1.)
+    Ewma.update e 1.
   done;
   check_rel ~tol:0.05 "step response at tau" (1. -. exp (-1.)) (Ewma.value e)
 
@@ -633,6 +634,37 @@ let test_ring_clear_fold () =
   check_close "fold sum" 6. (Ring.fold r ~init:0. ~f:( +. ));
   Ring.clear r;
   Alcotest.(check int) "cleared" 0 (Ring.count r)
+
+let prop_ring_sum_fold_chronological =
+  (* a ring of any capacity, wrapped to any head, holding any count: [sum],
+     [sum_to], [fold] and [to_array] walk the two stored segments, and must
+     equal the fold over the last [count] pushes in push order, bit for
+     bit *)
+  QCheck.Test.make ~count:300
+    ~name:"ring: sum and fold equal the chronological fold"
+    QCheck.(triple (int_range 1 64) (int_range 0 200) (int_range 0 10_000))
+    (fun (cap, pushes, seed) ->
+      let r = Ring.create cap in
+      let st = Random.State.make [| seed |] in
+      let pushed =
+        Array.init pushes (fun _ -> Random.State.float st 2e6 -. 1e6)
+      in
+      Array.iter (Ring.push r) pushed;
+      let n = min cap pushes in
+      let chrono = Array.sub pushed (pushes - n) n in
+      let bits = Int64.bits_of_float in
+      let same a b = Int64.equal (bits a) (bits b) in
+      let dst = Float.Array.make 2 nan in
+      Ring.sum_to r dst 1;
+      let sum = Array.fold_left ( +. ) 0. chrono in
+      Ring.count r = n
+      && Array.for_all2 same (Ring.to_array r) chrono
+      && same (Ring.sum r) sum
+      && same (Float.Array.get dst 1) sum
+      && same (Ring.fold r ~init:0. ~f:( +. )) sum
+      && same
+           (Ring.fold r ~init:neg_infinity ~f:Float.max)
+           (Array.fold_left Float.max neg_infinity chrono))
 
 let test_ring_blit_to () =
   let r = Ring.create 3 in
@@ -730,4 +762,5 @@ let suite =
         Alcotest.test_case "clear/fold" `Quick test_ring_clear_fold;
         Alcotest.test_case "blit_to" `Quick test_ring_blit_to;
         Alcotest.test_case "sum" `Quick test_ring_sum;
-        qtest prop_ring_keeps_last_n ] ) ]
+        qtest prop_ring_keeps_last_n;
+        qtest prop_ring_sum_fold_chronological ] ) ]

@@ -10,6 +10,10 @@ let check_close ?(eps = 1e-9) msg expected actual =
 
 (* --- heap ---------------------------------------------------------------- *)
 
+(* [Heap.push_seq] takes its key from a float array, as the wheel's register
+   hands it over *)
+let heap_push h ~key ~seq v = Heap.push_seq h (Float.Array.make 1 key) 0 ~seq v
+
 (* every entry's key, in pop order *)
 let drain_keys h =
   let rec go acc =
@@ -25,7 +29,7 @@ let drain_keys h =
 let test_heap_sorted_pops () =
   let h = Heap.create () in
   List.iteri
-    (fun seq k -> Heap.push_seq h ~key:k ~seq k)
+    (fun seq k -> heap_push h ~key:k ~seq k)
     [ 5.; 1.; 4.; 2.; 3. ];
   Alcotest.(check (list (float 0.))) "sorted" [ 1.; 2.; 3.; 4.; 5. ]
     (drain_keys h)
@@ -34,7 +38,7 @@ let test_heap_fifo_ties () =
   let h = Heap.create () in
   (* equal keys pop by sequence number, whatever the push order *)
   List.iter
-    (fun (seq, v) -> Heap.push_seq h ~key:1. ~seq v)
+    (fun (seq, v) -> heap_push h ~key:1. ~seq v)
     [ (2, "c"); (0, "a"); (1, "b") ];
   let first = Heap.pop_top h in
   let second = Heap.pop_top h in
@@ -45,8 +49,8 @@ let test_heap_fifo_ties () =
 let test_heap_top () =
   let h = Heap.create () in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Heap.push_seq h ~key:2. ~seq:0 ();
-  Heap.push_seq h ~key:1. ~seq:1 ();
+  heap_push h ~key:2. ~seq:0 ();
+  heap_push h ~key:1. ~seq:1 ();
   Alcotest.(check (float 0.)) "top key" 1. (Heap.top_key h);
   Alcotest.(check int) "top seq" 1 h.Heap.seqs.(0);
   Alcotest.(check int) "size" 2 (Heap.size h);
@@ -61,7 +65,7 @@ let prop_heap_sorts =
     QCheck.(list (float_bound_exclusive 1000.))
     (fun keys ->
       let h = Heap.create () in
-      List.iteri (fun seq k -> Heap.push_seq h ~key:k ~seq ()) keys;
+      List.iteri (fun seq k -> heap_push h ~key:k ~seq ()) keys;
       let popped = drain_keys h in
       List.length popped = List.length keys
       && fst
@@ -125,6 +129,29 @@ let test_wheel_far_timer_pop_alloc () =
   Alcotest.(check (float 0.)) "minor words over 10k push/pop" 0. words;
   Alcotest.(check int) "the far timer is still pending" 1 (Wheel.size w)
 
+(* A push beyond the wheel's horizon spills to the overflow heap.  The key
+   goes over in the wheel's register, so a far push (an RTO arm, an
+   [Engine.every] tick) allocates nothing; passed as a float argument it
+   boxed 2 words. *)
+let test_wheel_far_timer_push_alloc () =
+  let w = Wheel.create () in
+  let reg = Wheel.key_reg w in
+  let far_push_pop i =
+    Float.Array.set reg 0 (100. *. float_of_int i);
+    Wheel.push_reg w ();
+    Wheel.pop_top w
+  in
+  for i = 1 to 100 do
+    far_push_pop i
+  done;
+  let before = Gc.minor_words () in
+  for i = 101 to 10_100 do
+    far_push_pop i
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 10k far push/pop" 0. words;
+  Alcotest.(check bool) "drained" true (Wheel.is_empty w)
+
 let test_wheel_wraparound () =
   (* interleaved push/pop walking far past nslots * width: the physical
      slots wrap around many times and order must survive *)
@@ -162,7 +189,7 @@ let prop_wheel_matches_heap =
         if Wheel.is_empty w || Rng.bool rng ~p:0.7 then begin
           let key = !now +. (float_of_int (Rng.int rng 40) *. 8e-3) in
           Wheel.push w ~key !next;
-          Heap.push_seq h ~key ~seq:!next !next;
+          heap_push h ~key ~seq:!next !next;
           incr next
         end
         else pop_both ()
@@ -190,7 +217,7 @@ let prop_wheel_dense_slots_match_heap =
       let ok = ref true in
       let push key =
         Wheel.push w ~key !next;
-        Heap.push_seq h ~key ~seq:!next !next;
+        heap_push h ~key ~seq:!next !next;
         incr next
       in
       let pop_both () =
@@ -638,6 +665,8 @@ let suite =
         Alcotest.test_case "wraparound" `Quick test_wheel_wraparound;
         Alcotest.test_case "far timer pop allocates nothing" `Quick
           test_wheel_far_timer_pop_alloc;
+        Alcotest.test_case "far timer push allocates nothing" `Quick
+          test_wheel_far_timer_push_alloc;
         Alcotest.test_case "same-instant burst" `Quick
           test_wheel_same_instant_burst;
         qtest prop_wheel_matches_heap;
