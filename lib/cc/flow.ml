@@ -409,7 +409,7 @@ let release t =
 (* --- transmission ------------------------------------------------------- *)
 
 let receiver_got t (pkt : Packet.t) =
-  t.recv_bytes <- t.recv_bytes + pkt.size;
+  t.recv_bytes <- t.recv_bytes + Packet.size pkt;
   match t.source with
   | Finite size when t.completion_time = None && t.recv_bytes >= size ->
     t.completion_time <- Some (now_secs t);
@@ -436,7 +436,10 @@ let handle_delivery t (pkt : Packet.t) =
 [@@alloc_free]
 
 let send_packet t ~seq ~retx =
-  let pkt = { Packet.flow = t.flow_id; seq; size = pkt_size; ecn = false } in
+  (* [~now] is ignored; [Time.zero] boxes nothing *)
+  let pkt =
+    Packet.make ~flow:t.flow_id ~seq ~size:pkt_size ~now:Time.zero ()
+  in
   sb_add t seq ~retx;
   ring_push t.send_order seq;
   t.inflight_bytes <- t.inflight_bytes + pkt_size;
@@ -529,7 +532,8 @@ and declare_front_losses t =
   done
 
 and handle_ack t (pkt : Packet.t) =
-  let i = sb_find t pkt.seq in
+  let seq = Packet.seq pkt in
+  let i = sb_find t seq in
   (* i < 0: a late ACK for a packet already declared lost *)
   if i >= 0 then begin
     let now = now_secs t and f = t.f in
@@ -555,14 +559,14 @@ and handle_ack t (pkt : Packet.t) =
       push_acked t ~sent_at ~acked_at:now ~cum_bytes:(prev_cum + pkt_size);
       update_rates t
     end;
-    if pkt.seq > t.highest_acked then t.highest_acked <- pkt.seq;
+    if seq > t.highest_acked then t.highest_acked <- seq;
     declare_front_losses t;
     let a = t.ack in
     a.times.now <- Time.secs now;
     a.times.rtt <- Time.secs f.last_rtt;
     a.times.min_rtt <- Time.secs f.min_rtt;
     a.times.srtt <- Time.secs f.srtt;
-    a.seq <- pkt.seq;
+    a.seq <- seq;
     a.inflight_bytes <- t.inflight_bytes;
     a.delivered_bytes <- t.acked_bytes;
     t.cc.Cc_types.on_ack a;

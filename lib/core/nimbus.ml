@@ -187,8 +187,9 @@ end
 
 (* [levels] layout: [Elasticity.watch_levels]'s tone amplitudes,
    oscillations and reference for the two mode tones, then the keep-alive
-   probe's level, a detector's window mean and the pulser's waveform
-   value *)
+   probe's level, a detector's window mean, the pulser's waveform value
+   and the election coin's probability, which {!Rng.bool_at} reads in
+   place *)
 let lv_amp_c = 0
 let lv_amp_d = 1
 let lv_osc_c = 2
@@ -197,7 +198,8 @@ let lv_reference = 4
 let lv_tone = 5
 let lv_mean = 6
 let lv_wave = 7
-let lv_count = 8
+let lv_coin = 8
+let lv_count = 9
 
 (* The operating point the paper fixes.  A flow ticks once per ẑ sample,
    so the tick period is the detector's sample interval. *)
@@ -661,13 +663,14 @@ let election t ~now ~recv_rate =
          themselves before they can possibly hear the winner. *)
       let horizon = if orphaned t ~now then 1.5 else t.fft_window in
       let p = t.kappa *. sample_interval /. horizon *. share in
-      let p = Float.max 0. (Float.min 1. p) in
-      if Rng.bool t.rng ~p then begin
+      Float.Array.set t.levels lv_coin (Float.max 0. (Float.min 1. p));
+      if Rng.bool_at t.rng t.levels lv_coin then begin
         t.role <- Pulser;
         t.tone_heard_at <- nan;
         t.follow_target <- None;
         t.follow_streak <- 0;
-        if Trace.want t.trace Tev.Election then Trace.elected t.trace ~now ~p;
+        if Trace.want t.trace Tev.Election then
+          Trace.elected t.trace ~now ~p:(Float.Array.get t.levels lv_coin);
         emit_detection t ~now ~eta:nan ~evidence:Ev_elected
       end
     end

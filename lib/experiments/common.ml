@@ -57,7 +57,7 @@ let qdisc_of ~rng l =
   | `Droptail -> Qdisc.droptail ~capacity_bytes
   | `Pie target ->
     Qdisc.pie ~capacity_bytes ~target_delay:target ~link_rate:l.mu
-      ~rng:(Rng.split rng) ()
+      ~rng:(Rng.split rng)
 
 let setup ?(trace = Nimbus_trace.Trace.disabled) ?queue ~seed l =
   let engine = Engine.create { trace } in

@@ -185,7 +185,9 @@ let run_custom ?(trace = Nimbus_trace.Trace.disabled) p =
           Table.fmt_pct util;
           Table.fmt_ms (qd_sum.(i) /. float_of_int (max 1 !qd_n));
           string_of_int (Bottleneck.drops b);
-          string_of_int (Bottleneck.marks b);
+          (* [marks]: no queue discipline marks packets; the column stays
+             while perfbench reads this table's columns by position *)
+          "0";
           string_of_int (Bottleneck.offered_packets b);
           string_of_int (Bottleneck.delivered_packets b);
           string_of_int (Bottleneck.queued_packets b);

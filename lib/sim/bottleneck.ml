@@ -45,7 +45,6 @@ type t = {
   mutable qlen : int;
   mutable busy : bool;
   mutable drops : int;
-  mutable marks : int;
   (* packet-conservation ledger: every offered packet must end up delivered,
      dropped, or still queued.  The invariant monitor audits
      [offered = delivered + drops + queued] every tick. *)
@@ -105,19 +104,20 @@ let record_drop t (pkt : Packet.t) ~reason =
   t.drops <- t.drops + 1;
   (* drops are rare and diagnostic gold, so they are never sampled out *)
   if Trace.want t.trace Tev.Packet then
-    Trace.pkt_drop t.trace ~now:(now_s t) ~flow:pkt.flow ~seq:pkt.seq ~reason
+    Trace.pkt_drop t.trace ~now:(now_s t) ~flow:(Packet.flow pkt)
+      ~seq:(Packet.seq pkt) ~reason
 
 let rec deliver t (pkt : Packet.t) =
-  let flow = pkt.flow in
+  let flow = Packet.flow pkt in
   if flow >= Array.length t.sinks then
     (reserve_flow t flow [@alloc_ok "first delivery of a flow with no sink"]);
-  t.delivered_by_flow.(flow) <- t.delivered_by_flow.(flow) + pkt.size;
+  t.delivered_by_flow.(flow) <- t.delivered_by_flow.(flow) + Packet.size pkt;
   t.delivered_pkts <- t.delivered_pkts + 1;
   t.queued_pkts <- t.queued_pkts - 1;
   if Trace.want t.trace Tev.Packet then begin
     t.del_count <- t.del_count + 1;
     if t.del_count mod pkt_sample = 0 then
-      Trace.pkt_deliver t.trace ~now:(now_s t) ~flow ~seq:pkt.seq
+      Trace.pkt_deliver t.trace ~now:(now_s t) ~flow ~seq:(Packet.seq pkt)
         ~qdelay:
           (Float.Array.unsafe_get t.clock 0 -. Float.Array.unsafe_get t.slots 1)
   end;
@@ -126,7 +126,7 @@ let rec deliver t (pkt : Packet.t) =
 
 (* the serialisation of [t.serving] ends *)
 and finish t =
-  t.qlen <- t.qlen - t.serving.size;
+  t.qlen <- t.qlen - Packet.size t.serving;
   deliver t t.serving;
   start_next t
 [@@alloc_free]
@@ -145,7 +145,8 @@ and start_next t =
     t.serving <- pkt;
     t.busy <- true;
     (* boxes a new serialisation time once per packet size and rate *)
-    if pkt.size <> t.tx_size then cache_tx_time t pkt.size;
+    let size = Packet.size pkt in
+    if size <> t.tx_size then cache_tx_time t size;
     Float.Array.unsafe_set t.slots 0
       (Float.Array.unsafe_get t.slots 0 +. (t.tx_box :> float));
     Engine.schedule_in t.engine t.tx_box t.finish
@@ -171,10 +172,10 @@ let create engine (c : Config.t) =
       random_loss = c.random_loss; loss_model = None;
       policer; fifo = [||]; fifo_at = Float.Array.create 0; fifo_head = 0;
       fifo_len = 0;
-      serving = { Packet.flow = -1; seq = -1; size = 0; ecn = false };
+      serving = Packet.none;
       finish = ignore; tx_size = -1; tx_box = Time.zero;
       slots = Float.Array.make 2 0.; sinks = [||]; delivered_by_flow = [||];
-      qlen = 0; busy = false; drops = 0; marks = 0; offered_pkts = 0;
+      qlen = 0; busy = false; drops = 0; offered_pkts = 0;
       delivered_pkts = 0; queued_pkts = 0; trace = c.trace; enq_count = 0;
       del_count = 0 }
   in
@@ -206,8 +207,9 @@ let policer_admits t (pkt : Packet.t) =
     let refill = B.to_float (Rate.volume p.p_rate ~over:elapsed) in
     p.tokens <- Float.min (float_of_int p.p_burst) (p.tokens +. refill);
     p.last_refill <- now;
-    if p.tokens >= float_of_int pkt.size then begin
-      p.tokens <- p.tokens -. float_of_int pkt.size;
+    let size = float_of_int (Packet.size pkt) in
+    if p.tokens >= size then begin
+      p.tokens <- p.tokens -. size;
       true
     end
     else false
@@ -221,10 +223,10 @@ let loss_model_admits t pkt =
   match t.loss_model with None -> true | Some drop -> not (drop pkt)
 
 (* double the FIFO ring, unrolling it to start at 0 *)
-let grow_fifo t (pkt : Packet.t) =
+let grow_fifo t =
   let n = Array.length t.fifo in
   let m = max 16 (2 * n) in
-  let fifo = Array.make m pkt and at = Float.Array.make m 0. in
+  let fifo = Array.make m Packet.none and at = Float.Array.make m 0. in
   for k = 0 to t.fifo_len - 1 do
     let i = (t.fifo_head + k) land (n - 1) in
     fifo.(k) <- t.fifo.(i);
@@ -235,7 +237,7 @@ let grow_fifo t (pkt : Packet.t) =
   t.fifo_head <- 0
 
 let enqueue t (pkt : Packet.t) =
-  if pkt.flow < 0 then invalid_arg "Bottleneck.enqueue: negative flow id";
+  if pkt == Packet.none then invalid_arg "Bottleneck.enqueue: Packet.none";
   (* {!Engine.now} boxes the clock once per event: only for a qdisc that
      reads it *)
   let now = if t.qdisc_reads_clock then Engine.now t.engine else Time.zero in
@@ -246,22 +248,19 @@ let enqueue t (pkt : Packet.t) =
   else if not (loss_model_admits t pkt) then
     record_drop t pkt ~reason:Tev.Modeled_loss
   else begin
-    match Qdisc.decide t.qdisc ~now ~qlen_bytes:t.qlen ~pkt_size:pkt.size with
+    let size = Packet.size pkt in
+    match Qdisc.decide t.qdisc ~now ~qlen_bytes:t.qlen ~pkt_size:size with
     | Qdisc.Drop -> record_drop t pkt ~reason:Tev.Queue_full
-    | (Qdisc.Admit | Qdisc.Mark) as d ->
-    if d = Qdisc.Mark then begin
-      pkt.ecn <- true;
-      t.marks <- t.marks + 1
-    end;
-    t.qlen <- t.qlen + pkt.size;
+    | Qdisc.Admit ->
+    t.qlen <- t.qlen + size;
     t.queued_pkts <- t.queued_pkts + 1;
     if Trace.want t.trace Tev.Packet then begin
       t.enq_count <- t.enq_count + 1;
       if t.enq_count mod pkt_sample = 0 then
-        Trace.pkt_enqueue t.trace ~now:(now_s t) ~flow:pkt.flow
-          ~seq:pkt.seq ~qlen:t.qlen
+        Trace.pkt_enqueue t.trace ~now:(now_s t) ~flow:(Packet.flow pkt)
+          ~seq:(Packet.seq pkt) ~qlen:t.qlen
     end;
-    if t.fifo_len = Array.length t.fifo then grow_fifo t pkt;
+    if t.fifo_len = Array.length t.fifo then grow_fifo t;
     let i = (t.fifo_head + t.fifo_len) land (Array.length t.fifo - 1) in
     t.fifo.(i) <- pkt;
     Float.Array.set t.fifo_at i (Float.Array.unsafe_get t.clock 0);
@@ -282,8 +281,6 @@ let queue_delay t =
   Rate.tx_time r (B.of_int t.qlen)
 
 let drops t = t.drops
-
-let marks t = t.marks
 
 let delivered_bytes t ~flow =
   if flow >= 0 && flow < Array.length t.delivered_by_flow then

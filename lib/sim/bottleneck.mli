@@ -47,7 +47,7 @@ val create : Engine.t -> Config.t -> t
 val set_sink : t -> flow:int -> (Packet.t -> unit) -> unit
 
 (** [enqueue t pkt] submits [pkt]; it is either queued or dropped.
-    @raise Invalid_argument if [pkt.flow] is negative. *)
+    @raise Invalid_argument if [pkt] is {!Packet.none}. *)
 val enqueue : t -> Packet.t -> unit
 
 (** Fault hooks (driven by [lib/faults]) *)
@@ -80,12 +80,6 @@ val queue_delay : t -> Units.Time.t
 
 (** [drops t] is the cumulative count of dropped packets. *)
 val drops : t -> int
-
-(** [marks t] is the cumulative count of packets ECN-marked by the qdisc
-    ({!Qdisc.decision} [Mark]); always [0] unless the discipline was built
-    with ECN enabled. Marked packets are admitted, so they appear in the
-    conservation ledger as delivered/queued, never as drops. *)
-val marks : t -> int
 
 (** [delivered_bytes t ~flow] is the cumulative bytes serialised for
     [flow]. *)

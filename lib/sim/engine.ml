@@ -5,7 +5,7 @@ module Span = Nimbus_trace.Span
 (* A queued event: a thunk, or a packet leg (a handler built once and the
    packet it is applied to).  Cells are recycled through a free list, so
    scheduling either kind allocates nothing in steady state.  A cell whose
-   [pkt] is the engine's placeholder packet holds a thunk. *)
+   [pkt] is {!Packet.none} holds a thunk. *)
 type cell = {
   mutable thunk : unit -> unit;
   mutable leg : Packet.t -> unit;
@@ -29,7 +29,6 @@ type t = {
   key : Float.Array.t; (* the queue's key register, {!Wheel.key_reg} *)
   mutable free : cell array;
   mutable nfree : int;
-  no_pkt : Packet.t;
   trace : Trace.t;
   mutable scheds : int;
   mutable flow_ids : int;
@@ -54,7 +53,6 @@ let create (c : Config.t) =
   let events = Wheel.create () in
   { clock = Float.Array.make 1 0.; now_box = Time.zero; now_stale = false;
     events; key = Wheel.key_reg events; free = [||]; nfree = 0;
-    no_pkt = { Packet.flow = -1; seq = -1; size = 0; ecn = false };
     trace = c.Config.trace; scheds = 0; flow_ids = 0 }
 
 let trace t = t.trace
@@ -83,7 +81,7 @@ let[@inline] set_clock t x =
 
 let acquire t =
   if t.nfree = 0 then
-    ({ thunk = no_thunk; leg = no_leg; pkt = t.no_pkt }
+    ({ thunk = no_thunk; leg = no_leg; pkt = Packet.none }
     [@alloc_ok "the free list is empty: a new cell, recycled from then on"])
   else begin
     t.nfree <- t.nfree - 1;
@@ -145,6 +143,8 @@ let schedule_in t delay f =
 [@@alloc_free]
 
 let schedule_pkt_in t delay h pkt =
+  (* a cell holding [Packet.none] is a thunk's *)
+  if pkt == Packet.none then invalid_arg "Engine.schedule_pkt_in: Packet.none";
   set_key_in t ~fn:"schedule_pkt_in" delay;
   let c = acquire t in
   c.leg <- h;
@@ -186,7 +186,7 @@ let rec drain t ~horizon =
       set_clock t key;
       let c = Wheel.pop_top t.events in
       let pkt = c.pkt in
-      if pkt == t.no_pkt then begin
+      if pkt == Packet.none then begin
         let f = c.thunk in
         c.thunk <- no_thunk;
         release t c;
@@ -196,7 +196,7 @@ let rec drain t ~horizon =
       else begin
         let h = c.leg in
         c.leg <- no_leg;
-        c.pkt <- t.no_pkt;
+        c.pkt <- Packet.none;
         release t c;
         (h pkt [@alloc_ok "opaque packet handler, on its own budget like a \
                            thunk"])

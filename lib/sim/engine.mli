@@ -67,7 +67,8 @@ val schedule_in : t -> Units.Time.t -> (unit -> unit) -> unit
 (** [schedule_pkt_in t delay h pkt] runs [h pkt] after [delay], with the
     same validation and the same place in the event order as
     [schedule_in t delay (fun () -> h pkt)], but without building that
-    closure: a handler made once carries every packet. *)
+    closure: a handler made once carries every packet.
+    @raise Invalid_argument if [pkt] is {!Packet.none}. *)
 val schedule_pkt_in :
   t -> Units.Time.t -> (Packet.t -> unit) -> Packet.t -> unit
 

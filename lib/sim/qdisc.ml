@@ -4,14 +4,12 @@ module Rate = Units.Rate
 (* AQM state stays raw float internally; the .mli is the typed boundary. *)
 type decision =
   | Admit
-  | Mark
   | Drop
 
 type pie_state = {
   target_delay : float; (* seconds *)
   link_rate_bps : float;
   rng : Rng.t;
-  ecn : bool;
   mutable drop_prob : float;
   mutable last_update : float;
   mutable old_delay : float;
@@ -30,14 +28,14 @@ let droptail ~capacity_bytes =
   if capacity_bytes <= 0 then invalid_arg "Qdisc.droptail: capacity <= 0";
   { kind = Droptail; capacity_bytes }
 
-let pie ?(ecn = false) ~capacity_bytes ~target_delay ~link_rate ~rng () =
+let pie ~capacity_bytes ~target_delay ~link_rate ~rng =
   let target_delay = Time.to_secs target_delay in
   let link_rate_bps = Rate.to_bps link_rate in
   if capacity_bytes <= 0 then invalid_arg "Qdisc.pie: capacity <= 0";
   if target_delay <= 0. then invalid_arg "Qdisc.pie: target_delay <= 0";
   { kind =
       Pie
-        { target_delay; link_rate_bps; rng; ecn; drop_prob = 0.;
+        { target_delay; link_rate_bps; rng; drop_prob = 0.;
           last_update = 0.; old_delay = 0. };
     capacity_bytes }
 
@@ -62,11 +60,6 @@ let pie_scale p =
   else if p < 0.1 then 1. /. 2.
   else 1.
 
-(* RFC 8033 §5.1: while drop probability is at most this, an ECN-enabled
-   PIE marks instead of dropping; past it congestion is severe enough that
-   marking alone cannot clear the standing queue. *)
-let pie_mark_ecnth = 0.1
-
 let pie_decide s ~now ~qlen_bytes ~pkt_size ~capacity =
   if qlen_bytes + pkt_size > capacity then Drop
   else begin
@@ -84,13 +77,9 @@ let pie_decide s ~now ~qlen_bytes ~pkt_size ~capacity =
       s.old_delay <- qdelay;
       s.last_update <- now
     end;
-    (* burst protection: never drop when the queue is nearly empty.  The
-       random draw happens on exactly the same state trajectory whether ECN
-       is on or off, so enabling ECN changes the verdict (Mark vs Drop) but
-       never the RNG stream. *)
+    (* burst protection: never drop when the queue is nearly empty *)
     if qdelay < s.target_delay /. 2. && s.drop_prob < 0.2 then Admit
-    else if Rng.bool s.rng ~p:s.drop_prob then
-      if s.ecn && s.drop_prob <= pie_mark_ecnth then Mark else Drop
+    else if Rng.bool s.rng ~p:s.drop_prob then Drop
     else Admit
   end
 

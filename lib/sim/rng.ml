@@ -41,7 +41,14 @@ let float t x = uniform t *. x
 
 let range t ~lo ~hi = lo +. (uniform t *. (hi -. lo))
 
-let bool t ~p = uniform t < p
+(* inlined, so a probability computed by the caller reaches the compare
+   unboxed *)
+let[@inline] bool t ~p =
+  (uniform t [@alloc_ok "inlined: the int64 state and the draw stay unboxed"])
+  < p
+[@@alloc_free]
+
+let bool_at t ps i = bool t ~p:(Float.Array.get ps i) [@@alloc_free]
 
 let exponential t ~mean =
   if mean <= 0. then invalid_arg "Rng.exponential: mean <= 0";

@@ -33,6 +33,12 @@ val range : t -> lo:float -> hi:float -> float
 (** [bool t ~p] is [true] with probability [p]. *)
 val bool : t -> p:float -> bool
 
+(** [bool_at t ps i] is [bool t ~p:(Float.Array.get ps i)], the same draw.
+    A probability computed by a caller in another module and passed as
+    [~p] is boxed, two words per draw; read in place from [ps], it is
+    not. *)
+val bool_at : t -> Float.Array.t -> int -> bool
+
 (** [exponential t ~mean] samples Exp with the given mean. *)
 val exponential : t -> mean:float -> float
 

@@ -1,12 +1,12 @@
-(* Calendar-queue event core: a 1024-slot timer wheel for near-future events
+(* Calendar-queue event core: a 256-slot timer wheel for near-future events
    with a binary-heap overflow for far timers.
 
    Push and pop of a near-future event (within [nslots * width] of the
-   cursor, which covers packet serialisation, pacing, and RTT-scale timers
-   at the 64 µs slot width) cost O(1) in the common case instead of
-   the heap's O(log n), and nothing is boxed on the way in: every slot
-   stores its entries in parallel arrays (flat float keys / int seqs /
-   values), exactly like {!Heap} after the unboxed-key rework.
+   cursor, a 65.5 ms horizon that covers packet serialisation, pacing, and
+   RTT-scale timers at the 256 µs slot width) cost O(1) in the common case
+   instead of the heap's O(log n), and nothing is boxed on the way in:
+   every slot stores its entries in parallel arrays (flat float keys / int
+   seqs / values), exactly like {!Heap} after the unboxed-key rework.
 
    Sorted slots: a slot's live entries sit in [head, len) in (key, seq)
    order, so its minimum is always at [head] and a pop just advances it.  A
@@ -24,9 +24,16 @@
    *identical* to a single FIFO-tie-breaking heap's, under any push
    pattern.
 
-   Occupancy is tracked in a two-level bitmap (32 words x 32 bits, one
+   Occupancy is tracked in a two-level bitmap (8 words x 32 bits, one
    summary word), so finding the next non-empty slot is a handful of mask
-   and count-trailing-zero steps, never a 1024-slot walk.
+   and count-trailing-zero steps, never a 256-slot walk.
+
+   Why 256 slots: each per-slot table then has at most [Max_young_wosize]
+   (256) fields, so {!create} allocates on the minor heap.  At 1024 slots
+   its five tables (5125 words) went straight to the major heap, and such
+   an allocation can run a major-GC slice left pending by earlier work:
+   hundreds of microseconds charged to whichever engine happened to be set
+   up next.
 
    Keys must be finite and non-negative (the engine validates before
    pushing).  All wheel entries lie in absolute slots [cur, cur + nslots):
@@ -36,13 +43,13 @@
    slot of a popped global minimum, which every remaining entry is >= by
    construction, so the invariant is maintained without migration sweeps. *)
 
-let nslots = 1024
+let nslots = 256
 let slot_mask = nslots - 1
 let word_bits = 32
-let nwords = nslots / word_bits (* 32: level-1 summary fits one int *)
+let nwords = nslots / word_bits (* 8: level-1 summary fits one int *)
 
 (* slot width, seconds *)
-let width = 64e-6
+let width = 256e-6
 
 type 'a t = {
   slot_keys : float array array;
@@ -156,31 +163,36 @@ let first_occupied_from t p0 =
 [@@alloc_free]
 
 (* Room for one more entry at the tail of a full slot [p]: slide the live
-   range [head, len) down to 0 when at least half the slot is dead,
-   otherwise double the capacity (fresh arrays filled with the entry being
-   pushed, so no dummy element is ever needed).  Either way the live range
-   then starts at 0. *)
-let make_room t p ~key ~seq v =
-  let head = t.slot_head.(p) and len = t.slot_len.(p) in
-  let cap = Array.length t.slot_keys.(p) in
-  let live = len - head in
-  if head > 0 && 2 * head >= cap then begin
-    Array.blit t.slot_keys.(p) head t.slot_keys.(p) 0 live;
-    Array.blit t.slot_seqs.(p) head t.slot_seqs.(p) 0 live;
-    Array.blit t.slot_vals.(p) head t.slot_vals.(p) 0 live
-  end
-  else begin
-    let ncap = max 4 (2 * cap) in
-    let keys = Array.make ncap key in
-    let seqs = Array.make ncap seq in
-    let vals = Array.make ncap v in
-    Array.blit t.slot_keys.(p) head keys 0 live;
-    Array.blit t.slot_seqs.(p) head seqs 0 live;
-    Array.blit t.slot_vals.(p) head vals 0 live;
-    t.slot_keys.(p) <- keys;
-    t.slot_seqs.(p) <- seqs;
-    t.slot_vals.(p) <- vals
-  end;
+   range [head, len) down to 0 when at least half the slot is dead
+   ([compact_slot]), otherwise double the capacity ([grow_slot]: fresh
+   arrays filled with the entry being pushed, so no dummy element is ever
+   needed).  Either way the live range then starts at 0.  Neither takes
+   the key as a float argument, which would box it: compaction runs about
+   once per slot visit wherever two event streams share a slot, and
+   [grow_slot] reads the key from the register. *)
+let compact_slot t p =
+  let head = t.slot_head.(p) in
+  let live = t.slot_len.(p) - head in
+  Array.blit t.slot_keys.(p) head t.slot_keys.(p) 0 live;
+  Array.blit t.slot_seqs.(p) head t.slot_seqs.(p) 0 live;
+  Array.blit t.slot_vals.(p) head t.slot_vals.(p) 0 live;
+  t.slot_head.(p) <- 0;
+  t.slot_len.(p) <- live
+[@@alloc_free]
+
+let grow_slot t p ~seq v =
+  let head = t.slot_head.(p) in
+  let live = t.slot_len.(p) - head in
+  let ncap = max 4 (2 * Array.length t.slot_keys.(p)) in
+  let keys = Array.make ncap (Float.Array.unsafe_get t.reg 0) in
+  let seqs = Array.make ncap seq in
+  let vals = Array.make ncap v in
+  Array.blit t.slot_keys.(p) head keys 0 live;
+  Array.blit t.slot_seqs.(p) head seqs 0 live;
+  Array.blit t.slot_vals.(p) head vals 0 live;
+  t.slot_keys.(p) <- keys;
+  t.slot_seqs.(p) <- seqs;
+  t.slot_vals.(p) <- vals;
   t.slot_head.(p) <- 0;
   t.slot_len.(p) <- live
 
@@ -215,9 +227,14 @@ let push_reg t v =
   end
   else begin
     let p = int_of_float (key /. width) land slot_mask in
-    if t.slot_len.(p) = Array.length t.slot_keys.(p) then
-      (make_room t p ~key ~seq v
-      [@alloc_ok "amortized per-slot capacity doubling"]);
+    let cap = Array.length t.slot_keys.(p) in
+    if t.slot_len.(p) = cap then begin
+      let head = t.slot_head.(p) in
+      if head > 0 && 2 * head >= cap then compact_slot t p
+      else
+        (grow_slot t p ~seq v
+        [@alloc_ok "amortized per-slot capacity doubling"])
+    end;
     (* decided before the insert can shift the cached slot's head *)
     let beats = t.cache_where >= 0 && beats_cache t key seq in
     let keys = t.slot_keys.(p)

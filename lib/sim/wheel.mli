@@ -1,8 +1,8 @@
-(** Calendar-queue event core: a 1024-slot timer wheel for near-future
+(** Calendar-queue event core: a 256-slot timer wheel for near-future
     events with a binary-heap ({!Heap}) overflow for far timers.
 
-    Scheduling a near-future event — within [1024 x width] of the cursor,
-    which at the 64 µs slot width is a ~65 ms horizon covering
+    Scheduling a near-future event — within [256 x width] of the cursor,
+    which at the 256 µs slot width is a ~65.5 ms horizon covering
     packet serialisation times, pacing ticks, and RTT-scale timers — is
     O(1) when it arrives in key order or shares its key with earlier
     events (a same-instant burst), and popping is O(1): each slot is kept
@@ -22,7 +22,9 @@
 
 type 'a t
 
-(** [create ()] is an empty queue with 64 µs slots. *)
+(** [create ()] is an empty queue with 256 µs slots.  It allocates only
+    on the minor heap: each of its per-slot tables fits a minor-heap
+    block. *)
 val create : unit -> 'a t
 
 (** [size t] is the number of pending events (slots + overflow heap). *)

@@ -53,8 +53,9 @@ let interval t =
 
 let step t =
   if t.rate > 0. then begin
-    t.enqueue { Packet.flow = t.flow_id; seq = t.seq; size = pkt_size;
-                ecn = false };
+    (* [~now] is ignored; [Time.zero] boxes nothing *)
+    t.enqueue
+      (Packet.make ~flow:t.flow_id ~seq:t.seq ~size:pkt_size ~now:Time.zero ());
     t.seq <- t.seq + 1;
     Engine.schedule_in t.engine (Time.secs (interval t)) t.step
   end

@@ -627,8 +627,9 @@ let test_nimbus_competitive_ack_words () =
    50 ms dumbbell for 15 s.  A watcher answers [cwnd] and [pacing_rate]
    from boxes refreshed once per tick, and a paced flow asks for the rate
    once per pacer wake, not per ACK.  Minor words per packet delivered at
-   the link from 6 s on: 9.11 measured, 20.97 when every ACK asked for a
-   freshly computed rate and a watcher tick boxed each level it read. *)
+   the link from 6 s on: 3.96 measured; 9.11 when every packet was a
+   5-word record, and 20.97 when every ACK asked for a freshly computed
+   rate and a watcher tick boxed each level it read. *)
 let test_nimbus_watcher_words_per_packet () =
   let e, bn, topo, route = make_link ~rate_bps:96e6 () in
   let rng = Rng.create 1 in
@@ -658,8 +659,8 @@ let test_nimbus_watcher_words_per_packet () =
   Alcotest.(check bool) "the link carried ~9 s of packets" true
     (pkts > 50_000);
   let per_pkt = words /. float_of_int pkts in
-  if per_pkt > 9.5 then
-    Alcotest.failf "%.2f minor words per packet (want <= 9.5)" per_pkt
+  if per_pkt > 4.5 then
+    Alcotest.failf "%.2f minor words per packet (want <= 4.5)" per_pkt
 
 let test_nimbus_single_flow_is_pulser () =
   let e, _, topo, route = make_link () in

@@ -91,14 +91,14 @@ let test_wheel_sorted_pops () =
     "sorted" [ 1e-3; 2e-3; 3e-3; 4e-3; 5e-3 ] (drain [])
 
 let test_wheel_fifo_across_spill () =
-  (* a key first lands in the overflow heap (beyond the 1024-slot horizon),
+  (* a key first lands in the overflow heap (beyond the 256-slot horizon),
      then — after the cursor advances — the same key lands in a slot; the
      shared sequence counter must keep the pops in push order *)
-  let w = Wheel.create () (* 1024 x 64 us ~ 65.5 ms horizon *) in
-  Wheel.push w ~key:0.0768 "a" (* 1200 slots ahead: spills to the heap *);
+  let w = Wheel.create () (* 256 x 256 us ~ 65.5 ms horizon *) in
+  Wheel.push w ~key:0.0768 "a" (* 300 slots ahead: spills to the heap *);
   Wheel.push w ~key:0.03 "b" (* in a slot *);
   Alcotest.(check string) "near event first" "b" (Wheel.pop_top w);
-  (* cursor is now at slot 468, so 0.0768 is within the horizon *)
+  (* cursor is now at slot 117, so 0.0768 is within the horizon *)
   Wheel.push w ~key:0.0768 "c";
   Wheel.push w ~key:0.0768 "d";
   (* explicit lets: list elements would evaluate right-to-left *)
@@ -155,7 +155,7 @@ let test_wheel_far_timer_push_alloc () =
 let test_wheel_wraparound () =
   (* interleaved push/pop walking far past nslots * width: the physical
      slots wrap around many times and order must survive *)
-  let w = Wheel.create () (* 1024 x 64 us ~ 65.5 ms horizon *) in
+  let w = Wheel.create () (* 256 x 256 us ~ 65.5 ms horizon *) in
   for i = 0 to 499 do
     let base = float_of_int i *. 0.02 in
     Wheel.push w ~key:base (2 * i);
@@ -347,7 +347,7 @@ let test_engine_nested_schedule () =
 let test_engine_packet_legs_in_order () =
   let e = Engine.create Engine.Config.default in
   let seen = ref [] in
-  let leg (p : Packet.t) = seen := p.Packet.seq :: !seen in
+  let leg (p : Packet.t) = seen := Packet.seq p :: !seen in
   let pkt seq = Packet.make ~flow:0 ~seq ~size:1500 ~now:Time.zero () in
   Engine.schedule_pkt_in e (Time.ms 1.) leg (pkt 0);
   Engine.schedule_in e (Time.ms 1.) (fun () -> seen := 100 :: !seen);
@@ -358,11 +358,35 @@ let test_engine_packet_legs_in_order () =
   Alcotest.(check bool) "a negative delay is rejected" true
     (match Engine.schedule_pkt_in e (Time.ms (-1.)) leg (pkt 3) with
      | () -> false
+     | exception Invalid_argument _ -> true);
+  Alcotest.(check bool) "Packet.none is rejected" true
+    (match Engine.schedule_pkt_in e (Time.ms 1.) leg Packet.none with
+     | () -> false
      | exception Invalid_argument _ -> true)
+
+(* A chain of events 12 µs apart, each scheduling a second event 1 ms
+   ahead: the two streams share every slot they pass, so a slot is
+   compacted about once per visit.  Compaction took the key as a float
+   argument, boxing it: 2 words per slot visit, 7814 words per simulated
+   second here. *)
+let test_engine_shared_slots_allocate_nothing () =
+  let e = Engine.create Engine.Config.default in
+  let step = Time.us 12. and ahead = Time.ms 1. in
+  let rec chain () =
+    Engine.schedule_in e step chain;
+    Engine.schedule_in e ahead ignore
+  in
+  Engine.schedule_in e step chain;
+  let warm = Time.secs 1. and stop = Time.secs 2. in
+  Engine.run_until e warm;
+  let before = Gc.minor_words () in
+  Engine.run_until e stop;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 1 s of events" 0. words
 
 (* minor words per event, over 10 000 events scheduled 300 µs ahead (within
    the wheel's horizon) after warm-up batches.  Each batch moves the clock
-   by half the wheel (512 slots of 64 µs), so batches reuse the two slots
+   by half the wheel (128 slots of 256 µs), so batches reuse the two slots
    that have grown to hold one: a batch in a fresh slot would measure that
    slot's growth instead. *)
 let engine_words_per_event schedule =
@@ -434,6 +458,25 @@ let test_rng_bool_allocates_nothing () =
   Alcotest.(check (float 0.)) "minor words over 10k draws" 0. words;
   Alcotest.(check bool) "draws vary" true (!hits > 4000 && !hits < 6000)
 
+(* A probability computed per draw and passed as [~p] from another module
+   is boxed, two words per draw; [bool_at] reads it in place and draws
+   exactly what [bool] draws. *)
+let test_rng_bool_at_computed_probability () =
+  let a = Rng.create 11 and b = Rng.create 11 in
+  let ps = Float.Array.make 1 0. in
+  let same = ref true in
+  let before = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Float.Array.unsafe_set ps 0 (float_of_int i *. 1e-4);
+    if Rng.bool_at a ps 0 <> Rng.bool b ~p:(Float.Array.get ps 0) then
+      same := false
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "bool_at draws what bool draws" true !same;
+  (* every word is [bool]'s boxed [~p]: two per draw *)
+  Alcotest.(check (float 0.)) "minor words over 10k draws of each" 20_000.
+    words
+
 let test_rng_deterministic () =
   let a = Rng.create 42 and b = Rng.create 42 in
   for _ = 1 to 100 do
@@ -495,10 +538,10 @@ let prop_rng_int_bound =
    recording [Engine.now] sees. *)
 let test_packet_fields () =
   let p = Packet.make ~flow:3 ~seq:7 ~size:1500 ~now:(Time.secs 2.5) () in
-  Alcotest.(check int) "flow" 3 p.Packet.flow;
-  Alcotest.(check int) "seq" 7 p.Packet.seq;
-  Alcotest.(check int) "size" 1500 p.Packet.size;
-  Alcotest.(check bool) "no ECN mark" false p.Packet.ecn;
+  Alcotest.(check int) "flow" 3 (Packet.flow p);
+  Alcotest.(check int) "seq" 7 (Packet.seq p);
+  Alcotest.(check int) "size" 1500 (Packet.size p);
+  Alcotest.(check int) "Packet.none has flow -1" (-1) (Packet.flow Packet.none);
   let e = Engine.create Engine.Config.default in
   let bn =
     Bottleneck.create e
@@ -507,13 +550,84 @@ let test_packet_fields () =
   in
   let left = ref [] in
   Bottleneck.set_sink bn ~flow:3 (fun q ->
-      left := (q.Packet.seq, Time.to_secs (Engine.now e)) :: !left);
+      left := (Packet.seq q, Time.to_secs (Engine.now e)) :: !left);
   Engine.schedule_at e (Time.secs 2.5) (fun () -> Bottleneck.enqueue bn p);
   Engine.run_until e (Time.secs 3.);
   (* one 1500-byte serialisation at 12 Mbit/s: 1 ms after it arrived *)
   match !left with
   | [ (7, at) ] -> check_close ~eps:1e-12 "left the link at" 2.501 at
   | _ -> Alcotest.fail "expected exactly packet 7 to leave the link"
+
+(* The layout's limits: 20 bits of flow, 28 of seq, 14 of size. *)
+let max_flow = 1_048_575 and max_seq = 268_435_455 and max_size = 16_383
+
+let packet_field hi =
+  QCheck.Gen.(frequency [ (1, return 0); (1, return hi); (8, int_range 0 hi) ])
+
+let prop_packet_round_trip =
+  QCheck.Test.make ~count:1000 ~name:"packet: fields read back, bounds included"
+    (QCheck.make
+       QCheck.Gen.(
+         triple (packet_field max_flow) (packet_field max_seq)
+           (packet_field max_size)))
+    (fun (flow, seq, size) ->
+      let p = Packet.make ~flow ~seq ~size ~now:Time.zero () in
+      Packet.flow p = flow && Packet.seq p = seq && Packet.size p = size
+      && p <> Packet.none)
+
+let test_packet_rejects_out_of_range () =
+  List.iter
+    (fun (what, flow, seq, size) ->
+      match Packet.make ~flow ~seq ~size ~now:Time.zero () with
+      | _ -> Alcotest.failf "%s: accepted" what
+      | exception Invalid_argument _ -> ())
+    [ ("flow one past", max_flow + 1, 0, 1500);
+      ("seq one past", 0, max_seq + 1, 1500);
+      ("size one past", 0, 0, max_size + 1);
+      ("negative flow", -1, 0, 1500); ("negative seq", 0, -1, 1500);
+      ("negative size", 0, 0, -1); ("min_int flow", min_int, 0, 1500);
+      ("max_int seq", 0, max_int, 1500) ]
+
+(* A packet is an immediate int, so making one, queueing it on a link,
+   serialising it, handing it to the sink and scheduling it on a packet leg
+   allocate nothing.  Each batch enqueues 1000 packets, made inside the
+   measured loop, on a 1 Gbit/s link; the sink puts each on a 1 ms leg.
+   Batches start half a wheel turn (128 slots of 256 µs) apart, so after
+   warm-up they reuse the slots and the FIFO ring the first ones grew. *)
+let test_packet_path_allocates_nothing () =
+  let e = Engine.create Engine.Config.default in
+  let bn =
+    Bottleneck.create e
+      (Bottleneck.Config.default ~rate:(Rate.gbps 1.)
+         ~qdisc:(Qdisc.droptail ~capacity_bytes:10_000_000))
+  in
+  let landed = ref 0 and seq = ref 0 in
+  let leg (_ : Packet.t) = incr landed in
+  let delay = Time.ms 1. in
+  Bottleneck.set_sink bn ~flow:0 (fun pkt ->
+      Engine.schedule_pkt_in e delay leg pkt);
+  let batch horizon =
+    for _ = 1 to 1000 do
+      Bottleneck.enqueue bn
+        (Packet.make ~flow:0 ~seq:!seq ~size:1500 ~now:Time.zero ());
+      incr seq
+    done;
+    Engine.run_until e horizon
+  in
+  (* boxed beforehand, in lists: read from a [Time.t array], which is a flat
+     float array, a horizon would be boxed again *)
+  let horizons k0 n =
+    List.init n (fun i -> Time.us (32_768. *. float_of_int (k0 + i)))
+  in
+  let warm_up = horizons 1 3 and measured = horizons 4 10 in
+  List.iter batch warm_up;
+  let landed0 = !landed in
+  let before = Gc.minor_words () in
+  List.iter batch measured;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "10k packets crossed the link and the leg" 10_000
+    (!landed - landed0);
+  Alcotest.(check (float 0.)) "minor words over 10k packets" 0. words
 
 (* --- qdisc --------------------------------------------------------------- *)
 
@@ -531,7 +645,7 @@ let test_pie_drops_under_load () =
   let rng = Rng.create 3 in
   let q =
     Qdisc.pie ~capacity_bytes:1_000_000 ~target_delay:(Time.ms 15.)
-      ~link_rate:(Rate.bps 48e6) ~rng ()
+      ~link_rate:(Rate.bps 48e6) ~rng
   in
   Alcotest.(check string) "name" "pie" (Qdisc.name q);
   (* sustained deep queue (~10x target) must start dropping *)
@@ -547,7 +661,7 @@ let test_pie_spares_short_queue () =
   let rng = Rng.create 4 in
   let q =
     Qdisc.pie ~capacity_bytes:1_000_000 ~target_delay:(Time.ms 15.)
-      ~link_rate:(Rate.bps 48e6) ~rng ()
+      ~link_rate:(Rate.bps 48e6) ~rng
   in
   let drops = ref 0 in
   for i = 1 to 2000 do
@@ -594,7 +708,7 @@ let test_bottleneck_fifo_order () =
   in
   let delivered = drain_packets e bn ~flow:0 ~count:20 ~size:1000 in
   Engine.run_until e (Time.secs 1.);
-  let seqs = List.rev_map (fun (p, _) -> p.Packet.seq) !delivered in
+  let seqs = List.rev_map (fun (p, _) -> Packet.seq p) !delivered in
   Alcotest.(check (list int)) "fifo" (List.init 20 (fun i -> i)) seqs
 
 let test_bottleneck_drops_at_capacity () =
@@ -682,7 +796,9 @@ let suite =
         Alcotest.test_case "packet legs in order" `Quick
           test_engine_packet_legs_in_order;
         Alcotest.test_case "events allocate nothing" `Quick
-          test_engine_events_allocate_nothing ] );
+          test_engine_events_allocate_nothing;
+        Alcotest.test_case "streams sharing slots allocate nothing" `Quick
+          test_engine_shared_slots_allocate_nothing ] );
     ( "sim.rng",
       [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
         Alcotest.test_case "split independent" `Quick test_rng_split_independent;
@@ -694,8 +810,16 @@ let suite =
           test_rng_pinned_draws;
         Alcotest.test_case "bool allocates nothing" `Quick
           test_rng_bool_allocates_nothing;
+        Alcotest.test_case "bool_at reads a computed probability in place"
+          `Quick test_rng_bool_at_computed_probability;
         qtest prop_rng_int_bound ] );
-    ("sim.packet", [ Alcotest.test_case "fields" `Quick test_packet_fields ]);
+    ( "sim.packet",
+      [ Alcotest.test_case "fields" `Quick test_packet_fields;
+        Alcotest.test_case "rejects out-of-range fields" `Quick
+          test_packet_rejects_out_of_range;
+        Alcotest.test_case "packet path allocates nothing" `Quick
+          test_packet_path_allocates_nothing;
+        qtest prop_packet_round_trip ] );
     ( "sim.qdisc",
       [ Alcotest.test_case "droptail capacity" `Quick test_droptail_capacity;
         Alcotest.test_case "pie drops under load" `Quick test_pie_drops_under_load;
