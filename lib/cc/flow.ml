@@ -32,6 +32,11 @@ type ring = {
 
 let ring () = { buf = [||]; head = 0; len = 0 }
 
+let ring_clear r =
+  r.buf <- [||];
+  r.head <- 0;
+  r.len <- 0
+
 let ring_grow r =
   let n = Array.length r.buf in
   let buf = Array.make (max 16 (2 * n)) 0 in
@@ -118,7 +123,7 @@ type t = {
   mutable sb_sent : Float.Array.t;
   mutable sb_retx : bool array;
   mutable outstanding : int; (* live entries *)
-  mutable send_order : ring; (* seqs in transmission order; may hold acked *)
+  send_order : ring; (* seqs in transmission order; may hold acked *)
   retx_queue : ring;
   mutable inflight_bytes : int;
   mutable highest_acked : int;
@@ -142,6 +147,21 @@ type t = {
   (* fault hook: a reverse-path loss process (ACK loss) *)
   mutable ack_loss : (unit -> bool) option;
 }
+
+(* The buffers a finished flow hands to the next flow on its engine: the
+   scoreboard, the send-order and retransmit rings' arrays and the rate
+   ring, each at the power-of-two size it grew to. *)
+type Engine.spare +=
+  | Buffers of {
+      sb_seq : int array;
+      sb_sent : Float.Array.t;
+      sb_retx : bool array;
+      send_order : int array;
+      retx : int array;
+      acked_sent_at : Float.Array.t;
+      acked_at : Float.Array.t;
+      acked_cum_bytes : int array;
+    }
 
 let[@inline] now_secs t = Float.Array.unsafe_get t.clock 0
 
@@ -394,12 +414,24 @@ let finished t =
   && not (data_available t)
 
 (* A finished flow keeps only its counters: no later event reads its rate
-   ring, its scoreboard or its send order. *)
+   ring, its scoreboard or its rings.  It hands them, as one set, to its
+   engine's recycler, and keeps empty ones: a late ACK then finds no
+   scoreboard entry and a late original only counts received bytes, so
+   neither can touch the set once another flow has taken it.  Released
+   with nothing outstanding, the set's [sb_seq] is all -1 and both rings
+   are empty, which is how {!create_via} takes it. *)
 let release t =
+  Engine.put_spare t.engine
+    (Buffers
+       { sb_seq = t.sb_seq; sb_sent = t.sb_sent; sb_retx = t.sb_retx;
+         send_order = t.send_order.buf; retx = t.retx_queue.buf;
+         acked_sent_at = t.acked_sent_at; acked_at = t.acked_at;
+         acked_cum_bytes = t.acked_cum_bytes });
   t.sb_seq <- [||];
   t.sb_sent <- empty_floats;
   t.sb_retx <- [||];
-  t.send_order <- ring ();
+  ring_clear t.send_order;
+  ring_clear t.retx_queue;
   t.acked_sent_at <- empty_floats;
   t.acked_at <- empty_floats;
   t.acked_cum_bytes <- [||];
@@ -629,6 +661,22 @@ let rto_timer t =
     Nimbus_trace.Span.leave Nimbus_trace.Span.Flow_tick
   end
 
+(* A new flow starts from the newest set a finished flow left on its
+   engine, or else with empty buffers that grow on demand. *)
+let adopt_spare t =
+  match Engine.take_spare t.engine with
+  | Buffers b ->
+    t.sb_seq <- b.sb_seq;
+    t.sb_sent <- b.sb_sent;
+    t.sb_retx <- b.sb_retx;
+    t.send_order.buf <- b.send_order;
+    t.retx_queue.buf <- b.retx;
+    t.acked_sent_at <- b.acked_sent_at;
+    t.acked_at <- b.acked_at;
+    t.acked_cum_bytes <- b.acked_cum_bytes
+  | _ -> ()
+[@@alloc_free]
+
 let create_via topo ~route ~cc ~prop_rtt ?(source = Backlogged) ?start
     ?on_complete ?(tick_interval = Time.ms 10.) () =
   let engine = Topology.engine topo in
@@ -677,6 +725,7 @@ let create_via topo ~route ~cc ~prop_rtt ?(source = Backlogged) ?start
       pacing_scheduled = false; active = true; completion_time = None;
       ack_loss = None }
   in
+  adopt_spare t;
   t.enqueue <-
     Topology.attach topo ~route ~flow:flow_id ~sink:(fun pkt ->
         handle_delivery t pkt);

@@ -36,6 +36,12 @@ type t
 
     Data packets are 1500 bytes, and half of [prop_rtt] lies on each leg.
 
+    A new flow takes, whole, the newest buffer set a finished flow left
+    in its engine's recycler ({!Nimbus_sim.Engine.take_spare}): scoreboard,
+    send-order and retransmit rings, and the Eq. 2 rate ring, at the
+    sizes they grew to.  With none waiting, it starts with empty buffers
+    that grow on demand.
+
     @param prop_rtt two-way propagation delay excluding queueing
     @param source defaults to [Backlogged]
     @param start absolute start time (default: now)
@@ -43,7 +49,10 @@ type t
     @param tick_interval controller tick period (default 10 ms).  For an
            ACK-clocked flow it only sets the grid [start + k * interval]
            on which the RTO can fire.  A completed [Finite] flow with
-           nothing left in flight stops its timers.
+           nothing left in flight stops its timers and is released: it
+           hands its buffers, as one set, to the engine's recycler and
+           keeps only its counters, so a late ACK or a late duplicate
+           that reaches it afterwards changes only those counters.
     @raise Invalid_argument if [prop_rtt] is negative or not finite, or if
     [tick_interval] is not finite and positive *)
 val create_via :

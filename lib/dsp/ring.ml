@@ -1,21 +1,28 @@
+(* The buffer is allocated at the first push, not by [create]: a detector's
+   500-sample ring is a 501-word block, which goes straight to the major
+   heap, and making it while a flow is set up can run a major slice that
+   an earlier run left pending.  Until the first push [buf] is empty and
+   [count] is 0, so every reader below must accept an empty [buf]. *)
 type t = {
-  buf : float array;
+  cap : int;
+  mutable buf : float array;
   mutable head : int; (* next write position *)
   mutable count : int;
 }
 
 let create n =
   if n <= 0 then invalid_arg "Ring.create: capacity <= 0";
-  { buf = Array.make n 0.; head = 0; count = 0 }
+  { cap = n; buf = [||]; head = 0; count = 0 }
 
-let capacity t = Array.length t.buf
+let capacity t = t.cap
 
 let count t = t.count
 
-let is_full t = t.count = Array.length t.buf
+let is_full t = t.count = t.cap
 
 let push t x =
-  let n = Array.length t.buf in
+  if Array.length t.buf = 0 then t.buf <- Array.make t.cap 0.;
+  let n = t.cap in
   t.buf.(t.head) <- x;
   t.head <- (if t.head = n - 1 then 0 else t.head + 1);
   if t.count < n then t.count <- t.count + 1
@@ -26,7 +33,7 @@ let push t x =
    per sample. *)
 let[@inline] start t =
   let n = Array.length t.buf in
-  (t.head - t.count + n) mod n
+  if n = 0 then 0 else (t.head - t.count + n) mod n
 
 let[@inline] first_len t start = min t.count (Array.length t.buf - start)
 

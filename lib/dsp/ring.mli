@@ -5,7 +5,12 @@
 
 type t
 
-(** [create n] holds the most recent [n] samples.
+(** [create n] holds the most recent [n] samples.  The [n]-sample buffer
+    is allocated at the first {!push}, not here: a buffer over 256 samples
+    goes straight to the major heap, and a ring made while a flow is set
+    up then allocates only a few words there.  Every function accepts a
+    ring that has no buffer yet (it reads as empty); {!clear} keeps the
+    buffer.
     @raise Invalid_argument if [n <= 0]. *)
 val create : int -> t
 

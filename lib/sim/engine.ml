@@ -16,6 +16,10 @@ let no_thunk () = ()
 
 let no_leg (_ : Packet.t) = ()
 
+type spare = ..
+
+type spare += No_spare
+
 (* The clock and queue keys stay raw float internally — the typed boundary
    is the .mli.  The clock lives in a one-slot float array, so the drain
    loop stores each event's key without boxing it, and hot readers in other
@@ -29,6 +33,10 @@ type t = {
   key : Float.Array.t; (* the queue's key register, {!Wheel.key_reg} *)
   mutable free : cell array;
   mutable nfree : int;
+  (* the recycler: a LIFO of buffer sets handed back by finished elements,
+     live in [spares.(0 .. nspares - 1)] *)
+  mutable spares : spare array;
+  mutable nspares : int;
   trace : Trace.t;
   mutable scheds : int;
   mutable flow_ids : int;
@@ -53,7 +61,8 @@ let create (c : Config.t) =
   let events = Wheel.create () in
   { clock = Float.Array.make 1 0.; now_box = Time.zero; now_stale = false;
     events; key = Wheel.key_reg events; free = [||]; nfree = 0;
-    trace = c.Config.trace; scheds = 0; flow_ids = 0 }
+    spares = [||]; nspares = 0; trace = c.Config.trace; scheds = 0;
+    flow_ids = 0 }
 
 let trace t = t.trace
 
@@ -98,6 +107,28 @@ let release t c =
   end;
   t.free.(t.nfree) <- c;
   t.nfree <- t.nfree + 1
+[@@alloc_free]
+
+let put_spare t s =
+  if t.nspares = Array.length t.spares then begin
+    let spares = (Array.make (max 16 (2 * t.nspares)) No_spare
+                  [@alloc_ok "amortized LIFO doubling"]) in
+    Array.blit t.spares 0 spares 0 t.nspares;
+    t.spares <- spares
+  end;
+  t.spares.(t.nspares) <- s;
+  t.nspares <- t.nspares + 1
+[@@alloc_free]
+
+(* the taken slot is cleared, so the LIFO keeps nothing it handed out *)
+let take_spare t =
+  if t.nspares = 0 then No_spare
+  else begin
+    t.nspares <- t.nspares - 1;
+    let s = t.spares.(t.nspares) in
+    t.spares.(t.nspares) <- No_spare;
+    s
+  end
 [@@alloc_free]
 
 (* the key is in the register *)

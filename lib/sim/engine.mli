@@ -88,5 +88,28 @@ val every :
     reached the horizon). *)
 val run_until : t -> Units.Time.t -> unit
 
+(** {2 The recycler}
+
+    A per-engine LIFO of buffer sets that a finished element hands back
+    for the next element on the same engine to reuse, instead of leaving
+    them to the GC and growing fresh ones.  A flow hands its set over
+    when it finishes ([Flow] adds the constructor); recycling happens only
+    there, never when a buffer outgrows itself.  The LIFO is per engine,
+    like the event cells, so runs share nothing. *)
+
+(** A recycled buffer set; each module that recycles adds its own
+    constructor. *)
+type spare = ..
+
+(** What {!take_spare} returns when the LIFO is empty. *)
+type spare += No_spare
+
+(** [put_spare t s] pushes [s]; its owner must not touch it again. *)
+val put_spare : t -> spare -> unit
+
+(** [take_spare t] pops the newest spare, or [No_spare]; it allocates
+    nothing. *)
+val take_spare : t -> spare
+
 (** [pending t] is the number of queued events (of use to tests). *)
 val pending : t -> int

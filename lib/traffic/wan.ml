@@ -32,29 +32,34 @@ type profile =
   | `Elephant
   ]
 
+(* [size_cap] is an int, so this is not a record of floats only: OCaml
+   keeps each float parameter in a box made once, here, and passing it to
+   an [Rng] draw allocates nothing (a field of a float-only record is boxed
+   again for every call that takes it). *)
 type mixture = {
   mice_prob : float;
   lognormal_mu : float;
   lognormal_sigma : float;
   pareto_scale : float;
   pareto_shape : float;
-  size_cap : float;
+  size_cap : int; (* bytes *)
 }
 
 let mixture_of_profile = function
   | `Churny ->
     { mice_prob = 0.9; lognormal_mu = log 6000.; lognormal_sigma = 1.2;
-      pareto_scale = 30_000.; pareto_shape = 1.3; size_cap = 50_000_000. }
+      pareto_scale = 30_000.; pareto_shape = 1.3; size_cap = 50_000_000 }
   | `Elephant ->
     { mice_prob = 0.995; lognormal_mu = log 4000.; lognormal_sigma = 0.8;
       pareto_scale = 2_000_000.; pareto_shape = 1.05;
-      size_cap = 500_000_000. }
+      size_cap = 500_000_000 }
 
+(* An active cross-flow's size and its index in [t.flows]/[t.records].
+   Its flow lives in the parallel [t.flows], so the completion callback can
+   capture the record before the flow exists. *)
 type record = {
-  flow : Flow.t;
   size : int;
-  elastic : bool;
-  started : float;
+  mutable slot : int;
 }
 
 (* Internal timekeeping stays raw float seconds — the typed boundary is the
@@ -68,12 +73,26 @@ type t = {
   prop_rtt : float;
   mean_size : float;
   arrival_mean : float; (* seconds between arrivals *)
-  mutable active : record list;
+  (* The active flows, unordered, in [0, nactive) of two parallel arrays
+     that start empty and double up to [max_concurrent]; each record knows
+     its slot, so a completed flow leaves in O(1) by moving the last one
+     into its slot, and no reader depends on the order.  A vacated slot
+     keeps its stale entries until it is reused: that keeps a finished
+     flow's counters and closures alive, not its buffers, which it hands
+     to the engine's recycler. *)
+  mutable flows : Flow.t array;
+  mutable records : record array;
+  mutable nactive : int;
   mutable completed_elastic_bytes : int;
   mutable completed_total_bytes : int;
-  mutable fcts : (int * float) list;
+  (* completed transfers in completion order: size and FCT in seconds *)
+  mutable fct_sizes : int array;
+  mutable fct_secs : Float.Array.t;
+  mutable nfcts : int;
   mutable arrivals : int;
   mutable skipped : int;
+  (* the arrival event, built once in [create] *)
+  mutable arrive : unit -> unit;
 }
 
 let analytic_mean_size m =
@@ -82,7 +101,8 @@ let analytic_mean_size m =
   in
   (* E[min(X, cap)] for Pareto(shape, scale): with tails this heavy the cap
      dominates the mean, so the truncation must be accounted for *)
-  let a = m.pareto_shape and s = m.pareto_scale and c = m.size_cap in
+  let a = m.pareto_shape and s = m.pareto_scale in
+  let c = float_of_int m.size_cap in
   let pareto_mean =
     (a *. s /. (a -. 1.)) -. ((s ** a) *. (c ** (1. -. a)) /. (a -. 1.))
   in
@@ -95,54 +115,90 @@ let draw_size t =
       Rng.lognormal t.rng ~mu:m.lognormal_mu ~sigma:m.lognormal_sigma
     else Rng.pareto t.rng ~shape:m.pareto_shape ~scale:m.pareto_scale
   in
-  let raw = Float.min raw m.size_cap in
+  let raw = Float.min raw (float_of_int m.size_cap) in
   max 400 (int_of_float raw)
 
-let retire t record =
-  t.active <- List.filter (fun r -> r != record) t.active;
-  t.completed_total_bytes <- t.completed_total_bytes + record.size;
-  if record.elastic then
-    t.completed_elastic_bytes <- t.completed_elastic_bytes + record.size
+let elastic size = size > elastic_threshold_bytes
+
+let add_active t r flow =
+  let n = t.nactive in
+  if n = Array.length t.flows then begin
+    let cap = min max_concurrent (max 16 (2 * n)) in
+    let flows = Array.make cap flow and records = Array.make cap r in
+    Array.blit t.flows 0 flows 0 n;
+    Array.blit t.records 0 records 0 n;
+    t.flows <- flows;
+    t.records <- records
+  end;
+  r.slot <- n;
+  t.flows.(n) <- flow;
+  t.records.(n) <- r;
+  t.nactive <- n + 1
+
+(* swap-remove: the last active flow takes the vacated slot *)
+let remove_active t r =
+  let last = t.nactive - 1 in
+  let i = r.slot in
+  if i <> last then begin
+    let moved = t.records.(last) in
+    t.flows.(i) <- t.flows.(last);
+    t.records.(i) <- moved;
+    moved.slot <- i
+  end;
+  t.nactive <- last
+
+let push_fct t size fct =
+  let n = t.nfcts in
+  if n = Array.length t.fct_sizes then begin
+    let cap = max 64 (2 * n) in
+    let sizes = Array.make cap 0 and secs = Float.Array.make cap 0. in
+    Array.blit t.fct_sizes 0 sizes 0 n;
+    Float.Array.blit t.fct_secs 0 secs 0 n;
+    t.fct_sizes <- sizes;
+    t.fct_secs <- secs
+  end;
+  t.fct_sizes.(n) <- size;
+  Float.Array.set t.fct_secs n fct;
+  t.nfcts <- n + 1
+
+(* A flow completes inside the event that delivers its last byte, so the
+   clock reads its completion time. *)
+let complete t r flow =
+  let now = Float.Array.get (Engine.clock t.engine) 0 in
+  push_fct t r.size (now -. Time.to_secs (Flow.start_time flow));
+  remove_active t r;
+  t.completed_total_bytes <- t.completed_total_bytes + r.size;
+  if elastic r.size then
+    t.completed_elastic_bytes <- t.completed_elastic_bytes + r.size
+
+(* a Cubic cross-flow is ACK-clocked, so it keeps no tick, only an RTO
+   deadline timer; [tick_interval] sets that timer's grid, whose 100 ms
+   steps are the instants an RTO can fire at *)
+let rto_grid = Time.ms 100.
 
 let launch t size =
   let jitter =
     1. +. Rng.range t.rng ~lo:(-.rtt_jitter_frac) ~hi:rtt_jitter_frac
   in
   let prop_rtt = Float.max 0.002 (t.prop_rtt *. jitter) in
-  let elastic = size > elastic_threshold_bytes in
-  let record = ref None in
-  let on_complete (flow : Flow.t) =
-    match !record with
-    | Some r ->
-      (match Flow.completion_time flow with
-       | Some fct_end ->
-         let fct = Time.to_secs fct_end -. Time.to_secs (Flow.start_time flow) in
-         t.fcts <- (size, fct) :: t.fcts
-       | None -> ());
-      retire t r
-    | None -> ()
-  in
+  let r = { size; slot = -1 } in
   let flow =
-    (* a Cubic cross-flow is ACK-clocked, so it keeps no tick, only an RTO
-       deadline timer; [tick_interval] sets that timer's grid, whose 100 ms
-       steps are the instants an RTO can fire at *)
     Flow.create_via t.topo ~route:t.route ~cc:(Cubic.make ())
-      ~prop_rtt:(Time.secs prop_rtt) ~source:(Flow.Finite size) ~on_complete
-      ~tick_interval:(Time.ms 100.) ()
+      ~prop_rtt:(Time.secs prop_rtt) ~source:(Flow.Finite size)
+      ~on_complete:(fun flow -> complete t r flow) ~tick_interval:rto_grid ()
   in
-  let r =
-    { flow; size; elastic; started = Time.to_secs (Engine.now t.engine) }
-  in
-  record := Some r;
-  t.active <- r :: t.active
+  add_active t r flow;
+  flow
 
-let rec schedule_arrival t =
+let schedule_arrival t =
   let gap = Rng.exponential t.rng ~mean:t.arrival_mean in
-  Engine.schedule_in t.engine (Time.secs gap) (fun () ->
-      t.arrivals <- t.arrivals + 1;
-      if List.length t.active >= max_concurrent then t.skipped <- t.skipped + 1
-      else launch t (draw_size t);
-      schedule_arrival t)
+  Engine.schedule_in t.engine (Time.secs gap) t.arrive
+
+let arrive t =
+  t.arrivals <- t.arrivals + 1;
+  if t.nactive >= max_concurrent then t.skipped <- t.skipped + 1
+  else ignore (launch t (draw_size t));
+  schedule_arrival t
 
 let create topo ~route ~rng ~load ?(profile = `Churny)
     ?(prop_rtt = Time.ms 50.) () =
@@ -154,42 +210,52 @@ let create topo ~route ~rng ~load ?(profile = `Churny)
   let arrival_rate = load /. 8. /. mean_size in
   let t =
     { engine; topo; route; rng; mixture; prop_rtt = Time.to_secs prop_rtt;
-      mean_size; arrival_mean = 1. /. arrival_rate; active = [];
-      completed_elastic_bytes = 0; completed_total_bytes = 0; fcts = [];
-      arrivals = 0; skipped = 0 }
+      mean_size; arrival_mean = 1. /. arrival_rate; flows = [||];
+      records = [||]; nactive = 0; completed_elastic_bytes = 0;
+      completed_total_bytes = 0; fct_sizes = [||];
+      fct_secs = Float.Array.create 0; nfcts = 0; arrivals = 0; skipped = 0;
+      arrive = ignore }
   in
+  t.arrive <- (fun () -> arrive t);
   (* the first gap is drawn by a deferred event rather than inline; the
      pinned traces and digests depend on that extra event in the schedule *)
   Engine.schedule_at engine (Engine.now engine) (fun () -> schedule_arrival t);
   t
 
 let bytes_split t =
-  let elastic = ref t.completed_elastic_bytes in
+  let elastic_bytes = ref t.completed_elastic_bytes in
   let total = ref t.completed_total_bytes in
-  List.iter
-    (fun r ->
-      let got = Flow.received_bytes r.flow in
-      total := !total + got;
-      if r.elastic then elastic := !elastic + got)
-    t.active;
-  (!elastic, !total)
+  for i = 0 to t.nactive - 1 do
+    let got = Flow.received_bytes t.flows.(i) in
+    total := !total + got;
+    if elastic t.records.(i).size then elastic_bytes := !elastic_bytes + got
+  done;
+  (!elastic_bytes, !total)
 
 let persistent_elastic_active t ~now ~min_age ~min_size =
   let now = Time.to_secs now in
   let min_age = Time.to_secs min_age in
-  List.exists
-    (fun r ->
-      r.elastic && r.size >= min_size && now -. r.started >= min_age)
-    t.active
+  let rec scan i =
+    i < t.nactive
+    && ((let size = t.records.(i).size in
+         elastic size && size >= min_size
+         && now -. Time.to_secs (Flow.start_time t.flows.(i)) >= min_age)
+       || scan (i + 1))
+  in
+  scan 0
 
 let fcts t =
-  Array.of_list
-    (List.rev_map (fun (size, fct) -> (size, Time.secs fct)) t.fcts)
+  Array.init t.nfcts (fun i ->
+      (t.fct_sizes.(i), Time.secs (Float.Array.get t.fct_secs i)))
 
 let arrivals t = t.arrivals
 
 let skipped t = t.skipped
 
-let active_count t = List.length t.active
+let active_count t = t.nactive
 
 let mean_flow_size t = B.bytes t.mean_size
+
+module Private = struct
+  let launch t ~size = launch t size
+end

@@ -71,3 +71,12 @@ val active_count : t -> int
 (** [mean_flow_size t] — analytic mean of the configured size distribution;
     exposed to compute arrival rate from load. *)
 val mean_flow_size : t -> Units.Bytes.t
+
+(**/**)
+
+(** Test hooks, not part of the API. *)
+module Private : sig
+  (** [launch t ~size] starts one cross-flow of [size] bytes now, as an
+      arrival does (the concurrency cap is not checked), and returns it. *)
+  val launch : t -> size:int -> Nimbus_cc.Flow.t
+end

@@ -78,6 +78,62 @@ let test_finished_flow_drains () =
   Alcotest.(check bool) "completed" true (Flow.completion_time f <> None);
   Alcotest.(check int) "no events left" 0 (Engine.pending e)
 
+(* A finished flow hands its buffers to the next flow on its engine.  Flow
+   A's first window is held 2 s on the forward leg, so its RTO resends it
+   and A completes and releases at ~1.3 s; the delayed originals then land
+   at ~2.03 s and their ACKs at ~2.05 s.  Flow B starts at 1.9 s on another
+   link of the same engine, takes A's buffers, and has the same seqs 0-9
+   in flight until ~2.2 s.  A's late original and late ACK must leave B's
+   scoreboard alone: B's outcome equals that of the same flow alone on a
+   fresh engine. *)
+let test_released_buffers_not_aliased () =
+  let b_flow e =
+    let topo, route =
+      Topology.dumbbell e
+        (Topology.Link.Config.default ~rate:(Rate.mbps 24.)
+           ~qdisc:(Qdisc.droptail ~capacity_bytes:300_000))
+    in
+    let b = ref None in
+    Engine.schedule_at e (Time.secs 1.9) (fun () ->
+        b :=
+          Some
+            (Flow.create_via topo ~route ~cc:(Cubic.make ())
+               ~prop_rtt:(Time.ms 300.) ~source:(Flow.Finite 450_000) ()));
+    b
+  in
+  let outcome e b =
+    Engine.run_until e (Time.secs 10.);
+    let f = Option.get !b in
+    let bits t = Int64.bits_of_float (Time.to_secs t) in
+    ( (Option.map bits (Flow.completion_time f), bits (Flow.srtt f)),
+      (Flow.lost_packets f, Flow.acked_bytes f, Flow.received_bytes f) )
+  in
+  let e, _, topo, route = make_link () in
+  let a =
+    Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt:rtt50
+      ~source:(Flow.Finite 30_000) ()
+  in
+  Flow.apply a (Flow.Control.Extra_delay (Time.secs 2.));
+  Engine.schedule_at e (Time.secs 0.5) (fun () ->
+      Flow.apply a (Flow.Control.Extra_delay Time.zero));
+  let b = b_flow e in
+  Engine.run_until e (Time.secs 1.9);
+  (match Flow.completion_time a with
+   | Some at when Time.to_secs at < 1.5 -> ()
+   | _ -> Alcotest.fail "A did not complete before B starts");
+  Alcotest.(check int) "A lost its first window to the RTO" 10
+    (Flow.lost_packets a);
+  Alcotest.(check int) "A received its bytes once" 30_000
+    (Flow.received_bytes a);
+  let got = outcome e b in
+  Alcotest.(check int) "A's late originals landed while B ran" 45_000
+    (Flow.received_bytes a);
+  let alone = Engine.create Engine.Config.default in
+  let want = outcome alone (b_flow alone) in
+  let t = Alcotest.(pair (pair (option int64) int64) (triple int int int)) in
+  Alcotest.check t "B as if alone" want got;
+  Alcotest.(check int) "B lost nothing" 0 (Flow.lost_packets (Option.get !b))
+
 let test_rejects_bad_prop_rtt () =
   let _, _, topo, route = make_link () in
   List.iter
@@ -652,6 +708,8 @@ let suite =
         Alcotest.test_case "finite completes" `Quick test_finite_flow_completes;
         Alcotest.test_case "finished flow drains" `Quick
           test_finished_flow_drains;
+        Alcotest.test_case "released buffers not aliased" `Quick
+          test_released_buffers_not_aliased;
         Alcotest.test_case "rejects bad prop_rtt" `Quick
           test_rejects_bad_prop_rtt;
         Alcotest.test_case "app-limited supply" `Quick

@@ -499,6 +499,33 @@ let test_nimbus_retains_little () =
   let words = Obj.reachable_words (Obj.repr nim) in
   if words > 4_000 then Alcotest.failf "fresh Nimbus retains %d words" words
 
+(* Words [f] allocates straight on the major heap: every major word that
+   was not promoted from the minor heap.  A block over [Max_young_wosize]
+   (256 words) goes there directly, and doing so during a flow's set-up can
+   run a major slice the previous run left pending. *)
+let direct_major_words f =
+  let _, p0, m0 = Gc.counters () in
+  let x = f () in
+  let _, p1, m1 = Gc.counters () in
+  ignore (Sys.opaque_identity x);
+  m1 -. m0 -. (p1 -. p0)
+
+(* Nimbus.create builds every detector ring, bank and table below that
+   size: the three 500-sample rings (1503 words) are allocated at their
+   first push, inside the run. *)
+let test_nimbus_create_stays_minor () =
+  let mu = Z_estimator.Mu.known (Rate.mbps 96.) in
+  List.iter
+    (fun multi_flow ->
+      let words =
+        direct_major_words (fun () ->
+            Nimbus.create { (Nimbus.Config.default ~mu) with multi_flow })
+      in
+      if words <> 0. then
+        Alcotest.failf "Nimbus.create (multi_flow %b): %.0f direct major words"
+          multi_flow words)
+    [ false; true ]
+
 let test_mode_frequency_must_be_probe_bin () =
   let mu = Z_estimator.Mu.known (Rate.mbps 96.) in
   (* the 1 s keep-alive window resolves whole hertz *)
@@ -903,6 +930,8 @@ let suite =
           test_nimbus_multiflow_election;
         Alcotest.test_case "base rate positive" `Quick
           test_nimbus_base_rate_positive;
+        Alcotest.test_case "create stays off the major heap" `Quick
+          test_nimbus_create_stays_minor;
         Alcotest.test_case "steady watcher tick words" `Quick
           test_watcher_tick_words;
         Alcotest.test_case "competitive ack words" `Quick

@@ -684,6 +684,34 @@ let test_ring_sum () =
   (* only the surviving window counts *)
   check_close "wrapped sum" 12. (Ring.sum r)
 
+(* A ring allocates its buffer at the first push, so every reader must
+   accept one that has none yet; a cleared ring keeps its buffer. *)
+let test_ring_before_first_push () =
+  let r = Ring.create 500 in
+  Alcotest.(check int) "capacity" 500 (Ring.capacity r);
+  Alcotest.(check int) "count" 0 (Ring.count r);
+  Alcotest.(check bool) "not full" false (Ring.is_full r);
+  Alcotest.(check (array (float 0.))) "to_array" [||] (Ring.to_array r);
+  Ring.blit_to r [||];
+  check_close "sum" 0. (Ring.sum r);
+  let dst = Float.Array.make 2 nan in
+  Ring.sum_to r dst 1;
+  check_close "sum_to" 0. (Float.Array.get dst 1);
+  check_close "fold" 7. (Ring.fold r ~init:7. ~f:( +. ));
+  Alcotest.check_raises "last" (Invalid_argument "Ring.last: empty") (fun () ->
+      ignore (Ring.last r));
+  Alcotest.check_raises "nth_from_end"
+    (Invalid_argument "Ring.nth_from_end: out of range") (fun () ->
+      ignore (Ring.nth_from_end r 0));
+  Ring.clear r;
+  Ring.push r 2.;
+  Ring.push r 3.;
+  check_close "sum after pushes" 5. (Ring.sum r);
+  Ring.clear r;
+  check_close "sum after clear" 0. (Ring.sum r);
+  Ring.push r 4.;
+  check_close "last after clear" 4. (Ring.last r)
+
 let prop_ring_keeps_last_n =
   QCheck.Test.make ~count:100 ~name:"ring: to_array = last n pushes"
     QCheck.(pair (int_range 1 20) (list_of_size Gen.(int_range 0 100) (float_bound_exclusive 100.)))
@@ -762,5 +790,7 @@ let suite =
         Alcotest.test_case "clear/fold" `Quick test_ring_clear_fold;
         Alcotest.test_case "blit_to" `Quick test_ring_blit_to;
         Alcotest.test_case "sum" `Quick test_ring_sum;
+        Alcotest.test_case "before the first push" `Quick
+          test_ring_before_first_push;
         qtest prop_ring_keeps_last_n;
         qtest prop_ring_sum_fold_chronological ] ) ]

@@ -167,6 +167,149 @@ let test_wan_persistent_elastic () =
   let loose = Wan.persistent_elastic_active wan ~now ~min_age:Time.zero ~min_size:0 in
   Alcotest.(check bool) "strict implies loose" true ((not strict) || loose)
 
+(* The outcome of a seeded 20 s churny run on a lossy, policed dumbbell,
+   pinned: the byte split, active count and persistent-elastic answer at
+   every second, then every completed transfer's size and FCT bits, as one
+   MD5, plus the final counters.  The 24 Mbit/s link is overloaded (28
+   Mbit/s offered) behind a 1.5 s buffer, so hundreds of flows stay active
+   and finish in every order; loss, the policer and the deep queue make
+   flows retransmit spuriously, so originals and their ACKs keep landing
+   after a flow has completed and released its buffers (an instrumented
+   copy of the flow counted 644 late deliveries and 485 late ACKs in this
+   run).  The values were recorded before finished flows recycled their
+   buffers. *)
+let test_wan_churn_pins () =
+  let e = Engine.create Engine.Config.default in
+  let link =
+    Topology.Link.Config.default ~rate:(Rate.mbps 24.)
+      ~qdisc:(Qdisc.droptail ~capacity_bytes:4_500_000)
+  in
+  let link =
+    { link with
+      bottleneck =
+        { link.bottleneck with
+          random_loss = Some (0.01, Rng.create 21);
+          policer = Some (Rate.mbps 30., 150_000) } }
+  in
+  let topo, route = Topology.dumbbell e link in
+  let wan =
+    Wan.create topo ~route ~rng:(Rng.create 20) ~load:(Rate.mbps 28.) ()
+  in
+  let b = Buffer.create 65536 in
+  for s = 1 to 20 do
+    Engine.run_until e (Time.secs (float_of_int s));
+    let elastic, total = Wan.bytes_split wan in
+    Printf.bprintf b "%d %d %d %d %b\n" s elastic total (Wan.active_count wan)
+      (Wan.persistent_elastic_active wan ~now:(Engine.now e)
+         ~min_age:(Time.secs 2.) ~min_size:100_000)
+  done;
+  let fcts = Wan.fcts wan in
+  Array.iter
+    (fun (size, fct) ->
+      Printf.bprintf b "%d %Lx\n" size (Int64.bits_of_float (Time.to_secs fct)))
+    fcts;
+  let elastic, total = Wan.bytes_split wan in
+  Alcotest.(check int) "completed" 2730 (Array.length fcts);
+  Alcotest.(check (pair int int)) "bytes split" (45185993, 55487796)
+    (elastic, total);
+  Alcotest.(check int) "arrivals" 2936 (Wan.arrivals wan);
+  Alcotest.(check int) "skipped" 0 (Wan.skipped wan);
+  Alcotest.(check int) "active" 206 (Wan.active_count wan);
+  Alcotest.(check string) "per-second samples and fcts"
+    "031540f81f3b8ecdaa94de175edf83eb"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* The active set is an unordered array with swap-remove.  Flows of
+   random sizes start at random gaps and finish in whatever order the link
+   gives them; at every step [active_count], [bytes_split] and
+   [persistent_elastic_active] must match a recount over the test's own
+   list of the flows it started.  The load is tiny, so the generator's own
+   arrivals never come. *)
+let prop_wan_active_recount =
+  QCheck.Test.make ~count:60 ~name:"wan: active set matches a recount"
+    QCheck.(
+      pair (int_range 1 1000)
+        (list_of_size Gen.(int_range 1 60)
+           (pair (int_range 400 150_000) (int_range 0 40))))
+    (fun (seed, launches) ->
+      let e, _, topo, route = make_link ~rate_bps:24e6 () in
+      let wan =
+        Wan.create topo ~route ~rng:(Rng.create seed) ~load:(Rate.bps 1e-3) ()
+      in
+      let flows = ref [] in
+      let elastic size = size > 10 * 1500 in
+      let matches () =
+        let now = Engine.now e in
+        let active =
+          List.filter
+            (fun (f, _) -> Option.is_none (Nimbus_cc.Flow.completion_time f))
+            !flows
+        in
+        let sum pick =
+          List.fold_left
+            (fun acc (f, size) ->
+              if not (pick size) then acc
+              else if Option.is_none (Nimbus_cc.Flow.completion_time f) then
+                acc + Nimbus_cc.Flow.received_bytes f
+              else acc + size)
+            0 !flows
+        in
+        let persistent ~min_age ~min_size =
+          List.exists
+            (fun (f, size) ->
+              elastic size && size >= min_size
+              && Time.to_secs now
+                 -. Time.to_secs (Nimbus_cc.Flow.start_time f)
+                 >= min_age)
+            active
+        in
+        Wan.active_count wan = List.length active
+        && Wan.bytes_split wan = (sum elastic, sum (fun _ -> true))
+        && Array.length (Wan.fcts wan) = List.length !flows - List.length active
+        && List.for_all
+             (fun (min_age, min_size) ->
+               Wan.persistent_elastic_active wan ~now
+                 ~min_age:(Time.secs min_age) ~min_size
+               = persistent ~min_age ~min_size)
+             [ (0., 0); (0.05, 20_000); (0.2, 60_000) ]
+      in
+      let ok = ref true in
+      let step dt =
+        Engine.run_until e (Time.add (Engine.now e) (Time.ms dt));
+        ok := !ok && matches ()
+      in
+      List.iter
+        (fun (size, gap_ms) ->
+          step (float_of_int gap_ms);
+          flows := (Wan.Private.launch wan ~size, size) :: !flows)
+        launches;
+      for _ = 1 to 200 do
+        step 25.
+      done;
+      !ok && Wan.active_count wan = 0)
+
+(* Minor words per completed flow of a churny WAN (30 Mbit/s offered to a
+   48 Mbit/s link) over 20 s after a 5 s warm-up: every packet of the flow
+   and its set-up.  255.2 measured; 513.5 when each flow grew its
+   scoreboard, rings and rate ring from empty and the active set was a
+   list filtered on every completion. *)
+let test_wan_churn_words_per_flow () =
+  let e, _, topo, route = make_link ~rate_bps:48e6 () in
+  let wan =
+    Wan.create topo ~route ~rng:(Rng.create 12) ~load:(Rate.mbps 30.) ()
+  in
+  Engine.run_until e (Time.secs 5.);
+  let n0 = Array.length (Wan.fcts wan) in
+  let before = Gc.minor_words () in
+  Engine.run_until e (Time.secs 25.);
+  let words = Gc.minor_words () -. before in
+  let flows = Array.length (Wan.fcts wan) - n0 in
+  Alcotest.(check bool) "thousands of flows completed" true (flows > 3000);
+  let per_flow = words /. float_of_int flows in
+  if per_flow > 265. then
+    Alcotest.failf "%.1f minor words per completed flow (want <= 265)"
+      per_flow
+
 let test_wan_mean_size_positive () =
   let _, _, topo, route = make_link () in
   let wan = Wan.create topo ~route ~rng:(Rng.create 7)
@@ -285,7 +428,11 @@ let suite =
         Alcotest.test_case "mean size" `Quick test_wan_mean_size_positive;
         Alcotest.test_case "profiles differ" `Quick test_wan_profiles_differ;
         Alcotest.test_case "persistent elastic" `Quick
-          test_wan_persistent_elastic ] );
+          test_wan_persistent_elastic;
+        Alcotest.test_case "churn pins" `Quick test_wan_churn_pins;
+        QCheck_alcotest.to_alcotest prop_wan_active_recount;
+        Alcotest.test_case "churn words per completed flow" `Quick
+          test_wan_churn_words_per_flow ] );
     ( "traffic.video",
       [ Alcotest.test_case "1080p app-limited" `Quick
           test_video_1080p_app_limited;
