@@ -521,7 +521,7 @@ let test_nimbus_create_stays_minor () =
         direct_major_words (fun () ->
             Nimbus.create { (Nimbus.Config.default ~mu) with multi_flow })
       in
-      if words <> 0. then
+      if not (Float.equal words 0.) then
         Alcotest.failf "Nimbus.create (multi_flow %b): %.0f direct major words"
           multi_flow words)
     [ false; true ]
