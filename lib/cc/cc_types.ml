@@ -14,23 +14,23 @@ type ack = {
 }
 
 type loss = {
-  now : Units.Time.t;
-  seq : int;
-  bytes : int;
-  inflight_bytes : int;
-  kind : [ `Dupack | `Timeout ];
+  mutable now : Units.Time.t;
+  mutable seq : int;
+  mutable bytes : int;
+  mutable inflight_bytes : int;
+  mutable kind : [ `Dupack | `Timeout ];
 }
 
 type tick = {
-  now : Units.Time.t;
-  send_rate : Units.Rate.t;
-  recv_rate : Units.Rate.t;
-  rtt : Units.Time.t;
-  srtt : Units.Time.t;
-  min_rtt : Units.Time.t;
-  inflight_bytes : int;
-  delivered_bytes : int;
-  lost_packets : int;
+  mutable now : Units.Time.t;
+  mutable send_rate : Units.Rate.t;
+  mutable recv_rate : Units.Rate.t;
+  mutable rtt : Units.Time.t;
+  mutable srtt : Units.Time.t;
+  mutable min_rtt : Units.Time.t;
+  mutable inflight_bytes : int;
+  mutable delivered_bytes : int;
+  mutable lost_packets : int;
 }
 
 type t = {

@@ -8,7 +8,12 @@
     Rates, RTTs, and timestamps cross this boundary as {!Units.Rate.t} /
     {!Units.Time.t}, so an algorithm can never confuse S(t) with a duration
     or feed a window where a rate is expected. "Not yet measured" is
-    [Time.unknown] / [Rate.unknown] (NaN), as in the rest of the system. *)
+    [Time.unknown] / [Rate.unknown] (NaN), as in the rest of the system.
+
+    Each event record ({!ack}, {!loss}, {!tick}) belongs to the flow, which
+    refills it for every event, so that delivering one allocates nothing
+    but the boxes of changed times and rates.  A controller may keep a
+    field's value (those are immutable), never the record. *)
 
 (** The time fields of an {!ack}: a record of floats only, which OCaml
     stores unboxed, so refilling it for every ACK allocates nothing. *)
@@ -33,28 +38,34 @@ type ack = {
 }
 
 (** Loss signal. [`Dupack] approximates fast retransmit; [`Timeout] is an RTO
-    where the whole window was declared lost. *)
+    where the whole window was declared lost.  Like {!ack}, a flow refills
+    one record for each of its losses, so a controller reads the fields
+    during [on_loss] and must not keep the record itself. *)
 type loss = {
-  now : Units.Time.t;
-  seq : int;
-  bytes : int;
-  inflight_bytes : int;
-  kind : [ `Dupack | `Timeout ];
+  mutable now : Units.Time.t;
+  mutable seq : int;
+  mutable bytes : int;
+  mutable inflight_bytes : int;
+  mutable kind : [ `Dupack | `Timeout ];
 }
 
 (** Periodic report. [send_rate]/[recv_rate] are S(t)/R(t) of Eq. 2: both
     measured over the same trailing window of acknowledged packets;
-    [Rate.unknown] until enough packets have been acknowledged. *)
+    [Rate.unknown] until enough packets have been acknowledged.  Like
+    {!ack}, a flow refills one record for each of its ticks, so a
+    controller reads the fields during [on_tick] and must not keep the
+    record itself. *)
 type tick = {
-  now : Units.Time.t;
-  send_rate : Units.Rate.t;
-  recv_rate : Units.Rate.t;
-  rtt : Units.Time.t;  (** latest sample; [Time.unknown] before first ack *)
-  srtt : Units.Time.t;
-  min_rtt : Units.Time.t;
-  inflight_bytes : int;
-  delivered_bytes : int;
-  lost_packets : int;  (** cumulative *)
+  mutable now : Units.Time.t;
+  mutable send_rate : Units.Rate.t;
+  mutable recv_rate : Units.Rate.t;
+  mutable rtt : Units.Time.t;
+      (** latest sample; [Time.unknown] before first ack *)
+  mutable srtt : Units.Time.t;
+  mutable min_rtt : Units.Time.t;
+  mutable inflight_bytes : int;
+  mutable delivered_bytes : int;
+  mutable lost_packets : int;  (** cumulative *)
 }
 
 type t = {

@@ -80,6 +80,7 @@ type floats = {
   mutable rto_base : float;
   mutable pace_credit : float; (* bytes the pacer may send right now *)
   mutable last_pace_at : float;
+  fwd_delay : float; (* the forward leg's propagation, before faults *)
   (* fault hook: extra one-way propagation delay (link delay steps/jitter) *)
   mutable extra_fwd_delay : float;
 }
@@ -102,11 +103,14 @@ type t = {
   mutable fwd_box : Time.t;
   rev_box : Time.t;
   cc : Cc_types.t;
-  (* the one ACK record handed to [cc.on_ack], refilled for every ACK; no
-     controller keeps it past the call *)
+  (* the records handed to [cc.on_ack], [cc.on_loss] and [cc.on_tick],
+     refilled for every event; no controller keeps one past the call.  The
+     loss and tick records are made at the first loss and the first tick:
+     many flows never see either. *)
   ack : Cc_types.ack;
+  mutable loss : Cc_types.loss option;
+  mutable report : Cc_types.tick option;
   flow_id : int;
-  fwd_delay : float;
   source : source;
   on_complete : (t -> unit) option;
   tick_interval : float;
@@ -221,10 +225,10 @@ let apply t (c : Control.t) =
     let extra = Time.to_secs extra in
     if not (Float.is_finite extra) then
       invalid_arg "Flow.apply: non-finite extra delay";
-    if extra +. t.fwd_delay < 0. then
+    if extra +. t.f.fwd_delay < 0. then
       invalid_arg "Flow.apply: total forward delay would be negative";
     t.f.extra_fwd_delay <- extra;
-    t.fwd_box <- fwd_box ~fwd_delay:t.fwd_delay ~extra;
+    t.fwd_box <- fwd_box ~fwd_delay:t.f.fwd_delay ~extra;
     trace_control t Nimbus_trace.Event.C_extra_delay ~value:extra
   | Control.Ack_loss (Some f) ->
     t.ack_loss <- Some f;
@@ -321,20 +325,23 @@ let[@inline] rto_due t at =
 [@@alloc_free]
 
 (* Arm the deadline timer at the first instant of the tick grid after
-   [from] (itself a grid instant) where the deadline test passes.  The grid
-   is stepped by the same additions the tick makes, and the timer goes in
-   at the grid value itself, so [check_rto] sees the instants a tick would
-   show it. *)
-let arm_rto t ~from =
+   [rto_base] (itself a grid instant) where the deadline test passes.  The
+   grid is stepped by the same additions the tick makes, and the timer goes
+   in at the grid value itself, so [check_rto] sees the instants a tick
+   would show it.  The step starts from the float record and the instant
+   goes to the engine's key register, so arming boxes nothing. *)
+let arm_rto t =
+  let from = t.f.rto_base in
   let prev = ref from and at = ref (from +. t.tick_interval) in
   while not (rto_due t !at) do
     prev := !at;
     at := !at +. t.tick_interval
   done;
-  t.f.rto_base <- from;
   t.f.rto_prev <- !prev;
   t.f.rto_at <- !at;
-  Engine.schedule_at t.engine (Time.secs !at) t.tick
+  Float.Array.unsafe_set (Engine.key t.engine) 0 !at;
+  Engine.schedule_at_key t.engine t.tick
+[@@alloc_free]
 
 (* --- the scoreboard ------------------------------------------------------- *)
 
@@ -389,20 +396,33 @@ let rec sb_add t seq ~retx =
   end
 [@@alloc_free]
 
-(* every live seq, ascending, and the scoreboard emptied *)
-let sb_drain t =
-  let live = Array.make t.outstanding 0 and k = ref 0 in
-  Array.iteri
-    (fun i s ->
-      if s >= 0 then begin
-        live.(!k) <- s;
-        incr k;
-        t.sb_seq.(i) <- -1
-      end)
-    t.sb_seq;
-  t.outstanding <- 0;
-  Array.sort Int.compare live;
-  live
+(* Push every live seq of the table [seqs] onto [r], ascending, and free
+   its index.  Two live seqs never share an index, but they may lie more
+   than the table's length apart, so the walk goes up from the lowest live
+   seq to the highest and looks each one up: no buffer, no sort. *)
+let sb_drain seqs r =
+  let mask = Array.length seqs - 1 in
+  let lo = ref max_int and hi = ref (-1) in
+  for i = 0 to mask do
+    let s = seqs.(i) in
+    if s >= 0 then begin
+      if s < !lo then lo := s;
+      if s > !hi then hi := s
+    end
+  done;
+  for s = !lo to !hi do
+    let i = s land mask in
+    if seqs.(i) = s then begin
+      seqs.(i) <- -1;
+      ring_push r s
+    end
+  done
+[@@alloc_free]
+
+let rto_order seqs =
+  let r = ring () in
+  sb_drain seqs r;
+  Array.init r.len (fun k -> r.buf.((r.head + k) land (Array.length r.buf - 1)))
 
 (* A completed [Finite] transfer with nothing in flight and nothing to
    resend has no RTO to check and nothing to send: its timers stop.  Only the
@@ -437,6 +457,64 @@ let release t =
   t.acked_cum_bytes <- [||];
   t.acked_head <- 0;
   t.acked_count <- 0
+
+(* --- controller events --------------------------------------------------- *)
+
+(* The loss record is made at the flow's first loss and refilled for every
+   loss after it; [Engine.now] boxes the clock once per instant, so a loss
+   allocates nothing else. *)
+let report_loss t ~seq ~bytes kind =
+  let l =
+    match t.loss with
+    | Some l -> l
+    | None ->
+      let l =
+        ({ Cc_types.now = Time.zero; seq; bytes; inflight_bytes = 0; kind }
+         [@alloc_ok "once per flow: its first loss"])
+      in
+      t.loss <- (Some l [@alloc_ok "once per flow: its first loss"]);
+      l
+  in
+  l.now <- Engine.now t.engine;
+  l.seq <- seq;
+  l.bytes <- bytes;
+  l.inflight_bytes <- t.inflight_bytes;
+  l.kind <- kind;
+  (t.cc.Cc_types.on_loss l [@alloc_ok "opaque controller hook"])
+[@@alloc_free]
+
+(* The tick record, made at the flow's first tick and refilled from its
+   state.  A time or rate field is a box, replaced only when its value
+   moved: NaN stands for NaN, and no rate or RTT is ever -0. *)
+let report t =
+  let f = t.f in
+  let r =
+    match t.report with
+    | Some r -> r
+    | None ->
+      let r =
+        { Cc_types.now = Time.zero; send_rate = Rate.bps f.send_rate;
+          recv_rate = Rate.bps f.recv_rate; rtt = Time.secs f.last_rtt;
+          srtt = Time.secs f.srtt; min_rtt = Time.secs f.min_rtt;
+          inflight_bytes = 0; delivered_bytes = 0; lost_packets = 0 }
+      in
+      t.report <- Some r;
+      r
+  in
+  r.now <- Engine.now t.engine;
+  if not (Float.equal (r.send_rate :> float) f.send_rate) then
+    r.send_rate <- Rate.bps f.send_rate;
+  if not (Float.equal (r.recv_rate :> float) f.recv_rate) then
+    r.recv_rate <- Rate.bps f.recv_rate;
+  if not (Float.equal (r.rtt :> float) f.last_rtt) then
+    r.rtt <- Time.secs f.last_rtt;
+  if not (Float.equal (r.srtt :> float) f.srtt) then r.srtt <- Time.secs f.srtt;
+  if not (Float.equal (r.min_rtt :> float) f.min_rtt) then
+    r.min_rtt <- Time.secs f.min_rtt;
+  r.inflight_bytes <- t.inflight_bytes;
+  r.delivered_bytes <- t.acked_bytes;
+  r.lost_packets <- t.losses;
+  r
 
 (* --- transmission ------------------------------------------------------- *)
 
@@ -538,7 +616,8 @@ and pace_one t =
       let interval =
         Float.max 0.0002 (Float.min 0.002 (pkt *. 8. /. rate))
       in
-      Engine.schedule_in t.engine (Time.secs interval) t.pace
+      Float.Array.unsafe_set (Engine.key t.engine) 0 interval;
+      Engine.schedule_in_key t.engine t.pace
   end
 
 (* --- acknowledgements and loss detection -------------------------------- *)
@@ -556,9 +635,7 @@ and declare_front_losses t =
       t.inflight_bytes <- t.inflight_bytes - pkt_size;
       t.losses <- t.losses + 1;
       ring_push t.retx_queue seq;
-      t.cc.Cc_types.on_loss
-        { Cc_types.now = Engine.now t.engine; seq; bytes = pkt_size;
-          inflight_bytes = t.inflight_bytes; kind = `Dupack }
+      report_loss t ~seq ~bytes:pkt_size `Dupack
     end
     else continue := false
   done
@@ -605,7 +682,7 @@ and handle_ack t (pkt : Packet.t) =
     try_send t;
     (* the ACK moved the deadline; by monotonicity, it now falls before the
        armed instant iff the grid instant before that one is due *)
-    if rto_due t f.rto_prev then arm_rto t ~from:f.rto_base;
+    if rto_due t f.rto_prev then arm_rto t;
     if finished t then release t
   end
 
@@ -614,33 +691,23 @@ let check_rto t =
   if t.inflight_bytes > 0 && rto_due t now then begin
     (* whole window presumed lost *)
     let bytes = t.inflight_bytes in
-    Array.iter
-      (fun seq ->
-        t.losses <- t.losses + 1;
-        ring_push t.retx_queue seq)
-      (sb_drain t);
+    sb_drain t.sb_seq t.retx_queue;
+    t.losses <- t.losses + t.outstanding;
+    t.outstanding <- 0;
     t.inflight_bytes <- 0;
     t.send_order.len <- 0;
     t.f.last_progress <- now;
-    t.cc.Cc_types.on_loss
-      { Cc_types.now = Time.secs now; seq = t.highest_acked + 1; bytes;
-        inflight_bytes = 0; kind = `Timeout };
-    try_send t
+    report_loss t ~seq:(t.highest_acked + 1) ~bytes `Timeout;
+    (try_send t [@alloc_ok "sends on the packet path's own budget"])
   end
+[@@alloc_free]
 
 let tick_loop t =
   if t.active && not (finished t) then begin
     Nimbus_trace.Span.enter Nimbus_trace.Span.Flow_tick;
     check_rto t;
     (match t.cc.Cc_types.on_tick with
-    | Some f ->
-      f
-        { Cc_types.now = Engine.now t.engine;
-          send_rate = Rate.bps t.f.send_rate;
-          recv_rate = Rate.bps t.f.recv_rate; rtt = Time.secs t.f.last_rtt;
-          srtt = Time.secs t.f.srtt; min_rtt = Time.secs t.f.min_rtt;
-          inflight_bytes = t.inflight_bytes;
-          delivered_bytes = t.acked_bytes; lost_packets = t.losses }
+    | Some f -> f (report t)
     | None -> ());
     try_send t;
     Nimbus_trace.Span.leave Nimbus_trace.Span.Flow_tick;
@@ -656,7 +723,8 @@ let rto_timer t =
     Nimbus_trace.Span.enter Nimbus_trace.Span.Flow_tick;
     if t.active && not (finished t) then begin
       check_rto t;
-      arm_rto t ~from:now
+      t.f.rto_base <- now;
+      arm_rto t
     end;
     Nimbus_trace.Span.leave Nimbus_trace.Span.Flow_tick
   end
@@ -708,14 +776,15 @@ let create_via topo ~route ~cc ~prop_rtt ?(source = Backlogged) ?start
             { now = Time.zero; rtt = Time.unknown; min_rtt = Time.unknown;
               srtt = Time.unknown };
           seq = 0; bytes = pkt_size; inflight_bytes = 0; delivered_bytes = 0 };
-      flow_id; fwd_delay; source; on_complete; tick_interval; start_time;
+      loss = None; report = None; flow_id; source; on_complete;
+      tick_interval; start_time;
       f =
         { srtt = nan; min_rtt = nan; last_rtt = nan;
           last_progress = start_time; send_rate = nan; recv_rate = nan;
           rto_at = start_time;
           rto_prev = (if tickless then start_time else nan);
           rto_base = start_time; pace_credit = 0.; last_pace_at = start_time;
-          extra_fwd_delay = 0. };
+          fwd_delay; extra_fwd_delay = 0. };
       next_seq = 0; sb_seq = [||]; sb_sent = empty_floats; sb_retx = [||];
       outstanding = 0; send_order = ring (); retx_queue = ring ();
       inflight_bytes = 0; highest_acked = -1; supplied_bytes = 0;
@@ -737,7 +806,7 @@ let create_via topo ~route ~cc ~prop_rtt ?(source = Backlogged) ?start
     t.tick <- (fun () -> rto_timer t);
     Engine.schedule_at engine (Time.secs start_time) (fun () ->
         try_send t;
-        arm_rto t ~from:t.start_time)
+        arm_rto t)
   end
   else begin
     t.tick <- (fun () -> tick_loop t);

@@ -135,3 +135,12 @@ val completion_time : t -> Units.Time.t option
 
 (** [start_time t]. *)
 val start_time : t -> Units.Time.t
+
+(** {2 For tests} *)
+
+(** [rto_order table] drains a scoreboard table the way a retransmission
+    timeout does, and returns the seqs in the order they were queued for
+    retransmission.  [table] holds each live seq [s] at index
+    [s land (Array.length table - 1)] and -1 at a free index; its length
+    is a power of two.  Every index is free afterwards. *)
+val rto_order : int array -> int array

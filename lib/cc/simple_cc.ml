@@ -1,14 +1,15 @@
 module Rate = Units.Rate
 module B = Units.Bytes
 
+(* the answer is built once: the pacer asks on every wake *)
 let const_rate ~rate =
-  let rate = Rate.bps_exn (Rate.to_bps rate) in
+  let pacing = Some (Rate.bps_exn (Rate.to_bps rate)) in
   { Cc_types.name = "cbr";
     on_ack = (fun _ -> ());
     on_loss = (fun _ -> ());
     on_tick = None;
     cwnd = (fun () -> B.bytes infinity);
-    pacing_rate = (fun () -> Some rate) }
+    pacing_rate = (fun () -> pacing) }
 
 let mss = 1500
 

@@ -4,11 +4,13 @@ module B = Units.Bytes
 module Trace = Nimbus_trace.Trace
 module Tev = Nimbus_trace.Event
 
+(* A token bucket, in a record of floats only: OCaml stores those unboxed,
+   so refilling it per packet allocates nothing. *)
 type policer = {
-  p_rate : Rate.t;
-  p_burst : int; (* bytes *)
+  p_rate : float; (* bits/s *)
+  p_burst : float; (* bytes *)
   mutable tokens : float; (* bytes *)
-  mutable last_refill : Time.t;
+  mutable last_refill : float; (* s *)
 }
 
 type t = {
@@ -162,8 +164,9 @@ let create engine (c : Config.t) =
   let policer =
     Option.map
       (fun (prate, burst) ->
-        { p_rate = prate; p_burst = burst; tokens = float_of_int burst;
-          last_refill = Engine.now engine })
+        { p_rate = Rate.to_bps prate; p_burst = float_of_int burst;
+          tokens = float_of_int burst;
+          last_refill = Float.Array.get (Engine.clock engine) 0 })
       c.policer
   in
   let t =
@@ -198,14 +201,15 @@ let set_rate t rate =
     if not t.busy then start_next t
   end
 
+(* The refill is [Rate.volume]'s arithmetic on the clock read in place, so
+   the tokens, and every verdict, are what the boxed computation gave. *)
 let policer_admits t (pkt : Packet.t) =
   match t.policer with
   | None -> true
   | Some p ->
-    let now = Engine.now t.engine in
-    let elapsed = Time.sub now p.last_refill in
-    let refill = B.to_float (Rate.volume p.p_rate ~over:elapsed) in
-    p.tokens <- Float.min (float_of_int p.p_burst) (p.tokens +. refill);
+    let now = Float.Array.unsafe_get t.clock 0 in
+    let refill = p.p_rate *. (now -. p.last_refill) /. 8. in
+    p.tokens <- Float.min p.p_burst (p.tokens +. refill);
     p.last_refill <- now;
     let size = float_of_int (Packet.size pkt) in
     if p.tokens >= size then begin
@@ -213,6 +217,7 @@ let policer_admits t (pkt : Packet.t) =
       true
     end
     else false
+[@@alloc_free]
 
 let random_loss_admits t =
   match t.random_loss with
@@ -238,7 +243,7 @@ let grow_fifo t =
 
 let enqueue t (pkt : Packet.t) =
   if pkt == Packet.none then invalid_arg "Bottleneck.enqueue: Packet.none";
-  (* {!Engine.now} boxes the clock once per event: only for a qdisc that
+  (* {!Engine.now} boxes the clock once per instant: only for a qdisc that
      reads it *)
   let now = if t.qdisc_reads_clock then Engine.now t.engine else Time.zero in
   t.offered_pkts <- t.offered_pkts + 1;

@@ -24,7 +24,7 @@ type spare += No_spare
    is the .mli.  The clock lives in a one-slot float array, so the drain
    loop stores each event's key without boxing it, and hot readers in other
    modules read it in place through {!clock}.  {!now} boxes the clock at
-   most once per event: [now_box] is refreshed lazily when [now_stale]. *)
+   most once per instant: [now_box] is refreshed lazily when [now_stale]. *)
 type t = {
   clock : Float.Array.t;
   mutable now_box : Time.t;
@@ -140,9 +140,13 @@ let push_thunk t f =
 
 (* A NaN or infinite key would silently corrupt the heap order (every
    comparison against NaN is false), so every entry point rejects
-   non-finite times before they reach the queue. *)
-let schedule_at t time f =
-  let time = (time : Time.t :> float) in
+   non-finite times before they reach the queue.  The [_key] entries read
+   the time the caller wrote into the register; the others write it there
+   first. *)
+let key t = t.key
+
+let[@inline] schedule_at_key t f =
+  let time = Float.Array.unsafe_get t.key 0 in
   let clock = Float.Array.unsafe_get t.clock 0 in
   if not (Float.is_finite time) then
     invalid_arg
@@ -156,27 +160,38 @@ let schedule_at t time f =
     if t.scheds mod sched_sample = 0 then
       Trace.sched t.trace ~now:clock ~at:time ~pending:(Wheel.size t.events)
   end;
-  Float.Array.unsafe_set t.key 0 time;
   push_thunk t f
+[@@alloc_free]
 
-(* the key of an event [delay] from now, into the register *)
-let set_key_in t ~fn delay =
-  let delay = (delay : Time.t :> float) in
+let schedule_at t time f =
+  Float.Array.unsafe_set t.key 0 (time : Time.t :> float);
+  schedule_at_key t f
+
+(* the register holds a delay: the event's key, [delay] from now, replaces
+   it *)
+let set_key_in t ~fn =
+  let delay = Float.Array.unsafe_get t.key 0 in
   if not (Float.is_finite delay) then
     invalid_arg (Printf.sprintf "Engine.%s: non-finite delay (%h)" fn delay);
   if delay < 0. then invalid_arg (Printf.sprintf "Engine.%s: negative delay" fn);
   Float.Array.unsafe_set t.key 0 (Float.Array.unsafe_get t.clock 0 +. delay)
 [@@alloc_free]
 
-let schedule_in t delay f =
-  set_key_in t ~fn:"schedule_in" delay;
+let[@inline] schedule_in_key t f =
+  set_key_in t ~fn:"schedule_in";
   push_thunk t f
+[@@alloc_free]
+
+let schedule_in t delay f =
+  Float.Array.unsafe_set t.key 0 (delay : Time.t :> float);
+  schedule_in_key t f
 [@@alloc_free]
 
 let schedule_pkt_in t delay h pkt =
   (* a cell holding [Packet.none] is a thunk's *)
   if pkt == Packet.none then invalid_arg "Engine.schedule_pkt_in: Packet.none";
-  set_key_in t ~fn:"schedule_pkt_in" delay;
+  Float.Array.unsafe_set t.key 0 (delay : Time.t :> float);
+  set_key_in t ~fn:"schedule_pkt_in";
   let c = acquire t in
   c.leg <- h;
   c.pkt <- pkt;
@@ -199,7 +214,9 @@ let every t ~dt ?start ?until f =
     let next = Float.Array.get t.clock 0 +. dt in
     match until with
     | Some stop when next > stop -> ()
-    | _ -> schedule_at t (Time.secs next) tick
+    | _ ->
+      Float.Array.unsafe_set t.key 0 next;
+      schedule_at_key t tick
   in
   schedule_at t (Time.secs first) tick
 
@@ -214,7 +231,9 @@ let rec drain t ~horizon =
     Wheel.load_top_key t.events;
     let key = Float.Array.unsafe_get t.key 0 in
     if key <= horizon then begin
-      set_clock t key;
+      (* events at one instant share the clock's box *)
+      if not (Float.equal key (Float.Array.unsafe_get t.clock 0)) then
+        set_clock t key;
       let c = Wheel.pop_top t.events in
       let pkt = c.pkt in
       if pkt == Packet.none then begin

@@ -47,7 +47,8 @@ val trace : t -> Nimbus_trace.Trace.t
 val fresh_flow_id : t -> int
 
 (** [now t] is the current simulated time.  The result is boxed at most
-    once per event and shared by every caller until the clock moves. *)
+    once per instant and shared by every caller until the clock moves,
+    across all the events at that instant. *)
 val now : t -> Units.Time.t
 
 (** [clock t] is a one-slot array whose slot 0 holds the current time in
@@ -71,6 +72,28 @@ val schedule_in : t -> Units.Time.t -> (unit -> unit) -> unit
     @raise Invalid_argument if [pkt] is {!Packet.none}. *)
 val schedule_pkt_in :
   t -> Units.Time.t -> (Packet.t -> unit) -> Packet.t -> unit
+
+(** {2 Scheduling from a key written in place}
+
+    A float passed to a function in another module is boxed (dune builds
+    with [-opaque]), so a hot caller that computes an event's time writes
+    it into the engine's key register instead, and schedules from there:
+    nothing is boxed.  Each [_key] entry makes the same checks as its boxed
+    twin and gives the event the same place in the event order; only
+    [schedule_at_key], like [schedule_at], is sampled by the trace. *)
+
+(** [key t] is the engine's one-slot key register.  Write slot 0 just
+    before a [_key] call: the engine reuses the register for every push
+    and pop. *)
+val key : t -> Float.Array.t
+
+(** [schedule_at_key t f] is [schedule_at t (Time.secs k) f], where [k] is
+    slot 0 of {!key}. *)
+val schedule_at_key : t -> (unit -> unit) -> unit
+
+(** [schedule_in_key t f] is [schedule_in t (Time.secs d) f], where [d] is
+    slot 0 of {!key}. *)
+val schedule_in_key : t -> (unit -> unit) -> unit
 
 (** [every t ~dt ?start ?until f] runs [f] at [start] (default: [now + dt])
     and every [dt] thereafter, stopping after [until] when given. *)

@@ -482,6 +482,68 @@ let test_dumbbell_words_per_packet () =
   if per_pkt > 2.5 then
     Alcotest.failf "%.2f minor words per packet (want <= 2.5)" per_pkt
 
+
+(* A window-limited flow whose ACKs all drop from 1 s on times out every
+   ~0.4 s and resends its whole window of 40 packets.  Once its rings have
+   grown, a timeout allocates only the clock that its loss record's [now]
+   carries, boxed once for the event (2 words): the scoreboard drains into
+   the retransmit queue in place, the loss record is refilled, and the
+   deadline timer is keyed in place.  The sort-based drain (a fresh array,
+   two closures, and a boxed exception per [Array.sort] step), a fresh
+   loss record and the boxed timer key cost 244 words per timeout. *)
+let test_rto_timeout_allocation () =
+  let e, _, topo, route = make_link () in
+  let timeouts = ref 0 in
+  let inner = Simple_cc.fixed_window ~segments:40 () in
+  let cc =
+    { inner with
+      Cc_types.on_loss =
+        (fun (l : Cc_types.loss) ->
+          match l.kind with `Timeout -> incr timeouts | `Dupack -> ()) }
+  in
+  let f = Flow.create_via topo ~route ~cc ~prop_rtt:rtt50 () in
+  let drop_all () = true in
+  Engine.schedule_at e (Time.secs 1.) (fun () ->
+      Flow.apply f (Flow.Control.Ack_loss (Some drop_all)));
+  Engine.run_until e (Time.secs 3.);
+  let n0 = !timeouts and lost0 = Flow.lost_packets f in
+  let before = Gc.minor_words () in
+  Engine.run_until e (Time.secs 13.);
+  let words = Gc.minor_words () -. before in
+  let n = !timeouts - n0 in
+  Alcotest.(check bool) "a timeout every ~0.4 s" true (n >= 20 && n <= 30);
+  Alcotest.(check int) "each resends the window" (40 * n)
+    (Flow.lost_packets f - lost0);
+  Alcotest.(check (float 0.)) "minor words per timeout" 2.
+    (words /. float_of_int n)
+
+(* A paced flow's pacer wakes every 1 ms at 12 Mbit/s and reads its rate,
+   sends what its credit allows and keys its next wake in place: with the
+   ACKs and the 10 ms tick that come with it, 2 s of the flow allocate
+   nothing.  A wake that boxed its interval for [Engine.schedule_in], with
+   [Simple_cc.const_rate] building a fresh [Some] per answer, cost 4 words
+   (8004 here). *)
+let test_pacer_wake_allocates_nothing () =
+  let e, _, topo, route = make_link ~rate_bps:48e6 () in
+  let inner = Simple_cc.const_rate ~rate:(Rate.mbps 12.) in
+  let wakes = ref 0 in
+  let cc =
+    { inner with
+      Cc_types.pacing_rate =
+        (fun () ->
+          incr wakes;
+          inner.Cc_types.pacing_rate ()) }
+  in
+  let f = Flow.create_via topo ~route ~cc ~prop_rtt:rtt50 () in
+  Engine.run_until e (Time.secs 1.);
+  let w0 = !wakes and acked0 = Flow.acked_bytes f in
+  let before = Gc.minor_words () in
+  Engine.run_until e (Time.secs 3.);
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "~2000 wakes and ACKs" true
+    (!wakes - w0 > 1900 && (Flow.acked_bytes f - acked0) / 1500 > 1900);
+  Alcotest.(check (float 0.)) "minor words over 2 s of pacing" 0. words
+
 let test_reno_halves_on_loss () =
   let r = Reno.create () in
   let cc = Reno.cc r in
@@ -690,6 +752,63 @@ let test_fixed_window_is_capped () =
   let tput = throughput f ~seconds:10. in
   Alcotest.(check bool) "window-limited" true (tput < 2e6)
 
+(* The tick record is refilled, and a time or rate box is kept while its
+   value holds: at every tick of a paced flow that loses packets, each
+   field still reads what the flow reports, bit for bit. *)
+let test_tick_record_refilled () =
+  let e, _, topo, route = make_link ~rate_bps:12e6 ~buffer_s:0.02 () in
+  let flow = ref None and ticks = ref 0 and records = ref [] in
+  let bits x = Int64.bits_of_float x in
+  let inner = Simple_cc.const_rate ~rate:(Rate.mbps 16.) in
+  let on_tick (tk : Cc_types.tick) =
+    let f = Option.get !flow in
+    incr ticks;
+    if not (List.memq tk !records) then records := tk :: !records;
+    let same what a b =
+      if bits a <> bits b then
+        Alcotest.failf "tick %d: %s %h, flow %h" !ticks what a b
+    in
+    same "now" (Time.to_secs tk.now) (Time.to_secs (Engine.now e));
+    same "send_rate" (Rate.to_bps tk.send_rate) (Rate.to_bps (Flow.send_rate f));
+    same "recv_rate" (Rate.to_bps tk.recv_rate) (Rate.to_bps (Flow.recv_rate f));
+    same "rtt" (Time.to_secs tk.rtt) (Time.to_secs (Flow.last_rtt f));
+    same "srtt" (Time.to_secs tk.srtt) (Time.to_secs (Flow.srtt f));
+    same "min_rtt" (Time.to_secs tk.min_rtt) (Time.to_secs (Flow.min_rtt f));
+    Alcotest.(check (list int)) "counters"
+      [ Flow.inflight_bytes f; Flow.acked_bytes f; Flow.lost_packets f ]
+      [ tk.inflight_bytes; tk.delivered_bytes; tk.lost_packets ]
+  in
+  let cc = { inner with Cc_types.on_tick = Some on_tick } in
+  flow := Some (Flow.create_via topo ~route ~cc ~prop_rtt:rtt50 ());
+  Engine.run_until e (Time.secs 3.);
+  Alcotest.(check bool) "ticked and lost" true
+    (!ticks > 250 && Flow.lost_packets (Option.get !flow) > 0);
+  Alcotest.(check int) "one record, refilled" 1 (List.length !records)
+
+(* An RTO queues the live seqs for retransmission in ascending order, as
+   sorting them did: on random scoreboards of 16 to 256 indices (grown
+   tables) whose live seqs span up to four times the table, [rto_order]
+   gives the sorted seqs and frees every index. *)
+let prop_rto_order_sorted =
+  QCheck.Test.make ~count:300 ~name:"flow: RTO drain order is the sorted live seqs"
+    QCheck.(
+      quad (int_range 4 8) (int_range 0 1_000_000) (int_range 1 4)
+        (int_range 0 100_000))
+    (fun (log2, base, spans, seed) ->
+      let n = 1 lsl log2 in
+      let table = Array.make n (-1) in
+      let rng = Rng.create seed in
+      for _ = 1 to Rng.int rng (n + 1) do
+        let s = base + Rng.int rng (spans * n) in
+        if table.(s land (n - 1)) < 0 then table.(s land (n - 1)) <- s
+      done;
+      let sorted =
+        List.sort Int.compare
+          (List.filter (fun s -> s >= 0) (Array.to_list table))
+      in
+      let got = Array.to_list (Flow.rto_order table) in
+      got = sorted && Array.for_all (fun s -> s = -1) table)
+
 let test_validation_errors () =
   Alcotest.(check bool) "const_rate rejects 0" true
     (try ignore (Simple_cc.const_rate ~rate:Rate.zero); false
@@ -735,6 +854,13 @@ let suite =
           test_scoreboard_rto_window;
         Alcotest.test_case "scoreboard: reordering and late ACKs" `Quick
           test_scoreboard_reordering;
+        Alcotest.test_case "RTO timeout allocates only its clock box" `Quick
+          test_rto_timeout_allocation;
+        Alcotest.test_case "pacer wake allocates nothing" `Quick
+          test_pacer_wake_allocates_nothing;
+        QCheck_alcotest.to_alcotest prop_rto_order_sorted;
+        Alcotest.test_case "tick record refilled" `Quick
+          test_tick_record_refilled;
         Alcotest.test_case "dumbbell words per packet" `Quick
           test_dumbbell_words_per_packet ] );
     ( "cc.reno",

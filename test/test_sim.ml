@@ -751,6 +751,71 @@ let test_bottleneck_policer () =
   done;
   Alcotest.(check int) "policed" 8 (Bottleneck.drops bn)
 
+(* a 100 Mbit/s link policed to 8 Mbit/s with a 30 kB bucket, as
+   [Path_model] polices a path *)
+let policed_link e =
+  let bn =
+    Bottleneck.create e
+      { (Bottleneck.Config.default ~rate:(Rate.bps 100e6)
+           ~qdisc:(Qdisc.droptail ~capacity_bytes:10_000_000))
+        with policer = Some (Rate.bps 8e6, 30_000) }
+  in
+  Bottleneck.set_sink bn ~flow:0 ignore;
+  bn
+
+(* The policer's verdict on 20 000 packets of random sizes offered at random
+   instants (~12 Mbit/s against the 8 Mbit/s bucket rate), one character
+   per packet, digested.  Recorded on the mixed-record policer that boxed
+   its tokens: the float-only one must refill by the same float operations,
+   so every verdict stays the same. *)
+let test_bottleneck_policer_drop_sequence () =
+  let e = Engine.create Engine.Config.default in
+  let bn = policed_link e in
+  let rng = Rng.create 5 in
+  let verdicts = Buffer.create 20_000 in
+  let at = ref 0. in
+  for seq = 0 to 19_999 do
+    at := !at +. (Rng.uniform rng *. 1e-3);
+    let size = 40 + Rng.int rng 1461 in
+    Engine.schedule_at e (Time.secs !at) (fun () ->
+        let drops = Bottleneck.drops bn in
+        Bottleneck.enqueue bn
+          (Packet.make ~flow:0 ~seq ~size ~now:Time.zero ());
+        Buffer.add_char verdicts
+          (if Bottleneck.drops bn > drops then 'd' else 'a'))
+  done;
+  Engine.run_until e (Time.secs 20.);
+  Alcotest.(check int) "every packet offered" 20_000 (Buffer.length verdicts);
+  Alcotest.(check int) "policed" 4709 (Bottleneck.drops bn);
+  Alcotest.(check string) "verdict sequence" "e401574fe307fff2857e21d827bf4231"
+    (Digest.to_hex (Digest.string (Buffer.contents verdicts)))
+
+(* A packet the policer admits, and one it drops, allocates nothing: the
+   bucket is a record of floats only, refilled from the clock read in
+   place.  Its tokens boxed in a mixed record, with the refill computed
+   through [Engine.now], [Time.sub] and [Rate.volume] across modules, cost
+   21 332 words here, ~10.7 per packet. *)
+let test_bottleneck_policer_allocates_nothing () =
+  let e = Engine.create Engine.Config.default in
+  let bn = policed_link e in
+  let pkt = Packet.make ~flow:0 ~seq:0 ~size:1500 ~now:Time.zero () in
+  (* 24 Mbit/s offered: about one packet in three is admitted *)
+  let step = Time.us 500. in
+  let rec offer () =
+    Bottleneck.enqueue bn pkt;
+    Engine.schedule_in e step offer
+  in
+  Engine.schedule_in e step offer;
+  Engine.run_until e (Time.secs 1.);
+  let drops0 = Bottleneck.drops bn and sent0 = Bottleneck.delivered_packets bn in
+  let before = Gc.minor_words () in
+  Engine.run_until e (Time.secs 2.);
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "packets admitted and dropped" true
+    (Bottleneck.drops bn - drops0 > 1000
+     && Bottleneck.delivered_packets bn - sent0 > 500);
+  Alcotest.(check (float 0.)) "minor words over 2000 policed packets" 0. words
+
 let test_bottleneck_delivered_accounting () =
   let e = Engine.create Engine.Config.default in
   let bn =
@@ -833,5 +898,9 @@ let suite =
           test_bottleneck_drops_at_capacity;
         Alcotest.test_case "random loss" `Quick test_bottleneck_random_loss;
         Alcotest.test_case "policer" `Quick test_bottleneck_policer;
+        Alcotest.test_case "policer drop sequence pinned" `Quick
+          test_bottleneck_policer_drop_sequence;
+        Alcotest.test_case "policer allocates nothing" `Quick
+          test_bottleneck_policer_allocates_nothing;
         Alcotest.test_case "delivered accounting" `Quick
           test_bottleneck_delivered_accounting ] ) ]
