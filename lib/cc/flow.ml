@@ -20,7 +20,8 @@ let fwd_frac = 0.5
 (* power of two: ring indices wrap with [land (capacity - 1)] *)
 let rate_ring_capacity = 2048
 
-let empty_floats = Float.Array.create 0
+(* the tick of a flow created without [~tick_interval] *)
+let default_tick_interval = Time.ms 10.
 
 (* A growable FIFO of ints: a power-of-two ring, live in [head, head + len)
    mod capacity.  It starts empty, so an idle flow costs no buffer. *)
@@ -31,11 +32,6 @@ type ring = {
 }
 
 let ring () = { buf = [||]; head = 0; len = 0 }
-
-let ring_clear r =
-  r.buf <- [||];
-  r.head <- 0;
-  r.len <- 0
 
 let ring_grow r =
   let n = Array.length r.buf in
@@ -80,41 +76,59 @@ type floats = {
   mutable rto_base : float;
   mutable pace_credit : float; (* bytes the pacer may send right now *)
   mutable last_pace_at : float;
-  fwd_delay : float; (* the forward leg's propagation, before faults *)
+  mutable fwd_delay : float; (* the forward leg's propagation, before faults *)
   (* fault hook: extra one-way propagation delay (link delay steps/jitter) *)
   mutable extra_fwd_delay : float;
+  mutable start_time : float;
+  mutable tick_interval : float;
+  mutable completion : float; (* NaN until a [Finite] transfer completes *)
 }
 
+(* A record serves one flow after another: a flow that its owner gives
+   up ({!recycle}) hands its whole record, once released, to the next
+   flow made on its engine.  Each flow so carried is an incarnation, with
+   its own id from {!Engine.fresh_flow_id}, and {!init} sets every field
+   of it. *)
 type t = {
   engine : Engine.t;
   clock : Float.Array.t; (* {!Engine.clock} *)
-  (* the route's topology ingress, the flow's two timer callbacks ([tick]
-     is the RTO deadline timer of a tickless flow) and the handlers of its
-     two delivery legs.  Mutable only because each closes over the flow
-     itself: they are set once in [create_via] and never change afterwards,
-     so rescheduling a timer or moving a packet allocates no closure. *)
+  (* The route's topology ingress and the flow's handlers, each closing
+     over the record, so that moving a packet or rescheduling a timer
+     allocates no closure.  [deliver] (the route's sink), [fwd_leg] (the
+     receiver gets a packet), [ack_leg] (the sender gets its ACK) and
+     [start] are made with the record and serve every incarnation: a
+     packet leg drops a packet of an earlier incarnation by its flow id,
+     and an incarnation is released only after its start event ran.
+     [timer] (the tick, or a tickless flow's RTO deadline timer) and
+     [pace] capture their incarnation's id, so that a timer an earlier
+     incarnation left behind acts on nothing.  A ticking flow makes its
+     [pace] in {!init}, a tickless one (whose controller does not pace
+     at the start) only if it ever paces; [pace_id] says whose it is. *)
   mutable enqueue : Packet.t -> unit;
-  mutable tick : unit -> unit;
+  mutable deliver : Packet.t -> unit;
+  mutable fwd_leg : Packet.t -> unit;
+  mutable ack_leg : Packet.t -> unit;
+  mutable start : unit -> unit;
+  mutable timer : unit -> unit;
   mutable pace : unit -> unit;
-  mutable fwd_leg : Packet.t -> unit; (* the receiver gets a packet *)
-  mutable ack_leg : Packet.t -> unit; (* the sender gets its ACK *)
+  mutable pace_id : int;
   (* the forward leg's delay (with any injected extra) and the reverse
-     leg's, boxed once instead of per packet *)
+     leg's, boxed once per incarnation instead of per packet *)
   mutable fwd_box : Time.t;
-  rev_box : Time.t;
-  cc : Cc_types.t;
+  mutable rev_box : Time.t;
+  mutable cc : Cc_types.t;
   (* the records handed to [cc.on_ack], [cc.on_loss] and [cc.on_tick],
      refilled for every event; no controller keeps one past the call.  The
-     loss and tick records are made at the first loss and the first tick:
-     many flows never see either. *)
+     loss and tick records are made at the record's first loss and first
+     tick (many flows never see either), and later incarnations refill
+     them. *)
   ack : Cc_types.ack;
   mutable loss : Cc_types.loss option;
   mutable report : Cc_types.tick option;
-  flow_id : int;
-  source : source;
-  on_complete : (t -> unit) option;
-  tick_interval : float;
-  start_time : float;
+  mutable flow_id : int;
+  mutable source : source;
+  mutable on_complete : (t -> unit) option;
+  mutable tickless : bool;
   f : floats;
   (* sender state *)
   mutable next_seq : int;
@@ -147,25 +161,19 @@ type t = {
   mutable acked_count : int;
   mutable pacing_scheduled : bool;
   mutable active : bool;
-  mutable completion_time : float option;
   (* fault hook: a reverse-path loss process (ACK loss) *)
   mutable ack_loss : (unit -> bool) option;
+  (* the owner gave the incarnation up ({!recycle}); it has been released
+     ({!release}) *)
+  mutable given_up : bool;
+  mutable released : bool;
+  (* [Spare t], made once with the record, so handing it on allocates
+     nothing *)
+  mutable spare : Engine.spare;
 }
 
-(* The buffers a finished flow hands to the next flow on its engine: the
-   scoreboard, the send-order and retransmit rings' arrays and the rate
-   ring, each at the power-of-two size it grew to. *)
-type Engine.spare +=
-  | Buffers of {
-      sb_seq : int array;
-      sb_sent : Float.Array.t;
-      sb_retx : bool array;
-      send_order : int array;
-      retx : int array;
-      acked_sent_at : Float.Array.t;
-      acked_at : Float.Array.t;
-      acked_cum_bytes : int array;
-    }
+(* a record waiting in its engine's recycler for the next flow *)
+type Engine.spare += Spare of t
 
 let[@inline] now_secs t = Float.Array.unsafe_get t.clock 0
 
@@ -191,9 +199,10 @@ let send_rate t = Rate.bps t.f.send_rate
 
 let recv_rate t = Rate.bps t.f.recv_rate
 
-let completion_time t = Option.map Time.secs t.completion_time
+let completion_time t =
+  if Float.is_nan t.f.completion then None else Some (Time.secs t.f.completion)
 
-let start_time t = Time.secs t.start_time
+let start_time t = Time.secs t.f.start_time
 
 let supply t bytes =
   match t.source with
@@ -209,7 +218,8 @@ end
 
 (* the forward leg's delay: the receiver sees a packet after the forward
    propagation plus any injected delay step or jitter *)
-let fwd_box ~fwd_delay ~extra = Time.secs (Float.max 0. (fwd_delay +. extra))
+let[@inline] fwd_box ~fwd_delay ~extra =
+  Time.secs (Float.max 0. (fwd_delay +. extra))
 
 (* every control mutation funnels through {!apply}, so this is the single
    audit/trace point for external interference with a flow *)
@@ -275,7 +285,7 @@ let grow_acked t =
 let[@inline] push_acked t ~sent_at ~acked_at ~cum_bytes =
   if t.acked_count = Array.length t.acked_cum_bytes
      && t.acked_count < rate_ring_capacity
-  then grow_acked t;
+  then (grow_acked t [@alloc_ok "amortized rate-ring doubling"]);
   let i = t.acked_head in
   Float.Array.set t.acked_sent_at i sent_at;
   Float.Array.set t.acked_at i acked_at;
@@ -332,15 +342,15 @@ let[@inline] rto_due t at =
    goes to the engine's key register, so arming boxes nothing. *)
 let arm_rto t =
   let from = t.f.rto_base in
-  let prev = ref from and at = ref (from +. t.tick_interval) in
+  let prev = ref from and at = ref (from +. t.f.tick_interval) in
   while not (rto_due t !at) do
     prev := !at;
-    at := !at +. t.tick_interval
+    at := !at +. t.f.tick_interval
   done;
   t.f.rto_prev <- !prev;
   t.f.rto_at <- !at;
   Float.Array.unsafe_set (Engine.key t.engine) 0 !at;
-  Engine.schedule_at_key t.engine t.tick
+  Engine.schedule_at_key t.engine t.timer
 [@@alloc_free]
 
 (* --- the scoreboard ------------------------------------------------------- *)
@@ -429,34 +439,28 @@ let rto_order seqs =
    ACK that empties the scoreboard can make a flow finished (every acked
    packet was received first), so [handle_ack] releases it there. *)
 let finished t =
-  Option.is_some t.completion_time
+  (not (Float.is_nan t.f.completion))
   && t.outstanding = 0
   && not (data_available t)
 
-(* A finished flow keeps only its counters: no later event reads its rate
-   ring, its scoreboard or its rings.  It hands them, as one set, to its
-   engine's recycler, and keeps empty ones: a late ACK then finds no
-   scoreboard entry and a late original only counts received bytes, so
-   neither can touch the set once another flow has taken it.  Released
-   with nothing outstanding, the set's [sb_seq] is all -1 and both rings
-   are empty, which is how {!create_via} takes it. *)
+(* A finished flow is released: no later event of its incarnation reads
+   more than its counters.  Released with nothing outstanding, its
+   scoreboard is all -1 and its retransmit ring empty.  If its owner gave
+   it up, the whole record goes to the engine's recycler, and the next
+   {!create_via} on the engine makes its next incarnation. *)
 let release t =
-  Engine.put_spare t.engine
-    (Buffers
-       { sb_seq = t.sb_seq; sb_sent = t.sb_sent; sb_retx = t.sb_retx;
-         send_order = t.send_order.buf; retx = t.retx_queue.buf;
-         acked_sent_at = t.acked_sent_at; acked_at = t.acked_at;
-         acked_cum_bytes = t.acked_cum_bytes });
-  t.sb_seq <- [||];
-  t.sb_sent <- empty_floats;
-  t.sb_retx <- [||];
-  ring_clear t.send_order;
-  ring_clear t.retx_queue;
-  t.acked_sent_at <- empty_floats;
-  t.acked_at <- empty_floats;
-  t.acked_cum_bytes <- [||];
-  t.acked_head <- 0;
-  t.acked_count <- 0
+  if not t.released then begin
+    t.released <- true;
+    if t.given_up then Engine.put_spare t.engine t.spare
+  end
+[@@alloc_free]
+
+let recycle t =
+  if not t.given_up then begin
+    t.given_up <- true;
+    if t.released then Engine.put_spare t.engine t.spare
+  end
+[@@alloc_free]
 
 (* --- controller events --------------------------------------------------- *)
 
@@ -521,28 +525,36 @@ let report t =
 let receiver_got t (pkt : Packet.t) =
   t.recv_bytes <- t.recv_bytes + Packet.size pkt;
   match t.source with
-  | Finite size when t.completion_time = None && t.recv_bytes >= size ->
-    t.completion_time <- Some (now_secs t);
-    (match t.on_complete with Some f -> f t | None -> ())
+  | Finite size when Float.is_nan t.f.completion && t.recv_bytes >= size ->
+    t.f.completion <- now_secs t;
+    (match t.on_complete with
+    | Some f -> (f t [@alloc_ok "opaque completion hook"])
+    | None -> ())
   | _ -> ()
+[@@alloc_free]
 
 (* The receiver sees a packet after the forward leg, and its ACK lands after
    the reverse leg — unless the ACK-path loss process eats it, in which case
-   the sender's dup-ACK / RTO machinery takes over. *)
+   the sender's dup-ACK / RTO machinery takes over.  A packet of an earlier
+   incarnation of the record is dropped here and in {!handle_delivery} and
+   {!handle_ack}. *)
 let receiver_leg t (pkt : Packet.t) =
-  (receiver_got t pkt [@alloc_ok "once per flow: the completion time"]);
-  let ack_dropped =
-    match t.ack_loss with
-    | Some lost -> (lost () [@alloc_ok "opaque fault hook"])
-    | None -> false
-  in
-  if not ack_dropped then
-    Engine.schedule_pkt_in t.engine t.rev_box t.ack_leg pkt
+  if Packet.flow pkt = t.flow_id then begin
+    receiver_got t pkt;
+    let ack_dropped =
+      match t.ack_loss with
+      | Some lost -> (lost () [@alloc_ok "opaque fault hook"])
+      | None -> false
+    in
+    if not ack_dropped then
+      Engine.schedule_pkt_in t.engine t.rev_box t.ack_leg pkt
+  end
 [@@alloc_free]
 
 (* the packet finished serialising at the route's last link *)
 let handle_delivery t (pkt : Packet.t) =
-  Engine.schedule_pkt_in t.engine t.fwd_box t.fwd_leg pkt
+  if Packet.flow pkt = t.flow_id then
+    Engine.schedule_pkt_in t.engine t.fwd_box t.fwd_leg pkt
 [@@alloc_free]
 
 let send_packet t ~seq ~retx =
@@ -579,8 +591,15 @@ and try_send t =
       done
   end
 
+(* the pacer thunk of the current incarnation *)
+and set_pace t =
+  let id = t.flow_id in
+  t.pace <- (fun () -> if t.flow_id = id then pace_one t);
+  t.pace_id <- id
+
 and ensure_pacing t =
   if not t.pacing_scheduled then begin
+    if t.pace_id <> t.flow_id then set_pace t;
     t.pacing_scheduled <- true;
     t.f.last_pace_at <- now_secs t;
     pace_one t
@@ -642,8 +661,9 @@ and declare_front_losses t =
 
 and handle_ack t (pkt : Packet.t) =
   let seq = Packet.seq pkt in
-  let i = sb_find t seq in
-  (* i < 0: a late ACK for a packet already declared lost *)
+  (* i < 0: a late ACK for a packet already declared lost, or an ACK of
+     an earlier incarnation of the record *)
+  let i = if Packet.flow pkt = t.flow_id then sb_find t seq else -1 in
   if i >= 0 then begin
     let now = now_secs t and f = t.f in
     let sent_at = Float.Array.get t.sb_sent i in
@@ -678,13 +698,14 @@ and handle_ack t (pkt : Packet.t) =
     a.seq <- seq;
     a.inflight_bytes <- t.inflight_bytes;
     a.delivered_bytes <- t.acked_bytes;
-    t.cc.Cc_types.on_ack a;
-    try_send t;
+    (t.cc.Cc_types.on_ack a [@alloc_ok "opaque controller hook"]);
+    (try_send t [@alloc_ok "sends on the packet path's own budget"]);
     (* the ACK moved the deadline; by monotonicity, it now falls before the
        armed instant iff the grid instant before that one is due *)
     if rto_due t f.rto_prev then arm_rto t;
     if finished t then release t
   end
+[@@alloc_free]
 
 let check_rto t =
   let now = now_secs t in
@@ -711,7 +732,8 @@ let tick_loop t =
     | None -> ());
     try_send t;
     Nimbus_trace.Span.leave Nimbus_trace.Span.Flow_tick;
-    Engine.schedule_in t.engine (Time.secs t.tick_interval) t.tick
+    Float.Array.unsafe_set (Engine.key t.engine) 0 t.f.tick_interval;
+    Engine.schedule_in_key t.engine t.timer
   end
 
 (* The RTO deadline timer of a tickless flow.  An earlier arming may have
@@ -729,24 +751,139 @@ let rto_timer t =
     Nimbus_trace.Span.leave Nimbus_trace.Span.Flow_tick
   end
 
-(* A new flow starts from the newest set a finished flow left on its
-   engine, or else with empty buffers that grow on demand. *)
-let adopt_spare t =
-  match Engine.take_spare t.engine with
-  | Buffers b ->
-    t.sb_seq <- b.sb_seq;
-    t.sb_sent <- b.sb_sent;
-    t.sb_retx <- b.sb_retx;
-    t.send_order.buf <- b.send_order;
-    t.retx_queue.buf <- b.retx;
-    t.acked_sent_at <- b.acked_sent_at;
-    t.acked_at <- b.acked_at;
-    t.acked_cum_bytes <- b.acked_cum_bytes
-  | _ -> ()
+(* the timer thunk of incarnation [id] *)
+let timer t id =
+  if t.flow_id = id then if t.tickless then rto_timer t else tick_loop t
+
+(* the start event: a tickless flow arms its RTO deadline timer, a ticking
+   one schedules its first tick *)
+let start t =
+  try_send t;
+  if t.tickless then arm_rto t
+  else begin
+    Float.Array.unsafe_set (Engine.key t.engine) 0 t.f.tick_interval;
+    Engine.schedule_in_key t.engine t.timer
+  end
+
+let no_pkt (_ : Packet.t) = ()
+
+(* the controller of a record that has not been given its first flow *)
+let no_cc =
+  { Cc_types.name = "none"; on_ack = ignore; on_loss = ignore; on_tick = None;
+    cwnd = (fun () -> B.bytes 0.); pacing_rate = (fun () -> None) }
+
+(* A record with every handler that serves all its incarnations; {!init}
+   sets the rest. *)
+let fresh engine =
+  let t =
+    { engine; clock = Engine.clock engine; enqueue = no_pkt; deliver = no_pkt;
+      fwd_leg = no_pkt; ack_leg = no_pkt; start = ignore; timer = ignore;
+      pace = ignore; pace_id = -1; fwd_box = Time.zero; rev_box = Time.zero;
+      cc = no_cc;
+      ack =
+        { Cc_types.times =
+            { now = Time.zero; rtt = Time.unknown; min_rtt = Time.unknown;
+              srtt = Time.unknown };
+          seq = 0; bytes = pkt_size; inflight_bytes = 0; delivered_bytes = 0 };
+      loss = None; report = None; flow_id = -1; source = Backlogged;
+      on_complete = None; tickless = false;
+      f =
+        { srtt = nan; min_rtt = nan; last_rtt = nan; last_progress = nan;
+          send_rate = nan; recv_rate = nan; rto_at = nan; rto_prev = nan;
+          rto_base = nan; pace_credit = 0.; last_pace_at = nan;
+          fwd_delay = 0.; extra_fwd_delay = 0.; start_time = nan;
+          tick_interval = nan; completion = nan };
+      next_seq = 0; sb_seq = [||]; sb_sent = Float.Array.create 0;
+      sb_retx = [||]; outstanding = 0; send_order = ring ();
+      retx_queue = ring (); inflight_bytes = 0; highest_acked = -1;
+      supplied_bytes = 0; sent_app_bytes = 0; acked_bytes = 0; recv_bytes = 0;
+      losses = 0; acked_sent_at = Float.Array.create 0;
+      acked_at = Float.Array.create 0; acked_cum_bytes = [||]; acked_head = 0;
+      acked_count = 0; pacing_scheduled = false; active = true;
+      ack_loss = None; given_up = false; released = false;
+      spare = Engine.No_spare }
+  in
+  t.deliver <- (fun pkt -> handle_delivery t pkt);
+  t.fwd_leg <- (fun pkt -> receiver_leg t pkt);
+  t.ack_leg <- (fun pkt -> handle_ack t pkt);
+  t.start <- (fun () -> start t);
+  t.spare <- Spare t;
+  t
+
+(* Every field of an incarnation, the same for a fresh record and a
+   recycled one.  A recycled record was released with nothing
+   outstanding: its scoreboard is all -1, so it and the ring and rate
+   ring buffers are kept at the sizes they grew to (larger buffers change
+   no decision: the scoreboard is direct-mapped, and an RTO drains its
+   seqs in ascending order whatever the table's size), and only their
+   heads and counts restart.  The loss and tick records are refilled
+   before every use, so they are kept too. *)
+let init t ~flow_id ~enqueue ~cc ~prop_rtt ~source ~start_time ~on_complete
+    ~tick_interval ~tickless =
+  let f = t.f in
+  t.flow_id <- flow_id;
+  t.enqueue <- enqueue;
+  t.timer <-
+    (fun () -> timer t flow_id) [@alloc_ok "one timer thunk per incarnation"];
+  if tickless then begin
+    t.pace <- ignore;
+    t.pace_id <- -1
+  end
+  else (set_pace t [@alloc_ok "one pacer thunk per ticking incarnation"]);
+  f.fwd_delay <- prop_rtt *. fwd_frac;
+  f.extra_fwd_delay <- 0.;
+  t.fwd_box <- fwd_box ~fwd_delay:f.fwd_delay ~extra:0.;
+  t.rev_box <- Time.secs (prop_rtt *. (1. -. fwd_frac));
+  t.cc <- cc;
+  let a = t.ack in
+  a.times.now <- Time.zero;
+  a.times.rtt <- Time.unknown;
+  a.times.min_rtt <- Time.unknown;
+  a.times.srtt <- Time.unknown;
+  a.seq <- 0;
+  a.inflight_bytes <- 0;
+  a.delivered_bytes <- 0;
+  t.source <- source;
+  t.on_complete <- on_complete;
+  t.tickless <- tickless;
+  f.start_time <- start_time;
+  f.tick_interval <- tick_interval;
+  f.srtt <- nan;
+  f.min_rtt <- nan;
+  f.last_rtt <- nan;
+  f.last_progress <- start_time;
+  f.send_rate <- nan;
+  f.recv_rate <- nan;
+  f.rto_at <- start_time;
+  f.rto_prev <- (if tickless then start_time else nan);
+  f.rto_base <- start_time;
+  f.pace_credit <- 0.;
+  f.last_pace_at <- start_time;
+  f.completion <- nan;
+  t.next_seq <- 0;
+  t.outstanding <- 0;
+  t.send_order.head <- 0;
+  t.send_order.len <- 0;
+  t.retx_queue.head <- 0;
+  t.retx_queue.len <- 0;
+  t.inflight_bytes <- 0;
+  t.highest_acked <- -1;
+  t.supplied_bytes <- 0;
+  t.sent_app_bytes <- 0;
+  t.acked_bytes <- 0;
+  t.recv_bytes <- 0;
+  t.losses <- 0;
+  t.acked_head <- 0;
+  t.acked_count <- 0;
+  t.pacing_scheduled <- false;
+  t.active <- true;
+  t.ack_loss <- None;
+  t.given_up <- false;
+  t.released <- false
 [@@alloc_free]
 
 let create_via topo ~route ~cc ~prop_rtt ?(source = Backlogged) ?start
-    ?on_complete ?(tick_interval = Time.ms 10.) () =
+    ?on_complete ?(tick_interval = default_tick_interval) () =
   let engine = Topology.engine topo in
   let prop_rtt = Time.to_secs prop_rtt in
   let tick_interval = Time.to_secs tick_interval in
@@ -765,53 +902,12 @@ let create_via topo ~route ~cc ~prop_rtt ?(source = Backlogged) ?start
     && Option.is_none (cc.Cc_types.pacing_rate ())
     && (match source with App_limited -> false | Backlogged | Finite _ -> true)
   in
-  let fwd_delay = prop_rtt *. fwd_frac in
   let t =
-    { engine; clock = Engine.clock engine; enqueue = ignore; tick = ignore;
-      pace = ignore; fwd_leg = ignore; ack_leg = ignore;
-      fwd_box = fwd_box ~fwd_delay ~extra:0.;
-      rev_box = Time.secs (prop_rtt *. (1. -. fwd_frac)); cc;
-      ack =
-        { Cc_types.times =
-            { now = Time.zero; rtt = Time.unknown; min_rtt = Time.unknown;
-              srtt = Time.unknown };
-          seq = 0; bytes = pkt_size; inflight_bytes = 0; delivered_bytes = 0 };
-      loss = None; report = None; flow_id; source; on_complete;
-      tick_interval; start_time;
-      f =
-        { srtt = nan; min_rtt = nan; last_rtt = nan;
-          last_progress = start_time; send_rate = nan; recv_rate = nan;
-          rto_at = start_time;
-          rto_prev = (if tickless then start_time else nan);
-          rto_base = start_time; pace_credit = 0.; last_pace_at = start_time;
-          fwd_delay; extra_fwd_delay = 0. };
-      next_seq = 0; sb_seq = [||]; sb_sent = empty_floats; sb_retx = [||];
-      outstanding = 0; send_order = ring (); retx_queue = ring ();
-      inflight_bytes = 0; highest_acked = -1; supplied_bytes = 0;
-      sent_app_bytes = 0; acked_bytes = 0; recv_bytes = 0; losses = 0;
-      acked_sent_at = empty_floats; acked_at = empty_floats;
-      acked_cum_bytes = [||]; acked_head = 0; acked_count = 0;
-      pacing_scheduled = false; active = true; completion_time = None;
-      ack_loss = None }
+    match Engine.take_spare engine with Spare t -> t | _ -> fresh engine
   in
-  adopt_spare t;
-  t.enqueue <-
-    Topology.attach topo ~route ~flow:flow_id ~sink:(fun pkt ->
-        handle_delivery t pkt);
-  t.fwd_leg <- (fun pkt -> receiver_leg t pkt);
-  t.ack_leg <- (fun pkt -> handle_ack t pkt);
-  t.pace <- (fun () -> pace_one t);
-  (* each closure captures only [t], to keep a flow's set-up small *)
-  if tickless then begin
-    t.tick <- (fun () -> rto_timer t);
-    Engine.schedule_at engine (Time.secs start_time) (fun () ->
-        try_send t;
-        arm_rto t)
-  end
-  else begin
-    t.tick <- (fun () -> tick_loop t);
-    Engine.schedule_at engine (Time.secs start_time) (fun () ->
-        try_send t;
-        Engine.schedule_in t.engine (Time.secs t.tick_interval) t.tick)
-  end;
+  let enqueue = Topology.attach topo ~route ~flow:flow_id ~sink:t.deliver in
+  init t ~flow_id ~enqueue ~cc ~prop_rtt ~source ~start_time ~on_complete
+    ~tick_interval ~tickless;
+  Float.Array.unsafe_set (Engine.key engine) 0 start_time;
+  Engine.schedule_at_key engine t.start;
   t

@@ -36,11 +36,12 @@ type t
 
     Data packets are 1500 bytes, and half of [prop_rtt] lies on each leg.
 
-    A new flow takes, whole, the newest buffer set a finished flow left
-    in its engine's recycler ({!Nimbus_sim.Engine.take_spare}): scoreboard,
-    send-order and retransmit rings, and the Eq. 2 rate ring, at the
-    sizes they grew to.  With none waiting, it starts with empty buffers
-    that grow on demand.
+    A new flow takes the newest record that a flow given up with
+    {!recycle} left in its engine's recycler
+    ({!Nimbus_sim.Engine.take_spare}), with its scoreboard, rings and
+    Eq. 2 rate ring at the sizes they grew to.  With none waiting, it
+    starts from a fresh record whose buffers grow on demand.  Either way
+    it takes a fresh id ({!Nimbus_sim.Engine.fresh_flow_id}).
 
     @param prop_rtt two-way propagation delay excluding queueing
     @param source defaults to [Backlogged]
@@ -49,10 +50,9 @@ type t
     @param tick_interval controller tick period (default 10 ms).  For an
            ACK-clocked flow it only sets the grid [start + k * interval]
            on which the RTO can fire.  A completed [Finite] flow with
-           nothing left in flight stops its timers and is released: it
-           hands its buffers, as one set, to the engine's recycler and
-           keeps only its counters, so a late ACK or a late duplicate
-           that reaches it afterwards changes only those counters.
+           nothing left in flight stops its timers and is released: a
+           late ACK or a late duplicate that reaches it afterwards
+           changes only its counters.
     @raise Invalid_argument if [prop_rtt] is negative or not finite, or if
     [tick_interval] is not finite and positive *)
 val create_via :
@@ -69,6 +69,19 @@ val create_via :
 
 (** [id t] is the flow identifier used at the bottleneck. *)
 val id : t -> int
+
+(** [recycle t] gives [t] up: the caller, and whoever it shared [t] with,
+    will not read, control or compare [t] again.  Once [t] is released
+    (a completed [Finite] flow with nothing left in flight; at once if it
+    already is), its whole record goes to its engine's recycler, and the
+    next {!create_via} on that engine makes its next flow in it, under a
+    new id.  What the earlier flow left behind acts on nothing: a late
+    packet or ACK is dropped by its flow id, and a timer event carries
+    the id of the flow that scheduled it.  A flow that is never released
+    (a [Backlogged] or stopped flow) is never reused, and neither is a
+    flow nobody gives up.  Calling it again does nothing.  [Wan] gives up
+    each cross-flow when it completes. *)
+val recycle : t -> unit
 
 (** [supply t bytes] makes [bytes] more data available to an [App_limited]
     source. No-op for other sources. *)

@@ -147,12 +147,34 @@ let cell_to_string = function
   | Error (F_timeout k) -> Printf.sprintf "t:%d" k
   | Error (F_crash k) -> Printf.sprintf "c:%d" k
 
-let cell_of_string s =
+(* A number is read only in the form the writer prints it, so that an
+   accepted line reprints byte for byte: [int_of_string] alone also takes
+   a sign, hex, octal and binary, [_] separators and leading zeros, and
+   [float_of_string] exponents, hex floats and other [nan]/[inf]
+   spellings.  Counts and attempt numbers are never negative, and a shard
+   has at least one cell. *)
+let nat_of_token s =
+  match int_of_string_opt s with
+  | Some n when n >= 0 && String.equal (string_of_int n) s -> Some n
+  | _ -> None
+
+let float_of_token s =
+  match float_of_string_opt s with
+  | Some x when String.equal (Event.float_str x) s -> Some x
+  | _ -> None
+
+let cell_of_token s =
   match String.split_on_char ':' s with
-  | [ "o"; t; r ] -> Ok (float_of_string t, float_of_string r)
-  | [ "t"; k ] -> Error (F_timeout (int_of_string k))
-  | [ "c"; k ] -> Error (F_crash (int_of_string k))
-  | _ -> failwith "bad cell"
+  | [ "o"; t; r ] -> (
+    match (float_of_token t, float_of_token r) with
+    | Some t, Some r -> Some (Ok (t, r))
+    | _ -> None)
+  | [ "t"; k ] -> Option.map (fun k -> Error (F_timeout k)) (nat_of_token k)
+  | [ "c"; k ] -> Option.map (fun k -> Error (F_crash k)) (nat_of_token k)
+  | _ -> None
+
+let cell_of_string s =
+  match cell_of_token s with Some c -> c | None -> failwith "bad cell"
 
 let shard_line ~idx ~base cells =
   let body =
@@ -162,7 +184,8 @@ let shard_line ~idx ~base cells =
   body ^ " #" ^ fnv64 body
 
 (* [parse_shard_line line] is [Some (idx, base, cells)] iff the line is
-   complete and its checksum matches. *)
+   complete, its checksum matches and every field is in the writer's form;
+   then [shard_line ~idx ~base cells] is [line]. *)
 let parse_shard_line line =
   match String.rindex_opt line '#' with
   | None -> None
@@ -175,15 +198,11 @@ let parse_shard_line line =
       else
         match String.split_on_char ' ' body with
         | "S" :: idx :: base :: ncells :: cells -> (
-          match
-            let idx = int_of_string idx in
-            let base = int_of_string base in
-            let n = int_of_string ncells in
-            if n <> List.length cells then failwith "cell count mismatch";
-            (idx, base, List.map cell_of_string cells)
-          with
-          | parsed -> Some parsed
-          | exception _ -> None)
+          match (nat_of_token idx, nat_of_token base, nat_of_token ncells) with
+          | Some idx, Some base, Some n when n > 0 && n = List.length cells ->
+            let parsed = List.filter_map cell_of_token cells in
+            if List.length parsed = n then Some (idx, base, parsed) else None
+          | _ -> None)
         | _ -> None
     end
 

@@ -91,8 +91,9 @@ let reserve_flow t flow =
 
 let set_sink t ~flow f =
   if flow < 0 then invalid_arg "Bottleneck.set_sink: negative flow id";
-  reserve_flow t flow;
+  (reserve_flow t flow [@alloc_ok "amortized doubling of the per-flow tables"]);
   t.sinks.(flow) <- f
+[@@alloc_free]
 
 let now_s t = Time.to_secs (Engine.now t.engine)
 [@@unit_ok "raw-seconds view feeding float trace sinks"]

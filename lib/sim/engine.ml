@@ -33,7 +33,7 @@ type t = {
   key : Float.Array.t; (* the queue's key register, {!Wheel.key_reg} *)
   mutable free : cell array;
   mutable nfree : int;
-  (* the recycler: a LIFO of buffer sets handed back by finished elements,
+  (* the recycler: a LIFO of spares handed back by finished elements,
      live in [spares.(0 .. nspares - 1)] *)
   mutable spares : spare array;
   mutable nspares : int;

@@ -113,14 +113,14 @@ val run_until : t -> Units.Time.t -> unit
 
 (** {2 The recycler}
 
-    A per-engine LIFO of buffer sets that a finished element hands back
-    for the next element on the same engine to reuse, instead of leaving
-    them to the GC and growing fresh ones.  A flow hands its set over
-    when it finishes ([Flow] adds the constructor); recycling happens only
-    there, never when a buffer outgrows itself.  The LIFO is per engine,
-    like the event cells, so runs share nothing. *)
+    A per-engine LIFO of spares that a finished element hands back for
+    the next element on the same engine to reuse, instead of leaving them
+    to the GC and building fresh ones.  A flow given up by its owner
+    hands over its whole record when it is released ([Flow] adds the
+    constructor).  The LIFO is per engine, like the event cells, so runs
+    share nothing. *)
 
-(** A recycled buffer set; each module that recycles adds its own
+(** A recycled element; each module that recycles adds its own
     constructor. *)
 type spare = ..
 

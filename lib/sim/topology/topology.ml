@@ -8,11 +8,25 @@ type node = {
   name : string;
 }
 
+(* A link's forwarding handlers are built once and shared by every flow
+   that crosses it: [ingress] injects at the link, [last_hop] hands a
+   packet that crossed it to its flow's sink, and [next_hops] forwards to
+   each next link some route has taken, built at the first [attach] that
+   needs it.  So attaching a flow stores handlers into tables and builds
+   none. *)
 type link = {
   src : node;
   dst : node;
   bn : Bottleneck.t;
   prop_delay : Time.t; (* boxed once: every forwarding event passes it *)
+  mutable ingress : Packet.t -> unit;
+  mutable last_hop : Packet.t -> unit;
+  mutable next_hops : hop list;
+}
+
+and hop = {
+  next : link;
+  forward : Packet.t -> unit;
 }
 
 type t = {
@@ -23,6 +37,9 @@ type t = {
   mutable nodes_rev : node list;
   mutable links_rev : link list;
   mutable next_node : int;
+  (* each attached flow's sink, indexed by flow id (an engine hands ids
+     out densely from 0); it starts empty and doubles *)
+  mutable sinks : (Packet.t -> unit) array;
   (* fabric-level conservation ledger, complementing each link's own
      offered/delivered/drops/queued counters *)
   mutable injected : int;
@@ -67,8 +84,8 @@ module Route = struct
 end
 
 let create engine =
-  { engine; nodes_rev = []; links_rev = []; next_node = 0; injected = 0;
-    completed = 0; in_transit = 0 }
+  { engine; nodes_rev = []; links_rev = []; next_node = 0; sinks = [||];
+    injected = 0; completed = 0; in_transit = 0 }
 
 let engine t = t.engine
 
@@ -80,6 +97,23 @@ let add_node t name =
 
 let nodes t = List.rev t.nodes_rev
 
+let no_handler (_ : Packet.t) = ()
+
+(* [arrive] runs once a packet has crossed [l]'s propagation delay.  A
+   zero-delay link forwards with a direct call — no scheduled event — which
+   is what keeps the degenerate dumbbell's pinned trace unchanged. *)
+let crossing t l arrive =
+  if (l.prop_delay :> float) <= 0. then arrive
+  else begin
+    let landed pkt =
+      t.in_transit <- t.in_transit - 1;
+      arrive pkt
+    in
+    fun pkt ->
+      t.in_transit <- t.in_transit + 1;
+      Engine.schedule_pkt_in t.engine l.prop_delay landed pkt
+  end
+
 let add_link t ~src ~dst (c : Link.Config.t) =
   if src.node_id = dst.node_id then
     invalid_arg "Topology.add_link: self-loop";
@@ -87,7 +121,18 @@ let add_link t ~src ~dst (c : Link.Config.t) =
   if not (Float.is_finite prop) || prop < 0. then
     invalid_arg "Topology.add_link: prop_delay must be finite and >= 0";
   let bn = Bottleneck.create t.engine c.bottleneck in
-  let l = { src; dst; bn; prop_delay = c.prop_delay } in
+  let l =
+    { src; dst; bn; prop_delay = c.prop_delay; ingress = no_handler;
+      last_hop = no_handler; next_hops = [] }
+  in
+  l.ingress <-
+    (fun pkt ->
+      t.injected <- t.injected + 1;
+      Bottleneck.enqueue bn pkt);
+  l.last_hop <-
+    crossing t l (fun pkt ->
+        t.completed <- t.completed + 1;
+        t.sinks.(Packet.flow pkt) pkt);
   t.links_rev <- l :: t.links_rev;
   l
 
@@ -97,49 +142,65 @@ let link_label l = l.src.name ^ "->" ^ l.dst.name
 
 let link_bottleneck l = l.bn
 
+let rec forward_to next = function
+  | [] -> no_handler
+  | h :: rest -> if h.next == next then h.forward else forward_to next rest
+[@@alloc_free]
+
+(* the handler that carries a packet across [l] to [next], made at the
+   first route that takes the pair *)
+let hop t l next =
+  let f = forward_to next l.next_hops in
+  if f != no_handler then f
+  else begin
+    let f = crossing t l (fun pkt -> Bottleneck.enqueue next.bn pkt) in
+    l.next_hops <- { next; forward = f } :: l.next_hops;
+    f
+  end
+
+let rec mem_link l = function
+  | [] -> false
+  | x :: rest -> x == l || mem_link l rest
+[@@alloc_free]
+
+let rec check_route t = function
+  | [] -> ()
+  | l :: rest ->
+    if not (mem_link l t.links_rev) then
+      invalid_arg
+        (Printf.sprintf "Topology.attach: link %s is not in this topology"
+           (link_label l));
+    check_route t rest
+[@@alloc_free]
+
+let rec wire t ~flow = function
+  | [] -> ()
+  | [ l ] -> Bottleneck.set_sink l.bn ~flow l.last_hop
+  | l :: (next :: _ as rest) ->
+    Bottleneck.set_sink l.bn ~flow
+      (hop t l next [@alloc_ok "once per (link, next link)"]);
+    wire t ~flow rest
+[@@alloc_free]
+
+let grow_sinks t flow =
+  let n = Array.length t.sinks in
+  let sinks = Array.make (max 16 (max (flow + 1) (2 * n))) no_handler in
+  Array.blit t.sinks 0 sinks 0 n;
+  t.sinks <- sinks
+
+(* Every link of the route is checked before anything is stored, so a
+   rejected route leaves the topology as it was. *)
 let attach t ~route ~flow ~sink =
-  let rl = Route.links route in
-  List.iter
-    (fun (l : link) ->
-      if not (List.memq l t.links_rev) then
-        invalid_arg
-          (Printf.sprintf "Topology.attach: link %s is not in this topology"
-             (link_label l)))
-    rl;
-  List.iteri
-    (fun i (l : link) ->
-      let arrive =
-        match List.nth_opt rl (i + 1) with
-        | Some next ->
-          fun (pkt : Packet.t) -> Bottleneck.enqueue next.bn pkt
-        | None ->
-          fun (pkt : Packet.t) ->
-            t.completed <- t.completed + 1;
-            sink pkt
-      in
-      (* [arrive] runs once the packet has crossed [l]'s propagation
-         delay, through one [landed] handler per (link, flow).  A
-         zero-delay link forwards with a direct call — no scheduled event —
-         which is what keeps the degenerate dumbbell's pinned trace
-         unchanged. *)
-      let crossed =
-        if (l.prop_delay :> float) <= 0. then arrive
-        else begin
-          let landed pkt =
-            t.in_transit <- t.in_transit - 1;
-            arrive pkt
-          in
-          fun pkt ->
-            t.in_transit <- t.in_transit + 1;
-            Engine.schedule_pkt_in t.engine l.prop_delay landed pkt
-        end
-      in
-      Bottleneck.set_sink l.bn ~flow crossed)
-    rl;
-  let first = List.hd rl in
-  fun (pkt : Packet.t) ->
-    t.injected <- t.injected + 1;
-    Bottleneck.enqueue first.bn pkt
+  check_route t route;
+  if flow < 0 then invalid_arg "Topology.attach: negative flow id";
+  if flow >= Array.length t.sinks then
+    (grow_sinks t flow [@alloc_ok "amortized doubling of the sink table"]);
+  t.sinks.(flow) <- sink;
+  wire t ~flow route;
+  match route with
+  | l :: _ -> l.ingress
+  | [] -> invalid_arg "Topology.attach: empty route"
+[@@alloc_free]
 
 let injected_packets t = t.injected
 

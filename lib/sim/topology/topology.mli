@@ -99,9 +99,18 @@ val link_bottleneck : link -> Nimbus_sim.Bottleneck.t
     packet at the route's first link (resetting its hop cursor and
     counting it into the fabric ledger).
 
+    Cost: nothing per flow.  Each link's ingress and last hop, and the
+    handler that forwards from a link to each next link, are built once
+    (the last at the first route that takes the pair) and shared by
+    every flow; [attach] checks the route and stores [sink] and the
+    handlers into tables indexed by flow id, which double as ids grow.
+    Every flow of a route gets the same ingress.
+
     Attaching the same flow id again — to this or an overlapping route —
-    replaces the per-link sinks, mirroring [Bottleneck.set_sink].
-    @raise Invalid_argument if some link of [route] is not part of [t]. *)
+    replaces its sink and per-link handlers, mirroring
+    [Bottleneck.set_sink].
+    @raise Invalid_argument if some link of [route] is not part of [t],
+    or if [flow] is negative; nothing is stored then. *)
 val attach :
   t ->
   route:Route.t ->

@@ -9,8 +9,11 @@ module B = Units.Bytes
 
 let elastic_threshold_bytes = 10 * 1500
 
-(* uniform per-flow RTT jitter, ± fraction *)
+(* uniform per-flow RTT jitter, ± fraction; both bounds are boxed once,
+   here, so a draw boxes neither *)
 let rtt_jitter_frac = 0.2
+
+let rtt_jitter_lo = -.rtt_jitter_frac
 
 (* cap on simultaneously active cross-flows *)
 let max_concurrent = 512
@@ -54,14 +57,6 @@ let mixture_of_profile = function
       pareto_scale = 2_000_000.; pareto_shape = 1.05;
       size_cap = 500_000_000 }
 
-(* An active cross-flow's size and its index in [t.flows]/[t.records].
-   Its flow lives in the parallel [t.flows], so the completion callback can
-   capture the record before the flow exists. *)
-type record = {
-  size : int;
-  mutable slot : int;
-}
-
 (* Internal timekeeping stays raw float seconds — the typed boundary is the
    .mli. *)
 type t = {
@@ -73,16 +68,18 @@ type t = {
   prop_rtt : float;
   mean_size : float;
   arrival_mean : float; (* seconds between arrivals *)
-  (* The active flows, unordered, in [0, nactive) of two parallel arrays
-     that start empty and double up to [max_concurrent]; each record knows
-     its slot, so a completed flow leaves in O(1) by moving the last one
-     into its slot, and no reader depends on the order.  A vacated slot
-     keeps its stale entries until it is reused: that keeps a finished
-     flow's counters and closures alive, not its buffers, which it hands
-     to the engine's recycler. *)
+  (* The active flows and their sizes, unordered, in [0, nactive) of two
+     parallel arrays that start empty and double up to [max_concurrent].
+     [slots] maps a flow id to its slot (it grows with the engine's ids),
+     so a completed flow leaves in O(1) by moving the last one into its
+     slot, and no reader depends on the order.  A vacated slot keeps its
+     stale flow until it is reused, and nothing reads it: a completed
+     flow is given up, so once its last ACK is in, its record is the
+     engine's to recycle, and may already carry another cross-flow. *)
   mutable flows : Flow.t array;
-  mutable records : record array;
+  mutable sizes : int array;
   mutable nactive : int;
+  mutable slots : int array;
   mutable completed_elastic_bytes : int;
   mutable completed_total_bytes : int;
   (* completed transfers in completion order: size and FCT in seconds *)
@@ -91,8 +88,10 @@ type t = {
   mutable nfcts : int;
   mutable arrivals : int;
   mutable skipped : int;
-  (* the arrival event, built once in [create] *)
+  (* the arrival event and the completion callback, built once in
+     [create] *)
   mutable arrive : unit -> unit;
+  mutable on_complete : (Flow.t -> unit) option;
 }
 
 let analytic_mean_size m =
@@ -120,30 +119,35 @@ let draw_size t =
 
 let elastic size = size > elastic_threshold_bytes
 
-let add_active t r flow =
+let add_active t size flow =
   let n = t.nactive in
   if n = Array.length t.flows then begin
     let cap = min max_concurrent (max 16 (2 * n)) in
-    let flows = Array.make cap flow and records = Array.make cap r in
+    let flows = Array.make cap flow and sizes = Array.make cap 0 in
     Array.blit t.flows 0 flows 0 n;
-    Array.blit t.records 0 records 0 n;
+    Array.blit t.sizes 0 sizes 0 n;
     t.flows <- flows;
-    t.records <- records
+    t.sizes <- sizes
   end;
-  r.slot <- n;
+  let id = Flow.id flow in
+  if id >= Array.length t.slots then begin
+    let slots = Array.make (max 64 (max (id + 1) (2 * id))) (-1) in
+    Array.blit t.slots 0 slots 0 (Array.length t.slots);
+    t.slots <- slots
+  end;
+  t.slots.(id) <- n;
   t.flows.(n) <- flow;
-  t.records.(n) <- r;
+  t.sizes.(n) <- size;
   t.nactive <- n + 1
 
-(* swap-remove: the last active flow takes the vacated slot *)
-let remove_active t r =
+(* swap-remove: the last active flow takes the vacated slot [i] *)
+let remove_active t i =
   let last = t.nactive - 1 in
-  let i = r.slot in
   if i <> last then begin
-    let moved = t.records.(last) in
-    t.flows.(i) <- t.flows.(last);
-    t.records.(i) <- moved;
-    moved.slot <- i
+    let moved = t.flows.(last) in
+    t.flows.(i) <- moved;
+    t.sizes.(i) <- t.sizes.(last);
+    t.slots.(Flow.id moved) <- i
   end;
   t.nactive <- last
 
@@ -163,36 +167,44 @@ let push_fct t size fct =
 
 (* A flow completes inside the event that delivers its last byte, so the
    clock reads its completion time. *)
-let complete t r flow =
+let complete t flow =
+  let i = t.slots.(Flow.id flow) in
+  let size = t.sizes.(i) in
   let now = Float.Array.get (Engine.clock t.engine) 0 in
-  push_fct t r.size (now -. Time.to_secs (Flow.start_time flow));
-  remove_active t r;
-  t.completed_total_bytes <- t.completed_total_bytes + r.size;
-  if elastic r.size then
-    t.completed_elastic_bytes <- t.completed_elastic_bytes + r.size
+  push_fct t size (now -. Time.to_secs (Flow.start_time flow));
+  remove_active t i;
+  t.completed_total_bytes <- t.completed_total_bytes + size;
+  if elastic size then
+    t.completed_elastic_bytes <- t.completed_elastic_bytes + size;
+  (* nothing reads the flow after this: its record goes to the next
+     cross-flow once its last ACK is in *)
+  Flow.recycle flow
 
 (* a Cubic cross-flow is ACK-clocked, so it keeps no tick, only an RTO
    deadline timer; [tick_interval] sets that timer's grid, whose 100 ms
-   steps are the instants an RTO can fire at *)
-let rto_grid = Time.ms 100.
+   steps are the instants an RTO can fire at.  Passed as the option
+   itself, so a launch wraps nothing. *)
+let rto_grid = Some (Time.ms 100.)
 
+(* The jittered RTT is worked out in unboxed floats and boxed once, for
+   [create_via]: [Float.max 0.002 p] as a test, since a call to it would
+   box [p] and its result. *)
 let launch t size =
-  let jitter =
-    1. +. Rng.range t.rng ~lo:(-.rtt_jitter_frac) ~hi:rtt_jitter_frac
-  in
-  let prop_rtt = Float.max 0.002 (t.prop_rtt *. jitter) in
-  let r = { size; slot = -1 } in
+  let u = Rng.range t.rng ~lo:rtt_jitter_lo ~hi:rtt_jitter_frac in
+  let p = t.prop_rtt *. (1. +. u) in
+  let prop_rtt = if p > 0.002 || Float.is_nan p then p else 0.002 in
   let flow =
     Flow.create_via t.topo ~route:t.route ~cc:(Cubic.make ())
       ~prop_rtt:(Time.secs prop_rtt) ~source:(Flow.Finite size)
-      ~on_complete:(fun flow -> complete t r flow) ~tick_interval:rto_grid ()
+      ?on_complete:t.on_complete ?tick_interval:rto_grid ()
   in
-  add_active t r flow;
+  add_active t size flow;
   flow
 
 let schedule_arrival t =
   let gap = Rng.exponential t.rng ~mean:t.arrival_mean in
-  Engine.schedule_in t.engine (Time.secs gap) t.arrive
+  Float.Array.unsafe_set (Engine.key t.engine) 0 gap;
+  Engine.schedule_in_key t.engine t.arrive
 
 let arrive t =
   t.arrivals <- t.arrivals + 1;
@@ -211,12 +223,13 @@ let create topo ~route ~rng ~load ?(profile = `Churny)
   let t =
     { engine; topo; route; rng; mixture; prop_rtt = Time.to_secs prop_rtt;
       mean_size; arrival_mean = 1. /. arrival_rate; flows = [||];
-      records = [||]; nactive = 0; completed_elastic_bytes = 0;
+      sizes = [||]; nactive = 0; slots = [||]; completed_elastic_bytes = 0;
       completed_total_bytes = 0; fct_sizes = [||];
       fct_secs = Float.Array.create 0; nfcts = 0; arrivals = 0; skipped = 0;
-      arrive = ignore }
+      arrive = ignore; on_complete = None }
   in
   t.arrive <- (fun () -> arrive t);
+  t.on_complete <- Some (fun flow -> complete t flow);
   (* the first gap is drawn by a deferred event rather than inline; the
      pinned traces and digests depend on that extra event in the schedule *)
   Engine.schedule_at engine (Engine.now engine) (fun () -> schedule_arrival t);
@@ -228,7 +241,7 @@ let bytes_split t =
   for i = 0 to t.nactive - 1 do
     let got = Flow.received_bytes t.flows.(i) in
     total := !total + got;
-    if elastic t.records.(i).size then elastic_bytes := !elastic_bytes + got
+    if elastic t.sizes.(i) then elastic_bytes := !elastic_bytes + got
   done;
   (!elastic_bytes, !total)
 
@@ -237,7 +250,7 @@ let persistent_elastic_active t ~now ~min_age ~min_size =
   let min_age = Time.to_secs min_age in
   let rec scan i =
     i < t.nactive
-    && ((let size = t.records.(i).size in
+    && ((let size = t.sizes.(i) in
          elastic size && size >= min_size
          && now -. Time.to_secs (Flow.start_time t.flows.(i)) >= min_age)
        || scan (i + 1))

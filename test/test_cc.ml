@@ -78,14 +78,15 @@ let test_finished_flow_drains () =
   Alcotest.(check bool) "completed" true (Flow.completion_time f <> None);
   Alcotest.(check int) "no events left" 0 (Engine.pending e)
 
-(* A finished flow hands its buffers to the next flow on its engine.  Flow
-   A's first window is held 2 s on the forward leg, so its RTO resends it
-   and A completes and releases at ~1.3 s; the delayed originals then land
-   at ~2.03 s and their ACKs at ~2.05 s.  Flow B starts at 1.9 s on another
-   link of the same engine, takes A's buffers, and has the same seqs 0-9
-   in flight until ~2.2 s.  A's late original and late ACK must leave B's
-   scoreboard alone: B's outcome equals that of the same flow alone on a
-   fresh engine. *)
+(* A flow given up with [Flow.recycle] hands its whole record to the next
+   flow on its engine.  Flow A's first window is held 2 s on the forward
+   leg, so its RTO resends it and A completes and releases at ~1.3 s; the
+   delayed originals then reach the record at ~2.03 s.  Flow B starts at
+   1.9 s on another link of the same engine, takes A's record, and has the
+   same seqs 0-9 in flight until ~2.2 s.  A's late originals must leave B
+   alone: B's outcome equals that of the same flow alone on a fresh
+   engine.  A is read only before B starts, while the record is still
+   A's. *)
 let test_released_buffers_not_aliased () =
   let b_flow e =
     let topo, route =
@@ -111,13 +112,13 @@ let test_released_buffers_not_aliased () =
   let e, _, topo, route = make_link () in
   let a =
     Flow.create_via topo ~route ~cc:(Cubic.make ()) ~prop_rtt:rtt50
-      ~source:(Flow.Finite 30_000) ()
+      ~source:(Flow.Finite 30_000) ~on_complete:Flow.recycle ()
   in
   Flow.apply a (Flow.Control.Extra_delay (Time.secs 2.));
   Engine.schedule_at e (Time.secs 0.5) (fun () ->
       Flow.apply a (Flow.Control.Extra_delay Time.zero));
   let b = b_flow e in
-  Engine.run_until e (Time.secs 1.9);
+  Engine.run_until e (Time.secs 1.8);
   (match Flow.completion_time a with
    | Some at when Time.to_secs at < 1.5 -> ()
    | _ -> Alcotest.fail "A did not complete before B starts");
@@ -125,14 +126,131 @@ let test_released_buffers_not_aliased () =
     (Flow.lost_packets a);
   Alcotest.(check int) "A received its bytes once" 30_000
     (Flow.received_bytes a);
+  Alcotest.(check int) "A released" 0 (Flow.inflight_bytes a);
   let got = outcome e b in
-  Alcotest.(check int) "A's late originals landed while B ran" 45_000
-    (Flow.received_bytes a);
+  Alcotest.(check bool) "B took A's record" true (Option.get !b == a);
   let alone = Engine.create Engine.Config.default in
   let want = outcome alone (b_flow alone) in
   let t = Alcotest.(pair (pair (option int64) int64) (triple int int int)) in
   Alcotest.check t "B as if alone" want got;
   Alcotest.(check int) "B lost nothing" 0 (Flow.lost_packets (Option.get !b))
+
+(* A recycled record is inert to its past.  Flow A crosses a lossy link
+   with 80 ms of propagation, and its first window is held 1.3 s on the
+   forward leg, so its RTO declares the whole window lost and resends it,
+   and the held originals land as duplicates; A is given up when it
+   completes.  The moment its last ACK is in, flow B is made on another
+   link of the same engine and takes A's record, while (counted in an
+   instrumented copy of the flow) three of A's packets are still crossing
+   its link, two are on its forward leg, two of its ACKs are on the
+   reverse leg (they land while B's first window, with the same seqs, is
+   still in flight) and its next tick is pending.  Both controllers tick,
+   and log every field of every ACK, loss and tick they see: B's log,
+   bytes, losses and completion time must be those of the same flow alone
+   on a fresh engine.  In a scratch copy, this fails when the id guard of
+   the receiver leg or of the ACK leg, or the id in the timer thunk, is
+   dropped; without the delivery guard alone, a late packet is dropped
+   one leg later, so nothing changes. *)
+let test_recycled_record_inert () =
+  let logged log =
+    let c = Cubic.make () in
+    { c with
+      Cc_types.on_ack =
+        (fun (a : Cc_types.ack) ->
+          Printf.bprintf log "a %h %h %h %h %d %d %d %d\n"
+            (Time.to_secs a.times.now) (Time.to_secs a.times.rtt)
+            (Time.to_secs a.times.min_rtt) (Time.to_secs a.times.srtt) a.seq
+            a.bytes a.inflight_bytes a.delivered_bytes;
+          c.on_ack a);
+      on_loss =
+        (fun (l : Cc_types.loss) ->
+          Printf.bprintf log "l %h %d %d %d %s\n" (Time.to_secs l.now) l.seq
+            l.bytes l.inflight_bytes
+            (match l.kind with `Dupack -> "dupack" | `Timeout -> "timeout");
+          c.on_loss l);
+      on_tick =
+        Some
+          (fun (k : Cc_types.tick) ->
+            Printf.bprintf log "t %h %h %h %h %h %h %d %d %d\n"
+              (Time.to_secs k.now) (Rate.to_bps k.send_rate)
+              (Rate.to_bps k.recv_rate) (Time.to_secs k.rtt)
+              (Time.to_secs k.srtt) (Time.to_secs k.min_rtt) k.inflight_bytes
+              k.delivered_bytes k.lost_packets) }
+  in
+  let link ~mbps ~capacity ~loss ~seed =
+    let c =
+      Topology.Link.Config.default ~rate:(Rate.mbps mbps)
+        ~qdisc:(Qdisc.droptail ~capacity_bytes:capacity)
+    in
+    { c with
+      bottleneck =
+        { c.bottleneck with random_loss = Some (loss, Rng.create seed) } }
+  in
+  (* B's link, in [topo] *)
+  let b_route topo =
+    let s = Topology.add_node topo "b-src"
+    and d = Topology.add_node topo "b-dst" in
+    Topology.Route.of_links
+      [ Topology.add_link topo ~src:s ~dst:d
+          (link ~mbps:24. ~capacity:120_000 ~loss:0.01 ~seed:5) ]
+  in
+  let b_start topo route log =
+    Flow.create_via topo ~route ~cc:(logged log) ~prop_rtt:(Time.ms 300.)
+      ~source:(Flow.Finite 600_000) ()
+  in
+  let outcome e b log =
+    Engine.run_until e (Time.secs 30.);
+    ( Digest.to_hex (Digest.string (Buffer.contents log)),
+      (Flow.received_bytes b, Flow.lost_packets b),
+      Option.map
+        (fun t -> Int64.bits_of_float (Time.to_secs t))
+        (Flow.completion_time b) )
+  in
+  let e = Engine.create Engine.Config.default in
+  let topo = Topology.create e in
+  let s = Topology.add_node topo "a-src"
+  and d = Topology.add_node topo "a-dst" in
+  let a_route =
+    Topology.Route.of_links
+      [ Topology.add_link topo ~src:s ~dst:d
+          { (link ~mbps:8. ~capacity:150_000 ~loss:0.02 ~seed:4) with
+            prop_delay = Time.ms 80. } ]
+  in
+  let a =
+    Flow.create_via topo ~route:a_route ~cc:(logged (Buffer.create 16))
+      ~prop_rtt:(Time.ms 461.) ~source:(Flow.Finite 15_000)
+      ~on_complete:Flow.recycle ()
+  in
+  Flow.apply a (Flow.Control.Extra_delay (Time.secs 1.3));
+  Engine.schedule_at e (Time.secs 0.3) (fun () ->
+      Flow.apply a (Flow.Control.Extra_delay Time.zero));
+  let route = b_route topo in
+  (* step until A is released: complete, with nothing in flight *)
+  let rec until_released () =
+    if Time.to_secs (Engine.now e) > 60. then Alcotest.fail "A never finished";
+    if Option.is_none (Flow.completion_time a) || Flow.inflight_bytes a > 0
+    then begin
+      Engine.run_until e (Time.add (Engine.now e) (Time.ms 0.1));
+      until_released ()
+    end
+  in
+  until_released ();
+  Alcotest.(check int) "A lost its whole first window" 10 (Flow.lost_packets a);
+  Alcotest.(check bool) "A received duplicates" true
+    (Flow.received_bytes a > 15_000);
+  let at = Engine.now e in
+  let log = Buffer.create 65536 in
+  let b = b_start topo route log in
+  Alcotest.(check bool) "B took A's record" true (b == a);
+  let got = outcome e b log in
+  let alone = Engine.create Engine.Config.default in
+  let topo = Topology.create alone in
+  let route = b_route topo in
+  Engine.run_until alone at;
+  let log = Buffer.create 65536 in
+  let want = outcome alone (b_start topo route log) log in
+  Alcotest.(check (triple string (pair int int) (option int64)))
+    "B as if alone" want got
 
 let test_rejects_bad_prop_rtt () =
   let _, _, topo, route = make_link () in
@@ -829,6 +947,8 @@ let suite =
           test_finished_flow_drains;
         Alcotest.test_case "released buffers not aliased" `Quick
           test_released_buffers_not_aliased;
+        Alcotest.test_case "recycled record inert to its past" `Quick
+          test_recycled_record_inert;
         Alcotest.test_case "rejects bad prop_rtt" `Quick
           test_rejects_bad_prop_rtt;
         Alcotest.test_case "app-limited supply" `Quick

@@ -142,6 +142,102 @@ let qcheck_shard_line_roundtrip =
       | Some (i, b, cs) -> i = idx && b = base && cs = cells
       | None -> false)
 
+(* The checkpoint's FNV-1a 64-bit checksum, computed here independently,
+   so that a random body can be given a valid one. *)
+let fnv64 s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c)))
+             0x100000001b3L)
+    s;
+  Printf.sprintf "%016Lx" !h
+
+(* Number tokens as a corrupted or hand-edited checkpoint might hold them:
+   the forms the writer prints, and the ones [int_of_string] or
+   [float_of_string] also take (signs, hex, octal, binary, [_]
+   separators, leading zeros, exponents, [nan]/[inf] spellings). *)
+let int_token =
+  QCheck.Gen.(
+    oneof
+      [ map string_of_int (int_range 0 40);
+        map string_of_int (int_range (-40) (-1));
+        oneofl
+          [ "0x1f"; "0X10"; "0o17"; "0b101"; "0u7"; "+3"; "1_0"; "007"; "-0";
+            ""; "99999999999999999999"; "1e2"; " 1"; "nan" ] ])
+
+let float_token =
+  QCheck.Gen.(
+    oneof
+      [ map Nimbus_trace.Event.float_str (float_bound_exclusive 1e9);
+        map Nimbus_trace.Event.float_str float;
+        oneofl
+          [ "nan"; "NaN"; "-nan"; "inf"; "-inf"; "infinity"; "1e5"; "0x1p3";
+            "1_0.5"; "1."; ".5"; "+1"; "-0"; "00.5"; "" ] ])
+
+let cell_token =
+  QCheck.Gen.(
+    oneof
+      [ map2 (Printf.sprintf "o:%s:%s") float_token float_token;
+        map (Printf.sprintf "t:%s") int_token;
+        map (Printf.sprintf "c:%s") int_token;
+        oneofl [ "o:1"; "o:1:2:3"; "x:1"; "t"; ""; "t:1:2" ] ])
+
+(* A body with the shard line's shape and random tokens, and a cell count
+   that is right, one off, or any token. *)
+let shard_body =
+  QCheck.Gen.(
+    list_size (int_range 0 6) cell_token >>= fun cells ->
+    let n = List.length cells in
+    oneof
+      [ return (string_of_int n); return (string_of_int (n + 1));
+        return (string_of_int (max 0 (n - 1))); int_token ]
+    >>= fun count ->
+    map3
+      (fun tag idx base ->
+        String.concat " " (tag :: idx :: base :: count :: cells))
+      (frequency [ (9, return "S"); (1, oneofl [ "s"; "SS"; "" ]) ])
+      int_token int_token)
+
+(* Reading a checkpoint line is total: on any body given a valid checksum,
+   [parse_shard_line] never raises, and what it accepts the writer prints
+   back byte for byte, so a resumed sweep folds exactly what was
+   written. *)
+let qcheck_shard_line_total =
+  QCheck.Test.make ~count:2000
+    ~name:"sweep: a checksummed line parses to what reprints it"
+    (QCheck.make ~print:Fun.id shard_body)
+    (fun body ->
+      let line = body ^ " #" ^ fnv64 body in
+      match Sweep.parse_shard_line line with
+      | None -> true
+      | Some (idx, base, cells) ->
+        String.equal (Sweep.shard_line ~idx ~base cells) line)
+
+(* What the totality property found: with a valid checksum, a shard line
+   parsed although it could not have been written, and reprinted to a
+   different line.  Each field must be in the writer's form. *)
+let test_shard_line_non_canonical () =
+  let signed body = body ^ " #" ^ fnv64 body in
+  List.iter
+    (fun body ->
+      if Sweep.parse_shard_line (signed body) <> None then
+        Alcotest.failf "accepted %S" body)
+    [ "S 0x1f 0 1 t:1"; "S 0 +3 1 t:1"; "S 0 0 0b1 t:1"; "S 1_0 0 1 t:1";
+      "S 007 0 1 t:1"; "S -1 0 1 t:1"; "S 0 -32 1 t:1"; "S 0 0 1 t:-2";
+      "S 0 0 1 c:0o7"; "S 0 0 1 o:1e5:0.05"; "S 0 0 1 o:NaN:0.05";
+      "S 0 0 1 o:1:infinity"; "S 0 0 1 o:0x1p3:1"; "S 0 0 1 o:-nan:1";
+      "S 36 40 0" ];
+  (* the writer's own forms still parse, NaN and infinities included *)
+  let cells = [ Ok (nan, infinity); Ok (-0., 1e5); Error (Sweep.F_crash 0) ] in
+  let line = Sweep.shard_line ~idx:3 ~base:12 cells in
+  match Sweep.parse_shard_line line with
+  | Some (3, 12, got) ->
+    Alcotest.(check string)
+      "reprints" line
+      (Sweep.shard_line ~idx:3 ~base:12 got)
+  | _ -> Alcotest.failf "rejected %S" line
+
 let test_shard_line_corruption () =
   let line = Sweep.shard_line ~idx:0 ~base:0 [ Ok (42e6, 0.05) ] in
   (* truncation (a torn write) and payload corruption must both fail the
@@ -374,6 +470,9 @@ let suite =
         Alcotest.test_case "describe" `Quick test_path_describe ] );
     ( "sweep.checkpoint",
       [ qtest qcheck_cell_roundtrip; qtest qcheck_shard_line_roundtrip;
+        qtest qcheck_shard_line_total;
+        Alcotest.test_case "non-canonical fields rejected" `Quick
+          test_shard_line_non_canonical;
         Alcotest.test_case "corruption rejected" `Quick
           test_shard_line_corruption ] );
     ( "sweep.run",

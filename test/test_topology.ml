@@ -209,6 +209,42 @@ let test_route_validation () =
          Topology.attach topo ~route:foreign ~flow:0 ~sink:ignore));
   Alcotest.(check string) "link label" "a->b" (Topology.link_label ab)
 
+(* Attaching a flow builds nothing: each link's ingress and last hop and
+   each (link, next link) forwarding handler are made once and shared, and
+   the flow's sink goes into a table indexed by flow id.  One attach of
+   flow 999 grows the tables and makes the two forwarding handlers of a
+   3-link route; 999 more flows then attach without a minor word, and all
+   get the same ingress.  Each flow's packets still reach its own sink. *)
+let test_attach_allocates_nothing () =
+  let engine = Engine.create Engine.Config.default in
+  let topo, _, links =
+    chain engine 3 ~rate:(Rate.mbps 12.) ~prop:(Time.ms 1.)
+  in
+  let route = Topology.Route.of_links links in
+  let got = Array.make 1000 0 in
+  let sinks =
+    Array.init 1000 (fun i (_ : Packet.t) -> got.(i) <- got.(i) + 1)
+  in
+  let first = Topology.attach topo ~route ~flow:999 ~sink:sinks.(999) in
+  let before = Gc.minor_words () in
+  for flow = 0 to 998 do
+    let ingress = Topology.attach topo ~route ~flow ~sink:sinks.(flow) in
+    if ingress != first then Alcotest.failf "flow %d got its own ingress" flow
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words for 999 attaches" 0. words;
+  List.iter
+    (fun flow ->
+      first (Packet.make ~flow ~seq:0 ~size:1500 ~now:Time.zero ()))
+    [ 0; 500; 999 ];
+  Engine.run_until engine (Time.secs 1.);
+  Alcotest.(check (list (pair int int))) "one packet at each sink"
+    [ (0, 1); (500, 1); (999, 1) ]
+    (List.filter_map
+       (fun i -> if got.(i) > 0 then Some (i, got.(i)) else None)
+       (List.init 1000 Fun.id));
+  Alcotest.(check int) "completed" 3 (Topology.completed_packets topo)
+
 (* --- conservation over random chains (qcheck) ------------------------------ *)
 
 (* random small chains under mixed attached traffic: after any run, every
@@ -348,7 +384,9 @@ let suite =
       [ Alcotest.test_case "two-hop FIFO" `Quick test_two_hop_fifo;
         Alcotest.test_case "propagation timing" `Quick test_prop_delay_timing;
         Alcotest.test_case "chain allocates ~the packet per hop" `Quick
-          test_chain_words_per_hop
+          test_chain_words_per_hop;
+        Alcotest.test_case "attach allocates nothing per flow" `Quick
+          test_attach_allocates_nothing
       ] );
     ( "topology.routes",
       [ Alcotest.test_case "validation" `Quick test_route_validation ] );

@@ -88,6 +88,51 @@ let test_parse_filter () =
   | Ok _ -> Alcotest.fail "bogus category accepted"
   | Error _ -> ()
 
+(* Reading a trace filter is total: on random specs built from category
+   names in any case, [all], separators, blanks and random bytes,
+   [parse_filter] never raises, and a mask it accepts is non-empty and
+   reprints, as its category names, to a spec that parses to it again. *)
+let prop_parse_filter_total =
+  let names = List.map Event.cat_to_string Event.cats in
+  let token =
+    QCheck.Gen.(
+      oneof
+        [ oneofl names;
+          map String.uppercase_ascii (oneofl names);
+          oneofl
+            [ "all"; "ALL"; "All"; ""; " "; "\t"; ","; "bogus"; "packets" ];
+          string_size ~gen:char (int_range 0 4) ])
+  in
+  let spec =
+    QCheck.Gen.(
+      map
+        (String.concat ",")
+        (list_size (int_range 0 5)
+           (map2
+              (fun pad t -> pad ^ t ^ pad)
+              (oneofl [ ""; " "; "  " ])
+              token)))
+  in
+  QCheck.Test.make ~count:2000
+    ~name:"trace: parse_filter is total and reprints"
+    (QCheck.make ~print:(Printf.sprintf "%S") spec)
+    (fun spec ->
+      match Trace.parse_filter spec with
+      | Error _ -> true
+      | Ok mask ->
+        let reprint =
+          String.concat ","
+            (List.filter_map
+               (fun c ->
+                 if mask land Event.cat_bit c <> 0 then
+                   Some (Event.cat_to_string c)
+                 else None)
+               Event.cats)
+        in
+        mask <> 0
+        && mask land lnot Trace.mask_all = 0
+        && Trace.parse_filter reprint = Ok mask)
+
 (* --- JSONL writer ---------------------------------------------------------- *)
 
 (* Each emitter's exact line: its name, its fields in order, and floats in
@@ -626,6 +671,7 @@ let suite =
           test_clear_keeps_counters;
         Alcotest.test_case "category filtering" `Quick test_category_filter;
         Alcotest.test_case "parse_filter" `Quick test_parse_filter;
+        QCheck_alcotest.to_alcotest prop_parse_filter_total;
         Alcotest.test_case "emitters round-trip" `Quick
           test_emitters_roundtrip;
         Alcotest.test_case "float_str shortest round-trip" `Quick
