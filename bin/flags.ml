@@ -10,9 +10,9 @@ open Cmdliner
 
 let profile full = if full then Common.full else Common.quick
 
-(* [with_pool jobs f] installs the ambient case pool around [f]; tables are
-   byte-identical whatever the pool size, since cases are independently
-   seeded and merged in input order *)
+(* [with_pool jobs f] runs [f] with a pool of [jobs] domains, which [f]
+   puts in its run's profile; tables are byte-identical whatever the pool
+   size, since cases are independently seeded and merged in input order *)
 let with_pool jobs f =
   let domains =
     match jobs with
@@ -24,9 +24,7 @@ let with_pool jobs f =
       j
     | None -> Domain.recommended_domain_count ()
   in
-  Nimbus_parallel.Pool.run ~domains (fun pool ->
-      Common.set_pool (Some pool);
-      Fun.protect ~finally:(fun () -> Common.set_pool None) f)
+  Nimbus_parallel.Pool.run ~domains f
 
 let full = Arg.(value & flag & info [ "full" ] ~doc:"Paper-scale profile.")
 

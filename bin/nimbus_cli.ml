@@ -50,11 +50,12 @@ let run_cmd id full jobs =
         Printf.eprintf "unknown experiment %S (try `nimbus_cli list`)\n" id;
         exit 2)
   in
-  with_pool jobs (fun () ->
+  with_pool jobs (fun pool ->
+      let p = { (profile full) with Common.pool = Some pool } in
       List.iter
         (fun (e : Registry.experiment) ->
           Printf.printf "\n### [%s] %s\n%!" e.Registry.id e.Registry.title;
-          List.iter Table.print (e.Registry.run (profile full)))
+          List.iter Table.print (e.Registry.run p))
         todo);
   0
 
@@ -64,10 +65,10 @@ let csv_cmd id full jobs =
     Printf.eprintf "unknown experiment %S\n" id;
     2
   | Some e ->
-    with_pool jobs (fun () ->
+    with_pool jobs (fun pool ->
         List.iter
           (fun t -> print_string (Table.to_csv t))
-          (e.Registry.run (profile full)));
+          (e.Registry.run { (profile full) with Common.pool = Some pool }));
     0
 
 let list_cmd () =
@@ -163,7 +164,8 @@ let faults_cmd full jobs seeds report_file trace_out trace_filter =
   let report_oc = Option.map (Flags.open_output ~flag:"--report") report_file
   and trace_oc = Option.map (Flags.open_output ~flag:"--trace") trace_out in
   let outcome =
-    with_pool jobs (fun () -> Exp_faults.run_matrix ~trace_mask p)
+    with_pool jobs (fun pool ->
+        Exp_faults.run_matrix ~trace_mask { p with Common.pool = Some pool })
   in
   List.iter Table.print outcome.Exp_faults.tables;
   print_string outcome.Exp_faults.report;
@@ -210,31 +212,37 @@ let sweep_cmd full jobs paths seed schemes shard_size budget retries
           exit 2)
       schemes
   in
-  let cfg =
-    try
+  (* the config takes the pool's profile, so it is built inside the pool;
+     a bad size leaves the pool as an [Error] and exits after it closes *)
+  let run pool =
+    match
       Sweep.config ~paths ~seed
         ?schemes:(if schemes = [] then None else Some schemes)
-        ~profile:(profile full) ~shard_size ~budget ~retries ?checkpoint
-        ~resume ?stop_after ~triage_k ?triage_dir ~triage_only
+        ~profile:{ (profile full) with Common.pool = Some pool }
+        ~shard_size ~budget ~retries ?checkpoint ~resume ?stop_after
+        ~triage_k ?triage_dir ~triage_only
         ~log:(fun msg -> Printf.eprintf "[sweep] %s\n%!" msg)
         ()
-    with Invalid_argument msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 2
+    with
+    | exception Invalid_argument msg -> Error msg
+    | cfg -> Ok (Sweep.run cfg)
   in
-  match with_pool jobs (fun () -> Sweep.run cfg) with
+  match with_pool jobs run with
   | exception
       Sweep.Output_error
         ( Sweep.Checkpoint_incompatible msg | Sweep.Checkpoint_incomplete msg
         | Sweep.Unwritable msg ) ->
     Printf.eprintf "%s\n" msg;
     2
-  | outcome when outcome.Sweep.interrupted ->
+  | Error msg ->
+    Printf.eprintf "%s\n" msg;
+    2
+  | Ok outcome when outcome.Sweep.interrupted ->
     Printf.eprintf "[sweep] interrupted at %d/%d shard(s); resume with \
                     --resume\n%!"
       outcome.Sweep.completed_shards outcome.Sweep.total_shards;
     3
-  | outcome ->
+  | Ok outcome ->
     List.iter Table.print outcome.Sweep.tables;
     0
 

@@ -609,9 +609,9 @@ and ensure_pacing t =
    pacer aliases badly when the rate is modulated: at a low base rate the
    inter-packet sleep exceeds an entire pulse lobe, so the waveform is never
    sampled.  Instead accumulate send credit at the instantaneous rate and
-   wake at least every 2 ms. *)
+   wake at least every 2 ms.  A stopped or finished flow's pacer stops. *)
 and pace_one t =
-  if not t.active then t.pacing_scheduled <- false
+  if (not t.active) || finished t then t.pacing_scheduled <- false
   else begin
     match t.cc.Cc_types.pacing_rate () with
     | None ->

@@ -17,11 +17,12 @@ module Rate = Units.Rate
 type profile = {
   time_scale : float;
   seeds : int;
+  pool : Nimbus_parallel.Pool.t option;
 }
 
-let quick = { time_scale = 0.4; seeds = 1 }
+let quick = { time_scale = 0.4; seeds = 1; pool = None }
 
-let full = { time_scale = 1.0; seeds = 3 }
+let full = { time_scale = 1.0; seeds = 3; pool = None }
 
 let scaled p seconds = Float.max 20. (p.time_scale *. seconds)
 
@@ -220,19 +221,15 @@ let pct s ~lo ~hi p =
 
 (* --- parallel fan-out ----------------------------------------------------- *)
 
-let pool : Nimbus_parallel.Pool.t option ref = ref None
-
-let set_pool p = pool := p
-
-let map_cases ~f cases =
-  match !pool with
-  | Some p when Nimbus_parallel.Pool.parallelism p > 1 ->
+let map_cases p ~f cases =
+  match p.pool with
+  | Some pool when Nimbus_parallel.Pool.parallelism pool > 1 ->
     let arr = Array.of_list cases in
     let n = Array.length arr in
     if n <= 1 then List.map f cases
     else
       Array.to_list
-        (Nimbus_parallel.Pool.map p
+        (Nimbus_parallel.Pool.map pool
            ~f:(fun i ->
              (f
              [@shared_ok
@@ -247,7 +244,7 @@ let map_cases ~f cases =
   | _ -> List.map f cases
 
 let run_seeds p ~base f =
-  map_cases
+  map_cases p
     ~f:(fun seed ->
       (f
       [@shared_ok
@@ -259,69 +256,18 @@ let run_seeds p ~base f =
 (* --- crash isolation ------------------------------------------------------- *)
 
 type crash = {
-  crash_label : string;
   crash_seed : int;
-  crash_exn : string;
-  crash_backtrace : string;
-  crash_recovered : bool;
   crash_attempts : int;
-  crash_raw : exn;
+  crash_exn : exn;
 }
 
-(* cases run on arbitrary pool domains, so the log needs a lock and the test
-   hook must be an atomic *)
-let crash_mutex = Mutex.create ()
-
-let crash_log : crash list ref = ref []
-
-let record_crash c =
-  Mutex.lock crash_mutex;
-  (crash_log := c :: !crash_log)
-  [@shared_ok "crash_log is only ever touched under crash_mutex"];
-  Mutex.unlock crash_mutex
-[@@domain_safe
-  "called from pool tasks on arbitrary domains; the only shared state it \
-   touches is crash_log, under crash_mutex"]
-
-let crashes () =
-  Mutex.lock crash_mutex;
-  let cs = !crash_log in
-  Mutex.unlock crash_mutex;
-  (* domain scheduling makes the log order nondeterministic; sort so crash
-     reports are stable across pool sizes *)
-  List.sort
-    (fun a b ->
-      match String.compare a.crash_label b.crash_label with
-      | 0 -> Int.compare a.crash_seed b.crash_seed
-      | c -> c)
-    cs
-
-let clear_crashes () =
-  Mutex.lock crash_mutex;
-  crash_log := [];
-  Mutex.unlock crash_mutex
-
-let crash_hook : (label:string -> seed:int -> bool) option Atomic.t =
-  Atomic.make None
-
-let set_crash_hook h = Atomic.set crash_hook h
+let clear_crashes () = ()
 
 let rekey seed = seed lxor 0x9E3779B9 [@@domain_safe "pure integer mixing"]
 
-let run_case ?check ?(attempts = 2) ~label ~seed f =
+let run_case ?check ?(attempts = 1) ~seed f =
   if attempts < 1 then invalid_arg "Common.run_case: attempts must be >= 1";
   let attempt seed =
-    (match
-       Atomic.get
-         (crash_hook
-         [@shared_ok
-           "test-only fault hook, read atomically once per attempt; \
-            installed before the fan-out starts"])
-     with
-     | Some hook when hook ~label ~seed ->
-       failwith
-         (Printf.sprintf "forced crash (test hook): %s seed=%d" label seed)
-     | _ -> ());
     let r = f ~seed in
     (match check with
      | Some chk ->
@@ -334,31 +280,16 @@ let run_case ?check ?(attempts = 2) ~label ~seed f =
   (* attempt [k] (1-based) runs on seed rekeyed [k-1] times: each retry gets
      a fresh deterministic rng stream, so results stay reproducible whatever
      pool domain retries them *)
-  let rec go k seed_k e1 bt1 =
+  let rec go k seed_k =
     match attempt seed_k with
-    | r ->
-      if k > 1 then
-        record_crash
-          { crash_label = label; crash_seed = seed;
-            crash_exn = Printexc.to_string e1; crash_backtrace = bt1;
-            crash_recovered = true; crash_attempts = k; crash_raw = e1 };
-      Ok r
+    | r -> Ok r
     | exception e ->
-      let bt = Printexc.get_backtrace () in
-      if k >= attempts then begin
-        let c =
-          { crash_label = label; crash_seed = seed;
-            crash_exn = Printexc.to_string e; crash_backtrace = bt;
-            crash_recovered = false; crash_attempts = k; crash_raw = e }
-        in
-        record_crash c;
-        Error c
-      end
-      else go (k + 1) (rekey seed_k) e bt
+      if k >= attempts then
+        Error { crash_seed = seed; crash_attempts = k; crash_exn = e }
+      else go (k + 1) (rekey seed_k)
   in
-  go 1 seed (Failure "unreached") ""
-[@@domain_safe
-  "runs inside pool tasks; shared state is limited to the atomic crash \
-   hook and the mutex-guarded crash log (via record_crash)"]
+  go 1 seed
+[@@domain_safe "runs inside pool tasks; touches only its arguments"]
 
 let crash_cell c = Printf.sprintf "!crash(seed %d)" c.crash_seed
+[@@domain_safe "formats its argument; called inside pool tasks"]

@@ -1,4 +1,8 @@
-(** Shared experiment plumbing: link setup, scheme registry, run profiles. *)
+(** Shared experiment plumbing: link setup, scheme registry, run profiles.
+
+    The {!profile} is an experiment's whole run context: its scale, its seed
+    count and the pool its cases fan out over.  The module keeps no state of
+    its own, so two runs in one process never see each other. *)
 
 module Engine = Nimbus_sim.Engine
 module Bottleneck = Nimbus_sim.Bottleneck
@@ -11,6 +15,9 @@ module Flow = Nimbus_cc.Flow
 type profile = {
   time_scale : float; (* multiply experiment durations *)
   seeds : int; (* repetitions for averaged results *)
+  pool : Nimbus_parallel.Pool.t option;
+      (** the domains {!map_cases} fans cases out over; [None] (as in
+          {!quick} and {!full}) runs them in the caller *)
 }
 
 val quick : profile
@@ -151,18 +158,15 @@ val pct : Nimbus_metrics.Series.t -> lo:float -> hi:float -> float -> float
 
 (** Parallel fan-out
 
-    Experiments fan independent cases (scenarios, seeds) out over an ambient
-    {!Nimbus_parallel.Pool.t} installed by the harness.  Each case must build
-    its own engine, RNG, and flows from its inputs — cases run on arbitrary
-    domains and must share no mutable state.  Results always come back in
-    input order, so tables are byte-identical whatever the pool size. *)
+    Experiments fan independent cases (scenarios, seeds) out over their
+    profile's pool.  Each case must build its own engine, RNG, and flows
+    from its inputs — cases run on arbitrary domains and must share no
+    mutable state.  Results always come back in input order, so tables are
+    byte-identical whatever the pool size. *)
 
-(** [set_pool p] installs (or, with [None], removes) the ambient pool. *)
-val set_pool : Nimbus_parallel.Pool.t option -> unit
-
-(** [map_cases ~f cases] is [List.map f cases], evaluated across the ambient
-    pool when one is installed. *)
-val map_cases : f:('a -> 'b) -> 'a list -> 'b list
+(** [map_cases p ~f cases] is [List.map f cases], evaluated across [p.pool]
+    when it has more than one domain. *)
+val map_cases : profile -> f:('a -> 'b) -> 'a list -> 'b list
 
 (** [run_seeds p ~base f] runs [f ~seed] for [p.seeds] consecutive seeds
     starting at [base] (so quick profiles, with one seed, behave exactly like
@@ -175,32 +179,26 @@ val run_seeds : profile -> base:int -> (seed:int -> 'a) -> 'a list
     non-finite statistic) must cost one table cell, not the whole run. *)
 
 type crash = {
-  crash_label : string;
-  crash_seed : int;  (** the original seed, before any retry rekey *)
-  crash_exn : string;
-  crash_backtrace : string;
-  crash_recovered : bool;  (** a retry on a rekeyed seed succeeded *)
-  crash_attempts : int;  (** attempts consumed (including the success) *)
-  crash_raw : exn;
-      (** the captured exception itself (recovered: the first failure;
-          exhausted: the last), so callers can classify typed failures —
-          e.g. the sweep's watchdog timeout vs a genuine crash *)
+  crash_seed : int;  (** the case's own seed, before any retry rekey *)
+  crash_attempts : int;  (** attempts consumed *)
+  crash_exn : exn;
+      (** what the last attempt raised, so callers can classify typed
+          failures — e.g. the sweep's watchdog timeout vs a genuine crash *)
 }
 
-(** [run_case ~label ~seed f] runs [f ~seed], capturing any exception (with
-    its backtrace) instead of propagating it.  A failed case is retried on a
-    fresh deterministic RNG stream ([seed] rekeyed once per retry) until it
-    succeeds or [attempts] (default 2, i.e. one retry) are exhausted, at
-    which point the case is reported as [Error].  Both outcomes are appended
-    to the {!crashes} log.  Deterministic: identical inputs give identical
-    results whatever pool runs them.
+(** [run_case ~seed f] runs [f ~seed], capturing any exception instead of
+    propagating it.  With the default single attempt a crash is reported at
+    [seed] itself, so a table shows the crash cell rather than another
+    seed's result.  With [attempts > 1] (the sweep's watchdog) a failed case
+    is retried on a fresh deterministic RNG stream ([seed] rekeyed once per
+    retry) until it succeeds or the attempts are exhausted.  Deterministic:
+    identical inputs give identical results whatever pool runs them.
     @param check result validation — [Some msg] marks the result invalid and
            is treated exactly like a raise
-    @param attempts total tries (>= 1) *)
+    @param attempts total tries (>= 1, default 1) *)
 val run_case :
   ?check:('a -> string option) ->
   ?attempts:int ->
-  label:string ->
   seed:int ->
   (seed:int -> 'a) ->
   ('a, crash) result
@@ -208,14 +206,8 @@ val run_case :
 (** [crash_cell c] — short marker for the table cell of a crashed case. *)
 val crash_cell : crash -> string
 
-(** [crashes ()] — all crashes recorded since {!clear_crashes}, sorted by
-    (label, seed) so reports are stable across pool sizes. *)
-val crashes : unit -> crash list
-
+(** [clear_crashes ()] does nothing: {!run_case} returns each crash and
+    nothing logs them.  It is kept only because perfbench's path_sweep
+    workload still calls it; ROADMAP item 4's perfbench change deletes the
+    call and this function with it. *)
 val clear_crashes : unit -> unit
-
-(** [set_crash_hook h] installs (or clears) a test-only hook consulted before
-    each {!run_case} attempt; returning [true] forces that attempt to raise.
-    The retry runs under a rekeyed seed, so a hook matching only the original
-    seed exercises the recovery path. *)
-val set_crash_hook : (label:string -> seed:int -> bool) option -> unit

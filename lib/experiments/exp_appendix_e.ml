@@ -80,7 +80,7 @@ let run (p : Common.profile) =
       rates
   in
   let sweep =
-    Common.map_cases
+    Common.map_cases p
       ~f:(fun (mbps, pulse, share) ->
         let link = Common.link ~mbps ~rtt_ms:50. ~buffer_bdp:2.0 () in
         let acc mix = case p ~link ~mix ~share ~pulse ~seed:25 in
@@ -115,7 +115,7 @@ let run (p : Common.profile) =
            ~aqm:(`Pie (Time.ms 12.5)) ()) ]
   in
   let env =
-    Common.map_cases
+    Common.map_cases p
       ~f:(fun (label, link) ->
         let acc mix = case p ~link ~mix ~share:0.5 ~pulse:0.25 ~seed:26 in
         [ label;

@@ -172,12 +172,10 @@ type outcome = {
 
 let run_matrix ?(trace_mask = 0) (p : Common.profile) =
   let results =
-    Common.map_cases cases ~f:(fun case ->
+    Common.map_cases p cases ~f:(fun case ->
         Common.run_seeds p ~base:7000 (fun ~seed ->
             ( seed,
-              Common.run_case
-                ~label:("faults/" ^ case.fname)
-                ~seed
+              Common.run_case ~seed
                 ~check:(fun o ->
                   if Float.is_finite o.o_tput then None
                   else Some "non-finite throughput")
@@ -223,7 +221,7 @@ let run_matrix ?(trace_mask = 0) (p : Common.profile) =
       | Error c ->
         Buffer.add_string buf
           (Printf.sprintf "%s seed=%d: crashed: %s\n" case.fname seed
-             c.Common.crash_exn))
+             (Printexc.to_string c.Common.crash_exn)))
     results;
   let report =
     if Buffer.length buf = 0 then "fault matrix: all invariants held\n"

@@ -80,7 +80,7 @@ let heterogeneous (p : Common.profile) ~flows ~seed =
 let run (p : Common.profile) =
   let ratios = [ 0.2; 0.5; 1.; 2.; 4. ] in
   let sweep =
-    Common.map_cases
+    Common.map_cases p
       ~f:(fun (ratio, mix) -> case p ~mix ~ratio ~seed:15)
       (List.concat_map
          (fun ratio -> [ (ratio, Elastic); (ratio, Mixed); (ratio, Inelastic) ])
@@ -96,7 +96,7 @@ let run (p : Common.profile) =
       ratios
   in
   let hetero =
-    Common.map_cases
+    Common.map_cases p
       ~f:(fun flows ->
         [ string_of_int flows;
           Table.fmt_pct (heterogeneous p ~flows ~seed:16) ])

@@ -79,7 +79,7 @@ let run_mix (p : Common.profile) ~target_frac ~seed =
 let run (p : Common.profile) =
   let fracs = [ 0.0; 0.25; 0.5; 0.75; 1.0 ] in
   let rows =
-    Common.map_cases
+    Common.map_cases p
       ~f:(fun f ->
         let etas, realized =
           run_mix p ~target_frac:f ~seed:(60 + int_of_float (f *. 10.))

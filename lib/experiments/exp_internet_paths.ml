@@ -32,7 +32,7 @@ let run (p : Common.profile) =
       Common.vegas ]
   in
   let results =
-    Common.map_cases
+    Common.map_cases p
       ~f:(fun path ->
         ( path,
           List.map
@@ -107,7 +107,7 @@ let run (p : Common.profile) =
   in
   let runs = max 4 (p.Common.seeds * 4) in
   let collect sch =
-    Common.map_cases
+    Common.map_cases p
       ~f:(fun k ->
         run_path p base_path ~seed:(900 + k)
           (sch

@@ -87,14 +87,14 @@ let classify (p : Common.profile) case ~seed =
 
 let run (p : Common.profile) =
   let rows =
-    Common.map_cases
+    Common.map_cases p
       ~f:(fun case ->
         (* full profiles average the elastic-time fraction over the seed
            repetitions; the quick profile's single seed reproduces the
            historical fixed-seed run exactly *)
         let outcomes =
           Common.run_seeds p ~base:100 (fun ~seed ->
-              Common.run_case ~label:case.label ~seed
+              Common.run_case ~seed
                 (classify p
                    (case
                    [@shared_ok

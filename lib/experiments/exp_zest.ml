@@ -107,7 +107,7 @@ let run (p : Common.profile) =
           [ Flow.id f1; Flow.id f2; Source.flow_id s ] ) ]
   in
   let cases =
-    Common.map_cases
+    Common.map_cases p
       ~f:(fun (label, base, install) ->
         let per_seed =
           Common.run_seeds p ~base (fun ~seed ->

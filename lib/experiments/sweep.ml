@@ -1,6 +1,6 @@
 (* Fleet-scale Monte-Carlo path sweep (DESIGN.md §16): the Fig. 18/19
    population from Path_model run at 10^4+ paths × a protocol matrix,
-   sharded over the ambient domain pool and hardened end-to-end:
+   sharded over the profile's domain pool and hardened end-to-end:
 
    - checkpoint/resume: each completed shard is appended to a versioned,
      per-line checksummed checkpoint file, so a sweep killed at any point
@@ -398,13 +398,17 @@ let feed_path cfg agg path cells =
            | Ok (t0, r0), Ok (ti, ri) ->
              let pr = agg.pairs.(i - 1) in
              pr.pr_n <- pr.pr_n + 1;
+             (* finite cells can still overflow here (a restored
+                checkpoint may hold any finite value) *)
              if ti > 0. then begin
                let ratio = t0 /. ti in
-               Stats.P2.add pr.pr_ratio_p50 ratio;
+               if Float.is_finite ratio then
+                 Stats.P2.add pr.pr_ratio_p50 ratio;
                if ratio < 0.9 then pr.pr_ratio_low <- pr.pr_ratio_low + 1
              end;
              let ddiff_ms = (r0 -. ri) *. 1e3 in
-             Stats.P2.add pr.pr_ddiff_p50 ddiff_ms;
+             if Float.is_finite ddiff_ms then
+               Stats.P2.add pr.pr_ddiff_p50 ddiff_ms;
              if ddiff_ms < -5. then
                pr.pr_delay_better <- pr.pr_delay_better + 1
            | _ -> ())
@@ -421,14 +425,17 @@ let feed_path cfg agg path cells =
 
 (* --- running one case ------------------------------------------------------ *)
 
+(* [run_cell]'s check turns a non-finite statistic into a crash cell, so a
+   checkpoint shard holding one was not written by a sweep *)
+let finite_stats (t, r) = Float.is_finite t && Float.is_finite r
+
+let writable_cell = function Ok tr -> finite_stats tr | Error _ -> true
+
 (* per-case run seeds follow the Fig. 18 convention (500 + path id), so the
    first 25 nimbus cells of a sweep are exactly the figure's runs *)
 let case_seed path = 500 + path.Path_model.p_id
 
 let run_cell cfg path sch : cell =
-  let label =
-    Printf.sprintf "sweep/p%d/%s" path.Path_model.p_id sch.Common.scheme_name
-  in
   let f ~seed =
     let watchdog =
       if cfg.sw_budget > 0. then begin
@@ -443,18 +450,17 @@ let run_cell cfg path sch : cell =
   in
   match
     Common.run_case
-      ~check:(fun (t, r) ->
-        if Float.is_finite t && Float.is_finite r then None
-        else Some "non-finite sweep statistic")
-      ~attempts:(cfg.sw_retries + 1) ~label ~seed:(case_seed path) f
+      ~check:(fun tr ->
+        if finite_stats tr then None else Some "non-finite sweep statistic")
+      ~attempts:(cfg.sw_retries + 1) ~seed:(case_seed path) f
   with
   | Ok cell -> Ok cell
   | Error c -> (
-    match c.Common.crash_raw with
+    match c.Common.crash_exn with
     | Case_timeout -> Error (F_timeout c.Common.crash_attempts)
     | _ -> Error (F_crash c.Common.crash_attempts))
 
-(* one shard: the (path × scheme) matrix fanned over the ambient pool,
+(* one shard: the (path × scheme) matrix fanned over the profile's pool,
    results in input order *)
 let run_shard cfg paths =
   let cases =
@@ -462,7 +468,7 @@ let run_shard cfg paths =
       (fun path -> List.map (fun sch -> (path, sch)) cfg.sw_schemes)
       paths
   in
-  Common.map_cases
+  Common.map_cases cfg.sw_profile
     ~f:(fun (path, sch) ->
       run_cell
         (cfg
@@ -607,29 +613,22 @@ let run_triage cfg agg =
           List.map (fun sch -> (w.w_path, sch)) cfg.sw_schemes)
         agg.worst
     in
+    let profile = cfg.sw_profile in
     let rows =
-      Common.map_cases
+      Common.map_cases profile
         ~f:(fun (path, sch) ->
           let tbuf = Buffer.create 65536 in
           let tr = Trace.create ~mask () in
           Trace.attach tr (`Buffer tbuf);
           let result =
             match
-              Common.run_case ~attempts:1
-                ~label:
-                  (Printf.sprintf "triage/p%d/%s" path.Path_model.p_id
-                     sch.Common.scheme_name)
-                ~seed:(case_seed path)
+              Common.run_case ~seed:(case_seed path)
                 (fun ~seed ->
                   Fun.protect
                     ~finally:(fun () -> Trace.close tr)
                     (fun () ->
-                      Path_model.run ~trace:tr ~invariants:true
-                        (cfg
-                        [@shared_ok
-                          "immutable sweep configuration built before the \
-                           fan-out"])
-                          .sw_profile path sch ~seed))
+                      Path_model.run ~trace:tr ~invariants:true profile
+                        path sch ~seed))
             with
             | Ok o ->
               Ok (o.Path_model.o_tput, o.Path_model.o_rtt,
@@ -733,8 +732,11 @@ let run cfg =
       let n =
         load_checkpoint path ~header ~accept:(fun ~base cells ->
             let exp_base, nb = shard_paths !loaded in
-            if base <> exp_base || List.length cells <> nb * nschemes then
-              false
+            if
+              base <> exp_base
+              || List.length cells <> nb * nschemes
+              || not (List.for_all writable_cell cells)
+            then false
             else begin
               let paths = List.init nb (fun _ -> Path_model.next sampler) in
               List.iter2 (feed_path cfg agg) paths (chunk nschemes cells);

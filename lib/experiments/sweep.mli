@@ -1,7 +1,7 @@
 (** Fleet-scale Monte-Carlo path sweep (DESIGN.md §16).
 
     Runs the {!Path_model} population at 10^4+ paths over a protocol matrix,
-    sharded across the ambient pool, with checkpointed resume, a per-case
+    sharded across the profile's pool, with checkpointed resume, a per-case
     wall-clock watchdog with seed-rekeyed retries, O(1)-memory streaming
     aggregation (P² quantiles + Welford moments), and automatic triage
     re-runs of the worst-k outlier paths. *)

@@ -858,6 +858,32 @@ let test_const_rate_paces_exactly () =
   let tput = throughput f ~seconds:10. in
   Alcotest.(check bool) "4 Mbps +-10%" true (Float.abs (tput -. 4e6) < 0.4e6)
 
+(* A finished paced flow's pacer stops: a 30 KB transfer at 4 Mbit/s
+   completes in under 0.1 s, and its controller is not asked for its rate
+   again, nor is anything left pending, for the rest of a 10 s run. *)
+let test_finished_flow_pacer_stops () =
+  let e, _, topo, route = make_link () in
+  let inner = Simple_cc.const_rate ~rate:(Rate.bps 4e6) in
+  let asks = ref 0 in
+  let cc =
+    { inner with
+      Cc_types.pacing_rate =
+        (fun () ->
+          incr asks;
+          inner.Cc_types.pacing_rate ()) }
+  in
+  let f =
+    Flow.create_via topo ~route ~cc ~prop_rtt:rtt50
+      ~source:(Flow.Finite 30_000) ()
+  in
+  Engine.run_until e (Time.secs 1.);
+  let asks_at_1s = !asks in
+  Alcotest.(check bool) "completed" true (Flow.completion_time f <> None);
+  Alcotest.(check bool) "asked while sending" true (asks_at_1s > 0);
+  Alcotest.(check int) "nothing pending once finished" 0 (Engine.pending e);
+  Engine.run_until e (Time.secs 10.);
+  Alcotest.(check int) "no asks after it finished" asks_at_1s !asks
+
 let test_fixed_window_is_capped () =
   let e, _, topo, route = make_link () in
   let f =
@@ -1016,5 +1042,7 @@ let suite =
           test_basic_delay_targets_queue ] );
     ( "cc.simple",
       [ Alcotest.test_case "const rate" `Quick test_const_rate_paces_exactly;
+        Alcotest.test_case "finished paced flow's pacer stops" `Quick
+          test_finished_flow_pacer_stops;
         Alcotest.test_case "fixed window" `Quick test_fixed_window_is_capped;
         Alcotest.test_case "validation" `Quick test_validation_errors ] ) ]

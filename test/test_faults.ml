@@ -365,84 +365,84 @@ let test_pulser_death_failover () =
 (* --- crash-isolating runner ----------------------------------------------- *)
 
 let test_run_case_ok () =
-  Common.clear_crashes ();
-  (match Common.run_case ~label:"ok" ~seed:5 (fun ~seed -> seed + 1) with
-   | Ok v -> Alcotest.(check int) "result" 6 v
-   | Error _ -> Alcotest.fail "unexpected crash");
-  Alcotest.(check int) "no crashes logged" 0 (List.length (Common.crashes ()))
+  match Common.run_case ~seed:5 (fun ~seed -> seed + 1) with
+  | Ok v -> Alcotest.(check int) "result" 6 v
+  | Error _ -> Alcotest.fail "unexpected crash"
+
+let failure_msg = function Failure m -> m | e -> Printexc.to_string e
+
+(* fails on its original seed only: a rekeyed retry passes *)
+let fails_at_42 ~seed = if seed = 42 then failwith "seed 42" else seed * 2
 
 let test_run_case_retries_on_fresh_stream () =
-  Common.clear_crashes ();
-  (* the hook fails only the original seed; the retry's rekeyed stream
-     passes, exercising the recovery path *)
-  Common.set_crash_hook (Some (fun ~label:_ ~seed -> seed = 42));
-  let r = Common.run_case ~label:"retry" ~seed:42 (fun ~seed -> seed * 2) in
-  Common.set_crash_hook None;
-  (match r with
-   | Ok v -> Alcotest.(check bool) "retried under a rekeyed seed" true (v <> 84)
-   | Error _ -> Alcotest.fail "retry should have recovered");
-  (match Common.crashes () with
-   | [ c ] ->
-     Alcotest.(check string) "label" "retry" c.Common.crash_label;
-     Alcotest.(check int) "original seed" 42 c.Common.crash_seed;
-     Alcotest.(check bool) "recovered" true c.Common.crash_recovered
-   | l -> Alcotest.failf "expected one crash record, got %d" (List.length l));
-  Common.clear_crashes ()
+  match Common.run_case ~attempts:2 ~seed:42 fails_at_42 with
+  | Ok v -> Alcotest.(check bool) "retried under a rekeyed seed" true (v <> 84)
+  | Error _ -> Alcotest.fail "retry should have recovered"
+
+(* a table run keeps the default single attempt: the crash is reported at
+   its own seed, never hidden behind another seed's result *)
+let test_run_case_table_policy () =
+  (match Common.run_case ~seed:42 fails_at_42 with
+   | Ok _ -> Alcotest.fail "one attempt must not retry"
+   | Error c ->
+     Alcotest.(check int) "own seed" 42 c.Common.crash_seed;
+     Alcotest.(check int) "one attempt" 1 c.Common.crash_attempts;
+     Alcotest.(check string) "the raised exception" "seed 42"
+       (failure_msg c.Common.crash_exn));
+  (* the same through run_seeds, as exp_table1 and exp_faults call it *)
+  let p = { Common.quick with Common.seeds = 3 } in
+  let cells =
+    Common.run_seeds p ~base:41 (fun ~seed ->
+        match Common.run_case ~seed fails_at_42 with
+        | Ok v -> string_of_int v
+        | Error c -> Common.crash_cell c)
+  in
+  Alcotest.(check (list string)) "crash cell at seed 42"
+    [ "82"; "!crash(seed 42)"; "86" ] cells
 
 let test_run_case_double_failure () =
-  Common.clear_crashes ();
-  let r =
-    Common.run_case ~label:"fatal" ~seed:7 (fun ~seed:_ -> failwith "boom")
-  in
-  (match r with
-   | Ok _ -> Alcotest.fail "should have crashed"
-   | Error c ->
-     Alcotest.(check bool) "not recovered" false c.Common.crash_recovered;
-     Alcotest.(check bool) "captures the exception" true
-       (String.length c.Common.crash_exn > 0);
-     Alcotest.(check string) "table marker" "!crash(seed 7)"
-       (Common.crash_cell c));
-  Common.clear_crashes ()
+  match
+    Common.run_case ~attempts:2 ~seed:7 (fun ~seed:_ -> failwith "boom")
+  with
+  | Ok _ -> Alcotest.fail "should have crashed"
+  | Error c ->
+    Alcotest.(check int) "both attempts consumed" 2 c.Common.crash_attempts;
+    Alcotest.(check string) "captures the exception" "boom"
+      (failure_msg c.Common.crash_exn);
+    Alcotest.(check string) "table marker" "!crash(seed 7)"
+      (Common.crash_cell c)
 
 let test_run_case_check_rejects () =
-  Common.clear_crashes ();
-  let r =
-    Common.run_case ~label:"invalid" ~seed:3
+  match
+    Common.run_case ~seed:3
       ~check:(fun v -> if Float.is_nan v then Some "nan result" else None)
       (fun ~seed:_ -> nan)
-  in
-  (match r with
-   | Ok _ -> Alcotest.fail "check should have rejected"
-   | Error c ->
-     Alcotest.(check bool) "reason mentions the check" true
-       (String.length c.Common.crash_exn > 0));
-  Common.clear_crashes ()
+  with
+  | Ok _ -> Alcotest.fail "check should have rejected"
+  | Error c ->
+    Alcotest.(check string) "reason mentions the check"
+      "invalid result: nan result" (failure_msg c.Common.crash_exn)
 
-(* a forced crash in one case must leave every other case's output
-   byte-identical between a serial run and a pooled one *)
+(* a crash in one case must leave every other case's output byte-identical
+   between a serial run and a pooled one *)
 let test_crash_isolated_rows_identical () =
-  Common.clear_crashes ();
   let cases = [ ("a", 1); ("b", 2); ("c", 3); ("d", 4) ] in
   let row (label, seed) =
     match
-      Common.run_case ~label ~seed (fun ~seed -> Printf.sprintf "r%d" (seed * 11))
+      Common.run_case ~seed (fun ~seed ->
+          if String.equal label "b" then failwith "forced crash"
+          else Printf.sprintf "r%d" (seed * 11))
     with
     | Ok v -> v
     | Error c -> Common.crash_cell c
   in
-  Common.set_crash_hook
-    (Some (fun ~label ~seed:_ -> String.equal label "b"));
-  let serial = Common.map_cases cases ~f:row in
-  Common.clear_crashes ();
+  let serial = Common.map_cases Common.quick cases ~f:row in
   let pooled =
     Pool.run ~domains:4 (fun pool ->
-        Common.set_pool (Some pool);
-        Fun.protect
-          ~finally:(fun () -> Common.set_pool None)
-          (fun () -> Common.map_cases cases ~f:row))
+        Common.map_cases
+          { Common.quick with Common.pool = Some pool }
+          cases ~f:row)
   in
-  Common.set_crash_hook None;
-  Common.clear_crashes ();
   Alcotest.(check (list string)) "serial = pooled" serial pooled;
   Alcotest.(check (list string)) "crash marked, others intact"
     [ "r11"; "!crash(seed 2)"; "r33"; "r44" ]
@@ -480,6 +480,8 @@ let suite =
       [ Alcotest.test_case "ok case" `Quick test_run_case_ok;
         Alcotest.test_case "retry on fresh stream" `Quick
           test_run_case_retries_on_fresh_stream;
+        Alcotest.test_case "table policy: crash at own seed" `Quick
+          test_run_case_table_policy;
         Alcotest.test_case "double failure" `Quick test_run_case_double_failure;
         Alcotest.test_case "check rejects" `Quick test_run_case_check_rejects;
         Alcotest.test_case "rows identical under pool" `Quick

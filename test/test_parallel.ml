@@ -119,21 +119,22 @@ let run_experiment_with_jobs id jobs =
     | None -> Alcotest.failf "experiment %s not registered" id
   in
   Pool.run ~domains:jobs (fun pool ->
-      Common.set_pool (Some pool);
-      Fun.protect
-        ~finally:(fun () -> Common.set_pool None)
-        (fun () -> e.Registry.run Common.quick))
+      e.Registry.run { Common.quick with pool = Some pool })
 
 let test_jobs_determinism () =
-  (* zest goes through both map_cases and run_seeds; its rendered tables and
-     CSV must be byte-identical whatever the pool size *)
+  (* zest goes through both map_cases and run_seeds, faults also through
+     run_case; their rendered tables and CSV must be byte-identical whatever
+     the pool size *)
   let render tables =
     String.concat "\n"
       (List.concat_map (fun t -> [ Table.render t; Table.to_csv t ]) tables)
   in
-  let sequential = render (run_experiment_with_jobs "zest" 1) in
-  let parallel = render (run_experiment_with_jobs "zest" 4) in
-  Alcotest.(check string) "jobs 1 = jobs 4" sequential parallel
+  List.iter
+    (fun id ->
+      let sequential = render (run_experiment_with_jobs id 1) in
+      let parallel = render (run_experiment_with_jobs id 4) in
+      Alcotest.(check string) (id ^ ": jobs 1 = jobs 4") sequential parallel)
+    [ "zest"; "faults" ]
 
 let suite =
   [ ( "parallel.pool",

@@ -254,10 +254,11 @@ let test_shard_line_corruption () =
 
 (* --- sweep runs ------------------------------------------------------------ *)
 
+(* [with_pool jobs f] hands [f] a quick profile carrying a [jobs]-domain
+   pool *)
 let with_pool jobs f =
   Pool.run ~domains:jobs (fun pool ->
-      E.Common.set_pool (Some pool);
-      Fun.protect ~finally:(fun () -> E.Common.set_pool None) f)
+      f { E.Common.quick with E.Common.pool = Some pool })
 
 let temp_name suffix =
   let f = Filename.temp_file "nimbus_sweep" suffix in
@@ -265,10 +266,10 @@ let temp_name suffix =
   f
 
 (* small matrix of cheap schemes; budget off => fully deterministic *)
-let base_cfg ?checkpoint ?resume ?stop_after ?triage_only () =
+let base_cfg ?profile ?checkpoint ?resume ?stop_after ?triage_only () =
   Sweep.config ~paths:4 ~seed:7 ~schemes:[ E.Common.cubic; E.Common.vegas ]
-    ~shard_size:2 ~retries:1 ?checkpoint ?resume ?stop_after ~triage_k:2
-    ?triage_only ()
+    ?profile ~shard_size:2 ~retries:1 ?checkpoint ?resume ?stop_after
+    ~triage_k:2 ?triage_only ()
 
 let rendered outcome = List.map E.Table.render outcome.Sweep.tables
 
@@ -283,8 +284,8 @@ let test_resume_byte_identical () =
       @@ fun () ->
       (* run shard 0, then "crash" (stop_after), then resume the rest *)
       let interrupted =
-        with_pool jobs (fun () ->
-            Sweep.run (base_cfg ~checkpoint:ck ~stop_after:1 ()))
+        with_pool jobs (fun profile ->
+            Sweep.run (base_cfg ~profile ~checkpoint:ck ~stop_after:1 ()))
       in
       Alcotest.(check bool) "interrupted flagged" true
         interrupted.Sweep.interrupted;
@@ -292,8 +293,8 @@ let test_resume_byte_identical () =
         (List.length interrupted.Sweep.tables);
       Alcotest.(check int) "one shard done" 1 interrupted.Sweep.completed_shards;
       let resumed =
-        with_pool jobs (fun () ->
-            Sweep.run (base_cfg ~checkpoint:ck ~resume:true ()))
+        with_pool jobs (fun profile ->
+            Sweep.run (base_cfg ~profile ~checkpoint:ck ~resume:true ()))
       in
       Alcotest.(check int)
         (Printf.sprintf "all shards done (jobs=%d)" jobs)
@@ -383,17 +384,21 @@ let test_triage_only_incomplete () =
      | _ -> false)
 
 let test_crash_cells () =
-  (* force every attempt of one case to raise: it must cost exactly one
-     typed crash cell, not the sweep *)
-  E.Common.clear_crashes ();
-  E.Common.set_crash_hook
-    (Some (fun ~label ~seed:_ -> String.equal label "sweep/p1/vegas"));
-  Fun.protect ~finally:(fun () ->
-      E.Common.set_crash_hook None;
-      E.Common.clear_crashes ())
-  @@ fun () ->
+  (* vegas raises on path 1's link at every attempt, whatever the seed: the
+     case must cost exactly one typed crash cell, not the sweep *)
+  let p1 = List.nth (Path_model.sample ~count:2 ~seed:7) 1 in
+  let vegas = E.Common.vegas in
+  let crashing =
+    { vegas with
+      E.Common.start_flow =
+        (fun net ?start () ->
+          let mu = Units.Rate.to_bps net.E.Common.net_link.E.Common.mu in
+          if Float.equal mu (p1.Path_model.mbps *. 1e6) then
+            failwith "forced crash on path 1"
+          else vegas.E.Common.start_flow net ?start ()) }
+  in
   let cfg =
-    Sweep.config ~paths:2 ~seed:7 ~schemes:[ E.Common.cubic; E.Common.vegas ]
+    Sweep.config ~paths:2 ~seed:7 ~schemes:[ E.Common.cubic; crashing ]
       ~shard_size:2 ~retries:1 ~triage_k:1 ()
   in
   let o = Sweep.run cfg in
@@ -426,9 +431,7 @@ let test_watchdog_timeout_cells () =
         !now)
       ()
   in
-  E.Common.clear_crashes ();
   let o = Sweep.run cfg in
-  E.Common.clear_crashes ();
   Alcotest.(check int) "one failure" 1 o.Sweep.failures;
   let t = List.hd o.Sweep.tables in
   let row = List.hd t.E.Table.rows in
@@ -436,6 +439,141 @@ let test_watchdog_timeout_cells () =
   Alcotest.(check string) "no ok cells" "0" (List.nth row 1);
   Alcotest.(check string) "timeout cell, all attempts" "1" (List.nth row 2);
   Alcotest.(check string) "not a crash" "0" (List.nth row 3)
+
+(* --- checkpoint loading is total ------------------------------------------ *)
+
+(* a scheme that raises at once, so a sweep of it simulates nothing *)
+let instant_crash name =
+  { E.Common.scheme_name = name;
+    start_flow = (fun _ ?start:_ () -> failwith "instant crash") }
+
+let resume_cfg ?(resume = true) ck =
+  Sweep.config ~paths:3 ~seed:7
+    ~schemes:[ instant_crash "a"; instant_crash "b" ]
+    ~shard_size:1 ~retries:0 ~checkpoint:ck ~resume ~triage_k:1 ()
+
+(* the header line a fresh sweep of [resume_cfg] writes *)
+let resume_header =
+  lazy
+    (let ck = temp_name ".ck" in
+     Fun.protect ~finally:(fun () -> if Sys.file_exists ck then Sys.remove ck)
+     @@ fun () ->
+     ignore (Sweep.run (resume_cfg ~resume:false ck));
+     In_channel.with_open_bin ck input_line)
+
+(* cells as a checkpoint may hold them: the writer's own values, and
+   statistics no simulation would produce *)
+let file_cell =
+  QCheck.Gen.(
+    let odd =
+      oneofl
+        [ nan; infinity; neg_infinity; -1.; -0.; 0.; Float.min_float;
+          Float.max_float ]
+    in
+    oneof
+      [ QCheck.gen arb_cell; map2 (fun t r -> Ok (t, r)) odd odd;
+        map (fun k -> Error (Sweep.F_crash k)) (oneofl [ 0; max_int ]) ])
+
+(* line [k] of a checkpoint file: the shard it should hold, a checksummed
+   line of the wrong shard or size, a checksummed random body, or noise;
+   then perhaps a CR left by a CRLF copy, a torn end or a flipped byte *)
+let file_line k =
+  QCheck.Gen.(
+    let cells n = list_size (return n) file_cell in
+    frequency
+      [ (4, map (fun cs -> Sweep.shard_line ~idx:k ~base:k cs) (cells 2));
+        ( 1,
+          map3
+            (fun idx base cs -> Sweep.shard_line ~idx ~base cs)
+            (int_range 0 4) (int_range 0 4)
+            (int_range 1 4 >>= cells) );
+        (1, map (fun body -> body ^ " #" ^ fnv64 body) shard_body);
+        (1, string_size ~gen:printable (int_range 0 40)) ]
+    >>= fun line ->
+    let n = String.length line in
+    frequency
+      [ (6, return line); (1, return (line ^ "\r"));
+        (1, map (fun i -> String.sub line 0 i) (int_range 0 n));
+        ( 1,
+          if n = 0 then return line
+          else
+            map2
+              (fun i c -> String.mapi (fun j x -> if j = i then c else x) line)
+              (int_range 0 (n - 1)) char ) ])
+
+(* the header, or a near miss of it *)
+let file_header header =
+  QCheck.Gen.(
+    let n = String.length header in
+    frequency
+      [ (6, return header); (1, return (header ^ "\r"));
+        (1, return (header ^ " "));
+        (1, map (fun i -> String.sub header 0 i) (int_range 0 (n - 1)));
+        (1, return ("NIMSWP00" ^ String.sub header 8 (n - 8)));
+        (1, return (String.sub header 0 (n - 1) ^ "c")) ])
+
+let checkpoint_file header =
+  QCheck.Gen.(
+    frequency
+      [ ( 8,
+          map3
+            (fun h lines nl -> String.concat "\n" (h :: lines) ^ nl)
+            (file_header header)
+            (int_range 0 5 >>= fun n -> flatten_l (List.init n file_line))
+            (oneofl [ ""; "\n" ]) );
+        (1, string_size ~gen:char (int_range 0 200)) ])
+
+(* [with_checkpoint contents f] runs [f] on a checkpoint file holding
+   [contents] *)
+let with_checkpoint contents f =
+  let ck = temp_name ".ck" in
+  Fun.protect ~finally:(fun () -> if Sys.file_exists ck then Sys.remove ck)
+  @@ fun () ->
+  Out_channel.with_open_bin ck (fun oc -> output_string oc contents);
+  f ck
+
+(* Loading a checkpoint is total: whatever bytes the file holds, a resumed
+   sweep either raises [Output_error] or runs to the end, and the file it
+   leaves is clean — resuming from it again restores every shard and
+   renders the same tables. *)
+let qcheck_resume_total =
+  QCheck.Test.make ~count:100
+    ~name:"sweep: resume from arbitrary bytes resumes or raises Output_error"
+    (QCheck.make ~print:String.escaped
+       (QCheck.Gen.delay (fun () ->
+            checkpoint_file (Lazy.force resume_header))))
+    (fun contents ->
+      with_checkpoint contents @@ fun ck ->
+      match Sweep.run (resume_cfg ck) with
+      | exception Sweep.Output_error _ -> true
+      | first ->
+        let again = Sweep.run (resume_cfg ck) in
+        again.Sweep.completed_shards = again.Sweep.total_shards
+        && rendered again = rendered first)
+
+(* What the totality property found: a checksummed shard holding a
+   non-finite statistic (which no sweep writes) raised [Invalid_argument]
+   from the aggregator, and so did finite cells whose paired ratio or delay
+   difference overflows.  The first shard is now dropped and re-run; the
+   second is folded with the overflowing pair sample skipped. *)
+let test_resume_unwritable_cells () =
+  let restored cells =
+    with_checkpoint
+      (Lazy.force resume_header ^ "\n"
+      ^ Sweep.shard_line ~idx:0 ~base:0 cells ^ "\n")
+    @@ fun ck ->
+    let log = ref "" in
+    let log_resume m =
+      if String.starts_with ~prefix:"resume:" m then log := m
+    in
+    let o = Sweep.run { (resume_cfg ck) with Sweep.sw_log = log_resume } in
+    Alcotest.(check int) "ran to the end" 3 o.Sweep.completed_shards;
+    String.sub !log 0 11
+  in
+  Alcotest.(check string) "non-finite cell dropped" "resume: 0/3"
+    (restored [ Ok (0., nan); Error (Sweep.F_crash 1) ]);
+  Alcotest.(check string) "overflowing pair folded" "resume: 1/3"
+    (restored [ Ok (1e9, Float.max_float); Ok (Float.min_float, -1.) ])
 
 let test_figure_seed_alignment () =
   (* the sweep's first paths are the 25-path figure's population *)
@@ -491,5 +629,8 @@ let suite =
         Alcotest.test_case "crash cells" `Slow test_crash_cells;
         Alcotest.test_case "watchdog timeout cells" `Quick
           test_watchdog_timeout_cells;
+        qtest qcheck_resume_total;
+        Alcotest.test_case "resume drops unwritable cells" `Quick
+          test_resume_unwritable_cells;
         Alcotest.test_case "figure seed alignment" `Slow
           test_figure_seed_alignment ] ) ]

@@ -648,12 +648,8 @@ let test_matrix_trace_jobs_independent () =
   in
   let matrix_with_domains domains =
     Nimbus_parallel.Pool.run ~domains (fun pool ->
-        Nimbus_experiments.Common.set_pool (Some pool);
-        Fun.protect
-          ~finally:(fun () -> Nimbus_experiments.Common.set_pool None)
-          (fun () ->
-            Nimbus_experiments.Exp_faults.run_matrix ~trace_mask
-              Nimbus_experiments.Common.quick))
+        Nimbus_experiments.Exp_faults.run_matrix ~trace_mask
+          { Nimbus_experiments.Common.quick with pool = Some pool })
   in
   let seq = matrix_with_domains 1 in
   let par = matrix_with_domains 3 in
