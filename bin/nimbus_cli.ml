@@ -83,13 +83,15 @@ let list_cmd () =
    infinite rate or a NaN duration would otherwise hang or run empty) *)
 let simulate_flag_error ~mbps ~rtt_ms ~duration ~cross_mbps =
   let finite = Float.is_finite in
-  if not (finite mbps && mbps > 0.) then
+  (* links and sources are built in bits per second, so each rate must be
+     finite in that unit, not only in Mbit/s *)
+  if not (finite (mbps *. 1e6) && mbps > 0.) then
     Some (Printf.sprintf "--rate must be finite and > 0 (got %g)" mbps)
   else if not (finite rtt_ms && rtt_ms >= 0.) then
     Some (Printf.sprintf "--rtt must be finite and >= 0 (got %g)" rtt_ms)
   else if not (finite duration && duration > 0.) then
     Some (Printf.sprintf "--duration must be finite and > 0 (got %g)" duration)
-  else if not (finite cross_mbps && cross_mbps >= 0.) then
+  else if not (finite (cross_mbps *. 1e6) && cross_mbps >= 0.) then
     Some
       (Printf.sprintf "--cross-rate must be finite and >= 0 (got %g)"
          cross_mbps)

@@ -13,8 +13,10 @@ type ack = {
   mutable delivered_bytes : int;
 }
 
+type loss_times = { mutable now : Units.Time.t }
+
 type loss = {
-  mutable now : Units.Time.t;
+  times : loss_times;
   mutable seq : int;
   mutable bytes : int;
   mutable inflight_bytes : int;

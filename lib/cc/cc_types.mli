@@ -37,12 +37,16 @@ type ack = {
   mutable delivered_bytes : int;  (** cumulative *)
 }
 
+(** The time field of a {!loss}: like {!ack_times}, a record of floats
+    only, so refilling it for every loss boxes nothing. *)
+type loss_times = { mutable now : Units.Time.t }
+
 (** Loss signal. [`Dupack] approximates fast retransmit; [`Timeout] is an RTO
     where the whole window was declared lost.  Like {!ack}, a flow refills
     one record for each of its losses, so a controller reads the fields
     during [on_loss] and must not keep the record itself. *)
 type loss = {
-  mutable now : Units.Time.t;
+  times : loss_times;
   mutable seq : int;
   mutable bytes : int;
   mutable inflight_bytes : int;

@@ -53,7 +53,7 @@ let make () =
       s.lwnd <- 2. *. mss;
       s.dwnd <- 0.
     | `Dupack ->
-      let now = Time.to_secs l.now in
+      let now = Time.to_secs l.times.now in
       if now > s.recovery_until then begin
         s.recovery_until <- now +. s.srtt;
         s.ssthresh <- Float.max (window () /. 2.) (2. *. mss);

@@ -141,7 +141,7 @@ let on_ack t (a : Cc_types.ack) =
   end
 
 let on_loss t (l : Cc_types.loss) =
-  let now = Time.to_secs l.now in
+  let now = Time.to_secs l.times.now in
   t.in_slow_start <- false;
   match l.kind with
   | `Timeout -> t.cwnd <- 2. *. mss

@@ -28,11 +28,32 @@ type t = {
   s : state;
 }
 
+(* boxed once, here, so that [reset] stores the box and makes none *)
+let initial_cwnd_bytes = mss *. float_of_int initial_cwnd
+
+(* the one initialiser: [create] is [reset] on a new record, so a reset
+   controller is a fresh one, bit for bit *)
+let reset t =
+  t.cwnd <- initial_cwnd_bytes;
+  let s = t.s in
+  s.w_max <- 0.;
+  s.ssthresh <- infinity;
+  s.epoch_start <- nan;
+  s.k <- 0.;
+  s.origin <- 0.;
+  s.recovery_until <- neg_infinity;
+  s.srtt <- 0.1
+[@@alloc_free]
+
 let create () =
-  { cwnd = mss *. float_of_int initial_cwnd;
-    s =
-      { w_max = 0.; ssthresh = infinity; epoch_start = nan; k = 0.;
-        origin = 0.; recovery_until = neg_infinity; srtt = 0.1 } }
+  let t =
+    { cwnd = initial_cwnd_bytes;
+      s =
+        { w_max = 0.; ssthresh = 0.; epoch_start = 0.; k = 0.; origin = 0.;
+          recovery_until = 0.; srtt = 0. } }
+  in
+  reset t;
+  t
 
 let cwnd_bytes t = B.bytes t.cwnd
 
@@ -83,7 +104,7 @@ let on_ack t (a : Cc_types.ack) =
 
 let on_loss t (l : Cc_types.loss) =
   let s = t.s in
-  let now = Time.to_secs l.now in
+  let now = Time.to_secs l.times.now in
   match l.kind with
   | `Timeout ->
     s.w_max <- t.cwnd;

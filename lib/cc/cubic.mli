@@ -12,6 +12,12 @@ type t
     coefficient 0.4 and the multiplicative decrease factor 0.7. *)
 val create : unit -> t
 
+(** [reset t] puts [t] back in the state {!create} makes, in place, so the
+    closures of [cc t] serve a new flow: a reset controller and a fresh one
+    fed the same events give the same windows, bit for bit.  Call it only
+    once the flow that held [t] calls it no more. *)
+val reset : t -> unit
+
 val cc : t -> Cc_types.t
 
 (** [cwnd_bytes t]. *)

@@ -128,6 +128,7 @@ type t = {
   mutable flow_id : int;
   mutable source : source;
   mutable on_complete : (t -> unit) option;
+  mutable on_release : (t -> unit) option;
   mutable tickless : bool;
   f : floats;
   (* sender state *)
@@ -443,43 +444,54 @@ let finished t =
   && t.outstanding = 0
   && not (data_available t)
 
+(* A given-up, released flow's whole record goes to the engine's
+   recycler, and the next {!create_via} on the engine makes its next
+   incarnation; then its release hook runs.  Nothing of the incarnation
+   calls its controller again: its scoreboard is empty, so a late ACK
+   finds no seq, and its timers and pacer see it finished. *)
+let hand_on t =
+  Engine.put_spare t.engine t.spare;
+  match t.on_release with
+  | Some f -> (f t [@alloc_ok "opaque release hook"])
+  | None -> ()
+[@@alloc_free]
+
 (* A finished flow is released: no later event of its incarnation reads
    more than its counters.  Released with nothing outstanding, its
-   scoreboard is all -1 and its retransmit ring empty.  If its owner gave
-   it up, the whole record goes to the engine's recycler, and the next
-   {!create_via} on the engine makes its next incarnation. *)
+   scoreboard is all -1 and its retransmit ring empty. *)
 let release t =
   if not t.released then begin
     t.released <- true;
-    if t.given_up then Engine.put_spare t.engine t.spare
+    if t.given_up then hand_on t
   end
 [@@alloc_free]
 
 let recycle t =
   if not t.given_up then begin
     t.given_up <- true;
-    if t.released then Engine.put_spare t.engine t.spare
+    if t.released then hand_on t
   end
 [@@alloc_free]
 
 (* --- controller events --------------------------------------------------- *)
 
 (* The loss record is made at the flow's first loss and refilled for every
-   loss after it; [Engine.now] boxes the clock once per instant, so a loss
-   allocates nothing else. *)
+   loss after it; its time sits in an all-float sub-record, so a loss
+   allocates nothing. *)
 let report_loss t ~seq ~bytes kind =
   let l =
     match t.loss with
     | Some l -> l
     | None ->
       let l =
-        ({ Cc_types.now = Time.zero; seq; bytes; inflight_bytes = 0; kind }
+        ({ Cc_types.times = { now = Time.zero }; seq; bytes;
+           inflight_bytes = 0; kind }
          [@alloc_ok "once per flow: its first loss"])
       in
       t.loss <- (Some l [@alloc_ok "once per flow: its first loss"]);
       l
   in
-  l.now <- Engine.now t.engine;
+  l.times.now <- Time.secs (now_secs t);
   l.seq <- seq;
   l.bytes <- bytes;
   l.inflight_bytes <- t.inflight_bytes;
@@ -786,7 +798,7 @@ let fresh engine =
               srtt = Time.unknown };
           seq = 0; bytes = pkt_size; inflight_bytes = 0; delivered_bytes = 0 };
       loss = None; report = None; flow_id = -1; source = Backlogged;
-      on_complete = None; tickless = false;
+      on_complete = None; on_release = None; tickless = false;
       f =
         { srtt = nan; min_rtt = nan; last_rtt = nan; last_progress = nan;
           send_rate = nan; recv_rate = nan; rto_at = nan; rto_prev = nan;
@@ -819,7 +831,7 @@ let fresh engine =
    heads and counts restart.  The loss and tick records are refilled
    before every use, so they are kept too. *)
 let init t ~flow_id ~enqueue ~cc ~prop_rtt ~source ~start_time ~on_complete
-    ~tick_interval ~tickless =
+    ~on_release ~tick_interval ~tickless =
   let f = t.f in
   t.flow_id <- flow_id;
   t.enqueue <- enqueue;
@@ -845,6 +857,7 @@ let init t ~flow_id ~enqueue ~cc ~prop_rtt ~source ~start_time ~on_complete
   a.delivered_bytes <- 0;
   t.source <- source;
   t.on_complete <- on_complete;
+  t.on_release <- on_release;
   t.tickless <- tickless;
   f.start_time <- start_time;
   f.tick_interval <- tick_interval;
@@ -883,7 +896,7 @@ let init t ~flow_id ~enqueue ~cc ~prop_rtt ~source ~start_time ~on_complete
 [@@alloc_free]
 
 let create_via topo ~route ~cc ~prop_rtt ?(source = Backlogged) ?start
-    ?on_complete ?(tick_interval = default_tick_interval) () =
+    ?on_complete ?on_release ?(tick_interval = default_tick_interval) () =
   let engine = Topology.engine topo in
   let prop_rtt = Time.to_secs prop_rtt in
   let tick_interval = Time.to_secs tick_interval in
@@ -895,7 +908,7 @@ let create_via topo ~route ~cc ~prop_rtt ?(source = Backlogged) ?start
   let start_time =
     match start with
     | Some s -> Time.to_secs s
-    | None -> Time.to_secs (Engine.now engine)
+    | None -> Float.Array.get (Engine.clock engine) 0
   in
   let tickless =
     Option.is_none cc.Cc_types.on_tick
@@ -907,7 +920,7 @@ let create_via topo ~route ~cc ~prop_rtt ?(source = Backlogged) ?start
   in
   let enqueue = Topology.attach topo ~route ~flow:flow_id ~sink:t.deliver in
   init t ~flow_id ~enqueue ~cc ~prop_rtt ~source ~start_time ~on_complete
-    ~tick_interval ~tickless;
+    ~on_release ~tick_interval ~tickless;
   Float.Array.unsafe_set (Engine.key engine) 0 start_time;
   Engine.schedule_at_key engine t.start;
   t

@@ -47,6 +47,12 @@ type t
     @param source defaults to [Backlogged]
     @param start absolute start time (default: now)
     @param on_complete invoked once when a [Finite] source finishes
+    @param on_release invoked once, with the flow, when its record goes to
+           the recycler: the flow was given up ({!recycle}) and released.
+           From then on nothing of the flow calls [cc] again, so the
+           controller may serve another flow ([Wan] resets its Cubic and
+           hands it to its next launch).  Never invoked for a flow that is
+           not given up or never released.
     @param tick_interval controller tick period (default 10 ms).  For an
            ACK-clocked flow it only sets the grid [start + k * interval]
            on which the RTO can fire.  A completed [Finite] flow with
@@ -63,6 +69,7 @@ val create_via :
   ?source:source ->
   ?start:Units.Time.t ->
   ?on_complete:(t -> unit) ->
+  ?on_release:(t -> unit) ->
   ?tick_interval:Units.Time.t ->
   unit ->
   t

@@ -24,7 +24,7 @@ let on_ack t (a : Cc_types.ack) =
   else t.cwnd <- t.cwnd +. (mss *. float_of_int a.bytes /. t.cwnd)
 
 let on_loss t (l : Cc_types.loss) =
-  let now = Time.to_secs l.now in
+  let now = Time.to_secs l.times.now in
   match l.kind with
   | `Timeout ->
     t.ssthresh <- Float.max (t.cwnd /. 2.) (2. *. mss);

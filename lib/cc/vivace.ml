@@ -170,7 +170,7 @@ let on_ack t (a : Cc_types.ack) =
 
 let on_loss t (l : Cc_types.loss) =
   (* losses are detected roughly one RTT after the send *)
-  let sent_at = Time.to_secs l.now -. t.srtt in
+  let sent_at = Time.to_secs l.times.now -. t.srtt in
   match find_mi t sent_at with
   | None -> ()
   | Some m -> m.lost <- m.lost + 1

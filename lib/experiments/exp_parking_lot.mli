@@ -27,7 +27,8 @@ type params = {
     [flows] congestion-controlled flows (one Nimbus per link, the rest
     elastic cross traffic spread over the adjacent pairs — rounded up, so
     the realized flow count may slightly exceed [flows]).
-    @raise Invalid_argument if [links < 2] or [flows < links]. *)
+    @raise Invalid_argument if [links < 2], [flows < links], or [mbps]
+    (in bits per second) or [duration] is not finite and positive. *)
 val scaled_params :
   ?mbps:float ->
   ?duration:float ->

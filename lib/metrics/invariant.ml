@@ -107,15 +107,33 @@ let check_watch t w =
     w.w_last_switch <- now
   end
 
+(* The audit walks each list by plain recursion: a partial application or
+   a closure over [t] per audit would allocate while every invariant
+   holds, and the audit runs every 10 ms of every audited run. *)
+let rec check_bottlenecks t = function
+  | [] -> ()
+  | b :: rest ->
+    check_bottleneck t b;
+    check_bottlenecks t rest
+
+let rec check_watches t = function
+  | [] -> ()
+  | w :: rest ->
+    check_watch t w;
+    check_watches t rest
+
+let rec run_checks t = function
+  | [] -> ()
+  | (name, check) :: rest ->
+    (match check () with
+    | Some detail -> record t (Custom name) detail
+    | None -> ());
+    run_checks t rest
+
 let tick t () =
-  List.iter (check_bottleneck t) t.bottlenecks;
-  List.iter (check_watch t) t.watches;
-  List.iter
-    (fun (name, check) ->
-      match check () with
-      | Some detail -> record t (Custom name) detail
-      | None -> ())
-    t.checks
+  check_bottlenecks t t.bottlenecks;
+  check_watches t t.watches;
+  run_checks t t.checks
 
 let create engine ?(bottlenecks = []) ?(nimbus = []) () =
   let watches =

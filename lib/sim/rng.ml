@@ -2,7 +2,7 @@
    every store of an [int64] into a record field boxes it (3 words per
    draw), while [Bytes.get/set_int64_ne] read and write it in place.
    [bits], [mix] and [uniform] are inlined, so a draw through [uniform],
-   [bool] or [exponential] keeps the state unboxed end to end. *)
+   [bool] or [exponential_to] keeps the state unboxed end to end. *)
 type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
@@ -39,7 +39,20 @@ let[@inline] uniform t =
 
 let float t x = uniform t *. x
 
-let range t ~lo ~hi = lo +. (uniform t *. (hi -. lo))
+(* A [_to] form writes the draw into slot 0 of the register, unboxed: a
+   float returned across a module boundary is a fresh 2-word box
+   (DESIGN.md §13, the [-opaque] rule).  [range] keeps a value form too, so
+   both share one inlined core, consume the stream alike and give the same
+   bits. *)
+
+let[@inline] range_raw t ~lo ~hi = lo +. (uniform t *. (hi -. lo))
+
+let range t ~lo ~hi = range_raw t ~lo ~hi
+
+let range_to t ~lo ~hi reg =
+  Float.Array.unsafe_set reg 0
+    (range_raw t ~lo ~hi [@alloc_ok "inlined: the draw stays unboxed"])
+[@@alloc_free]
 
 (* inlined, so a probability computed by the caller reaches the compare
    unboxed *)
@@ -50,19 +63,30 @@ let[@inline] bool t ~p =
 
 let bool_at t ps i = bool t ~p:(Float.Array.get ps i) [@@alloc_free]
 
-let exponential t ~mean =
-  if mean <= 0. then invalid_arg "Rng.exponential: mean <= 0";
-  let u = 1.0 -. uniform t in
-  -.mean *. log u
+let exponential_to t ~mean reg =
+  if mean <= 0. then invalid_arg "Rng.exponential_to: mean <= 0";
+  let u =
+    1.0 -. (uniform t [@alloc_ok "inlined: the draw stays unboxed"])
+  in
+  Float.Array.unsafe_set reg 0 (-.mean *. log u)
+[@@alloc_free]
 
-let normal t =
+let[@inline] normal t =
   let u1 = 1.0 -. uniform t in
   let u2 = uniform t in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. 4.0 *. atan 1.0 *. u2)
 
-let lognormal t ~mu ~sigma = exp (mu +. (sigma *. normal t))
+let lognormal_to t ~mu ~sigma reg =
+  Float.Array.unsafe_set reg 0
+    (exp (mu +. (sigma *. normal t))
+    [@alloc_ok "inlined: the draw stays unboxed"])
+[@@alloc_free]
 
-let pareto t ~shape ~scale =
-  if shape <= 0. || scale <= 0. then invalid_arg "Rng.pareto: non-positive parameter";
-  let u = 1.0 -. uniform t in
-  scale /. (u ** (1.0 /. shape))
+let pareto_to t ~shape ~scale reg =
+  if shape <= 0. || scale <= 0. then
+    invalid_arg "Rng.pareto_to: non-positive parameter";
+  let u =
+    1.0 -. (uniform t [@alloc_ok "inlined: the draw stays unboxed"])
+  in
+  Float.Array.unsafe_set reg 0 (scale /. (u ** (1.0 /. shape)))
+[@@alloc_free]

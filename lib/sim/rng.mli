@@ -4,7 +4,19 @@
     experiment, so each table in the evaluation is reproducible bit-for-bit.
     [split] derives an independent stream, letting subsystems (flow arrivals,
     packet sizes, election coin flips, ...) consume randomness without
-    perturbing each other. *)
+    perturbing each other.
+
+    {b Register forms.}  A draw named [*_to] ([range_to], [exponential_to],
+    [lognormal_to], [pareto_to]) takes a register, a [Float.Array.t] of at
+    least one slot, and writes the draw into its slot 0 instead of
+    returning it.  A float returned across a module boundary is a fresh
+    2-word box (DESIGN.md §13, the [-opaque] rule); written in place it is
+    not, and the caller reads it back unboxed or hands the register on
+    (the engine's {!Engine.key}, for a gap to schedule).  [range] also
+    has a value form; the two share one inlined core, so both consume the
+    stream alike and give the same bits.  Float parameters still cross as
+    boxes, so pass ones that already exist (a constant, or a field of a
+    record that is not all floats). *)
 
 type t
 
@@ -30,6 +42,10 @@ val float : t -> float -> float
 (** [range t ~lo ~hi] is uniform in [lo, hi). *)
 val range : t -> lo:float -> hi:float -> float
 
+(** [range_to t ~lo ~hi reg] writes [range t ~lo ~hi] into slot 0 of
+    [reg]. *)
+val range_to : t -> lo:float -> hi:float -> Float.Array.t -> unit
+
 (** [bool t ~p] is [true] with probability [p]. *)
 val bool : t -> p:float -> bool
 
@@ -39,12 +55,16 @@ val bool : t -> p:float -> bool
     not. *)
 val bool_at : t -> Float.Array.t -> int -> bool
 
-(** [exponential t ~mean] samples Exp with the given mean. *)
-val exponential : t -> mean:float -> float
+(** [exponential_to t ~mean reg] writes a sample of Exp with the given
+    mean into slot 0 of [reg].  @raise Invalid_argument if [mean <= 0]. *)
+val exponential_to : t -> mean:float -> Float.Array.t -> unit
 
-(** [lognormal t ~mu ~sigma] is [exp (mu + sigma·N(0,1))]. *)
-val lognormal : t -> mu:float -> sigma:float -> float
+(** [lognormal_to t ~mu ~sigma reg] writes [exp (mu + sigma·N(0,1))] into
+    slot 0 of [reg]. *)
+val lognormal_to : t -> mu:float -> sigma:float -> Float.Array.t -> unit
 
-(** [pareto t ~shape ~scale] samples a Pareto( shape ) with minimum [scale];
-    heavy-tailed for [shape <= 2]. *)
-val pareto : t -> shape:float -> scale:float -> float
+(** [pareto_to t ~shape ~scale reg] writes a sample of a Pareto( shape )
+    with minimum [scale] into slot 0 of [reg]; heavy-tailed for
+    [shape <= 2].  @raise Invalid_argument if either parameter is
+    non-positive. *)
+val pareto_to : t -> shape:float -> scale:float -> Float.Array.t -> unit

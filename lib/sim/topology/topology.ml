@@ -208,18 +208,32 @@ let completed_packets t = t.completed
 
 let in_transit_packets t = t.in_transit
 
+let link_balanced l =
+  Bottleneck.offered_packets l.bn
+  = Bottleneck.delivered_packets l.bn + Bottleneck.drops l.bn
+    + Bottleneck.queued_packets l.bn
+
+(* the first unbalanced link in creation order, from the reversed list *)
+let rec first_unbalanced = function
+  | [] -> None
+  | l :: older -> (
+    match first_unbalanced older with
+    | Some _ as found -> found
+    | None -> if link_balanced l then None else Some l)
+
+let rec sum_offered acc = function
+  | [] -> acc
+  | l :: rest -> sum_offered (acc + Bottleneck.offered_packets l.bn) rest
+
+let rec sum_delivered acc = function
+  | [] -> acc
+  | l :: rest -> sum_delivered (acc + Bottleneck.delivered_packets l.bn) rest
+
+(* Walked by plain recursion over the reversed link list, so a check that
+   finds every ledger balanced allocates nothing (the invariant monitor
+   runs it every 10 ms); the message is built only for a violation. *)
 let conservation_check t =
-  let bad_link =
-    List.find_opt
-      (fun l ->
-        let off = Bottleneck.offered_packets l.bn in
-        let del = Bottleneck.delivered_packets l.bn in
-        let drops = Bottleneck.drops l.bn in
-        let queued = Bottleneck.queued_packets l.bn in
-        off <> del + drops + queued)
-      (links t)
-  in
-  match bad_link with
+  match first_unbalanced t.links_rev with
   | Some l ->
     Some
       (Printf.sprintf
@@ -233,13 +247,8 @@ let conservation_check t =
     if t.in_transit < 0 then
       Some (Printf.sprintf "in_transit=%d < 0" t.in_transit)
     else begin
-      let sum_off, sum_del =
-        List.fold_left
-          (fun (o, d) l ->
-            ( o + Bottleneck.offered_packets l.bn,
-              d + Bottleneck.delivered_packets l.bn ))
-          (0, 0) (links t)
-      in
+      let sum_off = sum_offered 0 t.links_rev in
+      let sum_del = sum_delivered 0 t.links_rev in
       (* every offered packet is either an ingress injection or a forward
          of a delivered one; deliveries either forward, sit in transit, or
          complete — so the two sums cancel against the fabric counters *)

@@ -20,7 +20,7 @@ type t = {
   (* the mean inter-packet gap in seconds, [pkt_size] bits over [rate]:
      refreshed with the rate, so a send passes a box that already exists
      (a float computed per packet is boxed to cross into [Rng] or
-     [Engine]) *)
+     [Engine]); a Poisson gap is drawn into the engine's key register *)
   mutable gap : float;
   mutable seq : int;
   (* the next send, built once; mutable only because it closes over [t] *)
@@ -46,10 +46,8 @@ let set_rate t rate =
   t.rate <- Float.max 0. (finite_bps rate);
   t.gap <- pkt_bits /. t.rate
 
-let interval t =
-  match t.kind with
-  | Cbr -> t.gap
-  | Poisson rng -> Rng.exponential rng ~mean:t.gap
+(* a paused source polls for a rate change; boxed once, here *)
+let poll_interval = Time.ms 10.
 
 let step t =
   if t.rate > 0. then begin
@@ -57,11 +55,13 @@ let step t =
     t.enqueue
       (Packet.make ~flow:t.flow_id ~seq:t.seq ~size:pkt_size ~now:Time.zero ());
     t.seq <- t.seq + 1;
-    Engine.schedule_in t.engine (Time.secs (interval t)) t.step
+    match t.kind with
+    | Cbr -> Engine.schedule_in t.engine (Time.secs t.gap) t.step
+    | Poisson rng ->
+      Rng.exponential_to rng ~mean:t.gap (Engine.key t.engine);
+      Engine.schedule_in_key t.engine t.step
   end
-  else
-    (* paused: poll for a rate change *)
-    Engine.schedule_in t.engine (Time.ms 10.) t.step
+  else Engine.schedule_in t.engine poll_interval t.step
 
 (* Packets traverse every hop of [route] and are dropped on the floor after
    the last one (open-loop traffic has no receiver), while still counting

@@ -57,6 +57,17 @@ let mixture_of_profile = function
       pareto_scale = 2_000_000.; pareto_shape = 1.05;
       size_cap = 500_000_000 }
 
+(* A cross-flow's Cubic, its adapter and the release hook that hands it
+   back to its generator, made together once and reused by later flows:
+   the hook runs when the flow that held the controller goes to the
+   recycler ([Flow.create_via ?on_release]), after which nothing of that
+   flow calls it. *)
+type ctl = {
+  cubic : Cubic.t;
+  cc : Nimbus_cc.Cc_types.t;
+  mutable on_release : (Flow.t -> unit) option;
+}
+
 (* Internal timekeeping stays raw float seconds — the typed boundary is the
    .mli. *)
 type t = {
@@ -68,8 +79,9 @@ type t = {
   prop_rtt : float;
   mean_size : float;
   arrival_mean : float; (* seconds between arrivals *)
-  (* The active flows and their sizes, unordered, in [0, nactive) of two
-     parallel arrays that start empty and double up to [max_concurrent].
+  (* The active flows, their sizes and start instants, unordered, in
+     [0, nactive) of three parallel arrays that start empty and double up
+     to [max_concurrent].
      [slots] maps a flow id to its slot (it grows with the engine's ids),
      so a completed flow leaves in O(1) by moving the last one into its
      slot, and no reader depends on the order.  A vacated slot keeps its
@@ -78,6 +90,7 @@ type t = {
      engine's to recycle, and may already carry another cross-flow. *)
   mutable flows : Flow.t array;
   mutable sizes : int array;
+  mutable starts : Float.Array.t;
   mutable nactive : int;
   mutable slots : int array;
   mutable completed_elastic_bytes : int;
@@ -88,6 +101,12 @@ type t = {
   mutable nfcts : int;
   mutable arrivals : int;
   mutable skipped : int;
+  (* the controllers whose flows went to the recycler, newest last, in
+     [0, nspare) of an array that starts empty and doubles *)
+  mutable spare_ctls : ctl array;
+  mutable nspare : int;
+  (* the register every size and RTT draw lands in, unboxed *)
+  draw : Float.Array.t;
   (* the arrival event and the completion callback, built once in
      [create] *)
   mutable arrive : unit -> unit;
@@ -107,27 +126,33 @@ let analytic_mean_size m =
   in
   (m.mice_prob *. lognormal_mean) +. ((1. -. m.mice_prob) *. pareto_mean)
 
+(* The draw lands in [t.draw] and is capped by a test, since a call to
+   [Float.min] would box both operands and its result; it is the same
+   minimum, NaN included. *)
 let draw_size t =
   let m = t.mixture in
-  let raw =
-    if Rng.bool t.rng ~p:m.mice_prob then
-      Rng.lognormal t.rng ~mu:m.lognormal_mu ~sigma:m.lognormal_sigma
-    else Rng.pareto t.rng ~shape:m.pareto_shape ~scale:m.pareto_scale
-  in
-  let raw = Float.min raw (float_of_int m.size_cap) in
-  max 400 (int_of_float raw)
+  if Rng.bool t.rng ~p:m.mice_prob then
+    Rng.lognormal_to t.rng ~mu:m.lognormal_mu ~sigma:m.lognormal_sigma t.draw
+  else Rng.pareto_to t.rng ~shape:m.pareto_shape ~scale:m.pareto_scale t.draw;
+  let raw = Float.Array.unsafe_get t.draw 0 in
+  let cap = float_of_int m.size_cap in
+  max 400 (int_of_float (if raw > cap then cap else raw))
 
 let elastic size = size > elastic_threshold_bytes
 
+(* [flow] starts now *)
 let add_active t size flow =
   let n = t.nactive in
   if n = Array.length t.flows then begin
     let cap = min max_concurrent (max 16 (2 * n)) in
     let flows = Array.make cap flow and sizes = Array.make cap 0 in
+    let starts = Float.Array.make cap 0. in
     Array.blit t.flows 0 flows 0 n;
     Array.blit t.sizes 0 sizes 0 n;
+    Float.Array.blit t.starts 0 starts 0 n;
     t.flows <- flows;
-    t.sizes <- sizes
+    t.sizes <- sizes;
+    t.starts <- starts
   end;
   let id = Flow.id flow in
   if id >= Array.length t.slots then begin
@@ -138,6 +163,7 @@ let add_active t size flow =
   t.slots.(id) <- n;
   t.flows.(n) <- flow;
   t.sizes.(n) <- size;
+  Float.Array.set t.starts n (Float.Array.get (Engine.clock t.engine) 0);
   t.nactive <- n + 1
 
 (* swap-remove: the last active flow takes the vacated slot [i] *)
@@ -147,6 +173,7 @@ let remove_active t i =
     let moved = t.flows.(last) in
     t.flows.(i) <- moved;
     t.sizes.(i) <- t.sizes.(last);
+    Float.Array.set t.starts i (Float.Array.get t.starts last);
     t.slots.(Flow.id moved) <- i
   end;
   t.nactive <- last
@@ -171,7 +198,7 @@ let complete t flow =
   let i = t.slots.(Flow.id flow) in
   let size = t.sizes.(i) in
   let now = Float.Array.get (Engine.clock t.engine) 0 in
-  push_fct t size (now -. Time.to_secs (Flow.start_time flow));
+  push_fct t size (now -. Float.Array.get t.starts i);
   remove_active t i;
   t.completed_total_bytes <- t.completed_total_bytes + size;
   if elastic size then
@@ -179,6 +206,37 @@ let complete t flow =
   (* nothing reads the flow after this: its record goes to the next
      cross-flow once its last ACK is in *)
   Flow.recycle flow
+
+(* The controller LIFO.  A controller is pushed by its flow's release hook
+   and popped, reset, by the next launch. *)
+let put_ctl t c =
+  let n = t.nspare in
+  if n = Array.length t.spare_ctls then begin
+    let ctls = (Array.make (max 16 (2 * n)) c
+                [@alloc_ok "amortized LIFO doubling"]) in
+    Array.blit t.spare_ctls 0 ctls 0 n;
+    t.spare_ctls <- ctls
+  end;
+  t.spare_ctls.(n) <- c;
+  t.nspare <- n + 1
+[@@alloc_free]
+
+let new_ctl t =
+  let cubic = Cubic.create () in
+  let c = { cubic; cc = Cubic.cc cubic; on_release = None } in
+  c.on_release <- Some (fun _ -> put_ctl t c);
+  c
+
+let take_ctl t =
+  if t.nspare = 0 then (new_ctl t [@alloc_ok "once per controller"])
+  else begin
+    let n = t.nspare - 1 in
+    t.nspare <- n;
+    let c = t.spare_ctls.(n) in
+    Cubic.reset c.cubic;
+    c
+  end
+[@@alloc_free]
 
 (* a Cubic cross-flow is ACK-clocked, so it keeps no tick, only an RTO
    deadline timer; [tick_interval] sets that timer's grid, whose 100 ms
@@ -190,20 +248,21 @@ let rto_grid = Some (Time.ms 100.)
    [create_via]: [Float.max 0.002 p] as a test, since a call to it would
    box [p] and its result. *)
 let launch t size =
-  let u = Rng.range t.rng ~lo:rtt_jitter_lo ~hi:rtt_jitter_frac in
-  let p = t.prop_rtt *. (1. +. u) in
+  Rng.range_to t.rng ~lo:rtt_jitter_lo ~hi:rtt_jitter_frac t.draw;
+  let p = t.prop_rtt *. (1. +. Float.Array.unsafe_get t.draw 0) in
   let prop_rtt = if p > 0.002 || Float.is_nan p then p else 0.002 in
+  let ctl = take_ctl t in
   let flow =
-    Flow.create_via t.topo ~route:t.route ~cc:(Cubic.make ())
+    Flow.create_via t.topo ~route:t.route ~cc:ctl.cc
       ~prop_rtt:(Time.secs prop_rtt) ~source:(Flow.Finite size)
-      ?on_complete:t.on_complete ?tick_interval:rto_grid ()
+      ?on_complete:t.on_complete ?on_release:ctl.on_release
+      ?tick_interval:rto_grid ()
   in
   add_active t size flow;
   flow
 
 let schedule_arrival t =
-  let gap = Rng.exponential t.rng ~mean:t.arrival_mean in
-  Float.Array.unsafe_set (Engine.key t.engine) 0 gap;
+  Rng.exponential_to t.rng ~mean:t.arrival_mean (Engine.key t.engine);
   Engine.schedule_in_key t.engine t.arrive
 
 let arrive t =
@@ -223,10 +282,11 @@ let create topo ~route ~rng ~load ?(profile = `Churny)
   let t =
     { engine; topo; route; rng; mixture; prop_rtt = Time.to_secs prop_rtt;
       mean_size; arrival_mean = 1. /. arrival_rate; flows = [||];
-      sizes = [||]; nactive = 0; slots = [||]; completed_elastic_bytes = 0;
-      completed_total_bytes = 0; fct_sizes = [||];
-      fct_secs = Float.Array.create 0; nfcts = 0; arrivals = 0; skipped = 0;
-      arrive = ignore; on_complete = None }
+      sizes = [||]; starts = Float.Array.create 0; nactive = 0; slots = [||];
+      completed_elastic_bytes = 0; completed_total_bytes = 0;
+      fct_sizes = [||]; fct_secs = Float.Array.create 0; nfcts = 0;
+      arrivals = 0; skipped = 0; spare_ctls = [||]; nspare = 0;
+      draw = Float.Array.make 1 0.; arrive = ignore; on_complete = None }
   in
   t.arrive <- (fun () -> arrive t);
   t.on_complete <- Some (fun flow -> complete t flow);
@@ -252,7 +312,7 @@ let persistent_elastic_active t ~now ~min_age ~min_size =
     i < t.nactive
     && ((let size = t.sizes.(i) in
          elastic size && size >= min_size
-         && now -. Time.to_secs (Flow.start_time t.flows.(i)) >= min_age)
+         && now -. Float.Array.get t.starts i >= min_age)
        || scan (i + 1))
   in
   scan 0
@@ -271,4 +331,6 @@ let mean_flow_size t = B.bytes t.mean_size
 
 module Private = struct
   let launch t ~size = launch t size
+
+  let spare_controllers t = t.nspare
 end

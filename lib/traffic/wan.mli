@@ -79,4 +79,8 @@ module Private : sig
   (** [launch t ~size] starts one cross-flow of [size] bytes now, as an
       arrival does (the concurrency cap is not checked), and returns it. *)
   val launch : t -> size:int -> Nimbus_cc.Flow.t
+
+  (** [spare_controllers t] is the number of Cubic controllers waiting for
+      a launch: each came back when the flow that held it was released. *)
+  val spare_controllers : t -> int
 end

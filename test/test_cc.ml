@@ -150,10 +150,16 @@ let test_released_buffers_not_aliased () =
    on a fresh engine.  In a scratch copy, this fails when the id guard of
    the receiver leg or of the ACK leg, or the id in the timer thunk, is
    dropped; without the delivery guard alone, a late packet is dropped
-   one leg later, so nothing changes. *)
+   one leg later, so nothing changes.
+
+   B also takes A's controller, reset, as [Wan] hands a cross-flow's Cubic
+   on: A's release hook passes it over.  The hook must run once, at the
+   release, not at the completion: A's controller still sees A's ACKs
+   after A completed (a hand-over there would share it between two
+   flows), and none once A is released, while its late ACKs are still in
+   flight; B with A's controller must still be B alone with a fresh one. *)
 let test_recycled_record_inert () =
-  let logged log =
-    let c = Cubic.make () in
+  let logged ?(c = Cubic.make ()) log =
     { c with
       Cc_types.on_ack =
         (fun (a : Cc_types.ack) ->
@@ -164,7 +170,7 @@ let test_recycled_record_inert () =
           c.on_ack a);
       on_loss =
         (fun (l : Cc_types.loss) ->
-          Printf.bprintf log "l %h %d %d %d %s\n" (Time.to_secs l.now) l.seq
+          Printf.bprintf log "l %h %d %d %d %s\n" (Time.to_secs l.times.now) l.seq
             l.bytes l.inflight_bytes
             (match l.kind with `Dupack -> "dupack" | `Timeout -> "timeout");
           c.on_loss l);
@@ -194,8 +200,8 @@ let test_recycled_record_inert () =
       [ Topology.add_link topo ~src:s ~dst:d
           (link ~mbps:24. ~capacity:120_000 ~loss:0.01 ~seed:5) ]
   in
-  let b_start topo route log =
-    Flow.create_via topo ~route ~cc:(logged log) ~prop_rtt:(Time.ms 300.)
+  let b_start ?c topo route log =
+    Flow.create_via topo ~route ~cc:(logged ?c log) ~prop_rtt:(Time.ms 300.)
       ~source:(Flow.Finite 600_000) ()
   in
   let outcome e b log =
@@ -216,10 +222,34 @@ let test_recycled_record_inert () =
           { (link ~mbps:8. ~capacity:150_000 ~loss:0.02 ~seed:4) with
             prop_delay = Time.ms 80. } ]
   in
+  (* A's controller, and every call it takes after A completed and after
+     A was released *)
+  let a_cubic = Cubic.create () in
+  let a_cc = Cubic.cc a_cubic in
+  let completed = ref false and released = ref 0 in
+  let after_complete = ref 0 and after_release = ref 0 in
+  let guarded (c : Cc_types.t) =
+    let note () =
+      if !released > 0 then incr after_release
+      else if !completed then incr after_complete
+    in
+    { c with
+      Cc_types.on_ack = (fun a -> note (); c.on_ack a);
+      on_loss = (fun l -> note (); c.on_loss l);
+      on_tick = Option.map (fun f k -> note (); f k) c.on_tick }
+  in
+  let inflight_at_release = ref (-1) in
   let a =
-    Flow.create_via topo ~route:a_route ~cc:(logged (Buffer.create 16))
+    Flow.create_via topo ~route:a_route
+      ~cc:(guarded (logged ~c:a_cc (Buffer.create 16)))
       ~prop_rtt:(Time.ms 461.) ~source:(Flow.Finite 15_000)
-      ~on_complete:Flow.recycle ()
+      ~on_complete:(fun f ->
+        completed := true;
+        Flow.recycle f)
+      ~on_release:(fun f ->
+        incr released;
+        inflight_at_release := Flow.inflight_bytes f)
+      ()
   in
   Flow.apply a (Flow.Control.Extra_delay (Time.secs 1.3));
   Engine.schedule_at e (Time.secs 0.3) (fun () ->
@@ -238,11 +268,20 @@ let test_recycled_record_inert () =
   Alcotest.(check int) "A lost its whole first window" 10 (Flow.lost_packets a);
   Alcotest.(check bool) "A received duplicates" true
     (Flow.received_bytes a > 15_000);
+  Alcotest.(check int) "A's release hook ran once" 1 !released;
+  Alcotest.(check int) "A was released with nothing in flight" 0
+    !inflight_at_release;
+  Alcotest.(check bool) "A's controller saw A's ACKs after A completed" true
+    (!after_complete > 0);
   let at = Engine.now e in
   let log = Buffer.create 65536 in
-  let b = b_start topo route log in
+  Cubic.reset a_cubic;
+  let b = b_start ~c:a_cc topo route log in
   Alcotest.(check bool) "B took A's record" true (b == a);
   let got = outcome e b log in
+  Alcotest.(check int) "A's release hook ran once in all" 1 !released;
+  Alcotest.(check int) "A called its controller after its release" 0
+    !after_release;
   let alone = Engine.create Engine.Config.default in
   let topo = Topology.create alone in
   let route = b_route topo in
@@ -423,7 +462,8 @@ let rto_instants ~tick_interval =
       Cc_types.on_loss =
         (fun (l : Cc_types.loss) ->
           if l.kind = `Timeout then
-            timeouts := Int64.bits_of_float (Time.to_secs l.now) :: !timeouts;
+            timeouts :=
+              Int64.bits_of_float (Time.to_secs l.times.now) :: !timeouts;
           cubic.Cc_types.on_loss l) }
   in
   let f =
@@ -511,7 +551,7 @@ let cc_fingerprint ~seconds ~setup =
             first_timeout := l.bytes;
           Printf.bprintf b "l %s %d %d %d %Lx\n"
             (match l.kind with `Dupack -> "d" | `Timeout -> "t")
-            l.seq l.bytes l.inflight_bytes (bits l.now);
+            l.seq l.bytes l.inflight_bytes (bits l.times.now);
           cubic.Cc_types.on_loss l) }
   in
   let f = Flow.create_via topo ~route ~cc ~prop_rtt:rtt50 () in
@@ -603,12 +643,13 @@ let test_dumbbell_words_per_packet () =
 
 (* A window-limited flow whose ACKs all drop from 1 s on times out every
    ~0.4 s and resends its whole window of 40 packets.  Once its rings have
-   grown, a timeout allocates only the clock that its loss record's [now]
-   carries, boxed once for the event (2 words): the scoreboard drains into
-   the retransmit queue in place, the loss record is refilled, and the
-   deadline timer is keyed in place.  The sort-based drain (a fresh array,
-   two closures, and a boxed exception per [Array.sort] step), a fresh
-   loss record and the boxed timer key cost 244 words per timeout. *)
+   grown, a timeout allocates nothing: the scoreboard drains into the
+   retransmit queue in place, the loss record is refilled (its time in an
+   all-float sub-record), and the deadline timer is keyed in place.  A
+   boxed clock in the loss record cost 2 words per timeout; the sort-based
+   drain (a fresh array, two closures, and a boxed exception per
+   [Array.sort] step), a fresh loss record and the boxed timer key cost
+   244. *)
 let test_rto_timeout_allocation () =
   let e, _, topo, route = make_link () in
   let timeouts = ref 0 in
@@ -632,7 +673,7 @@ let test_rto_timeout_allocation () =
   Alcotest.(check bool) "a timeout every ~0.4 s" true (n >= 20 && n <= 30);
   Alcotest.(check int) "each resends the window" (40 * n)
     (Flow.lost_packets f - lost0);
-  Alcotest.(check (float 0.)) "minor words per timeout" 2.
+  Alcotest.(check (float 0.)) "minor words per timeout" 0.
     (words /. float_of_int n)
 
 (* A paced flow's pacer wakes every 1 ms at 12 Mbit/s and reads its rate,
@@ -667,12 +708,12 @@ let test_reno_halves_on_loss () =
   let cc = Reno.cc r in
   (* leave slow start by faking a loss, then grow in CA *)
   cc.Cc_types.on_loss
-    { Cc_types.now = Time.secs 1.; seq = 0; bytes = 1500; inflight_bytes = 0;
-      kind = `Dupack };
+    { Cc_types.times = { now = Time.secs 1. }; seq = 0; bytes = 1500;
+      inflight_bytes = 0; kind = `Dupack };
   let after_first = B.to_float (Reno.cwnd_bytes r) in
   cc.Cc_types.on_loss
-    { Cc_types.now = Time.secs 10.; seq = 0; bytes = 1500; inflight_bytes = 0;
-      kind = `Dupack };
+    { Cc_types.times = { now = Time.secs 10. }; seq = 0; bytes = 1500;
+      inflight_bytes = 0; kind = `Dupack };
   check_close "halves"
     (Float.max (after_first /. 2.) 3000.)
     (B.to_float (Reno.cwnd_bytes r))
@@ -694,16 +735,16 @@ let test_reno_slow_start_doubles () =
 let test_reno_timeout_resets () =
   let r = Reno.create () in
   (Reno.cc r).Cc_types.on_loss
-    { Cc_types.now = Time.secs 1.; seq = 0; bytes = 1500; inflight_bytes = 0;
-      kind = `Timeout };
+    { Cc_types.times = { now = Time.secs 1. }; seq = 0; bytes = 1500;
+      inflight_bytes = 0; kind = `Timeout };
   check_close "collapses to 2 mss" 3000. (B.to_float (Reno.cwnd_bytes r))
 
 let test_cubic_reduces_by_beta () =
   let c = Cubic.create () in
   Cubic.reset_cwnd c (B.bytes 150_000.);
   (Cubic.cc c).Cc_types.on_loss
-    { Cc_types.now = Time.secs 5.; seq = 0; bytes = 1500; inflight_bytes = 0;
-      kind = `Dupack };
+    { Cc_types.times = { now = Time.secs 5. }; seq = 0; bytes = 1500;
+      inflight_bytes = 0; kind = `Dupack };
   check_close "beta cut" (150_000. *. 0.7) (B.to_float (Cubic.cwnd_bytes c))
 
 let test_cubic_grows_toward_wmax () =
@@ -711,8 +752,8 @@ let test_cubic_grows_toward_wmax () =
   Cubic.reset_cwnd c (B.bytes 150_000.);
   let cc = Cubic.cc c in
   cc.Cc_types.on_loss
-    { Cc_types.now = Time.zero; seq = 0; bytes = 1500; inflight_bytes = 0;
-      kind = `Dupack };
+    { Cc_types.times = { now = Time.zero }; seq = 0; bytes = 1500;
+      inflight_bytes = 0; kind = `Dupack };
   let low = B.to_float (Cubic.cwnd_bytes c) in
   (* feed acks over simulated seconds; window must recover toward w_max *)
   for i = 1 to 2000 do
@@ -731,6 +772,49 @@ let test_cubic_reset_cwnd () =
   let c = Cubic.create () in
   Cubic.reset_cwnd c (B.bytes 99_000.);
   check_close "reset" 99_000. (B.to_float (Cubic.cwnd_bytes c))
+
+(* A Cubic driven by one random sequence of events, then [reset], then by a
+   second, shows the same window after every event of the second, bit for
+   bit, as a fresh Cubic driven by the second alone, through the same
+   adapter it was made with, as [Wan] reuses it.  An event is an ACK, a
+   dup-ACK loss, a timeout or Nimbus's [reset_cwnd], at a random gap and
+   with a random smoothed RTT; each sequence starts its clock at 0, so a
+   reset that kept the old loss epoch or recovery deadline shows. *)
+let prop_cubic_reset_is_fresh =
+  let event =
+    QCheck.(triple (int_range 0 9) (int_range 0 300) (int_range 1 400))
+  in
+  QCheck.Test.make ~count:300 ~name:"cubic: a reset controller is a fresh one"
+    QCheck.(pair (list event) (list event))
+    (fun (first, second) ->
+      let drive c (cc : Cc_types.t) events =
+        let now = ref 0. in
+        List.map
+          (fun (kind, gap_ms, srtt_ms) ->
+            now := !now +. (float_of_int gap_ms *. 1e-3);
+            let at = Time.secs !now and srtt = Time.ms (float_of_int srtt_ms) in
+            let loss kind =
+              { Cc_types.times = { now = at }; seq = 0; bytes = 1500;
+                inflight_bytes = 0; kind }
+            in
+            (match kind with
+            | 0 -> cc.on_loss (loss `Dupack)
+            | 1 -> cc.on_loss (loss `Timeout)
+            | 2 -> Cubic.reset_cwnd c (B.bytes (float_of_int (srtt_ms * 1500)))
+            | _ ->
+              cc.on_ack
+                { Cc_types.times = { now = at; rtt = srtt; min_rtt = srtt; srtt };
+                  seq = 0; bytes = 1500; inflight_bytes = 0;
+                  delivered_bytes = 0 });
+            Int64.bits_of_float (B.to_float (Cubic.cwnd_bytes c)))
+          events
+      in
+      let reused = Cubic.create () in
+      let cc = Cubic.cc reused in
+      ignore (drive reused cc first);
+      Cubic.reset reused;
+      let fresh = Cubic.create () in
+      drive reused cc second = drive fresh (Cubic.cc fresh) second)
 
 let test_vegas_keeps_small_queue () =
   let e, bn, topo, route = make_link () in
@@ -1000,7 +1084,7 @@ let suite =
           test_scoreboard_rto_window;
         Alcotest.test_case "scoreboard: reordering and late ACKs" `Quick
           test_scoreboard_reordering;
-        Alcotest.test_case "RTO timeout allocates only its clock box" `Quick
+        Alcotest.test_case "RTO timeout allocates nothing" `Quick
           test_rto_timeout_allocation;
         Alcotest.test_case "pacer wake allocates nothing" `Quick
           test_pacer_wake_allocates_nothing;
@@ -1017,7 +1101,8 @@ let suite =
       [ Alcotest.test_case "beta cut" `Quick test_cubic_reduces_by_beta;
         Alcotest.test_case "grows toward w_max" `Quick
           test_cubic_grows_toward_wmax;
-        Alcotest.test_case "reset_cwnd" `Quick test_cubic_reset_cwnd ] );
+        Alcotest.test_case "reset_cwnd" `Quick test_cubic_reset_cwnd;
+        QCheck_alcotest.to_alcotest prop_cubic_reset_is_fresh ] );
     ( "cc.vegas",
       [ Alcotest.test_case "small queue solo" `Quick test_vegas_keeps_small_queue;
         Alcotest.test_case "starves vs cubic" `Quick

@@ -2,7 +2,10 @@
    must be rejected with exit 2 before anything is built.  Unchecked, an
    infinite cross rate hangs the run, a NaN runs silently with no cross
    traffic or an empty timeline, and a non-positive link rate or negative
-   RTT escapes as an uncaught exception (exit 125).  Likewise `trace` must
+   RTT escapes as an uncaught exception (exit 125).  `parking` checks its
+   rate and duration too: a negative rate escaped as an uncaught exception,
+   and a NaN or negative duration printed an all-zero table and exited 0,
+   which passes a smoke gate on garbage.  Likewise `trace` must
    exit 2 on a file that is not a whole trace, instead of summarizing
    garbage. *)
 
@@ -25,16 +28,30 @@ let bad_values =
   [ "--cross=cbr --cross-rate=inf";
     "--cross=poisson --cross-rate=nan";
     "--cross=cbr --cross-rate=-5";
+    "--cross=poisson --cross-rate=1e308";
+    "--cross=cbr --cross-rate=1e308";
     "--duration=nan";
     "--duration=-1";
     "--duration=inf";
     "--rate=nan";
     "--rate=0";
     "--rate=inf";
+    (* finite in Mbit/s, infinite in the bits per second it is built in *)
+    "--rate=1e308";
     "--rtt=nan";
     "--rtt=-10";
     "--rtt=inf";
     "--trace-filter=bogus" ]
+
+let parking_rejected args () =
+  Alcotest.(check int) (Printf.sprintf "parking %s exits 2" args) 2
+    (Sys.command
+       (Printf.sprintf "%s parking --links 2 --flows 2 %s > /dev/null 2>&1" cli
+          args))
+
+let bad_parking_values =
+  [ "--rate=-5"; "--rate=nan"; "--rate=1e308"; "--duration=nan";
+    "--duration=-1"; "--duration=inf" ]
 
 (* [trace] of a file holding [contents] *)
 let summarize contents =
@@ -153,6 +170,10 @@ let suite =
       :: List.map
            (fun args -> Alcotest.test_case args `Quick (rejected args))
            bad_values );
+    ( "cli.parking",
+      List.map
+        (fun args -> Alcotest.test_case args `Quick (parking_rejected args))
+        bad_parking_values );
     ( "cli.output",
       List.map
         (fun (name, args) ->
