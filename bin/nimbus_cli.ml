@@ -82,18 +82,17 @@ let list_cmd () =
    anything is built, so a bad value never reaches a constructor (an
    infinite rate or a NaN duration would otherwise hang or run empty) *)
 let simulate_flag_error ~mbps ~rtt_ms ~duration ~cross_mbps =
-  let finite = Float.is_finite in
-  (* links and sources are built in bits per second, so each rate must be
-     finite in that unit, not only in Mbit/s *)
-  if not (finite (mbps *. 1e6) && mbps > 0.) then
-    Some (Printf.sprintf "--rate must be finite and > 0 (got %g)" mbps)
-  else if not (finite rtt_ms && rtt_ms >= 0.) then
-    Some (Printf.sprintf "--rtt must be finite and >= 0 (got %g)" rtt_ms)
+  let finite = Float.is_finite and max = Common.max_link_mbps in
+  (* the upper bound keeps a run's packet rate, and so its cost, bounded *)
+  if not (mbps > 0. && mbps <= max) then
+    Some (Printf.sprintf "--rate must be in (0, %g] (got %g)" max mbps)
+  else if not (finite rtt_ms && rtt_ms > 0.) then
+    Some (Printf.sprintf "--rtt must be finite and > 0 (got %g)" rtt_ms)
   else if not (finite duration && duration > 0.) then
     Some (Printf.sprintf "--duration must be finite and > 0 (got %g)" duration)
-  else if not (finite (cross_mbps *. 1e6) && cross_mbps >= 0.) then
+  else if not (cross_mbps >= 0. && cross_mbps <= max) then
     Some
-      (Printf.sprintf "--cross-rate must be finite and >= 0 (got %g)"
+      (Printf.sprintf "--cross-rate must be in [0, %g] (got %g)" max
          cross_mbps)
   else None
 
@@ -201,25 +200,26 @@ module Sweep = Nimbus_experiments.Sweep
    diff byte-identical against uninterrupted ones (the CI smoke job does) *)
 let sweep_cmd full jobs paths seed schemes shard_size budget retries
     checkpoint resume stop_after triage_k triage_dir triage_only =
-  let schemes =
-    List.map
-      (fun name ->
-        match Sweep.scheme_of_name name with
-        | Some s -> s
-        | None ->
-          Printf.eprintf
-            "unknown scheme %S (nimbus, nimbus-delay, cubic, reno, vegas, \
-             copa, bbr, vivace, compound)\n"
-            name;
-          exit 2)
-      schemes
+  let scheme name =
+    match Sweep.scheme_of_name name with
+    | Some s -> s
+    | None ->
+      Printf.eprintf
+        "unknown scheme %S (nimbus, nimbus-delay, cubic, reno, vegas, copa, \
+         bbr, vivace, compound)\n"
+        name;
+      exit 2
   in
+  let schemes = Option.map (List.map scheme) schemes in
+  if schemes = Some [] then begin
+    Printf.eprintf "--schemes must name at least one scheme\n";
+    exit 2
+  end;
   (* the config takes the pool's profile, so it is built inside the pool;
      a bad size leaves the pool as an [Error] and exits after it closes *)
   let run pool =
     match
-      Sweep.config ~paths ~seed
-        ?schemes:(if schemes = [] then None else Some schemes)
+      Sweep.config ~paths ~seed ?schemes
         ~profile:{ (profile full) with Common.pool = Some pool }
         ~shard_size ~budget ~retries ?checkpoint ~resume ?stop_after
         ~triage_k ?triage_dir ~triage_only
@@ -280,10 +280,21 @@ let list_t =
 
 let simulate_t =
   let mbps =
-    Arg.(value & opt float 48. & info [ "rate" ] ~docv:"MBPS" ~doc:"Link rate.")
+    Arg.(
+      value & opt float 48.
+      & info [ "rate" ] ~docv:"MBPS"
+          ~doc:
+            "Link rate, in (0, 1000]: 1 Gbit/s is the fastest link any \
+             experiment, example or test builds.")
   in
   let rtt =
-    Arg.(value & opt float 50. & info [ "rtt" ] ~docv:"MS" ~doc:"Propagation RTT.")
+    Arg.(
+      value & opt float 50.
+      & info [ "rtt" ] ~docv:"MS"
+          ~doc:
+            "Propagation RTT, > 0. The buffer is sized in multiples of the \
+             bandwidth-delay product, so a zero RTT would build a link \
+             with no buffer.")
   in
   let dur =
     Arg.(value & opt float 60. & info [ "duration" ] ~docv:"S" ~doc:"Duration.")
@@ -294,7 +305,7 @@ let simulate_t =
   in
   let cmbps =
     Arg.(value & opt float 24. & info [ "cross-rate" ] ~docv:"MBPS"
-         ~doc:"Cross rate for poisson/cbr.")
+         ~doc:"Cross rate for poisson/cbr, in [0, 1000].")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Seed.") in
   let faults =
@@ -350,12 +361,13 @@ let sweep_t =
   let schemes =
     Arg.(
       value
-      & opt (list string) []
+      & opt (some (list string)) None
       & info [ "schemes" ] ~docv:"A,B,.."
           ~doc:
             "Comma-separated protocol matrix (default \
-             nimbus,cubic,bbr,vegas). The first scheme is the subject of \
-             the paired comparison and the outlier score.")
+             nimbus,cubic,bbr,vegas); an empty list is an error. The first \
+             scheme is the subject of the paired comparison and the outlier \
+             score.")
   in
   let shard_size =
     Arg.(
@@ -368,9 +380,10 @@ let sweep_t =
       value & opt float 0.
       & info [ "budget" ] ~docv:"SECS"
           ~doc:
-            "Wall-clock budget per case attempt; over-budget cases are \
-             retried on rekeyed seeds, then recorded as timeout cells. 0 \
-             disables (and keeps the sweep fully deterministic).")
+            "Wall-clock budget per case attempt, finite and >= 0; \
+             over-budget cases are retried on rekeyed seeds, then recorded \
+             as timeout cells. 0 disables (and keeps the sweep fully \
+             deterministic).")
   in
   let retries =
     Arg.(
@@ -406,16 +419,16 @@ let sweep_t =
       & opt (some int) None
       & info [ "stop-after" ] ~docv:"SHARDS"
           ~doc:
-            "Stop (exit 3) once $(docv) shards are complete — interrupt \
-             injection for tests/CI.")
+            "Stop (exit 3) once $(docv) >= 0 shards are complete — \
+             interrupt injection for tests/CI.")
   in
   let triage_k =
     Arg.(
       value & opt int 3
       & info [ "triage-k" ] ~docv:"K"
           ~doc:
-            "Re-run the $(docv) worst outlier paths with tracing and the \
-             invariant monitor. 0 disables triage.")
+            "Re-run the $(docv) >= 0 worst outlier paths with tracing and \
+             the invariant monitor. 0 disables triage.")
   in
   let triage_dir =
     Arg.(
@@ -463,7 +476,10 @@ let parking_t =
   let mbps =
     Arg.(
       value & opt float 48.
-      & info [ "rate" ] ~docv:"MBPS" ~doc:"Per-link rate.")
+      & info [ "rate" ] ~docv:"MBPS"
+          ~doc:
+            "Per-link rate, in (0, 1000]: 1 Gbit/s is the fastest link any \
+             experiment, example or test builds.")
   in
   let dur =
     Arg.(

@@ -7,6 +7,11 @@
     share the link; when that fails it switches to a TCP-competitive mode
     that performs AIMD on [1/δ].
 
+    Its RTT statistics are two {!Nimbus_dsp.Extremum} filters fed the same
+    samples: the min and the max over 10 s, and the standing RTT (the min
+    over the last [srtt/2]) as the min filter's standing query, refreshed
+    at most once per 10 ms.
+
     The paper's §8.2 and Appendix D probe exactly the failure modes of this
     detector (high inelastic load; slowly ramping high-RTT elastic flows), so
     the empty-queue rule is implemented faithfully. *)

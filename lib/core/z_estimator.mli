@@ -45,8 +45,8 @@ module Mu : sig
       observed yet.  It forgets samples older than the window without
       recomputing the estimate, which only {!observe} moves.
 
-      Both calls cost O(1) amortized (a monotone max-deque) and expect
-      [now] not to decrease from one call to the next, as simulated time
-      does not. *)
+      Both calls cost O(1) amortized (a {!Nimbus_dsp.Extremum} max
+      filter) and expect [now] not to decrease from one call to the next,
+      as simulated time does not. *)
   val current : t -> now:Units.Time.t -> Units.Rate.t
 end

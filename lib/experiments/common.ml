@@ -33,6 +33,8 @@ type link = {
   aqm : [ `Droptail | `Pie of Units.Time.t ];
 }
 
+let max_link_mbps = 1000.
+
 let link ~mbps ~rtt_ms ?(buffer_bdp = 2.0) ?(aqm = `Droptail) () =
   { mu = Rate.mbps mbps; prop_rtt = Time.ms rtt_ms; buffer_bdp; aqm }
 

@@ -35,6 +35,12 @@ type link = {
   aqm : [ `Droptail | `Pie of Units.Time.t ]; (* PIE target delay *)
 }
 
+(** [max_link_mbps] is 1000: the fastest link, in Mbit/s, that any
+    experiment, example or test builds (1 Gbit/s).  The CLI rejects a
+    faster link or cross rate: the simulator's cost grows with the packet
+    rate, so a run at 1e302 Mbit/s never finishes. *)
+val max_link_mbps : float
+
 (** [link ~mbps ~rtt_ms ~buffer_bdp ()] — convenience constructor. *)
 val link :
   mbps:float ->

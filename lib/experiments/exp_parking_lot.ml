@@ -50,12 +50,10 @@ let scaled_params ?(mbps = 48.) ?(duration = 5.) ?(seed = 42) ~links ~flows ()
     =
   if links < 2 then invalid_arg "Exp_parking_lot: links must be >= 2";
   if flows < links then invalid_arg "Exp_parking_lot: flows must be >= links";
-  (* the rate is checked in bits per second, the unit it is built in *)
-  let bps = mbps *. 1e6 in
-  if not (Float.is_finite bps && bps > 0.) then
+  if not (mbps > 0. && mbps <= Common.max_link_mbps) then
     invalid_arg
-      (Printf.sprintf "Exp_parking_lot: rate must be finite and > 0 (got %g)"
-         mbps);
+      (Printf.sprintf "Exp_parking_lot: rate must be in (0, %g] Mbit/s (got %g)"
+         Common.max_link_mbps mbps);
   if not (Float.is_finite duration && duration > 0.) then
     invalid_arg
       (Printf.sprintf

@@ -91,6 +91,14 @@ let config ?(paths = 100) ?(seed = 1819) ?schemes ?(profile = Common.quick)
   if paths < 1 then invalid_arg "Sweep.config: paths must be >= 1";
   if shard_size < 1 then invalid_arg "Sweep.config: shard_size must be >= 1";
   if retries < 0 then invalid_arg "Sweep.config: retries must be >= 0";
+  if not (Float.is_finite budget && budget >= 0.) then
+    invalid_arg
+      (Printf.sprintf "Sweep.config: budget must be finite and >= 0 (got %g)"
+         budget);
+  (match stop_after with
+   | Some n when n < 0 -> invalid_arg "Sweep.config: stop_after must be >= 0"
+   | _ -> ());
+  if triage_k < 0 then invalid_arg "Sweep.config: triage_k must be >= 0";
   let schemes = match schemes with Some s -> s | None -> default_schemes () in
   if schemes = [] then invalid_arg "Sweep.config: no schemes";
   if triage_only && checkpoint = None then

@@ -63,8 +63,9 @@ type config = {
 }
 
 (** [config ()] with the defaults described above; raises [Invalid_argument]
-    on nonsensical sizes.  [schemes] defaults to nimbus/cubic/bbr/vegas —
-    the Fig. 18 matrix. *)
+    on nonsensical sizes, on a negative [stop_after] or [triage_k], and on a
+    [budget] that is negative or not finite.  [schemes] defaults to
+    nimbus/cubic/bbr/vegas — the Fig. 18 matrix. *)
 val config :
   ?paths:int ->
   ?seed:int ->

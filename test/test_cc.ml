@@ -896,6 +896,84 @@ let test_bbr_estimates_bandwidth () =
   Alcotest.(check bool) "throughput near link" true
     (throughput f ~seconds:20. > 0.8 *. 24e6)
 
+(* Karn's rule hands a controller [Time.unknown] as the RTT of an ACK for a
+   retransmitted packet, and a flow's first ACK can be one.  BBR's min
+   filter skips the NaN: a run that starts with such an ACK ends with the
+   window of a run without it.  A [Float.min] fold let the NaN win the RTT
+   estimate for 10 s, and with it the window fell to its 10-segment
+   floor. *)
+let test_bbr_skips_nan_rtt () =
+  let run ~nan_first =
+    let cc = Bbr.make () in
+    let ack =
+      { Cc_types.times =
+          { now = Time.secs 0.1; rtt = Time.unknown; min_rtt = Time.unknown;
+            srtt = Time.ms 50. };
+        seq = 0; bytes = 1500; inflight_bytes = 15_000; delivered_bytes = 0 }
+    in
+    let tick =
+      { Cc_types.now = Time.secs 0.1; send_rate = Rate.mbps 48.;
+        recv_rate = Rate.mbps 48.; rtt = Time.ms 50.; srtt = Time.ms 50.;
+        min_rtt = Time.ms 50.; inflight_bytes = 15_000; delivered_bytes = 0;
+        lost_packets = 0 }
+    in
+    if nan_first then cc.on_ack ack;
+    for k = 0 to 1999 do
+      let now = Time.secs (0.1 +. (float_of_int k *. 1e-3)) in
+      ack.times.now <- now;
+      ack.times.rtt <- Time.ms (50. +. float_of_int (k mod 7));
+      ack.seq <- k + 1;
+      cc.on_ack ack;
+      if k mod 10 = 0 then begin
+        tick.now <- now;
+        (Option.get cc.on_tick) tick
+      end
+    done;
+    B.to_float (cc.cwnd ())
+  in
+  let clean = run ~nan_first:false in
+  Alcotest.(check bool) "the clean run's window is past the floor" true
+    (clean > 10. *. 1500.);
+  Alcotest.(check (float 0.)) "window after a first NaN RTT" clean
+    (run ~nan_first:true)
+
+(* Minor words that [on_ack] allocates per ACK, in steady state: one flow
+   alone on a 96 Mbit/s, 50 ms dumbbell, counted from 10 s to 12 s (the
+   RTT window is full and the filters have grown).  The count is exact:
+   the wrapper reads [Gc.minor_words] unboxed and sums into a float
+   array. *)
+let on_ack_words cc =
+  let e, _, topo, route = make_link ~rate_bps:96e6 () in
+  let words = Float.Array.make 1 0. and acks = ref 0 and counting = ref false in
+  let on_ack a =
+    if !counting then begin
+      let before = Gc.minor_words () in
+      cc.Cc_types.on_ack a;
+      Float.Array.set words 0
+        (Float.Array.get words 0 +. (Gc.minor_words () -. before));
+      incr acks
+    end
+    else cc.Cc_types.on_ack a
+  in
+  ignore
+    (Flow.create_via topo ~route ~cc:{ cc with on_ack } ~prop_rtt:rtt50 ());
+  Engine.run_until e (Time.secs 10.);
+  counting := true;
+  Engine.run_until e (Time.secs 12.);
+  Alcotest.(check bool) "~2 s of ACKs" true (!acks > 10_000);
+  Float.Array.get words 0 /. float_of_int !acks
+
+(* 0.01 measured.  Two [Queue]s of tuples folded every 10 ms cost 18.2. *)
+let test_bbr_on_ack_words () =
+  let w = on_ack_words (Bbr.make ()) in
+  if w > 0.1 then Alcotest.failf "%.2f minor words per ACK (want <= 0.1)" w
+
+(* 2.0 measured: the boxed window, as Cubic's.  A [Queue] of records
+   scanned every 10 ms and a tuple cache cost 35.3. *)
+let test_copa_on_ack_words () =
+  let w = on_ack_words (Copa.make ()) in
+  if w > 2.1 then Alcotest.failf "%.2f minor words per ACK (want <= 2.1)" w
+
 let test_vivace_fills_link_solo () =
   let e, _, topo, route = make_link ~rate_bps:24e6 () in
   let f = Flow.create_via topo ~route ~cc:(Vivace.make ()) ~prop_rtt:rtt50 () in
@@ -1113,10 +1191,16 @@ let suite =
         Alcotest.test_case "stuck competitive at 80M CBR" `Quick
           test_copa_sticks_competitive_under_heavy_cbr;
         Alcotest.test_case "default at 24M CBR" `Quick
-          test_copa_default_under_light_cbr ] );
+          test_copa_default_under_light_cbr;
+        Alcotest.test_case "on_ack words per ACK" `Quick
+          test_copa_on_ack_words ] );
     ( "cc.bbr",
       [ Alcotest.test_case "estimates bandwidth" `Quick
-          test_bbr_estimates_bandwidth ] );
+          test_bbr_estimates_bandwidth;
+        Alcotest.test_case "a NaN RTT never wins the min" `Quick
+          test_bbr_skips_nan_rtt;
+        Alcotest.test_case "on_ack words per ACK" `Quick test_bbr_on_ack_words
+      ] );
     ( "cc.vivace",
       [ Alcotest.test_case "fills link solo" `Quick test_vivace_fills_link_solo ] );
     ( "cc.compound",

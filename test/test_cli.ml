@@ -5,19 +5,28 @@
    RTT escapes as an uncaught exception (exit 125).  `parking` checks its
    rate and duration too: a negative rate escaped as an uncaught exception,
    and a NaN or negative duration printed an all-zero table and exited 0,
-   which passes a smoke gate on garbage.  Likewise `trace` must
-   exit 2 on a file that is not a whole trace, instead of summarizing
+   which passes a smoke gate on garbage.  A link faster than 1 Gbit/s is
+   rejected too: at 1e302 Mbit/s a 0.1 s `parking` run never finished.
+   `sweep` rejects a NaN, infinite or negative budget, a negative
+   `--stop-after` or `--triage-k` and an empty `--schemes=` (it ran the
+   default schemes).  Every run is under a 60 s timeout, so a flag that
+   hangs fails its case (exit 124) instead of the suite.  Likewise `trace`
+   must exit 2 on a file that is not a whole trace, instead of summarizing
    garbage. *)
 
 let cli = "../bin/nimbus_cli.exe"
+
+(* [run args] runs the CLI with [args] under a 60 s timeout *)
+let run args =
+  Sys.command (Printf.sprintf "timeout 60 %s %s > /dev/null 2>&1" cli args)
 
 (* a one-simulated-second run unless [args] sets its own duration *)
 let simulate args =
   let has_duration =
     String.length args >= 10 && String.sub args 0 10 = "--duration"
   in
-  Sys.command
-    (Printf.sprintf "%s simulate %s%s > /dev/null 2>&1" cli args
+  run
+    (Printf.sprintf "simulate %s%s" args
        (if has_duration then "" else " --duration 1"))
 
 let rejected args () =
@@ -38,20 +47,33 @@ let bad_values =
     "--rate=inf";
     (* finite in Mbit/s, infinite in the bits per second it is built in *)
     "--rate=1e308";
+    (* faster than the fastest link anything builds (1 Gbit/s) *)
+    "--rate=1001";
+    "--cross=cbr --cross-rate=1001";
     "--rtt=nan";
     "--rtt=-10";
     "--rtt=inf";
+    (* a zero RTT sizes the buffer, a multiple of the BDP, at zero bytes *)
+    "--rtt=0";
     "--trace-filter=bogus" ]
 
 let parking_rejected args () =
   Alcotest.(check int) (Printf.sprintf "parking %s exits 2" args) 2
-    (Sys.command
-       (Printf.sprintf "%s parking --links 2 --flows 2 %s > /dev/null 2>&1" cli
-          args))
+    (run ("parking --links 2 --flows 2 " ^ args))
 
 let bad_parking_values =
-  [ "--rate=-5"; "--rate=nan"; "--rate=1e308"; "--duration=nan";
-    "--duration=-1"; "--duration=inf" ]
+  [ "--rate=-5"; "--rate=nan"; "--rate=1e308"; "--rate=1001";
+    (* finite in bits per second, and never finished *)
+    "--rate=1e302 --duration=0.1"; "--duration=nan"; "--duration=-1";
+    "--duration=inf" ]
+
+let sweep_rejected args () =
+  Alcotest.(check int) (Printf.sprintf "sweep %s exits 2" args) 2
+    (run ("sweep --paths 2 --shard-size 1 " ^ args))
+
+let bad_sweep_values =
+  [ "--budget=nan"; "--budget=inf"; "--budget=-1"; "--stop-after=-2";
+    "--triage-k=-1"; "--schemes=" ]
 
 (* [trace] of a file holding [contents] *)
 let summarize contents =
@@ -174,6 +196,10 @@ let suite =
       List.map
         (fun args -> Alcotest.test_case args `Quick (parking_rejected args))
         bad_parking_values );
+    ( "cli.sweep",
+      List.map
+        (fun args -> Alcotest.test_case args `Quick (sweep_rejected args))
+        bad_sweep_values );
     ( "cli.output",
       List.map
         (fun (name, args) ->

@@ -766,78 +766,6 @@ let prop_pulse_zero_mean =
       in
       Float.abs m < amplitude *. 2e-3)
 
-(* The µ max filter as a fold over a queue of every sample in the window:
-   the rule the monotone deque must reproduce bit for bit. *)
-module Mu_fold = struct
-  type t = {
-    window : float;
-    samples : (float * float) Queue.t;
-    mutable best : float;
-  }
-
-  let create window = { window; samples = Queue.create (); best = nan }
-
-  let prune t horizon =
-    let continue = ref true in
-    while !continue do
-      match Queue.peek_opt t.samples with
-      | Some (at, _) when at < horizon -> ignore (Queue.pop t.samples)
-      | _ -> continue := false
-    done
-
-  let observe t ~now ~rate =
-    if Float.is_finite rate && rate > 0. then begin
-      Queue.push (now, rate) t.samples;
-      prune t (now -. t.window);
-      t.best <-
-        Queue.fold (fun acc (_, r) -> Float.max acc r) neg_infinity t.samples
-    end
-
-  let current t ~now =
-    prune t (now -. t.window);
-    if Float.is_finite t.best then t.best else nan
-end
-
-let prop_mu_deque_matches_fold =
-  (* time-ordered streams of observations, NaN, +-inf, 0 and negative
-     samples among them, with [current] calls in between: every [current]
-     must equal the fold's bit for bit *)
-  let sample =
-    QCheck.Gen.(
-      frequency
-        [ (6, float_range 1e5 1e8); (1, return nan); (1, return infinity);
-          (1, return neg_infinity); (1, return 0.); (1, float_range (-1e8) 0.);
-          (* ties: equal rates must keep the newest *)
-          (2, map (fun k -> float_of_int k *. 1e6) (int_range 1 4)) ])
-  in
-  let op =
-    QCheck.Gen.(
-      pair (float_range 0. 0.4) (pair bool sample))
-  in
-  QCheck.Test.make ~count:300 ~name:"mu: deque estimator equals the fold"
-    QCheck.(
-      make
-        Gen.(pair (float_range 0.05 3.) (list_size (int_range 0 400) op)))
-    (fun (window, ops) ->
-      let mu = Z_estimator.Mu.estimator ~window:(Time.secs window) () in
-      let ref_ = Mu_fold.create window in
-      let now = ref 0. in
-      List.for_all
-        (fun (dt, (is_observe, rate)) ->
-          now := !now +. dt;
-          if is_observe then begin
-            Z_estimator.Mu.observe mu ~now:(Time.secs !now)
-              ~recv_rate:(Rate.bps rate);
-            Mu_fold.observe ref_ ~now:!now ~rate;
-            true
-          end
-          else begin
-            let got = Rate.to_bps (Z_estimator.Mu.current mu ~now:(Time.secs !now)) in
-            let want = Mu_fold.current ref_ ~now:!now in
-            Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float want)
-          end)
-        ops)
-
 let prop_z_estimate_clamped =
   QCheck.Test.make ~count:200 ~name:"z: estimate always within [0, mu]"
     QCheck.(triple (float_range 1e6 1e9) (float_range 1e3 1e9) (float_range 1e3 1e9))
@@ -889,7 +817,6 @@ let suite =
         Alcotest.test_case "mu estimator" `Quick test_mu_estimator_tracks_max;
         Alcotest.test_case "mu ignores non-finite" `Quick
           test_mu_estimator_ignores_non_finite;
-        qtest prop_mu_deque_matches_fold;
         qtest prop_z_estimate_clamped;
         qtest prop_z_estimate_inverts ] );
     ( "core.elasticity",

@@ -725,6 +725,201 @@ let prop_ring_keeps_last_n =
       in
       Ring.to_array r = expected)
 
+(* [Extremum] through its register: a time goes into slot 0, a value into
+   slot 1, and a query's result comes back from slot 1 *)
+let ex_push f ~at v =
+  Float.Array.set (Extremum.reg f) 0 at;
+  Float.Array.set (Extremum.reg f) 1 v;
+  Extremum.push f
+
+let ex_front f ~horizon =
+  Float.Array.set (Extremum.reg f) 0 horizon;
+  Extremum.prune f;
+  Extremum.front f;
+  Float.Array.get (Extremum.reg f) 1
+
+let ex_standing f ~horizon =
+  Float.Array.set (Extremum.reg f) 0 horizon;
+  Extremum.standing f;
+  Float.Array.get (Extremum.reg f) 1
+
+let test_extremum_basics () =
+  let hi = Extremum.max () and lo = Extremum.min () in
+  check_close "empty max" neg_infinity (ex_front hi ~horizon:0.);
+  check_close "empty min" infinity (ex_front lo ~horizon:0.);
+  List.iter
+    (fun (at, v) ->
+      ex_push hi ~at v;
+      ex_push lo ~at v)
+    [ (1., 3.); (2., nan); (3., 5.); (4., 1.); (5., 4.) ];
+  check_close "max" 5. (ex_front hi ~horizon:0.);
+  check_close "min" 1. (ex_front lo ~horizon:0.);
+  check_close "max since 4" 4. (ex_standing hi ~horizon:4.);
+  check_close "min since 4.5" 4. (ex_standing lo ~horizon:4.5);
+  check_close "min since 6" infinity (ex_standing lo ~horizon:6.);
+  check_close "max after pruning to 3.5" 4. (ex_front hi ~horizon:3.5);
+  (* pruning is permanent: a horizon moved back restores nothing *)
+  check_close "max with the horizon moved back" 4. (ex_front hi ~horizon:0.);
+  check_close "a NaN horizon prunes nothing" 1. (ex_front lo ~horizon:nan)
+
+(* Once grown, pushes, prunes and queries allocate nothing: every float
+   crosses into the module and back through the register. *)
+let test_extremum_allocates_nothing () =
+  let hi = Extremum.max () and lo = Extremum.min () in
+  let step f k =
+    let reg = Extremum.reg f in
+    let at = float_of_int k *. 1e-3 in
+    Float.Array.set reg 0 at;
+    Float.Array.set reg 1 (Float.of_int ((k * 7919) mod 1000));
+    Extremum.push f;
+    Float.Array.set reg 0 (at -. 1.);
+    Extremum.prune f;
+    Extremum.front f;
+    Float.Array.set reg 0 (at -. 0.02);
+    Extremum.standing f
+  in
+  for k = 0 to 4999 do
+    step hi k;
+    step lo k
+  done;
+  let before = Gc.minor_words () in
+  for k = 5000 to 9999 do
+    step hi k;
+    step lo k
+  done;
+  Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. before)
+
+(* Literal copies of the folds the filter replaced, each over a queue of
+   every sample: BBR's [update_filters], Copa's [compute_rtt_stats] and
+   µ's [observe]/[current].  Two deliberate departures, each the filter's
+   rule: BBR's RTT fold skips NaN samples (its [Float.min] fold let one
+   NaN win for 10 s), and Copa prunes by [at < now - 10] where it tested
+   [now - at > 10]. *)
+module Folds = struct
+  let prune_before q horizon =
+    let continue = ref true in
+    while !continue do
+      match Queue.peek_opt q with
+      | Some (at, _) when at < horizon -> ignore (Queue.pop q)
+      | _ -> continue := false
+    done
+
+  (* BBR: a max over ~10 srtt of rates and a min over 10 s of RTTs *)
+  let bbr_bw q ~now ~srtt =
+    prune_before q (now -. Float.max (10. *. srtt) 0.5);
+    Queue.fold (fun acc (_, bw) -> Float.max acc bw) 0. q
+
+  let bbr_rtt q ~now =
+    prune_before q (now -. 10.);
+    Queue.fold (fun acc (_, rtt) -> Float.min acc rtt) infinity q
+
+  (* Copa: the 10 s min and max and the standing min *)
+  let copa q ~now ~srtt =
+    prune_before q (now -. 10.);
+    let rtt_min = ref infinity and rtt_max = ref 0. in
+    let standing = ref infinity in
+    let standing_horizon = now -. Float.max (srtt /. 2.) 0.005 in
+    Queue.iter
+      (fun (at, rtt) ->
+        if rtt < !rtt_min then rtt_min := rtt;
+        if rtt > !rtt_max then rtt_max := rtt;
+        if at >= standing_horizon && rtt < !standing then standing := rtt)
+      q;
+    (!rtt_min, !rtt_max, !standing)
+
+  (* µ: [observe] refolds; [current] only forgets *)
+  type mu = {
+    window : float;
+    samples : (float * float) Queue.t;
+    mutable best : float;
+  }
+
+  let mu_observe m ~now ~rate =
+    if Float.is_finite rate && rate > 0. then begin
+      Queue.push (now, rate) m.samples;
+      prune_before m.samples (now -. m.window);
+      m.best <-
+        Queue.fold (fun acc (_, r) -> Float.max acc r) neg_infinity m.samples
+    end
+
+  let mu_current m ~now =
+    prune_before m.samples (now -. m.window);
+    if Float.is_finite m.best then m.best else nan
+end
+
+module Mu = Nimbus_core.Z_estimator.Mu
+
+let prop_extremum_matches_folds =
+  (* time-ordered streams of samples, with queries in between at a drawn
+     srtt, so BBR's rate horizon [10·srtt] moves back and forth; NaN, inf,
+     negative values and ties among the samples, no signed zeros *)
+  let value =
+    QCheck.Gen.(
+      frequency
+        [ (6, float_range 1e-3 1e8); (1, return nan); (1, return infinity);
+          (1, float_range (-1e8) (-1e-3));
+          (* ties: equal values must keep the newest *)
+          (2, map (fun k -> float_of_int k) (int_range 1 4)) ])
+  in
+  let op =
+    QCheck.Gen.(
+      pair (float_range 0. 0.4)
+        (frequency
+           [ (3, map (fun v -> `Push v) value);
+             (1, map (fun srtt -> `Query srtt) (float_range 0. 1.5)) ]))
+  in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  QCheck.Test.make ~count:300 ~name:"extremum: equals the folds it replaced"
+    QCheck.(
+      make Gen.(pair (float_range 0.05 3.) (list_size (int_range 0 400) op)))
+    (fun (window, ops) ->
+      let bw = Extremum.max () and rtt = Extremum.min () in
+      let lo = Extremum.min () and hi = Extremum.max () in
+      let mu = Mu.estimator ~window:(Units.Time.secs window) () in
+      let bw_q = Queue.create () and rtt_q = Queue.create () in
+      let copa_q = Queue.create () in
+      let mu_f = { Folds.window; samples = Queue.create (); best = nan } in
+      let now = ref 0. in
+      List.for_all
+        (fun (dt, op) ->
+          now := !now +. dt;
+          let now = !now in
+          match op with
+          | `Push v ->
+            (* BBR pushes known rates only ([Rate.is_known]) *)
+            if not (Float.is_nan v) then Queue.push (now, v) bw_q;
+            ex_push bw ~at:now v;
+            if not (Float.is_nan v) then Queue.push (now, v) rtt_q;
+            ex_push rtt ~at:now v;
+            Queue.push (now, v) copa_q;
+            ex_push lo ~at:now v;
+            ex_push hi ~at:now v;
+            Mu.observe mu ~now:(Units.Time.secs now)
+              ~recv_rate:(Units.Rate.bps v);
+            Folds.mu_observe mu_f ~now ~rate:v;
+            true
+          | `Query srtt ->
+            let bw_got =
+              Float.max 0.
+                (ex_front bw ~horizon:(now -. Float.max (10. *. srtt) 0.5))
+            in
+            let rtt_got = ex_front rtt ~horizon:(now -. 10.) in
+            let min_got = ex_front lo ~horizon:(now -. 10.) in
+            let max_got = Float.max 0. (ex_front hi ~horizon:(now -. 10.)) in
+            let standing_got =
+              ex_standing lo ~horizon:(now -. Float.max (srtt /. 2.) 0.005)
+            in
+            let mu_got =
+              Units.Rate.to_bps (Mu.current mu ~now:(Units.Time.secs now))
+            in
+            let rtt_min, rtt_max, standing = Folds.copa copa_q ~now ~srtt in
+            same bw_got (Folds.bbr_bw bw_q ~now ~srtt)
+            && same rtt_got (Folds.bbr_rtt rtt_q ~now)
+            && same min_got rtt_min && same max_got rtt_max
+            && same standing_got standing
+            && same mu_got (Folds.mu_current mu_f ~now))
+        ops)
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -793,4 +988,10 @@ let suite =
         Alcotest.test_case "before the first push" `Quick
           test_ring_before_first_push;
         qtest prop_ring_keeps_last_n;
-        qtest prop_ring_sum_fold_chronological ] ) ]
+        qtest prop_ring_sum_fold_chronological ] );
+    ( "dsp.extremum",
+      [ Alcotest.test_case "max, min, standing, prune" `Quick
+          test_extremum_basics;
+        Alcotest.test_case "allocates nothing" `Quick
+          test_extremum_allocates_nothing;
+        qtest prop_extremum_matches_folds ] ) ]
