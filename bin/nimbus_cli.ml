@@ -82,18 +82,24 @@ let list_cmd () =
    anything is built, so a bad value never reaches a constructor (an
    infinite rate or a NaN duration would otherwise hang or run empty) *)
 let simulate_flag_error ~mbps ~rtt_ms ~duration ~cross_mbps =
-  let finite = Float.is_finite and max = Common.max_link_mbps in
-  (* the upper bound keeps a run's packet rate, and so its cost, bounded *)
-  if not (mbps > 0. && mbps <= max) then
-    Some (Printf.sprintf "--rate must be in (0, %g] (got %g)" max mbps)
-  else if not (finite rtt_ms && rtt_ms > 0.) then
+  let min = Common.min_link_mbps and max = Common.max_link_mbps in
+  let max_s = Common.max_duration_s in
+  (* the upper bounds keep a run's packet rate and length, and so its cost,
+     bounded; the lower one keeps a packet's time finite *)
+  if not (mbps >= min && mbps <= max) then
+    Some (Printf.sprintf "--rate must be in [%g, %g] (got %g)" min max mbps)
+  else if not (Float.is_finite rtt_ms && rtt_ms > 0.) then
     Some (Printf.sprintf "--rtt must be finite and > 0 (got %g)" rtt_ms)
-  else if not (finite duration && duration > 0.) then
-    Some (Printf.sprintf "--duration must be finite and > 0 (got %g)" duration)
-  else if not (cross_mbps >= 0. && cross_mbps <= max) then
+  else if not (duration > 0. && duration <= max_s) then
     Some
-      (Printf.sprintf "--cross-rate must be in [0, %g] (got %g)" max
-         cross_mbps)
+      (Printf.sprintf "--duration must be in (0, %g] (got %g)" max_s duration)
+  else if
+    not
+      (Float.equal cross_mbps 0. || (cross_mbps >= min && cross_mbps <= max))
+  then
+    Some
+      (Printf.sprintf "--cross-rate must be 0 or in [%g, %g] (got %g)" min
+         max cross_mbps)
   else None
 
 let simulate_cmd mbps rtt_ms duration cross_kind cross_mbps seed faults
@@ -284,8 +290,9 @@ let simulate_t =
       value & opt float 48.
       & info [ "rate" ] ~docv:"MBPS"
           ~doc:
-            "Link rate, in (0, 1000]: 1 Gbit/s is the fastest link any \
-             experiment, example or test builds.")
+            "Link rate, in [0.001, 1000]: 1 Gbit/s is the fastest link any \
+             experiment, example or test builds, and far below 1 kbit/s a \
+             packet's time overflows.")
   in
   let rtt =
     Arg.(
@@ -297,7 +304,9 @@ let simulate_t =
              with no buffer.")
   in
   let dur =
-    Arg.(value & opt float 60. & info [ "duration" ] ~docv:"S" ~doc:"Duration.")
+    Arg.(
+      value & opt float 60.
+      & info [ "duration" ] ~docv:"S" ~doc:"Duration, in (0, 86400].")
   in
   let kind =
     Arg.(value & opt string "cubic"
@@ -305,7 +314,7 @@ let simulate_t =
   in
   let cmbps =
     Arg.(value & opt float 24. & info [ "cross-rate" ] ~docv:"MBPS"
-         ~doc:"Cross rate for poisson/cbr, in [0, 1000].")
+         ~doc:"Cross rate for poisson/cbr: 0, or in [0.001, 1000].")
   in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"N" ~doc:"Seed.") in
   let faults =
@@ -478,13 +487,15 @@ let parking_t =
       value & opt float 48.
       & info [ "rate" ] ~docv:"MBPS"
           ~doc:
-            "Per-link rate, in (0, 1000]: 1 Gbit/s is the fastest link any \
-             experiment, example or test builds.")
+            "Per-link rate, in [0.001, 1000]: 1 Gbit/s is the fastest link \
+             any experiment, example or test builds, and far below 1 kbit/s \
+             a packet's time overflows.")
   in
   let dur =
     Arg.(
       value & opt float 5.
-      & info [ "duration" ] ~docv:"S" ~doc:"Simulated duration.")
+      & info [ "duration" ] ~docv:"S"
+          ~doc:"Simulated duration, in (0, 86400].")
   in
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Seed.")
@@ -511,10 +522,19 @@ let trace_t =
           switches, elections, faults, violations).")
     Term.(const trace_cmd $ file)
 
+(* A command line that does not parse (an unknown flag, a number that is
+   not one) is a usage error, as one that parses to a value out of its
+   domain is: both exit 2, so 124 is left to [timeout]. *)
 let () =
   let doc = "Nimbus elasticity-detection reproduction CLI" in
+  let cmd =
+    Cmd.group (Cmd.info "nimbus_cli" ~doc)
+      [ run_t; csv_t; list_t; sweep_t; simulate_t; faults_t; parking_t;
+        trace_t ]
+  in
   exit
-    (Cmd.eval'
-       (Cmd.group (Cmd.info "nimbus_cli" ~doc)
-          [ run_t; csv_t; list_t; sweep_t; simulate_t; faults_t; parking_t;
-            trace_t ]))
+    (match Cmd.eval_value cmd with
+     | Ok (`Ok code) -> code
+     | Ok (`Help | `Version) -> Cmd.Exit.ok
+     | Error (`Parse | `Term) -> 2
+     | Error `Exn -> Cmd.Exit.internal_error)

@@ -1,6 +1,5 @@
 module Time = Units.Time
 module Rate = Units.Rate
-module B = Units.Bytes
 
 (* Eq. 4's spare-capacity step α, delay-correction gain β and queueing-delay
    target d_t *)
@@ -10,25 +9,31 @@ let beta = 0.5
 
 let delay_target = Time.to_secs (Time.ms 12.5)
 
-(* [rate] is written once per tick and read across the module boundary
-   (by Nimbus) more often, so it stays a boxed field that a read returns as
-   is; [mu] and [srtt] live in a record of floats only, which stores them
-   unboxed (the split [Cubic] makes). *)
+(* The rate is the published pacing slot itself ([o.pace]), and the
+   window that caps it is published with it; [mu] and [srtt] live in a
+   record of floats only, which stores them unboxed. *)
 type state = {
   mutable mu : float;
   mutable srtt : float;
 }
 
 type t = {
-  mutable rate : float; (* bps *)
+  o : Cc_types.out; (* the rate in bits/s, and the window it implies *)
   s : state;
 }
 
+(* the window cap of 2·rate·RTT, written with every rate or RTT change *)
+let publish t =
+  t.o.cwnd <- Float.max (4. *. 1500.) (2. *. t.o.pace *. t.s.srtt /. 8.)
+[@@alloc_free]
+
 let create ~mu () =
   let mu = Rate.to_bps (Rate.bps_exn (Rate.to_bps mu)) in
-  { rate = mu /. 10.; s = { mu; srtt = 0.1 } }
-
-let rate t = Rate.bps t.rate
+  let t =
+    { o = Cc_types.out ~cwnd:nan ~pace:(mu /. 10.); s = { mu; srtt = 0.1 } }
+  in
+  publish t;
+  t
 
 let set_mu t mu =
   let mu = Rate.to_bps mu in
@@ -38,7 +43,9 @@ let set_mu t mu =
 let[@inline] clamp_rate t r = Float.max 50_000. (Float.min (1.2 *. t.s.mu) r)
 [@@alloc_free]
 
-let set_rate t r = t.rate <- clamp_rate t (Rate.to_bps r)
+let set_rate t r =
+  t.o.pace <- clamp_rate t (Rate.to_bps r);
+  publish t
 
 let update t (tk : Cc_types.tick) =
   if Time.is_known tk.srtt then t.s.srtt <- Time.to_secs tk.srtt;
@@ -54,18 +61,13 @@ let update t (tk : Cc_types.tick) =
         +. (alpha *. spare)
         +. (beta *. t.s.mu /. x *. (x_min +. delay_target -. x))
       in
-      t.rate <- clamp_rate t rate
+      t.o.pace <- clamp_rate t rate
     end
-  end
+  end;
+  publish t
 
 let cc t =
-  { Cc_types.name = "basicdelay";
-    on_ack = (fun _ -> ());
-    on_loss = (fun _ -> ());
-    on_tick = Some (update t);
-    cwnd =
-      (fun () ->
-        B.bytes (Float.max (4. *. 1500.) (2. *. t.rate *. t.s.srtt /. 8.)));
-    pacing_rate = (fun () -> Some (Rate.bps t.rate)) }
+  Cc_types.make ~name:"basicdelay" ~on_ack:ignore ~on_loss:ignore
+    ~on_tick:(update t) t.o
 
 let make ~mu () = cc (create ~mu ())

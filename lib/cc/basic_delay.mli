@@ -18,10 +18,9 @@ type t
     @raise Invalid_argument if [mu] is not finite and positive *)
 val create : mu:Units.Rate.t -> unit -> t
 
+(** [cc t] adapts [t] to the engine interface: its [out.pace] is the
+    controlled rate, and its [out.cwnd] the 2·rate·RTT cap. *)
 val cc : t -> Cc_types.t
-
-(** [rate t] is the current controlled rate. *)
-val rate : t -> Units.Rate.t
 
 (** [set_rate t r] forces the rate (mode-switch initialisation). *)
 val set_rate : t -> Units.Rate.t -> unit

@@ -1,6 +1,5 @@
 module Time = Units.Time
 module Rate = Units.Rate
-module B = Units.Bytes
 module Extremum = Nimbus_dsp.Extremum
 
 type phase =
@@ -27,6 +26,7 @@ type state = {
 type t = {
   mutable phase : phase;
   s : state;
+  o : Cc_types.out; (* published at the end of every ACK and tick *)
   bw : Extremum.t; (* bps over ~10 RTT *)
   rtt : Extremum.t; (* s over 10 s *)
   mutable full_bw_count : int;
@@ -38,17 +38,6 @@ let mss = float_of_int 1500
 let gain_cycle = [| 1.25; 0.75; 1.; 1.; 1.; 1.; 1.; 1. |]
 
 let startup_gain = 2.885
-
-let create () =
-  { phase = Startup;
-    s =
-      { btl_bw = 0.; rt_prop = infinity; full_bw = 0.;
-        last_full_bw_check = 0.; cycle_start = 0.; last_probe_rtt = 0.;
-        srtt = 0.1; filters_updated_at = neg_infinity };
-    bw = Extremum.max (); rtt = Extremum.min (); full_bw_count = 0;
-    inflight = 0 }
-
-let btl_bw t = Rate.bps t.s.btl_bw
 
 let[@inline] bdp_bytes s =
   if s.btl_bw <= 0. || not (Float.is_finite s.rt_prop) then 10. *. mss
@@ -121,12 +110,25 @@ let[@inline] advance t now =
       t.phase <- Probe_rtt (now +. 0.2, t.phase)
     end
 
-let pacing_gain t =
+(* [@inline], as the helpers above: they return floats *)
+let[@inline] pacing_gain t =
   match t.phase with
   | Startup -> startup_gain
   | Drain -> 1. /. startup_gain
   | Probe_bw i -> gain_cycle.(i)
   | Probe_rtt _ -> 1.
+
+let[@inline] cwnd t =
+  match t.phase with
+  | Probe_rtt _ -> 4. *. mss
+  | Startup | Drain -> Float.max (startup_gain *. bdp_bytes t.s) (10. *. mss)
+  | Probe_bw _ -> Float.max (2. *. bdp_bytes t.s) (4. *. mss)
+
+(* unpaced until the first bandwidth sample *)
+let publish t =
+  t.o.cwnd <- cwnd t;
+  t.o.pace <- (if t.s.btl_bw <= 0. then nan else pacing_gain t *. t.s.btl_bw)
+[@@alloc_free]
 
 let on_ack t (a : Cc_types.ack) =
   let now = Time.to_secs a.times.now in
@@ -134,7 +136,8 @@ let on_ack t (a : Cc_types.ack) =
   t.inflight <- a.inflight_bytes;
   push t.rtt ~at:now (Time.to_secs a.times.rtt);
   update_filters t now;
-  advance t now
+  advance t now;
+  publish t
 
 let on_tick t (tk : Cc_types.tick) =
   let now = Time.to_secs tk.now in
@@ -143,24 +146,27 @@ let on_tick t (tk : Cc_types.tick) =
   if Rate.is_known tk.recv_rate then
     push t.bw ~at:now (Rate.to_bps tk.recv_rate);
   update_filters t now;
-  advance t now
+  advance t now;
+  publish t
 
-let cwnd t =
-  match t.phase with
-  | Probe_rtt _ -> 4. *. mss
-  | Startup | Drain -> Float.max (startup_gain *. bdp_bytes t.s) (10. *. mss)
-  | Probe_bw _ -> Float.max (2. *. bdp_bytes t.s) (4. *. mss)
+let create () =
+  let t =
+    { phase = Startup;
+      s =
+        { btl_bw = 0.; rt_prop = infinity; full_bw = 0.;
+          last_full_bw_check = 0.; cycle_start = 0.; last_probe_rtt = 0.;
+          srtt = 0.1; filters_updated_at = neg_infinity };
+      o = Cc_types.out ~cwnd:nan ~pace:nan; bw = Extremum.max ();
+      rtt = Extremum.min (); full_bw_count = 0; inflight = 0 }
+  in
+  publish t;
+  t
 
-let pacing t =
-  if t.s.btl_bw <= 0. then None
-  else Some (Rate.bps (pacing_gain t *. t.s.btl_bw))
+let btl_bw t = Rate.bps t.s.btl_bw
 
 let cc t =
-  { Cc_types.name = "bbr";
-    on_ack = on_ack t;
-    on_loss = (fun _ -> ()); (* BBR v1 ignores individual losses *)
-    on_tick = Some (on_tick t);
-    cwnd = (fun () -> B.bytes (cwnd t));
-    pacing_rate = (fun () -> pacing t) }
+  Cc_types.make ~name:"bbr" ~on_ack:(on_ack t)
+    ~on_loss:ignore (* BBR v1 ignores individual losses *)
+    ~on_tick:(on_tick t) t.o
 
 let make () = cc (create ())

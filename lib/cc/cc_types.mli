@@ -1,14 +1,20 @@
 (** The interface between the flow engine and congestion-control algorithms.
 
-    An algorithm is a record of closures over its private state. The engine
+    An algorithm is a record of closures over its private state.  The engine
     feeds it per-ACK and per-loss events plus a 10 ms tick carrying rate
     estimates (mirroring the CCP reporting loop the paper's implementation
-    uses), and reads back a congestion window and an optional pacing rate.
+    uses).  The algorithm answers by publishing: it writes its congestion
+    window and pacing rate into its {!out} record whenever its state
+    changes, and the flow reads them there, as a CCP datapath reads what
+    the algorithm installed instead of polling it.
 
     Rates, RTTs, and timestamps cross this boundary as {!Units.Rate.t} /
     {!Units.Time.t}, so an algorithm can never confuse S(t) with a duration
     or feed a window where a rate is expected. "Not yet measured" is
     [Time.unknown] / [Rate.unknown] (NaN), as in the rest of the system.
+    The {!out} slots are raw floats (bytes, bits/s, seconds): a record of
+    floats only stores them unboxed, so publishing and reading them
+    allocates nothing.
 
     Each event record ({!ack}, {!loss}, {!tick}) belongs to the flow, which
     refills it for every event, so that delivering one allocates nothing
@@ -72,22 +78,63 @@ type tick = {
   mutable lost_packets : int;  (** cumulative *)
 }
 
+(** What a controller publishes, in a record of floats only.  The
+    controller owns it and writes it; the flow only reads [cwnd] and [pace]
+    and writes [wake].
+
+    Contract: the slots always hold the answers the controller's current
+    state gives.  A controller writes them at the end of every hook that
+    moves that state ([on_ack], [on_loss], [on_tick]) and of every other
+    call that does (a reset, a mode switch), so a flow that reads them at
+    any instant sees what polling the controller then would have
+    returned.  A rate that moves between events is brought up to date by
+    {!t.on_wake} when the flow's pacer wakes, the one time it is read. *)
+type out = {
+  mutable cwnd : float;
+      (** the window limit in bytes; [infinity] for purely rate-paced
+          algorithms *)
+  mutable pace : float;
+      (** the pacing rate in bits/s, finite and positive while the
+          algorithm paces; NaN when it relies on pure ACK clocking
+          against the window.  Once a controller has published a rate it
+          does not go back to NaN (BBR's bottleneck estimate stays
+          positive once it has a sample): a flow whose pacer is scheduled
+          does not look at [pace] after an ACK or a tick, only when the
+          pacer wakes, at most 2 ms later. *)
+  mutable wake : float;
+      (** the instant, in seconds, of the pacer wake in progress: a paced
+          flow writes it just before it calls {!t.on_wake} *)
+}
+
+(** [out ~cwnd ~pace] is a fresh record with [wake = 0]. *)
+val out : cwnd:float -> pace:float -> out
+
 type t = {
   name : string;
   on_ack : ack -> unit;
   on_loss : loss -> unit;
   on_tick : (tick -> unit) option;
+  out : out;
+  on_wake : (unit -> unit) option;
+      (** Called on every pacer wake, after the flow wrote the instant into
+          [out.wake] and before it reads [out.pace], for an algorithm whose
+          rate moves between its events (the Nimbus pulser's waveform).  It
+          must not change whether [out.pace] is NaN. *)
   cwnd : unit -> Units.Bytes.t;
-      (** current window limit; [Bytes.bytes infinity] for purely rate-paced
-          algorithms *)
+      (** [out.cwnd], boxed.  The flow never calls it; it is kept for code
+          that rebuilds the record with [{ cc with ... }]. *)
   pacing_rate : unit -> Units.Rate.t option;
-      (** [Some r] paces transmissions at [r]; [None] relies on pure ACK
-          clocking against the window.
-
-          Contract: once it has answered [Some _], it never answers [None]
-          again (BBR's bottleneck estimate stays positive once it has a
-          sample).  A flow relies on this: while its pacer is scheduled it
-          does not ask after an ACK or a tick, and reads the rate only
-          when the pacer wakes (at most 2 ms later), so the hook runs
-          about once per wake, not once per ACK. *)
+      (** [None] if [out.pace] is NaN, else [Some out.pace]; kept like
+          [cwnd]. *)
 }
+
+(** [make ~name ~on_ack ~on_loss ?on_tick ?on_wake out] is the record every
+    controller builds: its [cwnd] and [pacing_rate] read [out]. *)
+val make :
+  name:string ->
+  on_ack:(ack -> unit) ->
+  on_loss:(loss -> unit) ->
+  ?on_tick:(tick -> unit) ->
+  ?on_wake:(unit -> unit) ->
+  out ->
+  t

@@ -1,5 +1,4 @@
 module Time = Units.Time
-module B = Units.Bytes
 
 type state = {
   mutable lwnd : float; (* loss window, bytes *)
@@ -27,6 +26,7 @@ let make () =
       next_update = 0.; recovery_until = neg_infinity; srtt = 0.1 }
   in
   let window () = s.lwnd +. s.dwnd in
+  let o = Cc_types.out ~cwnd:(window ()) ~pace:nan in
   let on_ack (a : Cc_types.ack) =
     let now = Time.to_secs a.times.now in
     s.srtt <- Time.to_secs a.times.srtt;
@@ -44,23 +44,23 @@ let make () =
         s.dwnd <- s.dwnd +. (grow *. mss)
       end
       else s.dwnd <- Float.max 0. (s.dwnd -. (zeta *. diff_segments *. mss))
-    end
+    end;
+    o.cwnd <- window ()
   in
   let on_loss (l : Cc_types.loss) =
-    match l.kind with
-    | `Timeout ->
-      s.ssthresh <- Float.max (window () /. 2.) (2. *. mss);
-      s.lwnd <- 2. *. mss;
-      s.dwnd <- 0.
-    | `Dupack ->
-      let now = Time.to_secs l.times.now in
-      if now > s.recovery_until then begin
-        s.recovery_until <- now +. s.srtt;
-        s.ssthresh <- Float.max (window () /. 2.) (2. *. mss);
-        s.lwnd <- Float.max (2. *. mss) (s.lwnd /. 2.);
-        s.dwnd <- s.dwnd /. 2.
-      end
+    (match l.kind with
+     | `Timeout ->
+       s.ssthresh <- Float.max (window () /. 2.) (2. *. mss);
+       s.lwnd <- 2. *. mss;
+       s.dwnd <- 0.
+     | `Dupack ->
+       let now = Time.to_secs l.times.now in
+       if now > s.recovery_until then begin
+         s.recovery_until <- now +. s.srtt;
+         s.ssthresh <- Float.max (window () /. 2.) (2. *. mss);
+         s.lwnd <- Float.max (2. *. mss) (s.lwnd /. 2.);
+         s.dwnd <- s.dwnd /. 2.
+       end);
+    o.cwnd <- window ()
   in
-  { Cc_types.name = "compound"; on_ack; on_loss; on_tick = None;
-    cwnd = (fun () -> B.bytes (window ()));
-    pacing_rate = (fun () -> None) }
+  Cc_types.make ~name:"compound" ~on_ack ~on_loss o

@@ -10,9 +10,8 @@ let mss = float_of_int mss_bytes
 let default_delta = 0.5
 
 (* The state an ACK writes, in a record of floats only, which stores it
-   unboxed (DESIGN.md §13, the [-opaque] rule).  [cwnd] stays a boxed field
-   of [t], as Cubic's does: [Flow] reads it across the module boundary on
-   every send.  The helpers that take or return a float are [@inline]: a
+   unboxed (DESIGN.md §13, the [-opaque] rule); the window is the published
+   slot, as Cubic's is.  The helpers that take or return a float are [@inline]: a
    float passed through a call that is not inlined is boxed. *)
 type state = {
   mutable delta : float;
@@ -35,7 +34,7 @@ type state = {
 
 type t = {
   switching : bool;
-  mutable cwnd : float; (* bytes *)
+  o : Cc_types.out; (* the window in bytes; never paced *)
   s : state;
   lo : Extremum.t; (* RTT over the long window *)
   hi : Extremum.t; (* the same samples *)
@@ -47,7 +46,8 @@ type t = {
 let long_window = 10.
 
 let create ?(switching = true) () =
-  { switching; cwnd = float_of_int (mss_bytes * 10);
+  { switching;
+    o = Cc_types.out ~cwnd:(float_of_int (mss_bytes * 10)) ~pace:nan;
     s =
       { delta = default_delta; velocity = 1.; last_direction_update = 0.;
         cwnd_at_last_direction = 0.; last_nearly_empty = 0.; srtt = 0.1;
@@ -57,12 +57,10 @@ let create ?(switching = true) () =
     lo = Extremum.min (); hi = Extremum.max (); direction = 0;
     competitive = false; in_slow_start = true }
 
-let cwnd_bytes t = B.bytes t.cwnd
-
 let in_competitive_mode t = t.competitive
 
 let reset_cwnd t bytes =
-  t.cwnd <- Float.max (2. *. mss) (B.to_float bytes);
+  t.o.cwnd <- Float.max (2. *. mss) (B.to_float bytes);
   t.in_slow_start <- false
 
 let[@inline] push f ~at rtt =
@@ -112,7 +110,7 @@ let[@inline] update_mode t now =
   end
 
 let on_ack t (a : Cc_types.ack) =
-  let s = t.s in
+  let s = t.s and o = t.o in
   let now = Time.to_secs a.times.now in
   s.srtt <- Time.to_secs a.times.srtt;
   let sample = Time.to_secs a.times.rtt in
@@ -130,39 +128,39 @@ let on_ack t (a : Cc_types.ack) =
     s.last_delta_increase <- now
   end;
   let rtt = Float.max s.srtt 1e-4 in
-  let current_rate = t.cwnd /. rtt in
+  let current_rate = o.cwnd /. rtt in
   let target_rate =
     if dq <= 1e-6 then infinity else mss /. (s.delta *. dq)
   in
   if t.in_slow_start then begin
-    t.cwnd <- t.cwnd +. float_of_int a.bytes;
+    o.cwnd <- o.cwnd +. float_of_int a.bytes;
     if current_rate > target_rate then t.in_slow_start <- false
   end
   else begin
     (* velocity: doubles each RTT the window keeps moving one way *)
     if now -. s.last_direction_update > s.srtt then begin
-      let dir = if t.cwnd > s.cwnd_at_last_direction then 1 else -1 in
+      let dir = if o.cwnd > s.cwnd_at_last_direction then 1 else -1 in
       if dir = t.direction then s.velocity <- Float.min (s.velocity *. 2.) 1e6
       else begin
         s.velocity <- 1.;
         t.direction <- dir
       end;
       s.last_direction_update <- now;
-      s.cwnd_at_last_direction <- t.cwnd
+      s.cwnd_at_last_direction <- o.cwnd
     end;
     let step =
-      s.velocity *. mss *. float_of_int a.bytes /. (s.delta *. t.cwnd)
+      s.velocity *. mss *. float_of_int a.bytes /. (s.delta *. o.cwnd)
     in
-    if current_rate < target_rate then t.cwnd <- t.cwnd +. step
-    else t.cwnd <- Float.max (2. *. mss) (t.cwnd -. step)
+    if current_rate < target_rate then o.cwnd <- o.cwnd +. step
+    else o.cwnd <- Float.max (2. *. mss) (o.cwnd -. step)
   end
 
 let on_loss t (l : Cc_types.loss) =
-  let s = t.s in
+  let s = t.s and o = t.o in
   let now = Time.to_secs l.times.now in
   t.in_slow_start <- false;
   match l.kind with
-  | `Timeout -> t.cwnd <- 2. *. mss
+  | `Timeout -> o.cwnd <- 2. *. mss
   | `Dupack ->
     if now > s.last_loss_reaction +. s.srtt then begin
       s.last_loss_reaction <- now;
@@ -174,15 +172,12 @@ let on_loss t (l : Cc_types.loss) =
         let inv = Float.max 2. (1. /. s.delta /. 2.) in
         s.delta <- Float.min default_delta (1. /. inv)
       end
-      else t.cwnd <- Float.max (2. *. mss) (t.cwnd *. 0.7)
+      else o.cwnd <- Float.max (2. *. mss) (o.cwnd *. 0.7)
     end
 
 let cc t =
-  { Cc_types.name = (if t.switching then "copa" else "copa-default");
-    on_ack = on_ack t;
-    on_loss = on_loss t;
-    on_tick = None;
-    cwnd = (fun () -> B.bytes t.cwnd);
-    pacing_rate = (fun () -> None) }
+  Cc_types.make
+    ~name:(if t.switching then "copa" else "copa-default")
+    ~on_ack:(on_ack t) ~on_loss:(on_loss t) t.o
 
 let make ?switching () = cc (create ?switching ())

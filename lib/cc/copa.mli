@@ -25,9 +25,9 @@ type t
     Segments are 1500 bytes and the default-mode δ is 0.5. *)
 val create : ?switching:bool -> unit -> t
 
+(** [cc t] adapts [t] to the engine interface; its [out.cwnd] is the
+    window. *)
 val cc : t -> Cc_types.t
-
-val cwnd_bytes : t -> Units.Bytes.t
 
 (** [in_competitive_mode t] — classification ground signal for the accuracy
     experiments comparing Copa's detector with Nimbus's (§8.2). *)

@@ -6,22 +6,20 @@
 type t
 
 (** [create ()] is a fresh instance; [cc t] adapts it to the engine
-    interface. Exposing [t] lets Nimbus reach inside to reset the window when
-    switching to competitive mode with the rate from 5 s ago (§4.1).
+    interface, and its [out.cwnd] is the window.  Exposing [t] lets Nimbus
+    reach inside to reset the window when switching to competitive mode
+    with the rate from 5 s ago (§4.1).
     Segments are 1500 bytes, the initial window 10 segments, the cubic
     coefficient 0.4 and the multiplicative decrease factor 0.7. *)
 val create : unit -> t
 
 (** [reset t] puts [t] back in the state {!create} makes, in place, so the
-    closures of [cc t] serve a new flow: a reset controller and a fresh one
-    fed the same events give the same windows, bit for bit.  Call it only
+    closures and slots of [cc t] serve a new flow: a reset controller and a
+    fresh one fed the same events give the same windows, bit for bit.  Call it only
     once the flow that held [t] calls it no more. *)
 val reset : t -> unit
 
 val cc : t -> Cc_types.t
-
-(** [cwnd_bytes t]. *)
-val cwnd_bytes : t -> Units.Bytes.t
 
 (** [reset_cwnd t bytes] forces the window and restarts the cubic epoch —
     used by Nimbus's mode switch. *)

@@ -3,7 +3,6 @@ module Packet = Nimbus_sim.Packet
 module Topology = Nimbus_topology.Topology
 module Time = Units.Time
 module Rate = Units.Rate
-module B = Units.Bytes
 
 type source =
   | Backlogged
@@ -264,8 +263,7 @@ let new_data_available t =
 let data_available t = t.retx_queue.len > 0 || new_data_available t
 
 let window_allows t =
-  float_of_int (t.inflight_bytes + pkt_size)
-  <= B.to_float (t.cc.Cc_types.cwnd ())
+  float_of_int (t.inflight_bytes + pkt_size) <= t.cc.Cc_types.out.cwnd
 
 (* --- rate estimation (Eq. 2) -------------------------------------------- *)
 
@@ -590,17 +588,16 @@ let rec send_next t =
   end
 
 (* A scheduled pacer reads the rate at its next wake, at most 2 ms away,
-   and a controller never goes from [Some] back to [None] (the
-   {!Cc_types.t.pacing_rate} contract), so asking again here would only
-   find [Some _] and leave the pacer as it is. *)
+   and a controller that paces never goes back to NaN (the
+   {!Cc_types.out} contract), so looking again here would only find a rate
+   and leave the pacer as it is. *)
 and try_send t =
   if t.active && not t.pacing_scheduled then begin
-    match t.cc.Cc_types.pacing_rate () with
-    | Some _ -> ensure_pacing t
-    | None ->
+    if Float.is_nan t.cc.Cc_types.out.pace then
       while window_allows t && data_available t do
         send_next t
       done
+    else ensure_pacing t
   end
 
 (* the pacer thunk of the current incarnation *)
@@ -621,17 +618,21 @@ and ensure_pacing t =
    pacer aliases badly when the rate is modulated: at a low base rate the
    inter-packet sleep exceeds an entire pulse lobe, so the waveform is never
    sampled.  Instead accumulate send credit at the instantaneous rate and
-   wake at least every 2 ms.  A stopped or finished flow's pacer stops. *)
+   wake at least every 2 ms.  A stopped or finished flow's pacer stops.
+   The controller's wake hook sees the instant first, so a rate that moves
+   between events (a pulse waveform) is read as of the wake. *)
 and pace_one t =
   if (not t.active) || finished t then t.pacing_scheduled <- false
   else begin
-    match t.cc.Cc_types.pacing_rate () with
-    | None ->
+    let o = t.cc.Cc_types.out and now = now_secs t in
+    o.wake <- now;
+    (match t.cc.Cc_types.on_wake with Some f -> f () | None -> ());
+    if Float.is_nan o.pace then begin
       t.pacing_scheduled <- false;
       try_send t
-    | Some rate ->
-      let now = now_secs t in
-      let rate = Float.max (Rate.to_bps rate) 16_000. in
+    end
+    else begin
+      let rate = Float.max o.pace 16_000. in
       let dt = now -. t.f.last_pace_at in
       t.f.last_pace_at <- now;
       let burst_cap = float_of_int (2 * pkt_size) in
@@ -649,6 +650,7 @@ and pace_one t =
       in
       Float.Array.unsafe_set (Engine.key t.engine) 0 interval;
       Engine.schedule_in_key t.engine t.pace
+    end
   end
 
 (* --- acknowledgements and loss detection -------------------------------- *)
@@ -781,8 +783,8 @@ let no_pkt (_ : Packet.t) = ()
 
 (* the controller of a record that has not been given its first flow *)
 let no_cc =
-  { Cc_types.name = "none"; on_ack = ignore; on_loss = ignore; on_tick = None;
-    cwnd = (fun () -> B.bytes 0.); pacing_rate = (fun () -> None) }
+  Cc_types.make ~name:"none" ~on_ack:ignore ~on_loss:ignore
+    (Cc_types.out ~cwnd:0. ~pace:nan)
 
 (* A record with every handler that serves all its incarnations; {!init}
    sets the rest. *)
@@ -912,7 +914,7 @@ let create_via topo ~route ~cc ~prop_rtt ?(source = Backlogged) ?start
   in
   let tickless =
     Option.is_none cc.Cc_types.on_tick
-    && Option.is_none (cc.Cc_types.pacing_rate ())
+    && Float.is_nan cc.Cc_types.out.pace
     && (match source with App_limited -> false | Backlogged | Finite _ -> true)
   in
   let t =

@@ -5,13 +5,11 @@
 type t
 
 (** [create ()] is a fresh instance; [cc t] adapts it to the engine
-    interface, and [cwnd_bytes t] reads its window.  Segments are 1500
+    interface, and its [out.cwnd] is the window.  Segments are 1500
     bytes and the initial window is 10 segments. *)
 val create : unit -> t
 
 val cc : t -> Cc_types.t
-
-val cwnd_bytes : t -> Units.Bytes.t
 
 (** [make ()] is [cc (create ())]. *)
 val make : unit -> Cc_types.t

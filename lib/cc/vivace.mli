@@ -15,9 +15,9 @@ type t
     1500-byte segments. *)
 val create : unit -> t
 
+(** [cc t] adapts [t] to the engine interface: its [out.pace] is the
+    current interval's probing rate, and its [out.cwnd] a 3·rate·RTT
+    cap. *)
 val cc : t -> Cc_types.t
-
-(** [rate t] is the current base rate. *)
-val rate : t -> Units.Rate.t
 
 val make : unit -> Cc_types.t

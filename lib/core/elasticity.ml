@@ -37,6 +37,8 @@ type t = {
   mutable watch : watch option;
   mutable watch_bank : Bank.t option;
   watch_gain : float array; (* [0] = n * the taper's coherent gain *)
+  (* the sample being added, handed to the ring and the banks in place *)
+  sample : Float.Array.t;
 }
 
 let sample_interval = Time.ms 10.
@@ -57,17 +59,27 @@ let create ?(window = Time.secs 5.0) ?(taper = Nimbus_dsp.Window.Hann) () =
   if window <= sample_secs then invalid_arg "Elasticity.create: window";
   let n = int_of_float (Float.round (window /. sample_secs)) in
   { ring = Ring.create n; taper; bank = None; tuned = [| nan |];
-    watch = None; watch_bank = None; watch_gain = [| nan |] }
+    watch = None; watch_bank = None; watch_gain = [| nan |];
+    sample = Float.Array.make 1 0. }
 
-let add_sample t z =
-  let z =
-    if Float.is_nan z then
-      (if Ring.count t.ring > 0 then Ring.last t.ring else 0.)
-    else z
-  in
-  Ring.push t.ring z;
-  (match t.bank with Some bank -> Bank.push bank z | None -> ());
-  match t.watch_bank with Some bank -> Bank.push bank z | None -> ()
+(* The sample goes to the ring and the banks through [t.sample], which they
+   read in place: a float passed across a module boundary is boxed.
+   Inlined into both forms below, for the same reason. *)
+let[@inline] add_raw t z =
+  (* two stores, not one of an [if]: an [if] whose one arm is a call's
+     boxed result boxes the other arm too *)
+  if not (Float.is_nan z) then Float.Array.set t.sample 0 z
+  else if Ring.count t.ring > 0 then Float.Array.set t.sample 0 (Ring.last t.ring)
+  else Float.Array.set t.sample 0 0.;
+  Ring.push_at t.ring t.sample 0;
+  (match t.bank with Some bank -> Bank.push_at bank t.sample 0 | None -> ());
+  match t.watch_bank with
+  | Some bank -> Bank.push_at bank t.sample 0
+  | None -> ()
+
+let add_sample t z = add_raw t z
+
+let add_sample_at t src i = add_raw t (Float.Array.get src i)
 
 let ready t = Ring.is_full t.ring
 

@@ -51,6 +51,10 @@ val create :
     do not poison the window. *)
 val add_sample : t -> float -> unit
 
+(** [add_sample_at t src i] is [add_sample t src.(i)], without the box a
+    float passed across a module boundary takes. *)
+val add_sample_at : t -> Float.Array.t -> int -> unit
+
 (** [ready t] holds once a full window has accumulated. *)
 val ready : t -> bool
 

@@ -77,9 +77,11 @@ type t = {
   mu : Z_estimator.Mu.t;
   comp : Cubic.t;
   delay : delay_inner;
-  comp_cc : Cc_types.t;  (* [comp]'s hooks, built once: no record per ACK *)
-  delay_cc : Cc_types.t option;  (* [delay]'s; [None] for Basic_delay, which
-                                    ignores ACKs and losses *)
+  (* [comp]'s and [delay]'s hooks and slots, built once: no record per
+     ACK *)
+  comp_cc : Cc_types.t;
+  delay_cc : Cc_types.t;
+  out : Cc_types.out;  (* what every [cc t] publishes *)
   pulse_frac : float;
   pulse_shape : Pulse.shape;
   fp_competitive : float;
@@ -106,9 +108,9 @@ type t = {
      off does not drag the survivor down with stale evidence. *)
   ztones : Bank.t;
   recent_len : int;            (* tone probe window, in samples *)
-  (* the floats the tick and the pacing hook read from other modules,
-     written here by their readers so that reading them boxes nothing; the
-     [lv_*] indices *)
+  (* the floats the tick and the wake hook read from other modules,
+     written here by their readers so that reading them boxes nothing, and
+     the pulse waveform's register; the [lv_*] indices *)
   levels : Float.Array.t;
   mutable tone_heard_at : float; (* nan until a pulser has ever been heard *)
   mutable follow_target : mode option; (* watcher switch-confirmation streak *)
@@ -119,14 +121,6 @@ type t = {
   mutable mode : mode;
   mutable role : role;
   hot : hot;
-  (* The hooks' answers that change only at ticks, boxed once per tick by
-     [refresh] so that the per-packet [cwnd] and [pacing_rate] return them
-     as they are: the Delay-mode window over Basic_delay, a watcher's
-     pacing rate, and the pulser's waveform amplitude and frequency. *)
-  mutable basic_cwnd : B.t;
-  mutable watch_pace : Rate.t option;
-  mutable wave_amp : Rate.t;
-  mutable wave_freq : Freq.t;
   switch_streak : int;
   mutable inelastic_streak : int;
   mutable elastic_streak : int;
@@ -187,9 +181,11 @@ end
 
 (* [levels] layout: [Elasticity.watch_levels]'s tone amplitudes,
    oscillations and reference for the two mode tones, then the keep-alive
-   probe's level, a detector's window mean, the pulser's waveform value
-   and the election coin's probability, which {!Rng.bool_at} reads in
-   place *)
+   probe's level, a detector's window mean, the pulser's waveform register
+   ({!Pulse.value_to}'s amplitude, frequency, instant and value, in that
+   order), the election coin's probability, which {!Rng.bool_at} reads in
+   place, ẑ's register ({!Z_estimator.estimate_to}'s µ, S, R and ẑ) and
+   the tick's base rate *)
 let lv_amp_c = 0
 let lv_amp_d = 1
 let lv_osc_c = 2
@@ -197,9 +193,17 @@ let lv_osc_d = 3
 let lv_reference = 4
 let lv_tone = 5
 let lv_mean = 6
-let lv_wave = 7
-let lv_coin = 8
-let lv_count = 9
+let lv_wave_amp = 7
+let lv_wave_freq = 8
+let lv_wave_at = 9
+let lv_wave = 10
+let lv_coin = 11
+let lv_z_mu = 12
+let lv_z_send = 13
+let lv_z_recv = 14
+let lv_z = 15
+let lv_base = 16
+let lv_count = 17
 
 (* The operating point the paper fixes.  A flow ticks once per ẑ sample,
    so the tick period is the detector's sample interval. *)
@@ -243,8 +247,8 @@ let create (cfg : Config.t) =
   let comp_cc = Cubic.cc comp in
   let delay_cc =
     match delay with
-    | D_basic _ -> None
-    | D_copa c -> Some (Copa.cc c)
+    | D_basic b -> Basic_delay.cc b
+    | D_copa c -> Copa.cc c
   in
   let hist_len =
     max 2 (int_of_float (Float.round (fft_window /. sample_interval)))
@@ -283,7 +287,9 @@ let create (cfg : Config.t) =
       ~lo:(Freq.hz (hi_f +. 0.8))
       ~hi:(Freq.hz ((2. *. lo_f) -. 0.2))
   end;
-  { mu; comp; delay; comp_cc; delay_cc; pulse_frac; pulse_shape;
+  { mu; comp; delay; comp_cc; delay_cc;
+    (* placeholders until [cc] publishes *)
+    out = Cc_types.out ~cwnd:nan ~pace:nan; pulse_frac; pulse_shape;
     fp_competitive; fp_delay; fft_window; multi_flow; kappa;
     rng = Rng.create seed; on_detection; on_sample;
     z_detector = mk_detector (); r_detector;
@@ -305,9 +311,6 @@ let create (cfg : Config.t) =
     hot =
       { last_eta = nan; last_z = nan; srtt = nan; next_detect = fft_window;
         mu_cache = mu_now; burst = 0. };
-    (* placeholders until [cc] refreshes them *)
-    basic_cwnd = B.bytes nan; watch_pace = None; wave_amp = Rate.unknown;
-    wave_freq = Freq.unknown;
     switch_streak;
     inelastic_streak = 0; elastic_streak = 0; rate_reset; trace }
 
@@ -323,9 +326,6 @@ let detector t = t.z_detector
 
 (* --- inner-controller plumbing ------------------------------------------ *)
 
-(* Cubic keeps its window boxed, so this read allocates nothing *)
-let comp_cwnd t = Cubic.cwnd_bytes t.comp
-
 (* The helpers the per-packet hooks use are inlined: a float passed to or
    returned from a call that is not inlined travels boxed. *)
 let[@inline] srtt_or t default =
@@ -337,21 +337,18 @@ let[@inline] rate_of_cwnd t cwnd =
   cwnd *. 8. /. Float.max (srtt_or t 0.1) 1e-3
 [@@alloc_free]
 
-(* the inner controller's rate; Basic_delay, like Cubic, keeps its rate
-   boxed, so reading it allocates nothing *)
+(* the inner controller's rate, read from the slots it publishes: a float
+   field of a record of floats only, which a read does not box *)
 let[@inline] base_rate_bps t =
   match t.mode with
-  | Competitive -> rate_of_cwnd t (B.to_float (comp_cwnd t))
+  | Competitive -> rate_of_cwnd t t.comp_cc.out.cwnd
   | Delay ->
     (match t.delay with
-     | D_basic b -> Rate.to_bps (Basic_delay.rate b)
-     | D_copa c -> rate_of_cwnd t (B.to_float (Copa.cwnd_bytes c)))
+     | D_basic _ -> t.delay_cc.out.pace
+     | D_copa _ -> rate_of_cwnd t t.delay_cc.out.cwnd)
 [@@alloc_free]
 
-(* Not inlined: the tick hands the result on to the rate history and the
-   smoothing filter, and a call returns Basic_delay's box as it is, where an
-   inlined read is unboxed and then boxed again for each of them. *)
-let[@inline never] base_rate t = Rate.bps (base_rate_bps t)
+let base_rate t = Rate.bps (base_rate_bps t)
 
 (* --- trace plumbing ------------------------------------------------------- *)
 
@@ -390,10 +387,10 @@ let switch_to t target ~now =
        let cwnd = restore *. srtt_or t 0.1 /. 8. in
        Cubic.reset_cwnd t.comp (B.bytes cwnd)
      | Delay ->
-       let current = rate_of_cwnd t (B.to_float (comp_cwnd t)) in
+       let w = t.comp_cc.out.cwnd in
        (match t.delay with
-        | D_basic b -> Basic_delay.set_rate b (Rate.bps current)
-        | D_copa c -> Copa.reset_cwnd c (comp_cwnd t)));
+        | D_basic b -> Basic_delay.set_rate b (Rate.bps (rate_of_cwnd t w))
+        | D_copa c -> Copa.reset_cwnd c (B.bytes w)));
     t.mode <- target
   end
 
@@ -418,13 +415,20 @@ let[@inline] pulse_amplitude t =
   if Float.is_nan t.hot.mu_cache then 0. else t.pulse_frac *. t.hot.mu_cache
 [@@alloc_free]
 
-(* A pulser's waveform offset at [now] in bits/s, 0 until µ is known.  The
-   amplitude, frequency and instant come in boxed and the value goes out
-   through [levels], so the call boxes nothing. *)
-let[@inline] pulse_offset t ~amplitude ~freq now =
+(* the waveform's amplitude and frequency, into its register *)
+let set_wave t =
+  Float.Array.set t.levels lv_wave_amp (pulse_amplitude t);
+  Float.Array.set t.levels lv_wave_freq (pulse_freq_hz t)
+
+(* A pulser's waveform offset at [now] in bits/s, 0 until µ is known, for
+   the amplitude and frequency last written by {!set_wave}.  The instant
+   goes in and the value comes out through the register, so the call boxes
+   nothing. *)
+let[@inline] pulse_offset t now =
   if Float.is_nan t.hot.mu_cache then 0.
   else begin
-    Pulse.value_to ~shape:t.pulse_shape ~amplitude ~freq now t.levels lv_wave;
+    Float.Array.set t.levels lv_wave_at now;
+    Pulse.value_to ~shape:t.pulse_shape t.levels lv_wave_amp;
     Float.Array.get t.levels lv_wave
   end
 [@@alloc_free]
@@ -700,50 +704,47 @@ let[@inline] delay_cwnd_bytes t ~base =
   Float.max (8. *. 1500.) (2. *. (base +. headroom) *. srtt_or t 0.1 /. 8.)
 [@@alloc_free]
 
-let cwnd t =
+(* The window the mode and role call for, from the inner controllers'
+   slots and the per-tick state. *)
+let[@inline] cwnd t =
   match t.mode with
   | Competitive ->
-    let w = B.to_float (comp_cwnd t) in
-    B.bytes
-      (match t.role with
-       | Pulser -> w +. t.hot.burst
-       | Watcher ->
-         (* a window-limited watcher would be ACK-clocked -- i.e. genuinely
-            elastic cross traffic to the pulser; keep it rate-paced at the
-            smoothed rate with a loose anti-runaway cap instead *)
-         1.5 *. w)
-  | Delay ->
-    (match t.delay with
-     | D_basic _ -> t.basic_cwnd
-     | D_copa _ -> B.bytes (delay_cwnd_bytes t ~base:(base_rate_bps t)))
+    let w = t.comp_cc.out.cwnd in
+    (match t.role with
+     | Pulser -> w +. t.hot.burst
+     | Watcher ->
+       (* a window-limited watcher would be ACK-clocked -- i.e. genuinely
+          elastic cross traffic to the pulser; keep it rate-paced at the
+          smoothed rate with a loose anti-runaway cap instead *)
+       1.5 *. w)
+  | Delay -> delay_cwnd_bytes t ~base:(base_rate_bps t)
 
-let pacing_rate t ~now =
+(* The wake hook: a pulser's rate at the pacer's wake instant, the base
+   rate plus the waveform.  A watcher's rate moves only at ticks. *)
+let wake t =
   match t.role with
-  | Watcher -> t.watch_pace
+  | Watcher -> ()
   | Pulser ->
-    let base = base_rate_bps t in
-    let pulse =
-      pulse_offset t ~amplitude:t.wave_amp ~freq:t.wave_freq (now ())
-    in
-    Some (Rate.bps (Float.max 100_000. (base +. pulse)))
+    let o = t.out in
+    o.pace <- Float.max 100_000. (base_rate_bps t +. pulse_offset t o.wake)
+[@@alloc_free]
 
-(* Re-derive the hooks' per-tick answers from the state the tick left:
-   everything they read except the inner window and the clock changes
-   only at ticks. *)
+(* Publish the window; every hook ends here. *)
+let publish t = t.out.cwnd <- cwnd t [@@alloc_free]
+
+(* Re-derive what changes only at ticks from the state the tick left, and
+   publish.  A pulser's rate is re-read as of the last wake, so that it is
+   never NaN before the first one. *)
 let refresh t =
   (match t.role with
    | Watcher ->
-     t.watch_pace <-
-       (* the average read in place: [Ewma.value] would box it *)
-       Some (Rate.bps (Float.max 100_000. t.smoothed_rate.Ewma.s.avg))
+     (* the average read in place: [Ewma.value] would box it *)
+     t.out.pace <- Float.max 100_000. t.smoothed_rate.Ewma.s.avg
    | Pulser ->
-     t.wave_amp <- Rate.bps (pulse_amplitude t);
-     t.wave_freq <- pulse_freq t;
-     t.hot.burst <- pulse_burst_bytes t);
-  match (t.mode, t.delay) with
-  | Delay, D_basic _ ->
-    t.basic_cwnd <- B.bytes (delay_cwnd_bytes t ~base:(base_rate_bps t))
-  | Delay, D_copa _ | Competitive, _ -> ()
+     set_wave t;
+     t.hot.burst <- pulse_burst_bytes t;
+     wake t);
+  publish t
 
 (* --- tick ----------------------------------------------------------------- *)
 
@@ -766,31 +767,37 @@ let on_tick t (tk : Cc_types.tick) =
      standing queue the ratio degenerates to µ − S, which tracks our own
      pulses and would read as elastic cross traffic.  No standing queue also
      means nothing elastic is backlogged, so ẑ = 0 is the truthful sample. *)
-  let z =
-    if Float.is_nan t.hot.mu_cache then nan
-    else if
-      (not (Float.is_nan srtt))
-      && (not (Float.is_nan min_rtt))
-      && srtt -. min_rtt < z_gate_delay
-    then 0.
-    else
-      Rate.to_bps
-        (Z_estimator.estimate ~mu ~send_rate:tk.send_rate
-           ~recv_rate:tk.recv_rate)
-  in
+  (* ẑ goes to the detector and the probe bank through its register slot,
+     which they read in place, so the tick boxes no ẑ *)
+  if Float.is_nan t.hot.mu_cache then Float.Array.set t.levels lv_z nan
+  else if
+    (not (Float.is_nan srtt))
+    && (not (Float.is_nan min_rtt))
+    && srtt -. min_rtt < z_gate_delay
+  then Float.Array.set t.levels lv_z 0.
+  else begin
+    Float.Array.set t.levels lv_z_mu t.hot.mu_cache;
+    Float.Array.set t.levels lv_z_send (Rate.to_bps tk.send_rate);
+    Float.Array.set t.levels lv_z_recv recv_rate;
+    Z_estimator.estimate_to t.levels lv_z_mu
+  end;
+  let z = Float.Array.get t.levels lv_z in
   t.hot.last_z <- z;
-  Elasticity.add_sample t.z_detector z;
+  Elasticity.add_sample_at t.z_detector t.levels lv_z;
   let r_sample = if Float.is_nan recv_rate then 0. else recv_rate in
   Elasticity.add_sample t.r_detector r_sample;
   Bank.push t.tones r_sample;
-  Bank.push t.ztones (if Float.is_nan z then 0. else z);
+  if Float.is_nan z then Float.Array.set t.levels lv_z 0.;
+  Bank.push_at t.ztones t.levels lv_z;
   (* delay-mode controller runs on ticks *)
   (match (t.mode, t.delay) with
    | Delay, D_basic b -> Basic_delay.update b tk
    | _ -> ());
-  let base = Rate.to_bps (base_rate t) in
-  Ring.push t.rate_history base;
-  Ewma.update t.smoothed_rate base;
+  (* the rate history and the smoothing filter read the base rate in place *)
+  Float.Array.set t.levels lv_base (base_rate_bps t);
+  Ring.push_at t.rate_history t.levels lv_base;
+  Ewma.update_at t.smoothed_rate t.levels lv_base;
+  let base = Float.Array.get t.levels lv_base in
   if Trace.want t.trace Tev.Detector then
     Trace.z_tick t.trace ~now ~z:(z *. 1e-6)
       ~send:(Rate.to_bps tk.send_rate *. 1e-6)
@@ -798,12 +805,9 @@ let on_tick t (tk : Cc_types.tick) =
   if Trace.want t.trace Tev.Pulse then begin
     match t.role with
     | Pulser ->
+      set_wave t;
       Trace.pulse_phase t.trace ~now ~freq:(pulse_freq_hz t)
-        ~value:
-          (pulse_offset t
-             ~amplitude:(Rate.bps (pulse_amplitude t))
-             ~freq:(pulse_freq t) (Time.secs now)
-          *. 1e-6)
+        ~value:(pulse_offset t now *. 1e-6)
     | Watcher -> ()
   end;
   (match t.on_sample with
@@ -826,22 +830,22 @@ let on_tick t (tk : Cc_types.tick) =
 (* --- the engine-facing controller ----------------------------------------- *)
 
 let on_ack t a =
-  match (t.mode, t.delay_cc) with
-  | Competitive, _ -> t.comp_cc.on_ack a
-  | Delay, Some cc -> cc.on_ack a
-  | Delay, None -> ()
+  (match t.mode with
+   | Competitive -> t.comp_cc.on_ack a
+   | Delay -> t.delay_cc.on_ack a);
+  publish t
 
 let on_loss t l =
-  match (t.mode, t.delay_cc) with
-  | Competitive, _ -> t.comp_cc.on_loss l
-  | Delay, Some cc -> cc.on_loss l
-  | Delay, None -> ()
+  (match t.mode with
+   | Competitive -> t.comp_cc.on_loss l
+   | Delay -> t.delay_cc.on_loss l);
+  publish t
 
-let cc t ~now =
+let cc t ~now:_ =
   refresh t;
-  { Cc_types.name = "nimbus";
-    on_ack = (fun a -> on_ack t a);
-    on_loss = (fun l -> on_loss t l);
-    on_tick = Some (fun tk -> on_tick t tk);
-    cwnd = (fun () -> cwnd t);
-    pacing_rate = (fun () -> pacing_rate t ~now) }
+  Cc_types.make ~name:"nimbus"
+    ~on_ack:(fun a -> on_ack t a)
+    ~on_loss:(fun l -> on_loss t l)
+    ~on_tick:(fun tk -> on_tick t tk)
+    ~on_wake:(fun () -> wake t)
+    t.out

@@ -141,9 +141,12 @@ end
     @raise Invalid_argument if a mode frequency is not such a bin. *)
 val create : Config.t -> t
 
-(** [cc t ~now] is the engine-facing controller. [now] must read the
-    simulation clock — the pulse waveform is evaluated at packet-send time,
-    not just on ticks. *)
+(** [cc t ~now] is the engine-facing controller.  It publishes the window
+    and the pacing rate into [t]'s one {!Nimbus_cc.Cc_types.out} record,
+    which every [cc t] shares.  A pulser's rate is evaluated at every
+    pacer wake, not just on ticks, through the wake hook, at the instant
+    the flow hands it in [out.wake]; [now] is not read, and stays only for
+    callers written against the earlier polled interface. *)
 val cc : t -> now:(unit -> Units.Time.t) -> Nimbus_cc.Cc_types.t
 
 (** Current state, for experiment scoring and plots. *)

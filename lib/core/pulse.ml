@@ -36,10 +36,10 @@ let value ~shape ~amplitude ~freq t =
     (value_raw ~shape ~amplitude:(Rate.to_bps amplitude)
        ~freq:(Freq.to_hz freq) (Time.to_secs t))
 
-let value_to ~shape ~amplitude ~freq t dst i =
-  Float.Array.set dst i
-    (value_raw ~shape ~amplitude:(Rate.to_bps amplitude)
-       ~freq:(Freq.to_hz freq) (Time.to_secs t))
+let value_to ~shape reg i =
+  Float.Array.set reg (i + 3)
+    (value_raw ~shape ~amplitude:(Float.Array.get reg i)
+       ~freq:(Float.Array.get reg (i + 1)) (Float.Array.get reg (i + 2)))
 [@@alloc_free]
 
 let min_send_rate ~shape ~amplitude =

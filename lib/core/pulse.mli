@@ -20,19 +20,14 @@ val value :
   Units.Time.t ->
   Units.Rate.t
 
-(** [value_to ~shape ~amplitude ~freq t dst i] writes
-    [Rate.to_bps (value ~shape ~amplitude ~freq t)] into [dst.(i)]: the same
-    bits, without the box a float returned across a module boundary takes.
-    A pulser's pacing hook reads its waveform this way on every pacer wake.
+(** [value_to ~shape reg i] is the register form of {!value}: it reads
+    the amplitude in bits/s from [reg.(i)], the frequency in Hz from
+    [reg.(i+1)] and the instant in seconds from [reg.(i+2)], and writes
+    the offset in bits/s into [reg.(i+3)], the same bits {!value} returns,
+    without the boxes floats take across a module boundary.  A pulser's
+    wake hook reads its waveform this way on every pacer wake.
     @raise Invalid_argument as {!value} does. *)
-val value_to :
-  shape:shape ->
-  amplitude:Units.Rate.t ->
-  freq:Units.Freq.t ->
-  Units.Time.t ->
-  Float.Array.t ->
-  int ->
-  unit
+val value_to : shape:shape -> Float.Array.t -> int -> unit
 
 (** [min_send_rate ~shape ~amplitude] is the lowest mean rate that keeps the
     modulated rate non-negative throughout the period: [A/3] for the

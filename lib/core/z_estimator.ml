@@ -4,19 +4,39 @@ module Rate = Units.Rate
 (* Internals stay raw float (bits/s, seconds) — the typed boundary is the
    .mli; wrap/unwrap happens once per call. *)
 
+let[@inline] measurable send_rate recv_rate =
+  not
+    (Float.is_nan send_rate || Float.is_nan recv_rate || send_rate <= 0.
+    || recv_rate <= 0.)
+
 let estimate ~mu ~send_rate ~recv_rate =
   let mu = Rate.to_bps mu in
   let send_rate = Rate.to_bps send_rate in
   let recv_rate = Rate.to_bps recv_rate in
   if mu <= 0. then invalid_arg "Z_estimator.estimate: mu <= 0";
-  if
-    Float.is_nan send_rate || Float.is_nan recv_rate || send_rate <= 0.
-    || recv_rate <= 0.
-  then Rate.unknown
+  if not (measurable send_rate recv_rate) then Rate.unknown
   else begin
     let z = (mu *. send_rate /. recv_rate) -. send_rate in
     Rate.bps (Float.max 0. (Float.min mu z))
   end
+
+(* The same arithmetic on unboxed inputs, one store per arm: an [if] that
+   returns a constant or a boxed argument in one arm boxes the other, so
+   [Float.max 0. z] is spelled out (the same bits for every [z], -0 and
+   NaN included). *)
+let estimate_to reg i =
+  let mu = Float.Array.get reg i in
+  let send_rate = Float.Array.get reg (i + 1) in
+  let recv_rate = Float.Array.get reg (i + 2) in
+  if mu <= 0. then invalid_arg "Z_estimator.estimate: mu <= 0";
+  if not (measurable send_rate recv_rate) then
+    Float.Array.set reg (i + 3) (Rate.to_bps Rate.unknown)
+  else begin
+    let z = Float.min mu ((mu *. send_rate /. recv_rate) -. send_rate) in
+    if z > 0. || Float.is_nan z then Float.Array.set reg (i + 3) z
+    else Float.Array.set reg (i + 3) 0.
+  end
+[@@alloc_free]
 
 module Mu = struct
   module Extremum = Nimbus_dsp.Extremum

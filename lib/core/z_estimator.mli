@@ -21,6 +21,15 @@ val estimate :
   recv_rate:Units.Rate.t ->
   Units.Rate.t
 
+(** [estimate_to reg i] is the register form of {!estimate}: it reads µ,
+    S and R in bits/s from [reg.(i)], [reg.(i+1)] and [reg.(i+2)] and
+    writes ẑ in bits/s into [reg.(i+3)], the bits {!estimate} returns,
+    without the boxes floats take across a module boundary (DESIGN.md §13),
+    as {!Nimbus_sim.Rng}'s [*_to] draws do.  A Nimbus tick reads ẑ this
+    way.
+    @raise Invalid_argument as {!estimate} does. *)
+val estimate_to : Float.Array.t -> int -> unit
+
 (** Bottleneck-rate tracker in the style the paper's implementation uses:
     the maximum receive rate observed over a sliding window (BBR-like),
     robust to idle periods via a slow decay. *)

@@ -25,14 +25,18 @@ let create_cutoff ~freq ~dt =
   let tau = 1.0 /. (2.0 *. 4.0 *. atan 1.0 *. freq) in
   create_time_constant ~tau ~dt
 
-let update t x =
+(* inlined into both forms below: a float passed to a call is boxed *)
+let[@inline] update_raw t x =
   let s = t.s in
   if t.initialized then s.avg <- s.avg +. (s.alpha *. (x -. s.avg))
   else begin
     s.avg <- x;
     t.initialized <- true
   end
-[@@alloc_free]
+
+let update t x = update_raw t x [@@alloc_free]
+
+let update_at t src i = update_raw t (Float.Array.get src i) [@@alloc_free]
 
 let value t = t.s.avg
 

@@ -31,6 +31,10 @@ val create_cutoff : freq:float -> dt:float -> t
     first sample initialises the average. It allocates nothing. *)
 val update : t -> float -> unit
 
+(** [update_at t src i] is [update t src.(i)], without the box a float
+    passed across a module boundary takes. *)
+val update_at : t -> Float.Array.t -> int -> unit
+
 (** [value t] is the current average ([0.] before any sample). *)
 val value : t -> float
 

@@ -227,8 +227,9 @@ module Bank = struct
   [@@alloc_free]
 
   (* The component loop reads its arrays hoisted into locals and without
-     bounds checks: every one of them has at least [ncomp] cells. *)
-  let push t x =
+     bounds checks: every one of them has at least [ncomp] cells.  Inlined
+     into both forms below: a float passed to a call is boxed. *)
+  let[@inline] push_raw t x =
     let n = t.n in
     let win = t.win and h = t.head in
     let x_old = Array.unsafe_get win h in
@@ -254,7 +255,10 @@ module Bank = struct
     done;
     t.until_resync <- t.until_resync - 1;
     if t.until_resync <= 0 then resync t
-  [@@alloc_free]
+
+  let push t x = push_raw t x [@@alloc_free]
+
+  let push_at t src i = push_raw t (Float.Array.get src i) [@@alloc_free]
 
   let load t xs =
     if Array.length xs <> t.n then

@@ -42,6 +42,10 @@ module Bank : sig
   (** [push t x] slides the window one sample forward. Allocation-free. *)
   val push : t -> float -> unit
 
+  (** [push_at t src i] is [push t src.(i)], without the box a float passed
+      across a module boundary takes. *)
+  val push_at : t -> Float.Array.t -> int -> unit
+
   (** [load t xs] resets the window to [xs] (chronological, length exactly
       [window]) and recomputes all state — used to (re)tune a detector from
       its ring after a pulse-frequency change. *)

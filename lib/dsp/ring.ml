@@ -20,12 +20,17 @@ let count t = t.count
 
 let is_full t = t.count = t.cap
 
-let push t x =
+(* inlined into both forms below: a float passed to a call is boxed *)
+let[@inline] push_raw t x =
   if Array.length t.buf = 0 then t.buf <- Array.make t.cap 0.;
   let n = t.cap in
   t.buf.(t.head) <- x;
   t.head <- (if t.head = n - 1 then 0 else t.head + 1);
   if t.count < n then t.count <- t.count + 1
+
+let push t x = push_raw t x
+
+let push_at t src i = push_raw t (Float.Array.get src i)
 
 (* The stored samples, oldest first, are the two contiguous segments
    [buf.(start .. start + first - 1)] and [buf.(0 .. count - first - 1)]:

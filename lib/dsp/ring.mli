@@ -26,6 +26,10 @@ val is_full : t -> bool
 (** [push t x] appends [x], evicting the oldest sample when full. *)
 val push : t -> float -> unit
 
+(** [push_at t src i] is [push t src.(i)]: the same sample, without the box
+    a float passed across a module boundary takes. *)
+val push_at : t -> Float.Array.t -> int -> unit
+
 (** [to_array t] is the stored samples in chronological order. *)
 val to_array : t -> float array
 

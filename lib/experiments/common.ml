@@ -35,6 +35,10 @@ type link = {
 
 let max_link_mbps = 1000.
 
+let min_link_mbps = 0.001
+
+let max_duration_s = 86_400.
+
 let link ~mbps ~rtt_ms ?(buffer_bdp = 2.0) ?(aqm = `Droptail) () =
   { mu = Rate.mbps mbps; prop_rtt = Time.ms rtt_ms; buffer_bdp; aqm }
 

@@ -41,6 +41,17 @@ type link = {
     rate, so a run at 1e302 Mbit/s never finishes. *)
 val max_link_mbps : float
 
+(** [min_link_mbps] is 0.001: the slowest link or cross rate, in Mbit/s
+    (1 kbit/s, a 12 s packet time), that the CLI accepts.  Far below it a
+    packet's serialisation time or a source's gap overflows to infinity:
+    at 1e-320 Mbit/s the run died on an uncaught exception. *)
+val min_link_mbps : float
+
+(** [max_duration_s] is 86 400: the longest simulated run, in seconds (a
+    day), that the CLI accepts.  A run's cost grows with its duration, so
+    [--duration=1e308] never finished. *)
+val max_duration_s : float
+
 (** [link ~mbps ~rtt_ms ~buffer_bdp ()] — convenience constructor. *)
 val link :
   mbps:float ->

@@ -50,14 +50,14 @@ let scaled_params ?(mbps = 48.) ?(duration = 5.) ?(seed = 42) ~links ~flows ()
     =
   if links < 2 then invalid_arg "Exp_parking_lot: links must be >= 2";
   if flows < links then invalid_arg "Exp_parking_lot: flows must be >= links";
-  if not (mbps > 0. && mbps <= Common.max_link_mbps) then
+  if not (mbps >= Common.min_link_mbps && mbps <= Common.max_link_mbps) then
     invalid_arg
-      (Printf.sprintf "Exp_parking_lot: rate must be in (0, %g] Mbit/s (got %g)"
-         Common.max_link_mbps mbps);
-  if not (Float.is_finite duration && duration > 0.) then
+      (Printf.sprintf "Exp_parking_lot: rate must be in [%g, %g] Mbit/s (got %g)"
+         Common.min_link_mbps Common.max_link_mbps mbps);
+  if not (duration > 0. && duration <= Common.max_duration_s) then
     invalid_arg
-      (Printf.sprintf
-         "Exp_parking_lot: duration must be finite and > 0 (got %g)" duration);
+      (Printf.sprintf "Exp_parking_lot: duration must be in (0, %g] s (got %g)"
+         Common.max_duration_s duration);
   { default_params with
     links; mbps; duration; seed; nimbus_per_link = 1;
     elastic_cross = (flows - links + (links - 1) - 1) / (links - 1) }

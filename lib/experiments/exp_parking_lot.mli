@@ -28,8 +28,8 @@ type params = {
     elastic cross traffic spread over the adjacent pairs — rounded up, so
     the realized flow count may slightly exceed [flows]).
     @raise Invalid_argument if [links < 2], [flows < links], [mbps] is not
-    in (0, {!Common.max_link_mbps}], or [duration] is not finite and
-    positive. *)
+    in [{!Common.min_link_mbps}, {!Common.max_link_mbps}], or [duration] is
+    not in (0, {!Common.max_duration_s}]. *)
 val scaled_params :
   ?mbps:float ->
   ?duration:float ->

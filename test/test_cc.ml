@@ -340,28 +340,22 @@ let test_rate_measurement_tracks_pacing () =
   Alcotest.(check bool) "S close to 8M" true (Float.abs (s -. 8e6) < 0.8e6);
   Alcotest.(check bool) "R close to 8M" true (Float.abs (r -. 8e6) < 0.8e6)
 
-(* A scheduled pacer reads the rate when it wakes; an ACK or a tick does not
-   ask again ([Cc_types.t.pacing_rate]'s contract).  At 12 Mbit/s a wake
-   comes every 1 ms packet time, so 2 s hold about 2000 wakes, one ask each,
-   plus the flow's set-up check and its start.  Asking on every ACK as well
-   would double the count. *)
+(* A paced flow reads the rate its controller published when its pacer
+   wakes, and calls the controller's wake hook just before: an ACK or a
+   tick neither reads the rate nor calls the hook.  At 12 Mbit/s a wake
+   comes every 1 ms packet time, so 2 s hold about 2000 wakes, one hook
+   call each.  Calling it on every ACK as well would double the count. *)
 let test_paced_flow_asks_on_wake () =
   let e, _, topo, route = make_link ~rate_bps:48e6 () in
   let inner = Simple_cc.const_rate ~rate:(Rate.mbps 12.) in
   let asks = ref 0 in
-  let cc =
-    { inner with
-      Cc_types.pacing_rate =
-        (fun () ->
-          incr asks;
-          inner.Cc_types.pacing_rate ()) }
-  in
+  let cc = { inner with Cc_types.on_wake = Some (fun () -> incr asks) } in
   let f = Flow.create_via topo ~route ~cc ~prop_rtt:rtt50 () in
   Engine.run_until e (Time.secs 2.);
   let acks = Flow.acked_bytes f / 1500 in
   Alcotest.(check bool) "the flow ran at its rate" true (acks > 1900);
   if !asks < 1990 || !asks > 2010 then
-    Alcotest.failf "%d pacing_rate calls for %d ACKs (want ~2002)" !asks acks
+    Alcotest.failf "%d wake hook calls for %d ACKs (want ~2000)" !asks acks
 
 let test_flow_stop () =
   let e, _, topo, route = make_link () in
@@ -615,8 +609,9 @@ let test_scoreboard_reordering () =
 
 (* The packet path allocates little: 4 Cubic flows and a 24 Mbit/s Poisson
    source on a 96 Mbit/s, 50 ms dumbbell for 2 s.  Minor words per packet
-   delivered at the link: 2.22 measured (Cubic's boxed window, the Poisson
-   draw); 7.7 when every packet was a 5-word record. *)
+   delivered at the link: 0.10 measured; 2.22 when Cubic's window was a
+   boxed field read through a [cwnd] closure and the Poisson draw was
+   boxed, and 7.7 when every packet was a 5-word record. *)
 let test_dumbbell_words_per_packet () =
   let e, bn, topo, route = make_link ~rate_bps:96e6 ~buffer_s:0.1 () in
   let rng = Rng.create 1 in
@@ -637,8 +632,8 @@ let test_dumbbell_words_per_packet () =
   let pkts = Bottleneck.delivered_packets bn - pkts0 in
   Alcotest.(check bool) "the link carried ~2 s of packets" true (pkts > 15_000);
   let per_pkt = words /. float_of_int pkts in
-  if per_pkt > 2.5 then
-    Alcotest.failf "%.2f minor words per packet (want <= 2.5)" per_pkt
+  if per_pkt > 0.2 then
+    Alcotest.failf "%.2f minor words per packet (want <= 0.2)" per_pkt
 
 
 (* A window-limited flow whose ACKs all drop from 1 s on times out every
@@ -676,23 +671,17 @@ let test_rto_timeout_allocation () =
   Alcotest.(check (float 0.)) "minor words per timeout" 0.
     (words /. float_of_int n)
 
-(* A paced flow's pacer wakes every 1 ms at 12 Mbit/s and reads its rate,
-   sends what its credit allows and keys its next wake in place: with the
-   ACKs and the 10 ms tick that come with it, 2 s of the flow allocate
-   nothing.  A wake that boxed its interval for [Engine.schedule_in], with
-   [Simple_cc.const_rate] building a fresh [Some] per answer, cost 4 words
-   (8004 here). *)
+(* A paced flow's pacer wakes every 1 ms at 12 Mbit/s and reads its rate
+   from the controller's slot, sends what its credit allows and keys its
+   next wake in place: with the ACKs and the 10 ms tick that come with it,
+   2 s of the flow allocate nothing.  A wake that boxed its interval for
+   [Engine.schedule_in], with [Simple_cc.const_rate] building a fresh
+   [Some] per answer, cost 4 words (8004 here). *)
 let test_pacer_wake_allocates_nothing () =
   let e, _, topo, route = make_link ~rate_bps:48e6 () in
   let inner = Simple_cc.const_rate ~rate:(Rate.mbps 12.) in
   let wakes = ref 0 in
-  let cc =
-    { inner with
-      Cc_types.pacing_rate =
-        (fun () ->
-          incr wakes;
-          inner.Cc_types.pacing_rate ()) }
-  in
+  let cc = { inner with Cc_types.on_wake = Some (fun () -> incr wakes) } in
   let f = Flow.create_via topo ~route ~cc ~prop_rtt:rtt50 () in
   Engine.run_until e (Time.secs 1.);
   let w0 = !wakes and acked0 = Flow.acked_bytes f in
@@ -710,13 +699,13 @@ let test_reno_halves_on_loss () =
   cc.Cc_types.on_loss
     { Cc_types.times = { now = Time.secs 1. }; seq = 0; bytes = 1500;
       inflight_bytes = 0; kind = `Dupack };
-  let after_first = B.to_float (Reno.cwnd_bytes r) in
+  let after_first = (Reno.cc r).out.cwnd in
   cc.Cc_types.on_loss
     { Cc_types.times = { now = Time.secs 10. }; seq = 0; bytes = 1500;
       inflight_bytes = 0; kind = `Dupack };
   check_close "halves"
     (Float.max (after_first /. 2.) 3000.)
-    (B.to_float (Reno.cwnd_bytes r))
+    ((Reno.cc r).out.cwnd)
 
 let test_reno_slow_start_doubles () =
   let r = Reno.create () in
@@ -730,14 +719,14 @@ let test_reno_slow_start_doubles () =
   ack 0.1;
   ack 0.2;
   (* from the initial window of 10 segments *)
-  check_close "2 acks add 2 mss" 18000. (B.to_float (Reno.cwnd_bytes r))
+  check_close "2 acks add 2 mss" 18000. ((Reno.cc r).out.cwnd)
 
 let test_reno_timeout_resets () =
   let r = Reno.create () in
   (Reno.cc r).Cc_types.on_loss
     { Cc_types.times = { now = Time.secs 1. }; seq = 0; bytes = 1500;
       inflight_bytes = 0; kind = `Timeout };
-  check_close "collapses to 2 mss" 3000. (B.to_float (Reno.cwnd_bytes r))
+  check_close "collapses to 2 mss" 3000. ((Reno.cc r).out.cwnd)
 
 let test_cubic_reduces_by_beta () =
   let c = Cubic.create () in
@@ -745,7 +734,7 @@ let test_cubic_reduces_by_beta () =
   (Cubic.cc c).Cc_types.on_loss
     { Cc_types.times = { now = Time.secs 5. }; seq = 0; bytes = 1500;
       inflight_bytes = 0; kind = `Dupack };
-  check_close "beta cut" (150_000. *. 0.7) (B.to_float (Cubic.cwnd_bytes c))
+  check_close "beta cut" (150_000. *. 0.7) ((Cubic.cc c).out.cwnd)
 
 let test_cubic_grows_toward_wmax () =
   let c = Cubic.create () in
@@ -754,7 +743,7 @@ let test_cubic_grows_toward_wmax () =
   cc.Cc_types.on_loss
     { Cc_types.times = { now = Time.zero }; seq = 0; bytes = 1500;
       inflight_bytes = 0; kind = `Dupack };
-  let low = B.to_float (Cubic.cwnd_bytes c) in
+  let low = (Cubic.cc c).out.cwnd in
   (* feed acks over simulated seconds; window must recover toward w_max *)
   for i = 1 to 2000 do
     cc.Cc_types.on_ack
@@ -764,14 +753,14 @@ let test_cubic_grows_toward_wmax () =
         seq = i; bytes = 1500; inflight_bytes = 0; delivered_bytes = 0 }
   done;
   Alcotest.(check bool) "recovers above the cut" true
-    (B.to_float (Cubic.cwnd_bytes c) > low);
+    ((Cubic.cc c).out.cwnd > low);
   Alcotest.(check bool) "reaches w_max region" true
-    (B.to_float (Cubic.cwnd_bytes c) > 140_000.)
+    ((Cubic.cc c).out.cwnd > 140_000.)
 
 let test_cubic_reset_cwnd () =
   let c = Cubic.create () in
   Cubic.reset_cwnd c (B.bytes 99_000.);
-  check_close "reset" 99_000. (B.to_float (Cubic.cwnd_bytes c))
+  check_close "reset" 99_000. ((Cubic.cc c).out.cwnd)
 
 (* A Cubic driven by one random sequence of events, then [reset], then by a
    second, shows the same window after every event of the second, bit for
@@ -806,7 +795,7 @@ let prop_cubic_reset_is_fresh =
                 { Cc_types.times = { now = at; rtt = srtt; min_rtt = srtt; srtt };
                   seq = 0; bytes = 1500; inflight_bytes = 0;
                   delivered_bytes = 0 });
-            Int64.bits_of_float (B.to_float (Cubic.cwnd_bytes c)))
+            Int64.bits_of_float ((Cubic.cc c).out.cwnd))
           events
       in
       let reused = Cubic.create () in
@@ -929,7 +918,7 @@ let test_bbr_skips_nan_rtt () =
         (Option.get cc.on_tick) tick
       end
     done;
-    B.to_float (cc.cwnd ())
+    cc.out.cwnd
   in
   let clean = run ~nan_first:false in
   Alcotest.(check bool) "the clean run's window is past the floor" true
@@ -968,11 +957,69 @@ let test_bbr_on_ack_words () =
   let w = on_ack_words (Bbr.make ()) in
   if w > 0.1 then Alcotest.failf "%.2f minor words per ACK (want <= 0.1)" w
 
-(* 2.0 measured: the boxed window, as Cubic's.  A [Queue] of records
-   scanned every 10 ms and a tuple cache cost 35.3. *)
+(* 0 measured: the window is the published float slot.  A boxed window
+   field cost 2.0, and a [Queue] of records scanned every 10 ms and a
+   tuple cache 35.3. *)
 let test_copa_on_ack_words () =
   let w = on_ack_words (Copa.make ()) in
-  if w > 2.1 then Alcotest.failf "%.2f minor words per ACK (want <= 2.1)" w
+  if w > 0.1 then Alcotest.failf "%.2f minor words per ACK (want <= 0.1)" w
+
+(* One flow alone on a 96 Mbit/s, 50 ms dumbbell, counted from 10 s to
+   12 s, once its rings and filters have grown: the minor words its
+   controller's hooks allocate, and all the words the run allocates, each
+   per packet delivered at the link.  The hooks' words are summed unboxed
+   into a float array, as [on_ack_words] does. *)
+let lone_flow_words cc =
+  let e, bn, topo, route = make_link ~rate_bps:96e6 () in
+  let hooks = Float.Array.make 1 0. and counting = ref false in
+  let counted f x =
+    if !counting then begin
+      let before = Gc.minor_words () in
+      f x;
+      Float.Array.set hooks 0
+        (Float.Array.get hooks 0 +. (Gc.minor_words () -. before))
+    end
+    else f x
+  in
+  let cc =
+    { cc with
+      Cc_types.on_ack = counted cc.Cc_types.on_ack;
+      on_loss = counted cc.on_loss;
+      on_tick = Option.map counted cc.on_tick;
+      on_wake = Option.map counted cc.on_wake }
+  in
+  ignore (Flow.create_via topo ~route ~cc ~prop_rtt:rtt50 ());
+  Engine.run_until e (Time.secs 10.);
+  counting := true;
+  let pkts0 = Bottleneck.delivered_packets bn in
+  let before = Gc.minor_words () in
+  Engine.run_until e (Time.secs 12.);
+  let words = Gc.minor_words () -. before in
+  let pkts = float_of_int (Bottleneck.delivered_packets bn - pkts0) in
+  Alcotest.(check bool) "the link carried ~2 s of packets" true (pkts > 5e3);
+  (Float.Array.get hooks 0 /. pkts, words /. pkts)
+
+(* A controller publishes its window and rate into float slots, so its
+   hooks allocate nothing per packet: BBR's [cwnd] and [pacing_rate]
+   closures, rebuilding a box and a [Some] per read, cost 6.2 words per
+   packet; Basic_delay's and Vivace's cost 2 to 4 per read.  What the run
+   allocates besides is the flow's tick record, whose boxed times and
+   rates cost ~10 words per 10 ms tick (0.12 per packet here): 0.13 for
+   BBR, 0.12 for Basic_delay and 0.00 for the tickless Cubic and Copa, and
+   Vivace's monitor intervals (~0.11) on top. *)
+let test_lone_flow_words () =
+  List.iter
+    (fun (name, cc, all_max) ->
+      let hooks, all = lone_flow_words cc in
+      if hooks > 0.1 then
+        Alcotest.failf "lone %s flow's hooks: %.3f minor words per packet \
+                        (want <= 0.1)" name hooks;
+      if all > all_max then
+        Alcotest.failf "lone %s flow: %.3f minor words per packet (want <= %g)"
+          name all all_max)
+    [ ("bbr", Bbr.make (), 0.15); ("vivace", Vivace.make (), 0.3);
+      ("basic_delay", Basic_delay.make ~mu:(Rate.mbps 96.) (), 0.15);
+      ("cubic", Cubic.make (), 0.01); ("copa", Copa.make (), 0.01) ]
 
 let test_vivace_fills_link_solo () =
   let e, _, topo, route = make_link ~rate_bps:24e6 () in
@@ -1021,19 +1068,14 @@ let test_const_rate_paces_exactly () =
   Alcotest.(check bool) "4 Mbps +-10%" true (Float.abs (tput -. 4e6) < 0.4e6)
 
 (* A finished paced flow's pacer stops: a 30 KB transfer at 4 Mbit/s
-   completes in under 0.1 s, and its controller is not asked for its rate
-   again, nor is anything left pending, for the rest of a 10 s run. *)
+   completes in under 0.1 s, and its pacer does not wake (nor call the
+   controller's wake hook) again, nor is anything left pending, for the
+   rest of a 10 s run. *)
 let test_finished_flow_pacer_stops () =
   let e, _, topo, route = make_link () in
   let inner = Simple_cc.const_rate ~rate:(Rate.bps 4e6) in
   let asks = ref 0 in
-  let cc =
-    { inner with
-      Cc_types.pacing_rate =
-        (fun () ->
-          incr asks;
-          inner.Cc_types.pacing_rate ()) }
-  in
+  let cc = { inner with Cc_types.on_wake = Some (fun () -> incr asks) } in
   let f =
     Flow.create_via topo ~route ~cc ~prop_rtt:rtt50
       ~source:(Flow.Finite 30_000) ()
@@ -1202,7 +1244,8 @@ let suite =
         Alcotest.test_case "on_ack words per ACK" `Quick test_bbr_on_ack_words
       ] );
     ( "cc.vivace",
-      [ Alcotest.test_case "fills link solo" `Quick test_vivace_fills_link_solo ] );
+      [ Alcotest.test_case "fills link solo" `Quick test_vivace_fills_link_solo;
+        Alcotest.test_case "lone flow words" `Quick test_lone_flow_words ] );
     ( "cc.compound",
       [ Alcotest.test_case "fast ramp when idle" `Quick
           test_compound_ramps_fast_when_idle ] );

@@ -9,7 +9,8 @@
    rejected too: at 1e302 Mbit/s a 0.1 s `parking` run never finished.
    `sweep` rejects a NaN, infinite or negative budget, a negative
    `--stop-after` or `--triage-k` and an empty `--schemes=` (it ran the
-   default schemes).  Every run is under a 60 s timeout, so a flag that
+   default schemes).  A property feeds every float flag adversarial
+   spellings.  Every run is under a 60 s timeout, so a flag that
    hangs fails its case (exit 124) instead of the suite.  Likewise `trace`
    must exit 2 on a file that is not a whole trace, instead of summarizing
    garbage. *)
@@ -55,6 +56,15 @@ let bad_values =
     "--rtt=inf";
     (* a zero RTT sizes the buffer, a multiple of the BDP, at zero bytes *)
     "--rtt=0";
+    (* a packet time or a cross-traffic gap that overflows to infinity *)
+    "--rate=1e-320";
+    "--cross=poisson --cross-rate=1e-320";
+    "--cross=cbr --cross-rate=1e-320";
+    (* a run that never ends *)
+    "--duration=1e308";
+    (* not a number at all: cmdliner's parse error, exit 2 as well *)
+    "--rate=1e";
+    "--rate=";
     "--trace-filter=bogus" ]
 
 let parking_rejected args () =
@@ -65,7 +75,7 @@ let bad_parking_values =
   [ "--rate=-5"; "--rate=nan"; "--rate=1e308"; "--rate=1001";
     (* finite in bits per second, and never finished *)
     "--rate=1e302 --duration=0.1"; "--duration=nan"; "--duration=-1";
-    "--duration=inf" ]
+    "--duration=inf"; "--rate=1e-320"; "--duration=1e308" ]
 
 let sweep_rejected args () =
   Alcotest.(check int) (Printf.sprintf "sweep %s exits 2" args) 2
@@ -182,6 +192,50 @@ let output_rejected args () =
        (Printf.sprintf "%s %s > /dev/null 2>&1" cli
           (args ~dir:(Filename.quote dir) ~file:(Filename.quote file))))
 
+(* Every float flag of [simulate], [parking] and [sweep], fed an
+   adversarial spelling, one flag at a time: the run exits 0 (the value is
+   in the flag's domain and ran) or 2 (a parse or domain error, with a
+   message), never 125 (an uncaught exception) or 124 (the timeout: a run
+   that never ended).  The property found a link or cross rate of
+   [1e-320] Mbit/s dying on an infinite packet time (125), a duration of
+   [1e308] s never ending, and an unparsable number ([1e], or nothing)
+   exiting with cmdliner's 124.  Runs go one at a time under [run]'s 60 s
+   timeout, short ones: 0.5 simulated seconds unless the flag drawn is the
+   duration. *)
+let float_flags =
+  [ ("simulate --cross=poisson", "rate"); ("simulate --cross=poisson", "rtt");
+    ("simulate --cross=poisson", "duration");
+    ("simulate --cross=poisson", "cross-rate");
+    ("parking --links 2 --flows 2", "rate");
+    ("parking --links 2 --flows 2", "duration");
+    ("sweep --paths 2 --shard-size 1 --schemes cubic", "budget") ]
+
+let spellings = [ "nan"; "inf"; "-inf"; "0"; "-0"; "1e308"; "1e-320"; "1e"; "" ]
+
+let prop_float_flags_total =
+  let gen =
+    QCheck.Gen.(
+      pair (oneofl float_flags)
+        (frequency
+           [ (4, oneofl spellings);
+             (1, map (fun x -> Printf.sprintf "%.17g" (-.x)) (float_range 1e-9 1e9))
+           ]))
+  in
+  let print ((cmd, flag), value) = Printf.sprintf "%s --%s=%S" cmd flag value in
+  QCheck.Test.make ~count:40
+    ~name:"cli: a float flag's run exits 0 or 2, whatever its spelling"
+    (QCheck.make ~print gen)
+    (fun ((cmd, flag), value) ->
+      let short =
+        if String.equal flag "duration" || String.starts_with ~prefix:"sweep" cmd
+        then ""
+        else " --duration=0.5"
+      in
+      let code =
+        run (Printf.sprintf "%s%s --%s=%s" cmd short flag (Filename.quote value))
+      in
+      code = 0 || code = 2)
+
 let test_valid_run () =
   Alcotest.(check int) "a short valid run exits 0" 0
     (simulate "--cross=cbr --cross-rate=24")
@@ -200,6 +254,7 @@ let suite =
       List.map
         (fun args -> Alcotest.test_case args `Quick (sweep_rejected args))
         bad_sweep_values );
+    ("cli.flags", [ QCheck_alcotest.to_alcotest prop_float_flags_total ]);
     ( "cli.output",
       List.map
         (fun (name, args) ->
