@@ -88,7 +88,7 @@ let z_estimate =
 (* the engine is created once and reused across runs, so what this measures
    is the steady-state churn of scheduling and draining 1000 events — which
    the calendar queue and the unboxed-key overflow heap keep allocation-free
-   once their slot arrays have grown (the old binary heap's boxed keys made
+   once their event pool has grown (the old binary heap's boxed keys made
    this a steady source of minor words).  Simulated time keeps advancing
    across runs; each run drains everything it scheduled. *)
 let event_queue =

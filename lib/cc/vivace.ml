@@ -3,11 +3,11 @@ module Rate = Units.Rate
 
 (* A monitor interval, in a record of floats only, which stores unboxed,
    so crediting an ACK to it allocates nothing; its counts are whole
-   numbers held exactly. *)
+   numbers held exactly.  Intervals are reused in place ({!reset_mi}). *)
 type mi = {
-  mi_start : float;
+  mutable mi_start : float;
   mutable mi_end : float; (* nan while the interval is still open *)
-  sign : float;           (* +1 / -1 probe direction *)
+  mutable sign : float;   (* +1 / -1 probe direction *)
   mutable acked_bytes : float;
   mutable lost : float;
   mutable acked : float;
@@ -32,14 +32,24 @@ type floats = {
   (* the send instant an event is being attributed to, or the tick's
      instant, handed to the non-inlined walks below without a box *)
   mutable at : float;
+  (* the last scored interval's probe sign (0: none) and utility, waiting
+     for an interval of the other sign to complete the pair *)
+  mutable held_sign : float;
+  mutable held_utility : float;
+  mutable utility : float; (* the interval being scored *)
 }
 
+(* The open interval and the finalized ones waiting for their ACKs share
+   one ring: [ring.(first)] is the oldest pending interval, the next
+   [npending - 1] follow it, and the slot after them is [current].  The
+   other slots hold spent intervals, reset and reused on rotation. *)
 type t = {
   f : floats;
   o : Cc_types.out; (* published at the end of every ACK and tick *)
   mutable current : mi;
-  mutable pending : mi list; (* finalized, waiting for their ACKs (oldest first) *)
-  mutable utilities : (float * float) list; (* (sign, utility), newest first *)
+  mutable ring : mi array; (* length a power of two *)
+  mutable first : int;
+  mutable npending : int;
   mutable amplifier : int;
   mutable started : bool;
   mutable doubling : bool; (* PCC's startup: double until utility drops *)
@@ -71,32 +81,65 @@ let publish t =
 [@@alloc_free]
 
 let create () =
+  let ring = Array.init 8 (fun _ -> fresh_mi ~now:0. ~sign:1.) in
   let t =
     { f =
         { rate = Rate.to_bps initial_rate; srtt = 0.1; last_step = 0.;
-          prev_pair_utility = neg_infinity; at = 0. };
+          prev_pair_utility = neg_infinity; at = 0.; held_sign = 0.;
+          held_utility = 0.; utility = 0. };
       o = Cc_types.out ~cwnd:nan ~pace:nan;
-      current = fresh_mi ~now:0. ~sign:1.; pending = []; utilities = [];
+      current = ring.(0); ring; first = 0; npending = 0;
       amplifier = 0; started = false; doubling = true;
       none = fresh_mi ~now:nan ~sign:0. }
   in
   publish t;
   t
 
+(* Reopen [m] at the tick's instant [t.f.at], empty. *)
+let reset_mi t m =
+  m.mi_start <- t.f.at;
+  m.mi_end <- nan;
+  m.acked_bytes <- 0.;
+  m.lost <- 0.;
+  m.acked <- 0.;
+  m.n_rtt <- 0.;
+  m.sum_t <- 0.;
+  m.sum_r <- 0.;
+  m.sum_tt <- 0.;
+  m.sum_tr <- 0.
+[@@alloc_free]
+
+(* The ring slot [i] places after the oldest pending interval. *)
+let[@inline] slot t i = t.ring.((t.first + i) land (Array.length t.ring - 1))
+
+(* Double the ring when no spent slot is left for the next interval:
+   pending intervals and [current] keep their order from index 0. *)
+let grow_ring t =
+  let n = Array.length t.ring in
+  let ring = Array.init (2 * n) (fun i ->
+      if i < n then slot t i else fresh_mi ~now:0. ~sign:1.) in
+  t.ring <- ring;
+  t.first <- 0
+
 let[@inline] covers m sent_at =
   sent_at >= m.mi_start && (Float.is_nan m.mi_end || sent_at < m.mi_end)
 
-let rec find_pending t = function
-  | [] -> t.none
-  | m :: rest -> if covers m t.f.at then m else find_pending t rest
+let rec find_pending t i =
+  if i = t.npending then t.none
+  else begin
+    let m = slot t i in
+    if covers m t.f.at then m else find_pending t (i + 1)
+  end
 
 (* Attribute an event to the monitor interval its packet was *sent* in
    ([t.f.at]): ACKs arrive one RTT after the probe rate that produced them
    applied.  [t.none] when no interval matches. *)
 let find_mi t =
-  if covers t.current t.f.at then t.current else find_pending t t.pending
+  if covers t.current t.f.at then t.current else find_pending t 0
 
-let utility m ~dur =
+(* Score interval [m] into [t.f.utility]. *)
+let utility t m =
+  let dur = Float.max (m.mi_end -. m.mi_start) 1e-3 in
   let x = m.acked_bytes *. 8. /. dur /. 1e6 in
   let loss_rate =
     let total = m.acked +. m.lost in
@@ -116,12 +159,18 @@ let utility m ~dur =
       end
     end
   in
-  (x ** exponent)
-  -. (b_coeff *. x *. Float.max 0. rtt_grad)
-  -. (c_coeff *. x *. loss_rate)
+  t.f.utility <-
+    (x ** exponent)
+    -. (b_coeff *. x *. Float.max 0. rtt_grad)
+    -. (c_coeff *. x *. loss_rate)
+[@@alloc_free]
 
-let apply_pair t ~u_plus ~u_minus =
+(* Move the rate on a completed pair: the held interval's utility and the
+   one just scored, [t.f.utility]. *)
+let apply_pair t =
   let f = t.f in
+  let u_plus = if f.held_sign > 0. then f.held_utility else f.utility in
+  let u_minus = if f.held_sign > 0. then f.utility else f.held_utility in
   let pair_utility = (u_plus +. u_minus) /. 2. in
   if t.doubling then begin
     (* startup: double the rate while utility keeps improving *)
@@ -146,42 +195,59 @@ let apply_pair t ~u_plus ~u_minus =
     let step = Float.max (-.bound) (Float.min bound step) in
     f.rate <- Float.max 100_000. (f.rate +. step)
   end
+[@@alloc_free]
 
+(* Score [m]; a pair is complete when the held interval probed the other
+   way (a product of signs below 0; none held reads 0). *)
 let score_mi t m =
-  let dur = Float.max (m.mi_end -. m.mi_start) 1e-3 in
-  t.utilities <- (m.sign, utility m ~dur) :: t.utilities;
-  match t.utilities with
-  | (s2, u2) :: (s1, u1) :: _ when s1 <> s2 ->
-    let u_plus = if s1 > 0. then u1 else u2 in
-    let u_minus = if s1 > 0. then u2 else u1 in
-    apply_pair t ~u_plus ~u_minus;
-    t.utilities <- []
-  | _ -> ()
+  utility t m;
+  let f = t.f in
+  if f.held_sign *. m.sign < 0. then begin
+    apply_pair t;
+    f.held_sign <- 0.
+  end
+  else begin
+    f.held_sign <- m.sign;
+    f.held_utility <- f.utility
+  end
+[@@alloc_free]
 
 (* score the intervals whose ACKs have all had time to arrive by the
-   tick's instant [t.f.at] *)
+   tick's instant [t.f.at], oldest first *)
 let rec drain t =
-  match t.pending with
-  | m :: rest when t.f.at > m.mi_end +. (1.5 *. t.f.srtt) ->
-    t.pending <- rest;
-    score_mi t m;
-    drain t
-  | _ -> ()
+  if t.npending > 0 then begin
+    let m = slot t 0 in
+    if t.f.at > m.mi_end +. (1.5 *. t.f.srtt) then begin
+      t.first <- (t.first + 1) land (Array.length t.ring - 1);
+      t.npending <- t.npending - 1;
+      score_mi t m;
+      drain t
+    end
+  end
+[@@alloc_free]
 
 let on_tick t (tk : Cc_types.tick) =
-  let now = Time.to_secs tk.now in
+  t.f.at <- Time.to_secs tk.now;
   if t.started then begin
+    let now = t.f.at in
     let mi_len = Float.max t.f.srtt 0.05 in
-    (* rotate the current interval *)
+    (* rotate the current interval into the pending ones *)
     if now -. t.current.mi_start >= mi_len then begin
-      t.current.mi_end <- now;
-      t.pending <- t.pending @ [ t.current ];
-      t.current <- fresh_mi ~now ~sign:(-.t.current.sign)
+      let ended = t.current in
+      ended.mi_end <- now;
+      t.npending <- t.npending + 1;
+      if t.npending = Array.length t.ring then grow_ring t;
+      let m = slot t t.npending in
+      reset_mi t m;
+      m.sign <- -.ended.sign;
+      t.current <- m
     end;
-    t.f.at <- now;
     drain t
   end
-  else t.current <- fresh_mi ~now ~sign:1.;
+  else begin
+    reset_mi t t.current;
+    t.current.sign <- 1.
+  end;
   publish t
 
 let on_ack t (a : Cc_types.ack) =

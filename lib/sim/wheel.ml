@@ -4,19 +4,27 @@
    Push and pop of a near-future event (within [nslots * width] of the
    cursor, a 65.5 ms horizon that covers packet serialisation, pacing, and
    RTT-scale timers at the 256 µs slot width) cost O(1) in the common case
-   instead of the heap's O(log n), and nothing is boxed on the way in:
-   every slot stores its entries in parallel arrays (flat float keys / int
-   seqs / values), exactly like {!Heap} after the unboxed-key rework.
+   instead of the heap's O(log n), and nothing is boxed on the way in.
 
-   Sorted slots: a slot's live entries sit in [head, len) in (key, seq)
-   order, so its minimum is always at [head] and a pop just advances it.  A
-   push inserts from the tail.  Its seq is the largest handed out so far, so
-   it goes after every entry with a key <= its own: in-order arrivals and
-   same-instant bursts (hundreds of flow ticks landing in one slot) append
-   in O(1), and only an entry that undercuts later keys of its slot shifts
-   them.  A drained slot resets to [head = len = 0]; a full slot is
-   compacted in place when at least half of it is dead, and doubled
-   otherwise.
+   One pool per wheel: every slot entry lives in the same parallel arrays
+   (flat float keys / int seqs / values, exactly like {!Heap}, plus int
+   [next]/[prev] links), and a slot is a doubly linked list through them,
+   held as a head and a tail index.  Free entries are chained through
+   [next], and the pool doubles when the chain runs dry, so its size
+   follows the wheel's peak pending count, not each slot's own peak.
+
+   Sorted slots: a slot's list is in (key, seq) order, so its minimum is
+   always the head and a pop unlinks it.  A push links in from the tail.
+   Its seq is the largest handed out so far, so it goes after every entry
+   with a key <= its own: in-order arrivals and same-instant bursts
+   (hundreds of flow ticks landing in one slot) link in O(1), and only an
+   entry that undercuts later keys of its slot walks back over them.
+
+   Entry 0 is the sentinel.  Index 0 ends every slot list and the free
+   chain, its key ([neg_infinity]) stops every walk back from a tail, and
+   its value is the filler a freed entry holds, so a popped payload is not
+   kept alive.  The filler is the first value the pool stores: the arrays
+   need a value of the payload's type, and [create] has none.
 
    Determinism: entries carry sequence numbers from one shared counter, and
    the pop rule is the global lexicographic (key, seq) minimum across both
@@ -28,12 +36,8 @@
    summary word), so finding the next non-empty slot is a handful of mask
    and count-trailing-zero steps, never a 256-slot walk.
 
-   Why 256 slots: each per-slot table then has at most [Max_young_wosize]
-   (256) fields, so {!create} allocates on the minor heap.  At 1024 slots
-   its five tables (5125 words) went straight to the major heap, and such
-   an allocation can run a major-GC slice left pending by earlier work:
-   hundreds of microseconds charged to whichever engine happened to be set
-   up next.
+   {!create} and the first push (a 64-entry pool) allocate only on the
+   minor heap: every table has at most [Max_young_wosize] (256) fields.
 
    Keys must be finite and non-negative (the engine validates before
    pushing).  All wheel entries lie in absolute slots [cur, cur + nslots):
@@ -51,12 +55,20 @@ let nwords = nslots / word_bits (* 8: level-1 summary fits one int *)
 (* slot width, seconds *)
 let width = 256e-6
 
+(* pool entries on the first push, the sentinel included *)
+let first_cap = 64
+
 type 'a t = {
-  slot_keys : float array array;
-  slot_seqs : int array array;
-  slot_vals : 'a array array;
-  slot_head : int array; (* first live entry: the slot's minimum *)
-  slot_len : int array; (* one past the last live entry *)
+  (* the pool: entry e is (keys.(e), seqs.(e), vals.(e)), linked to its
+     slot neighbours by next.(e) and prev.(e); entry 0 is the sentinel *)
+  mutable keys : float array;
+  mutable seqs : int array;
+  mutable vals : 'a array;
+  mutable next : int array;
+  mutable prev : int array;
+  mutable free : int; (* first free entry, chained through [next]; 0 = none *)
+  slot_head : int array; (* the slot's minimum entry; 0 = empty *)
+  slot_tail : int array; (* its maximum entry; 0 = empty *)
   level0 : int array; (* occupancy bit per physical slot, 32 per word *)
   mutable level1 : int; (* bit w set iff level0.(w) <> 0 *)
   mutable cur : int; (* absolute slot index of the cursor *)
@@ -80,11 +92,14 @@ type 'a t = {
 
 let create () =
   {
-    slot_keys = Array.make nslots [||];
-    slot_seqs = Array.make nslots [||];
-    slot_vals = Array.make nslots [||];
+    keys = [||];
+    seqs = [||];
+    vals = [||];
+    next = [||];
+    prev = [||];
+    free = 0;
     slot_head = Array.make nslots 0;
-    slot_len = Array.make nslots 0;
+    slot_tail = Array.make nslots 0;
     level0 = Array.make nwords 0;
     level1 = 0;
     cur = 0;
@@ -162,48 +177,65 @@ let first_occupied_from t p0 =
   end
 [@@alloc_free]
 
-(* Room for one more entry at the tail of a full slot [p]: slide the live
-   range [head, len) down to 0 when at least half the slot is dead
-   ([compact_slot]), otherwise double the capacity ([grow_slot]: fresh
-   arrays filled with the entry being pushed, so no dummy element is ever
-   needed).  Either way the live range then starts at 0.  Neither takes
-   the key as a float argument, which would box it: compaction runs about
-   once per slot visit wherever two event streams share a slot, and
-   [grow_slot] reads the key from the register. *)
-let compact_slot t p =
-  let head = t.slot_head.(p) in
-  let live = t.slot_len.(p) - head in
-  Array.blit t.slot_keys.(p) head t.slot_keys.(p) 0 live;
-  Array.blit t.slot_seqs.(p) head t.slot_seqs.(p) 0 live;
-  Array.blit t.slot_vals.(p) head t.slot_vals.(p) 0 live;
-  t.slot_head.(p) <- 0;
-  t.slot_len.(p) <- live
+(* [a] copied into a fresh array of [n] entries, the rest [fill] *)
+let extend a n fill =
+  let b = Array.make n fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Double the pool; it runs only when the free chain is empty, so every
+   old entry but the sentinel is live and is copied as is.  The fresh
+   values are the filler: on the first growth, [v], the value being
+   pushed, which then stays in the sentinel for the wheel's lifetime. *)
+let grow t v =
+  let cap = Array.length t.keys in
+  let ncap = if cap = 0 then first_cap else 2 * cap in
+  t.keys <- extend t.keys ncap neg_infinity;
+  t.seqs <- extend t.seqs ncap 0;
+  t.vals <- extend t.vals ncap (if cap = 0 then v else t.vals.(0));
+  t.next <- extend t.next ncap 0;
+  t.prev <- extend t.prev ncap 0;
+  let first = max cap 1 in
+  for e = first to ncap - 2 do
+    t.next.(e) <- e + 1
+  done;
+  t.free <- first
+
+(* Link entry [e] into slot [p] right after entry [j] (0: as the head). *)
+let link_after t p j e =
+  let n = if j = 0 then t.slot_head.(p) else t.next.(j) in
+  t.prev.(e) <- j;
+  t.next.(e) <- n;
+  if j <> 0 then t.next.(j) <- e
+  else begin
+    if n = 0 then mark_slot t p;
+    t.slot_head.(p) <- e
+  end;
+  if n = 0 then t.slot_tail.(p) <- e else t.prev.(n) <- e
 [@@alloc_free]
 
-let grow_slot t p ~seq v =
-  let head = t.slot_head.(p) in
-  let live = t.slot_len.(p) - head in
-  let ncap = max 4 (2 * Array.length t.slot_keys.(p)) in
-  let keys = Array.make ncap (Float.Array.unsafe_get t.reg 0) in
-  let seqs = Array.make ncap seq in
-  let vals = Array.make ncap v in
-  Array.blit t.slot_keys.(p) head keys 0 live;
-  Array.blit t.slot_seqs.(p) head seqs 0 live;
-  Array.blit t.slot_vals.(p) head vals 0 live;
-  t.slot_keys.(p) <- keys;
-  t.slot_seqs.(p) <- seqs;
-  t.slot_vals.(p) <- vals;
-  t.slot_head.(p) <- 0;
-  t.slot_len.(p) <- live
+(* Unlink slot [p]'s head [e] and return it to the free chain, holding the
+   filler instead of its payload. *)
+let unlink_head t p e =
+  let n = t.next.(e) in
+  t.slot_head.(p) <- n;
+  if n = 0 then begin
+    t.slot_tail.(p) <- 0;
+    unmark_slot t p
+  end
+  else t.prev.(n) <- 0;
+  t.vals.(e) <- t.vals.(0);
+  t.next.(e) <- t.free;
+  t.free <- e
+[@@alloc_free]
 
 (* Is (key, seq) strictly before the cached global minimum?  Inlined: [key]
    is an unboxed local of [push_reg], and a call would box it. *)
 let[@inline] beats_cache t key seq =
   if t.cache_where = 0 then begin
-    let p = t.cache_slot in
-    let h = t.slot_head.(p) in
-    let ck = t.slot_keys.(p).(h) in
-    key < ck || (Float.equal key ck && seq < t.slot_seqs.(p).(h))
+    let h = t.slot_head.(t.cache_slot) in
+    let ck = t.keys.(h) in
+    key < ck || (Float.equal key ck && seq < t.seqs.(h))
   end
   else begin
     let ck = t.far.Heap.keys.(0) in
@@ -227,34 +259,23 @@ let push_reg t v =
   end
   else begin
     let p = int_of_float (key /. width) land slot_mask in
-    let cap = Array.length t.slot_keys.(p) in
-    if t.slot_len.(p) = cap then begin
-      let head = t.slot_head.(p) in
-      if head > 0 && 2 * head >= cap then compact_slot t p
-      else
-        (grow_slot t p ~seq v
-        [@alloc_ok "amortized per-slot capacity doubling"])
-    end;
-    (* decided before the insert can shift the cached slot's head *)
+    if t.free = 0 then
+      (grow t v [@alloc_ok "pool doubling: log2 of the peak pending count"]);
     let beats = t.cache_where >= 0 && beats_cache t key seq in
-    let keys = t.slot_keys.(p)
-    and seqs = t.slot_seqs.(p)
-    and vals = t.slot_vals.(p) in
-    let head = t.slot_head.(p) and len = t.slot_len.(p) in
-    (* sorted insert from the tail: [seq] is the largest so far, so the new
-       entry goes after every key <= its own and only larger keys shift *)
-    let i = ref len in
-    while !i > head && keys.(!i - 1) > key do
-      keys.(!i) <- keys.(!i - 1);
-      seqs.(!i) <- seqs.(!i - 1);
-      vals.(!i) <- vals.(!i - 1);
-      decr i
+    let e = t.free in
+    t.free <- t.next.(e);
+    t.keys.(e) <- key;
+    t.seqs.(e) <- seq;
+    t.vals.(e) <- v;
+    (* walk back from the tail over larger keys: [seq] is the largest so
+       far, so the new entry goes after every key <= its own; the
+       sentinel's key stops the walk *)
+    let keys = t.keys and prev = t.prev in
+    let j = ref t.slot_tail.(p) in
+    while keys.(!j) > key do
+      j := prev.(!j)
     done;
-    keys.(!i) <- key;
-    seqs.(!i) <- seq;
-    vals.(!i) <- v;
-    t.slot_len.(p) <- len + 1;
-    if len = head then mark_slot t p;
+    link_after t p !j e;
     t.wheel_count <- t.wheel_count + 1;
     if beats then begin
       t.cache_where <- 0;
@@ -276,15 +297,14 @@ let locate t =
     else begin
       let p = first_occupied_from t (t.cur land slot_mask) in
       let h = t.slot_head.(p) in
-      let k = t.slot_keys.(p).(h) in
+      let k = t.keys.(h) in
       (* slot head vs. heap top: all other slots hold larger keys, so this
          comparison decides the global minimum *)
       let far = t.far in
       if
         far.Heap.size = 0
         || k < far.Heap.keys.(0)
-        || (Float.equal k far.Heap.keys.(0)
-           && t.slot_seqs.(p).(h) < far.Heap.seqs.(0))
+        || (Float.equal k far.Heap.keys.(0) && t.seqs.(h) < far.Heap.seqs.(0))
       then begin
         t.cache_where <- 0;
         t.cache_slot <- p
@@ -297,8 +317,7 @@ let locate t =
 let load_top_key t =
   locate t;
   Float.Array.unsafe_set t.reg 0
-    (if t.cache_where = 0 then
-       t.slot_keys.(t.cache_slot).(t.slot_head.(t.cache_slot))
+    (if t.cache_where = 0 then t.keys.(t.slot_head.(t.cache_slot))
      else t.far.Heap.keys.(0))
 [@@alloc_free]
 
@@ -325,19 +344,10 @@ let pop_top t =
   locate t;
   if t.cache_where = 0 then begin
     let p = t.cache_slot in
-    let h = t.slot_head.(p) and last = t.slot_len.(p) - 1 in
-    let vals = t.slot_vals.(p) in
-    let v = vals.(h) in
-    advance_to_key t t.slot_keys.(p) h;
-    (* drop the popped payload (and whatever it keeps alive) by aliasing a
-       live entry, so a drained slot retains at most one value *)
-    vals.(h) <- vals.(last);
-    if h = last then begin
-      t.slot_head.(p) <- 0;
-      t.slot_len.(p) <- 0;
-      unmark_slot t p
-    end
-    else t.slot_head.(p) <- h + 1;
+    let e = t.slot_head.(p) in
+    let v = t.vals.(e) in
+    advance_to_key t t.keys e;
+    unlink_head t p e;
     t.wheel_count <- t.wheel_count - 1;
     t.cache_where <- -1;
     v

@@ -5,11 +5,17 @@
     which at the 256 µs slot width is a ~65.5 ms horizon covering
     packet serialisation times, pacing ticks, and RTT-scale timers — is
     O(1) when it arrives in key order or shares its key with earlier
-    events (a same-instant burst), and popping is O(1): each slot is kept
-    sorted, so its minimum is at its head.  A push that undercuts later
-    keys of its slot shifts only those.  Events beyond the horizon spill
-    into the heap and migrate implicitly: by the time they are due, the
-    cursor has advanced and they pop straight from the heap.
+    events (a same-instant burst), and popping is O(1): each slot is a
+    sorted list, so its minimum is at its head.  A push that undercuts
+    later keys of its slot walks back over only those.  Events beyond
+    the horizon spill into the heap and migrate implicitly: by the time
+    they are due, the cursor has advanced and they pop straight from the
+    heap.
+
+    Storage: every slot links its entries through one pool of parallel
+    arrays, which doubles when full, so a wheel grows about log2 of its
+    peak pending count times, whatever the slots those events land in,
+    and a drained wheel refills without allocating.
 
     Pop order is the global lexicographic (key, sequence) minimum across
     the slots and the heap, with sequence numbers drawn from one shared
@@ -17,14 +23,21 @@
     {!Heap} would produce, so switching {!Engine} between the two cannot
     change a trace byte.
 
+    Retention: a popped slot entry is overwritten with the pool's filler,
+    the first value ever stored in the pool (the first push within the
+    horizon), so the slots keep that one value alive for the wheel's
+    lifetime and no other popped value.  The overflow heap does not
+    clear what it pops: a far timer's value can stay reachable until
+    later far pushes overwrite it.
+
     Keys must be finite and non-negative ({!Engine} validates its
     timestamps before scheduling). *)
 
 type 'a t
 
 (** [create ()] is an empty queue with 256 µs slots.  It allocates only
-    on the minor heap: each of its per-slot tables fits a minor-heap
-    block. *)
+    on the minor heap, and so does the first push, which makes a 64-entry
+    pool. *)
 val create : unit -> 'a t
 
 (** [size t] is the number of pending events (slots + overflow heap). *)

@@ -320,8 +320,9 @@ let test_repo_clean () =
       "Nimbus_sim__Packet.make"; "Nimbus_sim__Packet.flow";
       "Nimbus_sim__Packet.seq"; "Nimbus_sim__Packet.size";
       "Nimbus_sim__Rng.bool"; "Nimbus_sim__Rng.bool_at";
-      "Nimbus_sim__Wheel.compact_slot"; "Nimbus_sim__Engine.put_spare";
-      "Nimbus_sim__Engine.take_spare"; "Nimbus_cc__Flow.init";
+      "Nimbus_sim__Wheel.link_after"; "Nimbus_sim__Wheel.unlink_head";
+      "Nimbus_sim__Engine.put_spare"; "Nimbus_sim__Engine.take_spare";
+      "Nimbus_cc__Flow.init";
       "Nimbus_cc__Flow.release"; "Nimbus_cc__Flow.recycle";
       "Nimbus_cc__Flow.receiver_got"; "Nimbus_cc__Flow.handle_ack";
       "Nimbus_topology__Topology.attach"; "Nimbus_topology__Topology.wire";

@@ -1002,24 +1002,26 @@ let lone_flow_words cc =
 (* A controller publishes its window and rate into float slots, so its
    hooks allocate nothing per packet: BBR's [cwnd] and [pacing_rate]
    closures, rebuilding a box and a [Some] per read, cost 6.2 words per
-   packet; Basic_delay's and Vivace's cost 2 to 4 per read.  What the run
-   allocates besides is the flow's tick record, whose boxed times and
-   rates cost ~10 words per 10 ms tick (0.12 per packet here): 0.13 for
-   BBR, 0.12 for Basic_delay and 0.00 for the tickless Cubic and Copa, and
-   Vivace's monitor intervals (~0.11) on top. *)
+   packet; Basic_delay's and Vivace's cost 2 to 4 per read.  Vivace's
+   monitor intervals are reused from a ring and its pending pair sits in
+   two float fields, so its hooks read 0.00; a fresh 12-float interval, a
+   list append and a tuple per ~50 ms interval read 0.08.  The whole run,
+   mostly the flow's tick record with its boxed times and rates, reads
+   0.09 for BBR, 0.03 for Basic_delay, 0.15 for Vivace and 0.00 for the
+   tickless Cubic and Copa. *)
 let test_lone_flow_words () =
   List.iter
-    (fun (name, cc, all_max) ->
+    (fun (name, cc, hooks_max, all_max) ->
       let hooks, all = lone_flow_words cc in
-      if hooks > 0.1 then
+      if hooks > hooks_max then
         Alcotest.failf "lone %s flow's hooks: %.3f minor words per packet \
-                        (want <= 0.1)" name hooks;
+                        (want <= %g)" name hooks hooks_max;
       if all > all_max then
         Alcotest.failf "lone %s flow: %.3f minor words per packet (want <= %g)"
           name all all_max)
-    [ ("bbr", Bbr.make (), 0.15); ("vivace", Vivace.make (), 0.3);
-      ("basic_delay", Basic_delay.make ~mu:(Rate.mbps 96.) (), 0.15);
-      ("cubic", Cubic.make (), 0.01); ("copa", Copa.make (), 0.01) ]
+    [ ("bbr", Bbr.make (), 0.1, 0.15); ("vivace", Vivace.make (), 0.01, 0.2);
+      ("basic_delay", Basic_delay.make ~mu:(Rate.mbps 96.) (), 0.1, 0.15);
+      ("cubic", Cubic.make (), 0.1, 0.01); ("copa", Copa.make (), 0.1, 0.01) ]
 
 let test_vivace_fills_link_solo () =
   let e, _, topo, route = make_link ~rate_bps:24e6 () in

@@ -152,6 +152,68 @@ let test_wheel_far_timer_push_alloc () =
   Alcotest.(check (float 0.)) "minor words over 10k far push/pop" 0. words;
   Alcotest.(check bool) "drained" true (Wheel.is_empty w)
 
+(* Slot entries live in one pool that doubles when full, so a wheel's
+   storage follows its peak pending count.  Each of the 256 slots in turn
+   gets [k] events, drained before the next slot fills: [k] are pending at
+   most.  The pool grows to fit [k] once (at most ~20 words per pending
+   entry: five arrays, doubled), and the second sweep over the slots
+   allocates nothing.  Per-slot arrays grew in all 256 slots, ~2000 words
+   per pending entry here. *)
+let test_wheel_storage_follows_pending () =
+  let k = 100 in
+  let w = Wheel.create () in
+  let reg = Wheel.key_reg w in
+  let peak = ref 0 in
+  let sweep base =
+    for s = 0 to 255 do
+      for j = 0 to k - 1 do
+        Float.Array.set reg 0
+          (((float_of_int (base + s) +. 0.25) *. 256e-6)
+          +. (float_of_int j *. 1e-6));
+        Wheel.push_reg w j
+      done;
+      if Wheel.size w > !peak then peak := Wheel.size w;
+      for j = 0 to k - 1 do
+        if Wheel.pop_top w <> j then Alcotest.failf "slot %d: pop order" s
+      done
+    done
+  in
+  let before = Gc.minor_words () in
+  sweep 0;
+  let first = Gc.minor_words () -. before in
+  Alcotest.(check int) "peak pending" k !peak;
+  if first > 24. *. float_of_int !peak then
+    Alcotest.failf "first sweep: %.0f minor words for %d pending (want <= %d)"
+      first !peak (24 * !peak);
+  let before = Gc.minor_words () in
+  sweep 256;
+  Alcotest.(check (float 0.)) "second sweep's minor words" 0.
+    (Gc.minor_words () -. before);
+  Alcotest.(check bool) "drained" true (Wheel.is_empty w)
+
+(* A popped payload is not kept alive by the slot entry it left.  The
+   wheel holds its first stored value for its lifetime as the pool's
+   filler, so a static closure goes in first; the closure under test is
+   reachable only through the weak pointer once popped. *)
+let test_wheel_pop_drops_payload () =
+  let w = Wheel.create () in
+  let weak = Weak.create 1 in
+  Wheel.push w ~key:1e-3 (fun () -> ());
+  let[@inline never] push_tracked () =
+    let hits = ref 0 in
+    let f () = incr hits in
+    Weak.set weak 0 (Some f);
+    Wheel.push w ~key:2e-3 f
+  in
+  push_tracked ();
+  let[@inline never] pop_and_run () = (Wheel.pop_top w) () in
+  pop_and_run ();
+  pop_and_run ();
+  Gc.full_major ();
+  Alcotest.(check bool) "popped closure collected" false (Weak.check weak 0);
+  (* the wheel stays reachable across the collection *)
+  Alcotest.(check bool) "drained" true (Wheel.is_empty w)
+
 let test_wheel_wraparound () =
   (* interleaved push/pop walking far past nslots * width: the physical
      slots wrap around many times and order must survive *)
@@ -201,11 +263,11 @@ let prop_wheel_matches_heap =
 
 let prop_wheel_dense_slots_match_heap =
   (* the same contract where the one above cannot reach: several distinct
-     keys per slot (offsets below the 64 us slot width), same-key bursts of
-     100-1000 entries (hundreds of flow ticks on one instant), pushes at
+     keys per slot (offsets below the 256 us slot width), same-key bursts
+     of 100-1000 entries (hundreds of flow ticks on one instant), pushes at
      [key = now] into the slot being drained, far keys past the horizon,
-     and enough push/pop churn on a slot to make it both compact in place
-     and double *)
+     pushes that undercut later keys of their slot and walk back over
+     them, and enough pending entries to double the pool several times *)
   QCheck.Test.make ~count:60 ~name:"wheel: dense slots pop like the heap"
     QCheck.(pair (int_range 0 100_000) (int_range 1 300))
     (fun (seed, nops) ->
@@ -248,7 +310,7 @@ let prop_wheel_dense_slots_match_heap =
 
 let test_wheel_same_instant_burst () =
   (* 1000 events on one instant, with earlier and later keys of the same
-     64 us slot pushed in between: pops come out in (key, push order) *)
+     256 us slot pushed in between: pops come out in (key, push order) *)
   let w = Wheel.create () in
   let t0 = 0.03 in
   let pushed = ref [] and n = ref 0 in
@@ -852,6 +914,10 @@ let suite =
           test_wheel_far_timer_push_alloc;
         Alcotest.test_case "same-instant burst" `Quick
           test_wheel_same_instant_burst;
+        Alcotest.test_case "storage follows pending events" `Quick
+          test_wheel_storage_follows_pending;
+        Alcotest.test_case "a popped payload is not retained" `Quick
+          test_wheel_pop_drops_payload;
         qtest prop_wheel_matches_heap;
         qtest prop_wheel_dense_slots_match_heap ] );
     ( "sim.engine",
